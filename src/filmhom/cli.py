@@ -244,7 +244,7 @@ def cmd_film(cfg, args, out):
     _write_json(out / "film.json", table.to_dict(), comments)
     columns = _flat_names(cfg.m, cfg.n - 1) + ["value", "refinement_level", "nodes"]
     _write_csv(out / "film.csv", columns, table.csv_rows(), comments)
-    return True
+    return all(e.converged for e in entries)
 
 
 def cmd_gamma(cfg, args, out):
@@ -265,7 +265,7 @@ def cmd_gamma(cfg, args, out):
     _write_csv(out / "gamma.csv",
                ["eps", "delta", "minimum", "scaled", "gap", "converged"],
                report.csv_rows(), comments)
-    return all(e.converged for e in report.entries)
+    return report.membrane_converged and all(e.converged for e in report.entries)
 
 
 COMMANDS = {

@@ -205,6 +205,8 @@ class EnergyDensity:
 
     def cell_stress(self, G):
         p = self.p
+        if p == 2.0 and self.kind in ("p_norm_power", "frobenius_power"):
+            return 2.0 * G
         if self.kind == "p_norm_power":
             colnorm = np.sqrt(np.sum(G * G, axis=0))
             if p < 2.0:

@@ -44,11 +44,13 @@ class FilmTableEntry:
     node_values: list
     node_argmins: list
     refinement_level: int
+    converged: bool             # every cylinder solve behind the value converged
 
     def to_dict(self):
         return {
             "Fbar": self.Fbar.tolist(),
             "value": self.value,
+            "converged": self.converged,
             "refinement_level": self.refinement_level,
             "nodes": list(self.nodes),
             "weights": list(self.weights),
@@ -95,12 +97,14 @@ class GammaCheckReport:
     target: float
     entries: list
     trend_nonincreasing: bool
+    membrane_converged: bool    # every solve behind the target converged
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self):
         return {
             "target": self.target,
             "trend_nonincreasing": self.trend_nonincreasing,
+            "membrane_converged": self.membrane_converged,
             "metadata": dict(self.metadata),
             "entries": [
                 {"eps": e.eps, "delta": e.delta, "minimum": e.minimum,
@@ -164,19 +168,21 @@ def _require_film_hypotheses(profile, W):
 
 
 def _cylinder_evaluator(profile, W, t, n_grid, vertical_cells, solver_opts):
-    """Warm-started evaluator F -> cylinder cell value at fixed level t."""
+    """Warm-started evaluator F -> cylinder cell value at fixed level t, and
+    its state; ``state["converged"]`` stays True while every solve converges."""
     _, occ = _cylinder_mask(profile, t, n_grid, vertical_cells)
     if not occ.any():
-        return None
-    state = {"v0": None}
+        return None, None
+    state = {"v0": None, "converged": True}
 
     def value(F):
-        val, corr, _ = minimize_periodic(occ, W, F, opts=solver_opts,
-                                         v0=state["v0"], want_corrector=False)
+        val, corr, report = minimize_periodic(occ, W, F, opts=solver_opts,
+                                              v0=state["v0"], want_corrector=False)
         state["v0"] = corr.values
+        state["converged"] &= report.converged
         return val
 
-    return value
+    return value, state
 
 
 def w_tilde(profile, W, t, Fbar, *, n_grid=64, vertical_cells=4, fn_tol=1e-6,
@@ -187,7 +193,8 @@ def w_tilde(profile, W, t, Fbar, *, n_grid=64, vertical_cells=4, fn_tol=1e-6,
     with golden-section per coordinate otherwise.  An empty superlevel set
     gives value 0 with argmin 0 by convention.
 
-    Returns (value, argmin) with argmin of shape (m,).
+    Returns (value, argmin, converged) with argmin of shape (m,); converged
+    is False when any cylinder solve of the search did not converge.
     """
     _require_film_hypotheses(profile, W)
     Fbar = as_matrix(Fbar)
@@ -197,10 +204,10 @@ def w_tilde(profile, W, t, Fbar, *, n_grid=64, vertical_cells=4, fn_tol=1e-6,
             f"in-plane matrix has {Fbar.shape[1]} columns; profile dim is {profile.dim}"
         )
     W.check_dims(m, profile.dim + 1)
-    evaluator = _cylinder_evaluator(profile, W, t, n_grid, vertical_cells,
-                                    solver_opts)
+    evaluator, state = _cylinder_evaluator(profile, W, t, n_grid, vertical_cells,
+                                           solver_opts)
     if evaluator is None:
-        return 0.0, np.zeros(m)
+        return 0.0, np.zeros(m), True
 
     half_width = 2.0 * (1.0 + float(np.linalg.norm(Fbar)))
 
@@ -210,7 +217,7 @@ def w_tilde(profile, W, t, Fbar, *, n_grid=64, vertical_cells=4, fn_tol=1e-6,
     if m == 1:
         x, fx = _expanding_min(lambda s: evaluator(with_column([s])),
                                half_width, fn_tol)
-        return fx, np.array([x])
+        return fx, np.array([x]), state["converged"]
 
     fn_col = np.zeros(m)
     fx = evaluator(with_column(fn_col))
@@ -228,7 +235,7 @@ def w_tilde(profile, W, t, Fbar, *, n_grid=64, vertical_cells=4, fn_tol=1e-6,
             fn_col[c] = x
         if moved <= fn_tol:
             break
-    return fx, fn_col
+    return fx, fn_col, state["converged"]
 
 
 # -- quadrature over the level --------------------------------------------------
@@ -268,7 +275,8 @@ def w_bar(profile, W, Fbar, *, n_grid=64, vertical_cells=4, quad=None,
     (midpoint nodes never hit a threshold); the node count doubles per
     refinement until two successive totals agree to the relative tolerance.
     A run that exhausts the refinement budget raises QuadratureError carrying
-    the best estimate and the full node history.
+    the best estimate and the full node history.  The entry's ``converged``
+    is False when any cylinder solve of any refinement level did not converge.
     """
     _require_film_hypotheses(profile, W)
     quad = quad or QuadratureOptions()
@@ -281,20 +289,23 @@ def w_bar(profile, W, Fbar, *, n_grid=64, vertical_cells=4, quad=None,
     history = []
     prev_total = None
     best = None
+    converged = True
     for level in range(quad.max_refinements + 1):
         nodes, weights = _midpoint_nodes(breaks, per_piece)
         vals, mins = [], []
         for t in nodes:
-            v, argmin = w_tilde(profile, W, t, Fbar, n_grid=n_grid,
-                                vertical_cells=vertical_cells, fn_tol=fn_tol,
-                                solver_opts=solver_opts)
+            v, argmin, ok = w_tilde(profile, W, t, Fbar, n_grid=n_grid,
+                                    vertical_cells=vertical_cells, fn_tol=fn_tol,
+                                    solver_opts=solver_opts)
             vals.append(v)
             mins.append(argmin)
+            converged &= ok
         total = float(np.dot(weights, vals))
         history.append({"level": level, "nodes": len(nodes), "estimate": total})
         best = FilmTableEntry(Fbar=Fbar.copy(), value=total, nodes=nodes,
                               weights=weights, node_values=vals,
-                              node_argmins=mins, refinement_level=level)
+                              node_argmins=mins, refinement_level=level,
+                              converged=converged)
         if prev_total is not None and (
                 abs(total - prev_total)
                 <= quad.rel_tol * max(abs(total), quad.abs_floor)):
@@ -420,14 +431,6 @@ def direct_min(profile, eps, delta, Fbar, W, *, omega=None, cells_per_delta=8,
 
     grid = _Grid(cells=grid_cells, spacings=dm.spacings,
                  periodic=(False,) * (d + 1))
-    frozen = np.zeros(grid.node_shape, dtype=bool)
-    for a in range(d):
-        sl = [slice(None)] * (d + 1)
-        sl[a] = 0
-        frozen[tuple(sl)] = True
-        sl[a] = -1
-        frozen[tuple(sl)] = True
-
     F_off = np.hstack([Fbar, np.zeros((m, 1))])
     density = W
     if parameterization == "scaled":
@@ -435,8 +438,9 @@ def direct_min(profile, eps, delta, Fbar, W, *, omega=None, cells_per_delta=8,
         scales[-1] = 1.0 / eps
         density = _ColumnScaledDensity(W, scales)
 
+    # lateral Dirichlet data, free top and bottom
     integral, _, report = _solve_masked(grid, dm.occupancy, density, F_off,
-                                        solver_opts, frozen=frozen)
+                                        solver_opts, dirichlet_axes=tuple(range(d)))
     return integral, report
 
 
@@ -474,6 +478,7 @@ def gamma_check(profile, W, Fbar, eps_schedule, *, omega=None, cells_per_delta=8
         except ResolutionError as err:
             err.partial_report = GammaCheckReport(
                 target=target, entries=entries, trend_nonincreasing=False,
+                membrane_converged=membrane.table_entry.converged,
                 metadata={"aborted_at_eps": eps})
             raise
         scaled = minimum / eps
@@ -488,6 +493,7 @@ def gamma_check(profile, W, Fbar, eps_schedule, *, omega=None, cells_per_delta=8
     trend = all(b.gap <= a.gap + 1e-12 for a, b in zip(entries[:-1], entries[1:]))
     return GammaCheckReport(target=target, entries=entries,
                             trend_nonincreasing=trend,
+                            membrane_converged=membrane.table_entry.converged,
                             metadata={"omega": [list(o) for o in omega],
                                       "cells_per_delta": cells_per_delta,
                                       "vertical_cells": vertical_cells})

@@ -222,13 +222,26 @@ def test_exit_code_structural_inconsistency(tmp_path):
 
 
 def test_exit_code_nonconvergence(tmp_path):
+    # product islands at t = 0.7 take many iterations; a stripe would be
+    # solved exactly by the first preconditioned one
     cfg = write_config(tmp_path,
-                       profile={"kind": "sin2-stripe", "dim": 2},
+                       profile={"kind": "sin2-product", "dim": 2},
                        grid={"N": 32},
                        solver={"max_iterations": 1},
                        sweep={"t_values": [0.7], "F_probes": [[1.0, 1.0]]})
     assert main(["phi", "--config", str(cfg), "--out",
                  str(tmp_path / "out")]) == 4
+
+
+def test_exit_code_film_nonconvergence(tmp_path):
+    cfg = write_config(tmp_path, film={"n_grid": 16, "vertical_cells": 2},
+                       solver={"max_iterations": 1},
+                       sweep={"t_values": [], "F_probes": [[1.0, 0.0]]})
+    out = tmp_path / "out"
+    assert main(["film", "--config", str(cfg), "--out", str(out),
+                 "--reproducible"]) == 4
+    table = json.loads(read_lines(out / "film.json"))
+    assert table["entries"][0]["converged"] is False
 
 
 def test_config_validation_messages(tmp_path):

@@ -19,20 +19,24 @@ def stripe_theta(t):
 
 
 def test_wtilde_flat_minimizes_transverse(W3):
-    value, argmin = w_tilde(Profile.constant(2), W3, 0.4, [[0.7, -0.2]],
-                            n_grid=16)
+    value, argmin, converged = w_tilde(Profile.constant(2), W3, 0.4,
+                                       [[0.7, -0.2]], n_grid=16)
+    assert converged
     assert value == pytest.approx(0.7 ** 2 + 0.2 ** 2, abs=1e-6)
     assert abs(argmin[0]) < 1e-5
 
 
 def test_wtilde_kernel_interval_vanishes(product2, W3):
-    value, argmin = w_tilde(product2, W3, 0.75, [[1.0, 1.0]], n_grid=32)
+    value, argmin, converged = w_tilde(product2, W3, 0.75, [[1.0, 1.0]],
+                                       n_grid=32)
+    assert converged
     assert value <= 1e-6
     assert abs(argmin[0]) < 1e-4
 
 
 def test_wtilde_stripe_value(stripe2, W3):
-    value, _ = w_tilde(stripe2, W3, 0.75, [[1.0, 1.0]], n_grid=64)
+    value, _, converged = w_tilde(stripe2, W3, 0.75, [[1.0, 1.0]], n_grid=64)
+    assert converged
     assert value == pytest.approx(stripe_theta(0.75), rel=0.02)
 
 
@@ -44,8 +48,9 @@ def test_wtilde_rejects_zero_floor(W3):
 
 def test_wtilde_multicomponent_coordinate_descent():
     W = EnergyDensity.p_norm_power(2.0, 2, 3)
-    value, argmin = w_tilde(Profile.constant(2), W, 0.2,
-                            [[1.0, 0.0], [0.0, 1.0]], n_grid=8)
+    value, argmin, converged = w_tilde(Profile.constant(2), W, 0.2,
+                                       [[1.0, 0.0], [0.0, 1.0]], n_grid=8)
+    assert converged
     assert value == pytest.approx(2.0, abs=1e-5)
     assert np.abs(argmin).max() < 1e-4
 

@@ -138,6 +138,20 @@ def test_whom_vertical_cells_irrelevant(stripe2, W3):
     assert a == pytest.approx(b, abs=1e-9)
 
 
+def test_whom_p3_descent_reaches_tolerance(checker2):
+    # this probe used to stall at 641 iterations, residual 3.6e-7: the Armijo
+    # and restart tests compared two rounded energy totals, which stop
+    # resolving the decrease long before the gradient tolerance
+    W = EnergyDensity.p_norm_power(3.0, 1, 3)
+    F = np.random.default_rng(206).uniform(-1, 1, (1, 3))
+    sample = w_hom(checker2, 0.5, F, W, 32, vertical_cells=4)
+    assert sample.report.method == "descent"
+    assert sample.report.converged
+    split = psi(checker2, 0.5, F, 32, p=3.0)
+    assert split.report.converged
+    assert sample.value == pytest.approx(split.value, abs=1e-6)
+
+
 def test_whom_rejects_nonconvex():
     bad = EnergyDensity.custom(lambda F: float(np.sqrt(np.abs(F).sum())),
                                p=2.0, m=1, n=3, gamma=0.1, beta=10.0)
