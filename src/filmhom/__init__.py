@@ -5,7 +5,7 @@ from .cell_solver import (CorrectorField, SolveReport, SolverOptions,
                           minimize_dirichlet, minimize_periodic)
 from .energy import DeformationGradient, EnergyDensity
 from .errors import (ConfigurationError, DimensionMismatchError, FilmhomError,
-                     QuadratureError, ResolutionError, SolverConvergenceError,
+                     QuadratureError, ResolutionError,
                      StructuralInconsistencyError, UnsupportedFeatureError)
 from .film import (FilmDensityTable, FilmTableEntry, GammaCheckReport,
                    MembraneResult, QuadratureOptions, direct_min, gamma_check,
@@ -26,7 +26,7 @@ __all__ = [
     "FilmTableEntry", "FilmhomError", "GammaCheckReport", "HomogenizedSample",
     "IntervalInfo", "MembraneResult", "BoundsReport", "Profile",
     "QuadratureError", "QuadratureOptions", "ResolutionError", "SolveReport",
-    "SolverConvergenceError", "SolverOptions", "StructuralInconsistencyError",
+    "SolverOptions", "StructuralInconsistencyError",
     "ThresholdReport", "TorusComponents", "UnsupportedFeatureError",
     "bounds_check", "direct_min", "gamma_check", "kernel",
     "load_sampled_profile", "membrane_min", "minimize_dirichlet",

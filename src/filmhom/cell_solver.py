@@ -88,13 +88,12 @@ class _SmoothedColumns:
     def check_dims(self, m, n):
         self.base.check_dims(m, n)
 
-    def cell_values(self, G):
-        p, e2 = self.p, self.eps ** 2
-        if self.kind == "p_norm_power":
-            s2 = np.sum(G * G, axis=0) + e2
-            return np.sum(s2 ** (p / 2.0) - self.eps ** p, axis=0)
-        s2 = np.sum(G * G, axis=(0, 1)) + e2
-        return s2 ** (p / 2.0) - self.eps ** p
+    def cell_terms(self, G):
+        # one term per column for column norms, as EnergyDensity.cell_terms
+        columns = self.kind == "p_norm_power"
+        s2 = np.sum(G * G, axis=0 if columns else (0, 1)) + self.eps ** 2
+        terms = s2 ** (self.p / 2.0) - self.eps ** self.p
+        return terms if columns else terms[np.newaxis]
 
     def cell_stress(self, G):
         p, e2 = self.p, self.eps ** 2
@@ -417,8 +416,8 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=()):
         return G
 
     def cell_energy(v):
-        # per-cell energies: the descent compares states cell by cell
-        e = objective.cell_values(offset_gradient(v))
+        # per-cell energy terms: the descent compares states term by term
+        e = objective.cell_terms(offset_gradient(v))
         e *= maskf
         e *= vol
         return e
@@ -534,10 +533,11 @@ def _accelerated_descent(cell_energy, gradient, x0, gtol, maxiter, record=False)
     """Nesterov-accelerated descent with backtracking; restarts keep the
     accepted energy sequence non-increasing.
 
-    ``cell_energy`` returns per-cell energies.  The Armijo and restart tests
-    sum the per-cell differences of two states instead of subtracting two
-    rounded totals, so a decrease below the rounding of the total energy
-    still counts and the step does not collapse short of the tolerance."""
+    ``cell_energy`` returns per-cell energy terms.  The Armijo and restart
+    tests sum the termwise differences of two states instead of subtracting
+    two rounded totals, so a decrease below the rounding of the total energy,
+    or of a cell's constant column, still counts and the step does not
+    collapse short of the tolerance."""
     x = x0.copy()
     ex = cell_energy(x)
     y = x.copy()

@@ -114,7 +114,12 @@ def cmd_mask(cfg, args, out):
     return True
 
 
-def _density_sweep(cfg, args, out, name, evaluate, columns_extra, extra_fn):
+def _density_sweep(cfg, args, out, name, evaluate, oracle_column=None):
+    """Evaluate (t, F) -> (sample, oracle sample or None) over the sweep.
+
+    With an oracle, each row also carries its value and the absolute gap, and
+    an unconverged oracle solve counts as unconverged like the sample's own.
+    """
     if not cfg.t_values:
         raise ConfigurationError(f"{name} command needs sweep.t_values")
     cols = cfg.n - 1 if name == "phi" else cfg.n
@@ -125,17 +130,21 @@ def _density_sweep(cfg, args, out, name, evaluate, columns_extra, extra_fn):
     comments = _comments(cfg, args)
     columns = (["t"] + _flat_names(cfg.m, cols)
                + ["value", "theta", "converged", "iterations", "N"]
-               + columns_extra)
+               + ([oracle_column, "oracle_abs_err"] if oracle_column else []))
     rows = []
     all_converged = True
+    oracle_errs = []
     per_probe_values = {}
-    for (t, F), res in zip(entries, results):
-        sample = res[0]
-        rows.append([t] + list(F.ravel())
-                    + [sample.value, sample.theta, sample.report.converged,
-                       sample.report.iterations, sample.resolution]
-                    + list(res[1:]))
+    for (t, F), (sample, ref) in zip(entries, results):
+        row = [t] + list(F.ravel()) + [sample.value, sample.theta,
+                                       sample.report.converged,
+                                       sample.report.iterations, sample.resolution]
         all_converged &= sample.report.converged
+        if ref is not None:
+            oracle_errs.append(abs(sample.value - ref.value))
+            row += [ref.value, oracle_errs[-1]]
+            all_converged &= ref.report.converged
+        rows.append(row)
         per_probe_values.setdefault(tuple(F.ravel()), []).append((t, sample.value))
 
     monotone = {}
@@ -151,7 +160,8 @@ def _density_sweep(cfg, args, out, name, evaluate, columns_extra, extra_fn):
         "all_converged": all_converged,
         "num_rows": len(rows),
     }
-    summary.update(extra_fn(results))
+    if oracle_errs:
+        summary["max_oracle_abs_err"] = max(oracle_errs)
     _write_json(out / f"{name}_summary.json", summary, comments)
     return all_converged
 
@@ -159,10 +169,10 @@ def _density_sweep(cfg, args, out, name, evaluate, columns_extra, extra_fn):
 def cmd_phi(cfg, args, out):
     def evaluate(entry):
         t, F = entry
-        return (hom.phi_sharp(cfg.profile, t, F, cfg.grid_n,
-                              p=cfg.energy.p, opts=cfg.solver),)
+        return hom.phi_sharp(cfg.profile, t, F, cfg.grid_n,
+                             p=cfg.energy.p, opts=cfg.solver), None
 
-    return _density_sweep(cfg, args, out, "phi", evaluate, [], lambda r: {})
+    return _density_sweep(cfg, args, out, "phi", evaluate)
 
 
 def cmd_psi(cfg, args, out):
@@ -173,20 +183,13 @@ def cmd_psi(cfg, args, out):
         sample = hom.psi(cfg.profile, t, F, cfg.grid_n,
                          p=cfg.energy.p, opts=cfg.solver)
         if not oracle:
-            return (sample,)
-        ref = hom.psi_cylinder_oracle(cfg.profile, t, F, cfg.grid_n,
-                                      p=cfg.energy.p, opts=cfg.solver,
-                                      vertical_cells=cfg.vertical_cells)
-        return (sample, ref, abs(sample.value - ref))
+            return sample, None
+        return sample, hom.psi_cylinder_oracle(cfg.profile, t, F, cfg.grid_n,
+                                               p=cfg.energy.p, opts=cfg.solver,
+                                               vertical_cells=cfg.vertical_cells)
 
-    extra_cols = ["cylinder_oracle", "oracle_abs_err"] if oracle else []
-
-    def extra(results):
-        if not oracle:
-            return {}
-        return {"max_oracle_abs_err": max(r[2] for r in results)}
-
-    return _density_sweep(cfg, args, out, "psi", evaluate, extra_cols, extra)
+    return _density_sweep(cfg, args, out, "psi", evaluate,
+                          "cylinder_oracle" if oracle else None)
 
 
 def cmd_whom(cfg, args, out):
@@ -195,21 +198,14 @@ def cmd_whom(cfg, args, out):
     def evaluate(entry):
         t, F = entry
         sample = hom.w_hom(cfg.profile, t, F, cfg.energy, cfg.grid_n,
-                           opts=cfg.solver, vertical_cells=cfg.vertical_cells)
+                           opts=cfg.solver)
         if not oracle:
-            return (sample,)
-        ref = hom.psi(cfg.profile, t, F, cfg.grid_n,
-                      p=cfg.energy.p, opts=cfg.solver).value
-        return (sample, ref, abs(sample.value - ref))
+            return sample, None
+        return sample, hom.psi(cfg.profile, t, F, cfg.grid_n,
+                               p=cfg.energy.p, opts=cfg.solver)
 
-    extra_cols = ["split_oracle", "oracle_abs_err"] if oracle else []
-
-    def extra(results):
-        if not oracle:
-            return {}
-        return {"max_oracle_abs_err": max(r[2] for r in results)}
-
-    return _density_sweep(cfg, args, out, "whom", evaluate, extra_cols, extra)
+    return _density_sweep(cfg, args, out, "whom", evaluate,
+                          "split_oracle" if oracle else None)
 
 
 def cmd_thresholds(cfg, args, out):
@@ -228,18 +224,14 @@ def cmd_film(cfg, args, out):
 
     def one(F):
         return film_mod.w_bar(cfg.profile, cfg.energy, F,
-                              n_grid=cfg.film_n_grid,
-                              vertical_cells=cfg.film_vertical_cells,
-                              quad=cfg.quad, threshold_report=report,
-                              solver_opts=cfg.solver)
+                              n_grid=cfg.film_n_grid, quad=cfg.quad,
+                              threshold_report=report, solver_opts=cfg.solver)
 
     entries = _parallel(args.jobs, one, probes)
     table = film_mod.FilmDensityTable(
         entries=entries, thresholds=list(report.thresholds),
         rel_tol=cfg.quad.rel_tol,
-        metadata={"n_grid": cfg.film_n_grid,
-                  "vertical_cells": cfg.film_vertical_cells,
-                  "config_hash": cfg.config_hash})
+        metadata={"n_grid": cfg.film_n_grid, "config_hash": cfg.config_hash})
     comments = _comments(cfg, args)
     _write_json(out / "film.json", table.to_dict(), comments)
     columns = _flat_names(cfg.m, cfg.n - 1) + ["value", "refinement_level", "nodes"]
@@ -258,8 +250,7 @@ def cmd_gamma(cfg, args, out):
         cfg.profile, cfg.energy, probes[0], cfg.eps_schedule, omega=cfg.omega,
         cells_per_delta=cfg.cells_per_delta,
         vertical_cells=cfg.schedule_vertical_cells, n_grid=cfg.film_n_grid,
-        film_vertical_cells=cfg.film_vertical_cells, quad=cfg.quad,
-        solver_opts=cfg.solver)
+        quad=cfg.quad, solver_opts=cfg.solver)
     comments = _comments(cfg, args)
     _write_json(out / "gamma.json", report.to_dict(), comments)
     _write_csv(out / "gamma.csv",

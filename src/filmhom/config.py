@@ -1,7 +1,8 @@
 """Declarative JSON run configuration for the batch driver.
 
 One JSON file configures all subcommands; every field is validated before
-any compute starts.  Energies declared in config are the builtin kinds
+any compute starts, and a key outside the schema is reported by its dotted
+name.  Energies declared in config are the builtin kinds
 (black-box custom densities are API-only).  The canonical serialization of
 the raw dict is hashed so outputs can state exactly what produced them.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,7 +45,6 @@ class RunConfig:
     confirm_kernel: bool
     coercivity_floor: float
     film_n_grid: int
-    film_vertical_cells: int
     eps_schedule: list
     cells_per_delta: int
     schedule_vertical_cells: int
@@ -123,6 +124,49 @@ def _build_energy(spec, m, n):
     return W
 
 
+# every key a config may set, by section; "omega" is a list, not a section
+SCHEMA = {
+    "dims": {"n", "m"},
+    "profile": {"kind", "dim", "path", "value", "floor"},
+    "energy": {"kind", "p", "matrix", "gamma", "beta"},
+    # grid.vertical_cells sets only the layers of the psi --oracle cylinder
+    "grid": {"N", "vertical_cells"},
+    "solver": {"method", "cg_rtol", "grad_tol", "max_iterations"},
+    "sweep": {"t_values", "F_probes", "random_probes", "seed", "probe_scale"},
+    "quadrature": {"rel_tol", "initial_nodes_per_unit", "max_refinements"},
+    "thresholds": {"bisect_tol", "confirm", "coercivity_floor"},
+    "film": {"n_grid"},
+    "schedule": {"eps", "cells_per_delta", "vertical_cells"},
+    "omega": None,
+}
+
+# keys that once had an effect: still accepted, with a warning
+RETIRED = {"film.vertical_cells": "film cell problems solve on one vertical layer"}
+
+
+def _unknown_keys(raw):
+    """One problem per key outside SCHEMA; a non-object section raises."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError("config must be a JSON object")
+    problems = []
+    for section, body in raw.items():
+        if section not in SCHEMA:
+            problems.append(f"unknown key {section}")
+            continue
+        if SCHEMA[section] is None:
+            continue
+        if not isinstance(body, dict):
+            raise ConfigurationError(f"config section {section} must be an object")
+        for key in body:
+            name = f"{section}.{key}"
+            if name in RETIRED:
+                warnings.warn(f"config key {name} is retired and ignored: "
+                              f"{RETIRED[name]}", stacklevel=3)
+            elif key not in SCHEMA[section]:
+                problems.append(f"unknown key {name}")
+    return problems
+
+
 def config_hash(raw):
     canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
@@ -143,7 +187,7 @@ def load_config(source, base_dir=None):
         except json.JSONDecodeError as err:
             raise ConfigurationError(f"config is not valid JSON: {err}") from err
 
-    problems = []
+    problems = _unknown_keys(raw)
     dims = raw.get("dims", {})
     n = int(dims.get("n", 3))
     m = int(dims.get("m", 1))
@@ -217,7 +261,6 @@ def load_config(source, base_dir=None):
 
     fm = raw.get("film", {})
     film_n_grid = int(fm.get("n_grid", 64))
-    film_vertical_cells = int(fm.get("vertical_cells", 4))
 
     sched = raw.get("schedule", {})
     eps_schedule = [float(e) for e in sched.get("eps", [])]
@@ -248,7 +291,7 @@ def load_config(source, base_dir=None):
         F_probes=F_probes, random_probes=random_probes, seed=seed,
         probe_scale=probe_scale, quad=quad, bisect_tol=bisect_tol,
         confirm_kernel=confirm_kernel, coercivity_floor=coercivity_floor,
-        film_n_grid=film_n_grid, film_vertical_cells=film_vertical_cells,
+        film_n_grid=film_n_grid,
         eps_schedule=eps_schedule, cells_per_delta=cells_per_delta,
         schedule_vertical_cells=schedule_vertical_cells, omega=omega,
         config_hash=config_hash(raw),

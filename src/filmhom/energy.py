@@ -186,8 +186,7 @@ class EnergyDensity:
 
     def cell_values(self, G):
         if self.kind == "p_norm_power":
-            colnorm = np.sqrt(np.sum(G * G, axis=0))
-            return np.sum(colnorm ** self.p, axis=0)
+            return np.sum(self.cell_terms(G), axis=0)
         if self.kind == "frobenius_power":
             fr = np.sqrt(np.sum(G * G, axis=(0, 1)))
             return fr ** self.p
@@ -202,6 +201,15 @@ class EnergyDensity:
                 out[k] = self.fn(flat[:, :, k])
             return out.reshape(G.shape[2:])
         raise ConfigurationError(f"unknown density kind {self.kind!r}")
+
+    def cell_terms(self, G):
+        """Per-cell values split into terms that sum to ``cell_values``: one
+        per column for ``p_norm_power``, a single one otherwise.  A descent
+        that compares states term by term keeps resolving the change of one
+        column when another, constant column dominates the cell value."""
+        if self.kind == "p_norm_power":
+            return np.sqrt(np.sum(G * G, axis=0)) ** self.p
+        return self.cell_values(G)[np.newaxis]
 
     def cell_stress(self, G):
         p = self.p

@@ -2,6 +2,8 @@
 
 Exit-code mapping used by the CLI: configuration errors -> 2, resolution
 errors -> 3, solver non-convergence -> 4, structural inconsistency -> 5.
+Non-convergence is not raised: every solve carries it in
+``SolveReport.converged``, and the CLI turns any False into exit code 4.
 """
 
 
@@ -32,14 +34,6 @@ class ResolutionError(FilmhomError):
         super().__init__(message)
         self.required = required
         self.axis = axis
-
-
-class SolverConvergenceError(FilmhomError):
-    """Raised by drivers that require a converged solve and did not get one."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class StructuralInconsistencyError(FilmhomError):

@@ -167,10 +167,10 @@ def _require_film_hypotheses(profile, W):
     W.check_convexity()
 
 
-def _cylinder_evaluator(profile, W, t, n_grid, vertical_cells, solver_opts):
+def _cylinder_evaluator(profile, W, t, n_grid, solver_opts):
     """Warm-started evaluator F -> cylinder cell value at fixed level t, and
     its state; ``state["converged"]`` stays True while every solve converges."""
-    _, occ = _cylinder_mask(profile, t, n_grid, vertical_cells)
+    _, occ = _cylinder_mask(profile, t, n_grid)
     if not occ.any():
         return None, None
     state = {"v0": None, "converged": True}
@@ -185,8 +185,8 @@ def _cylinder_evaluator(profile, W, t, n_grid, vertical_cells, solver_opts):
     return value, state
 
 
-def w_tilde(profile, W, t, Fbar, *, n_grid=64, vertical_cells=4, fn_tol=1e-6,
-            solver_opts=None, max_sweeps=60):
+def w_tilde(profile, W, t, Fbar, *, n_grid=64, fn_tol=1e-6, solver_opts=None,
+            max_sweeps=60):
     """Minimize the cylinder density over the transverse gradient column.
 
     Golden-section for a single field component, cyclic coordinate descent
@@ -204,8 +204,7 @@ def w_tilde(profile, W, t, Fbar, *, n_grid=64, vertical_cells=4, fn_tol=1e-6,
             f"in-plane matrix has {Fbar.shape[1]} columns; profile dim is {profile.dim}"
         )
     W.check_dims(m, profile.dim + 1)
-    evaluator, state = _cylinder_evaluator(profile, W, t, n_grid, vertical_cells,
-                                           solver_opts)
+    evaluator, state = _cylinder_evaluator(profile, W, t, n_grid, solver_opts)
     if evaluator is None:
         return 0.0, np.zeros(m), True
 
@@ -267,8 +266,8 @@ def quadrature_breakpoints(profile, n_grid, *, threshold_report=None, uniform=Fa
     return pts, report
 
 
-def w_bar(profile, W, Fbar, *, n_grid=64, vertical_cells=4, quad=None,
-          threshold_report=None, solver_opts=None, uniform=False, fn_tol=1e-6):
+def w_bar(profile, W, Fbar, *, n_grid=64, quad=None, threshold_report=None,
+          solver_opts=None, uniform=False, fn_tol=1e-6):
     """Integrate the inner-minimized density over the level t in (0, 1).
 
     Composite midpoint rule on the pieces cut by the detected thresholds
@@ -295,8 +294,7 @@ def w_bar(profile, W, Fbar, *, n_grid=64, vertical_cells=4, quad=None,
         vals, mins = [], []
         for t in nodes:
             v, argmin, ok = w_tilde(profile, W, t, Fbar, n_grid=n_grid,
-                                    vertical_cells=vertical_cells, fn_tol=fn_tol,
-                                    solver_opts=solver_opts)
+                                    fn_tol=fn_tol, solver_opts=solver_opts)
             vals.append(v)
             mins.append(argmin)
             converged &= ok
@@ -331,7 +329,7 @@ class MembraneResult:
 
 
 def membrane_min(omega, Fbar, profile, W, *, datum="affine", n_grid=64,
-                 vertical_cells=4, quad=None, solver_opts=None):
+                 quad=None, solver_opts=None):
     """Limit membrane minimum for affine boundary data on a box.
 
     For affine data and a convex effective density the affine extension is a
@@ -347,8 +345,8 @@ def membrane_min(omega, Fbar, profile, W, *, datum="affine", n_grid=64,
     area = math.prod(hi - lo for lo, hi in omega)
     if area <= 0:
         raise ConfigurationError(f"omega box has non-positive volume: {omega}")
-    entry = w_bar(profile, W, Fbar, n_grid=n_grid, vertical_cells=vertical_cells,
-                  quad=quad, solver_opts=solver_opts)
+    entry = w_bar(profile, W, Fbar, n_grid=n_grid, quad=quad,
+                  solver_opts=solver_opts)
     value = 2.0 * area * entry.value
     note = ("affine datum: the affine extension minimizes the convex membrane "
             "functional, so the minimum is 2 * |omega| * effective_density(datum)")
@@ -356,60 +354,16 @@ def membrane_min(omega, Fbar, profile, W, *, datum="affine", n_grid=64,
                           note=note, table_entry=entry)
 
 
-class _ColumnScaledDensity:
-    """Evaluate a density on column-rescaled matrices (used by the scaled
-    slab parameterization, where the transverse gradient carries 1/eps)."""
-
-    def __init__(self, base, scales):
-        self.base = base
-        self.scales = np.asarray(scales, dtype=float)
-        self.m = base.m
-        self.n = base.n
-        self.p = base.p
-        self.kind = base.kind
-        self.convex = base.convex
-        self.label = f"column_scaled({base.label})"
-
-    @property
-    def is_quadratic(self):
-        return self.base.is_quadratic
-
-    @property
-    def uses_smoothing(self):
-        return self.base.uses_smoothing
-
-    def check_dims(self, m, n):
-        self.base.check_dims(m, n)
-
-    def check_convexity(self, **kw):
-        return self.base.check_convexity(**kw)
-
-    def _scale_shape(self, ndim):
-        return self.scales.reshape((1, self.n) + (1,) * (ndim - 2))
-
-    def cell_values(self, G):
-        return self.base.cell_values(G * self._scale_shape(G.ndim))
-
-    def cell_stress(self, G):
-        s = self._scale_shape(G.ndim)
-        return self.base.cell_stress(G * s) * s
-
-
 def direct_min(profile, eps, delta, Fbar, W, *, omega=None, cells_per_delta=8,
-               vertical_cells=32, solver_opts=None, parameterization="unscaled"):
+               vertical_cells=32, solver_opts=None):
     """Directly minimize the energy on the oscillating slab with affine
     lateral Dirichlet data and free top/bottom boundaries.
 
-    Unscaled: the domain is omega x (-eps, eps) bounded by eps*f(x/delta) and
-    the raw minimum is returned (the caller divides by eps).  Scaled: the
-    domain is omega x (-1, 1) bounded by f(x/delta), the transverse gradient
-    carries a factor 1/eps inside the density, and the value approximates the
-    unscaled minimum divided by eps.
+    The domain is omega x (-eps, eps) bounded by eps*f(x/delta); the raw
+    minimum is returned (the caller divides by eps).
 
     Returns (value, report).
     """
-    if parameterization not in ("unscaled", "scaled"):
-        raise ConfigurationError(f"unknown parameterization {parameterization!r}")
     _require_film_hypotheses(profile, W)
     Fbar = as_matrix(Fbar)
     m = Fbar.shape[0]
@@ -426,27 +380,20 @@ def direct_min(profile, eps, delta, Fbar, W, *, omega=None, cells_per_delta=8,
     in_plane = tuple(int(math.ceil((hi - lo) / delta * cells_per_delta))
                      for lo, hi in omega)
     grid_cells = in_plane + (int(vertical_cells),)
-    dm = oscillating_domain_mask(profile, eps, delta, grid_cells, omega=omega,
-                                 scaled=(parameterization == "scaled"))
+    dm = oscillating_domain_mask(profile, eps, delta, grid_cells, omega=omega)
 
     grid = _Grid(cells=grid_cells, spacings=dm.spacings,
                  periodic=(False,) * (d + 1))
     F_off = np.hstack([Fbar, np.zeros((m, 1))])
-    density = W
-    if parameterization == "scaled":
-        scales = np.ones(d + 1)
-        scales[-1] = 1.0 / eps
-        density = _ColumnScaledDensity(W, scales)
 
     # lateral Dirichlet data, free top and bottom
-    integral, _, report = _solve_masked(grid, dm.occupancy, density, F_off,
+    integral, _, report = _solve_masked(grid, dm.occupancy, W, F_off,
                                         solver_opts, dirichlet_axes=tuple(range(d)))
     return integral, report
 
 
 def gamma_check(profile, W, Fbar, eps_schedule, *, omega=None, cells_per_delta=8,
-                vertical_cells=32, n_grid=64, film_vertical_cells=4, quad=None,
-                solver_opts=None):
+                vertical_cells=32, n_grid=64, quad=None, solver_opts=None):
     """Run direct_min along a decreasing schedule with delta = eps^2, divide
     by eps, and compare against the membrane target.
 
@@ -462,8 +409,7 @@ def gamma_check(profile, W, Fbar, eps_schedule, *, omega=None, cells_per_delta=8
     if omega is None:
         omega = tuple((0.0, 1.0) for _ in range(profile.dim))
 
-    membrane = membrane_min(omega, Fbar, profile, W, n_grid=n_grid,
-                            vertical_cells=film_vertical_cells, quad=quad,
+    membrane = membrane_min(omega, Fbar, profile, W, n_grid=n_grid, quad=quad,
                             solver_opts=solver_opts)
     target = membrane.value
 

@@ -117,36 +117,41 @@ def psi(profile, t, F, n_grid, *, p=2.0, opts=None):
                              report=base.report)
 
 
-def _cylinder_mask(profile, t, n_grid, vertical_cells):
+def _cylinder_mask(profile, t, n_grid, vertical_cells=1):
+    """The cylinder {f > |t|} x R on ``vertical_cells`` periodic layers; one
+    layer carries a minimizer of every convex cell problem (docs/solvers.md)."""
     mask2 = superlevel_mask(profile, t, n_grid)
-    nz = vertical_cells or n_grid
     occ = np.broadcast_to(mask2.occupancy[..., np.newaxis],
-                          mask2.occupancy.shape + (nz,)).copy()
+                          mask2.occupancy.shape + (vertical_cells,)).copy()
     occ.flags.writeable = False
     return mask2, occ
 
 
 def psi_cylinder_oracle(profile, t, F, n_grid, *, p=2.0, opts=None, vertical_cells=None):
     """Independent route for psi: one periodic solve on the full cylinder
-    mask (superlevel set times the vertical period) with the affine offset F."""
+    mask with the affine offset F, on ``vertical_cells`` layers (default
+    n_grid) so that the solver has to find the vertical invariance itself."""
     F = as_matrix(F)
     m = F.shape[0]
     d = profile.dim + 1
     if F.shape[1] != d:
         raise ConfigurationError(f"matrix has {F.shape[1]} columns; expected {d}")
-    _, occ = _cylinder_mask(profile, t, n_grid, vertical_cells)
+    mask2, occ = _cylinder_mask(profile, t, n_grid, vertical_cells or n_grid)
     W = EnergyDensity.p_norm_power(p=p, m=m, n=d)
     value, _, report = minimize_periodic(occ, W, F, opts=opts, want_corrector=False)
-    return value
+    return HomogenizedSample(t=float(t), F=_freeze(F), value=value,
+                             theta=mask2.area_fraction, resolution=n_grid,
+                             report=report)
 
 
-def w_hom(profile, t, F, W, n_grid, *, opts=None, vertical_cells=None):
+def w_hom(profile, t, F, W, n_grid, *, opts=None):
     """Homogenized density of a convex integrand on the cylinder mask:
-    a full periodic masked solve in profile.dim + 1 dimensions.
+    a periodic masked solve in profile.dim + 1 dimensions.
 
-    The mask does not vary along the last axis, so the discrete value is
-    independent of the vertical cell count; ``vertical_cells`` (default:
-    n_grid) only trades work for the identical answer.
+    The mask does not vary along the last axis, so averaging a corrector
+    over vertical translations does not raise the convex energy: the solve
+    runs on one periodic vertical layer, where the vertical difference of
+    every node field vanishes and F's last column enters only as the offset.
     """
     F = as_matrix(F)
     d = profile.dim + 1
@@ -154,7 +159,7 @@ def w_hom(profile, t, F, W, n_grid, *, opts=None, vertical_cells=None):
         raise ConfigurationError(f"matrix has {F.shape[1]} columns; expected {d}")
     W.check_dims(F.shape[0], d)
     W.check_convexity()
-    mask2, occ = _cylinder_mask(profile, t, n_grid, vertical_cells)
+    mask2, occ = _cylinder_mask(profile, t, n_grid)
     value, _, report = minimize_periodic(occ, W, F, opts=opts, want_corrector=False)
     return HomogenizedSample(t=float(t), F=_freeze(F), value=value,
                              theta=mask2.area_fraction, resolution=n_grid,
@@ -165,7 +170,10 @@ def w_hom_cube_oracle(profile, t, F, W, box_side, n_grid, *, opts=None):
     """Growing-cube oracle: Dirichlet value on the box of side ``box_side``
     (whole periods) with the cylinder mask replicated per period.  The
     sequence over increasing box sides approaches the periodic value from
-    above; only the trend is contractual at desk scale."""
+    above; only the trend is contractual at desk scale.
+
+    Returns (value, report).
+    """
     T = int(box_side)
     if not 1 <= T <= 8:
         raise ConfigurationError(f"box side must be in 1..8 at desk scale; got {box_side}")
@@ -177,8 +185,7 @@ def w_hom_cube_oracle(profile, t, F, W, box_side, n_grid, *, opts=None):
     mask2 = superlevel_mask(profile, t, n_grid)
     tiled = np.tile(mask2.occupancy, (T,) * profile.dim)
     occ = np.broadcast_to(tiled[..., np.newaxis], tiled.shape + (T * n_grid,))
-    value, report = minimize_dirichlet(np.ascontiguousarray(occ), W, F, T, opts=opts)
-    return value
+    return minimize_dirichlet(np.ascontiguousarray(occ), W, F, T, opts=opts)
 
 
 # -- kernel directions and thresholds -------------------------------------------

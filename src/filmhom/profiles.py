@@ -318,22 +318,19 @@ def _lattice_basis(vectors, dim):
 class DomainMask:
     """Occupancy of a slab bounded by the oscillating surfaces.
 
-    Scaled form: cells of omega x (-1, 1), occupied iff |x_n| < f(x_alpha/delta).
-    Unscaled form: cells of omega x (-eps, eps), occupied iff
-    |x_n| < eps * f(x_alpha/delta).
+    Cells of omega x (-eps, eps), occupied iff |x_n| < eps * f(x_alpha/delta).
     """
 
     dims: tuple
     occupancy: np.ndarray
     epsilon: float
     delta: float
-    scaled: bool
     omega: tuple
     spacings: tuple
     fraction: float
 
 
-def oscillating_domain_mask(profile, eps, delta, grid, *, omega=None, scaled=True):
+def oscillating_domain_mask(profile, eps, delta, grid, *, omega=None):
     """Build the slab occupancy mask; ``grid`` lists cells per axis, vertical last.
 
     The in-plane grid must resolve the oscillation: at least 4 cells per
@@ -363,18 +360,17 @@ def oscillating_domain_mask(profile, eps, delta, grid, *, omega=None, scaled=Tru
                 required=required, axis=a,
             )
 
-    half = 1.0 if scaled else eps
-    spac = tuple((omega[a][1] - omega[a][0]) / grid[a] for a in range(d)) + (2.0 * half / grid[d],)
+    spac = (tuple((omega[a][1] - omega[a][0]) / grid[a] for a in range(d))
+            + (2.0 * eps / grid[d],))
 
     axes = [omega[a][0] + (np.arange(grid[a]) + 0.5) * spac[a] for a in range(d)]
-    zc = -half + (np.arange(grid[d]) + 0.5) * spac[d]
+    zc = -eps + (np.arange(grid[d]) + 0.5) * spac[d]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=-1)
     f_vals = profile._eval_points(pts / delta).reshape(grid[:d])
 
-    bound = f_vals if scaled else eps * f_vals
-    occ = np.abs(zc).reshape((1,) * d + (grid[d],)) < bound[..., np.newaxis]
+    occ = np.abs(zc).reshape((1,) * d + (grid[d],)) < (eps * f_vals)[..., np.newaxis]
     occ.flags.writeable = False
     return DomainMask(dims=grid, occupancy=occ, epsilon=float(eps), delta=float(delta),
-                      scaled=scaled, omega=omega, spacings=spac,
+                      omega=omega, spacings=spac,
                       fraction=float(occ.sum()) / occ.size)

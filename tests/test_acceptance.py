@@ -87,7 +87,8 @@ def test_criterion_3_split_vs_cylinder_oracle():
             split = psi(prof, t, F, 64)
             assert split.report.converged
             cyl = psi_cylinder_oracle(prof, t, F, 64)
-            worst = max(worst, abs(split.value - cyl))
+            assert cyl.report.converged
+            worst = max(worst, abs(split.value - cyl.value))
         assert worst <= 1e-6
         print(f"  max |psi - cylinder| = {worst:.3e}", end="")
 
@@ -141,7 +142,7 @@ def test_criterion_4_structural_properties():
         for i in range(20):
             F = rng.uniform(-1, 1, size=(1, 3))
             W = W3 if i % 2 == 0 else Wq
-            s = w_hom(prod, 0.2, F, W, 8, vertical_cells=4)
+            s = w_hom(prod, 0.2, F, W, 8)
             assert abs(s.value - W.evaluate(F)) <= 1e-10
 
 
@@ -213,15 +214,15 @@ def test_criterion_8_growing_cube_oracle():
         n = 16
 
         degenerate = np.array([[1.0, 0.0, 0.0]])
-        vals_d = [w_hom_cube_oracle(stripe, 0.75, degenerate, W3, T, n)
+        vals_d = [w_hom_cube_oracle(stripe, 0.75, degenerate, W3, T, n)[0]
                   for T in (1, 2, 4)]
         assert vals_d[2] <= vals_d[1] <= vals_d[0]
 
         coercive = np.array([[0.0, 1.0, 1.0]])
-        vals_c = [w_hom_cube_oracle(stripe, 0.75, coercive, W3, T, n)
+        vals_c = [w_hom_cube_oracle(stripe, 0.75, coercive, W3, T, n)[0]
                   for T in (1, 2, 4)]
         assert vals_c[2] <= vals_c[1] <= vals_c[0]
-        periodic = w_hom(stripe, 0.75, coercive, W3, n, vertical_cells=4).value
+        periodic = w_hom(stripe, 0.75, coercive, W3, n).value
         assert vals_c[2] <= 1.3 * periodic
         assert all(v >= periodic - 1e-10 for v in vals_c)
         print(f"  degenerate probe: {['%.4f' % v for v in vals_d]}, "

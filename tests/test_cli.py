@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ def write_config(tmp_path, name="cfg.json", **overrides):
         "energy": {"kind": "p_norm_power", "p": 2.0},
         "grid": {"N": 32, "vertical_cells": 4},
         "sweep": {"t_values": [0.1, 0.3, 0.7], "F_probes": [[1.0, 0.0, 0.0]]},
-        "film": {"n_grid": 16, "vertical_cells": 4},
+        "film": {"n_grid": 16},
     }
     cfg.update(overrides)
     path = tmp_path / name
@@ -141,7 +142,7 @@ def test_gamma_command(tmp_path):
         dims={"n": 2, "m": 1},
         profile={"kind": "sin2-stripe", "dim": 1},
         sweep={"t_values": [], "F_probes": [[1.0]]},
-        film={"n_grid": 32, "vertical_cells": 4},
+        film={"n_grid": 32},
         schedule={"eps": [0.25, 0.125], "cells_per_delta": 8,
                   "vertical_cells": 16})
     out = tmp_path / "out"
@@ -207,7 +208,7 @@ def test_exit_code_resolution_error(tmp_path):
         dims={"n": 2, "m": 1},
         profile={"kind": "sin2-stripe", "dim": 1},
         sweep={"t_values": [], "F_probes": [[1.0]]},
-        film={"n_grid": 16, "vertical_cells": 4},
+        film={"n_grid": 16},
         schedule={"eps": [0.25, 0.125], "cells_per_delta": 2,
                   "vertical_cells": 8})
     assert main(["gamma", "--config", str(cfg), "--out",
@@ -234,7 +235,7 @@ def test_exit_code_nonconvergence(tmp_path):
 
 
 def test_exit_code_film_nonconvergence(tmp_path):
-    cfg = write_config(tmp_path, film={"n_grid": 16, "vertical_cells": 2},
+    cfg = write_config(tmp_path, film={"n_grid": 16},
                        solver={"max_iterations": 1},
                        sweep={"t_values": [], "F_probes": [[1.0, 0.0]]})
     out = tmp_path / "out"
@@ -258,3 +259,36 @@ def test_config_validation_messages(tmp_path):
     assert "inconsistent" in text
     assert "decreasing" in text
     assert "omega" in text
+
+
+def test_unknown_config_key_names_it(tmp_path, capsys):
+    cfg = write_config(tmp_path, grid={"N": 32, "vertical_cell": 4},
+                       solver={"cg_tol": 1e-8})
+    assert main(["phi", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "grid.vertical_cell" in err
+    assert "solver.cg_tol" in err
+    from filmhom import ConfigurationError
+    with pytest.raises(ConfigurationError, match="section grid must be an object"):
+        load_config({"grid": 64})
+
+
+def test_retired_film_vertical_cells_warns_and_is_ignored(tmp_path):
+    sweep = {"t_values": [], "F_probes": [[1.0, 0.0]]}
+    plain = write_config(tmp_path, "plain.json", sweep=sweep)
+    retired = write_config(tmp_path, "retired.json", sweep=sweep,
+                           film={"n_grid": 16, "vertical_cells": 4})
+    values = []
+    for cfg, name in ((plain, "a"), (retired, "b")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["film", "--config", str(cfg), "--out",
+                         str(tmp_path / name), "--reproducible"]) == 0
+        messages = [str(w.message) for w in caught]
+        assert any("film.vertical_cells" in m and "ignored" in m
+                   for m in messages) == (name == "b")
+        table = json.loads(read_lines(tmp_path / name / "film.json"))
+        values.append(table["entries"][0]["value"])
+        assert "vertical_cells" not in table["metadata"]
+    assert values[0] == values[1]

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from filmhom import (ConfigurationError, EnergyDensity, Profile,
-                     StructuralInconsistencyError, bounds_check, kernel,
-                     phi_sharp, psi, psi_cylinder_oracle, superlevel_mask,
-                     thresholds, w_hom, w_hom_cube_oracle)
+                     SolverOptions, StructuralInconsistencyError, bounds_check,
+                     kernel, minimize_periodic, phi_sharp, psi,
+                     psi_cylinder_oracle, superlevel_mask, thresholds, w_hom,
+                     w_hom_cube_oracle)
 
 
 def stripe_theta(t):
@@ -74,14 +75,15 @@ def test_psi_kernel_interval_keeps_transverse_term(product2):
 
 
 def test_psi_cylinder_full(product2):
-    v = psi_cylinder_oracle(product2, 0.3, [[1.0, -2.0, 0.5]], 16)
-    assert v == pytest.approx(1 + 4 + 0.25, abs=1e-10)
+    s = psi_cylinder_oracle(product2, 0.3, [[1.0, -2.0, 0.5]], 16)
+    assert s.report.converged
+    assert s.value == pytest.approx(1 + 4 + 0.25, abs=1e-10)
 
 
 def test_psi_cylinder_matches_split_form(stripe2):
     F = np.array([[1.0, 1.0, 1.0]])
     a = psi(stripe2, 0.75, F, 64).value
-    b = psi_cylinder_oracle(stripe2, 0.75, F, 64)
+    b = psi_cylinder_oracle(stripe2, 0.75, F, 64).value
     assert abs(a - b) <= 1e-6
 
 
@@ -92,8 +94,17 @@ def test_psi_cylinder_randomized(product2, stripe2, checker2, rng):
         t = rng.uniform(0.05, 0.9)
         F = rng.uniform(-1, 1, size=(1, 3))
         a = psi(prof, t, F, 32).value
-        b = psi_cylinder_oracle(prof, t, F, 32)
+        b = psi_cylinder_oracle(prof, t, F, 32).value
         assert abs(a - b) <= 1e-6
+
+
+def test_psi_cylinder_reports_nonconvergence(product2):
+    # product islands at t = 0.7: one preconditioned iteration cannot solve
+    # the cylinder, and the oracle must say so rather than return a bare value
+    s = psi_cylinder_oracle(product2, 0.7, [[1.0, 1.0, 1.0]], 16,
+                            opts=SolverOptions(max_iterations=1))
+    assert s.report.iterations == 1
+    assert s.report.converged is False
 
 
 def test_psi_empty_superlevel(product2):
@@ -131,11 +142,32 @@ def test_whom_quadratic_stripe_value(stripe2):
     assert s.value == pytest.approx(stripe_theta(0.75) * 2.0, rel=0.02)
 
 
-def test_whom_vertical_cells_irrelevant(stripe2, W3):
+def _random_spd(seed, size):
+    B = np.random.default_rng(seed).uniform(-1, 1, (size, size))
+    return B @ B.T + size * np.eye(size)
+
+
+@pytest.mark.parametrize("nz", [2, 3])
+@pytest.mark.parametrize("profile", ["sin2-stripe", "checkerboard"])
+@pytest.mark.parametrize("density", [
+    lambda: EnergyDensity.p_norm_power(3.0, 1, 3),
+    lambda: EnergyDensity.frobenius_power(3.0, 1, 3),
+    lambda: EnergyDensity.quadratic_form(_random_spd(7, 3), 1, 3),
+], ids=["p_norm3", "frobenius3", "quadratic"])
+def test_whom_one_layer_matches_layered_cylinder(density, profile, nz):
+    # the cylinder mask is constant along x_n, so the one-layer solve of
+    # w_hom must reproduce a solve on nz genuine vertical layers
+    prof = Profile.builtin(profile, dim=2)
+    W = density()
+    t, n = 0.6, 12
     F = np.array([[0.5, -0.7, 0.9]])
-    a = w_hom(stripe2, 0.6, F, W3, 24, vertical_cells=2).value
-    b = w_hom(stripe2, 0.6, F, W3, 24, vertical_cells=12).value
-    assert a == pytest.approx(b, abs=1e-9)
+    occ = superlevel_mask(prof, t, n).occupancy
+    layered = np.broadcast_to(occ[..., np.newaxis], occ.shape + (nz,)).copy()
+    ref, _, report = minimize_periodic(layered, W, F, want_corrector=False)
+    assert report.converged
+    sample = w_hom(prof, t, F, W, n)
+    assert sample.report.converged
+    assert sample.value == pytest.approx(ref, abs=1e-9)
 
 
 def test_whom_p3_descent_reaches_tolerance(checker2):
@@ -144,7 +176,7 @@ def test_whom_p3_descent_reaches_tolerance(checker2):
     # resolving the decrease long before the gradient tolerance
     W = EnergyDensity.p_norm_power(3.0, 1, 3)
     F = np.random.default_rng(206).uniform(-1, 1, (1, 3))
-    sample = w_hom(checker2, 0.5, F, W, 32, vertical_cells=4)
+    sample = w_hom(checker2, 0.5, F, W, 32)
     assert sample.report.method == "descent"
     assert sample.report.converged
     split = psi(checker2, 0.5, F, 32, p=3.0)
@@ -165,13 +197,14 @@ def test_whom_rejects_nonconvex():
 
 def test_cube_full_mask_box_one(product2, W3):
     F = np.array([[1.0, -0.5, 2.0]])
-    v = w_hom_cube_oracle(product2, 0.3, F, W3, 1, 8)
+    v, report = w_hom_cube_oracle(product2, 0.3, F, W3, 1, 8)
+    assert report.converged
     assert v == pytest.approx(W3.evaluate(F), abs=1e-10)
 
 
 def test_cube_monotone_toward_periodic(stripe2, W3):
     F = np.array([[1.0, 0.0, 0.0]])
-    vals = [w_hom_cube_oracle(stripe2, 0.75, F, W3, T, 8) for T in (1, 2, 4)]
+    vals = [w_hom_cube_oracle(stripe2, 0.75, F, W3, T, 8)[0] for T in (1, 2, 4)]
     assert vals[2] <= vals[1] <= vals[0]
     periodic = w_hom(stripe2, 0.75, F, W3, 8).value
     assert all(v >= periodic - 1e-10 for v in vals)
@@ -179,8 +212,8 @@ def test_cube_monotone_toward_periodic(stripe2, W3):
 
 def test_cube_empty_mask(product2, W3):
     for T in (1, 2):
-        v = w_hom_cube_oracle(product2, 0.9995, [[1.0, 0.0, 0.0]], W3, T, 64)
-        assert v == 0.0
+        v, report = w_hom_cube_oracle(product2, 0.9995, [[1.0, 0.0, 0.0]], W3, T, 64)
+        assert v == 0.0 and report.converged
 
 
 # -- kernel and thresholds -------------------------------------------------------

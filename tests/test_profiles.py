@@ -155,7 +155,7 @@ def test_oscillating_domain_constant_full():
 def test_oscillating_domain_stripe_volume_fraction():
     # integral of 1/2 + sin^2(pi x)/2 over a period is 3/4
     prof = Profile.builtin("sin2-stripe", dim=1)
-    dm = oscillating_domain_mask(prof, 0.25, 1.0 / 16, (128, 32), scaled=False)
+    dm = oscillating_domain_mask(prof, 0.25, 1.0 / 16, (128, 32))
     assert abs(dm.fraction - 0.75) <= 2.0 / 32
 
 

@@ -139,7 +139,7 @@ def test_slab_solve_matches_sparse_reference(kind, eps, cells):
     # has its own spacing
     d = len(cells) - 1
     profile = Profile.builtin(kind, dim=d)
-    dm = oscillating_domain_mask(profile, eps, eps * eps, cells, scaled=False)
+    dm = oscillating_domain_mask(profile, eps, eps * eps, cells)
     grid = _Grid(cells=cells, spacings=dm.spacings, periodic=(False,) * (d + 1))
     assert len(set(grid.spacings)) == d + 1
     mask = np.asarray(dm.occupancy)
@@ -217,7 +217,7 @@ def test_island_iterations_do_not_grow_with_resolution(product2, W2):
 def test_gamma_check_reports_membrane_nonconvergence(product2, W3):
     # product islands: one preconditioned iteration cannot solve the cylinders
     report = gamma_check(product2, W3, [[1.0, 0.0]], [0.5], cells_per_delta=4,
-                         vertical_cells=4, n_grid=16, film_vertical_cells=2,
+                         vertical_cells=4, n_grid=16,
                          solver_opts=SolverOptions(max_iterations=1))
     assert report.membrane_converged is False
     assert report.to_dict()["membrane_converged"] is False
