@@ -18,7 +18,8 @@ accelerated descent with backtracking, whose tests compare energies cell by
 cell.  Cells outside the mask contribute no energy; nodes touching no
 occupied cell stay frozen at zero; the remaining constant-per-component null
 space is handled by starting from a consistent state and gauge-fixing
-afterwards.
+afterwards, on the node components that one union-find pass finds (the
+routine that also labels the torus components of a mask).
 """
 
 from __future__ import annotations
@@ -26,13 +27,13 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .energy import EnergyDensity, as_matrix
 from .errors import ConfigurationError, DimensionMismatchError
+from .profiles import torus_union_find
 
 
 @dataclass(frozen=True)
@@ -65,43 +66,6 @@ class CorrectorField:
     m: int
     resolution: tuple
     values: np.ndarray
-
-
-class _SmoothedColumns:
-    """Consistent smoothing of a p < 2 column-norm density: both the value and
-    the stress come from sqrt(|G_j|^2 + eps^2), shifted so W(0) = 0.  The
-    descent solver minimizes this smooth objective; the exact density is used
-    only to report the final value (bias O(eps^p) ~ 1e-12)."""
-
-    def __init__(self, base, eps=1e-8):
-        self.base = base
-        self.eps = eps
-        self.m = base.m
-        self.n = base.n
-        self.p = base.p
-        self.kind = base.kind
-        self.convex = base.convex
-        self.label = f"smoothed({base.label})"
-        self.is_quadratic = False
-        self.uses_smoothing = True
-
-    def check_dims(self, m, n):
-        self.base.check_dims(m, n)
-
-    def cell_terms(self, G):
-        # one term per column for column norms, as EnergyDensity.cell_terms
-        columns = self.kind == "p_norm_power"
-        s2 = np.sum(G * G, axis=0 if columns else (0, 1)) + self.eps ** 2
-        terms = s2 ** (self.p / 2.0) - self.eps ** self.p
-        return terms if columns else terms[np.newaxis]
-
-    def cell_stress(self, G):
-        p, e2 = self.p, self.eps ** 2
-        if self.kind == "p_norm_power":
-            s2 = np.sum(G * G, axis=0) + e2
-            return p * s2[np.newaxis] ** (p / 2.0 - 1.0) * G
-        s2 = np.sum(G * G, axis=(0, 1)) + e2
-        return p * s2[np.newaxis, np.newaxis] ** (p / 2.0 - 1.0) * G
 
 
 @dataclass(frozen=True)
@@ -408,8 +372,6 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=()):
     Fcells = F.reshape((m, grid.dim) + (1,) * grid.dim)
     vol = grid.cell_volume
 
-    objective = _SmoothedColumns(W) if W.uses_smoothing else W
-
     def offset_gradient(v):
         G = _cell_gradient(grid, v)
         G += Fcells
@@ -417,7 +379,7 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=()):
 
     def cell_energy(v):
         # per-cell energy terms: the descent compares states term by term
-        e = objective.cell_terms(offset_gradient(v))
+        e = W.cell_terms(offset_gradient(v))
         e *= maskf
         e *= vol
         return e
@@ -435,7 +397,7 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=()):
         return project(out)
 
     def gradient(v):
-        return stress_adjoint(objective.cell_stress(offset_gradient(v)))
+        return stress_adjoint(W.cell_stress(offset_gradient(v)))
 
     if v0 is None:
         v0 = np.zeros((m,) + grid.node_shape)
@@ -467,7 +429,7 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=()):
     if method == "cg":
         # the stress is linear: gradient(v) = K v + gradient(0)
         def apply_K(u):
-            return stress_adjoint(objective.cell_stress(_cell_gradient(grid, u)))
+            return stress_adjoint(W.cell_stress(_cell_gradient(grid, u)))
 
         b = gradient(np.zeros_like(v0))
         np.negative(b, out=b)
@@ -580,58 +542,34 @@ def _accelerated_descent(cell_energy, gradient, x0, gtol, maxiter, record=False)
 
 # -- gauge fixing ----------------------------------------------------------------
 
-def _node_components(grid, mask):
-    """Label connected components of the active node set, where nodes are
-    linked when they appear in the stencil of a common occupied cell."""
-    node_shape = grid.node_shape
-    labels = np.full(node_shape, -1, dtype=np.int64)
-    occ_idx = np.transpose(np.nonzero(mask))
-    if occ_idx.size == 0:
-        return labels, 0
-
-    # adjacency: base node of each occupied cell to each shifted node
-    def node_of(cell_idx, axis):
-        idx = list(cell_idx)
-        if axis >= 0:
-            idx[axis] += 1
-            if grid.periodic[axis] and idx[axis] == node_shape[axis]:
-                idx[axis] = 0
-        return tuple(idx)
-
-    cell_nodes = {}
-    node_cells = {}
-    for cell in map(tuple, occ_idx):
-        nodes = [node_of(cell, a) for a in range(-1, grid.dim)]
-        cell_nodes[cell] = nodes
-        for nd in nodes:
-            node_cells.setdefault(nd, []).append(cell)
-
-    comp = 0
-    for cell in cell_nodes:
-        seed = cell_nodes[cell][0]
-        if labels[seed] != -1:
-            continue
-        queue = deque([seed])
-        labels[seed] = comp
-        while queue:
-            nd = queue.popleft()
-            for c in node_cells.get(nd, ()):
-                for nb in cell_nodes[c]:
-                    if labels[nb] == -1:
-                        labels[nb] = comp
-                        queue.append(nb)
-        comp += 1
-    return labels, comp
+def _stencil_components(grid, mask):
+    """Connected components of the active node set, where nodes are linked
+    when they appear in the stencil of a common occupied cell: one
+    union-find pass over the edges (c, c + e_a) of every occupied cell c.
+    Returns the flat indices of the active nodes and, for each, the
+    smallest node index of its component."""
+    cells = np.nonzero(mask)
+    base = np.ravel_multi_index(cells, grid.node_shape)
+    shifted = []
+    for a in range(grid.dim):
+        idx = list(cells)
+        idx[a] = cells[a] + 1
+        # on a periodic axis the last cell's forward node wraps to node 0
+        shifted.append(np.ravel_multi_index(idx, grid.node_shape, mode="wrap"))
+    roots, _ = torus_union_find(grid.num_nodes, (
+        (base, nodes, np.zeros_like(base)) for nodes in shifted))
+    active = np.unique(np.concatenate([base] + shifted))
+    return active, roots[active]
 
 
 def _gauge_fix(grid, mask, v):
-    labels, ncomp = _node_components(grid, mask)
-    for c in range(ncomp):
-        sel = labels == c
-        if not sel.any():
-            continue
-        for i in range(v.shape[0]):
-            v[i][sel] -= v[i][sel].mean()
+    """Shift v to zero mean on each connected component of the active nodes."""
+    active, comp = _stencil_components(grid, mask)
+    counts = np.bincount(comp)[comp]
+    shift = np.zeros(grid.num_nodes)
+    for vi in v:
+        shift[active] = np.bincount(comp, weights=vi.ravel()[active])[comp] / counts
+        vi -= shift.reshape(grid.node_shape)
     return v
 
 

@@ -209,9 +209,8 @@ def cmd_whom(cfg, args, out):
 
 
 def cmd_thresholds(cfg, args, out):
-    report = hom.thresholds(cfg.profile, cfg.grid_n, cfg.bisect_tol,
-                            m=cfg.m, p=cfg.energy.p, opts=cfg.solver,
-                            confirm=cfg.confirm_kernel,
+    report = hom.thresholds(cfg.profile, cfg.grid_n, m=cfg.m, p=cfg.energy.p,
+                            opts=cfg.solver, confirm=cfg.confirm_kernel,
                             coercivity_floor=cfg.coercivity_floor)
     _write_json(out / "thresholds.json", report.to_dict(), _comments(cfg, args))
     return True
@@ -219,8 +218,7 @@ def cmd_thresholds(cfg, args, out):
 
 def cmd_film(cfg, args, out):
     probes = cfg.probe_matrices(cfg.n - 1)
-    report = hom.thresholds(cfg.profile, cfg.film_n_grid, 1e-4, m=cfg.m,
-                            confirm=False)
+    report = hom.thresholds(cfg.profile, cfg.film_n_grid, m=cfg.m, confirm=False)
 
     def one(F):
         return film_mod.w_bar(cfg.profile, cfg.energy, F,

@@ -41,7 +41,6 @@ class RunConfig:
     seed: int
     probe_scale: float
     quad: QuadratureOptions
-    bisect_tol: float | None
     confirm_kernel: bool
     coercivity_floor: float
     film_n_grid: int
@@ -134,14 +133,15 @@ SCHEMA = {
     "solver": {"method", "cg_rtol", "grad_tol", "max_iterations"},
     "sweep": {"t_values", "F_probes", "random_probes", "seed", "probe_scale"},
     "quadrature": {"rel_tol", "initial_nodes_per_unit", "max_refinements"},
-    "thresholds": {"bisect_tol", "confirm", "coercivity_floor"},
+    "thresholds": {"confirm", "coercivity_floor"},
     "film": {"n_grid"},
     "schedule": {"eps", "cells_per_delta", "vertical_cells"},
     "omega": None,
 }
 
 # keys that once had an effect: still accepted, with a warning
-RETIRED = {"film.vertical_cells": "film cell problems solve on one vertical layer"}
+RETIRED = {"film.vertical_cells": "film cell problems solve on one vertical layer",
+           "thresholds.bisect_tol": "thresholds are exact cell values"}
 
 
 def _unknown_keys(raw):
@@ -251,11 +251,6 @@ def load_config(source, base_dir=None):
         problems.append(f"quadrature.rel_tol must be positive; got {quad.rel_tol}")
 
     th = raw.get("thresholds", {})
-    bisect_tol = th.get("bisect_tol")
-    if bisect_tol is not None:
-        bisect_tol = float(bisect_tol)
-        if bisect_tol <= 0:
-            problems.append(f"thresholds.bisect_tol must be positive; got {bisect_tol}")
     confirm_kernel = bool(th.get("confirm", True))
     coercivity_floor = float(th.get("coercivity_floor", 1e-3))
 
@@ -289,7 +284,7 @@ def load_config(source, base_dir=None):
         raw=raw, n=n, m=m, profile=profile, energy=energy, grid_n=grid_n,
         vertical_cells=vertical_cells, solver=solver, t_values=t_values,
         F_probes=F_probes, random_probes=random_probes, seed=seed,
-        probe_scale=probe_scale, quad=quad, bisect_tol=bisect_tol,
+        probe_scale=probe_scale, quad=quad,
         confirm_kernel=confirm_kernel, coercivity_floor=coercivity_floor,
         film_n_grid=film_n_grid,
         eps_schedule=eps_schedule, cells_per_delta=cells_per_delta,

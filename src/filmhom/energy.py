@@ -185,8 +185,9 @@ class EnergyDensity:
     # -- vectorized per-cell evaluation (G has shape (m, n, *cells)) --------
 
     def cell_values(self, G):
+        """Exact per-cell values W(G), also for p < 2."""
         if self.kind == "p_norm_power":
-            return np.sum(self.cell_terms(G), axis=0)
+            return np.sum(np.sqrt(np.sum(G * G, axis=0)) ** self.p, axis=0)
         if self.kind == "frobenius_power":
             fr = np.sqrt(np.sum(G * G, axis=(0, 1)))
             return fr ** self.p
@@ -203,11 +204,21 @@ class EnergyDensity:
         raise ConfigurationError(f"unknown density kind {self.kind!r}")
 
     def cell_terms(self, G):
-        """Per-cell values split into terms that sum to ``cell_values``: one
-        per column for ``p_norm_power``, a single one otherwise.  A descent
-        that compares states term by term keeps resolving the change of one
-        column when another, constant column dominates the cell value."""
-        if self.kind == "p_norm_power":
+        """Per-cell values of the objective that the solver minimizes, split
+        into terms: one per column for ``p_norm_power``, a single one
+        otherwise.  A descent that compares states term by term keeps
+        resolving the change of one column when another, constant column
+        dominates the cell value.
+
+        The terms sum to ``cell_values``, except for p < 2: there they are
+        the smoothed norms sqrt(|.|^2 + eps^2)^p - eps^p (so W(0) = 0) whose
+        derivative ``cell_stress`` returns; the bias is O(eps^p) ~ 1e-12."""
+        columns = self.kind == "p_norm_power"
+        if self.uses_smoothing:
+            s2 = np.sum(G * G, axis=0 if columns else (0, 1)) + _SMOOTH_EPS ** 2
+            terms = s2 ** (self.p / 2.0) - _SMOOTH_EPS ** self.p
+            return terms if columns else terms[np.newaxis]
+        if columns:
             return np.sqrt(np.sum(G * G, axis=0)) ** self.p
         return self.cell_values(G)[np.newaxis]
 

@@ -250,14 +250,12 @@ def _midpoint_nodes(breakpoints, per_piece):
     return nodes, weights
 
 
-def quadrature_breakpoints(profile, n_grid, *, threshold_report=None, uniform=False,
-                           bisect_tol=1e-4):
-    # rank bisection is cheap, and a loosely located breakpoint would leave
-    # the integrand jump inside a piece where midpoint refinement stalls
+def quadrature_breakpoints(profile, n_grid, *, threshold_report=None, uniform=False):
+    # the thresholds are exact cell values, so no integrand jump falls
+    # inside a piece, where midpoint refinement would stall
     if uniform:
         return [0.0, 1.0], None
-    report = threshold_report or thresholds(profile, n_grid, bisect_tol,
-                                            confirm=False)
+    report = threshold_report or thresholds(profile, n_grid, confirm=False)
     pts = [0.0]
     for t in report.thresholds:
         if pts[-1] + 1e-9 < t < 1.0 - 1e-9:

@@ -19,7 +19,7 @@ import numpy as np
 from .cell_solver import SolveReport, minimize_dirichlet, minimize_periodic
 from .energy import EnergyDensity, as_matrix
 from .errors import ConfigurationError, StructuralInconsistencyError
-from .profiles import superlevel_mask, torus_components
+from .profiles import superlevel_mask, torus_components, wrap_rank_levels
 
 KERNEL_VALUE_TOL = 1e-6
 COERCIVITY_FLOOR = 1e-3
@@ -55,7 +55,6 @@ class ThresholdReport:
     dim: int
     m: int
     resolution: int
-    bisect_tol: float
 
     def to_dict(self):
         return {
@@ -63,7 +62,6 @@ class ThresholdReport:
             "dim": self.dim,
             "m": self.m,
             "resolution": self.resolution,
-            "bisect_tol": self.bisect_tol,
             "intervals": [
                 {
                     "t_lo": iv.t_lo,
@@ -267,51 +265,24 @@ def kernel(profile, t, n_grid, *, p=2.0, m=1, opts=None, confirm=True,
     return k, xi
 
 
-def _wrap_rank(profile, t, n_grid, cache):
-    key = round(float(t), 15)
-    if key not in cache:
-        cache[key] = torus_components(superlevel_mask(profile, t, n_grid)).rank
-    return cache[key]
-
-
-def thresholds(profile, n_grid, bisect_tol=None, *, m=1, p=2.0, opts=None,
-               confirm=True, coercivity_floor=COERCIVITY_FLOOR):
+def thresholds(profile, n_grid, *, m=1, p=2.0, opts=None, confirm=True,
+               coercivity_floor=COERCIVITY_FLOOR):
     """Locate the levels where the wrap rank of the superlevel set drops.
 
-    The rank is integer-valued and non-increasing in t, so each drop point is
-    found by bisection to within ``bisect_tol`` (default 1/N).  Profiles whose
-    rank never drops report the corresponding thresholds as 1.  Kernel bases
-    are computed at interval midpoints.
+    t_k is the level from which the rank is at most dim - k: an exact cell
+    value, read off one union-find sweep (``wrap_rank_levels``).  A rank the
+    full set {f > 0} never exceeds gives t_k = 0.  Kernel bases are computed
+    at the midpoints of the intervals between thresholds; levels closer than
+    1/N, the level resolution of the grid, bound no interval of their own.
     """
     d = profile.dim
-    if bisect_tol is None:
-        bisect_tol = 1.0 / n_grid
-    cache = {}
-    top = 1.0 - 1e-12
-    ts = []
-    for k in range(1, d + 1):
-        target = d - k
-        if _wrap_rank(profile, 0.0, n_grid, cache) <= target:
-            ts.append(0.0)
-            continue
-        if _wrap_rank(profile, top, n_grid, cache) > target:
-            ts.append(1.0)
-            continue
-        lo, hi = 0.0, top
-        while hi - lo > bisect_tol:
-            mid = 0.5 * (lo + hi)
-            if _wrap_rank(profile, mid, n_grid, cache) <= target:
-                hi = mid
-            else:
-                lo = mid
-        ts.append(0.5 * (lo + hi))
+    rises = wrap_rank_levels(profile, n_grid)
+    ts = tuple(rises[d - k] if d - k < len(rises) else 0.0 for k in range(1, d + 1))
 
     breakpoints = [0.0]
-    for t in ts:
-        if t - breakpoints[-1] > max(bisect_tol, 1e-12):
+    for t in ts + (1.0,):
+        if t - breakpoints[-1] > 1.0 / n_grid:
             breakpoints.append(t)
-    if 1.0 - breakpoints[-1] > max(bisect_tol, 1e-12):
-        breakpoints.append(1.0)
 
     intervals = []
     for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
@@ -320,8 +291,8 @@ def thresholds(profile, n_grid, bisect_tol=None, *, m=1, p=2.0, opts=None,
                        coercivity_floor=coercivity_floor)
         intervals.append(IntervalInfo(t_lo=lo, t_hi=hi, wrap_rank=d - k,
                                       kernel_dim=k * m, xi=tuple(xi)))
-    return ThresholdReport(thresholds=tuple(ts), intervals=tuple(intervals),
-                           dim=d, m=m, resolution=n_grid, bisect_tol=bisect_tol)
+    return ThresholdReport(thresholds=ts, intervals=tuple(intervals),
+                           dim=d, m=m, resolution=n_grid)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ by the oscillating surfaces +/- eps*f(x/delta).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -208,6 +207,11 @@ def superlevel_mask(profile, t, n):
 
 # -- torus connectivity and wrap lattice -------------------------------------
 
+# edges reach the union-find in batches, so only one batch at a time is
+# held as Python ints
+_EDGE_BATCH = 4096
+
+
 @dataclass(frozen=True)
 class TorusComponents:
     """Connected components of an occupied cell set under face adjacency on
@@ -215,7 +219,9 @@ class TorusComponents:
 
     ``wrap_lattice`` holds primitive, linearly independent integer vectors
     spanning the directions along which some component connects to its own
-    periodic translates; ``rank`` is their count.
+    periodic translates, in the canonical form of ``_lattice_basis``;
+    ``rank`` is their count.  Components are numbered in C order of their
+    first cell.
     """
 
     labels: np.ndarray
@@ -226,89 +232,160 @@ class TorusComponents:
 
 def torus_components(mask):
     occ = mask.occupancy if isinstance(mask, CellMask) else np.asarray(mask, dtype=bool)
-    shape = occ.shape
     d = occ.ndim
-    labels = np.full(shape, -1, dtype=np.int64)
-    lifts = np.zeros(shape + (d,), dtype=np.int64)
-    wraps = set()
-    comp = 0
-    shape_arr = np.array(shape, dtype=np.int64)
+    base = _wrap_base(occ.size)
 
-    starts = zip(*np.nonzero(occ))
-    for start in starts:
-        if labels[start] != -1:
-            continue
-        labels[start] = comp
-        lifts[start] = 0
-        queue = deque([start])
-        while queue:
-            c = queue.popleft()
-            lc = lifts[c]
-            for a in range(d):
-                for step in (1, -1):
-                    nb = list(c)
-                    nb[a] += step
-                    if nb[a] == shape[a]:
-                        nb[a] = 0
-                    elif nb[a] < 0:
-                        nb[a] = shape[a] - 1
-                    nb = tuple(nb)
-                    if not occ[nb]:
-                        continue
-                    if labels[nb] == -1:
-                        labels[nb] = comp
-                        lifts[nb] = lc
-                        lifts[nb + (a,)] += step
-                        queue.append(nb)
-                    else:
-                        diff = lc.copy()
-                        diff[a] += step
-                        diff -= lifts[nb]
-                        if diff.any():
-                            z = diff // shape_arr
-                            wraps.add(tuple(int(w) for w in z))
-        comp += 1
+    def edges():
+        for a in range(d):
+            ids = np.flatnonzero(occ & np.roll(occ, -1, axis=a)) + a * occ.size
+            for i in range(0, ids.size, _EDGE_BATCH):
+                yield _face_edges(occ.shape, base, ids[i:i + _EDGE_BATCH])
 
-    basis = _lattice_basis(wraps, d)
+    roots, cycles = torus_union_find(occ.size, edges())
+    # a root is the first cell of its component in C order: number the roots
+    heads = occ.ravel() & (roots == np.arange(occ.size))
+    number = np.cumsum(heads) - 1
+    labels = np.where(occ, number[roots].reshape(occ.shape), -1)
     labels.flags.writeable = False
-    return TorusComponents(labels=labels, num_components=comp,
+    basis = _lattice_basis({_unpack_wrap(z, base, d) for _, z in cycles}, d)
+    return TorusComponents(labels=labels, num_components=int(heads.sum()),
                            wrap_lattice=tuple(basis), rank=len(basis))
 
 
-def _lattice_basis(vectors, dim):
-    """Echelon basis of the integer span of ``vectors``, normalized so each
-    generator is primitive with positive leading entry."""
-    work = [list(v) for v in sorted(set(vectors)) if any(v)]
-    basis = []
-    for col in range(dim):
-        while True:
-            nz = [r for r in work if r[col] != 0]
-            if not nz:
-                break
-            pivot = min(nz, key=lambda r: abs(r[col]))
-            clean = True
-            for r in work:
-                if r is pivot or r[col] == 0:
-                    continue
-                q = r[col] // pivot[col]
-                for j in range(dim):
-                    r[j] -= q * pivot[j]
-                if r[col] != 0:
-                    clean = False
-            if clean:
-                basis.append(list(pivot))
-                work = [r for r in work if r is not pivot and any(r)]
-                break
+def wrap_rank_levels(profile, n):
+    """Levels where the wrap rank of {f > t} on the n-grid rises as t sweeps
+    down: entry r is the level L with rank > r below L and rank <= r from L
+    on.  Ranks that {f > 0} never exceeds have no entry.
+
+    One union-find pass over the face edges, in decreasing level
+    min(f(c), f(c')) > 0: an edge lies in {f > t} iff t is below its level,
+    so the rank rises exactly at the edges whose windings leave the span of
+    the windings before them (docs/kernel_geometry.md).
+    """
+    if n < 2:
+        raise ConfigurationError(f"mask resolution must be >= 2; got {n}")
+    values = profile.eval_grid(n)
+    d = values.ndim
+    base = _wrap_base(values.size)
+    level = np.concatenate([np.minimum(values, np.roll(values, -1, axis=a))
+                            for a in range(d)], axis=None)
+    # decreasing level; the order within a tie does not change the rank after it
+    order = np.argsort(level)[::-1][:np.count_nonzero(level > 0)]
+    _, cycles = torus_union_find(values.size, (
+        _face_edges(values.shape, base, order[i:i + _EDGE_BATCH])
+        for i in range(0, order.size, _EDGE_BATCH)))
+    rises, span, seen = [], [], set()
+    for pos, z in cycles:
+        if z in seen:
+            continue
+        seen.add(z)
+        wrap = _unpack_wrap(z, base, d)
+        if len(_lattice_basis(span + [wrap], d)) > len(span):
+            span.append(wrap)
+            rises.append(float(level[order[pos]]))
+    return rises
+
+
+def _wrap_base(size):
+    """Radix that packs a wrap vector into one int, axis a at base**a: along
+    a forest path of at most ``size`` elements, lift offsets and the
+    windings of the cycles they close stay below base/2 per axis."""
+    return 1 << (size.bit_length() + 2)
+
+
+def _unpack_wrap(z, base, dim):
     out = []
-    for b in basis:
-        g = 0
-        for x in b:
-            g = math.gcd(g, abs(x))
-        b = [x // g for x in b]
-        lead = next(x for x in b if x != 0)
-        if lead < 0:
-            b = [-x for x in b]
-        out.append(tuple(b))
+    for _ in range(dim):
+        out.append((z + base // 2) % base - base // 2)
+        z = (z - out[-1]) // base
+    return tuple(out)
+
+
+def _face_edges(shape, base, ids):
+    """The face edges (c, c + e_a) of a periodic grid with ids a * size + c:
+    flat indices of both ends and the packed wrap step, base**a on the edges
+    that cross the boundary and 0 elsewhere."""
+    axis, cells = np.divmod(ids, math.prod(shape))
+    stride = np.array([math.prod(shape[a + 1:]) for a in range(len(shape))])[axis]
+    n = np.array(shape)[axis]
+    cross = (cells // stride) % n == n - 1
+    nbrs = cells + stride - cross * (n * stride)
+    steps = cross * np.array([base ** a for a in range(len(shape))])[axis]
+    return cells, nbrs, steps
+
+
+def torus_union_find(size, edges):
+    """Union-find with lift offsets over the flat indices 0..size-1 of a grid.
+
+    ``edges`` yields chunks (u, v, step) of equal-length integer arrays: the
+    lift of v lies ``step`` torus wraps (packed as in ``_wrap_base``) from
+    the lift of u.  Each element keeps its lift offset relative to its
+    parent; an edge inside one tree closes a cycle of winding
+    offset(u) + step - offset(v), offsets taken relative to the root.  A
+    link hangs the root with the larger index under the other one.
+
+    Returns (roots, cycles): roots[i] is the smallest index in the tree of
+    i, and cycles lists (position, packed winding) for each edge that closes
+    a cycle of nonzero winding, positions counted over all chunks in order.
+    """
+    parent = [-1] * size        # -1 at a root
+    offset = [0] * size         # lift(i) - lift(parent[i]), packed
+
+    def find(x):
+        o = 0
+        while True:
+            p = parent[x]
+            if p < 0:
+                return x, o
+            g = parent[p]
+            if g >= 0:          # path halving
+                offset[x] += offset[p]
+                parent[x] = p = g
+            o += offset[x]
+            x = p
+
+    cycles = []
+    pos = 0
+    for us, vs, steps in edges:
+        for u, v, s in zip(us.tolist(), vs.tolist(), steps.tolist()):
+            ru, ou = find(u)
+            rv, ov = find(v)
+            z = ou + s - ov
+            if ru == rv:
+                if z:
+                    cycles.append((pos, z))
+            elif ru > rv:
+                parent[ru], offset[ru] = rv, -z
+            else:
+                parent[rv], offset[rv] = ru, z
+            pos += 1
+
+    roots = np.array(parent, dtype=np.int64)
+    roots = np.where(roots < 0, np.arange(size), roots)
+    while not np.array_equal(roots[roots], roots):
+        roots = roots[roots]
+    return roots, cycles
+
+
+def _lattice_basis(vectors, dim):
+    """Canonical basis of the rational span of integer ``vectors``: the rows
+    of its reduced row echelon form, each scaled to a primitive integer
+    vector (leading entry positive), so equal spans give equal bases."""
+    def eliminate(r, pivot, col):
+        # integer row operation that zeroes r[col]; other zeros stay zero
+        return [x * pivot[col] - y * r[col] for x, y in zip(r, pivot)]
+
+    rest = [list(v) for v in vectors]
+    rows = []
+    for col in range(dim):
+        pivot = next((r for r in rest if r[col]), None)
+        if pivot is not None:
+            rest = [eliminate(r, pivot, col) for r in rest]
+            rows = [eliminate(r, pivot, col) for r in rows] + [pivot]
+    out = []
+    for row in rows:
+        g = math.gcd(*row) * (1 if next(x for x in row if x) > 0 else -1)
+        out.append(tuple(x // g for x in row))
     return out
 
 

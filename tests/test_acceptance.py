@@ -40,7 +40,7 @@ def test_criterion_1_product_structure():
         prof = Profile.builtin("sin2-product", dim=2)
         n = 128
         rep = thresholds(prof, n)
-        tol = max(rep.bisect_tol, 2.0 / n)
+        tol = 2.0 / n
         assert abs(rep.thresholds[0] - 0.5) <= tol
         assert abs(rep.thresholds[1] - 0.5) <= tol
 
@@ -57,7 +57,7 @@ def test_criterion_2_stripe_structure():
         prof = Profile.builtin("sin2-stripe", dim=2)
         n = 128
         rep = thresholds(prof, n)
-        tol = max(rep.bisect_tol, 2.0 / n)
+        tol = 2.0 / n
         assert abs(rep.thresholds[0] - 0.5) <= tol
         assert abs(rep.thresholds[1] - 1.0) <= tol
 

@@ -5,7 +5,8 @@ import scipy.optimize
 from filmhom import (EnergyDensity, SolverOptions, minimize_dirichlet,
                      minimize_periodic)
 from filmhom.cell_solver import (_active_node_mask, _cell_gradient,
-                                 _cell_gradient_adjoint, _Grid)
+                                 _cell_gradient_adjoint, _Grid,
+                                 _stencil_components)
 
 from conftest import stripe_mask
 
@@ -194,18 +195,20 @@ def test_value_nonincreasing_under_mask_shrink(stripe2, W2):
 
 
 def test_corrector_gauge_and_frozen_nodes(W2):
-    mask = stripe_mask(16)
-    _, corr, _ = minimize_periodic(mask, W2, [[1.0, 0.0]])
-    v = np.asarray(corr.values)
-    grid = _Grid(cells=mask.shape, spacings=(1 / 16, 1 / 16),
-                 periodic=(True, True))
-    active = _active_node_mask(grid, mask)
-    assert np.abs(v[0][~active]).max() == 0.0
-    from filmhom.cell_solver import _node_components
-    labels, ncomp = _node_components(grid, mask)
-    for c in range(ncomp):
-        sel = labels == c
-        assert abs(v[0][sel].mean()) < 1e-12
+    one = stripe_mask(16)
+    two = stripe_mask(16, 0.1, 0.3) | stripe_mask(16, 0.6, 0.8)
+    for mask, stripes in ((one, 1), (two, 2)):
+        _, corr, _ = minimize_periodic(mask, W2, [[1.0, 0.0]])
+        v = np.asarray(corr.values)
+        grid = _Grid(cells=mask.shape, spacings=(1 / 16, 1 / 16),
+                     periodic=(True, True))
+        active = _active_node_mask(grid, mask)
+        assert np.abs(v[0][~active]).max() == 0.0
+        nodes, comp = _stencil_components(grid, mask)
+        assert np.array_equal(nodes, np.flatnonzero(active))
+        assert len(set(comp)) == stripes
+        for c in set(comp):
+            assert abs(v[0].ravel()[nodes[comp == c]].mean()) < 1e-12
 
 
 def test_nonconvergence_reported(W2, product2):

@@ -112,8 +112,8 @@ def test_thresholds_command(tmp_path):
     out = tmp_path / "out"
     assert main(["thresholds", "--config", str(cfg), "--out", str(out)]) == 0
     rep = json.loads(read_lines(out / "thresholds.json"))
-    assert abs(rep["thresholds"][0] - 0.5) <= max(rep["bisect_tol"], 2 / 64)
-    assert abs(rep["thresholds"][1] - 0.5) <= max(rep["bisect_tol"], 2 / 64)
+    assert abs(rep["thresholds"][0] - 0.5) <= 2 / 64
+    assert abs(rep["thresholds"][1] - 0.5) <= 2 / 64
 
 
 def test_thresholds_stripe_json(tmp_path):
@@ -122,8 +122,8 @@ def test_thresholds_stripe_json(tmp_path):
     out = tmp_path / "out"
     assert main(["thresholds", "--config", str(cfg), "--out", str(out)]) == 0
     rep = json.loads(read_lines(out / "thresholds.json"))
-    assert abs(rep["thresholds"][0] - 0.5) <= max(rep["bisect_tol"], 2 / 64)
-    assert abs(rep["thresholds"][1] - 1.0) <= max(rep["bisect_tol"], 2 / 64)
+    assert abs(rep["thresholds"][0] - 0.5) <= 2 / 64
+    assert abs(rep["thresholds"][1] - 1.0) <= 2 / 64
     assert rep["intervals"][-1]["xi"] == [[0.0, 1.0]]
 
 
@@ -292,3 +292,23 @@ def test_retired_film_vertical_cells_warns_and_is_ignored(tmp_path):
         values.append(table["entries"][0]["value"])
         assert "vertical_cells" not in table["metadata"]
     assert values[0] == values[1]
+
+
+def test_retired_thresholds_bisect_tol_warns_and_is_ignored(tmp_path):
+    plain = write_config(tmp_path, "plain.json", thresholds={"confirm": False})
+    retired = write_config(tmp_path, "retired.json",
+                           thresholds={"confirm": False, "bisect_tol": 0.25})
+    reports = []
+    for cfg, name in ((plain, "a"), (retired, "b")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["thresholds", "--config", str(cfg), "--out",
+                         str(tmp_path / name), "--reproducible"]) == 0
+        messages = [str(w.message) for w in caught]
+        assert any("thresholds.bisect_tol" in m and "ignored" in m
+                   for m in messages) == (name == "b")
+        report = json.loads(read_lines(tmp_path / name / "thresholds.json"))
+        report.pop("_meta")         # holds the config hash
+        reports.append(report)
+    assert "bisect_tol" not in reports[1]
+    assert reports[0] == reports[1]

@@ -133,3 +133,24 @@ def test_custom_convexity_check_catches_violation():
                              p=2.0, m=1, n=2, gamma=0.1, beta=10.0)
     with pytest.raises(ConfigurationError):
         W.check_convexity()
+
+
+@pytest.mark.parametrize("make", [EnergyDensity.p_norm_power,
+                                  EnergyDensity.frobenius_power])
+def test_smoothed_terms_below_two_match_stress_and_values(make, rng):
+    # for p < 2 the solver minimizes the smoothed cell_terms, whose derivative
+    # is cell_stress; cell_values stays the exact density.  Columns of norm
+    # ~1e-9, below the smoothing scale 1e-8, tell the two apart.
+    W = make(1.5, 2, 3)
+    G = 1e-9 * rng.uniform(-1, 1, size=(2, 3, 7))
+    columns = np.sqrt(np.sum(G * G, axis=0))
+    exact = (np.sum(columns ** 1.5, axis=0) if W.kind == "p_norm_power"
+             else np.sqrt(np.sum(G * G, axis=(0, 1))) ** 1.5)
+    assert np.allclose(W.cell_values(G), exact, rtol=1e-12, atol=0)
+    h = 1e-11
+    for _ in range(5):
+        D = rng.uniform(-1, 1, size=G.shape)
+        fd = (W.cell_terms(G + h * D).sum(axis=0)
+              - W.cell_terms(G - h * D).sum(axis=0)) / (2 * h)
+        an = np.sum(W.cell_stress(G) * D, axis=(0, 1))
+        assert np.allclose(fd, an, rtol=1e-4, atol=0)

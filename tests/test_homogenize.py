@@ -257,7 +257,7 @@ def test_thresholds_constant():
 def test_thresholds_product(product2):
     n = 128
     rep = thresholds(product2, n)
-    tol = max(rep.bisect_tol, 2.0 / n)
+    tol = 2.0 / n
     assert abs(rep.thresholds[0] - 0.5) <= tol
     assert abs(rep.thresholds[1] - 0.5) <= tol
 
@@ -265,7 +265,7 @@ def test_thresholds_product(product2):
 def test_thresholds_stripe(stripe2):
     n = 128
     rep = thresholds(stripe2, n)
-    tol = max(rep.bisect_tol, 2.0 / n)
+    tol = 2.0 / n
     assert abs(rep.thresholds[0] - 0.5) <= tol
     assert abs(rep.thresholds[1] - 1.0) <= tol
     upper = rep.intervals[-1]
