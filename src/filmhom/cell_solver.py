@@ -13,13 +13,16 @@ The operator is applied as vol * D^T (mask * stress(D u)); the
 preconditioner inverts the unmasked box Laplacian axis by axis with numpy.fft
 (FFT on periodic axes, DST-I on frozen-end axes, DCT-II on free ends) and
 keeps only active free nodes; CG stops on the true residual,
-||r|| <= cg_rtol ||b|| (docs/solvers.md).  Other densities use monotone
-accelerated descent with backtracking, whose tests compare energies cell by
-cell.  Cells outside the mask contribute no energy; nodes touching no
-occupied cell stay frozen at zero; the remaining constant-per-component null
-space is handled by starting from a consistent state and gauge-fixing
-afterwards, on the node components that one union-find pass finds (the
-routine that also labels the torus components of a mask).
+||r|| <= cg_rtol ||b|| (docs/solvers.md).  Other densities use accelerated
+descent with backtracking and gradient restarts, whose step and restart
+tests read gradients only.  The offset may have more columns than the grid
+has axes: a field on the grid does not vary along the extra ones, so a
+cylinder cell problem solves on its in-plane grid.  Cells outside the mask
+contribute no energy; nodes touching no occupied cell stay frozen at zero;
+the remaining constant-per-component null space is handled by starting from
+a consistent state and gauge-fixing afterwards, on the node components that
+one union-find pass finds (the routine that also labels the torus
+components of a mask).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,11 +41,9 @@ from .profiles import torus_union_find
 
 @dataclass(frozen=True)
 class SolverOptions:
-    method: str = "auto"            # auto | cg | descent
     cg_rtol: float = 1e-10
     grad_tol: float = 1e-8          # scaled by (1 + |F|^(p-1)) at solve time
     max_iterations: int | None = None   # default: 10 * number of nodes
-    record_trace: bool = False
 
 
 @dataclass
@@ -53,7 +54,6 @@ class SolveReport:
     converged: bool
     method: str
     notes: str = ""
-    energy_trace: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -121,10 +121,12 @@ def _wrap_windows(grid, axis):
             (at(slice(n - 1, n)), at(slice(0, 1))))
 
 
-def _cell_gradient(grid, v):
-    """(m, *nodes) -> (m, dim, *cells): forward differences per cell."""
+def _cell_gradient(grid, v, columns=None):
+    """(m, *nodes) -> (m, columns, *cells): forward differences per cell,
+    zero in the columns past grid.dim (default columns: grid.dim)."""
     m = v.shape[0]
-    G = np.empty((m, grid.dim) + grid.cells)
+    G = np.empty((m, columns or grid.dim) + grid.cells)
+    G[:, grid.dim:] = 0.0
     for a in range(grid.dim):
         lo, hi = _cell_windows(grid, a)
         Ga = G[:, a]
@@ -153,25 +155,27 @@ def _cell_gradient_adjoint(grid, P):
     return out
 
 
+def _stencil_nodes(grid, mask):
+    """Flat node indices of the forward stencils of the occupied cells: the
+    base nodes c, and per axis a the nodes c + e_a (on a periodic axis the
+    last cell's forward node wraps to node 0)."""
+    cells = np.nonzero(mask)
+    base = np.ravel_multi_index(cells, grid.node_shape)
+    forward = []
+    for a in range(grid.dim):
+        idx = list(cells)
+        idx[a] = cells[a] + 1
+        forward.append(np.ravel_multi_index(idx, grid.node_shape, mode="wrap"))
+    return base, forward
+
+
 def _active_node_mask(grid, mask):
-    """Nodes touched by at least one occupied cell (the forward stencil of a
-    cell uses its base node and the base shifted by one along each axis)."""
-    active = np.zeros(grid.node_shape, dtype=bool)
-    lo_all = tuple(slice(0, c) for c in grid.cells)
-    for a in range(-1, grid.dim):
-        buf = np.zeros(grid.node_shape, dtype=bool)
-        buf[lo_all] = mask
-        if a >= 0:
-            if grid.periodic[a]:
-                buf = np.roll(buf, 1, axis=a)
-            else:
-                shifted = np.zeros_like(buf)
-                hi = tuple(slice(1, grid.cells[b] + 1) if b == a else slice(0, grid.cells[b])
-                           for b in range(grid.dim))
-                shifted[hi] = mask
-                buf = shifted
-        active |= buf
-    return active
+    """Nodes touched by at least one occupied cell."""
+    active = np.zeros(grid.num_nodes, dtype=bool)
+    base, forward = _stencil_nodes(grid, mask)
+    for nodes in [base] + forward:
+        active[nodes] = True
+    return active.reshape(grid.node_shape)
 
 
 def _frozen_ends(grid, axes):
@@ -348,18 +352,20 @@ class _SpectralPreconditioner:
 def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=()):
     """Minimize cellvol * sum_{occupied} W(F + Dv) over node fields v.
 
-    Returns (integral, v, report).  The two end node layers of every axis in
-    ``dirichlet_axes`` are held at zero.  The reported final_energy is the
-    integral.
+    F is m x n with n >= grid.dim; Dv is zero in the columns past grid.dim,
+    which therefore enter only through F.  Returns (integral, v, report).
+    The two end node layers of every axis in ``dirichlet_axes`` are held at
+    zero.  The reported final_energy is the integral.
     """
     opts = opts or SolverOptions()
     m = W.m
     F = as_matrix(F)
-    if F.shape != (m, grid.dim):
+    n = F.shape[1]
+    if F.shape[0] != m or n < grid.dim:
         raise DimensionMismatchError(
-            f"offset matrix has shape {F.shape}; expected ({m}, {grid.dim})"
+            f"offset matrix has shape {F.shape}; expected ({m}, n) with n >= {grid.dim}"
         )
-    W.check_dims(m, grid.dim)
+    W.check_dims(m, n)
 
     free = ~_frozen_ends(grid, dirichlet_axes) if dirichlet_axes else None
 
@@ -369,20 +375,13 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=()):
         return arr
 
     maskf = mask.astype(float)
-    Fcells = F.reshape((m, grid.dim) + (1,) * grid.dim)
+    Fcells = F.reshape((m, n) + (1,) * grid.dim)
     vol = grid.cell_volume
 
     def offset_gradient(v):
-        G = _cell_gradient(grid, v)
+        G = _cell_gradient(grid, v, n)
         G += Fcells
         return G
-
-    def cell_energy(v):
-        # per-cell energy terms: the descent compares states term by term
-        e = W.cell_terms(offset_gradient(v))
-        e *= maskf
-        e *= vol
-        return e
 
     def energy(v):
         # the exact density: for p < 2 the descent minimizes a smoothed one
@@ -408,14 +407,6 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=()):
     if maxiter is None:
         maxiter = 10 * m * grid.num_nodes
 
-    method = opts.method
-    if method == "auto":
-        method = "cg" if W.is_quadratic else "descent"
-    if method == "cg" and not W.is_quadratic:
-        raise ConfigurationError(
-            f"cg requested but density {W.label!r} is not quadratic"
-        )
-
     notes = []
     if not W.convex:
         warnings.warn(
@@ -426,10 +417,10 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=()):
     if W.uses_smoothing:
         notes.append("p<2 column norms smoothed with eps=1e-8")
 
-    if method == "cg":
+    if W.is_quadratic:
         # the stress is linear: gradient(v) = K v + gradient(0)
         def apply_K(u):
-            return stress_adjoint(W.cell_stress(_cell_gradient(grid, u)))
+            return stress_adjoint(W.cell_stress(_cell_gradient(grid, u, n)))
 
         b = gradient(np.zeros_like(v0))
         np.negative(b, out=b)
@@ -443,12 +434,10 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=()):
 
     Fnorm = float(np.linalg.norm(F))
     gtol = opts.grad_tol * (1.0 + Fnorm ** (W.p - 1.0))
-    x, iters, gnorm, ok, trace = _accelerated_descent(
-        cell_energy, gradient, v0, gtol, maxiter, record=opts.record_trace)
+    x, iters, gnorm, ok = _accelerated_descent(gradient, v0, gtol, maxiter)
     val = energy(x)
     report = SolveReport(iterations=iters, final_energy=val, residual=gnorm,
-                         converged=ok, method="descent", notes="; ".join(notes),
-                         energy_trace=trace)
+                         converged=ok, method="descent", notes="; ".join(notes))
     return val, x, report
 
 
@@ -491,53 +480,48 @@ def _preconditioned_cg(apply_K, make_precond, b, x0, rtol, maxiter):
     return x, it, rel, rel <= rtol
 
 
-def _accelerated_descent(cell_energy, gradient, x0, gtol, maxiter, record=False):
-    """Nesterov-accelerated descent with backtracking; restarts keep the
-    accepted energy sequence non-increasing.
+def _accelerated_descent(gradient, x0, gtol, maxiter):
+    """Nesterov-accelerated gradient descent with backtracking and gradient
+    restarts; it evaluates no energy, only gradients.
 
-    ``cell_energy`` returns per-cell energy terms.  The Armijo and restart
-    tests sum the termwise differences of two states instead of subtracting
-    two rounded totals, so a decrease below the rounding of the total energy,
-    or of a cell's constant column, still counts and the step does not
-    collapse short of the tolerance."""
+    A step from y is accepted once grad(cand) . grad(y) >= 0: the derivative
+    along the line is still <= 0 at the candidate (for a quadratic this is
+    Armijo with c = 1/2), otherwise the step halves.  Momentum restarts when
+    grad(y) . (cand - x) > 0.  Products of gradients stay accurate where the
+    energy decrease is below the rounding of a sum of cell energies."""
     x = x0.copy()
-    ex = cell_energy(x)
-    y = x.copy()
+    gx = gradient(x)
+    y, gy = x, gx
     t = 1.0
     step = 1.0
-    trace = [float(np.sum(ex))] if record else []
     it = 0
     while it < maxiter:
-        gx = gradient(x)
         gxn = float(np.linalg.norm(gx))
         if gxn <= gtol:
-            return x, it, gxn, True, trace
-        gy = gradient(y)
-        ey = cell_energy(y)
-        gyn2 = float(np.vdot(gy, gy))
+            return x, it, gxn, True
+        if gy is None:
+            gy = gradient(y)
         while True:
             cand = y - step * gy
-            ec = cell_energy(cand)
-            if float(np.sum(ec - ey)) <= -0.5 * step * gyn2 or step < 1e-20:
+            gc = gradient(cand)
+            if float(np.vdot(gc, gy)) >= 0.0:
                 break
             step *= 0.5
-        it += 1
-        if float(np.sum(ec - ex)) < 0.0:
-            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            y = cand + ((t - 1.0) / t_new) * (cand - x)
-            x, ex, t = cand, ec, t_new
-            step *= 1.25
-            if record:
-                trace.append(float(np.sum(ex)))
-        else:
-            # momentum overshoot: restart from the best point
-            y = x.copy()
-            t = 1.0
-            step *= 0.5
             if step < 1e-20:
-                break  # no decrease left, even cell by cell
-    gxn = float(np.linalg.norm(gradient(x)))
-    return x, it, gxn, gxn <= gtol, trace
+                return x, it, gxn, False  # no descent left along -grad(y)
+        it += 1
+        moved = cand - x
+        if float(np.vdot(gy, moved)) > 0.0:
+            # momentum points uphill: restart from the candidate
+            y, gy, t = cand, gc, 1.0
+        else:
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            y, gy = cand + ((t - 1.0) / t_new) * moved, None
+            t = t_new
+        x, gx = cand, gc
+        step *= 1.25
+    gxn = float(np.linalg.norm(gx))
+    return x, it, gxn, gxn <= gtol
 
 
 # -- gauge fixing ----------------------------------------------------------------
@@ -548,17 +532,10 @@ def _stencil_components(grid, mask):
     union-find pass over the edges (c, c + e_a) of every occupied cell c.
     Returns the flat indices of the active nodes and, for each, the
     smallest node index of its component."""
-    cells = np.nonzero(mask)
-    base = np.ravel_multi_index(cells, grid.node_shape)
-    shifted = []
-    for a in range(grid.dim):
-        idx = list(cells)
-        idx[a] = cells[a] + 1
-        # on a periodic axis the last cell's forward node wraps to node 0
-        shifted.append(np.ravel_multi_index(idx, grid.node_shape, mode="wrap"))
+    base, forward = _stencil_nodes(grid, mask)
     roots, _ = torus_union_find(grid.num_nodes, (
-        (base, nodes, np.zeros_like(base)) for nodes in shifted))
-    active = np.unique(np.concatenate([base] + shifted))
+        (base, nodes, np.zeros_like(base)) for nodes in forward))
+    active = np.unique(np.concatenate([base] + forward))
     return active, roots[active]
 
 
@@ -581,8 +558,11 @@ def minimize_periodic(mask, W, F, opts=None, v0=None, want_corrector=True):
     Parameters
     ----------
     mask : bool array over the unit-cell grid (any dim 1-3), cell-centered.
-    W : EnergyDensity declared for (m, dim) matrices.
-    F : m x dim offset matrix (the macroscopic gradient).
+    W : EnergyDensity declared for (m, n) matrices.
+    F : m x n offset matrix (the macroscopic gradient), n >= mask.ndim.
+        With n > mask.ndim this is the cell problem of the cylinder
+        mask x R^(n - mask.ndim), whose correctors do not depend on the
+        extra coordinates (docs/solvers.md).
     opts : SolverOptions.
     v0 : optional warm-start node field.
     want_corrector : skip component labeling and gauge fixing when False

@@ -130,7 +130,7 @@ SCHEMA = {
     "energy": {"kind", "p", "matrix", "gamma", "beta"},
     # grid.vertical_cells sets only the layers of the psi --oracle cylinder
     "grid": {"N", "vertical_cells"},
-    "solver": {"method", "cg_rtol", "grad_tol", "max_iterations"},
+    "solver": {"cg_rtol", "grad_tol", "max_iterations"},
     "sweep": {"t_values", "F_probes", "random_probes", "seed", "probe_scale"},
     "quadrature": {"rel_tol", "initial_nodes_per_unit", "max_refinements"},
     "thresholds": {"confirm", "coercivity_floor"},
@@ -140,8 +140,9 @@ SCHEMA = {
 }
 
 # keys that once had an effect: still accepted, with a warning
-RETIRED = {"film.vertical_cells": "film cell problems solve on one vertical layer",
-           "thresholds.bisect_tol": "thresholds are exact cell values"}
+RETIRED = {"film.vertical_cells": "film cell problems solve on the in-plane grid",
+           "thresholds.bisect_tol": "thresholds are exact cell values",
+           "solver.method": "quadratic densities use CG, all others the descent"}
 
 
 def _unknown_keys(raw):
@@ -222,14 +223,11 @@ def load_config(source, base_dir=None):
 
     sv = raw.get("solver", {})
     solver = SolverOptions(
-        method=sv.get("method", "auto"),
         cg_rtol=float(sv.get("cg_rtol", 1e-10)),
         grad_tol=float(sv.get("grad_tol", 1e-8)),
         max_iterations=(int(sv["max_iterations"])
                         if sv.get("max_iterations") is not None else None),
     )
-    if solver.method not in ("auto", "cg", "descent"):
-        problems.append(f"solver.method must be auto|cg|descent; got {solver.method}")
 
     sweep = raw.get("sweep", {})
     t_values = [float(t) for t in sweep.get("t_values", [])]

@@ -203,25 +203,6 @@ class EnergyDensity:
             return out.reshape(G.shape[2:])
         raise ConfigurationError(f"unknown density kind {self.kind!r}")
 
-    def cell_terms(self, G):
-        """Per-cell values of the objective that the solver minimizes, split
-        into terms: one per column for ``p_norm_power``, a single one
-        otherwise.  A descent that compares states term by term keeps
-        resolving the change of one column when another, constant column
-        dominates the cell value.
-
-        The terms sum to ``cell_values``, except for p < 2: there they are
-        the smoothed norms sqrt(|.|^2 + eps^2)^p - eps^p (so W(0) = 0) whose
-        derivative ``cell_stress`` returns; the bias is O(eps^p) ~ 1e-12."""
-        columns = self.kind == "p_norm_power"
-        if self.uses_smoothing:
-            s2 = np.sum(G * G, axis=0 if columns else (0, 1)) + _SMOOTH_EPS ** 2
-            terms = s2 ** (self.p / 2.0) - _SMOOTH_EPS ** self.p
-            return terms if columns else terms[np.newaxis]
-        if columns:
-            return np.sqrt(np.sum(G * G, axis=0)) ** self.p
-        return self.cell_values(G)[np.newaxis]
-
     def cell_stress(self, G):
         p = self.p
         if p == 2.0 and self.kind in ("p_norm_power", "frobenius_power"):

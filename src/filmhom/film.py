@@ -21,8 +21,8 @@ from .cell_solver import _Grid, _solve_masked, minimize_periodic
 from .energy import as_matrix
 from .errors import (ConfigurationError, QuadratureError, ResolutionError,
                      UnsupportedFeatureError)
-from .homogenize import _cylinder_mask, thresholds
-from .profiles import oscillating_domain_mask
+from .homogenize import thresholds
+from .profiles import oscillating_domain_mask, superlevel_mask
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -169,8 +169,10 @@ def _require_film_hypotheses(profile, W):
 
 def _cylinder_evaluator(profile, W, t, n_grid, solver_opts):
     """Warm-started evaluator F -> cylinder cell value at fixed level t, and
-    its state; ``state["converged"]`` stays True while every solve converges."""
-    _, occ = _cylinder_mask(profile, t, n_grid)
+    its state; ``state["converged"]`` stays True while every solve converges.
+    The cylinder mask is constant in x_n, so the solve runs on the in-plane
+    superlevel mask with F's last column as an offset (docs/solvers.md)."""
+    occ = superlevel_mask(profile, t, n_grid).occupancy
     if not occ.any():
         return None, None
     state = {"v0": None, "converged": True}

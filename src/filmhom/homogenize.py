@@ -115,16 +115,6 @@ def psi(profile, t, F, n_grid, *, p=2.0, opts=None):
                              report=base.report)
 
 
-def _cylinder_mask(profile, t, n_grid, vertical_cells=1):
-    """The cylinder {f > |t|} x R on ``vertical_cells`` periodic layers; one
-    layer carries a minimizer of every convex cell problem (docs/solvers.md)."""
-    mask2 = superlevel_mask(profile, t, n_grid)
-    occ = np.broadcast_to(mask2.occupancy[..., np.newaxis],
-                          mask2.occupancy.shape + (vertical_cells,)).copy()
-    occ.flags.writeable = False
-    return mask2, occ
-
-
 def psi_cylinder_oracle(profile, t, F, n_grid, *, p=2.0, opts=None, vertical_cells=None):
     """Independent route for psi: one periodic solve on the full cylinder
     mask with the affine offset F, on ``vertical_cells`` layers (default
@@ -134,7 +124,8 @@ def psi_cylinder_oracle(profile, t, F, n_grid, *, p=2.0, opts=None, vertical_cel
     d = profile.dim + 1
     if F.shape[1] != d:
         raise ConfigurationError(f"matrix has {F.shape[1]} columns; expected {d}")
-    mask2, occ = _cylinder_mask(profile, t, n_grid, vertical_cells or n_grid)
+    mask2 = superlevel_mask(profile, t, n_grid)
+    occ = np.repeat(mask2.occupancy[..., np.newaxis], vertical_cells or n_grid, axis=-1)
     W = EnergyDensity.p_norm_power(p=p, m=m, n=d)
     value, _, report = minimize_periodic(occ, W, F, opts=opts, want_corrector=False)
     return HomogenizedSample(t=float(t), F=_freeze(F), value=value,
@@ -143,13 +134,14 @@ def psi_cylinder_oracle(profile, t, F, n_grid, *, p=2.0, opts=None, vertical_cel
 
 
 def w_hom(profile, t, F, W, n_grid, *, opts=None):
-    """Homogenized density of a convex integrand on the cylinder mask:
-    a periodic masked solve in profile.dim + 1 dimensions.
+    """Homogenized density of a convex integrand on the cylinder mask
+    {f > |t|} x R.
 
     The mask does not vary along the last axis, so averaging a corrector
-    over vertical translations does not raise the convex energy: the solve
-    runs on one periodic vertical layer, where the vertical difference of
-    every node field vanishes and F's last column enters only as the offset.
+    over vertical translations does not raise the convex energy: some
+    minimizer does not depend on x_n.  The solve therefore runs on the
+    in-plane grid, and F's last column enters only as a constant offset
+    (docs/solvers.md).
     """
     F = as_matrix(F)
     d = profile.dim + 1
@@ -157,8 +149,9 @@ def w_hom(profile, t, F, W, n_grid, *, opts=None):
         raise ConfigurationError(f"matrix has {F.shape[1]} columns; expected {d}")
     W.check_dims(F.shape[0], d)
     W.check_convexity()
-    mask2, occ = _cylinder_mask(profile, t, n_grid)
-    value, _, report = minimize_periodic(occ, W, F, opts=opts, want_corrector=False)
+    mask2 = superlevel_mask(profile, t, n_grid)
+    value, _, report = minimize_periodic(mask2.occupancy, W, F, opts=opts,
+                                         want_corrector=False)
     return HomogenizedSample(t=float(t), F=_freeze(F), value=value,
                              theta=mask2.area_fraction, resolution=n_grid,
                              report=report)

@@ -231,15 +231,6 @@ def test_p_below_two_smoothed(rng):
     assert value == pytest.approx(0.5, abs=1e-6)
 
 
-def test_descent_energy_trace_monotone(rng):
-    W = EnergyDensity.p_norm_power(4.0, 1, 2)
-    opts = SolverOptions(record_trace=True)
-    _, _, report = minimize_periodic(stripe_mask(8), W, [[1.0, 0.3]], opts=opts)
-    trace = report.energy_trace
-    assert len(trace) > 1
-    assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
-
-
 def test_dirichlet_full_mask_identity(W2):
     value, report = minimize_dirichlet(np.ones((8, 8), bool), W2, [[1.1, -0.7]], 1)
     assert report.converged

@@ -312,3 +312,24 @@ def test_retired_thresholds_bisect_tol_warns_and_is_ignored(tmp_path):
         reports.append(report)
     assert "bisect_tol" not in reports[1]
     assert reports[0] == reports[1]
+
+
+def test_retired_solver_method_warns_and_is_ignored(tmp_path):
+    # the method follows the density: asking for CG on p = 3 once failed
+    common = dict(energy={"kind": "p_norm_power", "p": 3.0}, grid={"N": 8},
+                  sweep={"t_values": [0.5], "F_probes": [[1.0, 0.5, 0.2]]})
+    plain = write_config(tmp_path, "plain.json", **common)
+    retired = write_config(tmp_path, "retired.json", solver={"method": "cg"},
+                           **common)
+    tables = []
+    for cfg, name in ((plain, "a"), (retired, "b")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["whom", "--config", str(cfg), "--out",
+                         str(tmp_path / name), "--reproducible"]) == 0
+        messages = [str(w.message) for w in caught]
+        assert any("solver.method" in m and "ignored" in m
+                   for m in messages) == (name == "b")
+        lines = read_lines(tmp_path / name / "whom.csv").splitlines()
+        tables.append([line for line in lines if not line.startswith("#")])
+    assert tables[0] == tables[1]

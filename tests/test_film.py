@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from filmhom import film
-from filmhom import homogenize as hom
 from filmhom import (ConfigurationError, EnergyDensity, Profile,
                      QuadratureOptions, UnsupportedFeatureError, direct_min,
-                     gamma_check, membrane_min, w_bar, w_hom, w_tilde)
+                     gamma_check, membrane_min, minimize_periodic,
+                     superlevel_mask, w_bar, w_hom, w_tilde)
 
 
 def stripe_theta(t):
@@ -28,20 +27,27 @@ def test_wtilde_flat_minimizes_transverse(W3):
     assert abs(argmin[0]) < 1e-5
 
 
-def test_wtilde_one_layer_matches_two_layer_cylinder(stripe2, monkeypatch):
+def test_wtilde_one_layer_matches_two_layer_cylinder(stripe2):
     # coupling the transverse column to the in-plane column along the stripe
-    # moves the argmin off zero; the search on a genuine two-layer cylinder
-    # must land on the same minimum
+    # moves the argmin off zero; solves on a genuine two-layer cylinder must
+    # give w_tilde's value at its argmin and nothing lower around it
     A = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.5], [0.0, 0.5, 1.0]])
     W = EnergyDensity.quadratic_form(A, 1, 3)
-    one = w_tilde(stripe2, W, 0.6, [[1.0, 0.5]], n_grid=16)
-    monkeypatch.setattr(film, "_cylinder_mask",
-                        lambda p, t, n: hom._cylinder_mask(p, t, n, 2))
-    two = w_tilde(stripe2, W, 0.6, [[1.0, 0.5]], n_grid=16)
-    assert one[2] and two[2]
-    assert abs(one[1][0]) > 0.1
-    assert one[0] == pytest.approx(two[0], abs=1e-9)
-    assert one[1] == pytest.approx(two[1], abs=1e-5)
+    value, argmin, converged = w_tilde(stripe2, W, 0.6, [[1.0, 0.5]], n_grid=16)
+    assert converged
+    assert abs(argmin[0]) > 0.1
+    occ = superlevel_mask(stripe2, 0.6, 16).occupancy
+    two = np.broadcast_to(occ[..., np.newaxis], occ.shape + (2,)).copy()
+
+    def cylinder(s):
+        val, _, report = minimize_periodic(two, W, [[1.0, 0.5, s]],
+                                           want_corrector=False)
+        assert report.converged
+        return val
+
+    assert cylinder(argmin[0]) == pytest.approx(value, abs=1e-9)
+    for ds in (-1e-2, -1e-3, 1e-3, 1e-2):
+        assert cylinder(argmin[0] + ds) >= value - 1e-9
 
 
 def test_wtilde_kernel_interval_vanishes(product2, W3):
