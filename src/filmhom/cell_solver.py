@@ -17,7 +17,9 @@ keeps only active free nodes; CG stops on the true residual,
 descent with backtracking and gradient restarts, whose step and restart
 tests read gradients only.  The offset may have more columns than the grid
 has axes: a field on the grid does not vary along the extra ones, so a
-cylinder cell problem solves on its in-plane grid.  Cells outside the mask
+cylinder cell problem solves on its in-plane grid.  Those columns may also
+be unknowns, minimized jointly with the field in the same solve (the
+transverse column of the film density).  Cells outside the mask
 contribute no energy; nodes touching no occupied cell stay frozen at zero;
 the remaining constant-per-component null space is handled by starting from
 a consistent state and gauge-fixing afterwards, on the node components that
@@ -60,12 +62,13 @@ class SolveReport:
 class CorrectorField:
     """Periodic node values of a cell-problem minimizer, one layer per field
     component, gauge-fixed to zero mean on each connected component of the
-    active node set."""
+    active node set, and the full offset matrix F they belong to."""
 
     dim: int
     m: int
     resolution: tuple
     values: np.ndarray
+    offset: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -251,7 +254,8 @@ def _dct2_inverse(w, a, v, spec, twiddle):
 
 
 class _SpectralPreconditioner:
-    """z = S (sum_a L_a / h_a^2)^+ r, applied to each field component.
+    """z = S (stiffness * sum_a L_a / h_a^2)^+ r, applied to each field
+    component.
 
     L_a / h_a^2 is the second difference along axis a on the whole box, mask
     ignored, so the operator is diagonalized axis by axis: the FFT on periodic
@@ -263,7 +267,7 @@ class _SpectralPreconditioner:
     docs/solvers.md.
     """
 
-    def __init__(self, grid, mask, dirichlet_axes):
+    def __init__(self, grid, mask, dirichlet_axes, stiffness=1.0):
         self.select = _active_node_mask(grid, mask)
         if dirichlet_axes:
             self.select &= ~_frozen_ends(grid, dirichlet_axes)
@@ -299,7 +303,8 @@ class _SpectralPreconditioner:
                 half = np.arange(n // 2 + 1).reshape((n // 2 + 1,) + bcast)
                 plans.append((a, _dct2, _dct2_inverse, shaped(a, n),
                               shaped(a, n // 2 + 1), np.exp(0.5j * np.pi * half / n)))
-        self.weights = np.divide(scale, total, out=np.zeros(spectral), where=total > 0)
+        self.weights = np.divide(scale, stiffness * total, out=np.zeros(spectral),
+                                 where=total > 0)
 
         complex_shapes = [plan[4] for plan in plans]
         if self.periodic:
@@ -349,59 +354,86 @@ class _SpectralPreconditioner:
 
 # -- internal masked solve -----------------------------------------------------
 
-def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=()):
+def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=(),
+                  free_offset=False):
     """Minimize cellvol * sum_{occupied} W(F + Dv) over node fields v.
 
-    F is m x n with n >= grid.dim; Dv is zero in the columns past grid.dim,
-    which therefore enter only through F.  Returns (integral, v, report).
-    The two end node layers of every axis in ``dirichlet_axes`` are held at
-    zero.  The reported final_energy is the integral.
+    F is an m x n float array with n >= grid.dim; Dv is zero in the columns
+    past grid.dim, which therefore enter only through F.  With
+    ``free_offset`` those columns are unknowns as well: the solve starts from
+    their values in F and writes the minimizing ones back into F
+    (docs/solvers.md).  Returns (integral, v, report).  The two end node
+    layers of every axis in ``dirichlet_axes`` are held at zero.  The
+    reported final_energy is the integral.
     """
     opts = opts or SolverOptions()
     m = W.m
     F = as_matrix(F)
     n = F.shape[1]
-    if F.shape[0] != m or n < grid.dim:
+    d = grid.dim
+    if F.shape[0] != m or n < d:
         raise DimensionMismatchError(
-            f"offset matrix has shape {F.shape}; expected ({m}, n) with n >= {grid.dim}"
+            f"offset matrix has shape {F.shape}; expected ({m}, n) with n >= {d}"
         )
     W.check_dims(m, n)
 
+    # one flat unknown: the node field, then the free offset columns
+    nv = m * grid.num_nodes
+    fixed = d if free_offset else n
+    cells = (1,) * d
+
+    def split(x):
+        return (x[:nv].reshape((m,) + grid.node_shape),
+                x[nv:].reshape((m, n - fixed) + cells))
+
     free = ~_frozen_ends(grid, dirichlet_axes) if dirichlet_axes else None
-
-    def project(arr):
-        if free is not None:
-            arr *= free
-        return arr
-
     maskf = mask.astype(float)
-    Fcells = F.reshape((m, n) + (1,) * grid.dim)
+    base = F.copy()
+    base[:, fixed:] = 0.0           # free columns come from the unknown
+    Fcells = base.reshape((m, n) + cells)
     vol = grid.cell_volume
 
-    def offset_gradient(v):
+    def lift(x):
+        # per-cell (Dv | free columns), without the fixed offset
+        v, b = split(x)
         G = _cell_gradient(grid, v, n)
+        G[:, fixed:] = b
+        return G
+
+    def offset_gradient(x):
+        G = lift(x)
         G += Fcells
         return G
 
-    def energy(v):
+    def energy(x):
         # the exact density: for p < 2 the descent minimizes a smoothed one
-        return vol * float(np.sum(W.cell_values(offset_gradient(v)) * maskf))
+        return vol * float(np.sum(W.cell_values(offset_gradient(x)) * maskf))
 
     def stress_adjoint(P):
-        # vol * D^T (mask * P) for a fresh stress field P, frozen nodes
-        # projected out; the callers pass stress(G) inline, so G is freed first
+        # the gradient for a fresh stress field P: vol * D^T (mask * P) with
+        # frozen nodes projected out, then vol * sum(mask * P) over the cells
+        # in the free columns; the callers pass stress(G) inline, so G is
+        # freed first
         P *= maskf
         out = _cell_gradient_adjoint(grid, P)
         out *= vol
-        return project(out)
+        if free is not None:
+            out *= free
+        if not free_offset:
+            return out.reshape(-1)
+        sums = P[:, d:].sum(axis=tuple(range(2, 2 + d)))
+        return np.concatenate([out.reshape(-1), vol * sums.reshape(-1)])
 
-    def gradient(v):
-        return stress_adjoint(W.cell_stress(offset_gradient(v)))
+    def gradient(x):
+        return stress_adjoint(W.cell_stress(offset_gradient(x)))
 
-    if v0 is None:
-        v0 = np.zeros((m,) + grid.node_shape)
-    else:
-        v0 = project(np.array(v0, dtype=float, copy=True))
+    x0 = np.zeros(nv + m * (n - fixed))
+    start, _ = split(x0)
+    if v0 is not None:
+        start[...] = v0
+        if free is not None:
+            start *= free
+    x0[nv:] = F[:, fixed:].reshape(-1)
 
     maxiter = opts.max_iterations
     if maxiter is None:
@@ -418,27 +450,47 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=()):
         notes.append("p<2 column norms smoothed with eps=1e-8")
 
     if W.is_quadratic:
-        # the stress is linear: gradient(v) = K v + gradient(0)
+        # the stress is linear: gradient(x) = K x + gradient(0)
         def apply_K(u):
-            return stress_adjoint(W.cell_stress(_cell_gradient(grid, u, n)))
+            return stress_adjoint(W.cell_stress(lift(u)))
 
-        b = gradient(np.zeros_like(v0))
-        np.negative(b, out=b)
-        x, iters, rel_res, ok = _preconditioned_cg(
-            apply_K, functools.partial(_SpectralPreconditioner, grid, mask, dirichlet_axes),
-            b, v0, opts.cg_rtol, maxiter)
-        val = energy(x)
-        report = SolveReport(iterations=iters, final_energy=val, residual=rel_res,
-                             converged=ok, method="cg", notes="; ".join(notes))
-        return val, x, report
+        def make_precond():
+            # block diagonal, each block close to the inverse of its own
+            # diagonal block of K: on v the spectral inverse of vol * s * P,
+            # s the mean in-plane diagonal of the stress map S; on the free
+            # columns the exact inverse of K_bb = vol * #occupied * S_bb
+            stiffness = 1.0         # a common scale leaves CG's iterates alone
+            if free_offset:
+                S = W.cell_stress(np.eye(m * n).reshape(m, n, m * n))
+                S = S.reshape(m * n, m * n)
+                cols = np.arange(m * n) % n >= d
+                stiffness = vol * float(np.mean(np.diag(S)[~cols]))
+                K_bb_inv = np.linalg.inv(vol * float(maskf.sum()) * S[np.ix_(cols, cols)])
+            spectral = _SpectralPreconditioner(grid, mask, dirichlet_axes, stiffness)
 
-    Fnorm = float(np.linalg.norm(F))
-    gtol = opts.grad_tol * (1.0 + Fnorm ** (W.p - 1.0))
-    x, iters, gnorm, ok = _accelerated_descent(gradient, v0, gtol, maxiter)
+            def precond(r, out):
+                spectral(split(r)[0], split(out)[0])
+                if free_offset:
+                    np.matmul(K_bb_inv, r[nv:], out=out[nv:])
+                return out
+            return precond
+
+        rhs = gradient(np.zeros_like(x0))
+        np.negative(rhs, out=rhs)
+        x, iters, residual, ok = _preconditioned_cg(
+            apply_K, make_precond, rhs, x0, opts.cg_rtol, maxiter)
+        method = "cg"
+    else:
+        gtol = opts.grad_tol * (1.0 + float(np.linalg.norm(F)) ** (W.p - 1.0))
+        x, iters, residual, ok = _accelerated_descent(gradient, x0, gtol, maxiter)
+        method = "descent"
     val = energy(x)
-    report = SolveReport(iterations=iters, final_energy=val, residual=gnorm,
-                         converged=ok, method="descent", notes="; ".join(notes))
-    return val, x, report
+    v, b = split(x)
+    if free_offset:
+        F[:, d:] = b.reshape(m, n - d)
+    report = SolveReport(iterations=iters, final_energy=val, residual=residual,
+                         converged=ok, method=method, notes="; ".join(notes))
+    return val, v, report
 
 
 def _preconditioned_cg(apply_K, make_precond, b, x0, rtol, maxiter):
@@ -552,7 +604,8 @@ def _gauge_fix(grid, mask, v):
 
 # -- public operations ------------------------------------------------------------
 
-def minimize_periodic(mask, W, F, opts=None, v0=None, want_corrector=True):
+def minimize_periodic(mask, W, F, opts=None, v0=None, want_corrector=True,
+                      free_offset=False):
     """Minimize the mean masked energy over 1-periodic corrector fields.
 
     Parameters
@@ -567,33 +620,38 @@ def minimize_periodic(mask, W, F, opts=None, v0=None, want_corrector=True):
     v0 : optional warm-start node field.
     want_corrector : skip component labeling and gauge fixing when False
         (the value is gauge-invariant).
+    free_offset : minimize also over the columns of F past mask.ndim,
+        starting from their given values; ``corrector.offset`` holds the
+        minimizing F.
 
     Returns
     -------
     (value, corrector, report) where value = (1/#cells) * sum over occupied
     cells of W(F + Dv) at the discrete minimizer.  An empty mask gives value
-    0 with a zero corrector.  Unconverged solves return the best value found
-    with report.converged False; the caller decides.
+    0 with a zero corrector and F unchanged.  Unconverged solves return the
+    best value found with report.converged False; the caller decides.
     """
     mask = np.asarray(mask, dtype=bool)
     d = mask.ndim
-    F = as_matrix(F)
+    F = as_matrix(F).copy()
     m = F.shape[0]
     grid = _Grid(cells=mask.shape, spacings=tuple(1.0 / c for c in mask.shape),
                  periodic=(True,) * d)
     if not mask.any():
-        zero = np.zeros((m,) + grid.node_shape)
-        corr = CorrectorField(dim=d, m=m, resolution=grid.node_shape, values=zero)
+        v = np.zeros((m,) + grid.node_shape)
+        integral = 0.0
         report = SolveReport(iterations=0, final_energy=0.0, residual=0.0,
                              converged=True, method="empty")
-        return 0.0, corr, report
-
-    integral, v, report = _solve_masked(grid, mask, W, F, opts, v0=v0)
-    # unit cell has volume one: the integral is already the cell mean
-    if want_corrector:
-        v = _gauge_fix(grid, mask, v)
+    else:
+        integral, v, report = _solve_masked(grid, mask, W, F, opts, v0=v0,
+                                            free_offset=free_offset)
+        # unit cell has volume one: the integral is already the cell mean
+        if want_corrector:
+            v = _gauge_fix(grid, mask, v)
     v.flags.writeable = False
-    corr = CorrectorField(dim=d, m=m, resolution=grid.node_shape, values=v)
+    F.flags.writeable = False
+    corr = CorrectorField(dim=d, m=m, resolution=grid.node_shape, values=v,
+                          offset=F)
     return integral, corr, report
 
 

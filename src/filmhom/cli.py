@@ -213,7 +213,7 @@ def cmd_thresholds(cfg, args, out):
                             opts=cfg.solver, confirm=cfg.confirm_kernel,
                             coercivity_floor=cfg.coercivity_floor)
     _write_json(out / "thresholds.json", report.to_dict(), _comments(cfg, args))
-    return True
+    return report.converged
 
 
 def cmd_film(cfg, args, out):

@@ -1,13 +1,13 @@
 """Thin-film effective density and direct verification of scaled minima.
 
 Pipeline: ``w_tilde`` minimizes the cylinder density over the transverse
-gradient column (golden-section per component, bracket expanded on boundary
-hits); ``w_bar`` integrates it over the level t with a composite midpoint
-rule whose nodes avoid the degeneracy thresholds exactly; ``membrane_min``
-converts that into the limit membrane minimum for affine boundary data;
-``direct_min`` minimizes the raw energy on the oscillating slab; and
-``gamma_check`` compares the scaled slab minima against the membrane target
-along a schedule of thicknesses with delta = eps^2.
+gradient column in one periodic solve, which carries the column as unknowns
+next to the corrector; ``w_bar`` integrates it over the level t with a
+composite midpoint rule whose nodes avoid the degeneracy thresholds exactly;
+``membrane_min`` converts that into the limit membrane minimum for affine
+boundary data; ``direct_min`` minimizes the raw energy on the oscillating
+slab; and ``gamma_check`` compares the scaled slab minima against the
+membrane target along a schedule of thicknesses with delta = eps^2.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from .errors import (ConfigurationError, QuadratureError, ResolutionError,
                      UnsupportedFeatureError)
 from .homogenize import thresholds
 from .profiles import oscillating_domain_mask, superlevel_mask
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -118,43 +116,6 @@ class GammaCheckReport:
                 for e in self.entries]
 
 
-# -- scalar minimization ------------------------------------------------------
-
-
-def _golden_section(fn, lo, hi, xtol):
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc <= fd else (d, fd)
-
-
-def _expanding_min(fn, half_width, xtol, max_expand=40):
-    """Golden-section on [-B, B]; the bracket doubles whenever the minimizer
-    lands at an edge (convexity plus growth guarantee termination)."""
-    lo, hi = -half_width, half_width
-    x, fx = _golden_section(fn, lo, hi, xtol)
-    for _ in range(max_expand):
-        width = hi - lo
-        if x <= lo + 0.02 * width:
-            lo -= width
-        elif x >= hi - 0.02 * width:
-            hi += width
-        else:
-            return x, fx
-        x, fx = _golden_section(fn, lo, hi, xtol)
-    return x, fx
-
-
 # -- inner minimization over the transverse column -----------------------------
 
 
@@ -167,36 +128,16 @@ def _require_film_hypotheses(profile, W):
     W.check_convexity()
 
 
-def _cylinder_evaluator(profile, W, t, n_grid, solver_opts):
-    """Warm-started evaluator F -> cylinder cell value at fixed level t, and
-    its state; ``state["converged"]`` stays True while every solve converges.
-    The cylinder mask is constant in x_n, so the solve runs on the in-plane
-    superlevel mask with F's last column as an offset (docs/solvers.md)."""
-    occ = superlevel_mask(profile, t, n_grid).occupancy
-    if not occ.any():
-        return None, None
-    state = {"v0": None, "converged": True}
-
-    def value(F):
-        val, corr, report = minimize_periodic(occ, W, F, opts=solver_opts,
-                                              v0=state["v0"], want_corrector=False)
-        state["v0"] = corr.values
-        state["converged"] &= report.converged
-        return val
-
-    return value, state
-
-
-def w_tilde(profile, W, t, Fbar, *, n_grid=64, fn_tol=1e-6, solver_opts=None,
-            max_sweeps=60):
+def w_tilde(profile, W, t, Fbar, *, n_grid=64, solver_opts=None):
     """Minimize the cylinder density over the transverse gradient column.
 
-    Golden-section for a single field component, cyclic coordinate descent
-    with golden-section per coordinate otherwise.  An empty superlevel set
-    gives value 0 with argmin 0 by convention.
+    The cell energy is jointly convex in the corrector and the column, so
+    one periodic solve on the in-plane superlevel mask minimizes over both,
+    starting from the column 0 (docs/solvers.md).  An empty superlevel set
+    gives value 0 with argmin 0.
 
     Returns (value, argmin, converged) with argmin of shape (m,); converged
-    is False when any cylinder solve of the search did not converge.
+    is False when the solve did not converge.
     """
     _require_film_hypotheses(profile, W)
     Fbar = as_matrix(Fbar)
@@ -206,37 +147,11 @@ def w_tilde(profile, W, t, Fbar, *, n_grid=64, fn_tol=1e-6, solver_opts=None,
             f"in-plane matrix has {Fbar.shape[1]} columns; profile dim is {profile.dim}"
         )
     W.check_dims(m, profile.dim + 1)
-    evaluator, state = _cylinder_evaluator(profile, W, t, n_grid, solver_opts)
-    if evaluator is None:
-        return 0.0, np.zeros(m), True
-
-    half_width = 2.0 * (1.0 + float(np.linalg.norm(Fbar)))
-
-    def with_column(fn_col):
-        return np.hstack([Fbar, np.asarray(fn_col, dtype=float).reshape(m, 1)])
-
-    if m == 1:
-        x, fx = _expanding_min(lambda s: evaluator(with_column([s])),
-                               half_width, fn_tol)
-        return fx, np.array([x]), state["converged"]
-
-    fn_col = np.zeros(m)
-    fx = evaluator(with_column(fn_col))
-    for _ in range(max_sweeps):
-        moved = 0.0
-        for c in range(m):
-            def line(s, c=c):
-                trial = fn_col.copy()
-                trial[c] = s
-                return evaluator(with_column(trial))
-
-            x, fx = _expanding_min(line, max(half_width, abs(fn_col[c]) + 1.0),
-                                   fn_tol)
-            moved = max(moved, abs(x - fn_col[c]))
-            fn_col[c] = x
-        if moved <= fn_tol:
-            break
-    return fx, fn_col, state["converged"]
+    occ = superlevel_mask(profile, t, n_grid).occupancy
+    value, corr, report = minimize_periodic(
+        occ, W, np.hstack([Fbar, np.zeros((m, 1))]), solver_opts,
+        want_corrector=False, free_offset=True)
+    return value, corr.offset[:, -1].copy(), report.converged
 
 
 # -- quadrature over the level --------------------------------------------------
@@ -267,15 +182,17 @@ def quadrature_breakpoints(profile, n_grid, *, threshold_report=None, uniform=Fa
 
 
 def w_bar(profile, W, Fbar, *, n_grid=64, quad=None, threshold_report=None,
-          solver_opts=None, uniform=False, fn_tol=1e-6):
+          solver_opts=None, uniform=False):
     """Integrate the inner-minimized density over the level t in (0, 1).
 
-    Composite midpoint rule on the pieces cut by the detected thresholds
-    (midpoint nodes never hit a threshold); the node count doubles per
-    refinement until two successive totals agree to the relative tolerance.
-    A run that exhausts the refinement budget raises QuadratureError carrying
-    the best estimate and the full node history.  The entry's ``converged``
-    is False when any cylinder solve of any refinement level did not converge.
+    Each node takes one joint ``w_tilde`` solve, whose transverse column is
+    recorded in ``node_argmins``.  Composite midpoint rule on the pieces cut
+    by the detected thresholds (midpoint nodes never hit a threshold); the
+    node count doubles per refinement until two successive totals agree to
+    the relative tolerance.  A run that exhausts the refinement budget raises
+    QuadratureError carrying the best estimate and the full node history.
+    The entry's ``converged`` is False when any cylinder solve of any
+    refinement level did not converge.
     """
     _require_film_hypotheses(profile, W)
     quad = quad or QuadratureOptions()
@@ -294,7 +211,7 @@ def w_bar(profile, W, Fbar, *, n_grid=64, quad=None, threshold_report=None,
         vals, mins = [], []
         for t in nodes:
             v, argmin, ok = w_tilde(profile, W, t, Fbar, n_grid=n_grid,
-                                    fn_tol=fn_tol, solver_opts=solver_opts)
+                                    solver_opts=solver_opts)
             vals.append(v)
             mins.append(argmin)
             converged &= ok

@@ -55,10 +55,12 @@ class ThresholdReport:
     dim: int
     m: int
     resolution: int
+    converged: bool         # every confirmation probe solve converged
 
     def to_dict(self):
         return {
             "thresholds": list(self.thresholds),
+            "converged": self.converged,
             "dim": self.dim,
             "m": self.m,
             "resolution": self.resolution,
@@ -220,24 +222,32 @@ def kernel(profile, t, n_grid, *, p=2.0, m=1, opts=None, confirm=True,
     ``coercivity_floor``; disagreement raises StructuralInconsistencyError
     (the grid is too coarse to trust either verdict).
 
-    Returns (k, xi) with k = dim - rank and xi the orthonormal spanning
-    directions.
+    A probe whose solve did not converge decides nothing, since its value
+    is not a minimum.
+
+    Returns (k, xi, converged) with k = dim - rank, xi the orthonormal
+    spanning directions, and converged False when any probe solve did not
+    converge.
     """
     mask = superlevel_mask(profile, t, n_grid)
     comps = torus_components(mask)
     d = profile.dim
     xi = _orthonormal_span(list(comps.wrap_lattice), d)
     k = d - comps.rank
+    converged = True
 
     if confirm:
-        def probe_matrix(direction):
+        def probe(direction):
+            nonlocal converged
             Fb = np.zeros((m, d))
             Fb[0, :] = direction
-            return Fb
+            sample = phi_sharp(profile, t, Fb, n_grid, p=p, opts=opts)
+            converged &= sample.report.converged
+            return sample.value if sample.report.converged else None
 
         for zeta in _complement(xi, d):
-            val = phi_sharp(profile, t, probe_matrix(zeta), n_grid, p=p, opts=opts).value
-            if val > kernel_tol:
+            val = probe(zeta)
+            if val is not None and val > kernel_tol:
                 raise StructuralInconsistencyError(
                     f"level {t}: direction {zeta} is geometrically degenerate "
                     f"(no wrap) but the cell value {val:.3e} exceeds {kernel_tol:.1e}; "
@@ -247,15 +257,15 @@ def kernel(profile, t, n_grid, *, p=2.0, m=1, opts=None, confirm=True,
                     geometric="kernel", energetic=f"value={val:.3e}",
                 )
         for x in xi:
-            val = phi_sharp(profile, t, probe_matrix(x), n_grid, p=p, opts=opts).value
-            if val < coercivity_floor:
+            val = probe(x)
+            if val is not None and val < coercivity_floor:
                 raise StructuralInconsistencyError(
                     f"level {t}: direction {x} wraps the torus but the cell "
                     f"value {val:.3e} sits below the coercivity floor "
                     f"{coercivity_floor:.1e}; grid N={n_grid} too coarse",
                     geometric="coercive", energetic=f"value={val:.3e}",
                 )
-    return k, xi
+    return k, xi, converged
 
 
 def thresholds(profile, n_grid, *, m=1, p=2.0, opts=None, confirm=True,
@@ -278,14 +288,16 @@ def thresholds(profile, n_grid, *, m=1, p=2.0, opts=None, confirm=True,
             breakpoints.append(t)
 
     intervals = []
+    converged = True
     for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
         mid = 0.5 * (lo + hi)
-        k, xi = kernel(profile, mid, n_grid, p=p, m=m, opts=opts, confirm=confirm,
-                       coercivity_floor=coercivity_floor)
+        k, xi, ok = kernel(profile, mid, n_grid, p=p, m=m, opts=opts,
+                           confirm=confirm, coercivity_floor=coercivity_floor)
+        converged &= ok
         intervals.append(IntervalInfo(t_lo=lo, t_hi=hi, wrap_rank=d - k,
                                       kernel_dim=k * m, xi=tuple(xi)))
     return ThresholdReport(thresholds=ts, intervals=tuple(intervals),
-                           dim=d, m=m, resolution=n_grid)
+                           dim=d, m=m, resolution=n_grid, converged=converged)
 
 
 @dataclass(frozen=True)

@@ -152,16 +152,32 @@ def test_gamma_command(tmp_path):
     assert len(rep["entries"]) == 2
 
 
-def test_reproducible_outputs_byte_identical(tmp_path):
-    cfg = write_config(tmp_path, sweep={"t_values": [0.2, 0.7],
-                                        "F_probes": [[1.0, 0.5, 0.0]],
-                                        "random_probes": 2, "seed": 7})
+REPRODUCIBLE_RUNS = {
+    "psi": (dict(sweep={"t_values": [0.2, 0.7], "F_probes": [[1.0, 0.5, 0.0]],
+                        "random_probes": 2, "seed": 7}),
+            ("--oracle",), ("psi.csv", "psi_summary.json")),
+    "film": (dict(sweep={"t_values": [], "F_probes": [[1.0, 0.0], [0.5, 0.5]]},
+                  film={"n_grid": 16}),
+             (), ("film.json", "film.csv")),
+    "gamma": (dict(dims={"n": 2, "m": 1},
+                   profile={"kind": "sin2-stripe", "dim": 1},
+                   sweep={"t_values": [], "F_probes": [[1.0]]},
+                   film={"n_grid": 16},
+                   schedule={"eps": [0.5, 0.25], "cells_per_delta": 4,
+                             "vertical_cells": 8}),
+              (), ("gamma.json", "gamma.csv")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPRODUCIBLE_RUNS))
+def test_reproducible_outputs_byte_identical(tmp_path, command):
+    overrides, flags, names = REPRODUCIBLE_RUNS[command]
+    cfg = write_config(tmp_path, **overrides)
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["psi", "--config", str(cfg), "--out", str(out1),
-                 "--reproducible", "--oracle"]) == 0
-    assert main(["psi", "--config", str(cfg), "--out", str(out2),
-                 "--reproducible", "--oracle"]) == 0
-    for name in ("psi.csv", "psi_summary.json"):
+    for out in (out1, out2):
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     "--reproducible", *flags]) == 0
+    for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -232,6 +248,17 @@ def test_exit_code_nonconvergence(tmp_path):
                        sweep={"t_values": [0.7], "F_probes": [[1.0, 1.0]]})
     assert main(["phi", "--config", str(cfg), "--out",
                  str(tmp_path / "out")]) == 4
+
+
+def test_exit_code_thresholds_confirmation_nonconvergence(tmp_path):
+    # a confirmation probe that stops after one iteration has no minimum to
+    # compare against the kernel bounds: it decides nothing, and the run
+    # reports the unconverged solve
+    cfg = write_config(tmp_path, grid={"N": 32}, solver={"max_iterations": 1},
+                       thresholds={"confirm": True})
+    out = tmp_path / "out"
+    assert main(["thresholds", "--config", str(cfg), "--out", str(out)]) == 4
+    assert json.loads(read_lines(out / "thresholds.json"))["converged"] is False
 
 
 def test_exit_code_film_nonconvergence(tmp_path):

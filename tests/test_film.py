@@ -70,7 +70,7 @@ def test_wtilde_rejects_zero_floor(W3):
         w_tilde(prof, W3, 0.3, [[1.0, 0.0]], n_grid=8)
 
 
-def test_wtilde_multicomponent_coordinate_descent():
+def test_wtilde_multicomponent():
     W = EnergyDensity.p_norm_power(2.0, 2, 3)
     value, argmin, converged = w_tilde(Profile.constant(2), W, 0.2,
                                        [[1.0, 0.0], [0.0, 1.0]], n_grid=8)

@@ -241,19 +241,22 @@ def test_cube_empty_mask(product2, W3):
 
 
 def test_kernel_product_coercive(product2):
-    k, xi = kernel(product2, 0.3, 64)
+    k, xi, converged = kernel(product2, 0.3, 64)
+    assert converged
     assert k == 0
     assert len(xi) == 2
 
 
 def test_kernel_product_degenerate(product2):
-    k, xi = kernel(product2, 0.7, 64)
+    k, xi, converged = kernel(product2, 0.7, 64)
+    assert converged
     assert k == 2
     assert xi == []
 
 
 def test_kernel_stripe(stripe2):
-    k, xi = kernel(stripe2, 0.7, 64)
+    k, xi, converged = kernel(stripe2, 0.7, 64)
+    assert converged
     assert k == 1
     assert len(xi) == 1
     assert np.allclose(xi[0], (0.0, 1.0), atol=1e-12)
@@ -332,7 +335,8 @@ def test_checkerboard_corner_contacts_flagged(checker2):
     # instead of certifying either side.
     with pytest.raises(StructuralInconsistencyError):
         kernel(checker2, 0.6, 64)
-    k, xi = kernel(checker2, 0.6, 64, confirm=False)
+    k, xi, converged = kernel(checker2, 0.6, 64, confirm=False)
+    assert converged
     assert k == 2 and xi == []
 
 
