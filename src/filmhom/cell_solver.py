@@ -48,10 +48,9 @@ class SolverOptions:
     max_iterations: int | None = None   # default: 10 * number of nodes
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveReport:
     iterations: int
-    final_energy: float
     residual: float
     converged: bool
     method: str
@@ -363,8 +362,7 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=(),
     ``free_offset`` those columns are unknowns as well: the solve starts from
     their values in F and writes the minimizing ones back into F
     (docs/solvers.md).  Returns (integral, v, report).  The two end node
-    layers of every axis in ``dirichlet_axes`` are held at zero.  The
-    reported final_energy is the integral.
+    layers of every axis in ``dirichlet_axes`` are held at zero.
     """
     opts = opts or SolverOptions()
     m = W.m
@@ -488,8 +486,8 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=(),
     v, b = split(x)
     if free_offset:
         F[:, d:] = b.reshape(m, n - d)
-    report = SolveReport(iterations=iters, final_energy=val, residual=residual,
-                         converged=ok, method=method, notes="; ".join(notes))
+    report = SolveReport(iterations=iters, residual=residual, converged=ok,
+                         method=method, notes="; ".join(notes))
     return val, v, report
 
 
@@ -640,8 +638,8 @@ def minimize_periodic(mask, W, F, opts=None, v0=None, want_corrector=True,
     if not mask.any():
         v = np.zeros((m,) + grid.node_shape)
         integral = 0.0
-        report = SolveReport(iterations=0, final_energy=0.0, residual=0.0,
-                             converged=True, method="empty")
+        report = SolveReport(iterations=0, residual=0.0, converged=True,
+                             method="empty")
     else:
         integral, v, report = _solve_masked(grid, mask, W, F, opts, v0=v0,
                                             free_offset=free_offset)
@@ -671,10 +669,8 @@ def minimize_dirichlet(mask, W, F, box_side, opts=None, v0=None):
     grid = _Grid(cells=mask.shape, spacings=tuple(T / c for c in mask.shape),
                  periodic=(False,) * d)
     if not mask.any():
-        return 0.0, SolveReport(iterations=0, final_energy=0.0, residual=0.0,
-                                converged=True, method="empty")
+        return 0.0, SolveReport(iterations=0, residual=0.0, converged=True,
+                                method="empty")
     integral, _, report = _solve_masked(grid, mask, W, F, opts, v0=v0,
                                         dirichlet_axes=tuple(range(d)))
-    value = integral / float(T) ** d
-    report.final_energy = value
-    return value, report
+    return integral / float(T) ** d, report

@@ -185,8 +185,7 @@ def cmd_psi(cfg, args, out):
         if not oracle:
             return sample, None
         return sample, hom.psi_cylinder_oracle(cfg.profile, t, F, cfg.grid_n,
-                                               p=cfg.energy.p, opts=cfg.solver,
-                                               vertical_cells=cfg.vertical_cells)
+                                               p=cfg.energy.p, opts=cfg.solver)
 
     return _density_sweep(cfg, args, out, "psi", evaluate,
                           "cylinder_oracle" if oracle else None)

@@ -33,7 +33,6 @@ class RunConfig:
     profile: Profile
     energy: EnergyDensity
     grid_n: int
-    vertical_cells: int | None
     solver: SolverOptions
     t_values: list
     F_probes: list
@@ -128,8 +127,7 @@ SCHEMA = {
     "dims": {"n", "m"},
     "profile": {"kind", "dim", "path", "value", "floor"},
     "energy": {"kind", "p", "matrix", "gamma", "beta"},
-    # grid.vertical_cells sets only the layers of the psi --oracle cylinder
-    "grid": {"N", "vertical_cells"},
+    "grid": {"N"},
     "solver": {"cg_rtol", "grad_tol", "max_iterations"},
     "sweep": {"t_values", "F_probes", "random_probes", "seed", "probe_scale"},
     "quadrature": {"rel_tol", "initial_nodes_per_unit", "max_refinements"},
@@ -141,6 +139,7 @@ SCHEMA = {
 
 # keys that once had an effect: still accepted, with a warning
 RETIRED = {"film.vertical_cells": "film cell problems solve on the in-plane grid",
+           "grid.vertical_cells": "the psi oracle solves on a fixed two-layer cylinder",
            "thresholds.bisect_tol": "thresholds are exact cell values",
            "solver.method": "quadratic densities use CG, all others the descent"}
 
@@ -213,13 +212,7 @@ def load_config(source, base_dir=None):
         problems.append(str(err))
         energy = None
 
-    grid = raw.get("grid", {})
-    grid_n = int(grid.get("N", 64))
-    if grid_n < 2:
-        problems.append(f"grid.N must be >= 2; got {grid_n}")
-    vertical_cells = grid.get("vertical_cells")
-    if vertical_cells is not None:
-        vertical_cells = int(vertical_cells)
+    grid_n = int(raw.get("grid", {}).get("N", 64))
 
     sv = raw.get("solver", {})
     solver = SolverOptions(
@@ -245,15 +238,12 @@ def load_config(source, base_dir=None):
         initial_nodes_per_unit=int(qd.get("initial_nodes_per_unit", 8)),
         max_refinements=int(qd.get("max_refinements", 8)),
     )
-    if quad.rel_tol <= 0:
-        problems.append(f"quadrature.rel_tol must be positive; got {quad.rel_tol}")
 
     th = raw.get("thresholds", {})
     confirm_kernel = bool(th.get("confirm", True))
     coercivity_floor = float(th.get("coercivity_floor", 1e-3))
 
-    fm = raw.get("film", {})
-    film_n_grid = int(fm.get("n_grid", 64))
+    film_n_grid = int(raw.get("film", {}).get("n_grid", 64))
 
     sched = raw.get("schedule", {})
     eps_schedule = [float(e) for e in sched.get("eps", [])]
@@ -263,6 +253,22 @@ def load_config(source, base_dir=None):
         problems.append("schedule.eps entries must be positive")
     cells_per_delta = int(sched.get("cells_per_delta", 8))
     schedule_vertical_cells = int(sched.get("vertical_cells", 32))
+
+    # numeric ranges, by dotted name; `not value > 0` also catches NaN
+    for name, value in (("solver.cg_rtol", solver.cg_rtol),
+                        ("solver.grad_tol", solver.grad_tol),
+                        ("quadrature.rel_tol", quad.rel_tol),
+                        ("thresholds.coercivity_floor", coercivity_floor)):
+        if not value > 0:
+            problems.append(f"{name} must be positive; got {value}")
+    for name, value, low in (
+            ("grid.N", grid_n, 2), ("film.n_grid", film_n_grid, 2),
+            ("solver.max_iterations", solver.max_iterations, 1),
+            ("quadrature.initial_nodes_per_unit", quad.initial_nodes_per_unit, 1),
+            ("quadrature.max_refinements", quad.max_refinements, 1),
+            ("schedule.vertical_cells", schedule_vertical_cells, 1)):
+        if value is not None and value < low:
+            problems.append(f"{name} must be >= {low}; got {value}")
 
     omega_raw = raw.get("omega")
     if omega_raw is None:
@@ -280,9 +286,8 @@ def load_config(source, base_dir=None):
 
     return RunConfig(
         raw=raw, n=n, m=m, profile=profile, energy=energy, grid_n=grid_n,
-        vertical_cells=vertical_cells, solver=solver, t_values=t_values,
-        F_probes=F_probes, random_probes=random_probes, seed=seed,
-        probe_scale=probe_scale, quad=quad,
+        solver=solver, t_values=t_values, F_probes=F_probes,
+        random_probes=random_probes, seed=seed, probe_scale=probe_scale, quad=quad,
         confirm_kernel=confirm_kernel, coercivity_floor=coercivity_floor,
         film_n_grid=film_n_grid,
         eps_schedule=eps_schedule, cells_per_delta=cells_per_delta,

@@ -21,6 +21,10 @@ from .errors import ConfigurationError, DimensionMismatchError
 
 _SMOOTH_EPS = 1e-8
 
+# norm-power kinds W(G) = sum |G|^p, by the axes of the norm: per column, or
+# over the whole matrix (Frobenius)
+_NORM_AXES = {"p_norm_power": (0,), "frobenius_power": (0, 1)}
+
 
 def as_matrix(F):
     """Coerce a DeformationGradient / array-like into a float (m, n) array."""
@@ -145,7 +149,7 @@ class EnergyDensity:
         """True when the stress G -> W'(G) is linear, so CG applies."""
         if self.kind == "quadratic_form":
             return True
-        return self.kind in ("p_norm_power", "frobenius_power") and self.p == 2.0
+        return self.kind in _NORM_AXES and self.p == 2.0
 
     def check_dims(self, m, n):
         if (m, n) != (self.m, self.n):
@@ -186,11 +190,9 @@ class EnergyDensity:
 
     def cell_values(self, G):
         """Exact per-cell values W(G), also for p < 2."""
-        if self.kind == "p_norm_power":
-            return np.sum(np.sqrt(np.sum(G * G, axis=0)) ** self.p, axis=0)
-        if self.kind == "frobenius_power":
-            fr = np.sqrt(np.sum(G * G, axis=(0, 1)))
-            return fr ** self.p
+        if self.kind in _NORM_AXES:
+            norm = np.sqrt(np.sum(G * G, axis=_NORM_AXES[self.kind], keepdims=True))
+            return np.sum(norm ** self.p, axis=(0, 1))
         if self.kind == "quadratic_form":
             Gf = G.reshape(self.m * self.n, -1)
             vals = np.einsum("ik,ij,jk->k", Gf, self.quad_matrix, Gf)
@@ -205,22 +207,15 @@ class EnergyDensity:
 
     def cell_stress(self, G):
         p = self.p
-        if p == 2.0 and self.kind in ("p_norm_power", "frobenius_power"):
-            return 2.0 * G
-        if self.kind == "p_norm_power":
-            colnorm = np.sqrt(np.sum(G * G, axis=0))
+        if self.kind in _NORM_AXES:
+            if p == 2.0:
+                return 2.0 * G
+            norm = np.sqrt(np.sum(G * G, axis=_NORM_AXES[self.kind], keepdims=True))
             if p < 2.0:
-                colnorm = np.sqrt(colnorm * colnorm + _SMOOTH_EPS ** 2)
+                norm = np.sqrt(norm * norm + _SMOOTH_EPS ** 2)
             with np.errstate(divide="ignore", invalid="ignore"):
-                scale = np.where(colnorm > 0, colnorm ** (p - 2.0), 0.0 if p > 2 else 1.0)
-            return p * scale[np.newaxis] * G
-        if self.kind == "frobenius_power":
-            fr = np.sqrt(np.sum(G * G, axis=(0, 1)))
-            if p < 2.0:
-                fr = np.sqrt(fr * fr + _SMOOTH_EPS ** 2)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                scale = np.where(fr > 0, fr ** (p - 2.0), 0.0 if p > 2 else 1.0)
-            return p * scale[np.newaxis, np.newaxis] * G
+                scale = np.where(norm > 0, norm ** (p - 2.0), 0.0 if p > 2 else 1.0)
+            return p * scale * G
         if self.kind == "quadratic_form":
             Gf = G.reshape(self.m * self.n, -1)
             out = 2.0 * (self.quad_matrix @ Gf)
@@ -239,7 +234,7 @@ class EnergyDensity:
 
     @property
     def uses_smoothing(self):
-        return self.kind in ("p_norm_power", "frobenius_power") and self.p < 2.0
+        return self.kind in _NORM_AXES and self.p < 2.0
 
     # -- hypothesis checks ---------------------------------------------------
 

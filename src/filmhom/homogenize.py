@@ -23,6 +23,7 @@ from .profiles import superlevel_mask, torus_components, wrap_rank_levels
 
 KERNEL_VALUE_TOL = 1e-6
 COERCIVITY_FLOOR = 1e-3
+ORACLE_LAYERS = 2       # vertical layers of the psi cylinder oracle
 
 
 @dataclass(frozen=True)
@@ -117,17 +118,19 @@ def psi(profile, t, F, n_grid, *, p=2.0, opts=None):
                              report=base.report)
 
 
-def psi_cylinder_oracle(profile, t, F, n_grid, *, p=2.0, opts=None, vertical_cells=None):
+def psi_cylinder_oracle(profile, t, F, n_grid, *, p=2.0, opts=None):
     """Independent route for psi: one periodic solve on the full cylinder
-    mask with the affine offset F, on ``vertical_cells`` layers (default
-    n_grid) so that the solver has to find the vertical invariance itself."""
+    mask with the affine offset F.  The mask is constant in x_n, so the
+    discrete minimum does not depend on the layer count (docs/solvers.md);
+    ORACLE_LAYERS = 2 is the fewest at which D_n v is not identically zero,
+    so the solver still has to find the vertical invariance itself."""
     F = as_matrix(F)
     m = F.shape[0]
     d = profile.dim + 1
     if F.shape[1] != d:
         raise ConfigurationError(f"matrix has {F.shape[1]} columns; expected {d}")
     mask2 = superlevel_mask(profile, t, n_grid)
-    occ = np.repeat(mask2.occupancy[..., np.newaxis], vertical_cells or n_grid, axis=-1)
+    occ = np.repeat(mask2.occupancy[..., np.newaxis], ORACLE_LAYERS, axis=-1)
     W = EnergyDensity.p_norm_power(p=p, m=m, n=d)
     value, _, report = minimize_periodic(occ, W, F, opts=opts, want_corrector=False)
     return HomogenizedSample(t=float(t), F=_freeze(F), value=value,

@@ -236,7 +236,7 @@ def test_criterion_9_determinism(tmp_path):
             "dims": {"n": 3, "m": 1},
             "profile": {"kind": "sin2-product", "dim": 2},
             "energy": {"kind": "p_norm_power", "p": 2.0},
-            "grid": {"N": 32, "vertical_cells": 4},
+            "grid": {"N": 32},
             "sweep": {"t_values": [0.2, 0.7], "F_probes": [[1.0, 0.5, 0.0]],
                       "random_probes": 3, "seed": 12345},
         }

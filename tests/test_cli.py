@@ -7,7 +7,7 @@ import pytest
 
 from filmhom import Profile, save_sampled_profile, superlevel_mask
 from filmhom.cli import main
-from filmhom.config import load_config
+from filmhom.config import config_hash, load_config
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -15,7 +15,7 @@ def write_config(tmp_path, name="cfg.json", **overrides):
         "dims": {"n": 3, "m": 1},
         "profile": {"kind": "sin2-product", "dim": 2},
         "energy": {"kind": "p_norm_power", "p": 2.0},
-        "grid": {"N": 32, "vertical_cells": 4},
+        "grid": {"N": 32},
         "sweep": {"t_values": [0.1, 0.3, 0.7], "F_probes": [[1.0, 0.0, 0.0]]},
         "film": {"n_grid": 16},
     }
@@ -301,62 +301,71 @@ def test_unknown_config_key_names_it(tmp_path, capsys):
         load_config({"grid": 64})
 
 
-def test_retired_film_vertical_cells_warns_and_is_ignored(tmp_path):
-    sweep = {"t_values": [], "F_probes": [[1.0, 0.0]]}
-    plain = write_config(tmp_path, "plain.json", sweep=sweep)
-    retired = write_config(tmp_path, "retired.json", sweep=sweep,
-                           film={"n_grid": 16, "vertical_cells": 4})
-    values = []
-    for cfg, name in ((plain, "a"), (retired, "b")):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["film", "--config", str(cfg), "--out",
-                         str(tmp_path / name), "--reproducible"]) == 0
-        messages = [str(w.message) for w in caught]
-        assert any("film.vertical_cells" in m and "ignored" in m
-                   for m in messages) == (name == "b")
-        table = json.loads(read_lines(tmp_path / name / "film.json"))
-        values.append(table["entries"][0]["value"])
-        assert "vertical_cells" not in table["metadata"]
-    assert values[0] == values[1]
-
-
-def test_retired_thresholds_bisect_tol_warns_and_is_ignored(tmp_path):
-    plain = write_config(tmp_path, "plain.json", thresholds={"confirm": False})
-    retired = write_config(tmp_path, "retired.json",
-                           thresholds={"confirm": False, "bisect_tol": 0.25})
-    reports = []
-    for cfg, name in ((plain, "a"), (retired, "b")):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["thresholds", "--config", str(cfg), "--out",
-                         str(tmp_path / name), "--reproducible"]) == 0
-        messages = [str(w.message) for w in caught]
-        assert any("thresholds.bisect_tol" in m and "ignored" in m
-                   for m in messages) == (name == "b")
-        report = json.loads(read_lines(tmp_path / name / "thresholds.json"))
-        report.pop("_meta")         # holds the config hash
-        reports.append(report)
-    assert "bisect_tol" not in reports[1]
-    assert reports[0] == reports[1]
-
-
-def test_retired_solver_method_warns_and_is_ignored(tmp_path):
+# key, value, command, overrides, output files: a retired key warns, and
+# the outputs match a run without it up to the config hash
+RETIRED_RUNS = [
+    ("film.vertical_cells", 4, "film",
+     dict(sweep={"t_values": [], "F_probes": [[1.0, 0.0]]}, film={"n_grid": 16}),
+     ("film.json", "film.csv")),
+    ("thresholds.bisect_tol", 0.25, "thresholds",
+     dict(thresholds={"confirm": False}), ("thresholds.json",)),
     # the method follows the density: asking for CG on p = 3 once failed
-    common = dict(energy={"kind": "p_norm_power", "p": 3.0}, grid={"N": 8},
-                  sweep={"t_values": [0.5], "F_probes": [[1.0, 0.5, 0.2]]})
-    plain = write_config(tmp_path, "plain.json", **common)
-    retired = write_config(tmp_path, "retired.json", solver={"method": "cg"},
-                           **common)
-    tables = []
+    ("solver.method", "cg", "whom",
+     dict(energy={"kind": "p_norm_power", "p": 3.0}, grid={"N": 8},
+          sweep={"t_values": [0.5], "F_probes": [[1.0, 0.5, 0.2]]}),
+     ("whom.csv", "whom_summary.json")),
+    ("grid.vertical_cells", 8, "psi",
+     dict(grid={"N": 16},
+          sweep={"t_values": [0.3, 0.7], "F_probes": [[1.0, 0.5, 0.5]]}),
+     ("psi.csv", "psi_summary.json")),
+]
+
+
+@pytest.mark.parametrize("key,value,command,overrides,names", RETIRED_RUNS,
+                         ids=[run[0] for run in RETIRED_RUNS])
+def test_retired_key_warns_and_is_ignored(tmp_path, key, value, command,
+                                          overrides, names):
+    section, leaf = key.split(".")
+    plain = write_config(tmp_path, "plain.json", **overrides)
+    retired_section = {**overrides.get(section, {}), leaf: value}
+    retired = write_config(tmp_path, "retired.json",
+                           **{**overrides, section: retired_section})
+    outputs = []
     for cfg, name in ((plain, "a"), (retired, "b")):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["whom", "--config", str(cfg), "--out",
-                         str(tmp_path / name), "--reproducible"]) == 0
+            assert main([command, "--config", str(cfg), "--out",
+                         str(tmp_path / name), "--reproducible", "--oracle"]) == 0
         messages = [str(w.message) for w in caught]
-        assert any("solver.method" in m and "ignored" in m
-                   for m in messages) == (name == "b")
-        lines = read_lines(tmp_path / name / "whom.csv").splitlines()
-        tables.append([line for line in lines if not line.startswith("#")])
-    assert tables[0] == tables[1]
+        assert any(key in m and "ignored" in m for m in messages) == (name == "b")
+        digest = config_hash(json.loads(read_lines(cfg)))
+        texts = [read_lines(tmp_path / name / f) for f in names]
+        assert all(leaf not in text for text in texts)
+        outputs.append([text.replace(digest, "<hash>") for text in texts])
+    assert outputs[0] == outputs[1]
+
+
+# one out-of-range value per field: rejected before any compute, by name
+OUT_OF_RANGE = [
+    ("gamma", "schedule", "vertical_cells", 0),
+    ("gamma", "schedule", "vertical_cells", -2),
+    ("film", "film", "n_grid", 1),
+    ("phi", "solver", "max_iterations", 0),
+    ("phi", "solver", "cg_rtol", -1.0),
+    ("whom", "solver", "grad_tol", -1.0),
+    ("film", "quadrature", "max_refinements", -1),
+    ("film", "quadrature", "max_refinements", 0),
+    ("film", "quadrature", "initial_nodes_per_unit", 0),
+    ("thresholds", "thresholds", "coercivity_floor", -1.0),
+]
+
+
+@pytest.mark.parametrize("command,section,key,value", OUT_OF_RANGE)
+def test_out_of_range_field_rejected_by_name(tmp_path, capsys, command,
+                                             section, key, value):
+    overrides = {"schedule": {"eps": [0.5, 0.25]}}
+    overrides.setdefault(section, {})[key] = value
+    cfg = write_config(tmp_path, **overrides)
+    assert main([command, "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
