@@ -13,11 +13,15 @@ The operator is applied as vol * D^T (mask * stress(D u)); the
 preconditioner inverts the unmasked box Laplacian axis by axis with numpy.fft
 (FFT on periodic axes, DST-I on frozen-end axes, DCT-II on free ends) and
 keeps only active free nodes; CG stops on the true residual,
-||r|| <= cg_rtol ||b|| (docs/solvers.md).  Other densities use accelerated
-descent with backtracking and gradient restarts, whose step and restart
-tests read gradients only.  The offset may have more columns than the grid
-has axes: a field on the grid does not vary along the extra ones, so a
-cylinder cell problem solves on its in-plane grid.  Those columns may also
+||r|| <= cg_rtol ||b|| (docs/solvers.md).  The norm powers with p > 2 use
+inexact Newton: each step runs the same preconditioned CG on the tangent
+operator vol * D^T (mask * DS(G) D), to an Eisenstat-Walker tolerance, and
+a line search that reads gradients only.  The remaining densities (p < 2,
+custom) use accelerated descent with backtracking and gradient restarts,
+whose step and restart tests read gradients only.  Both stop on
+||gradient|| <= grad_tol (1 + |F|^(p-1)).  The offset may have more columns
+than the grid has axes: a field on the grid does not vary along the extra
+ones, so a cylinder cell problem solves on its in-plane grid.  Those columns may also
 be unknowns, minimized jointly with the field in the same solve (the
 transverse column of the film density).  Cells outside the mask
 contribute no energy; nodes touching no occupied cell stay frozen at zero;
@@ -80,7 +84,7 @@ class _Grid:
     def dim(self):
         return len(self.cells)
 
-    @property
+    @functools.cached_property
     def node_shape(self):
         return tuple(c if p else c + 1 for c, p in zip(self.cells, self.periodic))
 
@@ -92,65 +96,57 @@ class _Grid:
     def num_nodes(self):
         return math.prod(self.node_shape)
 
+    @functools.cached_property
+    def stencil(self):
+        """Per axis (h, lo, hi, wrap): the spacing, the cell window and its
+        forward node window of an (m, *nodes) array, and on a periodic axis
+        the (cells, nodes) window pairs of the wrap (cell j's forward
+        neighbour is node j + 1, the last cell's is node 0), else None.
+        Built once per grid, so the applies of a solve only read it."""
+        lo = (slice(None),) + tuple(slice(0, c) for c in self.cells)
+        out = []
+        for a, (n, h) in enumerate(zip(self.cells, self.spacings)):
+            def at(s):
+                return lo[:1 + a] + (s,) + lo[2 + a:]
+            wrap = None
+            if self.periodic[a]:
+                wrap = ((at(slice(0, n - 1)), at(slice(1, n))),
+                        (at(slice(n - 1, n)), at(slice(0, 1))))
+            out.append((h, lo, at(slice(1, n + 1)), wrap))
+        return tuple(out)
+
 
 def _along(axis, index):
     """Index tuple selecting ``index`` on ``axis`` of a node/cell array."""
     return (slice(None),) * axis + (index,)
 
 
-# the stencil windows depend only on the grid; solves reuse them every apply
-@functools.lru_cache(maxsize=128)
-def _cell_windows(grid, axis):
-    lo = (slice(None),) + tuple(slice(0, c) for c in grid.cells)
-    hi = (slice(None),) + tuple(
-        slice(1, grid.cells[b] + 1) if b == axis else slice(0, grid.cells[b])
-        for b in range(grid.dim)
-    )
-    return lo, hi
-
-
-@functools.lru_cache(maxsize=128)
-def _wrap_windows(grid, axis):
-    """(target, source) window pairs along a periodic axis: cell j's forward
-    neighbour is node j + 1, and the last cell wraps to node 0."""
-    n = grid.cells[axis]
-    lo, _ = _cell_windows(grid, axis)
-
-    def at(s):
-        return lo[:1 + axis] + (s,) + lo[2 + axis:]
-
-    return ((at(slice(0, n - 1)), at(slice(1, n))),
-            (at(slice(n - 1, n)), at(slice(0, 1))))
-
-
 def _cell_gradient(grid, v, columns=None):
     """(m, *nodes) -> (m, columns, *cells): forward differences per cell,
     zero in the columns past grid.dim (default columns: grid.dim)."""
-    m = v.shape[0]
-    G = np.empty((m, columns or grid.dim) + grid.cells)
-    G[:, grid.dim:] = 0.0
-    for a in range(grid.dim):
-        lo, hi = _cell_windows(grid, a)
+    stencil = grid.stencil
+    d = len(stencil)
+    G = np.empty((v.shape[0], columns or d) + grid.cells)
+    G[:, d:] = 0.0
+    for a, (h, lo, hi, wrap) in enumerate(stencil):
         Ga = G[:, a]
-        if grid.periodic[a]:
-            for cells, nodes in _wrap_windows(grid, a):
+        if wrap:
+            for cells, nodes in wrap:
                 np.subtract(v[nodes], v[cells], out=Ga[cells])
         else:
             np.subtract(v[hi], v[lo], out=Ga)
-        Ga /= grid.spacings[a]
+        Ga /= h
     return G
 
 
 def _cell_gradient_adjoint(grid, P):
     """Adjoint of _cell_gradient: <P, Dv>_cells = <adjoint(P), v>_nodes."""
-    m = P.shape[0]
-    out = np.zeros((m,) + grid.node_shape)
-    for a in range(grid.dim):
-        lo, hi = _cell_windows(grid, a)
-        Pa = P[:, a] / grid.spacings[a]
+    out = np.zeros((P.shape[0],) + grid.node_shape)
+    for a, (h, lo, hi, wrap) in enumerate(grid.stencil):
+        Pa = P[:, a] / h
         out[lo] -= Pa
-        if grid.periodic[a]:
-            for cells, nodes in _wrap_windows(grid, a):
+        if wrap:
+            for cells, nodes in wrap:
                 out[nodes] += Pa[cells]
         else:
             out[hi] += Pa
@@ -478,9 +474,47 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=(),
         x, iters, residual, ok = _preconditioned_cg(
             apply_K, make_precond, rhs, x0, opts.cg_rtol, maxiter)
         method = "cg"
+    elif W.kind != "custom" and W.p > 2.0:
+        spectral = None     # built at the first Newton step, kept for the solve
+        axes = tuple(range(2, 2 + d))
+        units = np.eye(m * n).reshape((m * n, m, n) + cells)
+        occupied = float(maskf.sum())
+
+        def tangent(x):
+            # the Hessian apply and the block preconditioner at x
+            nonlocal spectral
+            DS = W.cell_stress_derivative(offset_gradient(x))
+
+            def apply_H(u):
+                return stress_adjoint(DS(lift(u)))
+
+            if spectral is None:
+                spectral = _SpectralPreconditioner(grid, mask, dirichlet_axes)
+            if free_offset:
+                # the summed tangent: column k is sum_c mask * DS_c[E_k]
+                S = np.stack([np.sum(DS(e) * maskf, axis=axes).ravel()
+                              for e in units], axis=1)
+                cols = np.arange(m * n) % n >= d
+                s = float(np.mean(np.diag(S)[~cols])) / occupied
+                scale = 1.0 / (vol * s) if s > 0 else 1.0
+                # pinv: the column block is 0 where the columns are 0 (p_norm)
+                K_bb_inv = np.linalg.pinv(vol * S[np.ix_(cols, cols)])
+
+            def precond(r, out):
+                spectral(split(r)[0], split(out)[0])
+                if free_offset:
+                    out[:nv] *= scale
+                    np.matmul(K_bb_inv, r[nv:], out=out[nv:])
+                return out
+            return apply_H, precond
+
+        x, iters, residual, ok, inner = _newton_pcg(
+            gradient, tangent, x0, _grad_tol(opts, F, W), maxiter)
+        method = "newton"
+        notes.append(f"{inner} inner PCG iterations")
     else:
-        gtol = opts.grad_tol * (1.0 + float(np.linalg.norm(F)) ** (W.p - 1.0))
-        x, iters, residual, ok = _accelerated_descent(gradient, x0, gtol, maxiter)
+        x, iters, residual, ok = _accelerated_descent(
+            gradient, x0, _grad_tol(opts, F, W), maxiter)
         method = "descent"
     val = energy(x)
     v, b = split(x)
@@ -491,13 +525,22 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=(),
     return val, v, report
 
 
+def _grad_tol(opts, F, W):
+    """The gradient test of the p != 2 solves: grad_tol (1 + |F|^(p-1))."""
+    return opts.grad_tol * (1.0 + float(np.linalg.norm(F)) ** (W.p - 1.0))
+
+
 def _preconditioned_cg(apply_K, make_precond, b, x0, rtol, maxiter):
     """Preconditioned CG on K x = b.  ``make_precond()`` returns M, and
     ``M(r, out)`` writes z = M r; M is built only when x0 fails the test.
+    ``x0=None`` starts from zero without an apply.
 
     The stopping test is on the true residual: ||r|| <= rtol ||b||."""
-    x = x0.copy()
-    r = b - apply_K(x)
+    if x0 is None:
+        x, r = np.zeros_like(b), b.copy()
+    else:
+        x = x0.copy()
+        r = b - apply_K(x)
     bnorm = float(np.linalg.norm(b))
     denom = bnorm if bnorm > 0 else 1.0
     rr = float(np.vdot(r, r))
@@ -528,6 +571,59 @@ def _preconditioned_cg(apply_K, make_precond, b, x0, rtol, maxiter):
         rz = rz_new
     rel = math.sqrt(rr) / denom
     return x, it, rel, rel <= rtol
+
+
+_LINE_SEARCH_TRIALS = 30
+
+
+def _newton_pcg(gradient, tangent, x0, gtol, maxiter):
+    """Inexact Newton: each step solves H d = -g by preconditioned CG, where
+    ``tangent(x)`` returns (apply_H, M) at x, then searches along d.
+
+    The inner tolerance is Eisenstat & Walker's choice 2,
+    eta_k = min(0.5, 0.9 (|g_k| / |g_(k-1)|)^2), eta_0 = 0.5, but never
+    below 0.5 gtol / |g_k|: a step needs no more than the stopping test
+    asks, and a residual below rounding would drive CG along the null space
+    of the constants.  The line search reads gradients only: alpha = 1 is
+    accepted once grad(x + alpha d) . d <= 0; otherwise alpha steps back by
+    regula falsi on [0, alpha] (Illinois-weighted after the first trial).
+    The stopping test is that of the descent, |g| <= gtol; ``maxiter`` caps
+    the steps and each inner CG, and a step that leaves x unchanged ends
+    the solve.  Returns (x, steps, |g|, converged, inner CG total)."""
+    x = x0.copy()
+    g = gradient(x)
+    gn = float(np.linalg.norm(g))
+    eta, it, inner = 0.5, 0, 0
+    while gn > gtol:
+        if it == maxiter:
+            return x, it, gn, False, inner
+        apply_H, precond = tangent(x)
+        d, cg_its, _, _ = _preconditioned_cg(apply_H, lambda: precond, -g, None,
+                                             max(eta, 0.5 * gtol / gn), maxiter)
+        inner += cg_its
+        slope0 = float(np.vdot(g, d))
+        if not slope0 < 0.0:
+            return x, it, gn, False, inner      # no descent direction left
+        alpha, weight = 1.0, slope0
+        for trial in range(_LINE_SEARCH_TRIALS):
+            cand = x + alpha * d
+            g_new = gradient(cand)
+            slope = float(np.vdot(g_new, d))
+            if slope <= 0.0:
+                break
+            if trial:
+                weight *= 0.5
+            alpha *= weight / (weight - slope)
+        else:
+            return x, it, gn, False, inner
+        if np.array_equal(cand, x):
+            return x, it, gn, False, inner      # the step is below rounding
+        x = cand
+        it += 1
+        gn_new = float(np.linalg.norm(g_new))
+        eta = min(0.5, 0.9 * (gn_new / gn) ** 2)
+        g, gn = g_new, gn_new
+    return x, it, gn, True, inner
 
 
 def _accelerated_descent(gradient, x0, gtol, maxiter):

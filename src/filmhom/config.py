@@ -72,7 +72,7 @@ class RunConfig:
         return out
 
 
-def _build_profile(spec, base_dir):
+def _build_profile(spec, num, base_dir):
     kind = spec.get("kind")
     if kind is None:
         raise ConfigurationError("profile.kind is required")
@@ -84,17 +84,17 @@ def _build_profile(spec, base_dir):
         if not path.is_absolute():
             path = Path(base_dir) / path
         return load_sampled_profile(path)
-    dim = spec.get("dim")
+    dim = num["profile.dim"]
     if dim is None:
         raise ConfigurationError("builtin profile needs 'dim'")
     if kind == "constant":
-        return Profile.constant(int(dim), float(spec.get("value", 1.0)))
-    return Profile.builtin(kind, int(dim), floor=spec.get("floor"))
+        return Profile.constant(dim, num["profile.value"])
+    return Profile.builtin(kind, dim, floor=num["profile.floor"])
 
 
-def _build_energy(spec, m, n):
+def _build_energy(spec, num, m, n):
     kind = spec.get("kind", "p_norm_power")
-    p = float(spec.get("p", 2.0))
+    p = num["energy.p"]
     if kind == "p_norm_power":
         W = EnergyDensity.p_norm_power(p, m, n)
     elif kind == "frobenius_power":
@@ -104,17 +104,20 @@ def _build_energy(spec, m, n):
         if matrix is None:
             A = np.eye(m * n)
         else:
-            A = np.asarray(matrix, dtype=float).reshape(m * n, m * n)
+            A = _float_array(matrix, "energy.matrix")
+            if A.size != (m * n) ** 2:
+                raise ConfigurationError(
+                    f"energy.matrix needs {(m * n) ** 2} entries; got {A.size}")
+            A = A.reshape(m * n, m * n)
         W = EnergyDensity.quadratic_form(A, m, n)
     else:
         raise ConfigurationError(
             f"unknown energy kind {kind!r} (config supports the builtin kinds)"
         )
-    gamma = spec.get("gamma")
-    beta = spec.get("beta")
+    gamma, beta = num["energy.gamma"], num["energy.beta"]
     if gamma is not None or beta is not None:
-        g = float(gamma) if gamma is not None else W.gamma
-        b = float(beta) if beta is not None else W.beta
+        g = gamma if gamma is not None else W.gamma
+        b = beta if beta is not None else W.beta
         if not (0 < g <= b):
             raise ConfigurationError(
                 f"growth constants need 0 < gamma <= beta; got {g}, {b}")
@@ -141,7 +144,92 @@ SCHEMA = {
 RETIRED = {"film.vertical_cells": "film cell problems solve on the in-plane grid",
            "grid.vertical_cells": "the psi oracle solves on a fixed two-layer cylinder",
            "thresholds.bisect_tol": "thresholds are exact cell values",
-           "solver.method": "quadratic densities use CG, all others the descent"}
+           "solver.method": "the method follows the density (docs/solvers.md)"}
+
+
+# every scalar numeric field: dotted name -> (type, default, bound).  An int
+# must be >= its bound, a float > its bound (so NaN fails); None: no bound.
+NUMERIC = {
+    "dims.n": (int, 3, 2),
+    "dims.m": (int, 1, 1),
+    "profile.dim": (int, None, None),
+    "profile.value": (float, 1.0, None),
+    "profile.floor": (float, None, None),
+    "energy.p": (float, 2.0, None),
+    "energy.gamma": (float, None, None),
+    "energy.beta": (float, None, None),
+    "grid.N": (int, 64, 2),
+    "solver.cg_rtol": (float, 1e-10, 0.0),
+    "solver.grad_tol": (float, 1e-8, 0.0),
+    "solver.max_iterations": (int, None, 1),
+    "sweep.random_probes": (int, 0, None),
+    "sweep.seed": (int, 0, None),
+    "sweep.probe_scale": (float, 1.0, None),
+    "quadrature.rel_tol": (float, 1e-3, 0.0),
+    "quadrature.initial_nodes_per_unit": (int, 8, 1),
+    "quadrature.max_refinements": (int, 8, 1),
+    "thresholds.coercivity_floor": (float, 1e-3, 0.0),
+    "film.n_grid": (int, 64, 2),
+    "schedule.cells_per_delta": (int, 8, None),
+    "schedule.vertical_cells": (int, 32, 1),
+}
+
+
+def _as_number(value, kind):
+    """value as an int or float, or None when it is not one: booleans and
+    non-numeric values never are, fractional values are no int."""
+    if isinstance(value, bool):
+        return None
+    if kind is int and isinstance(value, int):
+        return value
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        return None
+    if kind is float:
+        return x
+    return int(x) if x.is_integer() else None
+
+
+def _float_array(value, name):
+    """A nested list of numbers as a float array; anything else raises a
+    ConfigurationError that names the field."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{name} must hold numbers; got {value!r}") from None
+
+
+def _number_list(values, name, problems):
+    """A list field of floats; a non-numeric entry is reported by name."""
+    out = [_as_number(v, float) for v in values] if isinstance(values, list) else [None]
+    if None in out:
+        problems.append(f"{name} entries must be numbers; got {values!r}")
+        return []
+    return out
+
+
+def _numeric_fields(raw, problems):
+    """Every NUMERIC field, parsed and range-checked.  A bad value is
+    reported by its dotted name and read as the default."""
+    out = {}
+    for name, (kind, default, bound) in NUMERIC.items():
+        section, key = name.split(".")
+        value = raw.get(section, {}).get(key)
+        if value is None:
+            out[name] = default
+            continue
+        number = _as_number(value, kind)
+        if number is None:
+            what = "an integer" if kind is int else "a number"
+            problems.append(f"{name} must be {what}; got {value!r}")
+            number = default
+        elif bound is not None and kind is int and not number >= bound:
+            problems.append(f"{name} must be >= {bound}; got {number}")
+        elif bound is not None and kind is float and not number > bound:
+            problems.append(f"{name} must be > {bound:g}; got {number}")
+        out[name] = number
+    return out
 
 
 def _unknown_keys(raw):
@@ -188,16 +276,11 @@ def load_config(source, base_dir=None):
             raise ConfigurationError(f"config is not valid JSON: {err}") from err
 
     problems = _unknown_keys(raw)
-    dims = raw.get("dims", {})
-    n = int(dims.get("n", 3))
-    m = int(dims.get("m", 1))
-    if n < 2:
-        problems.append(f"dims.n must be >= 2; got {n}")
-    if m < 1:
-        problems.append(f"dims.m must be >= 1; got {m}")
+    num = _numeric_fields(raw, problems)
+    n, m = num["dims.n"], num["dims.m"]
 
     try:
-        profile = _build_profile(raw.get("profile", {}), base_dir)
+        profile = _build_profile(raw.get("profile", {}), num, base_dir)
     except ConfigurationError as err:
         problems.append(str(err))
         profile = None
@@ -207,74 +290,54 @@ def load_config(source, base_dir=None):
             f"(need dim = n-1 = {n - 1})")
 
     try:
-        energy = _build_energy(raw.get("energy", {}), m, n)
+        energy = _build_energy(raw.get("energy", {}), num, m, n)
     except ConfigurationError as err:
         problems.append(str(err))
         energy = None
 
-    grid_n = int(raw.get("grid", {}).get("N", 64))
-
-    sv = raw.get("solver", {})
-    solver = SolverOptions(
-        cg_rtol=float(sv.get("cg_rtol", 1e-10)),
-        grad_tol=float(sv.get("grad_tol", 1e-8)),
-        max_iterations=(int(sv["max_iterations"])
-                        if sv.get("max_iterations") is not None else None),
-    )
+    solver = SolverOptions(cg_rtol=num["solver.cg_rtol"],
+                           grad_tol=num["solver.grad_tol"],
+                           max_iterations=num["solver.max_iterations"])
 
     sweep = raw.get("sweep", {})
-    t_values = [float(t) for t in sweep.get("t_values", [])]
+    t_values = _number_list(sweep.get("t_values", []), "sweep.t_values", problems)
     for t in t_values:
         if not (-1.0 < t < 1.0):
             problems.append(f"sweep t value {t} outside (-1, 1)")
     F_probes = sweep.get("F_probes", [])
-    random_probes = int(sweep.get("random_probes", 0))
-    seed = int(sweep.get("seed", 0))
-    probe_scale = float(sweep.get("probe_scale", 1.0))
+    for probe in F_probes:
+        try:
+            _float_array(probe, "sweep.F_probes")
+        except ConfigurationError as err:
+            problems.append(str(err))
 
-    qd = raw.get("quadrature", {})
     quad = QuadratureOptions(
-        rel_tol=float(qd.get("rel_tol", 1e-3)),
-        initial_nodes_per_unit=int(qd.get("initial_nodes_per_unit", 8)),
-        max_refinements=int(qd.get("max_refinements", 8)),
+        rel_tol=num["quadrature.rel_tol"],
+        initial_nodes_per_unit=num["quadrature.initial_nodes_per_unit"],
+        max_refinements=num["quadrature.max_refinements"],
     )
-
-    th = raw.get("thresholds", {})
-    confirm_kernel = bool(th.get("confirm", True))
-    coercivity_floor = float(th.get("coercivity_floor", 1e-3))
-
-    film_n_grid = int(raw.get("film", {}).get("n_grid", 64))
+    confirm_kernel = bool(raw.get("thresholds", {}).get("confirm", True))
 
     sched = raw.get("schedule", {})
-    eps_schedule = [float(e) for e in sched.get("eps", [])]
+    eps_schedule = _number_list(sched.get("eps", []), "schedule.eps", problems)
     if eps_schedule and any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
         problems.append(f"schedule.eps must be strictly decreasing; got {eps_schedule}")
     if any(e <= 0 for e in eps_schedule):
         problems.append("schedule.eps entries must be positive")
-    cells_per_delta = int(sched.get("cells_per_delta", 8))
-    schedule_vertical_cells = int(sched.get("vertical_cells", 32))
-
-    # numeric ranges, by dotted name; `not value > 0` also catches NaN
-    for name, value in (("solver.cg_rtol", solver.cg_rtol),
-                        ("solver.grad_tol", solver.grad_tol),
-                        ("quadrature.rel_tol", quad.rel_tol),
-                        ("thresholds.coercivity_floor", coercivity_floor)):
-        if not value > 0:
-            problems.append(f"{name} must be positive; got {value}")
-    for name, value, low in (
-            ("grid.N", grid_n, 2), ("film.n_grid", film_n_grid, 2),
-            ("solver.max_iterations", solver.max_iterations, 1),
-            ("quadrature.initial_nodes_per_unit", quad.initial_nodes_per_unit, 1),
-            ("quadrature.max_refinements", quad.max_refinements, 1),
-            ("schedule.vertical_cells", schedule_vertical_cells, 1)):
-        if value is not None and value < low:
-            problems.append(f"{name} must be >= {low}; got {value}")
 
     omega_raw = raw.get("omega")
     if omega_raw is None:
         omega = tuple((0.0, 1.0) for _ in range(max(n - 1, 1)))
     else:
-        omega = tuple((float(lo), float(hi)) for lo, hi in omega_raw)
+        pairs = np.zeros((0, 2))
+        try:
+            pairs = _float_array(omega_raw, "omega")
+        except ConfigurationError as err:
+            problems.append(str(err))
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            problems.append(f"omega must list [lo, hi] pairs; got {omega_raw!r}")
+            pairs = np.zeros((0, 2))
+        omega = tuple((float(lo), float(hi)) for lo, hi in pairs)
         if any(hi <= lo for lo, hi in omega):
             problems.append(f"omega intervals must be increasing; got {omega_raw}")
         if len(omega) != n - 1:
@@ -285,12 +348,14 @@ def load_config(source, base_dir=None):
         raise ConfigurationError("invalid config:\n  " + "\n  ".join(problems))
 
     return RunConfig(
-        raw=raw, n=n, m=m, profile=profile, energy=energy, grid_n=grid_n,
+        raw=raw, n=n, m=m, profile=profile, energy=energy, grid_n=num["grid.N"],
         solver=solver, t_values=t_values, F_probes=F_probes,
-        random_probes=random_probes, seed=seed, probe_scale=probe_scale, quad=quad,
-        confirm_kernel=confirm_kernel, coercivity_floor=coercivity_floor,
-        film_n_grid=film_n_grid,
-        eps_schedule=eps_schedule, cells_per_delta=cells_per_delta,
-        schedule_vertical_cells=schedule_vertical_cells, omega=omega,
+        random_probes=num["sweep.random_probes"], seed=num["sweep.seed"],
+        probe_scale=num["sweep.probe_scale"], quad=quad,
+        confirm_kernel=confirm_kernel,
+        coercivity_floor=num["thresholds.coercivity_floor"],
+        film_n_grid=num["film.n_grid"],
+        eps_schedule=eps_schedule, cells_per_delta=num["schedule.cells_per_delta"],
+        schedule_vertical_cells=num["schedule.vertical_cells"], omega=omega,
         config_hash=config_hash(raw),
     )

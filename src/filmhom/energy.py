@@ -232,6 +232,34 @@ class EnergyDensity:
             return out.reshape(G.shape)
         raise ConfigurationError(f"unknown density kind {self.kind!r}")
 
+    def cell_stress_derivative(self, G):
+        """The tangent of cell_stress at G, as the linear map H -> DS(G)[H]
+        on arrays of G's shape; its per-cell coefficients are computed here,
+        once.
+
+        For the norm-power kinds DS(G)[H] = a H + c (G . H) G with
+        a = p |G|^(p-2) and c = p (p-2) |G|^(p-4), the norm and the inner
+        product taken per column or over the matrix as the kind says (for
+        p < 2 on the smoothed norm of cell_stress); where |G| = 0, c is 0.
+        When every norm is over one entry the map is diagonal.  Only the
+        norm-power kinds have it."""
+        if self.kind not in _NORM_AXES:
+            raise ConfigurationError(
+                f"no analytic stress derivative for density {self.label!r}")
+        p = self.p
+        axes = _NORM_AXES[self.kind]
+        sq = np.sum(G * G, axis=axes, keepdims=True)
+        if p < 2.0:
+            sq = sq + _SMOOTH_EPS ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = p * np.where(sq > 0, sq ** (0.5 * p - 1.0), 0.0 if p > 2 else 1.0)
+            c = np.where(sq > 0, (p - 2.0) * a / sq, 0.0)
+        if all(G.shape[ax] == 1 for ax in axes):
+            k = a + c * sq
+            return lambda H: k * H
+        cG = c * G
+        return lambda H: a * H + np.sum(G * H, axis=axes, keepdims=True) * cG
+
     @property
     def uses_smoothing(self):
         return self.kind in _NORM_AXES and self.p < 2.0

@@ -250,6 +250,17 @@ def test_exit_code_nonconvergence(tmp_path):
                  str(tmp_path / "out")]) == 4
 
 
+def test_exit_code_whom_nonconvergence(tmp_path):
+    # one Newton step cannot reach the gradient tolerance of a p = 3 cell
+    # problem on product islands; the unconverged row must reach the exit code
+    cfg = write_config(tmp_path, energy={"kind": "p_norm_power", "p": 3.0},
+                       grid={"N": 16}, solver={"max_iterations": 1},
+                       sweep={"t_values": [0.7], "F_probes": [[1.0, 0.5, 0.2]]})
+    out = tmp_path / "out"
+    assert main(["whom", "--config", str(cfg), "--out", str(out)]) == 4
+    assert json.loads(read_lines(out / "whom_summary.json"))["all_converged"] is False
+
+
 def test_exit_code_thresholds_confirmation_nonconvergence(tmp_path):
     # a confirmation probe that stops after one iteration has no minimum to
     # compare against the kernel bounds: it decides nothing, and the run
@@ -369,3 +380,58 @@ def test_out_of_range_field_rejected_by_name(tmp_path, capsys, command,
     assert main([command, "--config", str(cfg), "--out",
                  str(tmp_path / "out")]) == 2
     assert f"{section}.{key}" in capsys.readouterr().err
+
+
+# one value per kind of bad number: rejected before any compute, by name
+NOT_A_NUMBER = [
+    ("phi", "grid", "N", "abc"),
+    ("phi", "grid", "N", 16.7),
+    ("phi", "grid", "N", True),
+    ("whom", "solver", "grad_tol", "x"),
+    ("phi", "solver", "max_iterations", 2.5),
+    ("psi", "sweep", "seed", 1.5),
+    ("psi", "sweep", "random_probes", "two"),
+    ("film", "quadrature", "rel_tol", [0.1]),
+    ("phi", "energy", "p", "three"),
+    ("phi", "dims", "m", 1.5),
+    ("phi", "sweep", "t_values", [0.1, "x"]),
+    ("phi", "sweep", "t_values", 0.5),
+    ("phi", "sweep", "F_probes", [["x", 0.0]]),
+]
+
+
+@pytest.mark.parametrize("command,section,key,value", NOT_A_NUMBER)
+def test_non_numeric_field_rejected_by_name(tmp_path, capsys, command,
+                                            section, key, value):
+    path = write_config(tmp_path)
+    cfg = json.loads(read_lines(path))
+    cfg.setdefault(section, {})[key] = value
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main([command, "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides,name", [
+    ({"omega": [["a", 1.0], [0.0, 1.0]]}, "omega"),
+    ({"omega": [[0.0], [0.0, 1.0]]}, "omega"),
+    ({"omega": "ab"}, "omega"),
+    ({"energy": {"kind": "quadratic_form", "matrix": "abc"}}, "energy.matrix"),
+    ({"energy": {"kind": "quadratic_form", "matrix": [1.0, 2.0]}}, "energy.matrix"),
+], ids=["omega-text", "omega-short-pair", "omega-string", "matrix-text", "matrix-size"])
+def test_malformed_array_field_rejected_by_name(tmp_path, capsys, overrides, name):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["phi", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert name in capsys.readouterr().err
+
+
+def test_integral_float_accepted_for_integer_field(tmp_path):
+    # 16.0 is the integer 16, and the run says so
+    cfg = write_config(tmp_path, grid={"N": 16.0},
+                       sweep={"t_values": [0.5], "F_probes": [[1.0, 0.0]]})
+    out = tmp_path / "out"
+    assert main(["phi", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [line for line in read_lines(out / "phi.csv").splitlines()
+            if not line.startswith("#")]
+    assert rows[1].split(",")[-1] == "16"

@@ -178,7 +178,7 @@ def test_whom_p3_descent_reaches_tolerance(checker2):
     W = EnergyDensity.p_norm_power(3.0, 1, 3)
     F = np.random.default_rng(206).uniform(-1, 1, (1, 3))
     sample = w_hom(checker2, 0.5, F, W, 32)
-    assert sample.report.method == "descent"
+    assert sample.report.method == "newton"
     assert sample.report.converged
     split = psi(checker2, 0.5, F, 32, p=3.0)
     assert split.report.converged
@@ -197,7 +197,7 @@ def test_whom_descent_converges_near_tolerance(checker2, kind, t, F, n):
     # tolerance the decrease is below what a sum of cell energies resolves
     W = getattr(EnergyDensity, kind)(3.0, 1, 3)
     sample = w_hom(checker2, t, F, W, n)
-    assert sample.report.method == "descent"
+    assert sample.report.method == "newton"
     assert sample.report.converged
     if kind == "p_norm_power":
         split = psi(checker2, t, F, n, p=3.0)
