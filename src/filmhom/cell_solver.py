@@ -13,13 +13,14 @@ The operator is applied as vol * D^T (mask * stress(D u)); the
 preconditioner inverts the unmasked box Laplacian axis by axis with numpy.fft
 (FFT on periodic axes, DST-I on frozen-end axes, DCT-II on free ends) and
 keeps only active free nodes; CG stops on the true residual,
-||r|| <= cg_rtol ||b|| (docs/solvers.md).  The norm powers with p > 2 use
+||r|| <= cg_rtol ||b|| (docs/solvers.md).  Every other density uses
 inexact Newton: each step runs the same preconditioned CG on the tangent
 operator vol * D^T (mask * DS(G) D), to an Eisenstat-Walker tolerance, and
-a line search that reads gradients only.  The remaining densities (p < 2,
-custom) use accelerated descent with backtracking and gradient restarts,
-whose step and restart tests read gradients only.  Both stop on
-||gradient|| <= grad_tol (1 + |F|^(p-1)).  The offset may have more columns
+a line search that reads gradients only; it stops on
+||gradient|| <= grad_tol (1 + |F|^(p-1)).  The tangent DS is the quadratic
+stress itself, the analytic (for p < 2 smoothed) tangent of the norm
+powers, or a directional difference of a custom density's stress, and CG
+and Newton share its preconditioner.  The offset may have more columns
 than the grid has axes: a field on the grid does not vary along the extra
 ones, so a cylinder cell problem solves on its in-plane grid.  Those columns may also
 be unknowns, minimized jointly with the field in the same solve (the
@@ -249,8 +250,7 @@ def _dct2_inverse(w, a, v, spec, twiddle):
 
 
 class _SpectralPreconditioner:
-    """z = S (stiffness * sum_a L_a / h_a^2)^+ r, applied to each field
-    component.
+    """z = S (sum_a L_a / h_a^2)^+ r, applied to each field component.
 
     L_a / h_a^2 is the second difference along axis a on the whole box, mask
     ignored, so the operator is diagonalized axis by axis: the FFT on periodic
@@ -262,7 +262,7 @@ class _SpectralPreconditioner:
     docs/solvers.md.
     """
 
-    def __init__(self, grid, mask, dirichlet_axes, stiffness=1.0):
+    def __init__(self, grid, mask, dirichlet_axes):
         self.select = _active_node_mask(grid, mask)
         if dirichlet_axes:
             self.select &= ~_frozen_ends(grid, dirichlet_axes)
@@ -298,7 +298,7 @@ class _SpectralPreconditioner:
                 half = np.arange(n // 2 + 1).reshape((n // 2 + 1,) + bcast)
                 plans.append((a, _dct2, _dct2_inverse, shaped(a, n),
                               shaped(a, n // 2 + 1), np.exp(0.5j * np.pi * half / n)))
-        self.weights = np.divide(scale, stiffness * total, out=np.zeros(spectral),
+        self.weights = np.divide(scale, total, out=np.zeros(spectral),
                                  where=total > 0)
 
         complex_shapes = [plan[4] for plan in plans]
@@ -400,7 +400,7 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=(),
         return G
 
     def energy(x):
-        # the exact density: for p < 2 the descent minimizes a smoothed one
+        # the exact density: for p < 2 Newton minimizes a smoothed one
         return vol * float(np.sum(W.cell_values(offset_gradient(x)) * maskf))
 
     def stress_adjoint(P):
@@ -443,24 +443,39 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=(),
     if W.uses_smoothing:
         notes.append("p<2 column norms smoothed with eps=1e-8")
 
-    if W.is_quadratic:
-        # the stress is linear: gradient(x) = K x + gradient(0)
-        def apply_K(u):
-            return stress_adjoint(W.cell_stress(lift(u)))
+    spectral = None         # built at the first preconditioner, kept for the solve
+    axes = tuple(range(2, 2 + d))
+    units = np.eye(m * n).reshape((m * n, m, n) + cells)
+    cols = np.arange(m * n) % n >= d
+    occupied = float(maskf.sum())
+
+    def tangent(G):
+        # the Hessian apply at the per-cell gradients G and a builder of its
+        # block preconditioner
+        DS = W.cell_stress_derivative(G)
+
+        def apply_H(u):
+            return stress_adjoint(DS(lift(u)))
 
         def make_precond():
             # block diagonal, each block close to the inverse of its own
-            # diagonal block of K: on v the spectral inverse of vol * s * P,
-            # s the mean in-plane diagonal of the stress map S; on the free
-            # columns the exact inverse of K_bb = vol * #occupied * S_bb
-            stiffness = 1.0         # a common scale leaves CG's iterates alone
+            # diagonal block of H up to one common scale, which leaves CG's
+            # iterates alone: on v the spectral inverse of P, on the free
+            # columns vol * s times the pseudo-inverse of the symmetric K_bb,
+            # s the mean in-plane diagonal of the summed tangent per occupied
+            # cell (vol * s * P is the unmasked box operator of H_vv).  K_bb
+            # is 0 where a p_norm_power column sits at its exact argmin 0
+            nonlocal spectral
+            if spectral is None:
+                spectral = _SpectralPreconditioner(grid, mask, dirichlet_axes)
             if free_offset:
-                S = W.cell_stress(np.eye(m * n).reshape(m, n, m * n))
-                S = S.reshape(m * n, m * n)
-                cols = np.arange(m * n) % n >= d
-                stiffness = vol * float(np.mean(np.diag(S)[~cols]))
-                K_bb_inv = np.linalg.inv(vol * float(maskf.sum()) * S[np.ix_(cols, cols)])
-            spectral = _SpectralPreconditioner(grid, mask, dirichlet_axes, stiffness)
+                # the summed tangent: column k is sum_c mask * DS_c[E_k]
+                S = np.stack([np.sum(DS(e) * maskf, axis=axes).ravel()
+                              for e in units], axis=1)
+                s = float(np.mean(np.diag(S)[~cols])) / occupied
+                K_bb_inv = np.linalg.pinv(vol * S[np.ix_(cols, cols)], hermitian=True)
+                if s > 0:
+                    K_bb_inv *= vol * s
 
             def precond(r, out):
                 spectral(split(r)[0], split(out)[0])
@@ -468,54 +483,22 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=(),
                     np.matmul(K_bb_inv, r[nv:], out=out[nv:])
                 return out
             return precond
+        return apply_H, make_precond
 
+    if W.is_quadratic:
+        # the stress is linear: gradient(x) = H x + gradient(0), and the
+        # tangent at the offset serves at every x
         rhs = gradient(np.zeros_like(x0))
         np.negative(rhs, out=rhs)
         x, iters, residual, ok = _preconditioned_cg(
-            apply_K, make_precond, rhs, x0, opts.cg_rtol, maxiter)
+            *tangent(Fcells), rhs, x0, opts.cg_rtol, maxiter)
         method = "cg"
-    elif W.kind != "custom" and W.p > 2.0:
-        spectral = None     # built at the first Newton step, kept for the solve
-        axes = tuple(range(2, 2 + d))
-        units = np.eye(m * n).reshape((m * n, m, n) + cells)
-        occupied = float(maskf.sum())
-
-        def tangent(x):
-            # the Hessian apply and the block preconditioner at x
-            nonlocal spectral
-            DS = W.cell_stress_derivative(offset_gradient(x))
-
-            def apply_H(u):
-                return stress_adjoint(DS(lift(u)))
-
-            if spectral is None:
-                spectral = _SpectralPreconditioner(grid, mask, dirichlet_axes)
-            if free_offset:
-                # the summed tangent: column k is sum_c mask * DS_c[E_k]
-                S = np.stack([np.sum(DS(e) * maskf, axis=axes).ravel()
-                              for e in units], axis=1)
-                cols = np.arange(m * n) % n >= d
-                s = float(np.mean(np.diag(S)[~cols])) / occupied
-                scale = 1.0 / (vol * s) if s > 0 else 1.0
-                # pinv: the column block is 0 where the columns are 0 (p_norm)
-                K_bb_inv = np.linalg.pinv(vol * S[np.ix_(cols, cols)])
-
-            def precond(r, out):
-                spectral(split(r)[0], split(out)[0])
-                if free_offset:
-                    out[:nv] *= scale
-                    np.matmul(K_bb_inv, r[nv:], out=out[nv:])
-                return out
-            return apply_H, precond
-
+    else:
         x, iters, residual, ok, inner = _newton_pcg(
-            gradient, tangent, x0, _grad_tol(opts, F, W), maxiter)
+            gradient, lambda x: tangent(offset_gradient(x)), x0,
+            _grad_tol(opts, F, W), maxiter)
         method = "newton"
         notes.append(f"{inner} inner PCG iterations")
-    else:
-        x, iters, residual, ok = _accelerated_descent(
-            gradient, x0, _grad_tol(opts, F, W), maxiter)
-        method = "descent"
     val = energy(x)
     v, b = split(x)
     if free_offset:
@@ -526,7 +509,7 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=(),
 
 
 def _grad_tol(opts, F, W):
-    """The gradient test of the p != 2 solves: grad_tol (1 + |F|^(p-1))."""
+    """The gradient test of the Newton solves: grad_tol (1 + |F|^(p-1))."""
     return opts.grad_tol * (1.0 + float(np.linalg.norm(F)) ** (W.p - 1.0))
 
 
@@ -578,7 +561,9 @@ _LINE_SEARCH_TRIALS = 30
 
 def _newton_pcg(gradient, tangent, x0, gtol, maxiter):
     """Inexact Newton: each step solves H d = -g by preconditioned CG, where
-    ``tangent(x)`` returns (apply_H, M) at x, then searches along d.
+    ``tangent(x)`` returns (apply_H, make_precond) at x, then searches along
+    d.  Where CG meets non-positive curvature at its first direction (a
+    non-convex density) the step is the preconditioned gradient -M g.
 
     The inner tolerance is Eisenstat & Walker's choice 2,
     eta_k = min(0.5, 0.9 (|g_k| / |g_(k-1)|)^2), eta_0 = 0.5, but never
@@ -586,10 +571,11 @@ def _newton_pcg(gradient, tangent, x0, gtol, maxiter):
     asks, and a residual below rounding would drive CG along the null space
     of the constants.  The line search reads gradients only: alpha = 1 is
     accepted once grad(x + alpha d) . d <= 0; otherwise alpha steps back by
-    regula falsi on [0, alpha] (Illinois-weighted after the first trial).
-    The stopping test is that of the descent, |g| <= gtol; ``maxiter`` caps
-    the steps and each inner CG, and a step that leaves x unchanged ends
-    the solve.  Returns (x, steps, |g|, converged, inner CG total)."""
+    regula falsi on [0, alpha] (Illinois-weighted after the first trial),
+    and alpha is accepted when its next value rounds to itself.  The
+    stopping test is |g| <= gtol; ``maxiter`` caps the steps and each inner
+    CG, and a step that leaves x unchanged ends the solve.  Returns
+    (x, steps, |g|, converged, inner CG total)."""
     x = x0.copy()
     g = gradient(x)
     gn = float(np.linalg.norm(g))
@@ -597,9 +583,11 @@ def _newton_pcg(gradient, tangent, x0, gtol, maxiter):
     while gn > gtol:
         if it == maxiter:
             return x, it, gn, False, inner
-        apply_H, precond = tangent(x)
-        d, cg_its, _, _ = _preconditioned_cg(apply_H, lambda: precond, -g, None,
+        apply_H, make_precond = tangent(x)
+        d, cg_its, _, _ = _preconditioned_cg(apply_H, make_precond, -g, None,
                                              max(eta, 0.5 * gtol / gn), maxiter)
+        if not cg_its:
+            d = make_precond()(-g, np.zeros_like(g))
         inner += cg_its
         slope0 = float(np.vdot(g, d))
         if not slope0 < 0.0:
@@ -613,7 +601,10 @@ def _newton_pcg(gradient, tangent, x0, gtol, maxiter):
                 break
             if trial:
                 weight *= 0.5
-            alpha *= weight / (weight - slope)
+            step_back = alpha * weight / (weight - slope)
+            if step_back == alpha:
+                break           # the line minimum, to rounding
+            alpha = step_back
         else:
             return x, it, gn, False, inner
         if np.array_equal(cand, x):
@@ -624,50 +615,6 @@ def _newton_pcg(gradient, tangent, x0, gtol, maxiter):
         eta = min(0.5, 0.9 * (gn_new / gn) ** 2)
         g, gn = g_new, gn_new
     return x, it, gn, True, inner
-
-
-def _accelerated_descent(gradient, x0, gtol, maxiter):
-    """Nesterov-accelerated gradient descent with backtracking and gradient
-    restarts; it evaluates no energy, only gradients.
-
-    A step from y is accepted once grad(cand) . grad(y) >= 0: the derivative
-    along the line is still <= 0 at the candidate (for a quadratic this is
-    Armijo with c = 1/2), otherwise the step halves.  Momentum restarts when
-    grad(y) . (cand - x) > 0.  Products of gradients stay accurate where the
-    energy decrease is below the rounding of a sum of cell energies."""
-    x = x0.copy()
-    gx = gradient(x)
-    y, gy = x, gx
-    t = 1.0
-    step = 1.0
-    it = 0
-    while it < maxiter:
-        gxn = float(np.linalg.norm(gx))
-        if gxn <= gtol:
-            return x, it, gxn, True
-        if gy is None:
-            gy = gradient(y)
-        while True:
-            cand = y - step * gy
-            gc = gradient(cand)
-            if float(np.vdot(gc, gy)) >= 0.0:
-                break
-            step *= 0.5
-            if step < 1e-20:
-                return x, it, gxn, False  # no descent left along -grad(y)
-        it += 1
-        moved = cand - x
-        if float(np.vdot(gy, moved)) > 0.0:
-            # momentum points uphill: restart from the candidate
-            y, gy, t = cand, gc, 1.0
-        else:
-            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            y, gy = cand + ((t - 1.0) / t_new) * moved, None
-            t = t_new
-        x, gx = cand, gc
-        step *= 1.25
-    gxn = float(np.linalg.norm(gx))
-    return x, it, gxn, gxn <= gtol
 
 
 # -- gauge fixing ----------------------------------------------------------------

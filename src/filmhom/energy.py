@@ -237,15 +237,26 @@ class EnergyDensity:
         on arrays of G's shape; its per-cell coefficients are computed here,
         once.
 
-        For the norm-power kinds DS(G)[H] = a H + c (G . H) G with
+        A quadratic density's stress is linear, so it is its own tangent.
+        For the other norm-power kinds DS(G)[H] = a H + c (G . H) G with
         a = p |G|^(p-2) and c = p (p-2) |G|^(p-4), the norm and the inner
         product taken per column or over the matrix as the kind says (for
         p < 2 on the smoothed norm of cell_stress); where |G| = 0, c is 0.
-        When every norm is over one entry the map is diagonal.  Only the
-        norm-power kinds have it."""
-        if self.kind not in _NORM_AXES:
-            raise ConfigurationError(
-                f"no analytic stress derivative for density {self.label!r}")
+        When every norm is over one entry the map is diagonal.  For custom
+        densities it is the one-sided difference of cell_stress along H,
+        per cell over a step of 1e-6 (1 + |G|), reusing the stress at G."""
+        if self.is_quadratic:
+            return self.cell_stress
+        if self.kind == "custom":
+            S0 = self.cell_stress(G)
+            step = 1e-6 * (1.0 + np.sqrt(np.sum(G * G, axis=(0, 1))))
+
+            def difference(H):
+                size = np.sqrt(np.sum(H * H, axis=(0, 1)))
+                h = np.divide(step, size, out=np.zeros_like(size * step),
+                              where=size > 0)
+                return (self.cell_stress(G + h * H) - S0) * (size / step)
+            return difference
         p = self.p
         axes = _NORM_AXES[self.kind]
         sq = np.sum(G * G, axis=axes, keepdims=True)

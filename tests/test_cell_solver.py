@@ -115,7 +115,7 @@ def test_quadratic_form_matches_brute_force(rng):
     assert value == pytest.approx(ref, rel=1e-8, abs=1e-10)
 
 
-def test_descent_matches_scipy_p4(rng):
+def test_newton_matches_scipy_p4(rng):
     W = EnergyDensity.p_norm_power(4.0, 1, 2)
     mask = stripe_mask(6, 1.0 / 6, 4.0 / 6)
     F = np.array([[0.8, 0.5]])
@@ -268,6 +268,23 @@ def test_nonconvex_custom_density_warns():
         value, _, report = minimize_periodic(stripe_mask(8), W, [[0.0, 0.0]])
     assert "local minimum" in report.notes
     assert np.isfinite(value)
+
+
+def test_nonconvex_custom_density_reaches_local_minimum():
+    # away from F = 0 the tangent of the double well is indefinite, and the
+    # inner CG meets negative curvature at its first direction; Newton then
+    # steps along the preconditioned gradient.  The corrector takes the
+    # first entry into a well bottom on the stripe, leaving the mean of
+    # F[0, 1]^2 over the occupied half
+    def well(F):
+        return float((F[0, 0] ** 2 - 1.0) ** 2 + F[0, 1] ** 2)
+
+    W = EnergyDensity.custom(well, p=4.0, m=1, n=2, gamma=1e-3, beta=10.0,
+                             convex=False)
+    with pytest.warns(UserWarning, match="non-convex"):
+        value, _, report = minimize_periodic(stripe_mask(8), W, [[0.3, 0.2]])
+    assert report.method == "newton" and report.converged
+    assert value == pytest.approx(0.02, abs=1e-9)
 
 
 def test_one_dimensional_periodic_solves():

@@ -1,11 +1,14 @@
-"""The inexact Newton solve of the p > 2 cell problems: its tangent, its
-agreement with the gradient-only descent on every solve path, and which
-densities take it."""
+"""The inexact Newton solve of the non-quadratic cell problems: its
+tangent, its agreement with an independent gradient-only descent on every
+solve path, and which densities take it."""
+
+import math
 
 import numpy as np
 import pytest
 
-from filmhom import ConfigurationError, EnergyDensity, Profile
+from conftest import stripe_mask
+from filmhom import EnergyDensity, Profile
 from filmhom import cell_solver
 from filmhom.cell_solver import minimize_periodic
 from filmhom.film import w_tilde
@@ -13,6 +16,50 @@ from filmhom.homogenize import w_hom, w_hom_cube_oracle
 from filmhom.profiles import superlevel_mask
 
 KINDS = ["p_norm_power", "frobenius_power"]
+
+
+def reference_descent(gradient, x0, gtol, maxiter):
+    """Nesterov-accelerated gradient descent with backtracking and gradient
+    restarts, the reference minimizer of the Newton tests; it evaluates no
+    energy, only gradients.
+
+    A step from y is accepted once grad(cand) . grad(y) >= 0: the derivative
+    along the line is still <= 0 at the candidate (for a quadratic this is
+    Armijo with c = 1/2), otherwise the step halves.  Momentum restarts when
+    grad(y) . (cand - x) > 0.  Returns (x, iterations, |g|, converged)."""
+    x = x0.copy()
+    gx = gradient(x)
+    y, gy = x, gx
+    t = 1.0
+    step = 1.0
+    it = 0
+    while it < maxiter:
+        gxn = float(np.linalg.norm(gx))
+        if gxn <= gtol:
+            return x, it, gxn, True
+        if gy is None:
+            gy = gradient(y)
+        while True:
+            cand = y - step * gy
+            gc = gradient(cand)
+            if float(np.vdot(gc, gy)) >= 0.0:
+                break
+            step *= 0.5
+            if step < 1e-20:
+                return x, it, gxn, False  # no descent left along -grad(y)
+        it += 1
+        moved = cand - x
+        if float(np.vdot(gy, moved)) > 0.0:
+            # momentum points uphill: restart from the candidate
+            y, gy, t = cand, gc, 1.0
+        else:
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            y, gy = cand + ((t - 1.0) / t_new) * moved, None
+            t = t_new
+        x, gx = cand, gc
+        step *= 1.25
+    gxn = float(np.linalg.norm(gx))
+    return x, it, gxn, gxn <= gtol
 
 
 def _cells_with_zeros(rng, m, n):
@@ -57,28 +104,68 @@ def test_stress_derivative_symmetric(rng, kind, p, m):
     assert np.allclose(lhs, rhs, rtol=1e-13, atol=1e-14)
 
 
-def test_stress_derivative_only_for_norm_powers(rng):
-    G = rng.uniform(-1, 1, (1, 3, 5))
-    Wq = EnergyDensity.quadratic_form(np.diag([1.0, 2.0, 3.0]), 1, 3)
-    Wc = EnergyDensity.custom(lambda F: float(np.sum(F ** 4)), p=4.0, m=1, n=3,
-                              gamma=0.1, beta=10.0)
-    for W in (Wq, Wc):
-        with pytest.raises(ConfigurationError):
-            W.cell_stress_derivative(G)
+def _custom_cube_norm(grad):
+    """W(F) = |F|^3 as a custom density, with or without its gradient."""
+    return EnergyDensity.custom(lambda F: float(np.sum(F * F) ** 1.5), p=3.0,
+                                m=1, n=3, gamma=0.1, beta=10.0, grad=grad)
+
+
+@pytest.mark.parametrize("W", [
+    EnergyDensity.quadratic_form(np.diag([1.0, 2.0, 3.0]), 1, 3),
+    EnergyDensity.p_norm_power(2.0, 1, 3),
+    _custom_cube_norm(lambda F: 3.0 * math.sqrt(np.sum(F * F)) * F),
+    _custom_cube_norm(None),
+], ids=["quadratic_form", "p_norm2", "custom_grad", "custom_fd"])
+def test_other_tangents_match_central_differences(rng, W):
+    # a quadratic density is its own tangent; a custom one is a one-sided
+    # difference of its stress, accurate to about the difference step
+    # (1e-6 relative) with an analytic gradient, and to about the
+    # gradient's rounding over that step (1e-10 / 1e-6) without one
+    G = rng.uniform(-1, 1, (1, 3, 4, 3))
+    G[:, :, 3, 2] = 0.0
+    DS = W.cell_stress_derivative(G)
+    if W.is_quadratic:
+        assert DS == W.cell_stress
+    h = 1e-4
+    for _ in range(4):
+        H = rng.uniform(-1, 1, G.shape)
+        fd = (W.cell_stress(G + h * H) - W.cell_stress(G - h * H)) / (2 * h)
+        assert np.allclose(DS(H), fd, rtol=1e-3, atol=1e-3)
+    # linear in H up to the difference error, and 0 where H is
+    H[:, :, 0, 0] = 0.0
+    assert np.allclose(DS(2.0 * H), 2.0 * DS(H), rtol=1e-3, atol=1e-3)
+    assert np.all(DS(H)[:, :, 0, 0] == 0.0)
+
+
+def test_custom_density_newton_matches_builtin(checker2):
+    # the custom |F|^3 without a gradient: the stress is a central
+    # difference of the values and the tangent a difference of the stress,
+    # yet Newton reaches the builtin's minimum
+    F = np.array([[0.5, -0.7, 0.9]])
+    a = w_hom(checker2, 0.6, F, _custom_cube_norm(None), 16)
+    b = w_hom(checker2, 0.6, F, EnergyDensity.frobenius_power(3.0, 1, 3), 16)
+    assert a.report.method == b.report.method == "newton"
+    assert a.report.converged and b.report.converged
+    assert a.value == pytest.approx(b.value, abs=1e-9)
+
+
+def _route_through_descent(patch, calls):
+    """Route the Newton solves through reference_descent, recording each
+    in ``calls``."""
+    def descent(gradient, tangent, x0, gtol, maxiter):
+        calls.append(gtol)
+        return (*reference_descent(gradient, x0, gtol, maxiter), 0)
+
+    patch.setattr(cell_solver, "_newton_pcg", descent)
 
 
 def _both(monkeypatch, solve):
-    """(solve(), solve() with the p > 2 solves routed through the
-    gradient-only descent)."""
+    """(solve(), solve() with the Newton solves routed through the
+    gradient-only reference descent)."""
     newton = solve()
     calls = []
-
-    def descent(gradient, tangent, x0, gtol, maxiter):
-        calls.append(gtol)
-        return (*cell_solver._accelerated_descent(gradient, x0, gtol, maxiter), 0)
-
     with monkeypatch.context() as patch:
-        patch.setattr(cell_solver, "_newton_pcg", descent)
+        _route_through_descent(patch, calls)
         reference = solve()
     assert calls
     return newton, reference
@@ -138,16 +225,16 @@ def test_newton_free_column_from_nonzero_start(monkeypatch, checker2, kind, m):
 @pytest.mark.parametrize("make,method", [
     (lambda: EnergyDensity.p_norm_power(3.0, 1, 2), "newton"),
     (lambda: EnergyDensity.frobenius_power(4.0, 1, 2), "newton"),
-    (lambda: EnergyDensity.p_norm_power(1.5, 1, 2), "descent"),
-    (lambda: EnergyDensity.frobenius_power(1.5, 1, 2), "descent"),
+    (lambda: EnergyDensity.p_norm_power(1.5, 1, 2), "newton"),
+    (lambda: EnergyDensity.frobenius_power(1.5, 1, 2), "newton"),
     (lambda: EnergyDensity.custom(lambda F: float(np.sum(F * F) ** 1.5), p=3.0,
-                                  m=1, n=2, gamma=0.1, beta=10.0), "descent"),
+                                  m=1, n=2, gamma=0.1, beta=10.0), "newton"),
     (lambda: EnergyDensity.p_norm_power(2.0, 1, 2), "cg"),
 ], ids=["p_norm3", "frobenius4", "p_norm1.5", "frobenius1.5", "custom3", "p_norm2"])
 def test_method_follows_density(make, method):
-    # Newton for the norm powers with p > 2; the descent for p < 2, whose
-    # smoothed tangent grows like eps^(p-2) at zero columns, and for custom
-    # densities, which have no analytic tangent
+    # CG where the stress is linear, Newton for every other density: p < 2
+    # runs on the smoothed tangent, which grows like eps^(p-2) at zero
+    # columns, and custom densities on a difference of their stress
     mask = np.random.default_rng(3).uniform(size=(6, 6)) < 0.6
     _, _, report = minimize_periodic(
         mask, make(), [[0.8, 0.5]], want_corrector=False,
@@ -177,3 +264,32 @@ def test_newton_last_step_not_oversolved(stripe2):
     assert sample.report.method == "newton"
     assert sample.report.converged
     assert sample.report.iterations <= 5
+
+
+def _pendant_stripe(n):
+    """The stripe of rows 1/6 < x < 4/6 with one pendant cell below it."""
+    mask = stripe_mask(n, 1.0 / 6, 4.0 / 6)
+    mask[np.nonzero(mask[:, 0])[0][-1] + 1, 0] = True
+    return mask
+
+
+@pytest.mark.parametrize("mask", [
+    np.random.default_rng(3).uniform(size=(6, 6)) < 0.6,
+    _pendant_stripe(6), _pendant_stripe(8), _pendant_stripe(12),
+], ids=["random6", "stripe6", "stripe8", "stripe12"])
+def test_p15_small_masks_converge(monkeypatch, mask):
+    # the gradient descent stopped unconverged at its default cap on these
+    # masks (residuals 7.4e-5 to 4.5e-4); Newton converges, at the value the
+    # descent reaches with a far larger cap
+    W = EnergyDensity.p_norm_power(1.5, 1, 2)
+    F = [[0.8, 0.5]]
+    value, _, report = minimize_periodic(mask, W, F, want_corrector=False)
+    assert report.method == "newton" and report.converged
+    calls = []
+    with monkeypatch.context() as patch:
+        _route_through_descent(patch, calls)
+        reference, _, ref_report = minimize_periodic(
+            mask, W, F, want_corrector=False,
+            opts=cell_solver.SolverOptions(max_iterations=200000))
+    assert calls and ref_report.converged
+    assert value == pytest.approx(reference, abs=1e-10)
