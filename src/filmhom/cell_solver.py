@@ -20,7 +20,9 @@ a line search that reads gradients only; it stops on
 ||gradient|| <= grad_tol (1 + |F|^(p-1)).  The tangent DS is the quadratic
 stress itself, the analytic (for p < 2 smoothed) tangent of the norm
 powers, or a directional difference of a custom density's stress, and CG
-and Newton share its preconditioner.  The offset may have more columns
+and Newton share its preconditioner.  Every inner product and norm of both
+loops is _dot, numpy's own single-threaded loop rather than BLAS, so the
+results do not depend on the BLAS thread count.  The offset may have more columns
 than the grid has axes: a field on the grid does not vary along the extra
 ones, so a cylinder cell problem solves on its in-plane grid.  Those columns may also
 be unknowns, minimized jointly with the field in the same solve (the
@@ -136,15 +138,17 @@ def _cell_gradient(grid, v, columns=None):
                 np.subtract(v[nodes], v[cells], out=Ga[cells])
         else:
             np.subtract(v[hi], v[lo], out=Ga)
-        Ga /= h
+        Ga *= 1.0 / h
     return G
 
 
 def _cell_gradient_adjoint(grid, P):
-    """Adjoint of _cell_gradient: <P, Dv>_cells = <adjoint(P), v>_nodes."""
+    """Adjoint of _cell_gradient: <P, Dv>_cells = <adjoint(P), v>_nodes.
+    Scales the in-plane columns of P in place by 1/h, so pass a fresh P."""
     out = np.zeros((P.shape[0],) + grid.node_shape)
     for a, (h, lo, hi, wrap) in enumerate(grid.stencil):
-        Pa = P[:, a] / h
+        Pa = P[:, a]
+        Pa *= 1.0 / h
         out[lo] -= Pa
         if wrap:
             for cells, nodes in wrap:
@@ -220,21 +224,22 @@ def _makhoul_order(a, n):
     return _along(a, slice(0, None, 2)), _along(a, slice(n - 1 - n % 2, None, -2))
 
 
-def _dct2(w, a, v, spec, twiddle):
+def _dct2(w, a, v, spec, twiddles):
     """w_k <- sum_j w_j cos(pi k (2j + 1) / 2n) (DCT-II), by Makhoul's
-    reordering and one real FFT of length n; twiddle_k = exp(i pi k / 2n)."""
+    reordering and one real FFT of length n; twiddles is the pair
+    (conj(twiddle), twiddle), twiddle_k = exp(i pi k / 2n)."""
     n = w.shape[a]
     evens, odds = _makhoul_order(a, n)
     v[_along(a, slice(0, (n + 1) // 2))] = w[evens]
     v[_along(a, slice((n + 1) // 2, None))] = w[odds]
     np.fft.rfft(v, axis=a, out=spec)
-    spec *= twiddle.conj()
+    spec *= twiddles[0]
     w[_along(a, slice(0, n // 2 + 1))] = spec.real
     np.negative(spec.imag[_along(a, slice((n - 1) // 2, 0, -1))],
                 out=w[_along(a, slice(n // 2 + 1, None))])
 
 
-def _dct2_inverse(w, a, v, spec, twiddle):
+def _dct2_inverse(w, a, v, spec, twiddles):
     """Exact inverse of _dct2 (the transpose DCT-III up to the row norms,
     which the preconditioner's weights absorb)."""
     n = w.shape[a]
@@ -242,7 +247,7 @@ def _dct2_inverse(w, a, v, spec, twiddle):
     spec.imag[_along(a, 0)] = 0.0
     np.negative(w[_along(a, slice(n - 1, n - n // 2 - 1, -1))],
                 out=spec.imag[_along(a, slice(1, None))])
-    spec *= twiddle
+    spec *= twiddles[1]
     np.fft.irfft(spec, n=n, axis=a, out=v)
     evens, odds = _makhoul_order(a, n)
     w[evens] = v[_along(a, slice(0, (n + 1) // 2))]
@@ -296,8 +301,9 @@ class _SpectralPreconditioner:
             else:
                 total = total + (2.0 - 2.0 * np.cos(np.pi * k / n)) / h ** 2
                 half = np.arange(n // 2 + 1).reshape((n // 2 + 1,) + bcast)
+                twiddle = np.exp(0.5j * np.pi * half / n)
                 plans.append((a, _dct2, _dct2_inverse, shaped(a, n),
-                              shaped(a, n // 2 + 1), np.exp(0.5j * np.pi * half / n)))
+                              shaped(a, n // 2 + 1), (twiddle.conj(), twiddle)))
         self.weights = np.divide(scale, total, out=np.zeros(spectral),
                                  where=total > 0)
 
@@ -382,10 +388,11 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=(),
 
     free = ~_frozen_ends(grid, dirichlet_axes) if dirichlet_axes else None
     maskf = mask.astype(float)
+    vol = grid.cell_volume
+    vol_mask = vol * maskf
     base = F.copy()
     base[:, fixed:] = 0.0           # free columns come from the unknown
     Fcells = base.reshape((m, n) + cells)
-    vol = grid.cell_volume
 
     def lift(x):
         # per-cell (Dv | free columns), without the fixed offset
@@ -404,19 +411,18 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=(),
         return vol * float(np.sum(W.cell_values(offset_gradient(x)) * maskf))
 
     def stress_adjoint(P):
-        # the gradient for a fresh stress field P: vol * D^T (mask * P) with
-        # frozen nodes projected out, then vol * sum(mask * P) over the cells
+        # the gradient for a fresh stress field P: D^T (vol * mask * P) with
+        # frozen nodes projected out, then sum(vol * mask * P) over the cells
         # in the free columns; the callers pass stress(G) inline, so G is
         # freed first
-        P *= maskf
+        P *= vol_mask
         out = _cell_gradient_adjoint(grid, P)
-        out *= vol
         if free is not None:
             out *= free
         if not free_offset:
             return out.reshape(-1)
         sums = P[:, d:].sum(axis=tuple(range(2, 2 + d)))
-        return np.concatenate([out.reshape(-1), vol * sums.reshape(-1)])
+        return np.concatenate([out.reshape(-1), sums.reshape(-1)])
 
     def gradient(x):
         return stress_adjoint(W.cell_stress(offset_gradient(x)))
@@ -470,10 +476,10 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=(),
                 spectral = _SpectralPreconditioner(grid, mask, dirichlet_axes)
             if free_offset:
                 # the summed tangent: column k is sum_c mask * DS_c[E_k]
-                S = np.stack([np.sum(DS(e) * maskf, axis=axes).ravel()
-                              for e in units], axis=1)
+                S = np.stack([np.einsum(DS(e), [0, 1, *axes], maskf, axes,
+                                        [0, 1]).ravel() for e in units], axis=1)
                 s = float(np.mean(np.diag(S)[~cols])) / occupied
-                K_bb_inv = np.linalg.pinv(vol * S[np.ix_(cols, cols)], hermitian=True)
+                K_bb_inv = _symmetric_pinv(vol * S[np.ix_(cols, cols)])
                 if s > 0:
                     K_bb_inv *= vol * s
 
@@ -508,6 +514,23 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=(),
     return val, v, report
 
 
+def _symmetric_pinv(K):
+    """Pseudo-inverse of a symmetric K from its eigendecomposition, with
+    pinv's cutoff: eigenvalues within 1e-15 max|lambda| of 0 map to 0."""
+    lam, V = np.linalg.eigh(K)
+    size = np.abs(lam)
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam),
+                    where=size > 1e-15 * size.max(initial=0.0))
+    return (V * inv) @ V.T
+
+
+def _dot(a, b):
+    """The inner product of two flat vectors in numpy's own single-threaded
+    loop, not BLAS: its rounding does not depend on the BLAS thread count,
+    and no BLAS helper thread spins between the calls (docs/solvers.md)."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def _grad_tol(opts, F, W):
     """The gradient test of the Newton solves: grad_tol (1 + |F|^(p-1))."""
     return opts.grad_tol * (1.0 + float(np.linalg.norm(F)) ** (W.p - 1.0))
@@ -524,31 +547,31 @@ def _preconditioned_cg(apply_K, make_precond, b, x0, rtol, maxiter):
     else:
         x = x0.copy()
         r = b - apply_K(x)
-    bnorm = float(np.linalg.norm(b))
+    bnorm = math.sqrt(_dot(b, b))
     denom = bnorm if bnorm > 0 else 1.0
-    rr = float(np.vdot(r, r))
+    rr = _dot(r, r)
     if math.sqrt(rr) <= rtol * denom:
         return x, 0, math.sqrt(rr) / denom, True
     precond = make_precond()
     z = precond(r, np.zeros_like(r))
     p = z.copy()
-    rz = float(np.vdot(r, z))
+    rz = _dot(r, z)
     it = 0
     while it < maxiter and rz > 0:
         Kp = apply_K(p)
-        pKp = float(np.vdot(p, Kp))
+        pKp = _dot(p, Kp)
         if pKp <= 0:
             # numerically null direction of the semidefinite operator
             break
         alpha = rz / pKp
         x += np.multiply(p, alpha, out=z)
         r -= np.multiply(Kp, alpha, out=Kp)
-        rr = float(np.vdot(r, r))
+        rr = _dot(r, r)
         it += 1
         if math.sqrt(rr) <= rtol * denom:
             break
         precond(r, z)
-        rz_new = float(np.vdot(r, z))
+        rz_new = _dot(r, z)
         p *= rz_new / rz
         p += z
         rz = rz_new
@@ -578,7 +601,7 @@ def _newton_pcg(gradient, tangent, x0, gtol, maxiter):
     (x, steps, |g|, converged, inner CG total)."""
     x = x0.copy()
     g = gradient(x)
-    gn = float(np.linalg.norm(g))
+    gn = math.sqrt(_dot(g, g))
     eta, it, inner = 0.5, 0, 0
     while gn > gtol:
         if it == maxiter:
@@ -589,14 +612,14 @@ def _newton_pcg(gradient, tangent, x0, gtol, maxiter):
         if not cg_its:
             d = make_precond()(-g, np.zeros_like(g))
         inner += cg_its
-        slope0 = float(np.vdot(g, d))
+        slope0 = _dot(g, d)
         if not slope0 < 0.0:
             return x, it, gn, False, inner      # no descent direction left
         alpha, weight = 1.0, slope0
         for trial in range(_LINE_SEARCH_TRIALS):
             cand = x + alpha * d
             g_new = gradient(cand)
-            slope = float(np.vdot(g_new, d))
+            slope = _dot(g_new, d)
             if slope <= 0.0:
                 break
             if trial:
@@ -611,7 +634,7 @@ def _newton_pcg(gradient, tangent, x0, gtol, maxiter):
             return x, it, gn, False, inner      # the step is below rounding
         x = cand
         it += 1
-        gn_new = float(np.linalg.norm(g_new))
+        gn_new = math.sqrt(_dot(g_new, g_new))
         eta = min(0.5, 0.9 * (gn_new / gn) ** 2)
         g, gn = g_new, gn_new
     return x, it, gn, True, inner

@@ -11,7 +11,7 @@ by the oscillating surfaces +/- eps*f(x/delta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,9 @@ class Profile:
     values: np.ndarray | None = None
     min_value: float = 0.0
     sup_value: float = 1.0
+    # eval_grid's read-only grids, one per resolution asked for
+    _grids: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     # -- constructors -----------------------------------------------------
 
@@ -105,13 +108,19 @@ class Profile:
         return float(self._eval_points(x[None, :])[0])
 
     def eval_grid(self, n):
-        """Values of f at the n^dim cell centers ((i + 1/2)/n per axis)."""
-        if n < 1:
-            raise ConfigurationError(f"grid resolution must be >= 1; got {n}")
-        centers = (np.arange(n) + 0.5) / n
-        grids = np.meshgrid(*([centers] * self.dim), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        return self._eval_points(pts).reshape((n,) * self.dim)
+        """Values of f at the n^dim cell centers ((i + 1/2)/n per axis), as
+        a read-only array computed once per n on this profile."""
+        values = self._grids.get(n)
+        if values is None:
+            if n < 1:
+                raise ConfigurationError(f"grid resolution must be >= 1; got {n}")
+            centers = (np.arange(n) + 0.5) / n
+            grids = np.meshgrid(*([centers] * self.dim), indexing="ij")
+            pts = np.stack([g.ravel() for g in grids], axis=-1)
+            values = self._eval_points(pts).reshape((n,) * self.dim)
+            values.flags.writeable = False
+            self._grids[n] = values
+        return values
 
     def _eval_points(self, pts):
         pts = np.mod(pts, 1.0)
