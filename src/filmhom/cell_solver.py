@@ -12,8 +12,12 @@ gradient, for periodic cell problems, cylinders and Dirichlet slabs alike.
 The operator is applied as vol * D^T (mask * stress(D u)); the
 preconditioner inverts the unmasked box Laplacian axis by axis with numpy.fft
 (FFT on periodic axes, DST-I on frozen-end axes, DCT-II on free ends) and
-keeps only active free nodes; CG stops on the true residual,
-||r|| <= cg_rtol ||b|| (docs/solvers.md).  Every other density uses
+keeps only active free nodes.  On a 2-d slab, frozen at both ends of axis 0
+and with one connected run of occupied cells per cell column (the n = 2
+slabs of direct_min), the preconditioner is instead the exact inverse of
+the operator, by block elimination over the node lines, and CG takes one
+iteration.  CG stops on the true residual, ||r|| <= cg_rtol ||b||
+(docs/solvers.md).  Every other density uses
 inexact Newton: each step runs the same preconditioned CG on the tangent
 operator vol * D^T (mask * DS(G) D), to an Eisenstat-Walker tolerance, and
 a line search that reads gradients only; it stops on
@@ -353,6 +357,140 @@ class _SpectralPreconditioner:
         return out
 
 
+# -- exact line solve ----------------------------------------------------------------
+
+def _line_solvable(grid, mask, dirichlet_axes):
+    """Whether _LineSolver applies: a 2-d grid with both end layers of axis 0
+    frozen and axis 1 free, on which each cell column holds one run of
+    occupied cells that shares a node with the next column's run.  The
+    active nodes then form one component that touches a frozen layer, so
+    the operator is positive definite on the active free nodes."""
+    if grid.dim != 2 or any(grid.periodic) or tuple(dirichlet_axes) != (0,):
+        return False
+    runs = mask[:, 0] + np.count_nonzero(mask[:, 1:] & ~mask[:, :-1], axis=1)
+    if np.any(runs != 1):
+        return False
+    lo = np.argmax(mask, axis=1)
+    hi = mask.shape[1] - np.argmax(mask[:, ::-1], axis=1)      # runs [lo, hi)
+    # cells (i, k) and (i + 1, k') share a node iff k' is k or k - 1
+    return bool(np.all((lo[:-1] <= hi[1:]) & (lo[1:] < hi[:-1])))
+
+
+class _LineSolver:
+    """z = K^-1 r by direct elimination, K the masked quadratic operator on
+    the active free nodes of a grid that _line_solvable accepts.
+
+    A cell couples only the node lines i and i + 1 along axis 0, so in the
+    order (line i, component j, node k along axis 1) K is block tridiagonal,
+    its blocks m times the nodes of a line wide: line blocks A_i,
+    tridiagonal in k, and couplings B_i from line i to i + 1, bidiagonal in
+    k, per pair of components.  Both are assembled as bands from the
+    tangent and the masked cell volumes.  The two frozen lines are not
+    unknowns, so they are left out, columns included; a node touching no
+    occupied cell gets an identity row.
+
+    Block elimination (block Thomas) runs forward,
+    S_0 = A_0, S_(i+1) = A_(i+1) - B_i^T S_i^-1 B_i, y_(i+1) = r_(i+1) -
+    B_i^T S_i^-1 y_i, and back, x_i = S_i^-1 (y_i - B_i x_(i+1)).  Only every
+    c-th Schur complement is kept, c about sqrt(lines), and the back sweep
+    recomputes the others one segment at a time by the same operations, so
+    about 2 sqrt(lines) blocks are held instead of one per line, for twice
+    the elimination work.  See docs/solvers.md.
+    """
+
+    def __init__(self, grid, mask, vol_mask, tangent):
+        # tangent[l, b, j, a]: the stress component (j, a) of the unit
+        # gradient (l, b); a quadratic density has the same one in every cell
+        m = tangent.shape[0]
+        nx, nz = grid.cells
+        hx, hz = grid.spacings
+        # d[a, p]: gradient component a of a cell per unit value at its
+        # stencil node p = (i, k), (i, k + 1), (i + 1, k)
+        d = np.array([[-1.0 / hx, 0.0, 1.0 / hx], [-1.0 / hz, 1.0 / hz, 0.0]])
+
+        def element(p, q, columns):
+            # [i, j, l, k]: the entry (p, q) of the element matrices of the
+            # cells (i, k), i in columns, between components j and l
+            e = np.einsum("a,lbja,b->jl", d[:, p], tangent, d[:, q])
+            return e[:, :, np.newaxis] * vol_mask[columns, np.newaxis, np.newaxis, :]
+
+        # the interior lines 1..nx-1: the cells (i, k) left of line i reach
+        # it at p = 2, the cells (i, k) right of it at p = 0 and 1
+        inner = slice(1, nx)
+        diag = np.zeros((nx - 1, m, m, nz + 1))
+        diag[..., :-1] += element(0, 0, inner)
+        diag[..., 1:] += element(1, 1, inner)
+        diag[..., :-1] += element(2, 2, slice(0, nx - 1))
+        self.active = _active_node_mask(grid, mask)[inner]
+        for j in range(m):
+            diag[:, j, j][~self.active] = 1.0
+        self.bands = (diag, element(0, 1, inner))
+        self.couplings = (element(0, 2, slice(1, nx - 1)),
+                          element(1, 2, slice(1, nx - 1)))
+
+        # flat positions of the bands in a dense block of row length n (A)
+        # or n + 1 (B with the right-hand side as its last column)
+        n = m * (nz + 1)
+        j, l, k = np.ix_(range(m), range(m), range(nz + 1))
+        row, col = j * (nz + 1) + k, l * (nz + 1) + k
+        self.a_pos = (row * n + col, (row * n + col + 1)[..., :-1],
+                      (col * n + row + n)[..., :-1])
+        self.b_pos = ((row * (n + 1) + col)[..., :-1],
+                      ((row + 1) * (n + 1) + col)[..., :-1])
+        self.line_shape, self.lines, self.n = (m, nz + 1), nx - 1, n
+
+    def _block(self, i):
+        """The dense line block A_i."""
+        A = np.zeros(self.n * self.n)
+        diag, up = self.bands
+        pos_diag, pos_up, pos_low = self.a_pos
+        A[pos_diag] = diag[i]
+        A[pos_up] = up[i]
+        A[pos_low] = up[i]
+        return A.reshape(self.n, self.n)
+
+    def _step(self, S, i, y):
+        """From S = S_i: X = S_i^-1 [B_i | y_i], S_(i+1), and B_i^T S_i^-1 y_i,
+        the update of y_(i+1)."""
+        BY = np.zeros(self.n * (self.n + 1))
+        for pos, band in zip(self.b_pos, self.couplings):
+            BY[pos] = band[i]
+        BY = BY.reshape(self.n, self.n + 1)
+        BY[:, -1] = y[i]
+        X = np.linalg.solve(S, BY)
+        BtX = BY[:, :-1].T @ X
+        S_next = self._block(i + 1)
+        S_next -= BtX[:, :-1]
+        return X, S_next, BtX[:, -1]
+
+    def __call__(self, r, out):
+        """out <- K^-1 r for r and out of shape (m, *nodes)."""
+        L, n = self.lines, self.n
+        out[:, 0] = out[:, -1] = 0.0
+        y = r[:, 1:-1].transpose(1, 0, 2).copy().reshape(L, n)
+        c = math.isqrt(L - 1) + 1
+        checkpoints = []
+        S = self._block(0)
+        for i in range(L - 1):
+            if i % c == 0:
+                checkpoints.append(S)
+            _, S, update = self._step(S, i, y)
+            y[i + 1] -= update
+        x = np.empty((L, n))
+        x[-1] = np.linalg.solve(S, y[-1])
+        for start in range((L - 2) // c * c, -1, -c):
+            S, stored = checkpoints.pop(), []
+            for i in range(start, min(start + c, L - 1)):
+                X, S, _ = self._step(S, i, y)
+                stored.append(X)
+            for i in range(min(start + c, L - 1) - 1, start - 1, -1):
+                X = stored.pop()
+                np.subtract(X[:, -1], X[:, :-1] @ x[i + 1], out=x[i])
+        out[:, 1:-1] = x.reshape(L, *self.line_shape).transpose(1, 0, 2)
+        out[:, 1:-1] *= self.active
+        return out
+
+
 # -- internal masked solve -----------------------------------------------------
 
 def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=(),
@@ -450,6 +588,11 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=(),
         notes.append("p<2 column norms smoothed with eps=1e-8")
 
     spectral = None         # built at the first preconditioner, kept for the solve
+    # a quadratic slab over node lines is solved exactly.  Newton keeps the
+    # spectral preconditioner: its tangent vanishes where the gradient does
+    # (p > 2), which leaves line blocks singular, and changes every step
+    exact = (W.is_quadratic and not free_offset
+             and _line_solvable(grid, mask, dirichlet_axes))
     axes = tuple(range(2, 2 + d))
     units = np.eye(m * n).reshape((m * n, m, n) + cells)
     cols = np.arange(m * n) % n >= d
@@ -470,8 +613,17 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=(),
             # columns vol * s times the pseudo-inverse of the symmetric K_bb,
             # s the mean in-plane diagonal of the summed tangent per occupied
             # cell (vol * s * P is the unmasked box operator of H_vv).  K_bb
-            # is 0 where a p_norm_power column sits at its exact argmin 0
+            # is 0 where a p_norm_power column sits at its exact argmin 0.
+            # On a line-solvable slab it is the inverse of H itself
             nonlocal spectral
+            if exact:
+                C = np.stack([DS(e) for e in units]).reshape(m, n, m, n)
+                lines = _LineSolver(grid, mask, vol_mask, C[:, :d, :, :d])
+
+                def line_precond(r, out):
+                    lines(split(r)[0], split(out)[0])
+                    return out
+                return line_precond
             if spectral is None:
                 spectral = _SpectralPreconditioner(grid, mask, dirichlet_axes)
             if free_offset:

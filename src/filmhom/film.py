@@ -245,6 +245,19 @@ class MembraneResult:
     table_entry: FilmTableEntry
 
 
+def _omega_box(omega, d):
+    """omega as d (lo, hi) float pairs with lo < hi; the unit box when None."""
+    if omega is None:
+        return tuple((0.0, 1.0) for _ in range(d))
+    omega = tuple((float(lo), float(hi)) for lo, hi in omega)
+    if len(omega) != d:
+        raise ConfigurationError(
+            f"omega lists {len(omega)} intervals; a profile of dim {d} needs {d}")
+    if any(hi <= lo for lo, hi in omega):
+        raise ConfigurationError(f"omega intervals must be increasing; got {omega}")
+    return omega
+
+
 def membrane_min(omega, Fbar, profile, W, *, datum="affine", n_grid=64,
                  quad=None, solver_opts=None):
     """Limit membrane minimum for affine boundary data on a box.
@@ -258,10 +271,8 @@ def membrane_min(omega, Fbar, profile, W, *, datum="affine", n_grid=64,
         raise UnsupportedFeatureError(
             "membrane_min supports affine boundary data only in v1"
         )
-    omega = tuple((float(lo), float(hi)) for lo, hi in omega)
+    omega = _omega_box(omega, profile.dim)
     area = math.prod(hi - lo for lo, hi in omega)
-    if area <= 0:
-        raise ConfigurationError(f"omega box has non-positive volume: {omega}")
     entry = w_bar(profile, W, Fbar, n_grid=n_grid, quad=quad,
                   solver_opts=solver_opts)
     value = 2.0 * area * entry.value
@@ -290,9 +301,10 @@ def direct_min(profile, eps, delta, Fbar, W, *, omega=None, cells_per_delta=8,
         raise ResolutionError(
             f"cells_per_delta={cells_per_delta} under-resolves the oscillation; "
             f"need at least 4", required=4)
-    if omega is None:
-        omega = tuple((0.0, 1.0) for _ in range(d))
-    omega = tuple((float(lo), float(hi)) for lo, hi in omega)
+    omega = _omega_box(omega, d)
+    if int(vertical_cells) < 1:
+        raise ConfigurationError(
+            f"vertical_cells must be a positive integer; got {vertical_cells}")
 
     in_plane = tuple(int(math.ceil((hi - lo) / delta * cells_per_delta))
                      for lo, hi in omega)
@@ -323,8 +335,7 @@ def gamma_check(profile, W, Fbar, eps_schedule, *, omega=None, cells_per_delta=8
     if any(b >= a for a, b in zip(eps_schedule[:-1], eps_schedule[1:])):
         raise ConfigurationError(
             f"eps schedule must be strictly decreasing; got {eps_schedule}")
-    if omega is None:
-        omega = tuple((0.0, 1.0) for _ in range(profile.dim))
+    omega = _omega_box(omega, profile.dim)
 
     membrane = membrane_min(omega, Fbar, profile, W, n_grid=n_grid, quad=quad,
                             solver_opts=solver_opts)

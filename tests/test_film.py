@@ -200,6 +200,26 @@ def test_direct_min_resolution_rule(stripe1, W2):
                    vertical_cells=8)
 
 
+@pytest.mark.parametrize("kwargs,name", [
+    ({"omega": ((0.0, 0.0),)}, "omega"),
+    ({"omega": ((1.0, 0.0),)}, "omega"),
+    ({"omega": ((0.0, 1.0), (0.0, 1.0))}, "omega"),
+    ({"vertical_cells": 0}, "vertical_cells"),
+    ({"vertical_cells": -3}, "vertical_cells"),
+])
+def test_direct_min_rejects_bad_box_by_name(stripe1, W2, kwargs, name):
+    # these raised ZeroDivisionError, or a ResolutionError asking for
+    # "at least -64" cells
+    with pytest.raises(ConfigurationError, match=name):
+        direct_min(stripe1, 0.25, 0.0625, [[1.0]], W2, **kwargs)
+
+
+def test_membrane_rejects_reversed_axes(product2, W3):
+    # two reversed axes have a positive product of widths
+    with pytest.raises(ConfigurationError, match="omega"):
+        membrane_min(((1.0, 0.0), (1.0, 0.0)), [[1.0, 0.0]], product2, W3)
+
+
 # -- gamma check ------------------------------------------------------------------
 
 

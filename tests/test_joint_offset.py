@@ -13,9 +13,9 @@ from filmhom import (EnergyDensity, Profile, minimize_periodic,
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 XTOL = 1e-6
-# the reference is solved ten times tighter than the agreement it is held to:
-# its coordinate descent stops on a sweep's move, and with coupled columns a
-# move below XTOL still leaves it about XTOL from the argmin
+# the nested search is solved ten times tighter than the agreement it is
+# held to: its coordinate descent stops on a sweep's move, and with coupled
+# columns a move below XTOL still leaves it about XTOL from the argmin
 REF_XTOL = XTOL / 10
 
 
@@ -57,21 +57,30 @@ def expanding_min(fn, half_width, xtol, max_expand=40):
 
 
 def reference_w_tilde(profile, W, t, Fbar, n_grid, xtol=REF_XTOL, max_sweeps=60):
-    """Nested minimization: a warm-started cylinder solve with the column held
-    fixed, golden-section over each column entry, cyclic over the entries."""
+    """The minimum over the column b of the fixed-column value V(b), each V
+    a cylinder solve.  For a quadratic W, V is exactly quadratic in b (a
+    Schur complement), so its fit through 1 + 2m + m(m-1)/2 columns at unit
+    spacing gives the argmin -H^-1 g.  Otherwise a nested search:
+    golden-section over each column entry, cyclic over the entries, each
+    solve warm-started from the last."""
     Fbar = np.asarray(Fbar, dtype=float)
     m = Fbar.shape[0]
     occ = superlevel_mask(profile, t, n_grid).occupancy
     state = {"v0": None}
 
-    def value(col):
+    def value(col, warm=True):
         F = np.hstack([Fbar, np.reshape(col, (m, 1))])
-        val, corr, report = minimize_periodic(occ, W, F, v0=state["v0"],
-                                              want_corrector=False)
+        val, corr, report = minimize_periodic(
+            occ, W, F, v0=state["v0"] if warm else None, want_corrector=False)
         assert report.converged
         state["v0"] = corr.values
         return val
 
+    if W.is_quadratic:
+        # cold starts: CG stops at cg_rtol |rhs|, which a start from another
+        # column cannot reach when the argmin column, and so the rhs, is
+        # about 0
+        return quadratic_argmin(lambda col: value(col, warm=False), m)
     half_width = 2.0 * (1.0 + float(np.linalg.norm(Fbar)))
     col = np.zeros(m)
     for _ in range(max_sweeps):
@@ -88,6 +97,22 @@ def reference_w_tilde(profile, W, t, Fbar, n_grid, xtol=REF_XTOL, max_sweeps=60)
         if m == 1 or moved <= xtol:
             return fx, col
     return fx, col
+
+
+def quadratic_argmin(value, m):
+    """(value at the argmin, argmin) of a quadratic V(b) on R^m, from its
+    values at 0, at +-e_i and at e_i + e_j (i < j)."""
+    e = np.eye(m)
+    v0 = value(np.zeros(m))
+    plus = [value(e[i]) for i in range(m)]
+    minus = [value(-e[i]) for i in range(m)]
+    g = np.array([(p - q) / 2.0 for p, q in zip(plus, minus)])
+    H = np.diag([p - 2.0 * v0 + q for p, q in zip(plus, minus)])
+    for i in range(m):
+        for j in range(i + 1, m):
+            H[i, j] = H[j, i] = value(e[i] + e[j]) - plus[i] - plus[j] + v0
+    argmin = -np.linalg.solve(H, g)
+    return value(argmin), argmin
 
 
 # -- joint solve against the reference -------------------------------------------------

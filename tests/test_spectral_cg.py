@@ -1,6 +1,8 @@
 """The spectral preconditioner and the preconditioned CG of quadratic masked
 solves, checked against dense and scipy.sparse references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,7 +12,8 @@ import scipy.sparse.linalg
 from filmhom import (EnergyDensity, Profile, SolverOptions, direct_min,
                      gamma_check, minimize_periodic, superlevel_mask)
 from filmhom.cell_solver import (_active_node_mask, _cell_gradient, _frozen_ends,
-                                 _Grid, _solve_masked, _SpectralPreconditioner)
+                                 _Grid, _line_solvable, _solve_masked,
+                                 _SpectralPreconditioner)
 from filmhom.profiles import oscillating_domain_mask
 
 
@@ -130,11 +133,36 @@ def reference_value(grid, mask, W, F, v):
     return grid.cell_volume * float(np.sum(W.cell_values(G) * mask))
 
 
-@pytest.mark.parametrize("kind,eps,cells", [
-    ("sin2-stripe", 0.25, (128, 8)),        # d = 1
-    ("sin2-product", 0.5, (16, 20, 6)),     # d = 2
+def slab_density(form, d):
+    """(W, its matrix A, offset F) of the slab cases: the Euclidean p = 2
+    norm power, or seeded SPD quadratic forms coupling every pair of
+    gradient entries, with m = 1 or m = 2 field components."""
+    if form in ("identity", "empty-column"):
+        return (EnergyDensity.p_norm_power(2.0, 1, d + 1), np.eye(d + 1),
+                np.array([[1.0, -0.5][:d] + [0.0]]))
+    m = 2 if form == "two-component" else 1
+    M = np.random.default_rng(7).normal(size=(m * (d + 1),) * 2)
+    A = M @ M.T + 0.5 * np.eye(m * (d + 1))
+    F = np.array([[1.0, 0.3], [-0.5, 0.2]][:m])
+    return EnergyDensity.quadratic_form(A, m, d + 1), A, F
+
+
+@pytest.mark.parametrize("kind,eps,cells,form", [
+    # d = 1: the exact line solve, one CG iteration
+    pytest.param("sin2-stripe", 0.25, (128, 8), "identity",
+                 id="sin2-stripe-0.25-cells0"),
+    pytest.param("sin2-stripe", 0.25, (128, 8), "anisotropic",
+                 id="sin2-stripe-anisotropic"),
+    pytest.param("sin2-stripe", 0.25, (128, 8), "two-component",
+                 id="sin2-stripe-two-component"),
+    # one empty cell column: the spectral preconditioner
+    pytest.param("sin2-stripe", 0.25, (128, 8), "empty-column",
+                 id="sin2-stripe-empty-column"),
+    # d = 2: the spectral preconditioner
+    pytest.param("sin2-product", 0.5, (16, 20, 6), "identity",
+                 id="sin2-product-0.5-cells1"),
 ])
-def test_slab_solve_matches_sparse_reference(kind, eps, cells):
+def test_slab_solve_matches_sparse_reference(kind, eps, cells, form):
     # lateral Dirichlet, free top and bottom, oscillating mask; every axis
     # has its own spacing
     d = len(cells) - 1
@@ -142,15 +170,19 @@ def test_slab_solve_matches_sparse_reference(kind, eps, cells):
     dm = oscillating_domain_mask(profile, eps, eps * eps, cells)
     grid = _Grid(cells=cells, spacings=dm.spacings, periodic=(False,) * (d + 1))
     assert len(set(grid.spacings)) == d + 1
-    mask = np.asarray(dm.occupancy)
-    W = EnergyDensity.p_norm_power(2.0, 1, d + 1)
-    F = np.array([[1.0, -0.5][:d] + [0.0]])
+    mask = np.array(dm.occupancy)
+    if form == "empty-column":
+        mask[cells[0] // 2] = False
+    W, A, F = slab_density(form, d)
     dirichlet = tuple(range(d))
-    ref = sparse_reference(grid, mask, np.eye(d + 1), F, dirichlet)
+    exact = _line_solvable(grid, mask, dirichlet)
+    assert exact == (d == 1 and form != "empty-column")
+    ref = sparse_reference(grid, mask, A, F, dirichlet)
     ref_value = reference_value(grid, mask, W, F, ref)
 
     value, _, report = _solve_masked(grid, mask, W, F, None, dirichlet_axes=dirichlet)
     assert report.converged and report.method == "cg"
+    assert (report.iterations == 1) == exact
     assert value == pytest.approx(ref_value, rel=1e-10)
 
     opts = SolverOptions(cg_rtol=1e-12)
@@ -161,6 +193,25 @@ def test_slab_solve_matches_sparse_reference(kind, eps, cells):
     active = _active_node_mask(grid, mask) & ~_frozen_ends(grid, dirichlet)
     assert (~active[1:-1]).any()
     assert np.all(v[:, ~active] == 0.0)
+
+
+def test_line_solvable_needs_connected_column_runs():
+    grid = _Grid(cells=(6, 5), spacings=(0.5, 0.25), periodic=(False, False))
+    mask = np.zeros((6, 5), bool)
+    mask[:, 1:4] = True
+    assert _line_solvable(grid, mask, (0,))
+    assert not _line_solvable(grid, mask, (0, 1))
+    assert not _line_solvable(grid, mask, ())
+    # a cell (i, k) and the cell (i + 1, k - 1) share the node (i + 1, k);
+    # the cells (i, k - 1) and (i + 1, k) share none
+    steps = np.zeros((6, 5), bool)
+    steps[:3, 3] = steps[3:, 2] = True
+    assert _line_solvable(grid, steps, (0,))
+    assert not _line_solvable(grid, steps[:, ::-1], (0,))
+    # two runs in one column: the upper one could float
+    split = mask.copy()
+    split[2] = [True, False, True, True, False]
+    assert not _line_solvable(grid, split, (0,))
 
 
 @pytest.mark.parametrize("quadratic", [False, True])
@@ -196,11 +247,41 @@ def test_periodic_islands_match_sparse_reference(quadratic, product2):
 
 
 def test_gamma_slab_iteration_bound(stripe1, W2):
-    # the eps = 0.125 slab of the gamma schedule: 1095 plain CG iterations
+    # the eps = 0.125 slab of the gamma schedule: 1095 plain CG iterations,
+    # 91 with the spectral preconditioner, 1 with the exact line solve
     _, report = direct_min(stripe1, 0.125, 0.125 ** 2, [[1.0]], W2,
                            cells_per_delta=8, vertical_cells=32)
     assert report.converged
-    assert report.iterations <= 150
+    assert report.iterations == 1
+
+
+def test_line_solve_memory_stays_flat(stripe1, W2):
+    # the eps = 0.125 slab: 511 interior lines of 33 nodes.  Keeping every
+    # 33 x 33 line block would take 511 * 33**2 * 8 B = 4.45 MB on its own;
+    # with checkpoints the whole solve peaks at about 2.3 MB (2.2 MB with
+    # the spectral preconditioner)
+    direct_min(stripe1, 0.25, 0.0625, [[1.0]], W2)         # warm caches
+    tracemalloc.start()
+    try:
+        _, report = direct_min(stripe1, 0.125, 0.125 ** 2, [[1.0]], W2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.iterations == 1
+    assert peak < 3.5e6
+
+
+def test_newton_slab_keeps_spectral_preconditioner(stripe1):
+    # p = 3: the vertical column of F is 0, so the tangent a = p |G_z|^(p-2)
+    # vanishes on it at the start, and line blocks of that tangent are
+    # singular; Newton's inner CG keeps the spectral preconditioner
+    W = EnergyDensity.p_norm_power(3.0, 1, 2)
+    value, report = direct_min(stripe1, 0.25, 0.0625, [[1.0]], W)
+    assert report.converged and report.method == "newton"
+    # the lateral data alone, v = 0, costs more
+    dm = oscillating_domain_mask(stripe1, 0.25, 0.0625, (128, 32))
+    affine = W.evaluate([[1.0, 0.0]]) * dm.fraction * 2 * 0.25
+    assert 0.0 < value < affine
 
 
 def test_island_iterations_do_not_grow_with_resolution(product2, W2):
