@@ -3,7 +3,7 @@ thin films with fast-oscillating profiles."""
 
 from .cell_solver import (CorrectorField, SolveReport, SolverOptions,
                           minimize_dirichlet, minimize_periodic)
-from .energy import DeformationGradient, EnergyDensity
+from .energy import EnergyDensity
 from .errors import (ConfigurationError, DimensionMismatchError, FilmhomError,
                      QuadratureError, ResolutionError,
                      StructuralInconsistencyError, UnsupportedFeatureError)
@@ -21,9 +21,9 @@ from .profiles import (CellMask, DomainMask, Profile, TorusComponents,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CellMask", "ConfigurationError", "CorrectorField", "DeformationGradient",
-    "DimensionMismatchError", "DomainMask", "EnergyDensity", "FilmDensityTable",
-    "FilmTableEntry", "FilmhomError", "GammaCheckReport", "HomogenizedSample",
+    "CellMask", "ConfigurationError", "CorrectorField", "DimensionMismatchError",
+    "DomainMask", "EnergyDensity", "FilmDensityTable", "FilmTableEntry",
+    "FilmhomError", "GammaCheckReport", "HomogenizedSample",
     "IntervalInfo", "MembraneResult", "BoundsReport", "Profile",
     "QuadratureError", "QuadratureOptions", "ResolutionError", "SolveReport",
     "SolverOptions", "StructuralInconsistencyError",

@@ -691,17 +691,20 @@ def _grad_tol(opts, F, W):
 def _preconditioned_cg(apply_K, make_precond, b, x0, rtol, maxiter):
     """Preconditioned CG on K x = b.  ``make_precond()`` returns M, and
     ``M(r, out)`` writes z = M r; M is built only when x0 fails the test.
-    ``x0=None`` starts from zero without an apply.
+    ``x0=None`` starts from zero without an apply, and so does an x0 whose
+    residual exceeds ||b||: from such a start the relative test can be out
+    of reach (a tiny b), and CG runs on until it diverges.
 
     The stopping test is on the true residual: ||r|| <= rtol ||b||."""
-    if x0 is None:
-        x, r = np.zeros_like(b), b.copy()
-    else:
+    bb = _dot(b, b)
+    if x0 is not None:
         x = x0.copy()
         r = b - apply_K(x)
-    bnorm = math.sqrt(_dot(b, b))
+        rr = _dot(r, r)
+    if x0 is None or rr > bb:
+        x, r, rr = np.zeros_like(b), b.copy(), bb
+    bnorm = math.sqrt(bb)
     denom = bnorm if bnorm > 0 else 1.0
-    rr = _dot(r, r)
     if math.sqrt(rr) <= rtol * denom:
         return x, 0, math.sqrt(rr) / denom, True
     precond = make_precond()

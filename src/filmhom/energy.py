@@ -1,11 +1,12 @@
-"""Convex integrands with p-growth and the matrix split F = (in-plane | transverse).
+"""Convex integrands with p-growth on m x n matrices.
 
 Builtin densities:
 
 * ``p_norm_power``   W(F) = sum_j |F_j|^p over columns (Euclidean column norms)
 * ``frobenius_power``W(F) = |F|^p (Frobenius norm)
 * ``quadratic_form`` W(F) = <A vec(F), vec(F)> with A symmetric positive definite
-* ``custom``         black-box convex evaluator with optional gradient
+* ``custom``         black-box convex evaluator with optional gradient, both
+                     on stacks of matrices (see ``EnergyDensity.custom``)
 
 All carry growth constants gamma <= beta with
 gamma |F|^p <= W(F) <= beta (1 + |F|^p).
@@ -24,53 +25,17 @@ _SMOOTH_EPS = 1e-8
 # norm-power kinds W(G) = sum |G|^p, by the axes of the norm: per column, or
 # over the whole matrix (Frobenius)
 _NORM_AXES = {"p_norm_power": (0,), "frobenius_power": (0, 1)}
+_KINDS = (*_NORM_AXES, "quadratic_form", "custom")
 
 
 def as_matrix(F):
-    """Coerce a DeformationGradient / array-like into a float (m, n) array."""
-    if isinstance(F, DeformationGradient):
-        return F.entries
+    """Coerce an array-like into a float (m, n) array."""
     arr = np.asarray(F, dtype=float)
     if arr.ndim == 1:
         arr = arr[np.newaxis, :]
     if arr.ndim != 2:
         raise DimensionMismatchError(f"expected an m x n matrix; got shape {arr.shape}")
     return arr
-
-
-@dataclass(frozen=True)
-class DeformationGradient:
-    """An m x n matrix with accessors for the split into the first n-1 columns
-    and the last column."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = as_matrix(self.entries).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
-
-    @staticmethod
-    def from_split(bar, last_column):
-        bar = as_matrix(bar)
-        last = np.asarray(last_column, dtype=float).reshape(bar.shape[0], 1)
-        return DeformationGradient(np.hstack([bar, last]))
-
-    @property
-    def m(self):
-        return self.entries.shape[0]
-
-    @property
-    def n(self):
-        return self.entries.shape[1]
-
-    @property
-    def bar(self):
-        return self.entries[:, :-1]
-
-    @property
-    def last_column(self):
-        return self.entries[:, -1]
 
 
 def _pnorm_growth_constants(p, n):
@@ -94,6 +59,11 @@ class EnergyDensity:
     grad_fn: object = None
     convex: bool = True
     label: str = ""
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ConfigurationError(
+                f"unknown density kind {self.kind!r}; expected one of {_KINDS}")
 
     # -- constructors -----------------------------------------------------
 
@@ -134,10 +104,28 @@ class EnergyDensity:
 
     @staticmethod
     def custom(fn, p, m, n, gamma, beta, grad=None, convex=True, label="custom"):
+        """A black-box density on stacks of matrices: ``fn`` maps G of shape
+        (m, n, *cells) to the values W(G) of shape ``cells`` and ``grad``,
+        if given, to the stresses W'(G) of shape (m, n, *cells).  Both are
+        called once here on an (m, n, 2) probe stack, so that a per-matrix
+        callable, which would return one value for the whole stack, is
+        rejected by name."""
         if p <= 1:
             raise ConfigurationError(f"growth exponent must satisfy p > 1; got {p}")
         if not (0 < gamma <= beta):
             raise ConfigurationError(f"need 0 < gamma <= beta; got {gamma}, {beta}")
+        probe = np.linspace(-1.0, 1.0, 2 * m * n).reshape(m, n, 2)
+        for name, f, shape in (("fn", fn, (2,)), ("grad", grad, (m, n, 2))):
+            if f is None:
+                continue
+            try:
+                got = np.shape(f(probe))
+            except (TypeError, ValueError, IndexError) as exc:
+                got = f"an error ({exc})"
+            if got != shape:
+                raise ConfigurationError(
+                    f"custom density {name} must map an (m, n, K) stack to "
+                    f"shape {shape} at K = 2; got {got}")
         return EnergyDensity(kind="custom", p=float(p), m=m, n=n,
                              gamma=float(gamma), beta=float(beta),
                              fn=fn, grad_fn=grad, convex=convex, label=label)
@@ -165,26 +153,10 @@ class EnergyDensity:
         return float(self.cell_values(F[:, :, np.newaxis])[0])
 
     def gradient(self, F):
-        """Analytic gradient for builtin kinds, central differences for custom.
-
-        For p < 2 the column-norm gradient is not Lipschitz at zero columns;
-        a smoothed norm sqrt(|.|^2 + eps^2) with eps = 1e-8 is used there.
-        """
+        """The stress W'(F) of one matrix: cell_stress on a one-cell stack."""
         F = as_matrix(F)
         self.check_dims(*F.shape)
-        if self.kind == "custom" and self.grad_fn is None:
-            return self._fd_gradient(F)
         return self.cell_stress(F[:, :, np.newaxis])[:, :, 0]
-
-    def _fd_gradient(self, F):
-        h = 1e-6 * (1.0 + float(np.linalg.norm(F)))
-        g = np.empty_like(F)
-        for i in range(self.m):
-            for j in range(self.n):
-                Fp = F.copy(); Fp[i, j] += h
-                Fm = F.copy(); Fm[i, j] -= h
-                g[i, j] = (self.fn(Fp) - self.fn(Fm)) / (2.0 * h)
-        return g
 
     # -- vectorized per-cell evaluation (G has shape (m, n, *cells)) --------
 
@@ -197,15 +169,16 @@ class EnergyDensity:
             Gf = G.reshape(self.m * self.n, -1)
             vals = np.einsum("ik,ij,jk->k", Gf, self.quad_matrix, Gf)
             return vals.reshape(G.shape[2:])
-        if self.kind == "custom":
-            flat = G.reshape(self.m, self.n, -1)
-            out = np.empty(flat.shape[2])
-            for k in range(flat.shape[2]):
-                out[k] = self.fn(flat[:, :, k])
-            return out.reshape(G.shape[2:])
-        raise ConfigurationError(f"unknown density kind {self.kind!r}")
+        return self.fn(G)
 
     def cell_stress(self, G):
+        """Per-cell stresses W'(G), of G's shape.
+
+        For p < 2 the norm-power stress is not Lipschitz at zero norms; a
+        smoothed norm sqrt(|.|^2 + eps^2) with eps = 1e-8 is used there.  A
+        custom density without ``grad`` takes central differences over the
+        whole stack, entry by entry (2 m n calls of ``fn``), at the step
+        1e-6 (1 + |G|) per cell."""
         p = self.p
         if self.kind in _NORM_AXES:
             if p == 2.0:
@@ -220,17 +193,17 @@ class EnergyDensity:
             Gf = G.reshape(self.m * self.n, -1)
             out = 2.0 * (self.quad_matrix @ Gf)
             return out.reshape(G.shape)
-        if self.kind == "custom":
-            flat = G.reshape(self.m, self.n, -1)
-            out = np.empty_like(flat)
-            for k in range(flat.shape[2]):
-                Fk = flat[:, :, k]
-                if self.grad_fn is not None:
-                    out[:, :, k] = self.grad_fn(Fk)
-                else:
-                    out[:, :, k] = self._fd_gradient(Fk)
-            return out.reshape(G.shape)
-        raise ConfigurationError(f"unknown density kind {self.kind!r}")
+        if self.grad_fn is not None:
+            return self.grad_fn(G)
+        h = 1e-6 * (1.0 + np.sqrt(np.sum(G * G, axis=(0, 1))))
+        out = np.empty_like(G)
+        E = np.zeros_like(G)
+        for i in range(self.m):
+            for j in range(self.n):
+                E[i, j] = h
+                out[i, j] = (self.fn(G + E) - self.fn(G - E)) / (2.0 * h)
+                E[i, j] = 0.0
+        return out
 
     def cell_stress_derivative(self, G):
         """The tangent of cell_stress at G, as the linear map H -> DS(G)[H]
@@ -278,7 +251,8 @@ class EnergyDensity:
     # -- hypothesis checks ---------------------------------------------------
 
     def check_convexity(self, rng=None, samples=200, scale=2.0, tol=1e-10):
-        """Sampled midpoint-convexity check; raises for detected violations.
+        """Sampled midpoint-convexity check on one stack of ``samples``
+        chords (three calls of ``fn``); raises for detected violations.
 
         Builtin kinds are convex by construction and pass without sampling.
         """
@@ -289,15 +263,15 @@ class EnergyDensity:
                 f"density {self.label!r} is declared non-convex"
             )
         rng = rng or np.random.default_rng(0)
-        for _ in range(samples):
-            F = rng.uniform(-scale, scale, size=(self.m, self.n))
-            G = rng.uniform(-scale, scale, size=(self.m, self.n))
-            lam = rng.uniform(0.0, 1.0)
-            mid = self.fn(lam * F + (1 - lam) * G)
-            chord = lam * self.fn(F) + (1 - lam) * self.fn(G)
-            if mid > chord + tol:
-                raise ConfigurationError(
-                    f"density {self.label!r} failed sampled convexity: "
-                    f"W(mid)={mid} > chord={chord}"
-                )
+        F, G = rng.uniform(-scale, scale, size=(2, self.m, self.n, samples))
+        lam = rng.uniform(0.0, 1.0, size=samples)
+        mid = self.fn(lam * F + (1 - lam) * G)
+        chord = lam * self.fn(F) + (1 - lam) * self.fn(G)
+        bad = np.flatnonzero(mid > chord + tol)
+        if bad.size:
+            k = bad[0]
+            raise ConfigurationError(
+                f"density {self.label!r} failed sampled convexity: "
+                f"W(mid)={mid[k]} > chord={chord[k]}"
+            )
         return True

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from filmhom import (EnergyDensity, SolverOptions, minimize_dirichlet,
-                     minimize_periodic)
+from filmhom import (EnergyDensity, Profile, SolverOptions,
+                     minimize_dirichlet, minimize_periodic)
 from filmhom.cell_solver import (_active_node_mask, _cell_gradient,
                                  _cell_gradient_adjoint, _Grid,
                                  _stencil_components)
+from filmhom.profiles import superlevel_mask
 
 from conftest import stripe_mask
 
@@ -259,8 +260,8 @@ def test_dirichlet_empty_mask(W2):
 
 def test_nonconvex_custom_density_warns():
     # double-well in the first entry: allowed here, warned, local minimum only
-    def well(F):
-        return float((F[0, 0] ** 2 - 1.0) ** 2 + F[0, 1] ** 2)
+    def well(G):
+        return (G[0, 0] ** 2 - 1.0) ** 2 + G[0, 1] ** 2
 
     W = EnergyDensity.custom(well, p=4.0, m=1, n=2, gamma=1e-3, beta=10.0,
                              convex=False)
@@ -276,8 +277,8 @@ def test_nonconvex_custom_density_reaches_local_minimum():
     # steps along the preconditioned gradient.  The corrector takes the
     # first entry into a well bottom on the stripe, leaving the mean of
     # F[0, 1]^2 over the occupied half
-    def well(F):
-        return float((F[0, 0] ** 2 - 1.0) ** 2 + F[0, 1] ** 2)
+    def well(G):
+        return (G[0, 0] ** 2 - 1.0) ** 2 + G[0, 1] ** 2
 
     W = EnergyDensity.custom(well, p=4.0, m=1, n=2, gamma=1e-3, beta=10.0,
                              convex=False)
@@ -285,6 +286,23 @@ def test_nonconvex_custom_density_reaches_local_minimum():
         value, _, report = minimize_periodic(stripe_mask(8), W, [[0.3, 0.2]])
     assert report.method == "newton" and report.converged
     assert value == pytest.approx(0.02, abs=1e-9)
+
+
+def test_warm_start_worse_than_zero_restarts_cold():
+    # the solution at F = (0, 0, -1) as the start of the solve at
+    # F = (0, 0, -3.5e-17): the rhs is tiny, and CG chasing 1e-10 |rhs| from
+    # that start diverged (residual 2.3e17, value 2.65); CG now starts from
+    # zero when the start's residual exceeds |rhs|
+    M = np.random.default_rng(0).normal(size=(3, 3))
+    W = EnergyDensity.quadratic_form(M @ M.T + 0.5 * np.eye(3), 1, 3)
+    occ = superlevel_mask(Profile.builtin("checkerboard", dim=2), 0.4, 8).occupancy
+    _, corr, report = minimize_periodic(occ, W, [[0.0, 0.0, -1.0]],
+                                        want_corrector=False)
+    assert report.converged
+    value, _, report = minimize_periodic(occ, W, [[0.0, 0.0, -3.5e-17]],
+                                         v0=corr.values, want_corrector=False)
+    assert report.method == "cg" and report.converged
+    assert value == pytest.approx(0.0, abs=1e-30)
 
 
 def test_one_dimensional_periodic_solves():

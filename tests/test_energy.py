@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from filmhom import (ConfigurationError, DeformationGradient,
-                     DimensionMismatchError, EnergyDensity)
-
-
-def test_split_roundtrip(rng):
-    F = DeformationGradient(rng.standard_normal((2, 3)))
-    rebuilt = DeformationGradient.from_split(F.bar, F.last_column)
-    assert np.array_equal(rebuilt.entries, F.entries)
+from filmhom import ConfigurationError, DimensionMismatchError, EnergyDensity
 
 
 def test_evaluate_p_norm_examples():
@@ -51,11 +44,63 @@ def test_gradient_matches_directional_derivative(rng):
 
 
 def test_custom_density_fd_gradient(rng):
-    W = EnergyDensity.custom(lambda F: float(np.sum(F * F) + np.sum(np.abs(F) ** 4)),
-                             p=4.0, m=1, n=2, gamma=1.0, beta=2.0)
+    W = EnergyDensity.custom(
+        lambda G: np.sum(G * G, axis=(0, 1)) + np.sum(np.abs(G) ** 4, axis=(0, 1)),
+        p=4.0, m=1, n=2, gamma=1.0, beta=2.0)
     F = np.array([[0.7, -1.2]])
     expected = 2 * F + 4 * np.abs(F) ** 3 * np.sign(F)
     assert np.allclose(W.gradient(F), expected, rtol=1e-5, atol=1e-5)
+
+
+def _counted(f, calls):
+    def counted(G):
+        calls.append(G.shape)
+        return f(G)
+    return counted
+
+
+def _cube_norm(G):
+    return np.sum(G * G, axis=(0, 1)) ** 1.5
+
+
+def _cube_norm_grad(G):
+    return 3.0 * np.sqrt(np.sum(G * G, axis=(0, 1))) * G
+
+
+def test_custom_stress_is_one_pass_over_the_stack(rng):
+    # without grad: one central difference per matrix entry over the whole
+    # stack, 2 m n calls of fn; with grad: one call
+    G = rng.uniform(-1, 1, size=(2, 3, 64, 64))
+    fn_calls, grad_calls = [], []
+    W = EnergyDensity.custom(_counted(_cube_norm, fn_calls), p=3.0, m=2, n=3,
+                             gamma=0.1, beta=10.0)
+    fn_calls.clear()
+    S = W.cell_stress(G)
+    assert fn_calls == [G.shape] * (2 * 2 * 3)
+    assert np.allclose(S, _cube_norm_grad(G), rtol=1e-6, atol=1e-8)
+    Wg = EnergyDensity.custom(_cube_norm, p=3.0, m=2, n=3, gamma=0.1, beta=10.0,
+                              grad=_counted(_cube_norm_grad, grad_calls))
+    grad_calls.clear()
+    assert np.array_equal(Wg.cell_stress(G), _cube_norm_grad(G))
+    assert grad_calls == [G.shape]
+
+
+def test_custom_rejects_per_matrix_callables():
+    with pytest.raises(ConfigurationError, match="custom density fn"):
+        EnergyDensity.custom(lambda F: float(np.sum(F * F) ** 1.5), p=3.0,
+                             m=1, n=3, gamma=0.1, beta=10.0)
+    with pytest.raises(ConfigurationError, match="custom density grad"):
+        EnergyDensity.custom(_cube_norm, p=3.0, m=1, n=3, gamma=0.1, beta=10.0,
+                             grad=lambda G: _cube_norm_grad(G)[:, :, 0])
+    # a per-matrix callable that cannot take a stack at all
+    with pytest.raises(ConfigurationError, match="custom density fn"):
+        EnergyDensity.custom(lambda F: float((F[0, 0] ** 2 - 1.0) ** 2), p=4.0,
+                             m=1, n=2, gamma=1e-3, beta=10.0)
+
+
+def test_unknown_kind_rejected_at_construction():
+    with pytest.raises(ConfigurationError, match="unknown density kind"):
+        EnergyDensity(kind="ogden", p=2.0, m=1, n=2, gamma=1.0, beta=1.0)
 
 
 def test_p_homogeneity_exact(rng):
@@ -129,7 +174,7 @@ def test_p_must_exceed_one():
 
 
 def test_custom_convexity_check_catches_violation():
-    W = EnergyDensity.custom(lambda F: float(np.sqrt(np.abs(F).sum())),
+    W = EnergyDensity.custom(lambda G: np.sqrt(np.abs(G).sum(axis=(0, 1))),
                              p=2.0, m=1, n=2, gamma=0.1, beta=10.0)
     with pytest.raises(ConfigurationError):
         W.check_convexity()

@@ -206,7 +206,7 @@ def test_whom_descent_converges_near_tolerance(checker2, kind, t, F, n):
 
 
 def test_whom_rejects_nonconvex():
-    bad = EnergyDensity.custom(lambda F: float(np.sqrt(np.abs(F).sum())),
+    bad = EnergyDensity.custom(lambda G: np.sqrt(np.abs(G).sum(axis=(0, 1))),
                                p=2.0, m=1, n=3, gamma=0.1, beta=10.0)
     prof = Profile.builtin("sin2-stripe", dim=2)
     with pytest.raises(ConfigurationError):

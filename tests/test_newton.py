@@ -104,16 +104,20 @@ def test_stress_derivative_symmetric(rng, kind, p, m):
     assert np.allclose(lhs, rhs, rtol=1e-13, atol=1e-14)
 
 
+def _cube_norm_grad(G):
+    return 3.0 * np.sqrt(np.sum(G * G, axis=(0, 1))) * G
+
+
 def _custom_cube_norm(grad):
     """W(F) = |F|^3 as a custom density, with or without its gradient."""
-    return EnergyDensity.custom(lambda F: float(np.sum(F * F) ** 1.5), p=3.0,
-                                m=1, n=3, gamma=0.1, beta=10.0, grad=grad)
+    return EnergyDensity.custom(lambda G: np.sum(G * G, axis=(0, 1)) ** 1.5,
+                                p=3.0, m=1, n=3, gamma=0.1, beta=10.0, grad=grad)
 
 
 @pytest.mark.parametrize("W", [
     EnergyDensity.quadratic_form(np.diag([1.0, 2.0, 3.0]), 1, 3),
     EnergyDensity.p_norm_power(2.0, 1, 3),
-    _custom_cube_norm(lambda F: 3.0 * math.sqrt(np.sum(F * F)) * F),
+    _custom_cube_norm(_cube_norm_grad),
     _custom_cube_norm(None),
 ], ids=["quadratic_form", "p_norm2", "custom_grad", "custom_fd"])
 def test_other_tangents_match_central_differences(rng, W):
@@ -147,6 +151,19 @@ def test_custom_density_newton_matches_builtin(checker2):
     assert a.report.method == b.report.method == "newton"
     assert a.report.converged and b.report.converged
     assert a.value == pytest.approx(b.value, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("grad", [None, _cube_norm_grad], ids=["fd", "grad"])
+def test_batched_custom_twin_matches_builtin(checker2, n, grad):
+    # the batched custom |F|^3 evaluates the builtin's arithmetic on the
+    # whole stack; its difference stress and tangent land on the same
+    # minimum to rounding
+    F = np.array([[1.0, 0.5, 0.2]])
+    a = w_hom(checker2, 0.5, F, _custom_cube_norm(grad), n)
+    b = w_hom(checker2, 0.5, F, EnergyDensity.frobenius_power(3.0, 1, 3), n)
+    assert a.report.converged and b.report.converged
+    assert a.value == pytest.approx(b.value, rel=1e-12)
 
 
 def _route_through_descent(patch, calls):
@@ -227,8 +244,8 @@ def test_newton_free_column_from_nonzero_start(monkeypatch, checker2, kind, m):
     (lambda: EnergyDensity.frobenius_power(4.0, 1, 2), "newton"),
     (lambda: EnergyDensity.p_norm_power(1.5, 1, 2), "newton"),
     (lambda: EnergyDensity.frobenius_power(1.5, 1, 2), "newton"),
-    (lambda: EnergyDensity.custom(lambda F: float(np.sum(F * F) ** 1.5), p=3.0,
-                                  m=1, n=2, gamma=0.1, beta=10.0), "newton"),
+    (lambda: EnergyDensity.custom(lambda G: np.sum(G * G, axis=(0, 1)) ** 1.5,
+                                  p=3.0, m=1, n=2, gamma=0.1, beta=10.0), "newton"),
     (lambda: EnergyDensity.p_norm_power(2.0, 1, 2), "cg"),
 ], ids=["p_norm3", "frobenius4", "p_norm1.5", "frobenius1.5", "custom3", "p_norm2"])
 def test_method_follows_density(make, method):
