@@ -15,12 +15,12 @@ preconditioner inverts the unmasked box Laplacian axis by axis with numpy.fft
 keeps only active free nodes.  On a 2-d slab, frozen at both ends of axis 0
 and with one connected run of occupied cells per cell column (the n = 2
 slabs of direct_min), the preconditioner is instead the exact inverse of
-the operator, by block elimination over the node lines, and CG takes one
-iteration.  CG stops on the true residual, ||r|| <= cg_rtol ||b||
-(docs/solvers.md).  Every other density uses
-inexact Newton: each step runs the same preconditioned CG on the tangent
-operator vol * D^T (mask * DS(G) D), to an Eisenstat-Walker tolerance, and
-a line search that reads gradients only; it stops on
+the operator, by block cyclic reduction over the node lines that forms and
+factors each distinct block once, and CG takes one iteration.  CG stops on
+the true residual, ||r|| <= cg_rtol ||b|| (docs/solvers.md).  Every other
+density uses inexact Newton: each step runs the same preconditioned CG on
+the tangent operator vol * D^T (mask * DS(G) D), to an Eisenstat-Walker
+tolerance, and a line search that reads gradients only; it stops on
 ||gradient|| <= grad_tol (1 + |F|^(p-1)).  The tangent DS is the quadratic
 stress itself, the analytic (for p < 2 smoothed) tangent of the norm
 powers, or a directional difference of a custom density's stress, and CG
@@ -359,6 +359,16 @@ class _SpectralPreconditioner:
 
 # -- exact line solve ----------------------------------------------------------------
 
+def _column_runs(mask):
+    """Per cell column along axis 0 of a 2-d mask: the number of runs of
+    occupied cells along axis 1, and the first occupied cell and one past
+    the last, [lo, hi), which bound the run of a one-run column."""
+    runs = mask[:, 0] + np.count_nonzero(mask[:, 1:] & ~mask[:, :-1], axis=1)
+    lo = np.argmax(mask, axis=1)
+    hi = mask.shape[1] - np.argmax(mask[:, ::-1], axis=1)
+    return runs, lo, hi
+
+
 def _line_solvable(grid, mask, dirichlet_axes):
     """Whether _LineSolver applies: a 2-d grid with both end layers of axis 0
     frozen and axis 1 free, on which each cell column holds one run of
@@ -367,13 +377,40 @@ def _line_solvable(grid, mask, dirichlet_axes):
     the operator is positive definite on the active free nodes."""
     if grid.dim != 2 or any(grid.periodic) or tuple(dirichlet_axes) != (0,):
         return False
-    runs = mask[:, 0] + np.count_nonzero(mask[:, 1:] & ~mask[:, :-1], axis=1)
+    runs, lo, hi = _column_runs(mask)
     if np.any(runs != 1):
         return False
-    lo = np.argmax(mask, axis=1)
-    hi = mask.shape[1] - np.argmax(mask[:, ::-1], axis=1)      # runs [lo, hi)
     # cells (i, k) and (i + 1, k') share a node iff k' is k or k - 1
     return bool(np.all((lo[:-1] <= hi[1:]) & (lo[1:] < hi[:-1])))
+
+
+def _distinct(*keys):
+    """Ids of the distinct rows of the integer key columns (entries >= -1),
+    numbered in sorted key order, and the first position of each id.  The
+    rows are packed into one integer each, in mixed radix."""
+    code = np.zeros(len(keys[0]), dtype=np.int64)
+    for key in keys:
+        code = code * (int(key.max(initial=0)) + 2) + (key + 1)
+    _, first, ids = np.unique(code, return_index=True, return_inverse=True)
+    return ids.reshape(-1), first
+
+
+def _groups(table, ids, src, dst):
+    """(table[r], src[p], dst[p]) per id r, p the positions whose id is r."""
+    order = np.argsort(ids, kind="stable")
+    cuts = np.cumsum(np.bincount(ids, minlength=len(table)))[:-1]
+    return [(M, src[part], dst[part])
+            for M, part in zip(table, np.split(order, cuts))]
+
+
+def _refined_solve(A, inv, rhs):
+    """A^-1 rhs for stacks of blocks, from the explicit inverse and one step
+    of iterative refinement, which brings it to the accuracy of a LAPACK
+    solve (the product alone left a 4 times larger error in the solution of
+    the eps = 0.125 gamma slab) without factoring A again."""
+    X = inv @ rhs
+    X += inv @ (rhs - A @ X)
+    return X
 
 
 class _LineSolver:
@@ -384,18 +421,21 @@ class _LineSolver:
     order (line i, component j, node k along axis 1) K is block tridiagonal,
     its blocks m times the nodes of a line wide: line blocks A_i,
     tridiagonal in k, and couplings B_i from line i to i + 1, bidiagonal in
-    k, per pair of components.  Both are assembled as bands from the
-    tangent and the masked cell volumes.  The two frozen lines are not
-    unknowns, so they are left out, columns included; a node touching no
-    occupied cell gets an identity row.
+    k, per pair of components.  Both are assembled from the tangent and the
+    masked cell volumes.  The two frozen lines are not unknowns, so they are
+    left out, columns included; a node touching no occupied cell gets an
+    identity row.
 
-    Block elimination (block Thomas) runs forward,
-    S_0 = A_0, S_(i+1) = A_(i+1) - B_i^T S_i^-1 B_i, y_(i+1) = r_(i+1) -
-    B_i^T S_i^-1 y_i, and back, x_i = S_i^-1 (y_i - B_i x_(i+1)).  Only every
-    c-th Schur complement is kept, c about sqrt(lines), and the back sweep
-    recomputes the others one segment at a time by the same operations, so
-    about 2 sqrt(lines) blocks are held instead of one per line, for twice
-    the elimination work.  See docs/solvers.md.
+    Block cyclic reduction eliminates the even lines of a level and keeps
+    the odd ones, whose blocks form the next level:
+    A'_k = A_k - B_(k-1)^T U_(k-1) - B_k V_(k+1) and B'_k = -B_k U_(k+1),
+    with U_e = A_e^-1 B_e and V_e = A_e^-1 B_(e-1)^T.  Each block is built
+    only from its neighbours, so it is keyed by what it is built from: a
+    line block by the runs of its two cell columns, a coupling by its one
+    column, a reduced block by the ids of its parts.  Equal keys give
+    bit-identical blocks, and only the distinct ones are formed and
+    inverted.  The right-hand-side sweeps then take one matmul per distinct
+    A_e^-1, U_e and V_e of each level.  See docs/solvers.md.
     """
 
     def __init__(self, grid, mask, vol_mask, tangent):
@@ -410,83 +450,96 @@ class _LineSolver:
 
         def element(p, q, columns):
             # [i, j, l, k]: the entry (p, q) of the element matrices of the
-            # cells (i, k), i in columns, between components j and l
+            # cells (c, k), c = columns[i], between components j and l
             e = np.einsum("a,lbja,b->jl", d[:, p], tangent, d[:, q])
             return e[:, :, np.newaxis] * vol_mask[columns, np.newaxis, np.newaxis, :]
 
-        # the interior lines 1..nx-1: the cells (i, k) left of line i reach
-        # it at p = 2, the cells (i, k) right of it at p = 0 and 1
-        inner = slice(1, nx)
-        diag = np.zeros((nx - 1, m, m, nz + 1))
-        diag[..., :-1] += element(0, 0, inner)
-        diag[..., 1:] += element(1, 1, inner)
-        diag[..., :-1] += element(2, 2, slice(0, nx - 1))
-        self.active = _active_node_mask(grid, mask)[inner]
+        def dense(bands):
+            # (blocks, m (nz + 1), m (nz + 1)) from (row, column, band)
+            # triples, band of shape (blocks, m, m, k): the entry
+            # [r, (j, k + row), (l, k + column)] is band[r, j, l, k]
+            out = np.zeros((len(bands[0][-1]), m, nz + 1, m, nz + 1))
+            for row, col, band in bands:
+                k = np.arange(band.shape[-1])
+                out[:, :, k + row, :, k + col] = np.moveaxis(band, -1, 0)
+            return out.reshape(-1, m * (nz + 1), m * (nz + 1))
+
+        # the interior line i is node line i + 1, between the cell columns
+        # i and i + 1, and couples to line i + 1 through column i + 1.  A
+        # one-run column is its run, so the runs key the level-0 blocks
+        self.active = _active_node_mask(grid, mask)[1:nx]
+        _, lo, hi = _column_runs(mask)
+        column, _ = _distinct(lo, hi)
+        a_ids, first = _distinct(column[:-1], column[1:])
+        # the cells right of line i reach it at p = 0 and 1, those left of
+        # it at p = 2
+        diag = np.zeros((len(first), m, m, nz + 1))
+        diag[..., :-1] += element(0, 0, first + 1)
+        diag[..., 1:] += element(1, 1, first + 1)
+        diag[..., :-1] += element(2, 2, first)
         for j in range(m):
-            diag[:, j, j][~self.active] = 1.0
-        self.bands = (diag, element(0, 1, inner))
-        self.couplings = (element(0, 2, slice(1, nx - 1)),
-                          element(1, 2, slice(1, nx - 1)))
+            diag[:, j, j][~self.active[first]] = 1.0
+        up = element(0, 1, first + 1)
+        A = dense([(0, 0, diag), (0, 1, up), (1, 0, up.swapaxes(1, 2))])
+        b_ids, first = _distinct(column[1:-1])
+        B = dense([(0, 0, element(0, 2, first + 1)),
+                   (1, 0, element(1, 2, first + 1))])
 
-        # flat positions of the bands in a dense block of row length n (A)
-        # or n + 1 (B with the right-hand side as its last column)
-        n = m * (nz + 1)
-        j, l, k = np.ix_(range(m), range(m), range(nz + 1))
-        row, col = j * (nz + 1) + k, l * (nz + 1) + k
-        self.a_pos = (row * n + col, (row * n + col + 1)[..., :-1],
-                      (col * n + row + n)[..., :-1])
-        self.b_pos = ((row * (n + 1) + col)[..., :-1],
-                      ((row + 1) * (n + 1) + col)[..., :-1])
-        self.line_shape, self.lines, self.n = (m, nz + 1), nx - 1, n
-
-    def _block(self, i):
-        """The dense line block A_i."""
-        A = np.zeros(self.n * self.n)
-        diag, up = self.bands
-        pos_diag, pos_up, pos_low = self.a_pos
-        A[pos_diag] = diag[i]
-        A[pos_up] = up[i]
-        A[pos_low] = up[i]
-        return A.reshape(self.n, self.n)
-
-    def _step(self, S, i, y):
-        """From S = S_i: X = S_i^-1 [B_i | y_i], S_(i+1), and B_i^T S_i^-1 y_i,
-        the update of y_(i+1)."""
-        BY = np.zeros(self.n * (self.n + 1))
-        for pos, band in zip(self.b_pos, self.couplings):
-            BY[pos] = band[i]
-        BY = BY.reshape(self.n, self.n + 1)
-        BY[:, -1] = y[i]
-        X = np.linalg.solve(S, BY)
-        BtX = BY[:, :-1].T @ X
-        S_next = self._block(i + 1)
-        S_next -= BtX[:, :-1]
-        return X, S_next, BtX[:, -1]
+        # per level: the groups (A_e^-1, e, e) of the eliminated lines e and
+        # (U_e, e, e + 1), (V_e, e, e - 1) of their neighbours, as absolute
+        # line numbers
+        self.levels, self.factorizations = [], 0
+        lines = np.arange(nx - 1)
+        while True:
+            even, odd = lines[0::2], lines[1::2]
+            kept = len(odd)
+            e_ids, first = _distinct(a_ids[0::2])
+            A_e = A[a_ids[0::2][first]]
+            inv = np.linalg.inv(A_e)
+            self.factorizations += len(inv)
+            u_ids, first = _distinct(e_ids[:kept], b_ids[0::2])
+            ids = e_ids[first]
+            U = _refined_solve(A_e[ids], inv[ids], B[b_ids[0::2][first]])
+            v_ids, first = _distinct(e_ids[1:], b_ids[1::2])
+            ids = e_ids[1:][first]
+            V = _refined_solve(A_e[ids], inv[ids],
+                               B[b_ids[1::2][first]].swapaxes(1, 2))
+            self.levels.append((_groups(inv, e_ids, even, even),
+                                _groups(U, u_ids, even[:kept], odd)
+                                + _groups(V, v_ids, even[1:], odd[:len(v_ids)])))
+            if not kept:
+                break
+            # the kept line j (position 2j + 1) is built from its block, the
+            # U of the line before it and the V of the line after it, if any
+            right = np.full(kept, -1)
+            right[:len(v_ids)] = v_ids
+            new_a, first = _distinct(a_ids[1::2], u_ids, right)
+            A_next = A[a_ids[1::2][first]]
+            A_next -= B[b_ids[0::2][first]].swapaxes(1, 2) @ U[u_ids[first]]
+            has = right[first] >= 0
+            A_next[has] -= B[b_ids[1::2][first[has]]] @ V[right[first[has]]]
+            new_b, first = _distinct(b_ids[1::2][:kept - 1], u_ids[1:])
+            B = -(B[b_ids[1::2][first]] @ U[u_ids[1:][first]])
+            lines, a_ids, b_ids, A = odd, new_a, new_b, A_next
+        self.line_shape = (m, nz + 1)
 
     def __call__(self, r, out):
         """out <- K^-1 r for r and out of shape (m, *nodes)."""
-        L, n = self.lines, self.n
+        L = len(self.active)
+        y = np.empty((L,) + self.line_shape)
+        y[...] = r[:, 1:-1].transpose(1, 0, 2)
+        y = y.reshape(L, -1)
+        # rows are lines: A^-1 r_e is r_e @ A^-T, U^T r_e is r_e @ U
+        for _, couplings in self.levels:
+            for M, e, k in couplings:
+                y[k] -= y[e] @ M
+        for inverses, couplings in reversed(self.levels):
+            for M, e, _ in inverses:
+                y[e] = y[e] @ M.T
+            for M, e, k in couplings:
+                y[e] -= y[k] @ M.T
         out[:, 0] = out[:, -1] = 0.0
-        y = r[:, 1:-1].transpose(1, 0, 2).copy().reshape(L, n)
-        c = math.isqrt(L - 1) + 1
-        checkpoints = []
-        S = self._block(0)
-        for i in range(L - 1):
-            if i % c == 0:
-                checkpoints.append(S)
-            _, S, update = self._step(S, i, y)
-            y[i + 1] -= update
-        x = np.empty((L, n))
-        x[-1] = np.linalg.solve(S, y[-1])
-        for start in range((L - 2) // c * c, -1, -c):
-            S, stored = checkpoints.pop(), []
-            for i in range(start, min(start + c, L - 1)):
-                X, S, _ = self._step(S, i, y)
-                stored.append(X)
-            for i in range(min(start + c, L - 1) - 1, start - 1, -1):
-                X = stored.pop()
-                np.subtract(X[:, -1], X[:, :-1] @ x[i + 1], out=x[i])
-        out[:, 1:-1] = x.reshape(L, *self.line_shape).transpose(1, 0, 2)
+        out[:, 1:-1] = y.reshape((L,) + self.line_shape).transpose(1, 0, 2)
         out[:, 1:-1] *= self.active
         return out
 
@@ -588,6 +641,7 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=(),
         notes.append("p<2 column norms smoothed with eps=1e-8")
 
     spectral = None         # built at the first preconditioner, kept for the solve
+    factorizations = None   # of the line solve's blocks, when it is built
     # a quadratic slab over node lines is solved exactly.  Newton keeps the
     # spectral preconditioner: its tangent vanishes where the gradient does
     # (p > 2), which leaves line blocks singular, and changes every step
@@ -615,10 +669,11 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=(),
             # cell (vol * s * P is the unmasked box operator of H_vv).  K_bb
             # is 0 where a p_norm_power column sits at its exact argmin 0.
             # On a line-solvable slab it is the inverse of H itself
-            nonlocal spectral
+            nonlocal spectral, factorizations
             if exact:
                 C = np.stack([DS(e) for e in units]).reshape(m, n, m, n)
                 lines = _LineSolver(grid, mask, vol_mask, C[:, :d, :, :d])
+                factorizations = lines.factorizations
 
                 def line_precond(r, out):
                     lines(split(r)[0], split(out)[0])
@@ -651,6 +706,8 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=(),
         x, iters, residual, ok = _preconditioned_cg(
             *tangent(Fcells), rhs, x0, opts.cg_rtol, maxiter)
         method = "cg"
+        if factorizations is not None:
+            notes.append(f"{factorizations} line block factorizations")
     else:
         x, iters, residual, ok, inner = _newton_pcg(
             gradient, lambda x: tangent(offset_gradient(x)), x0,

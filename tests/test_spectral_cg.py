@@ -1,6 +1,7 @@
 """The spectral preconditioner and the preconditioned CG of quadratic masked
 solves, checked against dense and scipy.sparse references."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -155,6 +156,10 @@ def slab_density(form, d):
                  id="sin2-stripe-anisotropic"),
     pytest.param("sin2-stripe", 0.25, (128, 8), "two-component",
                  id="sin2-stripe-two-component"),
+    # the direct_min slab at eps = 0.07: 1632 interior lines, 8.16 cells per
+    # period, so the period does not align with the grid (9 distinct columns)
+    pytest.param("sin2-stripe", 0.07, (1633, 32), "identity",
+                 id="sin2-stripe-0.07-nonaligned"),
     # one empty cell column: the spectral preconditioner
     pytest.param("sin2-stripe", 0.25, (128, 8), "empty-column",
                  id="sin2-stripe-empty-column"),
@@ -193,6 +198,41 @@ def test_slab_solve_matches_sparse_reference(kind, eps, cells, form):
     active = _active_node_mask(grid, mask) & ~_frozen_ends(grid, dirichlet)
     assert (~active[1:-1]).any()
     assert np.all(v[:, ~active] == 0.0)
+
+
+def one_run_columns(lines, nz, period, rng):
+    """A (lines + 1) x nz mask with one run of occupied cells per column.
+    Every run holds the middle cell, so neighbouring runs share nodes.  The
+    runs are drawn without repeats, one per column (period None) or one per
+    residue of the column index modulo ``period``."""
+    mid = nz // 2
+    runs = [(lo, hi) for lo in range(mid + 1) for hi in range(mid + 1, nz + 1)]
+    drawn = rng.choice(len(runs), size=period or lines + 1, replace=False)
+    mask = np.zeros((lines + 1, nz), bool)
+    for i in range(lines + 1):
+        lo, hi = runs[drawn[i % len(drawn)]]
+        mask[i, lo:hi] = True
+    return mask
+
+
+@pytest.mark.parametrize("lines", [1, 2, 3, 4, 15, 16, 17, 200])
+@pytest.mark.parametrize("form", ["anisotropic", "two-component"])
+@pytest.mark.parametrize("period", [None, 3], ids=["distinct", "period3"])
+def test_line_solve_matches_sparse_reference(lines, form, period):
+    # 2^k - 1, 2^k and 2^k + 1 interior lines give the reduction levels odd
+    # and even ends; seeded full SPD forms make the couplings bidiagonal and
+    # cross-component; with distinct columns no two blocks share a key
+    mask = one_run_columns(lines, 30, period, np.random.default_rng(lines))
+    grid = _Grid(cells=mask.shape, spacings=(0.7 / (lines + 1), 0.05),
+                 periodic=(False, False))
+    assert _line_solvable(grid, mask, (0,))
+    W, A, F = slab_density(form, 1)
+    ref = sparse_reference(grid, mask, A, F, (0,))
+    value, v, report = _solve_masked(grid, mask, W, F, None, dirichlet_axes=(0,))
+    assert report.converged and report.iterations == 1
+    assert value == pytest.approx(reference_value(grid, mask, W, F, ref), rel=1e-10)
+    assert np.linalg.norm(v - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert np.all(v[:, ~_active_node_mask(grid, mask)] == 0.0)
 
 
 def test_line_solvable_needs_connected_column_runs():
@@ -258,17 +298,36 @@ def test_gamma_slab_iteration_bound(stripe1, W2):
 def test_line_solve_memory_stays_flat(stripe1, W2):
     # the eps = 0.125 slab: 511 interior lines of 33 nodes.  Keeping every
     # 33 x 33 line block would take 511 * 33**2 * 8 B = 4.45 MB on its own;
-    # with checkpoints the whole solve peaks at about 2.3 MB (2.2 MB with
-    # the spectral preconditioner)
+    # the whole solve peaks at about 2.0 MB (2.2 MB with the spectral
+    # preconditioner, 2.3 MB with block elimination and checkpoints).  The
+    # eps = 0.0625 slab (2047 lines) sets the gamma run's peak RSS: it
+    # peaks at about 7.1 MB, against 8.72 MB with block elimination and
+    # checkpoints
     direct_min(stripe1, 0.25, 0.0625, [[1.0]], W2)         # warm caches
-    tracemalloc.start()
-    try:
-        _, report = direct_min(stripe1, 0.125, 0.125 ** 2, [[1.0]], W2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.iterations == 1
-    assert peak < 3.5e6
+    for eps, bound in [(0.125, 3.5e6), (0.0625, 8.7e6)]:
+        tracemalloc.start()
+        try:
+            _, report = direct_min(stripe1, eps, eps ** 2, [[1.0]], W2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.iterations == 1
+        assert peak < bound
+
+
+def test_line_solve_factors_each_distinct_block_once(stripe1, W2):
+    # cyclic reduction eliminates every interior line once, so factoring
+    # each line block would take 127, 511 and 2047 factorizations on the
+    # gamma slabs and 1632 at eps = 0.07; equal blocks are factored once,
+    # and the slabs need 11, 13, 15 and 51
+    counts = []
+    for eps in (0.25, 0.125, 0.0625, 0.07):
+        _, report = direct_min(stripe1, eps, eps ** 2, [[1.0]], W2)
+        assert report.iterations == 1
+        counts.append(int(re.search(r"(\d+) line block factorizations",
+                                    report.notes)[1]))
+    assert max(counts[:3]) <= 15
+    assert counts[3] <= 51
 
 
 def test_newton_slab_keeps_spectral_preconditioner(stripe1):
