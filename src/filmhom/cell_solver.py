@@ -263,12 +263,13 @@ class _SpectralPreconditioner:
 
     L_a / h_a^2 is the second difference along axis a on the whole box, mask
     ignored, so the operator is diagonalized axis by axis: the FFT on periodic
-    axes, DST-I on the interior nodes of an axis whose end layers are frozen,
-    DCT-II on a free non-periodic axis.  A zero symbol (a mean mode) maps to
-    zero.  S keeps the active free nodes, so nodes touching no occupied cell
-    and frozen nodes stay at zero.  One real and one complex buffer of about
-    the field's size serve every axis for the whole solve.  See
-    docs/solvers.md.
+    axes (the butterfly on a last periodic axis of length 2, which keeps the
+    spectrum as two contiguous planes), DST-I on the interior nodes of an
+    axis whose end layers are frozen, DCT-II on a free non-periodic axis.  A
+    zero symbol (a mean mode) maps to zero.  S keeps the active free nodes,
+    so nodes touching no occupied cell and frozen nodes stay at zero.  One
+    real and one complex buffer of about the field's size serve every axis
+    for the whole solve.  See docs/solvers.md.
     """
 
     def __init__(self, grid, mask, dirichlet_axes):
@@ -324,18 +325,43 @@ class _SpectralPreconditioner:
                     for a, forward, inverse, rs, cs, factors in plans]
         self.spectrum = view(spec, tuple(spectral)) if self.periodic else None
         self.last_length = shape[self.periodic[-1]] if self.periodic else 0
+        self.fft_axes = self.periodic[:-1]
+        if self.last_length == 2:
+            # the spectrum holds the two planes of the last periodic axis one
+            # after the other, so the other axes transform contiguous planes
+            last = self.periodic[-1]
+            self.spectrum = view(spec, (2,) + shape[:last] + shape[last + 1:])
+            self.weights = np.ascontiguousarray(np.moveaxis(self.weights, last, 0))
+            self.fft_axes = tuple(a + 1 for a in self.fft_axes)
+            self.planes = tuple(_along(last, i) + (...,) for i in (0, 1))
 
     def _periodic_solve(self, src, dst):
-        """dst <- inverse FFT of (weights * FFT(src)) over the periodic axes."""
-        *rest, last = self.periodic
+        """dst <- inverse FFT of (weights * FFT(src)) over the periodic axes.
+
+        On a last periodic axis of length 2 the real FFT is the butterfly
+        (a + b, a - b) and its inverse ((A + B) * 0.5, (A - B) * 0.5), the
+        values that pocketfft computes, bit for bit (docs/solvers.md)."""
         spec = self.spectrum
-        np.fft.rfft(src, axis=last, out=spec)
-        for a in rest:
+        if self.last_length == 2:
+            a, b = (src[plane] for plane in self.planes)
+            np.add(a, b, out=spec.real[0, ...])
+            np.subtract(a, b, out=spec.real[1, ...])
+            spec.imag[...] = 0.0
+        else:
+            np.fft.rfft(src, axis=self.periodic[-1], out=spec)
+        for a in self.fft_axes:
             np.fft.fft(spec, axis=a, out=spec)
         spec *= self.weights
-        for a in rest:
+        for a in self.fft_axes:
             np.fft.ifft(spec, axis=a, out=spec)
-        np.fft.irfft(spec, n=self.last_length, axis=last, out=dst)
+        if self.last_length == 2:
+            sums, diffs = (dst[plane] for plane in self.planes)
+            np.add(spec.real[0, ...], spec.real[1, ...], out=sums)
+            np.subtract(spec.real[0, ...], spec.real[1, ...], out=diffs)
+            sums *= 0.5
+            diffs *= 0.5
+        else:
+            np.fft.irfft(spec, n=self.last_length, axis=self.periodic[-1], out=dst)
 
     def __call__(self, r, out):
         """out <- S P^+ r for every component of r (shape (m, *nodes))."""
@@ -861,8 +887,9 @@ def _stencil_components(grid, mask):
     Returns the flat indices of the active nodes and, for each, the
     smallest node index of its component."""
     base, forward = _stencil_nodes(grid, mask)
-    roots, _ = torus_union_find(grid.num_nodes, (
-        (base, nodes, np.zeros_like(base)) for nodes in forward))
+    roots, _ = torus_union_find(grid.num_nodes, np.tile(base, len(forward)),
+                                np.concatenate(forward),
+                                np.zeros(base.size * len(forward), dtype=np.int64))
     active = np.unique(np.concatenate([base] + forward))
     return active, roots[active]
 

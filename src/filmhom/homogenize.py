@@ -276,10 +276,11 @@ def thresholds(profile, n_grid, *, m=1, p=2.0, opts=None, confirm=True,
     """Locate the levels where the wrap rank of the superlevel set drops.
 
     t_k is the level from which the rank is at most dim - k: an exact cell
-    value, read off one union-find sweep (``wrap_rank_levels``).  A rank the
-    full set {f > 0} never exceeds gives t_k = 0.  Kernel bases are computed
-    at the midpoints of the intervals between thresholds; levels closer than
-    1/N, the level resolution of the grid, bound no interval of their own.
+    value, found by bisection over the edge levels (``wrap_rank_levels``).
+    A rank the full set {f > 0} never exceeds gives t_k = 0.  Kernel bases
+    are computed at the midpoints of the intervals between thresholds;
+    levels closer than 1/N, the level resolution of the grid, bound no
+    interval of their own.
     """
     d = profile.dim
     rises = wrap_rank_levels(profile, n_grid)

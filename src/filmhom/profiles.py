@@ -6,6 +6,12 @@ masks {f > |t|}, their connectivity on the periodic torus (including the
 lattice of wrap translations, which governs which in-plane directions stay
 coercive after homogenization), and occupancy masks of slab domains bounded
 by the oscillating surfaces +/- eps*f(x/delta).
+
+Connectivity is one union-find with lift offsets over the runs of occupied
+cells along the last axis, so its Python work grows with the number of runs
+rather than of cells; the thresholds of the wrap rank are found by bisection
+over the levels of the face edges, each probe one such labelling
+(docs/kernel_geometry.md).
 """
 
 from __future__ import annotations
@@ -216,11 +222,6 @@ def superlevel_mask(profile, t, n):
 
 # -- torus connectivity and wrap lattice -------------------------------------
 
-# edges reach the union-find in batches, so only one batch at a time is
-# held as Python ints
-_EDGE_BATCH = 4096
-
-
 @dataclass(frozen=True)
 class TorusComponents:
     """Connected components of an occupied cell set under face adjacency on
@@ -240,23 +241,22 @@ class TorusComponents:
 
 
 def torus_components(mask):
+    """Label the components of a cell mask on the periodic torus and find
+    their wrap lattice.
+
+    The union-find runs over the runs of occupied cells along the last axis,
+    not over single cells (``_run_graph``), so its Python work grows with
+    the number of runs; docs/kernel_geometry.md shows that this gives the
+    components and windings of the cell graph."""
     occ = mask.occupancy if isinstance(mask, CellMask) else np.asarray(mask, dtype=bool)
-    d = occ.ndim
-    base = _wrap_base(occ.size)
-
-    def edges():
-        for a in range(d):
-            ids = np.flatnonzero(occ & np.roll(occ, -1, axis=a)) + a * occ.size
-            for i in range(0, ids.size, _EDGE_BATCH):
-                yield _face_edges(occ.shape, base, ids[i:i + _EDGE_BATCH])
-
-    roots, cycles = torus_union_find(occ.size, edges())
-    # a root is the first cell of its component in C order: number the roots
-    heads = occ.ravel() & (roots == np.arange(occ.size))
+    ids, roots, wraps = _run_components(occ)
+    # a root is the run of its component that starts first in C order
+    heads = roots == np.arange(roots.size)
     number = np.cumsum(heads) - 1
-    labels = np.where(occ, number[roots].reshape(occ.shape), -1)
+    labels = np.full(occ.shape, -1, dtype=np.int64)
+    labels[occ] = number[roots][ids[occ.ravel()]]
     labels.flags.writeable = False
-    basis = _lattice_basis({_unpack_wrap(z, base, d) for _, z in cycles}, d)
+    basis = _lattice_basis(wraps, occ.ndim)
     return TorusComponents(labels=labels, num_components=int(heads.sum()),
                            wrap_lattice=tuple(basis), rank=len(basis))
 
@@ -266,33 +266,93 @@ def wrap_rank_levels(profile, n):
     down: entry r is the level L with rank > r below L and rank <= r from L
     on.  Ranks that {f > 0} never exceeds have no entry.
 
-    One union-find pass over the face edges, in decreasing level
-    min(f(c), f(c')) > 0: an edge lies in {f > t} iff t is below its level,
-    so the rank rises exactly at the edges whose windings leave the span of
-    the windings before them (docs/kernel_geometry.md).
+    The face edge (c, c') lies in {f > t} iff t is below its level
+    min(f(c), f(c')), so the rank changes only at edge levels, and below
+    the edge level L the graph is that of {f >= L}.  The rank of {f >= L}
+    does not rise with L, so entry r is the largest positive edge level
+    whose rank exceeds r, found by bisection over the sorted distinct edge
+    levels (docs/kernel_geometry.md).
     """
     if n < 2:
         raise ConfigurationError(f"mask resolution must be >= 2; got {n}")
     values = profile.eval_grid(n)
-    d = values.ndim
-    base = _wrap_base(values.size)
     level = np.concatenate([np.minimum(values, np.roll(values, -1, axis=a))
-                            for a in range(d)], axis=None)
-    # decreasing level; the order within a tie does not change the rank after it
-    order = np.argsort(level)[::-1][:np.count_nonzero(level > 0)]
-    _, cycles = torus_union_find(values.size, (
-        _face_edges(values.shape, base, order[i:i + _EDGE_BATCH])
-        for i in range(0, order.size, _EDGE_BATCH)))
-    rises, span, seen = [], [], set()
-    for pos, z in cycles:
-        if z in seen:
-            continue
-        seen.add(z)
-        wrap = _unpack_wrap(z, base, d)
-        if len(_lattice_basis(span + [wrap], d)) > len(span):
-            span.append(wrap)
-            rises.append(float(level[order[pos]]))
+                            for a in range(values.ndim)], axis=None)
+    level = np.sort(level[level > 0])
+    # distinct levels by sort-and-diff (plain np.unique imports numpy.ma)
+    levels = level[np.flatnonzero(np.diff(level, prepend=-1.0))]
+    ranks = {}      # index into levels -> rank of {f >= levels[index]}
+
+    def rank(i):
+        if i not in ranks:
+            ranks[i] = len(_lattice_basis(_run_components(values >= levels[i])[2],
+                                          values.ndim))
+        return ranks[i]
+
+    rises = []
+    while levels.size and rank(0) > len(rises):
+        r = len(rises)
+        # every index with rank > r precedes every index with rank <= r
+        lo = max(i for i, k in ranks.items() if k > r)
+        hi = min((i for i, k in ranks.items() if k <= r), default=levels.size)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if rank(mid) > r:
+                lo = mid
+            else:
+                hi = mid
+        rises.append(float(levels[lo]))
     return rises
+
+
+def _run_graph(occ):
+    """The runs of occupied cells along the last axis of a periodic grid,
+    cut at the row end, and the edges of the face graph between them.
+
+    Returns (ids, size, base, edges): ``ids`` is the flat array of run ids,
+    each cell holding the id of the run it lies in (any value where
+    unoccupied), runs numbered in C order of their first cell; ``size`` is
+    the number of runs and ``edges`` the (u, v, step) arrays for
+    ``torus_union_find``, steps packed in ``base``.  A row occupied at both
+    ends links its last run to its first with step e_last, so a full row
+    closes a self-cycle.  Each maximal interval on which a row overlaps the
+    next row along an axis a < d - 1 gives one edge, with step e_a when that
+    neighbour lies across the boundary; the other face edges of the
+    interval close only unit squares, of winding zero."""
+    if occ.size == 0 or occ.ndim == 0:
+        raise ConfigurationError(
+            f"mask must have at least one axis and one cell per axis; got shape {occ.shape}")
+    shape, d = occ.shape, occ.ndim
+    length = shape[-1]
+
+    def starts(rows):
+        rows = rows.reshape(-1, length)
+        first = rows.copy()
+        first[:, 1:] &= ~rows[:, :-1]
+        return first.ravel()
+
+    ids = np.cumsum(starts(occ)) - 1
+    size = int(ids[-1]) + 1
+    base = _wrap_base(size)
+    row_end = np.flatnonzero(occ[..., 0] & occ[..., -1]) * length
+    us, vs, steps = [ids[row_end + length - 1]], [ids[row_end]], [
+        np.full(row_end.size, base ** (d - 1))]
+    for a in range(d - 1):
+        cells = np.flatnonzero(starts(occ & np.roll(occ, -1, axis=a)))
+        stride = math.prod(shape[a + 1:])
+        cross = (cells // stride) % shape[a] == shape[a] - 1
+        us.append(ids[cells])
+        vs.append(ids[cells + stride - cross * (shape[a] * stride)])
+        steps.append(cross * base ** a)
+    return ids, size, base, tuple(map(np.concatenate, (us, vs, steps)))
+
+
+def _run_components(occ):
+    """(run ids, run roots, wrap vectors of the cycles) of a cell mask:
+    ``torus_union_find`` over ``_run_graph``."""
+    ids, size, base, edges = _run_graph(occ)
+    roots, windings = torus_union_find(size, *edges)
+    return ids, roots, {_unpack_wrap(z, base, occ.ndim) for z in windings}
 
 
 def _wrap_base(size):
@@ -310,32 +370,19 @@ def _unpack_wrap(z, base, dim):
     return tuple(out)
 
 
-def _face_edges(shape, base, ids):
-    """The face edges (c, c + e_a) of a periodic grid with ids a * size + c:
-    flat indices of both ends and the packed wrap step, base**a on the edges
-    that cross the boundary and 0 elsewhere."""
-    axis, cells = np.divmod(ids, math.prod(shape))
-    stride = np.array([math.prod(shape[a + 1:]) for a in range(len(shape))])[axis]
-    n = np.array(shape)[axis]
-    cross = (cells // stride) % n == n - 1
-    nbrs = cells + stride - cross * (n * stride)
-    steps = cross * np.array([base ** a for a in range(len(shape))])[axis]
-    return cells, nbrs, steps
+def torus_union_find(size, us, vs, steps):
+    """Union-find with lift offsets over the indices 0..size-1.
 
+    The edge (u, v, step), taken from equal-length integer arrays, says
+    that the lift of v lies ``step`` torus wraps (packed as in
+    ``_wrap_base``) from the lift of u.  Each element keeps its lift offset
+    relative to its parent; an edge inside one tree closes a cycle of
+    winding offset(u) + step - offset(v), offsets taken relative to the
+    root.  A link hangs the root with the larger index under the other one.
 
-def torus_union_find(size, edges):
-    """Union-find with lift offsets over the flat indices 0..size-1 of a grid.
-
-    ``edges`` yields chunks (u, v, step) of equal-length integer arrays: the
-    lift of v lies ``step`` torus wraps (packed as in ``_wrap_base``) from
-    the lift of u.  Each element keeps its lift offset relative to its
-    parent; an edge inside one tree closes a cycle of winding
-    offset(u) + step - offset(v), offsets taken relative to the root.  A
-    link hangs the root with the larger index under the other one.
-
-    Returns (roots, cycles): roots[i] is the smallest index in the tree of
-    i, and cycles lists (position, packed winding) for each edge that closes
-    a cycle of nonzero winding, positions counted over all chunks in order.
+    Returns (roots, windings): roots[i] is the smallest index in the tree of
+    i, and windings is the set of packed nonzero windings of the cycles
+    that the edges close.
     """
     parent = [-1] * size        # -1 at a root
     offset = [0] * size         # lift(i) - lift(parent[i]), packed
@@ -353,27 +400,24 @@ def torus_union_find(size, edges):
             o += offset[x]
             x = p
 
-    cycles = []
-    pos = 0
-    for us, vs, steps in edges:
-        for u, v, s in zip(us.tolist(), vs.tolist(), steps.tolist()):
-            ru, ou = find(u)
-            rv, ov = find(v)
-            z = ou + s - ov
-            if ru == rv:
-                if z:
-                    cycles.append((pos, z))
-            elif ru > rv:
-                parent[ru], offset[ru] = rv, -z
-            else:
-                parent[rv], offset[rv] = ru, z
-            pos += 1
+    windings = set()
+    for u, v, s in zip(us.tolist(), vs.tolist(), steps.tolist()):
+        ru, ou = find(u)
+        rv, ov = find(v)
+        z = ou + s - ov
+        if ru == rv:
+            if z:
+                windings.add(z)
+        elif ru > rv:
+            parent[ru], offset[ru] = rv, -z
+        else:
+            parent[rv], offset[rv] = ru, z
 
     roots = np.array(parent, dtype=np.int64)
     roots = np.where(roots < 0, np.arange(size), roots)
     while not np.array_equal(roots[roots], roots):
         roots = roots[roots]
-    return roots, cycles
+    return roots, windings
 
 
 def _lattice_basis(vectors, dim):

@@ -54,6 +54,8 @@ def dense_box_operator(grid, dirichlet_axes):
     ((5, 4), (False, False), (0,)),
     ((6, 3), (False, False), (0, 1)),
     ((4, 3, 2), (True, True, True), ()),
+    ((2, 5), (True, False), ()),
+    ((5, 2), (False, True), (0,)),
     ((4, 5, 3), (True, False, False), (1,)),
     ((3, 4), (False, True), ()),
     ((2, 7, 3), (False, False, False), (0, 1)),
@@ -73,6 +75,34 @@ def test_preconditioner_inverts_box_operator(cells, periodic, dirichlet_axes, rn
         ref = (pinv @ r[i][precond.window].ravel()).reshape(sizes)
         assert np.abs(z[i][precond.window] - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.all(z[:, ~select] == 0.0)
+
+
+def rfft_periodic_preconditioner(precond, r):
+    """The preconditioner of an all-periodic grid with numpy's real FFT on
+    the last axis and the spectrum in node order: the formulation that the
+    length-2 butterfly replaces."""
+    *rest, last = precond.periodic
+    weights = np.moveaxis(precond.weights, 0, last)
+    out = np.empty_like(r)
+    for ri, zi in zip(r, out):
+        spec = np.fft.rfft(ri, axis=last)
+        for a in rest:
+            spec = np.fft.fft(spec, axis=a)
+        spec *= weights
+        for a in rest:
+            spec = np.fft.ifft(spec, axis=a)
+        zi[...] = np.fft.irfft(spec, n=2, axis=last) * precond.select
+    return out
+
+
+@pytest.mark.parametrize("cells", [(64, 64, 2), (5, 7, 2), (33, 2), (2,)])
+def test_length_two_axis_matches_real_fft_bit_for_bit(cells, rng):
+    grid = _Grid(cells=cells, spacings=tuple(rng.uniform(0.3, 2.0, size=len(cells))),
+                 periodic=(True,) * len(cells))
+    precond = _SpectralPreconditioner(grid, rng.random(cells) < 0.8, ())
+    r = rng.standard_normal((2,) + grid.node_shape)
+    assert np.array_equal(precond(r, np.empty_like(r)),
+                          rfft_periodic_preconditioner(precond, r))
 
 
 # -- scipy.sparse reference solves --------------------------------------------

@@ -1,15 +1,23 @@
-"""The union-find torus connectivity against a breadth-first reference, and
-the exactness of the thresholds it sweeps out."""
+"""The run-based torus connectivity against a breadth-first reference and
+the per-edge union-find it replaced, and the exactness of the thresholds
+that its bisection finds."""
 
+import math
+import os
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import filmhom
 from filmhom import Profile, superlevel_mask, thresholds, torus_components
-from filmhom.profiles import _lattice_basis
+from filmhom.errors import ConfigurationError
+from filmhom.profiles import _lattice_basis, _unpack_wrap, _wrap_base, wrap_rank_levels
 
 
 def bfs_torus_components(occ):
@@ -53,6 +61,84 @@ def bfs_torus_components(occ):
     return labels, comp, wraps
 
 
+def _face_edges(shape, base, ids):
+    """The face edges (c, c + e_a) of a periodic grid with ids a * size + c:
+    flat indices of both ends and the packed wrap step, base**a on the edges
+    that cross the boundary and 0 elsewhere."""
+    axis, cells = np.divmod(ids, math.prod(shape))
+    stride = np.array([math.prod(shape[a + 1:]) for a in range(len(shape))])[axis]
+    n = np.array(shape)[axis]
+    cross = (cells // stride) % n == n - 1
+    nbrs = cells + stride - cross * (n * stride)
+    steps = cross * np.array([base ** a for a in range(len(shape))])[axis]
+    return cells, nbrs, steps
+
+
+def per_edge_union_find(size, cells, nbrs, steps):
+    """Reference union-find with lift offsets over single cells, one face
+    edge at a time.  Returns (roots, cycles), cycles listing (position,
+    packed winding) for each edge that closes a cycle of nonzero winding."""
+    parent = [-1] * size
+    offset = [0] * size
+
+    def find(x):
+        o = 0
+        while parent[x] >= 0:
+            o += offset[x]
+            x = parent[x]
+        return x, o
+
+    cycles = []
+    for pos, (u, v, s) in enumerate(zip(cells.tolist(), nbrs.tolist(), steps.tolist())):
+        ru, ou = find(u)
+        rv, ov = find(v)
+        z = ou + s - ov
+        if ru == rv:
+            if z:
+                cycles.append((pos, z))
+        elif ru > rv:
+            parent[ru], offset[ru] = rv, -z
+        else:
+            parent[rv], offset[rv] = ru, z
+    roots = np.array([find(i)[0] for i in range(size)], dtype=np.int64)
+    return roots, cycles
+
+
+def per_edge_torus_components(occ):
+    """Reference labelling: the per-edge union-find over every face edge of
+    the occupied cells.  Returns (labels, num_components, wrap lattice)."""
+    d = occ.ndim
+    base = _wrap_base(occ.size)
+    ids = np.concatenate([np.flatnonzero(occ & np.roll(occ, -1, axis=a)) + a * occ.size
+                          for a in range(d)])
+    roots, cycles = per_edge_union_find(occ.size, *_face_edges(occ.shape, base, ids))
+    heads = occ.ravel() & (roots == np.arange(occ.size))
+    number = np.cumsum(heads) - 1
+    labels = np.where(occ, number[roots].reshape(occ.shape), -1)
+    basis = _lattice_basis({_unpack_wrap(z, base, d) for _, z in cycles}, d)
+    return labels, int(heads.sum()), tuple(basis)
+
+
+def sorted_sweep_wrap_rank_levels(profile, n):
+    """Reference thresholds: one per-edge union-find pass over the face
+    edges in decreasing level min(f(c), f(c')) > 0, recording the level of
+    each edge whose winding leaves the span of the windings before it."""
+    values = profile.eval_grid(n)
+    d = values.ndim
+    base = _wrap_base(values.size)
+    level = np.concatenate([np.minimum(values, np.roll(values, -1, axis=a))
+                            for a in range(d)], axis=None)
+    order = np.argsort(level)[::-1][:np.count_nonzero(level > 0)]
+    _, cycles = per_edge_union_find(values.size, *_face_edges(values.shape, base, order))
+    rises, span = [], []
+    for pos, z in cycles:
+        wrap = _unpack_wrap(z, base, d)
+        if len(_lattice_basis(span + [wrap], d)) > len(span):
+            span.append(wrap)
+            rises.append(float(level[order[pos]]))
+    return rises
+
+
 @st.composite
 def torus_masks(draw):
     d = draw(st.integers(1, 3))
@@ -73,6 +159,68 @@ def test_union_find_matches_bfs_reference(occ):
     assert comps.num_components == num
     assert comps.wrap_lattice == basis
     assert comps.rank == len(basis)
+
+
+@st.composite
+def run_masks(draw):
+    """Masks whose rows along the last axis are drawn from full rows, empty
+    rows, cyclic runs that may wrap past the row end, pairs of such runs and
+    random cells, sides from 1 up: so full-row self-cycles, wrapped runs and
+    adjacent run pairs that overlap twice on the circle all occur."""
+    d = draw(st.integers(1, 3))
+    max_side = 9 if d < 3 else 5
+    shape = tuple(draw(st.integers(1, max_side)) for _ in range(d))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    length = shape[-1]
+    rows = np.zeros((math.prod(shape[:-1]), length), dtype=bool)
+    for row in rows:
+        kind = rng.integers(0, 5)
+        if kind == 0:
+            row[:] = True
+        elif kind in (1, 2):
+            for _ in range(kind):
+                start, size = rng.integers(0, length), rng.integers(1, length + 1)
+                row[(start + np.arange(size)) % length] = True
+        elif kind == 3:
+            row[:] = rng.random(length) < 0.5
+    return rows.reshape(shape)
+
+
+@settings(max_examples=400, deadline=None)
+@given(run_masks())
+def test_run_labelling_matches_per_edge_union_find(occ):
+    labels, num, basis = per_edge_torus_components(occ)
+    comps = torus_components(occ)
+    assert np.array_equal(comps.labels, labels)
+    assert comps.num_components == num
+    assert comps.wrap_lattice == basis
+    assert comps.rank == len(basis)
+
+
+@pytest.mark.parametrize("rows, want", [
+    # a run wrapping past the row end over a middle run: they overlap
+    # twice on the circle, so the pair closes a cycle along the last axis
+    ([[1, 1, 0, 0, 1, 1], [0, 1, 1, 1, 1, 0]], ((0, 1),)),
+    # the same rows with a gap: one overlap, no cycle along the last axis
+    ([[1, 1, 0, 0, 0, 1], [0, 1, 1, 1, 0, 0]], ()),
+    ([[1, 1, 1, 1]], ((0, 1),)),
+    ([[1]], ((1, 0), (0, 1))),
+    ([[0, 0], [0, 0]], ()),
+])
+def test_run_labelling_known_windings(rows, want):
+    occ = np.array(rows, dtype=bool)
+    if occ.size > 1:
+        # empty rows below, so nothing wraps along axis 0
+        occ = np.vstack([occ, np.zeros((4 - len(occ), occ.shape[1]), bool)])
+    comps = torus_components(occ)
+    assert comps.wrap_lattice == want
+    assert comps.wrap_lattice == per_edge_torus_components(occ)[2]
+
+
+@pytest.mark.parametrize("occ", [np.array(True), np.zeros((3, 0), bool)])
+def test_mask_without_cells_on_an_axis_is_rejected_by_name(occ):
+    with pytest.raises(ConfigurationError, match="mask"):
+        torus_components(occ)
 
 
 @pytest.mark.parametrize("dim, generators", [
@@ -139,3 +287,40 @@ def test_thresholds_zero_when_the_rank_is_never_reached():
     rep = thresholds(Profile.sampled(values), 8, confirm=False)
     assert rep.thresholds == (0.0, 0.0)
     assert [iv.wrap_rank for iv in rep.intervals] == [0]
+
+
+@pytest.mark.parametrize("profile, n", list(_threshold_profiles()) + [
+    (Profile.builtin("checkerboard", dim=1), 8),
+    (Profile.builtin("checkerboard", dim=3), 6),
+    (Profile.builtin("sin2-stripe", dim=3), 6),
+])
+def test_bisected_levels_match_sorted_sweep(profile, n):
+    assert wrap_rank_levels(profile, n) == sorted_sweep_wrap_rank_levels(profile, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(2, 7), st.integers(1, 6),
+       st.integers(0, 2 ** 32 - 1))
+def test_bisected_levels_match_sorted_sweep_with_ties(d, n, distinct, seed):
+    if d == 3:
+        n = min(n, 5)
+    rng = np.random.default_rng(seed)
+    # few distinct values and some zeros, so ties and empty levels are common
+    values = rng.integers(0, distinct + 1, size=(n,) * d).astype(float)
+    values.flat[0] = distinct
+    profile = _sampled(values)
+    assert wrap_rank_levels(profile, n) == sorted_sweep_wrap_rank_levels(profile, n)
+
+
+def test_thresholds_leave_numpy_ma_unimported():
+    # plain np.unique imports numpy.ma, which costs about 1 MB of resident memory
+    code = ("import sys\n"
+            "from filmhom import Profile, thresholds\n"
+            "thresholds(Profile.builtin('sin2-product', dim=2), 32, confirm=False)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(filmhom.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    assert done.stdout.strip() == "False"
