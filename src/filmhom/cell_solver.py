@@ -26,7 +26,10 @@ stress itself, the analytic (for p < 2 smoothed) tangent of the norm
 powers, or a directional difference of a custom density's stress, and CG
 and Newton share its preconditioner.  Every inner product and norm of both
 loops is _dot, numpy's own single-threaded loop rather than BLAS, so the
-results do not depend on the BLAS thread count.  The offset may have more columns
+results do not depend on the BLAS thread count.  A periodic cell problem
+whose node graph does not wind is not solved when no corrector is asked
+for: for the norm powers its value is exact, theta W of the offset with
+its in-plane columns zeroed (docs/kernel_geometry.md).  The offset may have more columns
 than the grid has axes: a field on the grid does not vary along the extra
 ones, so a cylinder cell problem solves on its in-plane grid.  Those columns may also
 be unknowns, minimized jointly with the field in the same solve (the
@@ -34,8 +37,8 @@ transverse column of the film density).  Cells outside the mask
 contribute no energy; nodes touching no occupied cell stay frozen at zero;
 the remaining constant-per-component null space is handled by starting from
 a consistent state and gauge-fixing afterwards, on the node components that
-one union-find pass finds (the routine that also labels the torus
-components of a mask).
+one union-find pass over the runs of the mask finds (the routine that also
+labels the torus components of a mask).
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import numpy as np
 
 from .energy import EnergyDensity, as_matrix
 from .errors import ConfigurationError, DimensionMismatchError
-from .profiles import torus_union_find
+from .profiles import _run_components, node_graph_winds
 
 
 @dataclass(frozen=True)
@@ -588,11 +591,7 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=(),
     F = as_matrix(F)
     n = F.shape[1]
     d = grid.dim
-    if F.shape[0] != m or n < d:
-        raise DimensionMismatchError(
-            f"offset matrix has shape {F.shape}; expected ({m}, n) with n >= {d}"
-        )
-    W.check_dims(m, n)
+    _check_offset(W, F, d)
 
     # one flat unknown: the node field, then the free offset columns
     nv = m * grid.num_nodes
@@ -749,6 +748,15 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=(),
     return val, v, report
 
 
+def _check_offset(W, F, d):
+    """Reject an offset F that is not m x n with n >= d for W's m and n."""
+    if F.shape[0] != W.m or F.shape[1] < d:
+        raise DimensionMismatchError(
+            f"offset matrix has shape {F.shape}; expected ({W.m}, n) with n >= {d}"
+        )
+    W.check_dims(*F.shape)
+
+
 def _symmetric_pinv(K):
     """Pseudo-inverse of a symmetric K from its eigendecomposition, with
     pinv's cutoff: eigenvalues within 1e-15 max|lambda| of 0 map to 0."""
@@ -881,17 +889,22 @@ def _newton_pcg(gradient, tangent, x0, gtol, maxiter):
 # -- gauge fixing ----------------------------------------------------------------
 
 def _stencil_components(grid, mask):
-    """Connected components of the active node set, where nodes are linked
-    when they appear in the stencil of a common occupied cell: one
-    union-find pass over the edges (c, c + e_a) of every occupied cell c.
-    Returns the flat indices of the active nodes and, for each, the
-    smallest node index of its component."""
+    """Connected components of the active node set of a periodic grid, where
+    nodes are linked when they appear in the stencil of a common occupied
+    cell.  They are the components of the node graph over the runs of
+    cells (``profiles._run_graph``): each active node takes the root run of
+    any occupied cell whose stencil holds it.  Returns the flat indices of
+    the active nodes and, for each, that root run."""
+    ids, roots, _ = _run_components(mask, nodes=True)
+    cell_roots = roots[ids[np.flatnonzero(mask)]]
     base, forward = _stencil_nodes(grid, mask)
-    roots, _ = torus_union_find(grid.num_nodes, np.tile(base, len(forward)),
-                                np.concatenate(forward),
-                                np.zeros(base.size * len(forward), dtype=np.int64))
-    active = np.unique(np.concatenate([base] + forward))
-    return active, roots[active]
+    label = np.empty(grid.num_nodes, dtype=np.int64)
+    active = np.zeros(grid.num_nodes, dtype=bool)
+    for nodes in [base] + forward:
+        label[nodes] = cell_roots
+        active[nodes] = True
+    active = np.flatnonzero(active)
+    return active, label[active]
 
 
 def _gauge_fix(grid, mask, v):
@@ -922,7 +935,15 @@ def minimize_periodic(mask, W, F, opts=None, v0=None, want_corrector=True,
     opts : SolverOptions.
     v0 : optional warm-start node field.
     want_corrector : skip component labeling and gauge fixing when False
-        (the value is gauge-invariant).
+        (the value is gauge-invariant).  When False, a density whose
+        ``zeroing_columns_minimizes`` (the norm powers) on a mask whose node
+        graph does not wind (``profiles.node_graph_winds``) is not solved:
+        the value is exactly (#occupied/#cells) W(F) with the in-plane
+        columns of F zeroed, and with ``free_offset`` the free columns too,
+        which are also returned as 0; the report reads method "unwound",
+        0 iterations, and the corrector is zero (docs/kernel_geometry.md).
+        True keeps solving, because the minimizing corrector would need the
+        node lifts.
     free_offset : minimize also over the columns of F past mask.ndim,
         starting from their given values; ``corrector.offset`` holds the
         minimizing F.
@@ -945,6 +966,19 @@ def minimize_periodic(mask, W, F, opts=None, v0=None, want_corrector=True,
         integral = 0.0
         report = SolveReport(iterations=0, residual=0.0, converged=True,
                              method="empty")
+    elif (not want_corrector and W.zeroing_columns_minimizes
+          and not node_graph_winds(mask)):
+        # v = -F x on a lift of each node component cancels the in-plane
+        # columns in every occupied cell, and no field does better
+        _check_offset(W, F, d)
+        if free_offset:
+            F[:, d:] = 0.0
+        G = F.copy()
+        G[:, :d] = 0.0
+        v = np.zeros((m,) + grid.node_shape)
+        integral = np.count_nonzero(mask) / mask.size * W.evaluate(G)
+        report = SolveReport(iterations=0, residual=0.0, converged=True,
+                             method="unwound")
     else:
         integral, v, report = _solve_masked(grid, mask, W, F, opts, v0=v0,
                                             free_offset=free_offset)

@@ -139,6 +139,11 @@ class EnergyDensity:
             return True
         return self.kind in _NORM_AXES and self.p == 2.0
 
+    @property
+    def zeroing_columns_minimizes(self):
+        """True when zeroing columns of G never raises W(G): the norm powers."""
+        return self.kind in _NORM_AXES
+
     def check_dims(self, m, n):
         if (m, n) != (self.m, self.n):
             raise DimensionMismatchError(

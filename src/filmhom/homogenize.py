@@ -123,7 +123,9 @@ def psi_cylinder_oracle(profile, t, F, n_grid, *, p=2.0, opts=None):
     mask with the affine offset F.  The mask is constant in x_n, so the
     discrete minimum does not depend on the layer count (docs/solvers.md);
     ORACLE_LAYERS = 2 is the fewest at which D_n v is not identically zero,
-    so the solver still has to find the vertical invariance itself."""
+    so the solver still has to find the vertical invariance itself.  The
+    full vertical columns make the node graph wind, so the oracle is always
+    solved, also where psi's in-plane value is exact without a solve."""
     F = as_matrix(F)
     m = F.shape[0]
     d = profile.dim + 1

@@ -10,12 +10,15 @@ by the oscillating surfaces +/- eps*f(x/delta).
 Connectivity is one union-find with lift offsets over the runs of occupied
 cells along the last axis, so its Python work grows with the number of runs
 rather than of cells; the thresholds of the wrap rank are found by bisection
-over the levels of the face edges, each probe one such labelling
-(docs/kernel_geometry.md).
+over the levels of the face edges, each probe one such labelling.  The same
+runs, joined where the forward stencils of their cells share a node, give
+the node components that the cell solver gauge-fixes and tell whether the
+node graph winds (docs/kernel_geometry.md).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -261,6 +264,27 @@ def torus_components(mask):
                            wrap_lattice=tuple(basis), rank=len(basis))
 
 
+def node_graph_winds(occ):
+    """Whether the node graph of a boolean cell mask winds around the
+    torus: some loop of nodes, each step within the forward stencil
+    {c, c + e_a} of an occupied cell c, has a nonzero winding.  Where none
+    does, a norm-power cell problem has an exact value with no solve
+    (docs/kernel_geometry.md).
+
+    A fully occupied row along any axis closes such a loop by itself and is
+    checked first, the last axis first; otherwise ``torus_union_find`` runs
+    over the run graph of the node adjacency (``_run_graph``)."""
+    for a in reversed(range(occ.ndim)):
+        if occ.shape[a] <= 8:
+            # numpy's reduction over a short axis pays per row: AND the slices
+            full = functools.reduce(np.logical_and, np.moveaxis(occ, a, 0))
+        else:
+            full = occ.all(axis=a)
+        if full.any():
+            return True
+    return bool(_run_components(occ, nodes=True)[2])
+
+
 def wrap_rank_levels(profile, n):
     """Levels where the wrap rank of {f > t} on the n-grid rises as t sweeps
     down: entry r is the level L with rank > r below L and rank <= r from L
@@ -305,9 +329,10 @@ def wrap_rank_levels(profile, n):
     return rises
 
 
-def _run_graph(occ):
+def _run_graph(occ, nodes=False):
     """The runs of occupied cells along the last axis of a periodic grid,
-    cut at the row end, and the edges of the face graph between them.
+    cut at the row end, and the edges between them of the face graph, or
+    with ``nodes`` of the node graph.
 
     Returns (ids, size, base, edges): ``ids`` is the flat array of run ids,
     each cell holding the id of the run it lies in (any value where
@@ -315,10 +340,12 @@ def _run_graph(occ):
     the number of runs and ``edges`` the (u, v, step) arrays for
     ``torus_union_find``, steps packed in ``base``.  A row occupied at both
     ends links its last run to its first with step e_last, so a full row
-    closes a self-cycle.  Each maximal interval on which a row overlaps the
-    next row along an axis a < d - 1 gives one edge, with step e_a when that
-    neighbour lies across the boundary; the other face edges of the
-    interval close only unit squares, of winding zero."""
+    closes a self-cycle.  The other edges join a row to a neighbouring row:
+    cell c to c + o for each offset o of ``_row_offsets``.  Each maximal
+    interval on which a row overlaps its neighbour gives one edge, with step
+    the wraps that c + o makes; the other edges of the interval close only
+    unit squares, of winding zero, or squares through the neighbour row's
+    row-end edge, where o shifts along the last axis."""
     if occ.size == 0 or occ.ndim == 0:
         raise ConfigurationError(
             f"mask must have at least one axis and one cell per axis; got shape {occ.shape}")
@@ -337,20 +364,40 @@ def _run_graph(occ):
     row_end = np.flatnonzero(occ[..., 0] & occ[..., -1]) * length
     us, vs, steps = [ids[row_end + length - 1]], [ids[row_end]], [
         np.full(row_end.size, base ** (d - 1))]
-    for a in range(d - 1):
-        cells = np.flatnonzero(starts(occ & np.roll(occ, -1, axis=a)))
-        stride = math.prod(shape[a + 1:])
-        cross = (cells // stride) % shape[a] == shape[a] - 1
+    for offset in _row_offsets(d, nodes):
+        near = np.roll(occ, [-s for _, s in offset], axis=[a for a, _ in offset])
+        cells = np.flatnonzero(starts(occ & near))
+        target, step = cells.copy(), np.zeros(cells.size, dtype=np.int64)
+        for a, s in offset:
+            stride = math.prod(shape[a + 1:])
+            # the step s along axis a crosses the boundary from this end
+            cross = (cells // stride) % shape[a] == (shape[a] - 1 if s > 0 else 0)
+            target += s * stride
+            target -= cross * (s * shape[a] * stride)
+            step += cross * (s * base ** a)
         us.append(ids[cells])
-        vs.append(ids[cells + stride - cross * (shape[a] * stride)])
-        steps.append(cross * base ** a)
+        vs.append(ids[target])
+        steps.append(step)
     return ids, size, base, tuple(map(np.concatenate, (us, vs, steps)))
 
 
-def _run_components(occ):
+def _row_offsets(d, nodes):
+    """The offsets o that join cell c to c + o across rows, as (axis, sign)
+    pairs: e_a for a < d - 1 in the face graph.  The node graph joins two
+    cells whose forward stencils {c, c + e_a} share a node, that is at
+    o = +-e_a and +-(e_a - e_b), and adds e_a - e_last for a < d - 1 and
+    e_a - e_b for a < b < d - 1 (docs/kernel_geometry.md)."""
+    out = [((a, 1),) for a in range(d - 1)]
+    if nodes:
+        out += [((a, 1), (d - 1, -1)) for a in range(d - 1)]
+        out += [((a, 1), (b, -1)) for a in range(d - 1) for b in range(a + 1, d - 1)]
+    return out
+
+
+def _run_components(occ, nodes=False):
     """(run ids, run roots, wrap vectors of the cycles) of a cell mask:
     ``torus_union_find`` over ``_run_graph``."""
-    ids, size, base, edges = _run_graph(occ)
+    ids, size, base, edges = _run_graph(occ, nodes)
     roots, windings = torus_union_find(size, *edges)
     return ids, roots, {_unpack_wrap(z, base, occ.ndim) for z in windings}
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from filmhom import (EnergyDensity, Profile, SolverOptions,
+from filmhom import (EnergyDensity, Profile, SolveReport, SolverOptions,
                      minimize_dirichlet, minimize_periodic)
 from filmhom.cell_solver import (_active_node_mask, _cell_gradient,
                                  _cell_gradient_adjoint, _Grid,
@@ -326,3 +326,55 @@ def test_three_dimensional_periodic_solve(W2):
     assert rep.converged
     # the pillar hole does not obstruct the vertical direction
     assert v == pytest.approx(mask.mean(), abs=1e-10)
+
+
+def _unwound_masks():
+    # masks whose node graph does not wind: islands in 1-3 dimensions
+    yield superlevel_mask(Profile.builtin("sin2-stripe", dim=1), 0.7, 16).occupancy
+    yield superlevel_mask(Profile.builtin("sin2-product", dim=2), 0.6, 16).occupancy
+    yield superlevel_mask(Profile.builtin("sin2-product", dim=3), 0.6, 8).occupancy
+
+
+@pytest.mark.parametrize("kind", ["p_norm_power", "frobenius_power"])
+@pytest.mark.parametrize("p", [2.0, 3.0, 1.5])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("free_offset", [False, True])
+def test_unwound_value_matches_forced_solve(kind, p, m, free_offset):
+    # without a winding, v = -F x on each node component's lift cancels the
+    # in-plane columns, so the exact value is theta W(F) with those columns
+    # (and the free ones) zeroed; want_corrector=True still solves
+    for occ in _unwound_masks():
+        d = occ.ndim
+        W = getattr(EnergyDensity, kind)(p, m, d + 1)
+        F = np.random.default_rng(m).uniform(-1, 1, (m, d + 1))
+        exact, ce, re = minimize_periodic(occ, W, F, want_corrector=False,
+                                          free_offset=free_offset)
+        solved, cs, rs = minimize_periodic(occ, W, F, free_offset=free_offset)
+        assert re == SolveReport(iterations=0, residual=0.0, converged=True,
+                                 method="unwound")
+        assert rs.method in ("cg", "newton") and rs.converged
+        assert not np.any(ce.values)
+        assert exact == pytest.approx(solved, abs=1e-10)
+        assert exact <= solved + 1e-15
+        G = F.copy()
+        G[:, :d] = 0.0
+        if free_offset:
+            G[:, d:] = 0.0
+            assert not np.any(ce.offset[:, d:])
+            assert np.abs(cs.offset[:, d:]).max() < 1e-3
+        else:
+            assert np.array_equal(ce.offset, F)
+        assert exact == occ.mean() * W.evaluate(G)
+
+
+@pytest.mark.parametrize("W", [
+    EnergyDensity.quadratic_form(np.diag([1.0, 2.0, 3.0]), 1, 3),
+    EnergyDensity.custom(lambda G: np.sum(G * G, axis=(0, 1)) ** 1.5,
+                         p=3.0, m=1, n=3, gamma=0.1, beta=10.0),
+], ids=["quadratic_form", "custom"])
+def test_other_densities_keep_solving_without_a_winding(W):
+    occ = superlevel_mask(Profile.builtin("sin2-product", dim=2), 0.6, 16).occupancy
+    value, _, report = minimize_periodic(occ, W, [[1.0, 0.5, 0.2]],
+                                         want_corrector=False)
+    assert report.method in ("cg", "newton") and report.iterations > 0
+    assert report.converged and np.isfinite(value)

@@ -239,23 +239,26 @@ def test_exit_code_structural_inconsistency(tmp_path):
 
 
 def test_exit_code_nonconvergence(tmp_path):
-    # product islands at t = 0.7 take many iterations; a stripe would be
-    # solved exactly by the first preconditioned one
+    # checkerboard squares that touch at corners take many iterations; a
+    # stripe would be solved exactly by the first preconditioned one, and
+    # product islands, whose node graph does not wind, by no solve at all
     cfg = write_config(tmp_path,
-                       profile={"kind": "sin2-product", "dim": 2},
+                       profile={"kind": "checkerboard", "dim": 2},
                        grid={"N": 32},
                        solver={"max_iterations": 1},
-                       sweep={"t_values": [0.7], "F_probes": [[1.0, 1.0]]})
+                       sweep={"t_values": [0.6], "F_probes": [[1.0, 1.0]]})
     assert main(["phi", "--config", str(cfg), "--out",
                  str(tmp_path / "out")]) == 4
 
 
 def test_exit_code_whom_nonconvergence(tmp_path):
     # one Newton step cannot reach the gradient tolerance of a p = 3 cell
-    # problem on product islands; the unconverged row must reach the exit code
+    # problem on checkerboard squares coupled at their corners; the
+    # unconverged row must reach the exit code
     cfg = write_config(tmp_path, energy={"kind": "p_norm_power", "p": 3.0},
+                       profile={"kind": "checkerboard", "dim": 2},
                        grid={"N": 16}, solver={"max_iterations": 1},
-                       sweep={"t_values": [0.7], "F_probes": [[1.0, 0.5, 0.2]]})
+                       sweep={"t_values": [0.6], "F_probes": [[1.0, 0.5, 0.2]]})
     out = tmp_path / "out"
     assert main(["whom", "--config", str(cfg), "--out", str(out)]) == 4
     assert json.loads(read_lines(out / "whom_summary.json"))["all_converged"] is False
@@ -264,8 +267,10 @@ def test_exit_code_whom_nonconvergence(tmp_path):
 def test_exit_code_thresholds_confirmation_nonconvergence(tmp_path):
     # a confirmation probe that stops after one iteration has no minimum to
     # compare against the kernel bounds: it decides nothing, and the run
-    # reports the unconverged solve
-    cfg = write_config(tmp_path, grid={"N": 32}, solver={"max_iterations": 1},
+    # reports the unconverged solve.  Above its floor the checkerboard's
+    # node graph winds through the corner contacts, so its probes are solved
+    cfg = write_config(tmp_path, profile={"kind": "checkerboard", "dim": 2},
+                       grid={"N": 32}, solver={"max_iterations": 1},
                        thresholds={"confirm": True})
     out = tmp_path / "out"
     assert main(["thresholds", "--config", str(cfg), "--out", str(out)]) == 4
@@ -273,7 +278,8 @@ def test_exit_code_thresholds_confirmation_nonconvergence(tmp_path):
 
 
 def test_exit_code_film_nonconvergence(tmp_path):
-    cfg = write_config(tmp_path, film={"n_grid": 16},
+    cfg = write_config(tmp_path, profile={"kind": "checkerboard", "dim": 2},
+                       film={"n_grid": 16},
                        solver={"max_iterations": 1},
                        sweep={"t_values": [], "F_probes": [[1.0, 0.0]]})
     out = tmp_path / "out"

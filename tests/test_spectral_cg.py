@@ -384,9 +384,10 @@ def test_island_iterations_do_not_grow_with_resolution(product2, W2):
     assert max(iters) <= 40
 
 
-def test_gamma_check_reports_membrane_nonconvergence(product2, W3):
-    # product islands: one preconditioned iteration cannot solve the cylinders
-    report = gamma_check(product2, W3, [[1.0, 0.0]], [0.5], cells_per_delta=4,
+def test_gamma_check_reports_membrane_nonconvergence(checker2, W3):
+    # checkerboard squares coupled at their corners: one preconditioned
+    # iteration cannot solve the cylinders
+    report = gamma_check(checker2, W3, [[1.0, 0.0]], [0.5], cells_per_delta=4,
                          vertical_cells=4, n_grid=16,
                          solver_opts=SolverOptions(max_iterations=1))
     assert report.membrane_converged is False

@@ -1,6 +1,7 @@
 """The run-based torus connectivity against a breadth-first reference and
-the per-edge union-find it replaced, and the exactness of the thresholds
-that its bisection finds."""
+the per-edge union-find it replaced, the node graph over runs against the
+per-edge union-find over the stencil edges that the gauge fix used, and the
+exactness of the thresholds that the bisection finds."""
 
 import math
 import os
@@ -15,9 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import filmhom
-from filmhom import Profile, superlevel_mask, thresholds, torus_components
+from filmhom import (EnergyDensity, Profile, minimize_periodic, superlevel_mask,
+                     thresholds, torus_components)
+from filmhom import cell_solver
+from filmhom.cell_solver import _Grid, _stencil_components
 from filmhom.errors import ConfigurationError
-from filmhom.profiles import _lattice_basis, _unpack_wrap, _wrap_base, wrap_rank_levels
+from filmhom.profiles import (_lattice_basis, _run_components, _unpack_wrap,
+                              _wrap_base, node_graph_winds, wrap_rank_levels)
 
 
 def bfs_torus_components(occ):
@@ -119,6 +124,26 @@ def per_edge_torus_components(occ):
     return labels, int(heads.sum()), tuple(basis)
 
 
+def per_edge_stencil_components(occ):
+    """Reference node graph: the per-edge union-find over the stencil edges
+    (c, c + e_a) of every occupied cell c, over all nodes of the periodic
+    grid, with their wrap steps.  Returns (active nodes, root of each, wrap
+    lattice)."""
+    d = occ.ndim
+    base = _wrap_base(occ.size)
+    ids = np.concatenate([np.flatnonzero(occ) + a * occ.size for a in range(d)])
+    nodes, nbrs, steps = _face_edges(occ.shape, base, ids)
+    roots, cycles = per_edge_union_find(occ.size, nodes, nbrs, steps)
+    active = np.unique(np.concatenate([nodes, nbrs]))
+    basis = _lattice_basis({_unpack_wrap(z, base, d) for _, z in cycles}, d)
+    return active, roots[active], tuple(basis)
+
+
+def _periodic_grid(occ):
+    return _Grid(cells=occ.shape, spacings=tuple(1.0 / c for c in occ.shape),
+                 periodic=(True,) * occ.ndim)
+
+
 def sorted_sweep_wrap_rank_levels(profile, n):
     """Reference thresholds: one per-edge union-find pass over the face
     edges in decreasing level min(f(c), f(c')) > 0, recording the level of
@@ -195,6 +220,64 @@ def test_run_labelling_matches_per_edge_union_find(occ):
     assert comps.num_components == num
     assert comps.wrap_lattice == basis
     assert comps.rank == len(basis)
+
+
+def _check_node_graph(occ):
+    """Node components, windings and the winding test over runs against the
+    per-edge union-find over the stencil edges."""
+    active, roots, basis = per_edge_stencil_components(occ)
+    nodes, comp = _stencil_components(_periodic_grid(occ), occ)
+    assert np.array_equal(nodes, active)
+    # the same partition of the active nodes
+    pairs = set(zip(comp.tolist(), roots.tolist()))
+    assert len(pairs) == len(set(comp.tolist())) == len(set(roots.tolist()))
+    assert tuple(_lattice_basis(_run_components(occ, nodes=True)[2], occ.ndim)) == basis
+    assert node_graph_winds(occ) == bool(basis)
+
+
+@settings(max_examples=400, deadline=None)
+@given(run_masks())
+def test_node_graph_over_runs_matches_per_edge_union_find(occ):
+    _check_node_graph(occ)
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (1, 1), (1, 2), (2, 2), (1, 1, 1),
+                                   (1, 2, 2), (2, 1, 2), (2, 2, 2)])
+def test_node_graph_on_sides_one_and_two(shape):
+    # every mask of these shapes: there two stencil offsets can reach the
+    # same cell, each with its own wrap step
+    size = math.prod(shape)
+    for bits in range(1, 2 ** size):
+        _check_node_graph(np.array([bits >> i & 1 for i in range(size)], bool).reshape(shape))
+
+
+def test_checkerboard_node_graph_winds_through_corners():
+    # the squares meet only at corners, so the face graph does not wind,
+    # but the stencils of (i, j) and (i + 1, j - 1) share the node (i + 1, j)
+    occ = superlevel_mask(Profile.builtin("checkerboard", dim=2), 0.5, 32).occupancy
+    assert torus_components(occ).rank == 0
+    assert node_graph_winds(occ)
+    assert _lattice_basis(_run_components(occ, nodes=True)[2], 2) == [(1, -1)]
+    W = EnergyDensity.p_norm_power(2.0, 1, 2)
+    value, _, report = minimize_periodic(occ, W, [[1.0, 0.5]], want_corrector=False)
+    assert report.method == "cg" and report.iterations > 0 and report.converged
+    assert value > 1e-3
+
+
+@pytest.mark.parametrize("profile, t, n", [
+    ("sin2-product", 0.6, 32), ("sin2-product", 0.3, 16), ("checkerboard", 0.5, 16),
+    ("sin2-stripe", 0.7, 16)])
+def test_gauge_fixed_corrector_matches_per_edge_components(monkeypatch, profile, t, n):
+    # the run graph's components gauge-fix every corrector to the same bits
+    # as the per-edge union-find over the stencil edges
+    occ = superlevel_mask(Profile.builtin(profile, dim=2), t, n).occupancy
+    W = EnergyDensity.p_norm_power(2.0, 2, 2)
+    F = [[1.0, 0.5], [-0.3, 0.8]]
+    _, corr, _ = minimize_periodic(occ, W, F)
+    monkeypatch.setattr(cell_solver, "_stencil_components",
+                        lambda grid, mask: per_edge_stencil_components(mask)[:2])
+    _, ref, _ = minimize_periodic(occ, W, F)
+    assert corr.values.tobytes() == ref.values.tobytes()
 
 
 @pytest.mark.parametrize("rows, want", [
@@ -312,15 +395,28 @@ def test_bisected_levels_match_sorted_sweep_with_ties(d, n, distinct, seed):
     assert wrap_rank_levels(profile, n) == sorted_sweep_wrap_rank_levels(profile, n)
 
 
-def test_thresholds_leave_numpy_ma_unimported():
-    # plain np.unique imports numpy.ma, which costs about 1 MB of resident memory
-    code = ("import sys\n"
-            "from filmhom import Profile, thresholds\n"
-            "thresholds(Profile.builtin('sin2-product', dim=2), 32, confirm=False)\n"
-            "print('numpy.ma' in sys.modules)\n")
+def _numpy_ma_after(call):
+    """What a fresh process prints for ``'numpy.ma' in sys.modules`` after
+    ``call``: "True" or "False"."""
+    code = f"import sys\n{call}\nprint('numpy.ma' in sys.modules)\n"
     src = str(Path(filmhom.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=env)
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_thresholds_leave_numpy_ma_unimported():
+    # plain np.unique imports numpy.ma, which costs about 1 MB of resident memory
+    assert _numpy_ma_after(
+        "from filmhom import Profile, thresholds\n"
+        "thresholds(Profile.builtin('sin2-product', dim=2), 32, confirm=False)") == "False"
+
+
+def test_default_minimize_periodic_leaves_numpy_ma_unimported():
+    # the default call gauge-fixes, on the node components of the run graph
+    assert _numpy_ma_after(
+        "from filmhom import EnergyDensity, Profile, minimize_periodic, superlevel_mask\n"
+        "occ = superlevel_mask(Profile.builtin('sin2-product', dim=2), 0.6, 32).occupancy\n"
+        "minimize_periodic(occ, EnergyDensity.p_norm_power(2.0, 1, 2), [[1.0, 0.5]])") == "False"
