@@ -18,7 +18,6 @@ node graph winds (docs/kernel_geometry.md).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -275,12 +274,7 @@ def node_graph_winds(occ):
     checked first, the last axis first; otherwise ``torus_union_find`` runs
     over the run graph of the node adjacency (``_run_graph``)."""
     for a in reversed(range(occ.ndim)):
-        if occ.shape[a] <= 8:
-            # numpy's reduction over a short axis pays per row: AND the slices
-            full = functools.reduce(np.logical_and, np.moveaxis(occ, a, 0))
-        else:
-            full = occ.all(axis=a)
-        if full.any():
+        if occ.all(axis=a).any():
             return True
     return bool(_run_components(occ, nodes=True)[2])
 
