@@ -6,7 +6,7 @@ from .cell_solver import (CorrectorField, SolveReport, SolverOptions,
 from .energy import EnergyDensity
 from .errors import (ConfigurationError, DimensionMismatchError, FilmhomError,
                      QuadratureError, ResolutionError,
-                     StructuralInconsistencyError, UnsupportedFeatureError)
+                     StructuralInconsistencyError)
 from .film import (FilmDensityTable, FilmTableEntry, GammaCheckReport,
                    MembraneResult, QuadratureOptions, direct_min, gamma_check,
                    membrane_min, w_bar, w_tilde)
@@ -27,7 +27,7 @@ __all__ = [
     "IntervalInfo", "MembraneResult", "BoundsReport", "Profile",
     "QuadratureError", "QuadratureOptions", "ResolutionError", "SolveReport",
     "SolverOptions", "StructuralInconsistencyError",
-    "ThresholdReport", "TorusComponents", "UnsupportedFeatureError",
+    "ThresholdReport", "TorusComponents",
     "bounds_check", "direct_min", "gamma_check", "kernel",
     "load_sampled_profile", "membrane_min", "minimize_dirichlet",
     "minimize_periodic", "oscillating_domain_mask", "phi_sharp", "psi",

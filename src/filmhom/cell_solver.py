@@ -1,23 +1,24 @@
 """Minimization of masked gradient energies on structured grids.
 
 Discretization: node-based fields, cell-centered masks, forward-difference
-per-cell gradients.  On a grid with periodic axes, nodes and cells share the
-same index set and differences wrap; on non-periodic axes there is one more
-node layer than cells, and the two end layers of an axis can be frozen
-(Dirichlet).  This lowest-order choice keeps the zero corrector exactly
+per-cell gradients.  The grid names one boundary kind per axis: on a
+periodic axis ("P") nodes and cells share the same index set and
+differences wrap; on the other axes there is one more node layer than
+cells, and the two end layers are either frozen at zero ("D", Dirichlet) or
+free ("N").  This lowest-order choice keeps the zero corrector exactly
 optimal on full masks and makes grid-aligned stripe correctors exact.
 
 Solvers: quadratic densities are minimized by one preconditioned conjugate
 gradient, for periodic cell problems, cylinders and Dirichlet slabs alike.
 The operator is applied as vol * D^T (mask * stress(D u)); the
 preconditioner inverts the unmasked box Laplacian axis by axis with numpy.fft
-(FFT on periodic axes, DST-I on frozen-end axes, DCT-II on free ends) and
-keeps only active free nodes.  On a 2-d slab, frozen at both ends of axis 0
-and with one connected run of occupied cells per cell column (the n = 2
-slabs of direct_min), the preconditioner is instead the exact inverse of
-the operator, by block cyclic reduction over the node lines that forms and
-factors each distinct block once, and CG takes one iteration.  CG stops on
-the true residual, ||r|| <= cg_rtol ||b|| (docs/solvers.md).  Every other
+(FFT on "P" axes, DST-I on "D" axes, DCT-II on "N" axes) and keeps only
+active free nodes.  On a 2-d slab of kinds "DN" with one connected run of
+occupied cells per cell column (the n = 2 slabs of direct_min), the
+preconditioner is instead the exact inverse of the operator, by block
+cyclic reduction over the node lines that forms and factors each distinct
+block once, and CG takes one iteration.  CG stops on the true residual,
+||r|| <= cg_rtol ||b|| (docs/solvers.md).  Every other
 density uses inexact Newton: each step runs the same preconditioned CG on
 the tangent operator vol * D^T (mask * DS(G) D), to an Eisenstat-Walker
 tolerance, and a line search that reads gradients only; it stops on
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -86,9 +88,13 @@ class CorrectorField:
 
 @dataclass(frozen=True)
 class _Grid:
+    """A box of cells with one boundary kind per axis in ``kinds``: "P"
+    periodic, "D" both end node layers frozen at zero (Dirichlet), "N" free
+    ends.  A non-periodic axis has one more node layer than cells."""
+
     cells: tuple
     spacings: tuple
-    periodic: tuple
+    kinds: str
 
     @property
     def dim(self):
@@ -96,7 +102,7 @@ class _Grid:
 
     @functools.cached_property
     def node_shape(self):
-        return tuple(c if p else c + 1 for c, p in zip(self.cells, self.periodic))
+        return tuple(c if k == "P" else c + 1 for c, k in zip(self.cells, self.kinds))
 
     @property
     def cell_volume(self):
@@ -119,7 +125,7 @@ class _Grid:
             def at(s):
                 return lo[:1 + a] + (s,) + lo[2 + a:]
             wrap = None
-            if self.periodic[a]:
+            if self.kinds[a] == "P":
                 wrap = ((at(slice(0, n - 1)), at(slice(1, n))),
                         (at(slice(n - 1, n)), at(slice(0, 1))))
             out.append((h, lo, at(slice(1, n + 1)), wrap))
@@ -188,12 +194,13 @@ def _active_node_mask(grid, mask):
     return active.reshape(grid.node_shape)
 
 
-def _frozen_ends(grid, axes):
-    """Nodes on the two end layers of each listed (non-periodic) axis."""
+def _frozen_ends(grid):
+    """Nodes on the two end layers of each Dirichlet axis."""
     frozen = np.zeros(grid.node_shape, dtype=bool)
-    for a in axes:
-        frozen[_along(a, 0)] = True
-        frozen[_along(a, -1)] = True
+    for a, kind in enumerate(grid.kinds):
+        if kind == "D":
+            frozen[_along(a, 0)] = True
+            frozen[_along(a, -1)] = True
     return frozen
 
 
@@ -275,15 +282,13 @@ class _SpectralPreconditioner:
     for the whole solve.  See docs/solvers.md.
     """
 
-    def __init__(self, grid, mask, dirichlet_axes):
-        self.select = _active_node_mask(grid, mask)
-        if dirichlet_axes:
-            self.select &= ~_frozen_ends(grid, dirichlet_axes)
-        self.window = tuple(slice(1, n - 1) if a in dirichlet_axes else slice(None)
-                            for a, n in enumerate(grid.node_shape))
-        shape = tuple(n - 2 if a in dirichlet_axes else n
-                      for a, n in enumerate(grid.node_shape))
-        self.periodic = tuple(a for a in range(grid.dim) if grid.periodic[a])
+    def __init__(self, grid, mask):
+        kinds = grid.kinds
+        self.select = _active_node_mask(grid, mask) & ~_frozen_ends(grid)
+        self.window = tuple(slice(1, n - 1) if k == "D" else slice(None)
+                            for k, n in zip(kinds, grid.node_shape))
+        shape = tuple(n - 2 if k == "D" else n for k, n in zip(kinds, grid.node_shape))
+        self.periodic = tuple(a for a, k in enumerate(kinds) if k == "P")
         spectral = list(shape)
         if self.periodic:
             last = self.periodic[-1]
@@ -298,9 +303,9 @@ class _SpectralPreconditioner:
         for a, (n, h) in enumerate(zip(shape, grid.spacings)):
             bcast = (1,) * (grid.dim - 1 - a)
             k = np.arange(spectral[a], dtype=float).reshape((spectral[a],) + bcast)
-            if grid.periodic[a]:
+            if kinds[a] == "P":
                 total = total + (2.0 - 2.0 * np.cos(2.0 * np.pi * k / n)) / h ** 2
-            elif a in dirichlet_axes:
+            elif kinds[a] == "D":
                 total = total + (2.0 - 2.0 * np.cos(np.pi * (k + 1) / (n + 1))) / h ** 2
                 scale *= 2.0 / (n + 1)          # the DST-I matrix squares to (n + 1)/2
                 sine = np.sin(np.pi * (k + 1) / (n + 1))
@@ -398,13 +403,13 @@ def _column_runs(mask):
     return runs, lo, hi
 
 
-def _line_solvable(grid, mask, dirichlet_axes):
-    """Whether _LineSolver applies: a 2-d grid with both end layers of axis 0
-    frozen and axis 1 free, on which each cell column holds one run of
+def _line_solvable(grid, mask):
+    """Whether _LineSolver applies: a grid of kinds "DN" (both end layers of
+    axis 0 frozen, axis 1 free), on which each cell column holds one run of
     occupied cells that shares a node with the next column's run.  The
     active nodes then form one component that touches a frozen layer, so
     the operator is positive definite on the active free nodes."""
-    if grid.dim != 2 or any(grid.periodic) or tuple(dirichlet_axes) != (0,):
+    if grid.kinds != "DN":
         return False
     runs, lo, hi = _column_runs(mask)
     if np.any(runs != 1):
@@ -575,8 +580,7 @@ class _LineSolver:
 
 # -- internal masked solve -----------------------------------------------------
 
-def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=(),
-                  free_offset=False):
+def _solve_masked(grid, mask, W, F, opts, v0=None, free_offset=False):
     """Minimize cellvol * sum_{occupied} W(F + Dv) over node fields v.
 
     F is an m x n float array with n >= grid.dim; Dv is zero in the columns
@@ -584,7 +588,7 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=(),
     ``free_offset`` those columns are unknowns as well: the solve starts from
     their values in F and writes the minimizing ones back into F
     (docs/solvers.md).  Returns (integral, v, report).  The two end node
-    layers of every axis in ``dirichlet_axes`` are held at zero.
+    layers of every Dirichlet axis of the grid are held at zero.
     """
     opts = opts or SolverOptions()
     m = W.m
@@ -602,7 +606,7 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=(),
         return (x[:nv].reshape((m,) + grid.node_shape),
                 x[nv:].reshape((m, n - fixed) + cells))
 
-    free = ~_frozen_ends(grid, dirichlet_axes) if dirichlet_axes else None
+    free = ~_frozen_ends(grid) if "D" in grid.kinds else None
     maskf = mask.astype(float)
     vol = grid.cell_volume
     vol_mask = vol * maskf
@@ -671,7 +675,7 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=(),
     # spectral preconditioner: its tangent vanishes where the gradient does
     # (p > 2), which leaves line blocks singular, and changes every step
     exact = (W.is_quadratic and not free_offset
-             and _line_solvable(grid, mask, dirichlet_axes))
+             and _line_solvable(grid, mask))
     axes = tuple(range(2, 2 + d))
     units = np.eye(m * n).reshape((m * n, m, n) + cells)
     cols = np.arange(m * n) % n >= d
@@ -705,13 +709,13 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, dirichlet_axes=(),
                     return out
                 return line_precond
             if spectral is None:
-                spectral = _SpectralPreconditioner(grid, mask, dirichlet_axes)
+                spectral = _SpectralPreconditioner(grid, mask)
             if free_offset:
                 # the summed tangent: column k is sum_c mask * DS_c[E_k]
                 S = np.stack([np.einsum(DS(e), [0, 1, *axes], maskf, axes,
                                         [0, 1]).ravel() for e in units], axis=1)
                 s = float(np.mean(np.diag(S)[~cols])) / occupied
-                K_bb_inv = _symmetric_pinv(vol * S[np.ix_(cols, cols)])
+                K_bb_inv = np.linalg.pinv(vol * S[np.ix_(cols, cols)], hermitian=True)
                 if s > 0:
                     K_bb_inv *= vol * s
 
@@ -755,16 +759,6 @@ def _check_offset(W, F, d):
             f"offset matrix has shape {F.shape}; expected ({W.m}, n) with n >= {d}"
         )
     W.check_dims(*F.shape)
-
-
-def _symmetric_pinv(K):
-    """Pseudo-inverse of a symmetric K from its eigendecomposition, with
-    pinv's cutoff: eigenvalues within 1e-15 max|lambda| of 0 map to 0."""
-    lam, V = np.linalg.eigh(K)
-    size = np.abs(lam)
-    inv = np.divide(1.0, lam, out=np.zeros_like(lam),
-                    where=size > 1e-15 * size.max(initial=0.0))
-    return (V * inv) @ V.T
 
 
 def _dot(a, b):
@@ -959,8 +953,9 @@ def minimize_periodic(mask, W, F, opts=None, v0=None, want_corrector=True,
     d = mask.ndim
     F = as_matrix(F).copy()
     m = F.shape[0]
+    _check_offset(W, F, d)
     grid = _Grid(cells=mask.shape, spacings=tuple(1.0 / c for c in mask.shape),
-                 periodic=(True,) * d)
+                 kinds="P" * d)
     if not mask.any():
         v = np.zeros((m,) + grid.node_shape)
         integral = 0.0
@@ -970,7 +965,6 @@ def minimize_periodic(mask, W, F, opts=None, v0=None, want_corrector=True,
           and not node_graph_winds(mask)):
         # v = -F x on a lift of each node component cancels the in-plane
         # columns in every occupied cell, and no field does better
-        _check_offset(W, F, d)
         if free_offset:
             F[:, d:] = 0.0
         G = F.copy()
@@ -1002,14 +996,21 @@ def minimize_dirichlet(mask, W, F, box_side, opts=None, v0=None):
     """
     mask = np.asarray(mask, dtype=bool)
     d = mask.ndim
-    T = int(box_side)
-    if T < 1:
-        raise ConfigurationError(f"box side must be a positive integer; got {box_side}")
+    T = _box_side(box_side)
+    _check_offset(W, as_matrix(F), d)
     grid = _Grid(cells=mask.shape, spacings=tuple(T / c for c in mask.shape),
-                 periodic=(False,) * d)
+                 kinds="D" * d)
     if not mask.any():
         return 0.0, SolveReport(iterations=0, residual=0.0, converged=True,
                                 method="empty")
-    integral, _, report = _solve_masked(grid, mask, W, F, opts, v0=v0,
-                                        dirichlet_axes=tuple(range(d)))
+    integral, _, report = _solve_masked(grid, mask, W, F, opts, v0=v0)
     return integral / float(T) ** d, report
+
+
+def _box_side(box_side):
+    """``box_side`` as a positive int; a bool, a string or a fraction is
+    rejected rather than truncated."""
+    if (isinstance(box_side, bool) or not isinstance(box_side, numbers.Real)
+            or not float(box_side).is_integer() or box_side < 1):
+        raise ConfigurationError(f"box_side must be a positive integer; got {box_side!r}")
+    return int(box_side)

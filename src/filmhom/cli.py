@@ -26,7 +26,7 @@ from . import film as film_mod
 from . import homogenize as hom
 from .config import load_config
 from .errors import (ConfigurationError, QuadratureError, ResolutionError,
-                     StructuralInconsistencyError, UnsupportedFeatureError)
+                     StructuralInconsistencyError)
 from .profiles import superlevel_mask, torus_components
 
 MONOTONE_TOL = 1e-8
@@ -243,7 +243,7 @@ def cmd_gamma(cfg, args, out):
     probes = cfg.probe_matrices(cfg.n - 1)
     if len(probes) != 1:
         raise ConfigurationError(
-            "gamma command runs one boundary datum; configure exactly one F probe")
+            "gamma command runs one affine boundary gradient; configure exactly one F probe")
     report = film_mod.gamma_check(
         cfg.profile, cfg.energy, probes[0], cfg.eps_schedule, omega=cfg.omega,
         cells_per_delta=cfg.cells_per_delta,
@@ -301,7 +301,7 @@ def main(argv=None):
     out.mkdir(parents=True, exist_ok=True)
     try:
         converged = COMMANDS[args.command](cfg, args, out)
-    except (ConfigurationError, UnsupportedFeatureError) as err:
+    except ConfigurationError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except ResolutionError as err:

@@ -49,9 +49,10 @@ class RunConfig:
     omega: tuple
     config_hash: str
 
-    def probe_matrices(self, columns, rng=None):
+    def probe_matrices(self, columns):
         """Materialize F probes as (m, columns) matrices: the explicit ones
-        whose flattened length matches, plus the requested random ones."""
+        whose flattened length matches, plus the requested random ones,
+        drawn from ``seed``."""
         out = []
         want = self.m * columns
         for probe in self.F_probes:
@@ -63,7 +64,7 @@ class RunConfig:
                 )
             out.append(flat.reshape(self.m, columns))
         if self.random_probes > 0:
-            rng = rng or np.random.default_rng(self.seed)
+            rng = np.random.default_rng(self.seed)
             for _ in range(self.random_probes):
                 out.append(rng.uniform(-self.probe_scale, self.probe_scale,
                                        size=(self.m, columns)))

@@ -255,9 +255,10 @@ class EnergyDensity:
 
     # -- hypothesis checks ---------------------------------------------------
 
-    def check_convexity(self, rng=None, samples=200, scale=2.0, tol=1e-10):
-        """Sampled midpoint-convexity check on one stack of ``samples``
-        chords (three calls of ``fn``); raises for detected violations.
+    def check_convexity(self):
+        """Sampled midpoint-convexity check on one stack of 200 seeded chords
+        in [-2, 2]^(m x n) (three calls of ``fn``); raises where a midpoint
+        exceeds its chord by more than 1e-10.
 
         Builtin kinds are convex by construction and pass without sampling.
         """
@@ -267,12 +268,12 @@ class EnergyDensity:
             raise ConfigurationError(
                 f"density {self.label!r} is declared non-convex"
             )
-        rng = rng or np.random.default_rng(0)
-        F, G = rng.uniform(-scale, scale, size=(2, self.m, self.n, samples))
-        lam = rng.uniform(0.0, 1.0, size=samples)
+        rng = np.random.default_rng(0)
+        F, G = rng.uniform(-2.0, 2.0, size=(2, self.m, self.n, 200))
+        lam = rng.uniform(0.0, 1.0, size=200)
         mid = self.fn(lam * F + (1 - lam) * G)
         chord = lam * self.fn(F) + (1 - lam) * self.fn(G)
-        bad = np.flatnonzero(mid > chord + tol)
+        bad = np.flatnonzero(mid > chord + 1e-10)
         if bad.size:
             k = bad[0]
             raise ConfigurationError(

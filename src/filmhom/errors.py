@@ -1,8 +1,8 @@
 """Exception taxonomy shared by all modules.
 
 Exit-code mapping used by the CLI: configuration errors -> 2, resolution
-errors -> 3, solver non-convergence -> 4, structural inconsistency -> 5.
-Non-convergence is not raised: every solve carries it in
+errors -> 3, quadrature non-convergence -> 4, structural inconsistency -> 5.
+Solver non-convergence is not raised: every solve carries it in
 ``SolveReport.converged``, and the CLI turns any False into exit code 4.
 """
 
@@ -59,7 +59,3 @@ class QuadratureError(FilmhomError):
         super().__init__(message)
         self.best_estimate = best_estimate
         self.history = history or []
-
-
-class UnsupportedFeatureError(FilmhomError):
-    """Requested a feature outside the supported v1 surface."""

@@ -19,8 +19,7 @@ import numpy as np
 
 from .cell_solver import _Grid, _solve_masked, minimize_periodic
 from .energy import as_matrix
-from .errors import (ConfigurationError, QuadratureError, ResolutionError,
-                     UnsupportedFeatureError)
+from .errors import ConfigurationError, QuadratureError, ResolutionError
 from .homogenize import thresholds
 from .profiles import oscillating_domain_mask, superlevel_mask
 
@@ -30,7 +29,6 @@ class QuadratureOptions:
     rel_tol: float = 1e-3
     initial_nodes_per_unit: int = 8
     max_refinements: int = 8
-    abs_floor: float = 1e-9
 
 
 @dataclass
@@ -188,11 +186,11 @@ def w_bar(profile, W, Fbar, *, n_grid=64, quad=None, threshold_report=None,
     Each node takes one joint ``w_tilde`` solve, whose transverse column is
     recorded in ``node_argmins``.  Composite midpoint rule on the pieces cut
     by the detected thresholds (midpoint nodes never hit a threshold); the
-    node count doubles per refinement until two successive totals agree to
-    the relative tolerance.  A run that exhausts the refinement budget raises
-    QuadratureError carrying the best estimate and the full node history.
-    The entry's ``converged`` is False when any cylinder solve of any
-    refinement level did not converge.
+    node count doubles per refinement until two successive totals differ by
+    at most rel_tol * max(|total|, 1e-9).  A run that exhausts the refinement
+    budget raises QuadratureError carrying the best estimate and the full
+    node history.  The entry's ``converged`` is False when any cylinder
+    solve of any refinement level did not converge.
     """
     _require_film_hypotheses(profile, W)
     quad = quad or QuadratureOptions()
@@ -223,7 +221,7 @@ def w_bar(profile, W, Fbar, *, n_grid=64, quad=None, threshold_report=None,
                               converged=converged)
         if prev_total is not None and (
                 abs(total - prev_total)
-                <= quad.rel_tol * max(abs(total), quad.abs_floor)):
+                <= quad.rel_tol * max(abs(total), 1e-9)):
             return best
         prev_total = total
         per_piece = [2 * n for n in per_piece]
@@ -258,26 +256,21 @@ def _omega_box(omega, d):
     return omega
 
 
-def membrane_min(omega, Fbar, profile, W, *, datum="affine", n_grid=64,
-                 quad=None, solver_opts=None):
-    """Limit membrane minimum for affine boundary data on a box.
+def membrane_min(omega, Fbar, profile, W, *, n_grid=64, quad=None,
+                 solver_opts=None):
+    """Limit membrane minimum for the affine boundary data x -> Fbar x on a box.
 
     For affine data and a convex effective density the affine extension is a
     minimizer, so the value is twice the box area times the effective density
-    at the datum gradient (the slab thickness spans (-1, 1)).  Non-affine
-    data are outside v1.
+    at Fbar (the slab thickness spans (-1, 1)).
     """
-    if datum != "affine":
-        raise UnsupportedFeatureError(
-            "membrane_min supports affine boundary data only in v1"
-        )
     omega = _omega_box(omega, profile.dim)
     area = math.prod(hi - lo for lo, hi in omega)
     entry = w_bar(profile, W, Fbar, n_grid=n_grid, quad=quad,
                   solver_opts=solver_opts)
     value = 2.0 * area * entry.value
-    note = ("affine datum: the affine extension minimizes the convex membrane "
-            "functional, so the minimum is 2 * |omega| * effective_density(datum)")
+    note = ("affine data: the affine extension minimizes the convex membrane "
+            "functional, so the minimum is 2 * |omega| * effective_density(Fbar)")
     return MembraneResult(value=value, wbar_value=entry.value, omega_area=area,
                           note=note, table_entry=entry)
 
@@ -311,13 +304,10 @@ def direct_min(profile, eps, delta, Fbar, W, *, omega=None, cells_per_delta=8,
     grid_cells = in_plane + (int(vertical_cells),)
     dm = oscillating_domain_mask(profile, eps, delta, grid_cells, omega=omega)
 
-    grid = _Grid(cells=grid_cells, spacings=dm.spacings,
-                 periodic=(False,) * (d + 1))
-    F_off = np.hstack([Fbar, np.zeros((m, 1))])
-
     # lateral Dirichlet data, free top and bottom
-    integral, _, report = _solve_masked(grid, dm.occupancy, W, F_off,
-                                        solver_opts, dirichlet_axes=tuple(range(d)))
+    grid = _Grid(cells=grid_cells, spacings=dm.spacings, kinds="D" * d + "N")
+    F_off = np.hstack([Fbar, np.zeros((m, 1))])
+    integral, _, report = _solve_masked(grid, dm.occupancy, W, F_off, solver_opts)
     return integral, report
 
 

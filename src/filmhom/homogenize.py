@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell_solver import SolveReport, minimize_dirichlet, minimize_periodic
+from .cell_solver import (SolveReport, _box_side, minimize_dirichlet,
+                          minimize_periodic)
 from .energy import EnergyDensity, as_matrix
 from .errors import ConfigurationError, StructuralInconsistencyError
 from .profiles import superlevel_mask, torus_components, wrap_rank_levels
@@ -172,8 +173,8 @@ def w_hom_cube_oracle(profile, t, F, W, box_side, n_grid, *, opts=None):
 
     Returns (value, report).
     """
-    T = int(box_side)
-    if not 1 <= T <= 8:
+    T = _box_side(box_side)
+    if T > 8:
         raise ConfigurationError(f"box side must be in 1..8 at desk scale; got {box_side}")
     F = as_matrix(F)
     d = profile.dim + 1
@@ -215,15 +216,21 @@ def _complement(xi, dim):
     return [tuple(float(x) for x in row) for row in comp]
 
 
+def _check_m(m):
+    """Reject a field dimension m that is not a positive integer."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        raise ConfigurationError(f"m must be a positive integer; got {m!r}")
+
+
 def kernel(profile, t, n_grid, *, p=2.0, m=1, opts=None, confirm=True,
-           kernel_tol=KERNEL_VALUE_TOL, coercivity_floor=COERCIVITY_FLOOR):
+           coercivity_floor=COERCIVITY_FLOOR):
     """Kernel structure of the in-plane density at level t.
 
     Geometric route: the wrap lattice of the superlevel mask; a matrix lies
     in the kernel iff it annihilates every spanning direction xi_i, so the
     kernel dimension is m * (dim - rank).  When ``confirm`` is set, probe
     solves check the energetic verdict: kernel probes must fall below
-    ``kernel_tol``, spanning-direction probes must stay above
+    ``KERNEL_VALUE_TOL``, spanning-direction probes must stay above
     ``coercivity_floor``; disagreement raises StructuralInconsistencyError
     (the grid is too coarse to trust either verdict).
 
@@ -234,6 +241,7 @@ def kernel(profile, t, n_grid, *, p=2.0, m=1, opts=None, confirm=True,
     spanning directions, and converged False when any probe solve did not
     converge.
     """
+    _check_m(m)
     mask = superlevel_mask(profile, t, n_grid)
     comps = torus_components(mask)
     d = profile.dim
@@ -252,10 +260,11 @@ def kernel(profile, t, n_grid, *, p=2.0, m=1, opts=None, confirm=True,
 
         for zeta in _complement(xi, d):
             val = probe(zeta)
-            if val is not None and val > kernel_tol:
+            if val is not None and val > KERNEL_VALUE_TOL:
                 raise StructuralInconsistencyError(
                     f"level {t}: direction {zeta} is geometrically degenerate "
-                    f"(no wrap) but the cell value {val:.3e} exceeds {kernel_tol:.1e}; "
+                    f"(no wrap) but the cell value {val:.3e} exceeds "
+                    f"{KERNEL_VALUE_TOL:.1e}; "
                     f"the grid at N={n_grid} cannot certify the geometric verdict "
                     f"(coarse grid, or zero-capacity contacts that the discrete "
                     f"stencil couples)",
@@ -284,6 +293,7 @@ def thresholds(profile, n_grid, *, m=1, p=2.0, opts=None, confirm=True,
     levels closer than 1/N, the level resolution of the grid, bound no
     interval of their own.
     """
+    _check_m(m)
     d = profile.dim
     rises = wrap_rank_levels(profile, n_grid)
     ts = tuple(rises[d - k] if d - k < len(rises) else 0.0 for k in range(1, d + 1))
@@ -315,9 +325,10 @@ class BoundsReport:
     num_samples: int
 
 
-def bounds_check(profile, report, s, F_samples, n_grid, *, p=2.0, num_t=4, opts=None):
+def bounds_check(profile, report, s, F_samples, n_grid, *, p=2.0, opts=None):
     """Empirical two-sided comparison of psi against the reduced seminorm
-    sum_i |F_bar xi_i|^p + |F_n|^p on an interval (t_k, s].
+    sum_i |F_bar xi_i|^p + |F_n|^p on an interval (t_k, s], at four evenly
+    spaced levels up to s.
 
     Matrices lying in the kernel with zero transverse column make the ratio
     0/0 and are excluded.  Returns fitted constants (min and max ratio).
@@ -332,8 +343,7 @@ def bounds_check(profile, report, s, F_samples, n_grid, *, p=2.0, num_t=4, opts=
             f"s={s} does not lie inside any interval of the threshold report"
         )
     xi = [np.array(x) for x in interval.xi]
-    t_samples = [interval.t_lo + (s - interval.t_lo) * (i + 1) / num_t
-                 for i in range(num_t)]
+    t_samples = [interval.t_lo + (s - interval.t_lo) * (i + 1) / 4 for i in range(4)]
     ratios = []
     for t in t_samples:
         for F in F_samples:

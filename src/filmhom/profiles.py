@@ -47,7 +47,6 @@ class Profile:
     floor: float = 0.5
     values: np.ndarray | None = None
     min_value: float = 0.0
-    sup_value: float = 1.0
     # eval_grid's read-only grids, one per resolution asked for
     _grids: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
@@ -60,7 +59,7 @@ class Profile:
             raise ConfigurationError(
                 f"constant profile must have value 1 (sup f = 1 normalization); got {value}"
             )
-        return Profile(dim=dim, kind="constant", floor=1.0, min_value=1.0, sup_value=1.0)
+        return Profile(dim=dim, kind="constant", floor=1.0, min_value=1.0)
 
     @staticmethod
     def builtin(name, dim, floor=None):
@@ -77,7 +76,7 @@ class Profile:
         if dim < 1:
             raise ConfigurationError(f"profile dim must be >= 1; got {dim}")
         return Profile(dim=dim, kind=name, floor=float(floor),
-                       min_value=float(floor), sup_value=1.0)
+                       min_value=float(floor))
 
     @staticmethod
     def sampled(values):
@@ -101,8 +100,7 @@ class Profile:
             )
         values = values.copy()
         values.flags.writeable = False
-        return Profile(dim=dim, kind="sampled", values=values,
-                       min_value=vmin, sup_value=vmax)
+        return Profile(dim=dim, kind="sampled", values=values, min_value=vmin)
 
     # -- evaluation --------------------------------------------------------
 
@@ -198,10 +196,6 @@ class CellMask:
     level: float
     occupancy: np.ndarray
     area_fraction: float
-
-    @property
-    def num_occupied(self):
-        return int(self.occupancy.sum())
 
 
 def superlevel_mask(profile, t, n):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from filmhom import (EnergyDensity, Profile, SolveReport, SolverOptions,
-                     minimize_dirichlet, minimize_periodic)
+from filmhom import (ConfigurationError, DimensionMismatchError, EnergyDensity,
+                     Profile, SolveReport, SolverOptions, minimize_dirichlet,
+                     minimize_periodic)
 from filmhom.cell_solver import (_active_node_mask, _cell_gradient,
                                  _cell_gradient_adjoint, _Grid,
                                  _stencil_components)
@@ -58,8 +59,7 @@ def brute_force_quadratic_minimum(mask, W, F):
 
 
 def test_gradient_adjoint_identity(rng):
-    grid = _Grid(cells=(4, 5, 3), spacings=(0.25, 0.1, 2.0),
-                 periodic=(True, False, True))
+    grid = _Grid(cells=(4, 5, 3), spacings=(0.25, 0.1, 2.0), kinds="PNP")
     v = rng.standard_normal((2,) + grid.node_shape)
     P = rng.standard_normal((2, 3) + grid.cells)
     lhs = np.vdot(P, _cell_gradient(grid, v))
@@ -201,8 +201,7 @@ def test_corrector_gauge_and_frozen_nodes(W2):
     for mask, stripes in ((one, 1), (two, 2)):
         _, corr, _ = minimize_periodic(mask, W2, [[1.0, 0.0]])
         v = np.asarray(corr.values)
-        grid = _Grid(cells=mask.shape, spacings=(1 / 16, 1 / 16),
-                     periodic=(True, True))
+        grid = _Grid(cells=mask.shape, spacings=(1 / 16, 1 / 16), kinds="PP")
         active = _active_node_mask(grid, mask)
         assert np.abs(v[0][~active]).max() == 0.0
         nodes, comp = _stencil_components(grid, mask)
@@ -256,6 +255,32 @@ def test_dirichlet_empty_mask(W2):
     value, report = minimize_dirichlet(np.zeros((8, 8), bool), W2, [[1.0, 0.0]], 2)
     assert value == 0.0
     assert report.converged
+
+
+@pytest.mark.parametrize("box_side", [2.5, True, "2", 0, float("nan")])
+def test_dirichlet_rejects_non_integral_box_side(W2, box_side):
+    # int() would truncate 2.5 to the side-2 box and solve that
+    with pytest.raises(ConfigurationError, match="box_side"):
+        minimize_dirichlet(np.ones((4, 4), bool), W2, [[1.0, 0.0]], box_side)
+
+
+def test_dirichlet_accepts_integral_float_box_side(W2):
+    assert (minimize_dirichlet(np.ones((4, 4), bool), W2, [[1.0, 0.0]], 2.0)
+            == minimize_dirichlet(np.ones((4, 4), bool), W2, [[1.0, 0.0]], 2))
+
+
+@pytest.mark.parametrize("mask", [np.zeros((4, 4), bool), np.ones((4, 4), bool),
+                                  superlevel_mask(Profile.builtin("sin2-product", 2),
+                                                  0.7, 4).occupancy],
+                         ids=["empty", "full", "islands"])
+def test_offset_checked_before_short_paths(W2, mask):
+    # an empty mask and islands that do not wind are not solved; the offset
+    # is checked all the same
+    F = [[1.0, 2.0, 3.0, 4.0, 5.0]]
+    with pytest.raises(DimensionMismatchError):
+        minimize_periodic(mask, W2, F, want_corrector=False)
+    with pytest.raises(DimensionMismatchError):
+        minimize_dirichlet(mask, W2, F, 1)
 
 
 def test_nonconvex_custom_density_warns():

@@ -289,6 +289,22 @@ def test_exit_code_film_nonconvergence(tmp_path):
     assert table["entries"][0]["converged"] is False
 
 
+def test_exit_code_quadrature_error(tmp_path, capsys):
+    # a rough sampled profile whose film density changes by more than
+    # 1e-12 between the two refinement levels allowed
+    values = np.random.default_rng(3).uniform(0.3, 1.0, size=(8, 8))
+    values[0, 0] = 1.0
+    prof_path = tmp_path / "prof.txt"
+    save_sampled_profile(values, prof_path)
+    cfg = write_config(tmp_path, profile={"kind": "sampled", "path": str(prof_path)},
+                       film={"n_grid": 8},
+                       quadrature={"rel_tol": 1e-12, "max_refinements": 1},
+                       sweep={"t_values": [], "F_probes": [[1.0, 0.0]]})
+    assert main(["film", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 4
+    assert "quadrature did not converge" in capsys.readouterr().err
+
+
 def test_config_validation_messages(tmp_path):
     from filmhom import ConfigurationError
     bad = {

@@ -5,9 +5,8 @@ import pytest
 import scipy.integrate
 
 from filmhom import (ConfigurationError, EnergyDensity, Profile,
-                     QuadratureOptions, UnsupportedFeatureError, direct_min,
-                     gamma_check, membrane_min, minimize_periodic,
-                     superlevel_mask, w_bar, w_hom, w_tilde)
+                     QuadratureOptions, direct_min, gamma_check, membrane_min,
+                     minimize_periodic, superlevel_mask, w_bar, w_hom, w_tilde)
 
 
 def stripe_theta(t):
@@ -166,12 +165,6 @@ def test_membrane_zero_datum(product2, W3):
     res = membrane_min(((0.0, 1.0), (0.0, 1.0)), [[0.0, 0.0]], product2, W3,
                        n_grid=16)
     assert res.value == pytest.approx(0.0, abs=1e-9)
-
-
-def test_membrane_rejects_non_affine(product2, W3):
-    with pytest.raises(UnsupportedFeatureError):
-        membrane_min(((0.0, 1.0), (0.0, 1.0)), [[1.0, 0.0]], product2, W3,
-                     datum="bubble", n_grid=8)
 
 
 # -- direct slab minimization ----------------------------------------------------

@@ -205,6 +205,16 @@ def test_whom_descent_converges_near_tolerance(checker2, kind, t, F, n):
         assert sample.value == pytest.approx(split.value, abs=1e-9)
 
 
+def test_whom_rejects_declared_nonconvex():
+    # the declaration alone decides: the density is convex, but no chord
+    # is sampled for a density declared non-convex
+    declared = EnergyDensity.custom(lambda G: np.sum(G * G, axis=(0, 1)), p=2.0,
+                                    m=1, n=3, gamma=1.0, beta=1.0, convex=False)
+    with pytest.raises(ConfigurationError, match="declared non-convex"):
+        w_hom(Profile.builtin("sin2-stripe", dim=2), 0.3, [[1.0, 0.0, 0.0]],
+              declared, 8)
+
+
 def test_whom_rejects_nonconvex():
     bad = EnergyDensity.custom(lambda G: np.sqrt(np.abs(G).sum(axis=(0, 1))),
                                p=2.0, m=1, n=3, gamma=0.1, beta=10.0)
@@ -229,6 +239,11 @@ def test_cube_monotone_toward_periodic(stripe2, W3):
     assert vals[2] <= vals[1] <= vals[0]
     periodic = w_hom(stripe2, 0.75, F, W3, 8).value
     assert all(v >= periodic - 1e-10 for v in vals)
+
+
+def test_cube_rejects_non_integral_box_side(product2, W3):
+    with pytest.raises(ConfigurationError, match="box_side"):
+        w_hom_cube_oracle(product2, 0.3, [[1.0, 0.0, 0.0]], W3, 2.5, 8)
 
 
 def test_cube_empty_mask(product2, W3):
@@ -343,6 +358,14 @@ def test_checkerboard_corner_contacts_flagged(checker2):
 def test_thresholds_kernel_dim_scales_with_m(product2):
     rep = thresholds(product2, 32, m=3)
     assert rep.intervals[-1].kernel_dim == 2 * 3
+
+
+@pytest.mark.parametrize("m", [0, -1, 1.5])
+def test_kernel_and_thresholds_reject_bad_m(product2, m):
+    with pytest.raises(ConfigurationError, match="m must be"):
+        thresholds(product2, 16, m=m)
+    with pytest.raises(ConfigurationError, match="m must be"):
+        kernel(product2, 0.3, 16, m=m)
 
 
 # -- two-sided bounds --------------------------------------------------------

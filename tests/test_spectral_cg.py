@@ -21,15 +21,15 @@ from filmhom.profiles import oscillating_domain_mask
 # -- the preconditioner is the pseudo-inverse of the unmasked box operator ----
 
 
-def dense_box_operator(grid, dirichlet_axes):
+def dense_box_operator(grid):
     """sum_a L_a / h_a^2 on the interior nodes of the Dirichlet axes, built
     densely from 1-d second differences."""
     factors = []
-    for a, (n, h) in enumerate(zip(grid.node_shape, grid.spacings)):
-        if grid.periodic[a]:
+    for kind, n, h in zip(grid.kinds, grid.node_shape, grid.spacings):
+        if kind == "P":
             eye = np.eye(n)
             L = 2 * eye - np.roll(eye, 1, axis=0) - np.roll(eye, -1, axis=0)
-        elif a in dirichlet_axes:
+        elif kind == "D":
             n -= 2
             L = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
         else:
@@ -62,10 +62,12 @@ def dense_box_operator(grid, dirichlet_axes):
 ])
 def test_preconditioner_inverts_box_operator(cells, periodic, dirichlet_axes, rng):
     spacings = tuple(rng.uniform(0.3, 2.0, size=len(cells)))
-    grid = _Grid(cells=cells, spacings=spacings, periodic=periodic)
-    select = ~_frozen_ends(grid, dirichlet_axes)
-    precond = _SpectralPreconditioner(grid, np.ones(cells, bool), dirichlet_axes)
-    A, sizes = dense_box_operator(grid, dirichlet_axes)
+    kinds = "".join("P" if p else "D" if a in dirichlet_axes else "N"
+                    for a, p in enumerate(periodic))
+    grid = _Grid(cells=cells, spacings=spacings, kinds=kinds)
+    select = ~_frozen_ends(grid)
+    precond = _SpectralPreconditioner(grid, np.ones(cells, bool))
+    A, sizes = dense_box_operator(grid)
     window = (slice(None),) + precond.window
     r = np.zeros((2,) + grid.node_shape)
     r[window] = rng.standard_normal((2,) + tuple(sizes))
@@ -98,8 +100,8 @@ def rfft_periodic_preconditioner(precond, r):
 @pytest.mark.parametrize("cells", [(64, 64, 2), (5, 7, 2), (33, 2), (2,)])
 def test_length_two_axis_matches_real_fft_bit_for_bit(cells, rng):
     grid = _Grid(cells=cells, spacings=tuple(rng.uniform(0.3, 2.0, size=len(cells))),
-                 periodic=(True,) * len(cells))
-    precond = _SpectralPreconditioner(grid, rng.random(cells) < 0.8, ())
+                 kinds="P" * len(cells))
+    precond = _SpectralPreconditioner(grid, rng.random(cells) < 0.8)
     r = rng.standard_normal((2,) + grid.node_shape)
     assert np.array_equal(precond(r, np.empty_like(r)),
                           rfft_periodic_preconditioner(precond, r))
@@ -118,7 +120,7 @@ def sparse_gradient(grid):
     for a in range(grid.dim):
         nb = cells.copy()
         nb[a] += 1
-        if grid.periodic[a]:
+        if grid.kinds[a] == "P":
             nb[a] %= grid.cells[a]
         ahead = np.ravel_multi_index(nb, grid.node_shape)
         rows = np.arange(ncells)
@@ -130,7 +132,7 @@ def sparse_gradient(grid):
     return sp.vstack(blocks).tocsr()
 
 
-def sparse_reference(grid, mask, A, F, dirichlet_axes=()):
+def sparse_reference(grid, mask, A, F):
     """Minimize vol * sum_occupied <A (F + Dv), F + Dv> with scipy: assemble
     K and b, drop frozen and inactive nodes and one node per (connected
     component, field component), and solve the SPD remainder directly.
@@ -144,9 +146,9 @@ def sparse_reference(grid, mask, A, F, dirichlet_axes=()):
     K = (D.T @ MS @ D).tocsr()
     b = -(D.T @ (MS @ np.repeat(F.ravel(), ncells)))
 
-    keep = _active_node_mask(grid, mask) & ~_frozen_ends(grid, dirichlet_axes)
+    keep = _active_node_mask(grid, mask) & ~_frozen_ends(grid)
     keep = np.tile(keep.ravel(), m)
-    if not dirichlet_axes:
+    if "D" not in grid.kinds:
         # gauge: pin one node of each connected component of each field component
         idx = np.flatnonzero(keep)
         ncomp, labels = scipy.sparse.csgraph.connected_components(
@@ -203,29 +205,28 @@ def test_slab_solve_matches_sparse_reference(kind, eps, cells, form):
     d = len(cells) - 1
     profile = Profile.builtin(kind, dim=d)
     dm = oscillating_domain_mask(profile, eps, eps * eps, cells)
-    grid = _Grid(cells=cells, spacings=dm.spacings, periodic=(False,) * (d + 1))
+    grid = _Grid(cells=cells, spacings=dm.spacings, kinds="D" * d + "N")
     assert len(set(grid.spacings)) == d + 1
     mask = np.array(dm.occupancy)
     if form == "empty-column":
         mask[cells[0] // 2] = False
     W, A, F = slab_density(form, d)
-    dirichlet = tuple(range(d))
-    exact = _line_solvable(grid, mask, dirichlet)
+    exact = _line_solvable(grid, mask)
     assert exact == (d == 1 and form != "empty-column")
-    ref = sparse_reference(grid, mask, A, F, dirichlet)
+    ref = sparse_reference(grid, mask, A, F)
     ref_value = reference_value(grid, mask, W, F, ref)
 
-    value, _, report = _solve_masked(grid, mask, W, F, None, dirichlet_axes=dirichlet)
+    value, _, report = _solve_masked(grid, mask, W, F, None)
     assert report.converged and report.method == "cg"
     assert (report.iterations == 1) == exact
     assert value == pytest.approx(ref_value, rel=1e-10)
 
     opts = SolverOptions(cg_rtol=1e-12)
-    value, v, report = _solve_masked(grid, mask, W, F, opts, dirichlet_axes=dirichlet)
+    value, v, report = _solve_masked(grid, mask, W, F, opts)
     assert report.converged
     assert np.linalg.norm(v - ref) <= 1e-10 * np.linalg.norm(ref)
     # frozen lateral layers and nodes touching no occupied cell stay exactly 0
-    active = _active_node_mask(grid, mask) & ~_frozen_ends(grid, dirichlet)
+    active = _active_node_mask(grid, mask) & ~_frozen_ends(grid)
     assert (~active[1:-1]).any()
     assert np.all(v[:, ~active] == 0.0)
 
@@ -253,12 +254,11 @@ def test_line_solve_matches_sparse_reference(lines, form, period):
     # and even ends; seeded full SPD forms make the couplings bidiagonal and
     # cross-component; with distinct columns no two blocks share a key
     mask = one_run_columns(lines, 30, period, np.random.default_rng(lines))
-    grid = _Grid(cells=mask.shape, spacings=(0.7 / (lines + 1), 0.05),
-                 periodic=(False, False))
-    assert _line_solvable(grid, mask, (0,))
+    grid = _Grid(cells=mask.shape, spacings=(0.7 / (lines + 1), 0.05), kinds="DN")
+    assert _line_solvable(grid, mask)
     W, A, F = slab_density(form, 1)
-    ref = sparse_reference(grid, mask, A, F, (0,))
-    value, v, report = _solve_masked(grid, mask, W, F, None, dirichlet_axes=(0,))
+    ref = sparse_reference(grid, mask, A, F)
+    value, v, report = _solve_masked(grid, mask, W, F, None)
     assert report.converged and report.iterations == 1
     assert value == pytest.approx(reference_value(grid, mask, W, F, ref), rel=1e-10)
     assert np.linalg.norm(v - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -266,22 +266,24 @@ def test_line_solve_matches_sparse_reference(lines, form, period):
 
 
 def test_line_solvable_needs_connected_column_runs():
-    grid = _Grid(cells=(6, 5), spacings=(0.5, 0.25), periodic=(False, False))
+    def grid(kinds):
+        return _Grid(cells=(6, 5), spacings=(0.5, 0.25), kinds=kinds)
+
     mask = np.zeros((6, 5), bool)
     mask[:, 1:4] = True
-    assert _line_solvable(grid, mask, (0,))
-    assert not _line_solvable(grid, mask, (0, 1))
-    assert not _line_solvable(grid, mask, ())
+    assert _line_solvable(grid("DN"), mask)
+    for kinds in ("DD", "NN", "ND", "PN", "DP"):
+        assert not _line_solvable(grid(kinds), mask)
     # a cell (i, k) and the cell (i + 1, k - 1) share the node (i + 1, k);
     # the cells (i, k - 1) and (i + 1, k) share none
     steps = np.zeros((6, 5), bool)
     steps[:3, 3] = steps[3:, 2] = True
-    assert _line_solvable(grid, steps, (0,))
-    assert not _line_solvable(grid, steps[:, ::-1], (0,))
+    assert _line_solvable(grid("DN"), steps)
+    assert not _line_solvable(grid("DN"), steps[:, ::-1])
     # two runs in one column: the upper one could float
     split = mask.copy()
     split[2] = [True, False, True, True, False]
-    assert not _line_solvable(grid, split, (0,))
+    assert not _line_solvable(grid("DN"), split)
 
 
 @pytest.mark.parametrize("quadratic", [False, True])
@@ -289,7 +291,7 @@ def test_periodic_islands_match_sparse_reference(quadratic, product2):
     # four disconnected islands (two periods of the product profile per
     # axis at t = 0.7), two field components
     mask = np.tile(superlevel_mask(product2, 0.7, 12).occupancy, (2, 2))
-    grid = _Grid(cells=mask.shape, spacings=(1 / 24, 1 / 24), periodic=(True, True))
+    grid = _Grid(cells=mask.shape, spacings=(1 / 24, 1 / 24), kinds="PP")
     if quadratic:
         A = np.diag([1.0, 2.0, 0.5, 3.0])
         A[0, 3] = A[3, 0] = 0.25

@@ -141,7 +141,7 @@ def per_edge_stencil_components(occ):
 
 def _periodic_grid(occ):
     return _Grid(cells=occ.shape, spacings=tuple(1.0 / c for c in occ.shape),
-                 periodic=(True,) * occ.ndim)
+                 kinds="P" * occ.ndim)
 
 
 def sorted_sweep_wrap_rank_levels(profile, n):
