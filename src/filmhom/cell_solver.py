@@ -21,13 +21,15 @@ block once, and CG takes one iteration.  CG stops on the true residual,
 ||r|| <= cg_rtol ||b|| (docs/solvers.md).  Every other
 density uses inexact Newton: each step runs the same preconditioned CG on
 the tangent operator vol * D^T (mask * DS(G) D), to an Eisenstat-Walker
-tolerance, and a line search that reads gradients only; it stops on
-||gradient|| <= grad_tol (1 + |F|^(p-1)).  The tangent DS is the quadratic
-stress itself, the analytic (for p < 2 smoothed) tangent of the norm
-powers, or a directional difference of a custom density's stress, and CG
-and Newton share its preconditioner.  Every inner product and norm of both
-loops is _dot, numpy's own single-threaded loop rather than BLAS, so the
-results do not depend on the BLAS thread count.  A periodic cell problem
+tolerance, with the spectral preconditioner scaled by the tangent's
+diagonal node by node, and a line search that reads gradients only and
+may step past alpha = 1; it stops on ||gradient|| <= grad_tol
+(1 + |F|^(p-1)).  The tangent DS is the quadratic stress itself, the
+analytic (for p < 2 smoothed) tangent of the norm powers, or a
+directional difference of a custom density's stress.  Every inner
+product and norm of both loops is _dot, numpy's own single-threaded loop
+rather than BLAS, so the results do not depend on the BLAS thread
+count.  A periodic cell problem
 whose node graph does not wind is not solved when no corrector is asked
 for: for the norm powers its value is exact, theta W of the offset with
 its in-plane columns zeroed (docs/kernel_geometry.md).  The offset may have more columns
@@ -391,6 +393,40 @@ class _SpectralPreconditioner:
         return out
 
 
+# Newton's node scale s is floored at this fraction of its largest value on
+# the active free nodes: for p > 2 the tangent vanishes where the gradient
+# does, and an unfloored s^(-1/2) would blow up there.  Chosen, with
+# _CURVATURE_FRACTION, on the seed sweep of docs/solvers.md.
+_SCALE_FLOOR = 0.1
+
+
+def _tangent_scale(grid, select, diagonal):
+    """sigma = s^(-1/2) per field component and node, for Newton's
+    preconditioner z = sigma S P^+ (sigma r): s = diag(H) / (vol sum_a 2/h_a^2),
+    floored at _SCALE_FLOOR max(s) over the ``select``ed nodes, so that s is
+    1 where the tangent is the identity on a full neighbourhood.
+    ``diagonal`` (m, d, *cells) holds mask * DS_c[E_ja]_ja, and diag(H) at a
+    node sums vol diagonal[j, a] / h_a^2 over the cells c whose edge
+    (c, c + e_a) holds it; it is scaled in place.  None when no selected
+    entry is positive (then the preconditioner stays unscaled)."""
+    diag = np.zeros((diagonal.shape[0],) + grid.node_shape)
+    for a, (h, lo, hi, wrap) in enumerate(grid.stencil):
+        Pa = diagonal[:, a]
+        Pa *= 1.0 / h ** 2
+        diag[lo] += Pa
+        if wrap:
+            for cells, nodes in wrap:
+                diag[nodes] += Pa[cells]
+        else:
+            diag[hi] += Pa
+    top = float(diag[:, select].max(initial=0.0))
+    if not top > 0.0:
+        return None
+    np.maximum(diag, _SCALE_FLOOR * top, out=diag)
+    diag *= 1.0 / sum(2.0 / h ** 2 for h in grid.spacings)
+    return 1.0 / np.sqrt(diag, out=diag)
+
+
 # -- exact line solve ----------------------------------------------------------------
 
 def _column_runs(mask):
@@ -676,6 +712,7 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, free_offset=False):
     # (p > 2), which leaves line blocks singular, and changes every step
     exact = (W.is_quadratic and not free_offset
              and _line_solvable(grid, mask))
+    scaled = not W.is_quadratic
     axes = tuple(range(2, 2 + d))
     units = np.eye(m * n).reshape((m * n, m, n) + cells)
     cols = np.arange(m * n) % n >= d
@@ -692,12 +729,15 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, free_offset=False):
         def make_precond():
             # block diagonal, each block close to the inverse of its own
             # diagonal block of H up to one common scale, which leaves CG's
-            # iterates alone: on v the spectral inverse of P, on the free
-            # columns vol * s times the pseudo-inverse of the symmetric K_bb,
-            # s the mean in-plane diagonal of the summed tangent per occupied
-            # cell (vol * s * P is the unmasked box operator of H_vv).  K_bb
-            # is 0 where a p_norm_power column sits at its exact argmin 0.
-            # On a line-solvable slab it is the inverse of H itself
+            # iterates alone.  On v: for a quadratic density the spectral
+            # inverse of P, which is the inverse of H_vv / (vol * s), s the
+            # mean in-plane diagonal of the summed tangent per occupied
+            # cell; for Newton sigma S P^+ sigma, sigma the node scale of
+            # _tangent_scale, which is close to vol H_vv^-1.  On the free
+            # columns vol * s, or vol, times the pseudo-inverse of the
+            # symmetric K_bb.  K_bb is 0 where a p_norm_power column sits at
+            # its exact argmin 0.  On a line-solvable slab it is the inverse
+            # of H itself
             nonlocal spectral, factorizations
             if exact:
                 C = np.stack([DS(e) for e in units]).reshape(m, n, m, n)
@@ -710,17 +750,39 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, free_offset=False):
                 return line_precond
             if spectral is None:
                 spectral = _SpectralPreconditioner(grid, mask)
+            # one pass over the unit matrices E_k: the summed tangent, whose
+            # column k is sum_c mask * DS_c[E_k], and the per-cell diagonal
+            # entries DS_c[E_ja]_ja of the in-plane columns
+            S = np.empty((m * n, m * n)) if free_offset else None
+            diagonal = np.empty((m, d) + grid.cells) if scaled else None
+            for k, e in enumerate(units):
+                in_plane = scaled and not cols[k]
+                if not (free_offset or in_plane):
+                    continue
+                T = DS(e)
+                if free_offset:
+                    S[:, k] = np.einsum(T, [0, 1, *axes], maskf, axes, [0, 1]).ravel()
+                if in_plane:
+                    j, a = divmod(k, n)
+                    diagonal[j, a] = T[j, a]
+            sigma = None
+            if scaled:
+                diagonal *= maskf
+                sigma = _tangent_scale(grid, spectral.select, diagonal)
+                buffer = np.empty((m,) + grid.node_shape)
             if free_offset:
-                # the summed tangent: column k is sum_c mask * DS_c[E_k]
-                S = np.stack([np.einsum(DS(e), [0, 1, *axes], maskf, axes,
-                                        [0, 1]).ravel() for e in units], axis=1)
-                s = float(np.mean(np.diag(S)[~cols])) / occupied
                 K_bb_inv = np.linalg.pinv(vol * S[np.ix_(cols, cols)], hermitian=True)
+                s = 1.0 if scaled else float(np.mean(np.diag(S)[~cols])) / occupied
                 if s > 0:
                     K_bb_inv *= vol * s
 
             def precond(r, out):
-                spectral(split(r)[0], split(out)[0])
+                rv, zv = split(r)[0], split(out)[0]
+                if sigma is None:
+                    spectral(rv, zv)
+                else:
+                    spectral(np.multiply(rv, sigma, out=buffer), zv)
+                    zv *= sigma
                 if free_offset:
                     np.matmul(K_bb_inv, r[nv:], out=out[nv:])
                 return out
@@ -820,24 +882,60 @@ def _preconditioned_cg(apply_K, make_precond, b, x0, rtol, maxiter):
 
 
 _LINE_SEARCH_TRIALS = 30
+# the line search accepts alpha once |phi'(alpha)| <= this * |phi'(0)|
+_CURVATURE_FRACTION = 0.1
+
+
+def _line_search(gradient, x, d, slope0):
+    """A point near the minimum of phi(alpha) = f(x + alpha d), phi'(0) =
+    slope0 < 0, read from gradients only: alpha = 1 first, doubled while
+    phi' < 0 (a unit Newton step on |s|^p only shrinks s by (p - 2)/(p - 1),
+    the line minimum is at p - 1), then Illinois regula falsi inside the
+    bracket.  A trial is accepted once |phi'(alpha)| <= _CURVATURE_FRACTION
+    |phi'(0)|, or when the next alpha rounds to an end of the bracket; when
+    the _LINE_SEARCH_TRIALS trials are spent, the last one with phi' <= 0 is.
+    Returns (x + alpha d, its gradient), or None when no trial is accepted."""
+    want = _CURVATURE_FRACTION * -slope0
+    lo, f_lo, hi, f_hi = 0.0, slope0, None, None
+    alpha, moved, below = 1.0, None, None
+    for _ in range(_LINE_SEARCH_TRIALS):
+        cand = x + alpha * d
+        g_new = gradient(cand)
+        slope = _dot(g_new, d)
+        if abs(slope) <= want:
+            return cand, g_new
+        if slope < 0.0:
+            if moved == "lo" and hi is not None:
+                f_hi *= 0.5
+            lo, f_lo, moved, below = alpha, slope, "lo", (cand, g_new)
+            if hi is None:
+                alpha *= 2.0
+                continue
+        else:
+            if moved == "hi":
+                f_lo *= 0.5
+            hi, f_hi, moved = alpha, slope, "hi"
+        alpha = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+        if alpha in (lo, hi):
+            # the line minimum, to rounding
+            return below or (cand, g_new)
+    return below
 
 
 def _newton_pcg(gradient, tangent, x0, gtol, maxiter):
     """Inexact Newton: each step solves H d = -g by preconditioned CG, where
     ``tangent(x)`` returns (apply_H, make_precond) at x, then searches along
-    d.  Where CG meets non-positive curvature at its first direction (a
-    non-convex density) the step is the preconditioned gradient -M g.
+    d (_line_search).  Where CG meets non-positive curvature at its first
+    direction (a non-convex density) the step is the preconditioned
+    gradient -M g.
 
     The inner tolerance is Eisenstat & Walker's choice 2,
     eta_k = min(0.5, 0.9 (|g_k| / |g_(k-1)|)^2), eta_0 = 0.5, but never
     below 0.5 gtol / |g_k|: a step needs no more than the stopping test
     asks, and a residual below rounding would drive CG along the null space
-    of the constants.  The line search reads gradients only: alpha = 1 is
-    accepted once grad(x + alpha d) . d <= 0; otherwise alpha steps back by
-    regula falsi on [0, alpha] (Illinois-weighted after the first trial),
-    and alpha is accepted when its next value rounds to itself.  The
-    stopping test is |g| <= gtol; ``maxiter`` caps the steps and each inner
-    CG, and a step that leaves x unchanged ends the solve.  Returns
+    of the constants.  The stopping test is |g| <= gtol; ``maxiter`` caps
+    the steps and each inner CG, and a line search that accepts no point or
+    a step that leaves x unchanged ends the solve.  Returns
     (x, steps, |g|, converged, inner CG total)."""
     x = x0.copy()
     g = gradient(x)
@@ -855,21 +953,10 @@ def _newton_pcg(gradient, tangent, x0, gtol, maxiter):
         slope0 = _dot(g, d)
         if not slope0 < 0.0:
             return x, it, gn, False, inner      # no descent direction left
-        alpha, weight = 1.0, slope0
-        for trial in range(_LINE_SEARCH_TRIALS):
-            cand = x + alpha * d
-            g_new = gradient(cand)
-            slope = _dot(g_new, d)
-            if slope <= 0.0:
-                break
-            if trial:
-                weight *= 0.5
-            step_back = alpha * weight / (weight - slope)
-            if step_back == alpha:
-                break           # the line minimum, to rounding
-            alpha = step_back
-        else:
+        found = _line_search(gradient, x, d, slope0)
+        if found is None:
             return x, it, gn, False, inner
+        cand, g_new = found
         if np.array_equal(cand, x):
             return x, it, gn, False, inner      # the step is below rounding
         x = cand

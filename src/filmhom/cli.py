@@ -77,6 +77,17 @@ def _flat_names(m, cols):
     return [f"F{i}{j}" for i in range(m) for j in range(cols)]
 
 
+def _positive_int(text):
+    """argparse type of --jobs: an int >= 1, else an error naming the value."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer; got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1; got {value}")
+    return value
+
+
 # -- subcommands -----------------------------------------------------------
 
 
@@ -280,7 +291,8 @@ def _parser():
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--jobs", type=int, default=1, help="worker pool size")
+        sp.add_argument("--jobs", type=_positive_int, default=1,
+                        help="worker pool size (at least 1)")
         sp.add_argument("--reproducible", action="store_true",
                         help="byte-stable outputs (config hash, no timestamps)")
         sp.add_argument("--oracle", action="store_true",

@@ -193,6 +193,18 @@ def test_jobs_flag_preserves_output(tmp_path):
     assert (out1 / "psi.csv").read_bytes() == (out2 / "psi.csv").read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected_by_name(tmp_path, capsys, jobs):
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["psi", "--config", str(cfg), "--out", str(tmp_path / "out"),
+              "--jobs", jobs])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--jobs" in err and f"must be at least 1; got {jobs}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_code_config_error(tmp_path):
     cfg = write_config(tmp_path, energy={"kind": "p_norm_power", "p": 0.5})
     assert main(["phi", "--config", str(cfg), "--out",

@@ -3,6 +3,7 @@ tangent, its agreement with an independent gradient-only descent on every
 solve path, and which densities take it."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from filmhom import EnergyDensity, Profile
 from filmhom import cell_solver
 from filmhom.cell_solver import minimize_periodic
 from filmhom.film import w_tilde
-from filmhom.homogenize import w_hom, w_hom_cube_oracle
+from filmhom.homogenize import psi, w_hom, w_hom_cube_oracle
 from filmhom.profiles import superlevel_mask
 
 KINDS = ["p_norm_power", "frobenius_power"]
@@ -241,6 +242,20 @@ def test_newton_free_column_from_nonzero_start(monkeypatch, checker2, kind, m):
     assert np.abs(ca.offset[:, -1]).max() < 1e-3
 
 
+def test_free_column_alone_keeps_unscaled_preconditioner(checker2):
+    # with the in-plane columns of F at 0, the p = 3 column-norm tangent of
+    # the in-plane columns is 0 in every cell, so the node scale has no
+    # positive entry; the field block stays unscaled, and the free column
+    # goes to its argmin 0
+    occ = superlevel_mask(checker2, 0.5, 16).occupancy
+    W = EnergyDensity.p_norm_power(3.0, 1, 3)
+    value, corr, report = minimize_periodic(
+        occ, W, [[0.0, 0.0, 0.5]], want_corrector=False, free_offset=True)
+    assert report.method == "newton" and report.converged
+    assert value == pytest.approx(0.0, abs=1e-12)
+    assert abs(corr.offset[0, -1]) < 1e-4
+
+
 @pytest.mark.parametrize("make,method", [
     (lambda: EnergyDensity.p_norm_power(3.0, 1, 2), "newton"),
     (lambda: EnergyDensity.frobenius_power(4.0, 1, 2), "newton"),
@@ -283,6 +298,61 @@ def test_newton_last_step_not_oversolved(stripe2):
     assert sample.report.method == "newton"
     assert sample.report.converged
     assert sample.report.iterations <= 5
+
+
+def _inner_iterations(report):
+    """The inner CG total that a Newton report's notes carry."""
+    return int(re.search(r"(\d+) inner PCG iterations", report.notes).group(1))
+
+
+def test_benchmark_whom_setting_work_counters(monkeypatch, checker2):
+    # the nontrivial solves of the benchmark's whom step: w_hom and the split
+    # psi at t = 0.5 for F = (1, 0.5, 0.2) and the seed-0 random probe.  With
+    # the unscaled preconditioner and alpha <= 1 they took 1089 inner CG
+    # iterations; the tangent-scaled one and the line search past alpha = 1
+    # take 407
+    W = EnergyDensity.p_norm_power(3.0, 1, 3)
+    probes = [np.array([[1.0, 0.5, 0.2]]),
+              np.random.default_rng(0).uniform(-1.0, 1.0, (1, 3))]
+
+    def solves():
+        return [solve for F in probes
+                for solve in (w_hom(checker2, 0.5, F, W, 32),
+                              psi(checker2, 0.5, F, 32, p=3.0))]
+
+    newton, reference = _both(monkeypatch, solves)
+    assert all(s.report.method == "newton" and s.report.converged for s in newton)
+    assert sum(_inner_iterations(s.report) for s in newton) <= 500
+    for a, b in zip(newton, reference):
+        assert b.report.converged
+        assert a.value == pytest.approx(b.value, abs=1e-9)
+
+
+def test_line_search_steps_past_one_on_a_pure_power():
+    # phi(x) = sum |x_i - c_i|^3: the Newton step halves every x_i - c_i,
+    # and the line minimum is at alpha = p - 1 = 2, the exact minimizer.  A
+    # search that stops at alpha = 1 gains only a factor 4 in |g| per step
+    c = np.linspace(-1.0, 2.0, 7)
+    evaluated = []
+
+    def gradient(x):
+        evaluated.append(x.copy())
+        s = x - c
+        return 3.0 * np.abs(s) * s
+
+    def tangent(x):
+        curvature = 6.0 * np.abs(x - c)
+        return (lambda u: curvature * u,
+                lambda: lambda r, out: np.divide(r, curvature, out=out))
+
+    x0 = np.full(7, 5.0)
+    x, steps, gn, converged, inner = cell_solver._newton_pcg(
+        gradient, tangent, x0, 1e-10, 50)
+    assert converged and steps == 1 and inner == 1
+    # the trials of the one step: the unit step, then alpha = 2
+    assert np.allclose(evaluated[1], (x0 + c) / 2, rtol=0.0, atol=1e-12)
+    assert np.allclose(evaluated[2], c, rtol=0.0, atol=1e-12)
+    assert np.array_equal(x, evaluated[2])
 
 
 def _pendant_stripe(n):

@@ -11,8 +11,10 @@ import numpy as np
 
 import filmhom
 from filmhom import EnergyDensity, Profile
+from filmhom.cell_solver import minimize_periodic
 from filmhom.film import direct_min
 from filmhom.homogenize import w_hom
+from filmhom.profiles import superlevel_mask
 
 GAMMA_CONFIG = {
     "dims": {"n": 2, "m": 1},
@@ -76,3 +78,15 @@ def test_newton_loop_takes_no_blas_reduction(monkeypatch, checker2):
     # 48 x 48 periodic nodes
     report = w_hom(checker2, 0.5, [[1.0, 0.5, 0.2]], W, 48).report
     assert report.method == "newton" and report.converged and report.iterations > 0
+
+
+def test_free_offset_newton_loop_takes_no_blas_reduction(monkeypatch, checker2):
+    # the joint solve of w_tilde, from a nonzero transverse column, so that
+    # the column block of the preconditioner is rebuilt at every step
+    _no_large_blas_reductions(monkeypatch)
+    W = EnergyDensity.frobenius_power(3.0, 1, 3)
+    occ = superlevel_mask(checker2, 0.5, 48).occupancy
+    _, corr, report = minimize_periodic(occ, W, [[1.0, 0.5, 0.2]],
+                                        want_corrector=False, free_offset=True)
+    assert report.method == "newton" and report.converged and report.iterations > 0
+    assert abs(corr.offset[0, -1]) < 1e-3

@@ -15,6 +15,7 @@ from filmhom import (EnergyDensity, Profile, SolverOptions, direct_min,
 from filmhom.cell_solver import (_active_node_mask, _cell_gradient, _frozen_ends,
                                  _Grid, _line_solvable, _solve_masked,
                                  _SpectralPreconditioner)
+from filmhom.homogenize import psi_cylinder_oracle
 from filmhom.profiles import oscillating_domain_mask
 
 
@@ -386,6 +387,15 @@ def test_island_iterations_do_not_grow_with_resolution(product2, W2):
         assert report.iterations > 0
         iters.append(report.iterations)
     assert max(iters) <= 40
+
+
+def test_quadratic_cg_keeps_its_iterates(product2):
+    # Newton's node scale of the tangent diagonal stays off the quadratic
+    # CG: on this psi oracle the masked-diagonal scaling raised CG from 27
+    # to 47 iterations
+    sample = psi_cylinder_oracle(product2, 0.6, [[1.0, 0.5, 0.2]], 64)
+    assert sample.report.method == "cg" and sample.report.converged
+    assert sample.report.iterations == 27
 
 
 def test_gamma_check_reports_membrane_nonconvergence(checker2, W3):
