@@ -29,8 +29,10 @@ analytic (for p < 2 smoothed) tangent of the norm powers, or a
 directional difference of a custom density's stress.  Every inner
 product and norm of both loops is _dot, numpy's own single-threaded loop
 rather than BLAS, so the results do not depend on the BLAS thread
-count.  A periodic cell problem
-whose node graph does not wind is not solved when no corrector is asked
+count.  A periodic cell problem on a full mask with a convex density is
+not solved: by Jensen the zero corrector is its minimizer, so its value is
+exactly W of the offset (docs/solvers.md).  One whose node graph does not
+wind is not solved when no corrector is asked
 for: for the norm powers its value is exact, theta W of the offset with
 its in-plane columns zeroed (docs/kernel_geometry.md).  The offset may have more columns
 than the grid has axes: a field on the grid does not vary along the extra
@@ -1016,7 +1018,12 @@ def minimize_periodic(mask, W, F, opts=None, v0=None, want_corrector=True,
     opts : SolverOptions.
     v0 : optional warm-start node field.
     want_corrector : skip component labeling and gauge fixing when False
-        (the value is gauge-invariant).  When False, a density whose
+        (the value is gauge-invariant).  A full mask with a convex density
+        is not solved either way, unless ``free_offset`` is set and the
+        density is not a norm power: the value is exactly W(F), with the
+        free columns zeroed under ``free_offset``, the corrector is zero,
+        and the report reads method "full", 0 iterations (docs/solvers.md).
+        When False, a density whose
         ``zeroing_columns_minimizes`` (the norm powers) on a mask whose node
         graph does not wind (``profiles.node_graph_winds``) is not solved:
         the value is exactly (#occupied/#cells) W(F) with the in-plane
@@ -1048,6 +1055,16 @@ def minimize_periodic(mask, W, F, opts=None, v0=None, want_corrector=True,
         integral = 0.0
         report = SolveReport(iterations=0, residual=0.0, converged=True,
                              method="empty")
+    elif mask.all() and W.convex and (not free_offset
+                                      or W.zeroing_columns_minimizes):
+        # periodic differences sum to zero along every axis, so by Jensen
+        # no corrector beats v = 0, the gauge-fixed minimizer
+        if free_offset:
+            F[:, d:] = 0.0
+        v = np.zeros((m,) + grid.node_shape)
+        integral = W.evaluate(F)
+        report = SolveReport(iterations=0, residual=0.0, converged=True,
+                             method="full")
     elif (not want_corrector and W.zeroing_columns_minimizes
           and not node_graph_winds(mask)):
         # v = -F x on a lift of each node component cancels the in-plane

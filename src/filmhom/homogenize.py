@@ -125,8 +125,9 @@ def psi_cylinder_oracle(profile, t, F, n_grid, *, p=2.0, opts=None):
     discrete minimum does not depend on the layer count (docs/solvers.md);
     ORACLE_LAYERS = 2 is the fewest at which D_n v is not identically zero,
     so the solver still has to find the vertical invariance itself.  The
-    full vertical columns make the node graph wind, so the oracle is always
-    solved, also where psi's in-plane value is exact without a solve."""
+    full vertical columns make the node graph wind, so the oracle is
+    solved also where psi's in-plane value is exact without a solve; only
+    a full mask is not, where both routes give W(F) exactly."""
     F = as_matrix(F)
     m = F.shape[0]
     d = profile.dim + 1

@@ -265,11 +265,17 @@ def node_graph_winds(occ):
     (docs/kernel_geometry.md).
 
     A fully occupied row along any axis closes such a loop by itself and is
-    checked first, the last axis first; otherwise ``torus_union_find`` runs
-    over the run graph of the node adjacency (``_run_graph``)."""
+    checked first, the last axis first.  A loop winding along axis a steps
+    across every node layer i -> i + 1 of that axis, and each such step
+    needs an occupied cell in cell layer i; so when every axis has an empty
+    cell layer, nothing winds.  Otherwise ``torus_union_find`` runs over the
+    run graph of the node adjacency (``_run_graph``)."""
     for a in reversed(range(occ.ndim)):
         if occ.all(axis=a).any():
             return True
+    if all(not occ.any(axis=tuple(b for b in range(occ.ndim) if b != a)).all()
+           for a in range(occ.ndim)):
+        return False
     return bool(_run_components(occ, nodes=True)[2])
 
 

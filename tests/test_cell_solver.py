@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -6,7 +8,7 @@ from filmhom import (ConfigurationError, DimensionMismatchError, EnergyDensity,
                      Profile, SolveReport, SolverOptions, minimize_dirichlet,
                      minimize_periodic)
 from filmhom.cell_solver import (_active_node_mask, _cell_gradient,
-                                 _cell_gradient_adjoint, _Grid,
+                                 _cell_gradient_adjoint, _Grid, _solve_masked,
                                  _stencil_components)
 from filmhom.profiles import superlevel_mask
 
@@ -70,7 +72,7 @@ def test_gradient_adjoint_identity(rng):
 def test_full_mask_zero_corrector(W2):
     value, corr, report = minimize_periodic(np.ones((16, 16), bool), W2,
                                             [[1.3, -0.4]])
-    assert value == pytest.approx(W2.evaluate([[1.3, -0.4]]), abs=1e-12)
+    assert value == W2.evaluate([[1.3, -0.4]])
     assert np.abs(corr.values).max() == 0.0
     assert report.converged
 
@@ -334,7 +336,7 @@ def test_one_dimensional_periodic_solves():
     W1 = EnergyDensity.p_norm_power(2.0, 1, 1)
     full = np.ones(16, bool)
     v, _, rep = minimize_periodic(full, W1, [[1.5]])
-    assert rep.converged and v == pytest.approx(2.25, abs=1e-12)
+    assert rep.converged and v == 2.25
     # a non-wrapping interval: the sawtooth corrector cancels the gradient
     centers = (np.arange(16) + 0.5) / 16
     interval = (centers > 0.25) & (centers < 0.75)
@@ -351,6 +353,78 @@ def test_three_dimensional_periodic_solve(W2):
     assert rep.converged
     # the pillar hole does not obstruct the vertical direction
     assert v == pytest.approx(mask.mean(), abs=1e-10)
+
+
+def _cubic(m, n):
+    return EnergyDensity.custom(lambda G: np.sum(G * G, axis=(0, 1)) ** 1.5,
+                                p=3.0, m=m, n=n, gamma=0.1, beta=10.0)
+
+
+_FULL_DENSITIES = {
+    **{f"{kind}-{p}": (lambda m, n, kind=kind, p=p:
+                       getattr(EnergyDensity, kind)(p, m, n))
+       for kind in ("p_norm_power", "frobenius_power") for p in (2.0, 3.0, 1.5)},
+    "quadratic_form": lambda m, n: EnergyDensity.quadratic_form(
+        np.diag(np.arange(1.0, m * n + 1)), m, n),
+    "custom": _cubic,
+}
+
+
+@pytest.mark.parametrize("density, free_offset", [
+    (name, free) for name in sorted(_FULL_DENSITIES) for free in (False, True)
+    # the free column of the other densities need not minimize at zero
+    if not free or "_power-" in name])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("shape", [(8,), (6, 6), (4, 4, 4)], ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("want_corrector", [False, True])
+def test_full_mask_value_is_exact_without_a_solve(density, free_offset, m, shape,
+                                                   want_corrector):
+    # periodic differences sum to zero along every axis, so by Jensen no
+    # corrector beats v = 0: the value is W(F), with the free columns
+    # zeroed for the norm powers, which no other column beats
+    d = len(shape)
+    W = _FULL_DENSITIES[density](m, d + 1)
+    occ = np.ones(shape, bool)
+    F = np.random.default_rng(m).uniform(-1, 1, (m, d + 1))
+    value, corr, report = minimize_periodic(occ, W, F, want_corrector=want_corrector,
+                                            free_offset=free_offset)
+    G = F.copy()
+    if free_offset:
+        G[:, d:] = 0.0
+    assert value == W.evaluate(G)
+    assert report == SolveReport(0, 0.0, True, "full")
+    assert not np.any(corr.values) and corr.values.shape == (m,) + shape
+    assert np.array_equal(corr.offset, G)
+    grid = _Grid(cells=shape, spacings=tuple(1.0 / c for c in shape), kinds="P" * d)
+    solved, _, forced = _solve_masked(grid, occ, W, F, None, free_offset=free_offset)
+    assert forced.converged
+    assert value == pytest.approx(solved, abs=1e-12)
+
+
+def _nonconvex_custom(m, n):
+    return EnergyDensity.custom(lambda G: (G[0, 0] ** 2 - 1.0) ** 2
+                                + np.sum(G * G, axis=(0, 1)),
+                                p=4.0, m=m, n=n, gamma=1e-3, beta=10.0,
+                                convex=False)
+
+
+@pytest.mark.parametrize("density, free_offset", [
+    (_nonconvex_custom, False),
+    (_FULL_DENSITIES["quadratic_form"], True),
+    (_cubic, True),
+], ids=["nonconvex-custom", "quadratic_form-free", "custom-free"])
+def test_full_mask_keeps_solving_where_jensen_does_not_settle_it(density, free_offset):
+    # a non-convex density may do better than v = 0, and the free column of
+    # a density other than a norm power need not minimize at zero
+    W = density(1, 3)
+    with warnings.catch_warnings():
+        # the non-convex density warns that it finds a local minimum only
+        warnings.simplefilter("ignore", UserWarning)
+        value, _, report = minimize_periodic(np.ones((6, 6), bool), W,
+                                             [[0.3, 0.2, 0.5]],
+                                             free_offset=free_offset)
+    assert report.method in ("cg", "newton") and report.converged
+    assert np.isfinite(value)
 
 
 def _unwound_masks():

@@ -7,6 +7,7 @@ import scipy.integrate
 from filmhom import (ConfigurationError, EnergyDensity, Profile,
                      QuadratureOptions, direct_min, gamma_check, membrane_min,
                      minimize_periodic, superlevel_mask, w_bar, w_hom, w_tilde)
+from filmhom import cell_solver, profiles
 
 
 def stripe_theta(t):
@@ -84,6 +85,32 @@ def test_wtilde_multicomponent():
 def test_wbar_flat(W3):
     entry = w_bar(Profile.constant(2), W3, [[1.0, 1.0]], n_grid=16)
     assert entry.value == pytest.approx(2.0, abs=1e-6)
+
+
+def test_wbar_benchmark_film_solves_nothing(monkeypatch, product2, W3):
+    # the benchmark's film datum: below min f the mask is full, and above it
+    # the product islands leave an empty layer on both axes, so every node
+    # value is exact without a solve or a node-graph labelling
+    calls = {"solves": 0, "node_graphs": 0}
+
+    def counted(fn, key, when=lambda kwargs: True):
+        def wrapper(*args, **kwargs):
+            calls[key] += when(kwargs)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cell_solver, "_solve_masked",
+                        counted(cell_solver._solve_masked, "solves"))
+    monkeypatch.setattr(profiles, "_run_components",
+                        counted(profiles._run_components, "node_graphs",
+                                lambda kwargs: kwargs.get("nodes", False)))
+    entry = w_bar(product2, W3, [[1.0, 0.0]], n_grid=64)
+    assert calls == {"solves": 0, "node_graphs": 0}
+    # the values the solves gave, bit for bit
+    assert entry.value.hex() == (0.5003009545829877).hex()
+    assert (np.array(entry.node_values).tobytes()
+            == np.array([1.0] * 10 + [0.0] * 8).tobytes())
+    assert not np.any(entry.node_argmins)
 
 
 def test_wbar_product(product2, W3):

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 import filmhom
 from filmhom import (EnergyDensity, Profile, minimize_periodic, superlevel_mask,
                      thresholds, torus_components)
-from filmhom import cell_solver
-from filmhom.cell_solver import _Grid, _stencil_components
+from filmhom import cell_solver, profiles
+from filmhom.cell_solver import _along, _Grid, _stencil_components
 from filmhom.errors import ConfigurationError
 from filmhom.profiles import (_lattice_basis, _run_components, _unpack_wrap,
                               _wrap_base, node_graph_winds, wrap_rank_levels)
@@ -239,6 +239,40 @@ def _check_node_graph(occ):
 @given(run_masks())
 def test_node_graph_over_runs_matches_per_edge_union_find(occ):
     _check_node_graph(occ)
+
+
+@st.composite
+def layered_masks(draw):
+    """``run_masks`` with one drawn cell layer emptied on each of a drawn
+    set of axes, so masks with an empty layer on every axis, on some axes
+    and on none all occur."""
+    occ = draw(run_masks()).copy()
+    for a in range(occ.ndim):
+        if draw(st.booleans()):
+            occ[_along(a, draw(st.integers(0, occ.shape[a] - 1)))] = False
+    return occ
+
+
+@settings(max_examples=400, deadline=None)
+@given(layered_masks())
+def test_empty_layer_verdict_matches_union_find(occ):
+    # a step across node layers i -> i + 1 of axis a needs an occupied cell
+    # in cell layer i, so an empty layer on every axis stops every winding
+    assert node_graph_winds(occ) == bool(_run_components(occ, nodes=True)[2])
+
+
+def test_empty_layer_on_some_axes_still_winds(monkeypatch):
+    # rows 2 and 3 are empty, but every column holds a cell and no row is
+    # full: the staircase winds along the last axis through the shared node
+    # (1, 2) of cells (1, 1) and (0, 2), which only the union-find sees
+    occ = np.zeros((4, 4), bool)
+    occ[[1, 1, 0, 0, 1], [0, 1, 2, 3, 3]] = True
+    calls = []
+    monkeypatch.setattr(profiles, "_run_components",
+                        lambda *a, **k: calls.append(k) or _run_components(*a, **k))
+    assert node_graph_winds(occ)
+    assert calls == [{"nodes": True}]
+    assert _lattice_basis(_run_components(occ, nodes=True)[2], 2) == [(0, 1)]
 
 
 @pytest.mark.parametrize("shape", [(1,), (2,), (1, 1), (1, 2), (2, 2), (1, 1, 1),
