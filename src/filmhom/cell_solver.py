@@ -618,15 +618,16 @@ class _LineSolver:
 
 # -- internal masked solve -----------------------------------------------------
 
-def _solve_masked(grid, mask, W, F, opts, v0=None, free_offset=False):
+def _solve_masked(grid, mask, W, F, opts, free_offset=False):
     """Minimize cellvol * sum_{occupied} W(F + Dv) over node fields v.
 
     F is an m x n float array with n >= grid.dim; Dv is zero in the columns
     past grid.dim, which therefore enter only through F.  With
-    ``free_offset`` those columns are unknowns as well: the solve starts from
-    their values in F and writes the minimizing ones back into F
-    (docs/solvers.md).  Returns (integral, v, report).  The two end node
-    layers of every Dirichlet axis of the grid are held at zero.
+    ``free_offset`` those columns are unknowns as well: Newton starts them
+    from their values in F, CG (a quadratic W) from 0, and the minimizing
+    ones are written back into F (docs/solvers.md).  Returns (integral, v,
+    report).  The two end node layers of every Dirichlet axis of the grid
+    are held at zero.
     """
     opts = opts or SolverOptions()
     m = W.m
@@ -686,11 +687,6 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, free_offset=False):
         return stress_adjoint(W.cell_stress(offset_gradient(x)))
 
     x0 = np.zeros(nv + m * (n - fixed))
-    start, _ = split(x0)
-    if v0 is not None:
-        start[...] = v0
-        if free is not None:
-            start *= free
     x0[nv:] = F[:, fixed:].reshape(-1)
 
     maxiter = opts.max_iterations
@@ -797,7 +793,7 @@ def _solve_masked(grid, mask, W, F, opts, v0=None, free_offset=False):
         rhs = gradient(np.zeros_like(x0))
         np.negative(rhs, out=rhs)
         x, iters, residual, ok = _preconditioned_cg(
-            *tangent(Fcells), rhs, x0, opts.cg_rtol, maxiter)
+            *tangent(Fcells), rhs, opts.cg_rtol, maxiter)
         method = "cg"
         if factorizations is not None:
             notes.append(f"{factorizations} line block factorizations")
@@ -837,21 +833,14 @@ def _grad_tol(opts, F, W):
     return opts.grad_tol * (1.0 + float(np.linalg.norm(F)) ** (W.p - 1.0))
 
 
-def _preconditioned_cg(apply_K, make_precond, b, x0, rtol, maxiter):
-    """Preconditioned CG on K x = b.  ``make_precond()`` returns M, and
-    ``M(r, out)`` writes z = M r; M is built only when x0 fails the test.
-    ``x0=None`` starts from zero without an apply, and so does an x0 whose
-    residual exceeds ||b||: from such a start the relative test can be out
-    of reach (a tiny b), and CG runs on until it diverges.
+def _preconditioned_cg(apply_K, make_precond, b, rtol, maxiter):
+    """Preconditioned CG on K x = b from x = 0, so the first residual is b
+    itself and costs no apply.  ``make_precond()`` returns M, and
+    ``M(r, out)`` writes z = M r; M is built only when b fails the test.
 
     The stopping test is on the true residual: ||r|| <= rtol ||b||."""
     bb = _dot(b, b)
-    if x0 is not None:
-        x = x0.copy()
-        r = b - apply_K(x)
-        rr = _dot(r, r)
-    if x0 is None or rr > bb:
-        x, r, rr = np.zeros_like(b), b.copy(), bb
+    x, r, rr = np.zeros_like(b), b.copy(), bb
     bnorm = math.sqrt(bb)
     denom = bnorm if bnorm > 0 else 1.0
     if math.sqrt(rr) <= rtol * denom:
@@ -947,7 +936,7 @@ def _newton_pcg(gradient, tangent, x0, gtol, maxiter):
         if it == maxiter:
             return x, it, gn, False, inner
         apply_H, make_precond = tangent(x)
-        d, cg_its, _, _ = _preconditioned_cg(apply_H, make_precond, -g, None,
+        d, cg_its, _, _ = _preconditioned_cg(apply_H, make_precond, -g,
                                              max(eta, 0.5 * gtol / gn), maxiter)
         if not cg_its:
             d = make_precond()(-g, np.zeros_like(g))
@@ -1003,7 +992,7 @@ def _gauge_fix(grid, mask, v):
 
 # -- public operations ------------------------------------------------------------
 
-def minimize_periodic(mask, W, F, opts=None, v0=None, want_corrector=True,
+def minimize_periodic(mask, W, F, opts=None, want_corrector=True,
                       free_offset=False):
     """Minimize the mean masked energy over 1-periodic corrector fields.
 
@@ -1016,7 +1005,6 @@ def minimize_periodic(mask, W, F, opts=None, v0=None, want_corrector=True,
         mask x R^(n - mask.ndim), whose correctors do not depend on the
         extra coordinates (docs/solvers.md).
     opts : SolverOptions.
-    v0 : optional warm-start node field.
     want_corrector : skip component labeling and gauge fixing when False
         (the value is gauge-invariant).  A full mask with a convex density
         is not solved either way, unless ``free_offset`` is set and the
@@ -1032,9 +1020,11 @@ def minimize_periodic(mask, W, F, opts=None, v0=None, want_corrector=True,
         0 iterations, and the corrector is zero (docs/kernel_geometry.md).
         True keeps solving, because the minimizing corrector would need the
         node lifts.
-    free_offset : minimize also over the columns of F past mask.ndim,
-        starting from their given values; ``corrector.offset`` holds the
-        minimizing F.
+    free_offset : minimize also over the columns of F past mask.ndim;
+        ``corrector.offset`` holds the minimizing F.  Newton (a
+        non-quadratic density) starts those columns from their given
+        values, CG (a quadratic one) from 0, like the node field; both
+        reach the same minimizer.
 
     Returns
     -------
@@ -1078,7 +1068,7 @@ def minimize_periodic(mask, W, F, opts=None, v0=None, want_corrector=True,
         report = SolveReport(iterations=0, residual=0.0, converged=True,
                              method="unwound")
     else:
-        integral, v, report = _solve_masked(grid, mask, W, F, opts, v0=v0,
+        integral, v, report = _solve_masked(grid, mask, W, F, opts,
                                             free_offset=free_offset)
         # unit cell has volume one: the integral is already the cell mean
         if want_corrector:
@@ -1090,7 +1080,7 @@ def minimize_periodic(mask, W, F, opts=None, v0=None, want_corrector=True,
     return integral, corr, report
 
 
-def minimize_dirichlet(mask, W, F, box_side, opts=None, v0=None):
+def minimize_dirichlet(mask, W, F, box_side, opts=None):
     """Minimize the masked energy over fields vanishing on the boundary of a
     box of integer side ``box_side`` (whole periods), normalized by the box
     volume.
@@ -1100,21 +1090,21 @@ def minimize_dirichlet(mask, W, F, box_side, opts=None, v0=None):
     """
     mask = np.asarray(mask, dtype=bool)
     d = mask.ndim
-    T = _box_side(box_side)
+    T = _positive_int(box_side, "box_side")
     _check_offset(W, as_matrix(F), d)
     grid = _Grid(cells=mask.shape, spacings=tuple(T / c for c in mask.shape),
                  kinds="D" * d)
     if not mask.any():
         return 0.0, SolveReport(iterations=0, residual=0.0, converged=True,
                                 method="empty")
-    integral, _, report = _solve_masked(grid, mask, W, F, opts, v0=v0)
+    integral, _, report = _solve_masked(grid, mask, W, F, opts)
     return integral / float(T) ** d, report
 
 
-def _box_side(box_side):
-    """``box_side`` as a positive int; a bool, a string or a fraction is
-    rejected rather than truncated."""
-    if (isinstance(box_side, bool) or not isinstance(box_side, numbers.Real)
-            or not float(box_side).is_integer() or box_side < 1):
-        raise ConfigurationError(f"box_side must be a positive integer; got {box_side!r}")
-    return int(box_side)
+def _positive_int(value, name):
+    """``value`` as a positive int; a bool, a string or a fraction is
+    rejected by ``name`` rather than truncated."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer() or value < 1):
+        raise ConfigurationError(f"{name} must be a positive integer; got {value!r}")
+    return int(value)

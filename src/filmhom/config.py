@@ -163,8 +163,8 @@ NUMERIC = {
     "solver.cg_rtol": (float, 1e-10, 0.0),
     "solver.grad_tol": (float, 1e-8, 0.0),
     "solver.max_iterations": (int, None, 1),
-    "sweep.random_probes": (int, 0, None),
-    "sweep.seed": (int, 0, None),
+    "sweep.random_probes": (int, 0, 0),
+    "sweep.seed": (int, 0, 0),
     "sweep.probe_scale": (float, 1.0, None),
     "quadrature.rel_tol": (float, 1e-3, 0.0),
     "quadrature.initial_nodes_per_unit": (int, 8, 1),
@@ -317,7 +317,9 @@ def load_config(source, base_dir=None):
         initial_nodes_per_unit=num["quadrature.initial_nodes_per_unit"],
         max_refinements=num["quadrature.max_refinements"],
     )
-    confirm_kernel = bool(raw.get("thresholds", {}).get("confirm", True))
+    confirm_kernel = raw.get("thresholds", {}).get("confirm", True)
+    if not isinstance(confirm_kernel, bool):
+        problems.append(f"thresholds.confirm must be true or false; got {confirm_kernel!r}")
 
     sched = raw.get("schedule", {})
     eps_schedule = _number_list(sched.get("eps", []), "schedule.eps", problems)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cell_solver import _Grid, _solve_masked, minimize_periodic
+from .cell_solver import _Grid, _positive_int, _solve_masked, minimize_periodic
 from .energy import as_matrix
 from .errors import ConfigurationError, QuadratureError, ResolutionError
 from .homogenize import thresholds
@@ -295,13 +295,11 @@ def direct_min(profile, eps, delta, Fbar, W, *, omega=None, cells_per_delta=8,
             f"cells_per_delta={cells_per_delta} under-resolves the oscillation; "
             f"need at least 4", required=4)
     omega = _omega_box(omega, d)
-    if int(vertical_cells) < 1:
-        raise ConfigurationError(
-            f"vertical_cells must be a positive integer; got {vertical_cells}")
+    layers = _positive_int(vertical_cells, "vertical_cells")
 
     in_plane = tuple(int(math.ceil((hi - lo) / delta * cells_per_delta))
                      for lo, hi in omega)
-    grid_cells = in_plane + (int(vertical_cells),)
+    grid_cells = in_plane + (layers,)
     dm = oscillating_domain_mask(profile, eps, delta, grid_cells, omega=omega)
 
     # lateral Dirichlet data, free top and bottom

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell_solver import (SolveReport, _box_side, minimize_dirichlet,
+from .cell_solver import (SolveReport, _positive_int, minimize_dirichlet,
                           minimize_periodic)
 from .energy import EnergyDensity, as_matrix
 from .errors import ConfigurationError, StructuralInconsistencyError
@@ -174,7 +174,7 @@ def w_hom_cube_oracle(profile, t, F, W, box_side, n_grid, *, opts=None):
 
     Returns (value, report).
     """
-    T = _box_side(box_side)
+    T = _positive_int(box_side, "box_side")
     if T > 8:
         raise ConfigurationError(f"box side must be in 1..8 at desk scale; got {box_side}")
     F = as_matrix(F)

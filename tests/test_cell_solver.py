@@ -315,21 +315,26 @@ def test_nonconvex_custom_density_reaches_local_minimum():
     assert value == pytest.approx(0.02, abs=1e-9)
 
 
-def test_warm_start_worse_than_zero_restarts_cold():
-    # the solution at F = (0, 0, -1) as the start of the solve at
-    # F = (0, 0, -3.5e-17): the rhs is tiny, and CG chasing 1e-10 |rhs| from
-    # that start diverged (residual 2.3e17, value 2.65); CG now starts from
-    # zero when the start's residual exceeds |rhs|
-    M = np.random.default_rng(0).normal(size=(3, 3))
-    W = EnergyDensity.quadratic_form(M @ M.T + 0.5 * np.eye(3), 1, 3)
-    occ = superlevel_mask(Profile.builtin("checkerboard", dim=2), 0.4, 8).occupancy
-    _, corr, report = minimize_periodic(occ, W, [[0.0, 0.0, -1.0]],
-                                        want_corrector=False)
-    assert report.converged
-    value, _, report = minimize_periodic(occ, W, [[0.0, 0.0, -3.5e-17]],
-                                         v0=corr.values, want_corrector=False)
+def test_cold_cg_applies_the_operator_once_per_iteration(monkeypatch):
+    # CG starts from x = 0, whose residual is the rhs itself: one adjoint
+    # for the rhs and one per iteration, no apply at the start.  The value
+    # is pinned to the bit, since r = b - K 0 = b leaves every iterate as
+    # it is
+    import filmhom.cell_solver as cell_solver
+    calls = []
+
+    def counted(grid, P):
+        calls.append(1)
+        return _cell_gradient_adjoint(grid, P)
+
+    monkeypatch.setattr(cell_solver, "_cell_gradient_adjoint", counted)
+    W = EnergyDensity.p_norm_power(2.0, 1, 3)
+    occ = superlevel_mask(Profile.builtin("sin2-product", dim=2), 0.6, 32).occupancy
+    value, _, report = minimize_periodic(occ, W, [[1.0, 0.5, 0.2]],
+                                         want_corrector=True)
     assert report.method == "cg" and report.converged
-    assert value == pytest.approx(0.0, abs=1e-30)
+    assert len(calls) == report.iterations + 1 == 27
+    assert value == 0.016406250000000004
 
 
 def test_one_dimensional_periodic_solves():

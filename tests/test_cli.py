@@ -402,6 +402,8 @@ OUT_OF_RANGE = [
     ("film", "quadrature", "max_refinements", 0),
     ("film", "quadrature", "initial_nodes_per_unit", 0),
     ("thresholds", "thresholds", "coercivity_floor", -1.0),
+    ("psi", "sweep", "seed", -1),
+    ("psi", "sweep", "random_probes", -4),
 ]
 
 
@@ -431,6 +433,7 @@ NOT_A_NUMBER = [
     ("phi", "sweep", "t_values", [0.1, "x"]),
     ("phi", "sweep", "t_values", 0.5),
     ("phi", "sweep", "F_probes", [["x", 0.0]]),
+    ("thresholds", "thresholds", "confirm", "false"),
 ]
 
 

@@ -226,10 +226,14 @@ def test_direct_min_resolution_rule(stripe1, W2):
     ({"omega": ((0.0, 1.0), (0.0, 1.0))}, "omega"),
     ({"vertical_cells": 0}, "vertical_cells"),
     ({"vertical_cells": -3}, "vertical_cells"),
+    ({"vertical_cells": 2.5}, "vertical_cells"),
+    ({"vertical_cells": True}, "vertical_cells"),
+    ({"vertical_cells": "8"}, "vertical_cells"),
 ])
 def test_direct_min_rejects_bad_box_by_name(stripe1, W2, kwargs, name):
     # these raised ZeroDivisionError, or a ResolutionError asking for
-    # "at least -64" cells
+    # "at least -64" cells, or ran on a truncated layer count (2.5 on 2
+    # layers, True on 1)
     with pytest.raises(ConfigurationError, match=name):
         direct_min(stripe1, 0.25, 0.0625, [[1.0]], W2, **kwargs)
 

@@ -66,28 +66,22 @@ def reference_w_tilde(profile, W, t, Fbar, n_grid, xtol=REF_XTOL, max_sweeps=60)
     a cylinder solve.  For a quadratic W, V is exactly quadratic in b (a
     Schur complement), so its fit through 1 + 2m + m(m-1)/2 columns at unit
     spacing gives the argmin -H^-1 g.  Otherwise a nested search:
-    golden-section over each column entry, cyclic over the entries, each
-    solve warm-started from the last.  Each V is solved: asking for the
-    corrector keeps the exact value of a mask whose node graph does not
-    wind (docs/kernel_geometry.md) out of the reference."""
+    golden-section over each column entry, cyclic over the entries.  Each
+    V is solved: asking for the corrector keeps the exact value of a mask
+    whose node graph does not wind (docs/kernel_geometry.md) out of the
+    reference."""
     Fbar = np.asarray(Fbar, dtype=float)
     m = Fbar.shape[0]
     occ = superlevel_mask(profile, t, n_grid).occupancy
-    state = {"v0": None}
 
-    def value(col, warm=True):
+    def value(col):
         F = np.hstack([Fbar, np.reshape(col, (m, 1))])
-        val, corr, report = minimize_periodic(
-            occ, W, F, opts=REF_OPTS, v0=state["v0"] if warm else None)
+        val, _, report = minimize_periodic(occ, W, F, opts=REF_OPTS)
         assert report.converged
-        state["v0"] = corr.values
         return val
 
     if W.is_quadratic:
-        # cold starts: CG stops at cg_rtol |rhs|, which a start from another
-        # column cannot reach when the argmin column, and so the rhs, is
-        # about 0
-        return quadratic_argmin(lambda col: value(col, warm=False), m)
+        return quadratic_argmin(value, m)
     half_width = 2.0 * (1.0 + float(np.linalg.norm(Fbar)))
     col = np.zeros(m)
     for _ in range(max_sweeps):
