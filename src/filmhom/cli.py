@@ -16,7 +16,6 @@ import argparse
 import functools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -69,6 +68,10 @@ def _comments(cfg, args):
 def _parallel(jobs, fn, items):
     if jobs <= 1:
         return [fn(it) for it in items]
+    # imported here: concurrent.futures pulls in logging and queue, which a
+    # serial run never uses
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
 

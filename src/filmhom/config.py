@@ -10,8 +10,8 @@ the raw dict is hashed so outputs can state exactly what produced them.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,6 +23,16 @@ from .energy import EnergyDensity
 from .errors import ConfigurationError
 from .film import QuadratureOptions
 from .profiles import Profile, load_sampled_profile
+
+# CPython's built-in SHA-256 gives hashlib's digest without mapping OpenSSL's
+# libcrypto (about 3.5 MB resident) into a run that hashes one short string
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 @dataclass
@@ -149,7 +159,7 @@ RETIRED = {"film.vertical_cells": "film cell problems solve on the in-plane grid
 
 
 # every scalar numeric field: dotted name -> (type, default, bound).  An int
-# must be >= its bound, a float > its bound (so NaN fails); None: no bound.
+# must be >= its bound, a float > its bound; None: no bound.
 NUMERIC = {
     "dims.n": (int, 3, 2),
     "dims.m": (int, 1, 1),
@@ -177,15 +187,18 @@ NUMERIC = {
 
 
 def _as_number(value, kind):
-    """value as an int or float, or None when it is not one: booleans and
-    non-numeric values never are, fractional values are no int."""
+    """value as an int or float, or None when it is not one: booleans,
+    non-numeric and non-finite values never are (json.loads reads the tokens
+    NaN and Infinity), fractional values are no int."""
     if isinstance(value, bool):
         return None
     if kind is int and isinstance(value, int):
         return value
     try:
         x = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if not math.isfinite(x):
         return None
     if kind is float:
         return x
@@ -193,19 +206,23 @@ def _as_number(value, kind):
 
 
 def _float_array(value, name):
-    """A nested list of numbers as a float array; anything else raises a
-    ConfigurationError that names the field."""
+    """A nested list of finite numbers as a float array; anything else raises
+    a ConfigurationError that names the field."""
     try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{name} must hold numbers; got {value!r}") from None
+        array = np.asarray(value, dtype=float)
+        if np.isfinite(array).all():
+            return array
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigurationError(f"{name} must hold finite numbers; got {value!r}")
 
 
 def _number_list(values, name, problems):
-    """A list field of floats; a non-numeric entry is reported by name."""
+    """A list field of floats; a non-numeric or non-finite entry is reported
+    by name."""
     out = [_as_number(v, float) for v in values] if isinstance(values, list) else [None]
     if None in out:
-        problems.append(f"{name} entries must be numbers; got {values!r}")
+        problems.append(f"{name} entries must be finite numbers; got {values!r}")
         return []
     return out
 
@@ -222,7 +239,7 @@ def _numeric_fields(raw, problems):
             continue
         number = _as_number(value, kind)
         if number is None:
-            what = "an integer" if kind is int else "a number"
+            what = "an integer" if kind is int else "a finite number"
             problems.append(f"{name} must be {what}; got {value!r}")
             number = default
         elif bound is not None and kind is int and not number >= bound:
@@ -257,8 +274,9 @@ def _unknown_keys(raw):
 
 
 def config_hash(raw):
+    """The first 16 hex digits of the SHA-256 of the config's canonical JSON."""
     canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+    return sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
 def load_config(source, base_dir=None):

@@ -1,10 +1,15 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import filmhom
 from filmhom import Profile, save_sampled_profile, superlevel_mask
 from filmhom.cli import main
 from filmhom.config import config_hash, load_config
@@ -346,6 +351,62 @@ def test_unknown_config_key_names_it(tmp_path, capsys):
         load_config({"grid": 64})
 
 
+# outputs name their config by these digits, so they may never move
+@pytest.mark.parametrize("raw,digest", [
+    ({"dims": {"n": 3, "m": 1}, "profile": {"kind": "sin2-product", "dim": 2},
+      "energy": {"kind": "p_norm_power", "p": 2.0}, "grid": {"N": 32},
+      "sweep": {"t_values": [0.1, 0.3, 0.7], "F_probes": [[1.0, 0.0, 0.0]]},
+      "film": {"n_grid": 16}}, "37a82feeed2e666b"),
+    ({"profile": {"kind": "sampled", "dim": 2, "path": "profils/été.npz"},
+      "grid": {"N": 64}}, "583bc7b1a64a1823"),
+], ids=["default", "non-ascii"])
+def test_config_hash_is_pinned_sha256_of_canonical_json(raw, digest):
+    assert config_hash(raw) == digest
+    canon = json.dumps(raw, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert hashlib.sha256(canon).hexdigest()[:16] == digest
+
+
+def test_serial_runs_leave_openssl_and_thread_pool_unimported(tmp_path):
+    # hashlib maps OpenSSL's libcrypto (about 3.5 MB resident) and
+    # concurrent.futures pulls in logging and queue; a serial film or gamma
+    # run uses neither.  The configs are the benchmark's smoke film and gamma.
+    configs = {
+        "film": {"dims": {"n": 3, "m": 1},
+                 "profile": {"kind": "sin2-product", "dim": 2},
+                 "energy": {"kind": "p_norm_power", "p": 2.0},
+                 "sweep": {"F_probes": [[1.0, 0.0]]}, "film": {"n_grid": 16}},
+        "gamma": {"dims": {"n": 2, "m": 1},
+                  "profile": {"kind": "sin2-stripe", "dim": 1},
+                  "energy": {"kind": "p_norm_power", "p": 2.0},
+                  "sweep": {"F_probes": [[1.0]]}, "film": {"n_grid": 16},
+                  "schedule": {"eps": [0.5, 0.25], "cells_per_delta": 4,
+                               "vertical_cells": 8}},
+    }
+    for command, cfg in configs.items():
+        (tmp_path / f"{command}.json").write_text(json.dumps(cfg), encoding="utf-8")
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from filmhom.cli import main\n"
+        "from filmhom.config import load_config\n"
+        "root = Path(sys.argv[1])\n"
+        "for command in ('film', 'gamma'):\n"
+        "    cfg = root / f'{command}.json'\n"
+        "    load_config(cfg)\n"
+        "    assert main([command, '--config', str(cfg), '--out',\n"
+        "                 str(root / command), '--reproducible']) == 0\n"
+        "print(sorted(m for m in ('_hashlib', 'concurrent.futures')"
+        " if m in sys.modules))\n")
+    src = str(Path(filmhom.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, check=True, env=env)
+    assert done.stdout.strip() == "[]"
+    assert (tmp_path / "film" / "film.json").is_file()
+    assert (tmp_path / "gamma" / "gamma.json").is_file()
+
+
 # key, value, command, overrides, output files: a retired key warns, and
 # the outputs match a run without it up to the config hash
 RETIRED_RUNS = [
@@ -434,6 +495,15 @@ NOT_A_NUMBER = [
     ("phi", "sweep", "t_values", 0.5),
     ("phi", "sweep", "F_probes", [["x", 0.0]]),
     ("thresholds", "thresholds", "confirm", "false"),
+    # json.loads reads the tokens NaN and Infinity as floats
+    ("psi", "sweep", "F_probes", [[float("nan"), 0.5, 0.2]]),
+    ("psi", "sweep", "F_probes", [[float("inf"), 0.5, 0.2]]),
+    ("gamma", "schedule", "eps", [float("nan")]),
+    ("psi", "sweep", "probe_scale", float("nan")),
+    ("film", "quadrature", "rel_tol", float("inf")),
+    ("phi", "sweep", "t_values", [float("-inf")]),
+    ("phi", "energy", "p", float("nan")),
+    ("phi", "grid", "N", float("inf")),
 ]
 
 
@@ -456,11 +526,34 @@ def test_non_numeric_field_rejected_by_name(tmp_path, capsys, command,
     ({"omega": "ab"}, "omega"),
     ({"energy": {"kind": "quadratic_form", "matrix": "abc"}}, "energy.matrix"),
     ({"energy": {"kind": "quadratic_form", "matrix": [1.0, 2.0]}}, "energy.matrix"),
-], ids=["omega-text", "omega-short-pair", "omega-string", "matrix-text", "matrix-size"])
+    ({"omega": [[0.0, float("nan")], [0.0, 1.0]]}, "omega"),
+    ({"energy": {"kind": "quadratic_form",
+                 "matrix": np.diag([1.0, float("inf"), 1.0]).tolist()}}, "energy.matrix"),
+], ids=["omega-text", "omega-short-pair", "omega-string", "matrix-text", "matrix-size",
+        "omega-nan", "matrix-inf"])
 def test_malformed_array_field_rejected_by_name(tmp_path, capsys, overrides, name):
     cfg = write_config(tmp_path, **overrides)
     assert main(["phi", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("sweep", "F_probes", [[float("nan"), 0.5, 0.2]]),
+    ("sweep", "probe_scale", float("inf")),
+    ("schedule", "eps", [float("nan")]),
+    ("omega", None, [[0.0, float("nan")], [0.0, 1.0]]),
+])
+def test_non_finite_value_rejected_by_name_in_dict_config(tmp_path, section, key,
+                                                          value):
+    from filmhom import ConfigurationError
+    raw = json.loads(read_lines(write_config(tmp_path)))
+    if key is None:
+        raw[section] = value
+    else:
+        raw.setdefault(section, {})[key] = value
+    name = section if key is None else f"{section}.{key}"
+    with pytest.raises(ConfigurationError, match=name):
+        load_config(raw)
 
 
 def test_integral_float_accepted_for_integer_field(tmp_path):
