@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import filmhom
 from filmhom import EnergyDensity, Profile
@@ -50,6 +51,27 @@ def test_gamma_outputs_identical_across_blas_threads(tmp_path):
     one, two = (_gamma_run(tmp_path, cfg, k) for k in (1, 2))
     for name in ("gamma.json", "gamma.csv"):
         assert (one / name).read_bytes() == (two / name).read_bytes()
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir() or (os.cpu_count() or 1) < 2,
+                    reason="counts OS threads through /proc on a multi-core machine")
+@pytest.mark.parametrize("chosen, threads", [({}, 1), ({"OMP_NUM_THREADS": "2"}, 2)])
+def test_filmhom_loads_numpy_with_one_blas_thread_unless_chosen(chosen, threads):
+    # with no count chosen, OpenBLAS starts no spinning helper thread, and the
+    # variable that told it so is gone from the environment again
+    src = str(Path(filmhom.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(chosen, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import os, filmhom.cli; "
+             "print(len(os.listdir('/proc/self/task')), "
+             "os.environ.get('OPENBLAS_NUM_THREADS'))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.split() == [str(threads), "None"]
 
 
 def _no_large_blas_reductions(monkeypatch):
