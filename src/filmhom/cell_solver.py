@@ -83,9 +83,6 @@ class CorrectorField:
     component, gauge-fixed to zero mean on each connected component of the
     active node set, and the full offset matrix F they belong to."""
 
-    dim: int
-    m: int
-    resolution: tuple
     values: np.ndarray
     offset: np.ndarray
 
@@ -1075,9 +1072,7 @@ def minimize_periodic(mask, W, F, opts=None, want_corrector=True,
             v = _gauge_fix(grid, mask, v)
     v.flags.writeable = False
     F.flags.writeable = False
-    corr = CorrectorField(dim=d, m=m, resolution=grid.node_shape, values=v,
-                          offset=F)
-    return integral, corr, report
+    return integral, CorrectorField(values=v, offset=F), report
 
 
 def minimize_dirichlet(mask, W, F, box_side, opts=None):

@@ -1,7 +1,9 @@
 """Batch driver: every computation as a subcommand producing CSV/JSON files.
 
 Subcommands: mask, phi, psi, thresholds, whom, film, gamma.
-Common flags: --config PATH, --out DIR, --jobs K, --reproducible, --oracle.
+Common flags: --config PATH, --out DIR, --reproducible, --oracle.  Every
+command runs serially on one thread.  --jobs K is retired: it is still
+parsed (K must be an integer >= 1), warns when K > 1, and is ignored.
 
 Exit codes: 0 success, 2 config error, 3 resolution error, 4 solver or
 quadrature non-convergence, 5 structural inconsistency (kernel confirmation
@@ -16,6 +18,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -65,17 +68,6 @@ def _comments(cfg, args):
     return [f"generated={stamp}", f"config_hash={cfg.config_hash}"]
 
 
-def _parallel(jobs, fn, items):
-    if jobs <= 1:
-        return [fn(it) for it in items]
-    # imported here: concurrent.futures pulls in logging and queue, which a
-    # serial run never uses
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _flat_names(m, cols):
     return [f"F{i}{j}" for i in range(m) for j in range(cols)]
 
@@ -98,12 +90,10 @@ def cmd_mask(cfg, args, out):
     if not cfg.t_values:
         raise ConfigurationError("mask command needs sweep.t_values")
 
-    def one(t):
+    results = []
+    for t in cfg.t_values:
         mask = superlevel_mask(cfg.profile, t, cfg.grid_n)
-        comps = torus_components(mask)
-        return mask, comps
-
-    results = _parallel(args.jobs, one, cfg.t_values)
+        results.append((mask, torus_components(mask)))
     comments = _comments(cfg, args)
     rows = []
     detail = []
@@ -140,7 +130,7 @@ def _density_sweep(cfg, args, out, name, evaluate, oracle_column=None):
     cols = cfg.n - 1 if name == "phi" else cfg.n
     probes = cfg.probe_matrices(cols)
     entries = [(t, F) for F in probes for t in cfg.t_values]
-    results = _parallel(args.jobs, evaluate, entries)
+    results = [evaluate(t, F) for t, F in entries]
 
     comments = _comments(cfg, args)
     columns = (["t"] + _flat_names(cfg.m, cols)
@@ -182,8 +172,7 @@ def _density_sweep(cfg, args, out, name, evaluate, oracle_column=None):
 
 
 def cmd_phi(cfg, args, out):
-    def evaluate(entry):
-        t, F = entry
+    def evaluate(t, F):
         return hom.phi_sharp(cfg.profile, t, F, cfg.grid_n,
                              p=cfg.energy.p, opts=cfg.solver), None
 
@@ -193,8 +182,7 @@ def cmd_phi(cfg, args, out):
 def cmd_psi(cfg, args, out):
     oracle = args.oracle
 
-    def evaluate(entry):
-        t, F = entry
+    def evaluate(t, F):
         sample = hom.psi(cfg.profile, t, F, cfg.grid_n,
                          p=cfg.energy.p, opts=cfg.solver)
         if not oracle:
@@ -209,8 +197,7 @@ def cmd_psi(cfg, args, out):
 def cmd_whom(cfg, args, out):
     oracle = args.oracle and cfg.energy.kind == "p_norm_power"
 
-    def evaluate(entry):
-        t, F = entry
+    def evaluate(t, F):
         sample = hom.w_hom(cfg.profile, t, F, cfg.energy, cfg.grid_n,
                            opts=cfg.solver)
         if not oracle:
@@ -234,12 +221,10 @@ def cmd_film(cfg, args, out):
     probes = cfg.probe_matrices(cfg.n - 1)
     report = hom.thresholds(cfg.profile, cfg.film_n_grid, m=cfg.m, confirm=False)
 
-    def one(F):
-        return film_mod.w_bar(cfg.profile, cfg.energy, F,
+    entries = [film_mod.w_bar(cfg.profile, cfg.energy, F,
                               n_grid=cfg.film_n_grid, quad=cfg.quad,
                               threshold_report=report, solver_opts=cfg.solver)
-
-    entries = _parallel(args.jobs, one, probes)
+               for F in probes]
     table = film_mod.FilmDensityTable(
         entries=entries, thresholds=list(report.thresholds),
         rel_tol=cfg.quad.rel_tol,
@@ -295,7 +280,8 @@ def _parser():
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--jobs", type=_positive_int, default=1,
-                        help="worker pool size (at least 1)")
+                        help="retired and ignored: filmhom runs serially "
+                             "(still accepted, at least 1)")
         sp.add_argument("--reproducible", action="store_true",
                         help="byte-stable outputs (config hash, no timestamps)")
         sp.add_argument("--oracle", action="store_true",
@@ -305,6 +291,9 @@ def _parser():
 
 def main(argv=None):
     args = _parser().parse_args(argv)
+    if args.jobs > 1:
+        warnings.warn("option --jobs is retired and ignored: filmhom runs "
+                      "every command serially", stacklevel=2)
 
     try:
         cfg = load_config(args.config)

@@ -188,9 +188,10 @@ NUMERIC = {
 
 def _as_number(value, kind):
     """value as an int or float, or None when it is not one: booleans,
-    non-numeric and non-finite values never are (json.loads reads the tokens
-    NaN and Infinity), fractional values are no int."""
-    if isinstance(value, bool):
+    strings (even "16"), non-numeric and non-finite values never are
+    (json.loads reads the tokens NaN and Infinity), fractional values are no
+    int."""
+    if isinstance(value, (bool, str)):
         return None
     if kind is int and isinstance(value, int):
         return value
@@ -206,12 +207,16 @@ def _as_number(value, kind):
 
 
 def _float_array(value, name):
-    """A nested list of finite numbers as a float array; anything else raises
-    a ConfigurationError that names the field."""
+    """A nested list of finite numbers as a float array; anything else,
+    strings that spell numbers included, raises a ConfigurationError that
+    names the field."""
     try:
-        array = np.asarray(value, dtype=float)
-        if np.isfinite(array).all():
-            return array
+        array = np.asarray(value)
+        # kind "U" holds strings, kind "O" None or integers past 64 bits
+        if array.dtype.kind in "biuf":
+            array = array.astype(float)
+            if np.isfinite(array).all():
+                return array
     except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigurationError(f"{name} must hold finite numbers; got {value!r}")

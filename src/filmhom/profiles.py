@@ -88,6 +88,8 @@ class Profile:
             raise ConfigurationError(
                 f"sampled profile grid must be square; got shape {values.shape}"
             )
+        if not np.isfinite(values).all():
+            raise ConfigurationError("sampled profile values must be finite numbers")
         vmin = float(values.min())
         vmax = float(values.max())
         if vmin < -_SUP_TOL or vmax > 1.0 + _SUP_TOL:
@@ -159,15 +161,22 @@ class Profile:
 # row-major order.
 
 def load_sampled_profile(path):
+    """Read a profile written by save_sampled_profile: a header line 'dim N'
+    of two positive integers, then the N**dim values.  A file that cannot
+    be read or parsed raises a ConfigurationError naming the path."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ConfigurationError(
-                f"{path}: first line must be 'dim N'; got {header!r}"
-            )
-        dim, n = int(header[0]), int(header[1])
-        data = np.loadtxt(fh, dtype=float).ravel()
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            header = fh.readline().split()
+            if len(header) != 2 or not all(h.isdigit() and int(h) > 0 for h in header):
+                raise ConfigurationError(
+                    f"{path}: first line must be 'dim N', two positive integers; "
+                    f"got {header!r}"
+                )
+            dim, n = int(header[0]), int(header[1])
+            data = np.loadtxt(fh, dtype=float).ravel()
+    except (OSError, UnicodeDecodeError, ValueError) as err:
+        raise ConfigurationError(f"{path}: cannot read sampled profile: {err}") from err
     if data.size != n ** dim:
         raise ConfigurationError(
             f"{path}: expected {n ** dim} values for dim={dim}, N={n}; got {data.size}"

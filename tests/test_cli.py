@@ -75,6 +75,19 @@ def test_mask_sampled_profile_round_trip(tmp_path, stripe2):
     assert np.array_equal(saved, direct)
 
 
+@pytest.mark.parametrize("body,named", [
+    ("2 x\n1 1\n1 1\n", "prof.txt"),
+    ("2 2\n1 nan\n0.5 0.5\n", "finite"),
+], ids=["header-text", "nan-entry"])
+def test_malformed_sampled_profile_file_exits_2(tmp_path, capsys, body, named):
+    prof_path = tmp_path / "prof.txt"
+    prof_path.write_text(body, encoding="utf-8")
+    cfg = write_config(tmp_path, profile={"kind": "sampled",
+                                          "path": str(prof_path)})
+    assert main(["mask", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_phi_full_mask_row_reproduces_density(tmp_path):
     cfg = write_config(tmp_path, sweep={"t_values": [0.2],
                                         "F_probes": [[1.0, 1.0]]})
@@ -187,14 +200,19 @@ def test_reproducible_outputs_byte_identical(tmp_path, command):
 
 
 def test_jobs_flag_preserves_output(tmp_path):
+    # --jobs is retired: K > 1 warns once and runs the same serial loop
     cfg = write_config(tmp_path, sweep={"t_values": [0.2, 0.5, 0.7],
                                         "F_probes": [[1.0, 0.0, 0.0]],
                                         "random_probes": 2, "seed": 3})
-    out1, out2 = tmp_path / "serial", tmp_path / "parallel"
-    assert main(["psi", "--config", str(cfg), "--out", str(out1),
-                 "--reproducible"]) == 0
-    assert main(["psi", "--config", str(cfg), "--out", str(out2),
-                 "--reproducible", "--jobs", "4"]) == 0
+    out1, out2 = tmp_path / "jobs-1", tmp_path / "jobs-4"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["psi", "--config", str(cfg), "--out", str(out1),
+                     "--reproducible", "--jobs", "1"]) == 0
+    with pytest.warns(UserWarning, match="--jobs is retired and ignored") as caught:
+        assert main(["psi", "--config", str(cfg), "--out", str(out2),
+                     "--reproducible", "--jobs", "4"]) == 0
+    assert len(caught) == 1
     assert (out1 / "psi.csv").read_bytes() == (out2 / "psi.csv").read_bytes()
 
 
@@ -368,9 +386,13 @@ def test_config_hash_is_pinned_sha256_of_canonical_json(raw, digest):
 
 def test_serial_runs_leave_openssl_and_thread_pool_unimported(tmp_path):
     # hashlib maps OpenSSL's libcrypto (about 3.5 MB resident) and
-    # concurrent.futures pulls in logging and queue; a serial film or gamma
-    # run uses neither.  The configs are the benchmark's smoke film and gamma.
+    # concurrent.futures pulls in logging and queue; a film, gamma or mask
+    # run uses neither, and no run starts a thread, --jobs 2 included.  The
+    # configs are the benchmark's smoke mask, film and gamma.
     configs = {
+        "mask": {"dims": {"n": 3, "m": 1},
+                 "profile": {"kind": "checkerboard", "dim": 2},
+                 "grid": {"N": 16}, "sweep": {"t_values": [0.1, 0.3, 0.5, 0.7, 0.9]}},
         "film": {"dims": {"n": 3, "m": 1},
                  "profile": {"kind": "sin2-product", "dim": 2},
                  "energy": {"kind": "p_norm_power", "p": 2.0},
@@ -385,24 +407,32 @@ def test_serial_runs_leave_openssl_and_thread_pool_unimported(tmp_path):
     for command, cfg in configs.items():
         (tmp_path / f"{command}.json").write_text(json.dumps(cfg), encoding="utf-8")
     code = (
-        "import sys\n"
+        "import sys, threading, warnings\n"
         "from pathlib import Path\n"
+        "started = []\n"
+        "thread_start = threading.Thread.start\n"
+        "def start(self):\n"
+        "    started.append(self.name)\n"
+        "    thread_start(self)\n"
+        "threading.Thread.start = start\n"
+        "warnings.simplefilter('ignore')\n"
         "from filmhom.cli import main\n"
         "from filmhom.config import load_config\n"
         "root = Path(sys.argv[1])\n"
-        "for command in ('film', 'gamma'):\n"
+        "for command, flags in (('film', []), ('gamma', []), ('mask', ['--jobs', '2'])):\n"
         "    cfg = root / f'{command}.json'\n"
         "    load_config(cfg)\n"
         "    assert main([command, '--config', str(cfg), '--out',\n"
-        "                 str(root / command), '--reproducible']) == 0\n"
+        "                 str(root / command), '--reproducible', *flags]) == 0\n"
         "print(sorted(m for m in ('_hashlib', 'concurrent.futures')"
-        " if m in sys.modules))\n")
+        " if m in sys.modules), started)\n")
     src = str(Path(filmhom.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           capture_output=True, text=True, check=True, env=env)
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip() == "[] []"
+    assert (tmp_path / "mask" / "theta.csv").is_file()
     assert (tmp_path / "film" / "film.json").is_file()
     assert (tmp_path / "gamma" / "gamma.json").is_file()
 
@@ -495,6 +525,12 @@ NOT_A_NUMBER = [
     ("phi", "sweep", "t_values", 0.5),
     ("phi", "sweep", "F_probes", [["x", 0.0]]),
     ("thresholds", "thresholds", "confirm", "false"),
+    # a string that spells a number is still a string
+    ("phi", "grid", "N", "16"),
+    ("whom", "solver", "grad_tol", "1e-8"),
+    ("phi", "sweep", "t_values", ["0.5"]),
+    ("psi", "sweep", "F_probes", [["1", "0", "0"]]),
+    ("gamma", "schedule", "eps", ["0.5", "0.25"]),
     # json.loads reads the tokens NaN and Infinity as floats
     ("psi", "sweep", "F_probes", [[float("nan"), 0.5, 0.2]]),
     ("psi", "sweep", "F_probes", [[float("inf"), 0.5, 0.2]]),
@@ -529,8 +565,11 @@ def test_non_numeric_field_rejected_by_name(tmp_path, capsys, command,
     ({"omega": [[0.0, float("nan")], [0.0, 1.0]]}, "omega"),
     ({"energy": {"kind": "quadratic_form",
                  "matrix": np.diag([1.0, float("inf"), 1.0]).tolist()}}, "energy.matrix"),
+    ({"omega": [["0", "1"], [0.0, 1.0]]}, "omega"),
+    ({"energy": {"kind": "quadratic_form",
+                 "matrix": np.eye(3).astype(str).tolist()}}, "energy.matrix"),
 ], ids=["omega-text", "omega-short-pair", "omega-string", "matrix-text", "matrix-size",
-        "omega-nan", "matrix-inf"])
+        "omega-nan", "matrix-inf", "omega-numeric-text", "matrix-numeric-text"])
 def test_malformed_array_field_rejected_by_name(tmp_path, capsys, overrides, name):
     cfg = write_config(tmp_path, **overrides)
     assert main(["phi", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,23 @@ def test_sampled_profile_validation():
         Profile.sampled(np.array([[0.5, 1.2], [0.1, 0.3]]))
     with pytest.raises(ConfigurationError):
         Profile.sampled(np.array([[0.5, 0.9], [0.1, 0.3]]))  # sup != 1
+    # NaN slips past a range check: every comparison with it is False
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigurationError, match="finite"):
+            Profile.sampled(np.array([[1.0, 0.5], [bad, 0.3]]))
+
+
+@pytest.mark.parametrize("body", [
+    "2 x\n1 1\n1 1\n", "2\n1\n", "0 2\n1\n", "2 -2\n1\n", "2.0 2\n1 1\n1 1\n",
+    "2 2\n1 a\n1 1\n", "2 2\n1 1\n1\n", None,
+], ids=["header-text", "header-short", "dim-zero", "n-negative", "dim-float",
+        "entry-text", "ragged-rows", "missing-file"])
+def test_malformed_sampled_profile_file_rejected_by_path(tmp_path, body):
+    path = tmp_path / "f.txt"
+    if body is not None:
+        path.write_text(body, encoding="utf-8")
+    with pytest.raises(ConfigurationError, match=re.escape(str(path))):
+        load_sampled_profile(path)
 
 
 def test_constant_rejects_non_normalized():
