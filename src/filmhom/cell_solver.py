@@ -16,12 +16,11 @@ preconditioner inverts the unmasked box Laplacian axis by axis with numpy.fft
 active free nodes.  On a 2-d slab of kinds "DN" with one connected run of
 occupied cells per cell column (the n = 2 slabs of direct_min), the
 preconditioner is instead the exact inverse of the operator, by block
-cyclic reduction over the node lines that forms and factors each distinct
-block once, and CG takes one iteration.  CG stops on the true residual,
-||r|| <= cg_rtol ||b|| (docs/solvers.md).  Every other
-density uses inexact Newton: each step runs the same preconditioned CG on
-the tangent operator vol * D^T (mask * DS(G) D), to an Eisenstat-Walker
-tolerance, with the spectral preconditioner scaled by the tangent's
+cyclic reduction over the node lines, and CG takes one iteration.  CG
+stops on the true residual, ||r|| <= cg_rtol ||b|| (docs/solvers.md).
+Every other density uses inexact Newton: each step runs the same
+preconditioned CG on the tangent operator vol * D^T (mask * DS(G) D), to
+an Eisenstat-Walker tolerance, with the spectral preconditioner scaled by the tangent's
 diagonal node by node, and a line search that reads gradients only and
 may step past alpha = 1; it stops on ||gradient|| <= grad_tol
 (1 + |F|^(p-1)).  The tangent DS is the quadratic stress itself, the
@@ -115,21 +114,21 @@ class _Grid:
 
     @functools.cached_property
     def stencil(self):
-        """Per axis (h, lo, hi, wrap): the spacing, the cell window and its
-        forward node window of an (m, *nodes) array, and on a periodic axis
-        the (cells, nodes) window pairs of the wrap (cell j's forward
-        neighbour is node j + 1, the last cell's is node 0), else None.
-        Built once per grid, so the applies of a solve only read it."""
+        """Per axis (h, lo, forward): the spacing, the cell window of an
+        (m, *nodes) array, and the (cells, nodes) window pairs from each cell
+        to its forward node, lo and lo shifted by one, or the two pairs of a
+        periodic axis's wrap (the last cell's is node 0).  Built once per
+        grid, so the applies of a solve only read it."""
         lo = (slice(None),) + tuple(slice(0, c) for c in self.cells)
         out = []
         for a, (n, h) in enumerate(zip(self.cells, self.spacings)):
             def at(s):
                 return lo[:1 + a] + (s,) + lo[2 + a:]
-            wrap = None
+            forward = ((lo, at(slice(1, n + 1))),)
             if self.kinds[a] == "P":
-                wrap = ((at(slice(0, n - 1)), at(slice(1, n))),
-                        (at(slice(n - 1, n)), at(slice(0, 1))))
-            out.append((h, lo, at(slice(1, n + 1)), wrap))
+                forward = ((at(slice(0, n - 1)), at(slice(1, n))),
+                           (at(slice(n - 1, n)), at(slice(0, 1))))
+            out.append((h, lo, forward))
         return tuple(out)
 
 
@@ -145,13 +144,10 @@ def _cell_gradient(grid, v, columns=None):
     d = len(stencil)
     G = np.empty((v.shape[0], columns or d) + grid.cells)
     G[:, d:] = 0.0
-    for a, (h, lo, hi, wrap) in enumerate(stencil):
+    for a, (h, _, forward) in enumerate(stencil):
         Ga = G[:, a]
-        if wrap:
-            for cells, nodes in wrap:
-                np.subtract(v[nodes], v[cells], out=Ga[cells])
-        else:
-            np.subtract(v[hi], v[lo], out=Ga)
+        for cells, nodes in forward:
+            np.subtract(v[nodes], v[cells], out=Ga[cells])
         Ga *= 1.0 / h
     return G
 
@@ -160,39 +156,31 @@ def _cell_gradient_adjoint(grid, P):
     """Adjoint of _cell_gradient: <P, Dv>_cells = <adjoint(P), v>_nodes.
     Scales the in-plane columns of P in place by 1/h, so pass a fresh P."""
     out = np.zeros((P.shape[0],) + grid.node_shape)
-    for a, (h, lo, hi, wrap) in enumerate(grid.stencil):
+    for a, (h, lo, forward) in enumerate(grid.stencil):
         Pa = P[:, a]
         Pa *= 1.0 / h
         out[lo] -= Pa
-        if wrap:
-            for cells, nodes in wrap:
-                out[nodes] += Pa[cells]
-        else:
-            out[hi] += Pa
+        for cells, nodes in forward:
+            out[nodes] += Pa[cells]
     return out
 
 
-def _stencil_nodes(grid, mask):
-    """Flat node indices of the forward stencils of the occupied cells: the
-    base nodes c, and per axis a the nodes c + e_a (on a periodic axis the
-    last cell's forward node wraps to node 0)."""
-    cells = np.nonzero(mask)
-    base = np.ravel_multi_index(cells, grid.node_shape)
-    forward = []
-    for a in range(grid.dim):
-        idx = list(cells)
-        idx[a] = cells[a] + 1
-        forward.append(np.ravel_multi_index(idx, grid.node_shape, mode="wrap"))
-    return base, forward
+def _stencil_windows(grid):
+    """(cells, nodes) window pairs of (1, *cells) and (1, *nodes) arrays from
+    each cell c to each node of its forward stencil: c, then c + e_a."""
+    lo = grid.stencil[0][1]
+    yield lo, lo
+    for _, _, forward in grid.stencil:
+        yield from forward
 
 
 def _active_node_mask(grid, mask):
-    """Nodes touched by at least one occupied cell."""
-    active = np.zeros(grid.num_nodes, dtype=bool)
-    base, forward = _stencil_nodes(grid, mask)
-    for nodes in [base] + forward:
-        active[nodes] = True
-    return active.reshape(grid.node_shape)
+    """Nodes touched by at least one occupied cell: the OR of the mask
+    shifted onto every stencil window."""
+    active = np.zeros((1,) + grid.node_shape, dtype=bool)
+    for cells, nodes in _stencil_windows(grid):
+        active[nodes] |= mask[np.newaxis][cells]
+    return active[0]
 
 
 def _frozen_ends(grid):
@@ -409,15 +397,12 @@ def _tangent_scale(grid, select, diagonal):
     (c, c + e_a) holds it; it is scaled in place.  None when no selected
     entry is positive (then the preconditioner stays unscaled)."""
     diag = np.zeros((diagonal.shape[0],) + grid.node_shape)
-    for a, (h, lo, hi, wrap) in enumerate(grid.stencil):
+    for a, (h, lo, forward) in enumerate(grid.stencil):
         Pa = diagonal[:, a]
         Pa *= 1.0 / h ** 2
         diag[lo] += Pa
-        if wrap:
-            for cells, nodes in wrap:
-                diag[nodes] += Pa[cells]
-        else:
-            diag[hi] += Pa
+        for cells, nodes in forward:
+            diag[nodes] += Pa[cells]
     top = float(diag[:, select].max(initial=0.0))
     if not top > 0.0:
         return None
@@ -428,48 +413,49 @@ def _tangent_scale(grid, select, diagonal):
 
 # -- exact line solve ----------------------------------------------------------------
 
-def _column_runs(mask):
-    """Per cell column along axis 0 of a 2-d mask: the number of runs of
-    occupied cells along axis 1, and the first occupied cell and one past
-    the last, [lo, hi), which bound the run of a one-run column."""
+def _line_solvable(grid, mask):
+    """The runs [lo, hi) of occupied cells along axis 1 of the cell columns,
+    as arrays (lo, hi), when _LineSolver applies, else None: on a grid of
+    kinds "DN" (both end layers of axis 0 frozen, axis 1 free), each cell
+    column holds one run, which shares a node with the next column's run.
+    The active nodes then form one component that touches a frozen layer,
+    so the operator is positive definite on the active free nodes."""
+    if grid.kinds != "DN":
+        return None
     runs = mask[:, 0] + np.count_nonzero(mask[:, 1:] & ~mask[:, :-1], axis=1)
     lo = np.argmax(mask, axis=1)
     hi = mask.shape[1] - np.argmax(mask[:, ::-1], axis=1)
-    return runs, lo, hi
-
-
-def _line_solvable(grid, mask):
-    """Whether _LineSolver applies: a grid of kinds "DN" (both end layers of
-    axis 0 frozen, axis 1 free), on which each cell column holds one run of
-    occupied cells that shares a node with the next column's run.  The
-    active nodes then form one component that touches a frozen layer, so
-    the operator is positive definite on the active free nodes."""
-    if grid.kinds != "DN":
-        return False
-    runs, lo, hi = _column_runs(mask)
-    if np.any(runs != 1):
-        return False
     # cells (i, k) and (i + 1, k') share a node iff k' is k or k - 1
-    return bool(np.all((lo[:-1] <= hi[1:]) & (lo[1:] < hi[:-1])))
+    if np.all(runs == 1) and np.all((lo[:-1] <= hi[1:]) & (lo[1:] < hi[:-1])):
+        return lo, hi
+    return None
 
 
-def _distinct(*keys):
-    """Ids of the distinct rows of the integer key columns (entries >= -1),
-    numbered in sorted key order, and the first position of each id.  The
-    rows are packed into one integer each, in mixed radix."""
-    code = np.zeros(len(keys[0]), dtype=np.int64)
-    for key in keys:
-        code = code * (int(key.max(initial=0)) + 2) + (key + 1)
-    _, first, ids = np.unique(code, return_index=True, return_inverse=True)
-    return ids.reshape(-1), first
+def _distinct(*keys, sizes):
+    """Ids of the distinct rows of the key columns, column c in [0,
+    sizes[c]), in sorted key order, and any one position of each id (equal
+    keys give bit-identical blocks), by a presence table over the rows
+    packed in mixed radix, or by a sort if it would be sparse."""
+    code, span = np.ravel_multi_index(keys, sizes), math.prod(sizes)
+    if span > 8 * len(code) + 256:
+        _, where, ids = np.unique(code, return_index=True, return_inverse=True)
+        return ids.reshape(-1), where
+    rank = np.zeros(span + 1, dtype=np.intp)     # rank[-1] counts, even if span is 0
+    rank[code] = 1
+    np.cumsum(rank, out=rank)
+    ids = rank[code] - 1
+    where = np.empty(rank[-1], dtype=np.intp)
+    where[ids] = np.arange(len(code))
+    return ids, where
 
 
 def _groups(table, ids, src, dst):
-    """(table[r], src[p], dst[p]) per id r, p the positions whose id is r."""
-    order = np.argsort(ids, kind="stable")
-    cuts = np.cumsum(np.bincount(ids, minlength=len(table)))[:-1]
-    return [(M, src[part], dst[part])
-            for M, part in zip(table, np.split(order, cuts))]
+    """(table[r], src[p], dst[p]) per id r, p the positions whose id is r,
+    in increasing order; one id takes all of src and dst."""
+    if len(table) == 1:
+        return [(table[0], src, dst)]
+    parts = [ids == r for r in range(len(table))]
+    return [(M, src[p], dst[p]) for M, p in zip(table, parts)]
 
 
 def _refined_solve(A, inv, rhs):
@@ -487,27 +473,25 @@ class _LineSolver:
     the active free nodes of a grid that _line_solvable accepts.
 
     A cell couples only the node lines i and i + 1 along axis 0, so in the
-    order (line i, component j, node k along axis 1) K is block tridiagonal,
-    its blocks m times the nodes of a line wide: line blocks A_i,
-    tridiagonal in k, and couplings B_i from line i to i + 1, bidiagonal in
-    k, per pair of components.  Both are assembled from the tangent and the
-    masked cell volumes.  The two frozen lines are not unknowns, so they are
-    left out, columns included; a node touching no occupied cell gets an
-    identity row.
+    order (line i, component j, node k along axis 1) K is block tridiagonal:
+    line blocks A_i, tridiagonal in k, and couplings B_i from line i to
+    i + 1, bidiagonal in k, per pair of components, assembled from the
+    tangent and the masked cell volumes.  The two frozen lines are left out,
+    columns included; a node touching no occupied cell gets an identity
+    row.
 
     Block cyclic reduction eliminates the even lines of a level and keeps
     the odd ones, whose blocks form the next level:
     A'_k = A_k - B_(k-1)^T U_(k-1) - B_k V_(k+1) and B'_k = -B_k U_(k+1),
-    with U_e = A_e^-1 B_e and V_e = A_e^-1 B_(e-1)^T.  Each block is built
-    only from its neighbours, so it is keyed by what it is built from: a
-    line block by the runs of its two cell columns, a coupling by its one
-    column, a reduced block by the ids of its parts.  Equal keys give
-    bit-identical blocks, and only the distinct ones are formed and
-    inverted.  The right-hand-side sweeps then take one matmul per distinct
-    A_e^-1, U_e and V_e of each level.  See docs/solvers.md.
+    with U_e = A_e^-1 B_e and V_e = A_e^-1 B_(e-1)^T.  A block is keyed by
+    what it is built from: a line block by the runs of its two cell
+    columns, a coupling by its one column, a reduced block by the ids of
+    its parts.  Equal keys give bit-identical blocks, so only the distinct
+    ones are formed and inverted, and the sweeps take one matmul per
+    distinct A_e^-1, U_e and V_e of a level.  See docs/solvers.md.
     """
 
-    def __init__(self, grid, mask, vol_mask, tangent):
+    def __init__(self, grid, mask, runs, vol_mask, tangent):
         # tangent[l, b, j, a]: the stress component (j, a) of the unit
         # gradient (l, b); a quadratic density has the same one in every cell
         m = tangent.shape[0]
@@ -537,9 +521,9 @@ class _LineSolver:
         # i and i + 1, and couples to line i + 1 through column i + 1.  A
         # one-run column is its run, so the runs key the level-0 blocks
         self.active = _active_node_mask(grid, mask)[1:nx]
-        _, lo, hi = _column_runs(mask)
-        column, _ = _distinct(lo, hi)
-        a_ids, first = _distinct(column[:-1], column[1:])
+        column, first = _distinct(*runs, sizes=(nz + 1, nz + 1))
+        sizes = (len(first),) * 2
+        a_ids, first = _distinct(column[:-1], column[1:], sizes=sizes)
         # the cells right of line i reach it at p = 0 and 1, those left of
         # it at p = 2
         diag = np.zeros((len(first), m, m, nz + 1))
@@ -550,7 +534,7 @@ class _LineSolver:
             diag[:, j, j][~self.active[first]] = 1.0
         up = element(0, 1, first + 1)
         A = dense([(0, 0, diag), (0, 1, up), (1, 0, up.swapaxes(1, 2))])
-        b_ids, first = _distinct(column[1:-1])
+        b_ids, first = _distinct(column[1:-1], sizes=sizes[:1])
         B = dense([(0, 0, element(0, 2, first + 1)),
                    (1, 0, element(1, 2, first + 1))])
 
@@ -562,14 +546,15 @@ class _LineSolver:
         while True:
             even, odd = lines[0::2], lines[1::2]
             kept = len(odd)
-            e_ids, first = _distinct(a_ids[0::2])
+            e_ids, first = _distinct(a_ids[0::2], sizes=(len(A),))
             A_e = A[a_ids[0::2][first]]
             inv = np.linalg.inv(A_e)
             self.factorizations += len(inv)
-            u_ids, first = _distinct(e_ids[:kept], b_ids[0::2])
+            sizes = (len(inv), len(B))
+            u_ids, first = _distinct(e_ids[:kept], b_ids[0::2], sizes=sizes)
             ids = e_ids[first]
             U = _refined_solve(A_e[ids], inv[ids], B[b_ids[0::2][first]])
-            v_ids, first = _distinct(e_ids[1:], b_ids[1::2])
+            v_ids, first = _distinct(e_ids[1:], b_ids[1::2], sizes=sizes)
             ids = e_ids[1:][first]
             V = _refined_solve(A_e[ids], inv[ids],
                                B[b_ids[1::2][first]].swapaxes(1, 2))
@@ -580,23 +565,26 @@ class _LineSolver:
                 break
             # the kept line j (position 2j + 1) is built from its block, the
             # U of the line before it and the V of the line after it, if any
-            right = np.full(kept, -1)
-            right[:len(v_ids)] = v_ids
-            new_a, first = _distinct(a_ids[1::2], u_ids, right)
+            # (right holds 1 + the id of that V, or 0)
+            right = np.zeros(kept, dtype=np.intp)
+            right[:len(v_ids)] = v_ids + 1
+            new_a, first = _distinct(a_ids[1::2], u_ids, right,
+                                     sizes=(len(A), len(U), len(V) + 1))
             A_next = A[a_ids[1::2][first]]
             A_next -= B[b_ids[0::2][first]].swapaxes(1, 2) @ U[u_ids[first]]
-            has = right[first] >= 0
-            A_next[has] -= B[b_ids[1::2][first[has]]] @ V[right[first[has]]]
-            new_b, first = _distinct(b_ids[1::2][:kept - 1], u_ids[1:])
+            has = right[first] > 0
+            A_next[has] -= B[b_ids[1::2][first[has]]] @ V[right[first[has]] - 1]
+            new_b, first = _distinct(b_ids[1::2][:kept - 1], u_ids[1:],
+                                     sizes=(len(B), len(U)))
             B = -(B[b_ids[1::2][first]] @ U[u_ids[1:][first]])
             lines, a_ids, b_ids, A = odd, new_a, new_b, A_next
-        self.line_shape = (m, nz + 1)
+        self.shape = (m,) + grid.node_shape
 
     def __call__(self, r, out):
-        """out <- K^-1 r for r and out of shape (m, *nodes)."""
-        L = len(self.active)
-        y = np.empty((L,) + self.line_shape)
-        y[...] = r[:, 1:-1].transpose(1, 0, 2)
+        """out <- K^-1 r for flat r and out, fields of shape (m, *nodes)."""
+        m, L = self.shape[0], len(self.active)
+        y = np.empty((L, m, self.shape[-1]))
+        y[...] = r.reshape(self.shape)[:, 1:-1].transpose(1, 0, 2)
         y = y.reshape(L, -1)
         # rows are lines: A^-1 r_e is r_e @ A^-T, U^T r_e is r_e @ U
         for _, couplings in self.levels:
@@ -607,9 +595,10 @@ class _LineSolver:
                 y[e] = y[e] @ M.T
             for M, e, k in couplings:
                 y[e] -= y[k] @ M.T
-        out[:, 0] = out[:, -1] = 0.0
-        out[:, 1:-1] = y.reshape((L,) + self.line_shape).transpose(1, 0, 2)
-        out[:, 1:-1] *= self.active
+        z = out.reshape(self.shape)
+        z[:, 0] = z[:, -1] = 0.0
+        z[:, 1:-1] = y.reshape(L, m, -1).transpose(1, 0, 2)
+        z[:, 1:-1] *= self.active
         return out
 
 
@@ -683,9 +672,6 @@ def _solve_masked(grid, mask, W, F, opts, free_offset=False):
     def gradient(x):
         return stress_adjoint(W.cell_stress(offset_gradient(x)))
 
-    x0 = np.zeros(nv + m * (n - fixed))
-    x0[nv:] = F[:, fixed:].reshape(-1)
-
     maxiter = opts.max_iterations
     if maxiter is None:
         maxiter = 10 * m * grid.num_nodes
@@ -705,13 +691,12 @@ def _solve_masked(grid, mask, W, F, opts, free_offset=False):
     # a quadratic slab over node lines is solved exactly.  Newton keeps the
     # spectral preconditioner: its tangent vanishes where the gradient does
     # (p > 2), which leaves line blocks singular, and changes every step
-    exact = (W.is_quadratic and not free_offset
-             and _line_solvable(grid, mask))
+    runs = (_line_solvable(grid, mask) if W.is_quadratic and not free_offset
+            else None)
     scaled = not W.is_quadratic
     axes = tuple(range(2, 2 + d))
     units = np.eye(m * n).reshape((m * n, m, n) + cells)
     cols = np.arange(m * n) % n >= d
-    occupied = float(maskf.sum())
 
     def tangent(G):
         # the Hessian apply at the per-cell gradients G and a builder of its
@@ -734,15 +719,11 @@ def _solve_masked(grid, mask, W, F, opts, free_offset=False):
             # its exact argmin 0.  On a line-solvable slab it is the inverse
             # of H itself
             nonlocal spectral, factorizations
-            if exact:
+            if runs is not None:
                 C = np.stack([DS(e) for e in units]).reshape(m, n, m, n)
-                lines = _LineSolver(grid, mask, vol_mask, C[:, :d, :, :d])
+                lines = _LineSolver(grid, mask, runs, vol_mask, C[:, :d, :, :d])
                 factorizations = lines.factorizations
-
-                def line_precond(r, out):
-                    lines(split(r)[0], split(out)[0])
-                    return out
-                return line_precond
+                return lines
             if spectral is None:
                 spectral = _SpectralPreconditioner(grid, mask)
             # one pass over the unit matrices E_k: the summed tangent, whose
@@ -767,7 +748,7 @@ def _solve_masked(grid, mask, W, F, opts, free_offset=False):
                 buffer = np.empty((m,) + grid.node_shape)
             if free_offset:
                 K_bb_inv = np.linalg.pinv(vol * S[np.ix_(cols, cols)], hermitian=True)
-                s = 1.0 if scaled else float(np.mean(np.diag(S)[~cols])) / occupied
+                s = 1.0 if scaled else float(np.mean(np.diag(S)[~cols]) / maskf.sum())
                 if s > 0:
                     K_bb_inv *= vol * s
 
@@ -786,8 +767,9 @@ def _solve_masked(grid, mask, W, F, opts, free_offset=False):
 
     if W.is_quadratic:
         # the stress is linear: gradient(x) = H x + gradient(0), and the
-        # tangent at the offset serves at every x
-        rhs = gradient(np.zeros_like(x0))
+        # tangent at the offset serves at every x; D 0 = 0, so G = 0 + F
+        rhs = stress_adjoint(W.cell_stress(
+            np.add(Fcells, 0.0, out=np.empty((m, n) + grid.cells))))
         np.negative(rhs, out=rhs)
         x, iters, residual, ok = _preconditioned_cg(
             *tangent(Fcells), rhs, opts.cg_rtol, maxiter)
@@ -795,6 +777,8 @@ def _solve_masked(grid, mask, W, F, opts, free_offset=False):
         if factorizations is not None:
             notes.append(f"{factorizations} line block factorizations")
     else:
+        x0 = np.zeros(nv + m * (n - fixed))
+        x0[nv:] = F[:, fixed:].reshape(-1)
         x, iters, residual, ok, inner = _newton_pcg(
             gradient, lambda x: tangent(offset_gradient(x)), x0,
             _grad_tol(opts, F, W), maxiter)
@@ -831,13 +815,13 @@ def _grad_tol(opts, F, W):
 
 
 def _preconditioned_cg(apply_K, make_precond, b, rtol, maxiter):
-    """Preconditioned CG on K x = b from x = 0, so the first residual is b
-    itself and costs no apply.  ``make_precond()`` returns M, and
-    ``M(r, out)`` writes z = M r; M is built only when b fails the test.
-
-    The stopping test is on the true residual: ||r|| <= rtol ||b||."""
+    """Preconditioned CG on K x = b from x = 0: the residual starts as b
+    itself, overwritten in place (pass a fresh b), so it costs no apply.
+    ``make_precond()`` returns M, and ``M(r, out)`` writes z = M r; M is
+    built only when b fails the stopping test, which is on the true
+    residual: ||r|| <= rtol ||b||."""
     bb = _dot(b, b)
-    x, r, rr = np.zeros_like(b), b.copy(), bb
+    x, r, rr = np.zeros_like(b), b, bb
     bnorm = math.sqrt(bb)
     denom = bnorm if bnorm > 0 else 1.0
     if math.sqrt(rr) <= rtol * denom:
@@ -965,15 +949,13 @@ def _stencil_components(grid, mask):
     any occupied cell whose stencil holds it.  Returns the flat indices of
     the active nodes and, for each, that root run."""
     ids, roots, _ = _run_components(mask, nodes=True)
-    cell_roots = roots[ids[np.flatnonzero(mask)]]
-    base, forward = _stencil_nodes(grid, mask)
-    label = np.empty(grid.num_nodes, dtype=np.int64)
-    active = np.zeros(grid.num_nodes, dtype=bool)
-    for nodes in [base] + forward:
-        label[nodes] = cell_roots
-        active[nodes] = True
-    active = np.flatnonzero(active)
-    return active, label[active]
+    # (ids is -1 before the first run)
+    cell_roots = np.append(roots, 0)[ids].reshape((1,) + mask.shape)
+    label = np.zeros((1,) + grid.node_shape, dtype=np.int64)
+    for cells, nodes in _stencil_windows(grid):
+        np.copyto(label[nodes], cell_roots[cells], where=mask[np.newaxis][cells])
+    active = np.flatnonzero(_active_node_mask(grid, mask))
+    return active, label.reshape(-1)[active]
 
 
 def _gauge_fix(grid, mask, v):

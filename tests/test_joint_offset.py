@@ -139,7 +139,7 @@ def film_problems(draw):
     return profile, W, t, np.reshape(Fbar, (m, 2))
 
 
-@settings(max_examples=16, deadline=None)
+@settings(max_examples=16, deadline=None, derandomize=True)
 @given(film_problems())
 def test_joint_w_tilde_matches_nested_search(problem):
     profile, W, t, Fbar = problem

@@ -1,6 +1,7 @@
 """The spectral preconditioner and the preconditioned CG of quadratic masked
 solves, checked against dense and scipy.sparse references."""
 
+import itertools
 import re
 import tracemalloc
 
@@ -12,9 +13,9 @@ import scipy.sparse.linalg
 
 from filmhom import (EnergyDensity, Profile, SolverOptions, direct_min,
                      gamma_check, minimize_periodic, superlevel_mask)
-from filmhom.cell_solver import (_active_node_mask, _cell_gradient, _frozen_ends,
-                                 _Grid, _line_solvable, _solve_masked,
-                                 _SpectralPreconditioner)
+from filmhom.cell_solver import (_active_node_mask, _cell_gradient, _distinct,
+                                 _frozen_ends, _Grid, _line_solvable,
+                                 _solve_masked, _SpectralPreconditioner)
 from filmhom.homogenize import psi_cylinder_oracle
 from filmhom.profiles import oscillating_domain_mask
 
@@ -212,7 +213,7 @@ def test_slab_solve_matches_sparse_reference(kind, eps, cells, form):
     if form == "empty-column":
         mask[cells[0] // 2] = False
     W, A, F = slab_density(form, d)
-    exact = _line_solvable(grid, mask)
+    exact = _line_solvable(grid, mask) is not None
     assert exact == (d == 1 and form != "empty-column")
     ref = sparse_reference(grid, mask, A, F)
     ref_value = reference_value(grid, mask, W, F, ref)
@@ -331,13 +332,14 @@ def test_gamma_slab_iteration_bound(stripe1, W2):
 def test_line_solve_memory_stays_flat(stripe1, W2):
     # the eps = 0.125 slab: 511 interior lines of 33 nodes.  Keeping every
     # 33 x 33 line block would take 511 * 33**2 * 8 B = 4.45 MB on its own;
-    # the whole solve peaks at about 2.0 MB (2.2 MB with the spectral
-    # preconditioner, 2.3 MB with block elimination and checkpoints).  The
-    # eps = 0.0625 slab (2047 lines) sets the gamma run's peak RSS: it
-    # peaks at about 7.1 MB, against 8.72 MB with block elimination and
-    # checkpoints
+    # the whole solve peaks at about 1.8 MB (2.0 MB with a copied residual
+    # and spare full-grid arrays, 2.2 MB with the spectral preconditioner,
+    # 2.3 MB with block elimination and checkpoints).  The eps = 0.0625
+    # slab (2047 lines) sets the gamma run's peak RSS: it peaks at about
+    # 6.0 MB, against 7.1 MB with a copied residual and spare full-grid
+    # arrays and 8.72 MB with block elimination and checkpoints
     direct_min(stripe1, 0.25, 0.0625, [[1.0]], W2)         # warm caches
-    for eps, bound in [(0.125, 3.5e6), (0.0625, 8.7e6)]:
+    for eps, bound in [(0.125, 3.5e6), (0.0625, 6.6e6)]:
         tracemalloc.start()
         try:
             _, report = direct_min(stripe1, eps, eps ** 2, [[1.0]], W2)
@@ -346,6 +348,57 @@ def test_line_solve_memory_stays_flat(stripe1, W2):
             tracemalloc.stop()
         assert report.iterations == 1
         assert peak < bound
+
+
+def scattered_active_nodes(grid, mask):
+    """The formula _active_node_mask replaced: scatter the flat indices of
+    the base node c and of the nodes c + e_a of every occupied cell, which
+    wrap on a periodic axis (a non-periodic axis has a node past its last
+    cell, so only periodic ones can wrap)."""
+    cells = np.nonzero(mask)
+    active = np.zeros(grid.num_nodes, dtype=bool)
+    active[np.ravel_multi_index(cells, grid.node_shape)] = True
+    for a in range(grid.dim):
+        forward = list(cells)
+        forward[a] = cells[a] + 1
+        active[np.ravel_multi_index(forward, grid.node_shape, mode="wrap")] = True
+    return active.reshape(grid.node_shape)
+
+
+@pytest.mark.parametrize("kinds", ["".join(k) for d in (1, 2, 3)
+                                   for k in itertools.product("PDN", repeat=d)])
+def test_active_node_mask_matches_stencil_scatter(kinds):
+    # every box with sides 1..6, periodic axes of length 1 and 2 included,
+    # with an empty, a full and two random masks
+    rng = np.random.default_rng(len(kinds))
+    d = len(kinds)
+    for cells in itertools.product(range(1, 7), repeat=d):
+        grid = _Grid(cells=cells, spacings=(1.0,) * d, kinds=kinds)
+        masks = [np.zeros(cells, bool), np.ones(cells, bool),
+                 rng.random(cells) < 0.2, rng.random(cells) < 0.6]
+        for mask in masks:
+            active = _active_node_mask(grid, mask)
+            assert active.shape == grid.node_shape
+            assert np.array_equal(active, scattered_active_nodes(grid, mask))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7, 500])
+@pytest.mark.parametrize("sizes", [(1,), (3,), (1, 1, 2), (4, 2, 5), (60, 70, 80)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_distinct_contract(rows, sizes):
+    # packed ranges dense (a presence table), sparse (a sort) and of one
+    # value, over no rows, one row and many
+    rng = np.random.default_rng(rows)
+    keys = [rng.integers(0, size, rows) for size in sizes]
+    ids, where = _distinct(*keys, sizes=sizes)
+    table = np.stack(keys, axis=1)
+    distinct, inverse = np.unique(table, axis=0, return_inverse=True)
+    # equal rows get equal ids, numbered in sorted key order
+    assert np.array_equal(ids, inverse.reshape(-1))
+    # each returned position carries its own id
+    assert len(where) == len(distinct)
+    assert np.array_equal(ids[where], np.arange(len(distinct)))
+    assert np.array_equal(table[where], distinct)
 
 
 def test_line_solve_factors_each_distinct_block_once(stripe1, W2):
