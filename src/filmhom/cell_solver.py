@@ -30,19 +30,17 @@ product and norm of both loops is _dot, numpy's own single-threaded loop
 rather than BLAS, so the results do not depend on the BLAS thread
 count.  A periodic cell problem on a full mask with a convex density is
 not solved: by Jensen the zero corrector is its minimizer, so its value is
-exactly W of the offset (docs/solvers.md).  One whose node graph does not
-wind is not solved when no corrector is asked
-for: for the norm powers its value is exact, theta W of the offset with
-its in-plane columns zeroed (docs/kernel_geometry.md).  The offset may have more columns
-than the grid has axes: a field on the grid does not vary along the extra
-ones, so a cylinder cell problem solves on its in-plane grid.  Those columns may also
+exactly W of the offset (docs/solvers.md).  Nor is one whose node graph
+does not wind: for the norm powers its value is exact, theta W of the
+offset with its in-plane columns zeroed (docs/kernel_geometry.md).  The
+offset may have more columns than the grid has axes: a field on the grid
+does not vary along the extra ones, so a cylinder cell problem solves on
+its in-plane grid.  Those columns may also
 be unknowns, minimized jointly with the field in the same solve (the
 transverse column of the film density).  Cells outside the mask
 contribute no energy; nodes touching no occupied cell stay frozen at zero;
-the remaining constant-per-component null space is handled by starting from
-a consistent state and gauge-fixing afterwards, on the node components that
-one union-find pass over the runs of the mask finds (the routine that also
-labels the torus components of a mask).
+the remaining constant-per-component null space does not change the
+value, which is all a cell solve returns, so no gauge is fixed.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ import numpy as np
 
 from .energy import EnergyDensity, as_matrix
 from .errors import ConfigurationError, DimensionMismatchError
-from .profiles import _run_components, node_graph_winds
+from .profiles import node_graph_winds
 
 
 @dataclass(frozen=True)
@@ -78,9 +76,12 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class CorrectorField:
-    """Periodic node values of a cell-problem minimizer, one layer per field
-    component, gauge-fixed to zero mean on each connected component of the
-    active node set, and the full offset matrix F they belong to."""
+    """The node field a periodic cell solve ended at, of shape
+    (m, *node_shape), and the full offset matrix F it belongs to; both
+    read-only.  The field is not gauge-fixed: a constant on any connected
+    component of the active nodes leaves the value unchanged.  It is zero
+    where the value is exact without a solve (methods "empty", "full",
+    "unwound")."""
 
     values: np.ndarray
     offset: np.ndarray
@@ -939,40 +940,9 @@ def _newton_pcg(gradient, tangent, x0, gtol, maxiter):
     return x, it, gn, True, inner
 
 
-# -- gauge fixing ----------------------------------------------------------------
-
-def _stencil_components(grid, mask):
-    """Connected components of the active node set of a periodic grid, where
-    nodes are linked when they appear in the stencil of a common occupied
-    cell.  They are the components of the node graph over the runs of
-    cells (``profiles._run_graph``): each active node takes the root run of
-    any occupied cell whose stencil holds it.  Returns the flat indices of
-    the active nodes and, for each, that root run."""
-    ids, roots, _ = _run_components(mask, nodes=True)
-    # (ids is -1 before the first run)
-    cell_roots = np.append(roots, 0)[ids].reshape((1,) + mask.shape)
-    label = np.zeros((1,) + grid.node_shape, dtype=np.int64)
-    for cells, nodes in _stencil_windows(grid):
-        np.copyto(label[nodes], cell_roots[cells], where=mask[np.newaxis][cells])
-    active = np.flatnonzero(_active_node_mask(grid, mask))
-    return active, label.reshape(-1)[active]
-
-
-def _gauge_fix(grid, mask, v):
-    """Shift v to zero mean on each connected component of the active nodes."""
-    active, comp = _stencil_components(grid, mask)
-    counts = np.bincount(comp)[comp]
-    shift = np.zeros(grid.num_nodes)
-    for vi in v:
-        shift[active] = np.bincount(comp, weights=vi.ravel()[active])[comp] / counts
-        vi -= shift.reshape(grid.node_shape)
-    return v
-
-
 # -- public operations ------------------------------------------------------------
 
-def minimize_periodic(mask, W, F, opts=None, want_corrector=True,
-                      free_offset=False):
+def minimize_periodic(mask, W, F, opts=None, *, free_offset=False):
     """Minimize the mean masked energy over 1-periodic corrector fields.
 
     Parameters
@@ -984,33 +954,29 @@ def minimize_periodic(mask, W, F, opts=None, want_corrector=True,
         mask x R^(n - mask.ndim), whose correctors do not depend on the
         extra coordinates (docs/solvers.md).
     opts : SolverOptions.
-    want_corrector : skip component labeling and gauge fixing when False
-        (the value is gauge-invariant).  A full mask with a convex density
-        is not solved either way, unless ``free_offset`` is set and the
-        density is not a norm power: the value is exactly W(F), with the
-        free columns zeroed under ``free_offset``, the corrector is zero,
-        and the report reads method "full", 0 iterations (docs/solvers.md).
-        When False, a density whose
-        ``zeroing_columns_minimizes`` (the norm powers) on a mask whose node
-        graph does not wind (``profiles.node_graph_winds``) is not solved:
-        the value is exactly (#occupied/#cells) W(F) with the in-plane
-        columns of F zeroed, and with ``free_offset`` the free columns too,
-        which are also returned as 0; the report reads method "unwound",
-        0 iterations, and the corrector is zero (docs/kernel_geometry.md).
-        True keeps solving, because the minimizing corrector would need the
-        node lifts.
     free_offset : minimize also over the columns of F past mask.ndim;
         ``corrector.offset`` holds the minimizing F.  Newton (a
         non-quadratic density) starts those columns from their given
         values, CG (a quadratic one) from 0, like the node field; both
         reach the same minimizer.
 
+    Two cases are not solved; their report reads 0 iterations.  A full
+    mask with a convex density, unless ``free_offset`` is set and the
+    density is not a norm power: the value is exactly W(F), with the free
+    columns zeroed under ``free_offset`` (method "full", docs/solvers.md).
+    A density whose ``zeroing_columns_minimizes`` (the norm powers) on a
+    mask whose node graph does not wind (``profiles.node_graph_winds``):
+    the value is exactly (#occupied/#cells) W(F) with the in-plane columns
+    of F zeroed, and with ``free_offset`` the free columns too, which are
+    also returned as 0 (method "unwound", docs/kernel_geometry.md).
+
     Returns
     -------
     (value, corrector, report) where value = (1/#cells) * sum over occupied
-    cells of W(F + Dv) at the discrete minimizer.  An empty mask gives value
-    0 with a zero corrector and F unchanged.  Unconverged solves return the
-    best value found with report.converged False; the caller decides.
+    cells of W(F + Dv) at the discrete minimizer and ``corrector`` is a
+    ``CorrectorField``.  An empty mask gives value 0 with F unchanged.
+    Unconverged solves return the best value found with report.converged
+    False; the caller decides.
     """
     mask = np.asarray(mask, dtype=bool)
     d = mask.ndim
@@ -1027,15 +993,14 @@ def minimize_periodic(mask, W, F, opts=None, want_corrector=True,
     elif mask.all() and W.convex and (not free_offset
                                       or W.zeroing_columns_minimizes):
         # periodic differences sum to zero along every axis, so by Jensen
-        # no corrector beats v = 0, the gauge-fixed minimizer
+        # no corrector beats v = 0
         if free_offset:
             F[:, d:] = 0.0
         v = np.zeros((m,) + grid.node_shape)
         integral = W.evaluate(F)
         report = SolveReport(iterations=0, residual=0.0, converged=True,
                              method="full")
-    elif (not want_corrector and W.zeroing_columns_minimizes
-          and not node_graph_winds(mask)):
+    elif W.zeroing_columns_minimizes and not node_graph_winds(mask):
         # v = -F x on a lift of each node component cancels the in-plane
         # columns in every occupied cell, and no field does better
         if free_offset:
@@ -1050,8 +1015,6 @@ def minimize_periodic(mask, W, F, opts=None, want_corrector=True,
         integral, v, report = _solve_masked(grid, mask, W, F, opts,
                                             free_offset=free_offset)
         # unit cell has volume one: the integral is already the cell mean
-        if want_corrector:
-            v = _gauge_fix(grid, mask, v)
     v.flags.writeable = False
     F.flags.writeable = False
     return integral, CorrectorField(values=v, offset=F), report

@@ -148,7 +148,7 @@ def w_tilde(profile, W, t, Fbar, *, n_grid=64, solver_opts=None):
     occ = superlevel_mask(profile, t, n_grid).occupancy
     value, corr, report = minimize_periodic(
         occ, W, np.hstack([Fbar, np.zeros((m, 1))]), solver_opts,
-        want_corrector=False, free_offset=True)
+        free_offset=True)
     return value, corr.offset[:, -1].copy(), report.converged
 
 

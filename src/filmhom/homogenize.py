@@ -96,8 +96,7 @@ def phi_sharp(profile, t, Fbar, n_grid, *, p=2.0, opts=None):
         )
     mask = superlevel_mask(profile, t, n_grid)
     W = EnergyDensity.p_norm_power(p=p, m=m, n=profile.dim)
-    value, _, report = minimize_periodic(mask.occupancy, W, Fbar, opts=opts,
-                                         want_corrector=False)
+    value, _, report = minimize_periodic(mask.occupancy, W, Fbar, opts=opts)
     return HomogenizedSample(t=float(t), F=_freeze(Fbar), value=value,
                              theta=mask.area_fraction, resolution=n_grid,
                              report=report)
@@ -136,7 +135,7 @@ def psi_cylinder_oracle(profile, t, F, n_grid, *, p=2.0, opts=None):
     mask2 = superlevel_mask(profile, t, n_grid)
     occ = np.repeat(mask2.occupancy[..., np.newaxis], ORACLE_LAYERS, axis=-1)
     W = EnergyDensity.p_norm_power(p=p, m=m, n=d)
-    value, _, report = minimize_periodic(occ, W, F, opts=opts, want_corrector=False)
+    value, _, report = minimize_periodic(occ, W, F, opts=opts)
     return HomogenizedSample(t=float(t), F=_freeze(F), value=value,
                              theta=mask2.area_fraction, resolution=n_grid,
                              report=report)
@@ -159,8 +158,7 @@ def w_hom(profile, t, F, W, n_grid, *, opts=None):
     W.check_dims(F.shape[0], d)
     W.check_convexity()
     mask2 = superlevel_mask(profile, t, n_grid)
-    value, _, report = minimize_periodic(mask2.occupancy, W, F, opts=opts,
-                                         want_corrector=False)
+    value, _, report = minimize_periodic(mask2.occupancy, W, F, opts=opts)
     return HomogenizedSample(t=float(t), F=_freeze(F), value=value,
                              theta=mask2.area_fraction, resolution=n_grid,
                              report=report)

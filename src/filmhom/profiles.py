@@ -11,9 +11,8 @@ Connectivity is one union-find with lift offsets over the runs of occupied
 cells along the last axis, so its Python work grows with the number of runs
 rather than of cells; the thresholds of the wrap rank are found by bisection
 over the levels of the face edges, each probe one such labelling.  The same
-runs, joined where the forward stencils of their cells share a node, give
-the node components that the cell solver gauge-fixes and tell whether the
-node graph winds (docs/kernel_geometry.md).
+runs, joined where the forward stencils of their cells share a node, tell
+whether the node graph winds (docs/kernel_geometry.md).
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from filmhom import EnergyDensity, Profile
+from filmhom import CorrectorField, EnergyDensity, Profile
+from filmhom.cell_solver import _Grid, _solve_masked
+from filmhom.energy import as_matrix
 
 
 @pytest.fixture
@@ -49,3 +51,24 @@ def stripe_mask(n, lo=0.25, hi=0.75):
     centers = (np.arange(n) + 0.5) / n
     band = (centers > lo) & (centers < hi)
     return band[:, None] & np.ones(n, bool)[None, :]
+
+
+def periodic_grid(mask):
+    """The periodic grid of a unit-cell mask, as ``minimize_periodic``
+    builds it: its nodes are the cells."""
+    return _Grid(cells=mask.shape, spacings=tuple(1.0 / c for c in mask.shape),
+                 kinds="P" * mask.ndim)
+
+
+def forced_periodic_solve(mask, W, F, opts=None, free_offset=False):
+    """``_solve_masked`` on the periodic grid of ``mask``: the solve that
+    ``minimize_periodic`` skips where its value is exact without one (a full
+    mask, or a node graph that does not wind), kept as the independent
+    reference for those values.  Returns (value, corrector, report) like
+    ``minimize_periodic``; under ``free_offset`` the corrector's offset
+    holds the minimizing F."""
+    mask = np.asarray(mask, dtype=bool)
+    F = as_matrix(F).copy()
+    value, v, report = _solve_masked(periodic_grid(mask), mask, W, F, opts,
+                                     free_offset=free_offset)
+    return value, CorrectorField(values=v, offset=F), report

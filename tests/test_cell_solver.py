@@ -8,11 +8,10 @@ from filmhom import (ConfigurationError, DimensionMismatchError, EnergyDensity,
                      Profile, SolveReport, SolverOptions, minimize_dirichlet,
                      minimize_periodic)
 from filmhom.cell_solver import (_active_node_mask, _cell_gradient,
-                                 _cell_gradient_adjoint, _Grid, _solve_masked,
-                                 _stencil_components)
+                                 _cell_gradient_adjoint, _Grid)
 from filmhom.profiles import superlevel_mask
 
-from conftest import stripe_mask
+from conftest import forced_periodic_solve, periodic_grid, stripe_mask
 
 
 def reference_mean_energy(mask, W, F, v):
@@ -197,29 +196,27 @@ def test_value_nonincreasing_under_mask_shrink(stripe2, W2):
     assert all(b <= a + 1e-8 for a, b in zip(values, values[1:]))
 
 
-def test_corrector_gauge_and_frozen_nodes(W2):
+def test_corrector_stays_zero_on_inactive_nodes(W2):
+    # stripes wind along their rows, so they are solved; nodes that no
+    # occupied cell reaches keep the zero they start from
     one = stripe_mask(16)
     two = stripe_mask(16, 0.1, 0.3) | stripe_mask(16, 0.6, 0.8)
-    for mask, stripes in ((one, 1), (two, 2)):
-        _, corr, _ = minimize_periodic(mask, W2, [[1.0, 0.0]])
+    for mask in (one, two):
+        _, corr, report = minimize_periodic(mask, W2, [[1.0, 0.0]])
+        assert report.method == "cg"
         v = np.asarray(corr.values)
-        grid = _Grid(cells=mask.shape, spacings=(1 / 16, 1 / 16), kinds="PP")
-        active = _active_node_mask(grid, mask)
+        active = _active_node_mask(periodic_grid(mask), mask)
         assert np.abs(v[0][~active]).max() == 0.0
-        nodes, comp = _stencil_components(grid, mask)
-        assert np.array_equal(nodes, np.flatnonzero(active))
-        assert len(set(comp)) == stripes
-        for c in set(comp):
-            assert abs(v[0].ravel()[nodes[comp == c]].mean()) < 1e-12
 
 
-def test_nonconvergence_reported(W2, product2):
-    # product islands need about 25 preconditioned iterations (a stripe
-    # would be solved exactly in one)
+def test_nonconvergence_reported(W2, checker2):
+    # checkerboard squares coupled at their corners wind along (1, -1), so
+    # they are solved, and one preconditioned iteration does not settle
+    # them (a stripe would be solved exactly in one)
     from filmhom import superlevel_mask
-    mask = superlevel_mask(product2, 0.7, 32).occupancy
+    mask = superlevel_mask(checker2, 0.5, 32).occupancy
     opts = SolverOptions(max_iterations=1)
-    value, _, report = minimize_periodic(mask, W2, [[1.0, 1.0]], opts=opts)
+    value, _, report = minimize_periodic(mask, W2, [[1.0, 0.5]], opts=opts)
     assert not report.converged
     assert np.isfinite(value)
 
@@ -280,7 +277,7 @@ def test_offset_checked_before_short_paths(W2, mask):
     # is checked all the same
     F = [[1.0, 2.0, 3.0, 4.0, 5.0]]
     with pytest.raises(DimensionMismatchError):
-        minimize_periodic(mask, W2, F, want_corrector=False)
+        minimize_periodic(mask, W2, F)
     with pytest.raises(DimensionMismatchError):
         minimize_dirichlet(mask, W2, F, 1)
 
@@ -319,7 +316,7 @@ def test_cold_cg_applies_the_operator_once_per_iteration(monkeypatch):
     # CG starts from x = 0, whose residual is the rhs itself: one adjoint
     # for the rhs and one per iteration, no apply at the start.  The value
     # is pinned to the bit, since r = b - K 0 = b leaves every iterate as
-    # it is
+    # it is.  The islands do not wind, so the solve is forced
     import filmhom.cell_solver as cell_solver
     calls = []
 
@@ -330,8 +327,7 @@ def test_cold_cg_applies_the_operator_once_per_iteration(monkeypatch):
     monkeypatch.setattr(cell_solver, "_cell_gradient_adjoint", counted)
     W = EnergyDensity.p_norm_power(2.0, 1, 3)
     occ = superlevel_mask(Profile.builtin("sin2-product", dim=2), 0.6, 32).occupancy
-    value, _, report = minimize_periodic(occ, W, [[1.0, 0.5, 0.2]],
-                                         want_corrector=True)
+    value, _, report = forced_periodic_solve(occ, W, [[1.0, 0.5, 0.2]])
     assert report.method == "cg" and report.converged
     assert len(calls) == report.iterations + 1 == 27
     assert value == 0.016406250000000004
@@ -375,15 +371,19 @@ _FULL_DENSITIES = {
 }
 
 
-@pytest.mark.parametrize("density, free_offset", [
-    (name, free) for name in sorted(_FULL_DENSITIES) for free in (False, True)
-    # the free column of the other densities need not minimize at zero
-    if not free or "_power-" in name])
-@pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("shape", [(8,), (6, 6), (4, 4, 4)], ids=["1d", "2d", "3d"])
-@pytest.mark.parametrize("want_corrector", [False, True])
-def test_full_mask_value_is_exact_without_a_solve(density, free_offset, m, shape,
-                                                   want_corrector):
+def _over_densities_and_shapes(test):
+    """Run ``test`` for every density, offset mode, m and dimension."""
+    test = pytest.mark.parametrize("shape", [(8,), (6, 6), (4, 4, 4)],
+                                   ids=["1d", "2d", "3d"])(test)
+    test = pytest.mark.parametrize("m", [1, 2])(test)
+    return pytest.mark.parametrize("density, free_offset", [
+        (name, free) for name in sorted(_FULL_DENSITIES) for free in (False, True)
+        # the free column of the other densities need not minimize at zero
+        if not free or "_power-" in name])(test)
+
+
+@_over_densities_and_shapes
+def test_full_mask_value_is_exact_without_a_solve(density, free_offset, m, shape):
     # periodic differences sum to zero along every axis, so by Jensen no
     # corrector beats v = 0: the value is W(F), with the free columns
     # zeroed for the norm powers, which no other column beats
@@ -391,8 +391,7 @@ def test_full_mask_value_is_exact_without_a_solve(density, free_offset, m, shape
     W = _FULL_DENSITIES[density](m, d + 1)
     occ = np.ones(shape, bool)
     F = np.random.default_rng(m).uniform(-1, 1, (m, d + 1))
-    value, corr, report = minimize_periodic(occ, W, F, want_corrector=want_corrector,
-                                            free_offset=free_offset)
+    value, corr, report = minimize_periodic(occ, W, F, free_offset=free_offset)
     G = F.copy()
     if free_offset:
         G[:, d:] = 0.0
@@ -400,10 +399,29 @@ def test_full_mask_value_is_exact_without_a_solve(density, free_offset, m, shape
     assert report == SolveReport(0, 0.0, True, "full")
     assert not np.any(corr.values) and corr.values.shape == (m,) + shape
     assert np.array_equal(corr.offset, G)
-    grid = _Grid(cells=shape, spacings=tuple(1.0 / c for c in shape), kinds="P" * d)
-    solved, _, forced = _solve_masked(grid, occ, W, F, None, free_offset=free_offset)
+    solved, _, forced = forced_periodic_solve(occ, W, F, free_offset=free_offset)
     assert forced.converged
     assert value == pytest.approx(solved, abs=1e-12)
+
+
+@_over_densities_and_shapes
+def test_empty_mask_value_is_exact_without_a_solve(density, free_offset, m, shape):
+    # no occupied cell carries energy, so the value is 0 whatever the
+    # field; F comes back as given, the free columns included, since no
+    # offset does better than another
+    d = len(shape)
+    W = _FULL_DENSITIES[density](m, d + 1)
+    occ = np.zeros(shape, bool)
+    F = np.random.default_rng(m).uniform(-1, 1, (m, d + 1))
+    value, corr, report = minimize_periodic(occ, W, F, free_offset=free_offset)
+    assert value == 0.0
+    assert report == SolveReport(0, 0.0, True, "empty")
+    assert not np.any(corr.values) and corr.values.shape == (m,) + shape
+    assert not corr.values.flags.writeable and not corr.offset.flags.writeable
+    assert np.array_equal(corr.offset, F)
+    solved, _, forced = forced_periodic_solve(occ, W, F, free_offset=free_offset)
+    assert forced.converged
+    assert solved == 0.0
 
 
 def _nonconvex_custom(m, n):
@@ -446,14 +464,13 @@ def _unwound_masks():
 def test_unwound_value_matches_forced_solve(kind, p, m, free_offset):
     # without a winding, v = -F x on each node component's lift cancels the
     # in-plane columns, so the exact value is theta W(F) with those columns
-    # (and the free ones) zeroed; want_corrector=True still solves
+    # (and the free ones) zeroed; the forced solve is its reference
     for occ in _unwound_masks():
         d = occ.ndim
         W = getattr(EnergyDensity, kind)(p, m, d + 1)
         F = np.random.default_rng(m).uniform(-1, 1, (m, d + 1))
-        exact, ce, re = minimize_periodic(occ, W, F, want_corrector=False,
-                                          free_offset=free_offset)
-        solved, cs, rs = minimize_periodic(occ, W, F, free_offset=free_offset)
+        exact, ce, re = minimize_periodic(occ, W, F, free_offset=free_offset)
+        solved, cs, rs = forced_periodic_solve(occ, W, F, free_offset=free_offset)
         assert re == SolveReport(iterations=0, residual=0.0, converged=True,
                                  method="unwound")
         assert rs.method in ("cg", "newton") and rs.converged
@@ -478,7 +495,46 @@ def test_unwound_value_matches_forced_solve(kind, p, m, free_offset):
 ], ids=["quadratic_form", "custom"])
 def test_other_densities_keep_solving_without_a_winding(W):
     occ = superlevel_mask(Profile.builtin("sin2-product", dim=2), 0.6, 16).occupancy
-    value, _, report = minimize_periodic(occ, W, [[1.0, 0.5, 0.2]],
-                                         want_corrector=False)
+    value, _, report = minimize_periodic(occ, W, [[1.0, 0.5, 0.2]])
     assert report.method in ("cg", "newton") and report.iterations > 0
     assert report.converged and np.isfinite(value)
+
+
+_CORNERS = superlevel_mask(Profile.builtin("checkerboard", 2), 0.5, 16).occupancy
+_BRANCHES = {
+    "empty": (np.zeros((6, 6), bool), 2.0),
+    "full": (np.ones((6, 6), bool), 2.0),
+    "unwound": (superlevel_mask(Profile.builtin("sin2-product", 2), 0.6, 16).occupancy, 2.0),
+    "cg": (_CORNERS, 2.0),
+    "newton": (_CORNERS, 3.0),
+}
+
+
+@pytest.mark.parametrize("free_offset", [False, True])
+@pytest.mark.parametrize("method", sorted(_BRANCHES))
+def test_result_contract_on_every_branch(method, free_offset):
+    # every branch returns the node field's full shape (the benchmark trace
+    # counts corr.values.size as unknowns), read-only, and the offset that
+    # the value belongs to: the given F, with the free columns minimized
+    # under free_offset
+    occ, p = _BRANCHES[method]
+    m, d = 2, occ.ndim
+    W = EnergyDensity.p_norm_power(p, m, d + 1)
+    F = np.random.default_rng(7).uniform(-1, 1, (m, d + 1))
+    value, corr, report = minimize_periodic(occ, W, F, free_offset=free_offset)
+    assert report.method == method and report.converged
+    grid = periodic_grid(occ)
+    assert corr.values.shape == (m,) + grid.node_shape
+    assert not corr.values.flags.writeable and not corr.offset.flags.writeable
+    assert np.array_equal(corr.offset[:, :d], F[:, :d])
+    if not free_offset or method == "empty":
+        assert np.array_equal(corr.offset, F)
+    G = _cell_gradient(grid, np.asarray(corr.values), d + 1)
+    G += corr.offset.reshape((m, d + 1) + (1,) * d)
+    at_field = float(np.sum(W.cell_values(G) * occ)) / occ.size
+    if method == "unwound":
+        # the field is zero, not the minimizer: the value is theta W of the
+        # offset with its in-plane columns zeroed
+        at_field = occ.mean() * W.evaluate(np.hstack([np.zeros((m, d)),
+                                                     corr.offset[:, d:]]))
+    assert value == pytest.approx(at_field, rel=1e-12, abs=1e-15)

@@ -40,8 +40,7 @@ def test_wtilde_one_layer_matches_two_layer_cylinder(stripe2):
     two = np.broadcast_to(occ[..., np.newaxis], occ.shape + (2,)).copy()
 
     def cylinder(s):
-        val, _, report = minimize_periodic(two, W, [[1.0, 0.5, s]],
-                                           want_corrector=False)
+        val, _, report = minimize_periodic(two, W, [[1.0, 0.5, s]])
         assert report.converged
         return val
 

@@ -164,7 +164,7 @@ def test_whom_one_layer_matches_layered_cylinder(density, profile, nz):
     F = np.array([[0.5, -0.7, 0.9]])
     occ = superlevel_mask(prof, t, n).occupancy
     layered = np.broadcast_to(occ[..., np.newaxis], occ.shape + (nz,)).copy()
-    ref, _, report = minimize_periodic(layered, W, F, want_corrector=False)
+    ref, _, report = minimize_periodic(layered, W, F)
     assert report.converged
     sample = w_hom(prof, t, F, W, n)
     assert sample.report.converged

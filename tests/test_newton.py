@@ -236,7 +236,7 @@ def test_newton_free_column_from_nonzero_start(monkeypatch, checker2, kind, m):
     W = getattr(EnergyDensity, kind)(3.0, m, 3)
     F = np.random.default_rng(m).uniform(-1, 1, (m, 3))
     (a, ca, ra), (b, cb, rb) = _both(monkeypatch, lambda: minimize_periodic(
-        occ, W, F, want_corrector=False, free_offset=True))
+        occ, W, F, free_offset=True))
     assert ra.method == "newton" and ra.converged and rb.converged
     assert a == pytest.approx(b, abs=1e-9)
     assert np.abs(ca.offset[:, -1]).max() < 1e-3
@@ -250,7 +250,7 @@ def test_free_column_alone_keeps_unscaled_preconditioner(checker2):
     occ = superlevel_mask(checker2, 0.5, 16).occupancy
     W = EnergyDensity.p_norm_power(3.0, 1, 3)
     value, corr, report = minimize_periodic(
-        occ, W, [[0.0, 0.0, 0.5]], want_corrector=False, free_offset=True)
+        occ, W, [[0.0, 0.0, 0.5]], free_offset=True)
     assert report.method == "newton" and report.converged
     assert value == pytest.approx(0.0, abs=1e-12)
     assert abs(corr.offset[0, -1]) < 1e-4
@@ -271,8 +271,7 @@ def test_method_follows_density(make, method):
     # columns, and custom densities on a difference of their stress
     mask = np.random.default_rng(3).uniform(size=(6, 6)) < 0.6
     _, _, report = minimize_periodic(
-        mask, make(), [[0.8, 0.5]], want_corrector=False,
-        opts=cell_solver.SolverOptions(max_iterations=5))
+        mask, make(), [[0.8, 0.5]], opts=cell_solver.SolverOptions(max_iterations=5))
     assert report.method == method
 
 
@@ -372,13 +371,12 @@ def test_p15_small_masks_converge(monkeypatch, mask):
     # descent reaches with a far larger cap
     W = EnergyDensity.p_norm_power(1.5, 1, 2)
     F = [[0.8, 0.5]]
-    value, _, report = minimize_periodic(mask, W, F, want_corrector=False)
+    value, _, report = minimize_periodic(mask, W, F)
     assert report.method == "newton" and report.converged
     calls = []
     with monkeypatch.context() as patch:
         _route_through_descent(patch, calls)
         reference, _, ref_report = minimize_periodic(
-            mask, W, F, want_corrector=False,
-            opts=cell_solver.SolverOptions(max_iterations=200000))
+            mask, W, F, opts=cell_solver.SolverOptions(max_iterations=200000))
     assert calls and ref_report.converged
     assert value == pytest.approx(reference, abs=1e-10)

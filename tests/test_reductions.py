@@ -109,6 +109,6 @@ def test_free_offset_newton_loop_takes_no_blas_reduction(monkeypatch, checker2):
     W = EnergyDensity.frobenius_power(3.0, 1, 3)
     occ = superlevel_mask(checker2, 0.5, 48).occupancy
     _, corr, report = minimize_periodic(occ, W, [[1.0, 0.5, 0.2]],
-                                        want_corrector=False, free_offset=True)
+                                        free_offset=True)
     assert report.method == "newton" and report.converged and report.iterations > 0
     assert abs(corr.offset[0, -1]) < 1e-3

@@ -19,6 +19,8 @@ from filmhom.cell_solver import (_active_node_mask, _cell_gradient, _distinct,
 from filmhom.homogenize import psi_cylinder_oracle
 from filmhom.profiles import oscillating_domain_mask
 
+from conftest import forced_periodic_solve
+
 
 # -- the preconditioner is the pseudo-inverse of the unmasked box operator ----
 
@@ -308,9 +310,11 @@ def test_periodic_islands_match_sparse_reference(quadratic, product2):
     value, _, report = minimize_periodic(mask, W, F)
     assert report.converged
     assert value == pytest.approx(ref_value, rel=1e-10)
-    # the corrector is fixed up to a constant per island: compare gradients
-    value, corr, report = minimize_periodic(mask, W, F,
-                                            opts=SolverOptions(cg_rtol=1e-12))
+    # the corrector is fixed up to a constant per island: compare gradients.
+    # The islands do not wind, so for the norm power minimize_periodic
+    # returns the exact value with a zero field; the forced solve gives one
+    value, corr, report = forced_periodic_solve(mask, W, F,
+                                                opts=SolverOptions(cg_rtol=1e-12))
     assert report.converged
     G, G_ref = (_cell_gradient(grid, np.asarray(x)) * mask
                 for x in (corr.values, ref))
@@ -430,12 +434,12 @@ def test_newton_slab_keeps_spectral_preconditioner(stripe1):
 
 
 def test_island_iterations_do_not_grow_with_resolution(product2, W2):
-    # islands do not wind, so only a solve asked for its corrector runs CG
-    # on them (without it the value is exact and nothing is solved)
+    # islands do not wind, so minimize_periodic returns their exact value
+    # without a solve; the forced solve runs CG on them
     iters = []
     for n in (32, 64, 128):
         mask = superlevel_mask(product2, 0.7, n).occupancy
-        _, _, report = minimize_periodic(mask, W2, [[1.0, 1.0]])
+        _, _, report = forced_periodic_solve(mask, W2, [[1.0, 1.0]])
         assert report.converged and report.method == "cg"
         assert report.iterations > 0
         iters.append(report.iterations)

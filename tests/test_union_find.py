@@ -1,7 +1,7 @@
 """The run-based torus connectivity against a breadth-first reference and
 the per-edge union-find it replaced, the node graph over runs against the
-per-edge union-find over the stencil edges that the gauge fix used, and the
-exactness of the thresholds that the bisection finds."""
+per-edge union-find over the stencil edges, and the exactness of the
+thresholds that the bisection finds."""
 
 import math
 import os
@@ -18,11 +18,13 @@ from hypothesis import strategies as st
 import filmhom
 from filmhom import (EnergyDensity, Profile, minimize_periodic, superlevel_mask,
                      thresholds, torus_components)
-from filmhom import cell_solver, profiles
-from filmhom.cell_solver import _along, _Grid, _stencil_components
+from filmhom import profiles
+from filmhom.cell_solver import _active_node_mask, _along
 from filmhom.errors import ConfigurationError
 from filmhom.profiles import (_lattice_basis, _run_components, _unpack_wrap,
                               _wrap_base, node_graph_winds, wrap_rank_levels)
+
+from conftest import periodic_grid
 
 
 def bfs_torus_components(occ):
@@ -124,24 +126,18 @@ def per_edge_torus_components(occ):
     return labels, int(heads.sum()), tuple(basis)
 
 
-def per_edge_stencil_components(occ):
+def per_edge_node_graph(occ):
     """Reference node graph: the per-edge union-find over the stencil edges
     (c, c + e_a) of every occupied cell c, over all nodes of the periodic
-    grid, with their wrap steps.  Returns (active nodes, root of each, wrap
-    lattice)."""
+    grid, with their wrap steps.  Returns (active nodes, wrap lattice)."""
     d = occ.ndim
     base = _wrap_base(occ.size)
     ids = np.concatenate([np.flatnonzero(occ) + a * occ.size for a in range(d)])
     nodes, nbrs, steps = _face_edges(occ.shape, base, ids)
-    roots, cycles = per_edge_union_find(occ.size, nodes, nbrs, steps)
+    _, cycles = per_edge_union_find(occ.size, nodes, nbrs, steps)
     active = np.unique(np.concatenate([nodes, nbrs]))
     basis = _lattice_basis({_unpack_wrap(z, base, d) for _, z in cycles}, d)
-    return active, roots[active], tuple(basis)
-
-
-def _periodic_grid(occ):
-    return _Grid(cells=occ.shape, spacings=tuple(1.0 / c for c in occ.shape),
-                 kinds="P" * occ.ndim)
+    return active, tuple(basis)
 
 
 def sorted_sweep_wrap_rank_levels(profile, n):
@@ -223,14 +219,11 @@ def test_run_labelling_matches_per_edge_union_find(occ):
 
 
 def _check_node_graph(occ):
-    """Node components, windings and the winding test over runs against the
+    """Active nodes, windings and the winding test over runs against the
     per-edge union-find over the stencil edges."""
-    active, roots, basis = per_edge_stencil_components(occ)
-    nodes, comp = _stencil_components(_periodic_grid(occ), occ)
-    assert np.array_equal(nodes, active)
-    # the same partition of the active nodes
-    pairs = set(zip(comp.tolist(), roots.tolist()))
-    assert len(pairs) == len(set(comp.tolist())) == len(set(roots.tolist()))
+    active, basis = per_edge_node_graph(occ)
+    assert np.array_equal(np.flatnonzero(_active_node_mask(periodic_grid(occ), occ)),
+                          active)
     assert tuple(_lattice_basis(_run_components(occ, nodes=True)[2], occ.ndim)) == basis
     assert node_graph_winds(occ) == bool(basis)
 
@@ -293,25 +286,9 @@ def test_checkerboard_node_graph_winds_through_corners():
     assert node_graph_winds(occ)
     assert _lattice_basis(_run_components(occ, nodes=True)[2], 2) == [(1, -1)]
     W = EnergyDensity.p_norm_power(2.0, 1, 2)
-    value, _, report = minimize_periodic(occ, W, [[1.0, 0.5]], want_corrector=False)
+    value, _, report = minimize_periodic(occ, W, [[1.0, 0.5]])
     assert report.method == "cg" and report.iterations > 0 and report.converged
     assert value > 1e-3
-
-
-@pytest.mark.parametrize("profile, t, n", [
-    ("sin2-product", 0.6, 32), ("sin2-product", 0.3, 16), ("checkerboard", 0.5, 16),
-    ("sin2-stripe", 0.7, 16)])
-def test_gauge_fixed_corrector_matches_per_edge_components(monkeypatch, profile, t, n):
-    # the run graph's components gauge-fix every corrector to the same bits
-    # as the per-edge union-find over the stencil edges
-    occ = superlevel_mask(Profile.builtin(profile, dim=2), t, n).occupancy
-    W = EnergyDensity.p_norm_power(2.0, 2, 2)
-    F = [[1.0, 0.5], [-0.3, 0.8]]
-    _, corr, _ = minimize_periodic(occ, W, F)
-    monkeypatch.setattr(cell_solver, "_stencil_components",
-                        lambda grid, mask: per_edge_stencil_components(mask)[:2])
-    _, ref, _ = minimize_periodic(occ, W, F)
-    assert corr.values.tobytes() == ref.values.tobytes()
 
 
 @pytest.mark.parametrize("rows, want", [
@@ -449,8 +426,9 @@ def test_thresholds_leave_numpy_ma_unimported():
 
 
 def test_default_minimize_periodic_leaves_numpy_ma_unimported():
-    # the default call gauge-fixes, on the node components of the run graph
+    # the checkerboard's node graph winds, found by the union-find over the
+    # run graph, so the call solves with CG
     assert _numpy_ma_after(
         "from filmhom import EnergyDensity, Profile, minimize_periodic, superlevel_mask\n"
-        "occ = superlevel_mask(Profile.builtin('sin2-product', dim=2), 0.6, 32).occupancy\n"
+        "occ = superlevel_mask(Profile.builtin('checkerboard', dim=2), 0.5, 32).occupancy\n"
         "minimize_periodic(occ, EnergyDensity.p_norm_power(2.0, 1, 2), [[1.0, 0.5]])") == "False"
