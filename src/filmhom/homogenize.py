@@ -20,7 +20,10 @@ from .cell_solver import (SolveReport, _positive_int, minimize_dirichlet,
                           minimize_periodic)
 from .energy import EnergyDensity, as_matrix
 from .errors import ConfigurationError, StructuralInconsistencyError
-from .profiles import superlevel_mask, torus_components, wrap_rank_levels
+# nothing here calls torus_components any more, but perfbench/spans.py
+# wraps it by name in this module, so it stays importable from here
+from .profiles import (superlevel_mask, torus_components,
+                       wrap_lattice, wrap_rank_levels)
 
 KERNEL_VALUE_TOL = 1e-6
 COERCIVITY_FLOOR = 1e-3
@@ -225,13 +228,15 @@ def kernel(profile, t, n_grid, *, p=2.0, m=1, opts=None, confirm=True,
            coercivity_floor=COERCIVITY_FLOOR):
     """Kernel structure of the in-plane density at level t.
 
-    Geometric route: the wrap lattice of the superlevel mask; a matrix lies
-    in the kernel iff it annihilates every spanning direction xi_i, so the
-    kernel dimension is m * (dim - rank).  When ``confirm`` is set, probe
-    solves check the energetic verdict: kernel probes must fall below
-    ``KERNEL_VALUE_TOL``, spanning-direction probes must stay above
-    ``coercivity_floor``; disagreement raises StructuralInconsistencyError
-    (the grid is too coarse to trust either verdict).
+    Geometric route: the wrap lattice of the superlevel mask
+    (``wrap_lattice``, read off its full lines and empty layers where they
+    decide it, labelled otherwise); a matrix lies in the kernel iff it
+    annihilates every spanning direction xi_i, so the kernel dimension is
+    m * (dim - rank).  When ``confirm`` is set, probe solves check the
+    energetic verdict: kernel probes must fall below ``KERNEL_VALUE_TOL``,
+    spanning-direction probes must stay above ``coercivity_floor``;
+    disagreement raises StructuralInconsistencyError (the grid is too
+    coarse to trust either verdict).
 
     A probe whose solve did not converge decides nothing, since its value
     is not a minimum.
@@ -242,10 +247,10 @@ def kernel(profile, t, n_grid, *, p=2.0, m=1, opts=None, confirm=True,
     """
     _check_m(m)
     mask = superlevel_mask(profile, t, n_grid)
-    comps = torus_components(mask)
+    lattice = wrap_lattice(mask.occupancy)
     d = profile.dim
-    xi = _orthonormal_span(list(comps.wrap_lattice), d)
-    k = d - comps.rank
+    xi = _orthonormal_span(list(lattice), d)
+    k = d - len(lattice)
     converged = True
 
     if confirm:

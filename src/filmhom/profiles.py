@@ -9,10 +9,13 @@ by the oscillating surfaces +/- eps*f(x/delta).
 
 Connectivity is one union-find with lift offsets over the runs of occupied
 cells along the last axis, so its Python work grows with the number of runs
-rather than of cells; the thresholds of the wrap rank are found by bisection
-over the levels of the face edges, each probe one such labelling.  The same
-runs, joined where the forward stencils of their cells share a node, tell
-whether the node graph winds (docs/kernel_geometry.md).
+rather than of cells.  Fully occupied lines and empty cell layers bound the
+wrap lattice from both sides, and where the bounds meet they give it
+without the union-find.  So the thresholds of the wrap rank, found by
+bisection over the levels of the face edges, label a mask only where the
+bounds differ.  The same runs, joined where the forward stencils of their
+cells share a node, tell whether the node graph winds
+(docs/kernel_geometry.md).
 """
 
 from __future__ import annotations
@@ -251,7 +254,8 @@ def torus_components(mask):
     The union-find runs over the runs of occupied cells along the last axis,
     not over single cells (``_run_graph``), so its Python work grows with
     the number of runs; docs/kernel_geometry.md shows that this gives the
-    components and windings of the cell graph."""
+    components and windings of the cell graph.  It always runs, since the
+    labels need it; for the lattice alone, ``wrap_lattice`` is cheaper."""
     occ = mask.occupancy if isinstance(mask, CellMask) else np.asarray(mask, dtype=bool)
     ids, roots, wraps = _run_components(occ)
     # a root is the run of its component that starts first in C order
@@ -265,6 +269,21 @@ def torus_components(mask):
                            wrap_lattice=tuple(basis), rank=len(basis))
 
 
+def wrap_lattice(occ):
+    """The wrap lattice of the face graph of a boolean cell mask, in the
+    canonical form of ``_lattice_basis``, as in ``torus_components``.
+
+    It holds e_a for every axis a with a fully occupied line and lies in
+    the span of the axes with no empty cell layer (``_wrap_bounds``).
+    Where the two axis sets are equal it is their unit vectors; only
+    otherwise does ``torus_union_find`` run over the run graph."""
+    occ = np.asarray(occ, dtype=bool)
+    lines, spans = _wrap_bounds(occ)
+    if lines == spans:
+        return tuple(tuple(int(a == b) for b in range(occ.ndim)) for a in lines)
+    return tuple(_lattice_basis(_run_components(occ)[2], occ.ndim))
+
+
 def node_graph_winds(occ):
     """Whether the node graph of a boolean cell mask winds around the
     torus: some loop of nodes, each step within the forward stencil
@@ -272,19 +291,36 @@ def node_graph_winds(occ):
     does, a norm-power cell problem has an exact value with no solve
     (docs/kernel_geometry.md).
 
-    A fully occupied row along any axis closes such a loop by itself and is
-    checked first, the last axis first.  A loop winding along axis a steps
-    across every node layer i -> i + 1 of that axis, and each such step
-    needs an occupied cell in cell layer i; so when every axis has an empty
-    cell layer, nothing winds.  Otherwise ``torus_union_find`` runs over the
-    run graph of the node adjacency (``_run_graph``)."""
-    for a in reversed(range(occ.ndim)):
-        if occ.all(axis=a).any():
-            return True
-    if all(not occ.any(axis=tuple(b for b in range(occ.ndim) if b != a)).all()
-           for a in range(occ.ndim)):
+    A fully occupied line winds, and an empty cell layer across every axis
+    stops every winding (``_wrap_bounds``).  Only where neither decides does
+    ``torus_union_find`` run over the run graph of the node adjacency
+    (``_run_graph``)."""
+    lines, spans = _wrap_bounds(occ)
+    if lines:
+        return True
+    if not spans:
         return False
     return bool(_run_components(occ, nodes=True)[2])
+
+
+def _wrap_bounds(occ):
+    """(lines, spans): the axes a along which some line of cells is fully
+    occupied, and the axes with no empty cell layer across them.
+
+    A full line along a closes a loop of winding e_a, in the face graph and
+    so in the node graph.  A loop winding along a visits a cell of every
+    layer across a in the face graph, and in the node graph steps from node
+    layer i to i + 1 within the stencil of an occupied cell of cell layer
+    i, for every i; so an empty layer stops every winding along a.  The
+    wrap lattice of either graph thus holds e_a for every axis in ``lines``
+    and lies in the span of the axes in ``spans``
+    (docs/kernel_geometry.md)."""
+    _check_cells(occ)
+    d = occ.ndim
+    lines = [a for a in range(d) if occ.all(axis=a).any()]
+    spans = [a for a in range(d)
+             if occ.any(axis=tuple(b for b in range(d) if b != a)).all()]
+    return lines, spans
 
 
 def wrap_rank_levels(profile, n):
@@ -297,7 +333,9 @@ def wrap_rank_levels(profile, n):
     the edge level L the graph is that of {f >= L}.  The rank of {f >= L}
     does not rise with L, so entry r is the largest positive edge level
     whose rank exceeds r, found by bisection over the sorted distinct edge
-    levels (docs/kernel_geometry.md).
+    levels (docs/kernel_geometry.md).  Each probe reads its rank off the
+    full lines and empty layers of {f >= L} where they decide it
+    (``wrap_lattice``), and labels the mask only where they do not.
     """
     if n < 2:
         raise ConfigurationError(f"mask resolution must be >= 2; got {n}")
@@ -311,8 +349,7 @@ def wrap_rank_levels(profile, n):
 
     def rank(i):
         if i not in ranks:
-            ranks[i] = len(_lattice_basis(_run_components(values >= levels[i])[2],
-                                          values.ndim))
+            ranks[i] = len(wrap_lattice(values >= levels[i]))
         return ranks[i]
 
     rises = []
@@ -348,9 +385,7 @@ def _run_graph(occ, nodes=False):
     the wraps that c + o makes; the other edges of the interval close only
     unit squares, of winding zero, or squares through the neighbour row's
     row-end edge, where o shifts along the last axis."""
-    if occ.size == 0 or occ.ndim == 0:
-        raise ConfigurationError(
-            f"mask must have at least one axis and one cell per axis; got shape {occ.shape}")
+    _check_cells(occ)
     shape, d = occ.shape, occ.ndim
     length = shape[-1]
 
@@ -381,6 +416,13 @@ def _run_graph(occ, nodes=False):
         vs.append(ids[target])
         steps.append(step)
     return ids, size, base, tuple(map(np.concatenate, (us, vs, steps)))
+
+
+def _check_cells(occ):
+    """Refuse a mask with no axis or with no cell along some axis."""
+    if occ.size == 0 or occ.ndim == 0:
+        raise ConfigurationError(
+            f"mask must have at least one axis and one cell per axis; got shape {occ.shape}")
 
 
 def _row_offsets(d, nodes):

@@ -1,6 +1,7 @@
 """The run-based torus connectivity against a breadth-first reference and
 the per-edge union-find it replaced, the node graph over runs against the
-per-edge union-find over the stencil edges, and the exactness of the
+per-edge union-find over the stencil edges, the wrap lattice read off full
+lines and empty layers against the union-find, and the exactness of the
 thresholds that the bisection finds."""
 
 import math
@@ -22,7 +23,8 @@ from filmhom import profiles
 from filmhom.cell_solver import _active_node_mask, _along
 from filmhom.errors import ConfigurationError
 from filmhom.profiles import (_lattice_basis, _run_components, _unpack_wrap,
-                              _wrap_base, node_graph_winds, wrap_rank_levels)
+                              _wrap_base, node_graph_winds, wrap_lattice,
+                              wrap_rank_levels)
 
 from conftest import periodic_grid
 
@@ -216,6 +218,7 @@ def test_run_labelling_matches_per_edge_union_find(occ):
     assert comps.num_components == num
     assert comps.wrap_lattice == basis
     assert comps.rank == len(basis)
+    assert wrap_lattice(occ) == basis
 
 
 def _check_node_graph(occ):
@@ -311,10 +314,91 @@ def test_run_labelling_known_windings(rows, want):
     assert comps.wrap_lattice == per_edge_torus_components(occ)[2]
 
 
-@pytest.mark.parametrize("occ", [np.array(True), np.zeros((3, 0), bool)])
+@pytest.mark.parametrize("occ", [np.array(True), np.zeros((3, 0), bool),
+                                 np.zeros((0, 4), bool)])
 def test_mask_without_cells_on_an_axis_is_rejected_by_name(occ):
-    with pytest.raises(ConfigurationError, match="mask"):
-        torus_components(occ)
+    for fn in (torus_components, wrap_lattice, node_graph_winds):
+        with pytest.raises(ConfigurationError, match="mask"):
+            fn(occ)
+
+
+@st.composite
+def bounded_masks(draw):
+    """Random masks of d = 1-3, sides 1-6, with a full line along each of
+    a drawn set of axes and then an empty cell layer across each of
+    another, so that masks whose full lines and empty layers decide the
+    wrap lattice and masks where they do not both occur."""
+    d = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(1, 6)) for _ in range(d))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    occ = rng.random(shape) < draw(st.sampled_from([0.2, 0.5, 0.8]))
+    for a in range(d):
+        if draw(st.booleans()):
+            line = [draw(st.integers(0, side - 1)) for side in shape]
+            line[a] = slice(None)
+            occ[tuple(line)] = True
+    for a in range(d):
+        if draw(st.booleans()):
+            occ[_along(a, draw(st.integers(0, shape[a] - 1)))] = False
+    return occ
+
+
+def _check_wrap_lattice(occ):
+    lattice = wrap_lattice(occ)
+    assert lattice == tuple(_lattice_basis(_run_components(occ)[2], occ.ndim))
+    assert lattice == per_edge_torus_components(occ)[2]
+
+
+@settings(max_examples=400, deadline=None)
+@given(bounded_masks())
+def test_wrap_lattice_matches_union_find(occ):
+    _check_wrap_lattice(occ)
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (1, 1), (1, 2), (2, 2), (1, 1, 1),
+                                   (1, 2, 2), (2, 1, 2), (2, 2, 2)])
+def test_wrap_lattice_on_sides_one_and_two(shape):
+    size = math.prod(shape)
+    for bits in range(2 ** size):
+        _check_wrap_lattice(np.array([bits >> i & 1 for i in range(size)], bool).reshape(shape))
+
+
+def _count_face_labellings(monkeypatch):
+    """The face-graph labellings made from here on, one entry per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        if not kwargs.get("nodes", False):
+            calls.append(args[0].shape)
+        return _run_components(*args, **kwargs)
+
+    monkeypatch.setattr(profiles, "_run_components", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, confirm", [(64, False), (128, True)])
+def test_benchmark_thresholds_label_no_mask(monkeypatch, n, confirm):
+    # the film datum (N = 64, unconfirmed) and the cells datum (N = 128,
+    # confirmed): above the floor the product islands leave an empty layer
+    # on both axes, and below it the mask is full, so full lines and empty
+    # layers decide every bisection probe and both kernels
+    calls = _count_face_labellings(monkeypatch)
+    rep = thresholds(Profile.builtin("sin2-product", dim=2), n, confirm=confirm)
+    assert calls == []
+    assert rep.converged
+    assert [iv.wrap_rank for iv in rep.intervals] == [2, 0]
+
+
+def test_diagonal_band_still_takes_the_union_find(monkeypatch):
+    # the band winds along (1, -1): no line along an axis is full and no
+    # layer is empty, so only the union-find finds its lattice
+    i, j = np.indices((8, 8))
+    profile = Profile.sampled(np.where((i + j) % 4 < 2, 1.0, 0.4))
+    calls = _count_face_labellings(monkeypatch)
+    assert wrap_rank_levels(profile, 8) == [1.0, 0.4]
+    assert calls == [(8, 8)]
+    assert wrap_lattice(profile.eval_grid(8) >= 1.0) == ((1, -1),)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("dim, generators", [
