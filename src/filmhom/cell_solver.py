@@ -8,39 +8,40 @@ cells, and the two end layers are either frozen at zero ("D", Dirichlet) or
 free ("N").  This lowest-order choice keeps the zero corrector exactly
 optimal on full masks and makes grid-aligned stripe correctors exact.
 
-Solvers: quadratic densities are minimized by one preconditioned conjugate
-gradient, for periodic cell problems, cylinders and Dirichlet slabs alike.
-The operator is applied as vol * D^T (mask * stress(D u)); the
-preconditioner inverts the unmasked box Laplacian axis by axis with numpy.fft
-(FFT on "P" axes, DST-I on "D" axes, DCT-II on "N" axes) and keeps only
-active free nodes.  On a 2-d slab of kinds "DN" with one connected run of
-occupied cells per cell column (the n = 2 slabs of direct_min), the
-preconditioner is instead the exact inverse of the operator, by block
-cyclic reduction over the node lines, and CG takes one iteration.  CG
-stops on the true residual, ||r|| <= cg_rtol ||b|| (docs/solvers.md).
-Every other density uses inexact Newton: each step runs the same
-preconditioned CG on the tangent operator vol * D^T (mask * DS(G) D), to
-an Eisenstat-Walker tolerance, with the spectral preconditioner scaled by the tangent's
-diagonal node by node, and a line search that reads gradients only and
-may step past alpha = 1; it stops on ||gradient|| <= grad_tol
-(1 + |F|^(p-1)).  The tangent DS is the quadratic stress itself, the
-analytic (for p < 2 smoothed) tangent of the norm powers, or a
-directional difference of a custom density's stress.  Every inner
-product and norm of both loops is _dot, numpy's own single-threaded loop
-rather than BLAS, so the results do not depend on the BLAS thread
-count.  A periodic cell problem on a full mask with a convex density is
-not solved: by Jensen the zero corrector is its minimizer, so its value is
-exactly W of the offset (docs/solvers.md).  Nor is one whose node graph
-does not wind: for the norm powers its value is exact, theta W of the
-offset with its in-plane columns zeroed (docs/kernel_geometry.md).  The
-offset may have more columns than the grid has axes: a field on the grid
-does not vary along the extra ones, so a cylinder cell problem solves on
-its in-plane grid.  Those columns may also
-be unknowns, minimized jointly with the field in the same solve (the
-transverse column of the film density).  Cells outside the mask
-contribute no energy; nodes touching no occupied cell stay frozen at zero;
-the remaining constant-per-component null space does not change the
-value, which is all a cell solve returns, so no gauge is fixed.
+Solvers: each solve reads one _MaskedProblem, which holds its set-up and
+gives its energy, gradient and tangent.  Quadratic densities are minimized by
+one preconditioned conjugate gradient, for periodic cell problems, cylinders
+and Dirichlet slabs alike.  The operator is applied as vol * D^T (mask *
+stress(D u)); the preconditioner inverts the unmasked box Laplacian axis by
+axis with numpy.fft (FFT on "P" axes, DST-I on "D" axes, DCT-II on "N" axes)
+and keeps only active free nodes.  On a 2-d slab of kinds "DN" with one
+connected run of occupied cells per cell column (the n = 2 slabs of
+direct_min), the preconditioner is instead the exact inverse of the
+operator, by block cyclic reduction over the node lines, and CG takes one
+iteration.  CG stops on the true residual, ||r|| <= cg_rtol ||b||
+(docs/solvers.md).  Every other density uses inexact Newton: each step runs
+the same preconditioned CG on the tangent operator vol * D^T (mask * DS(G)
+D), to an Eisenstat-Walker tolerance, with the spectral preconditioner
+scaled by the tangent's diagonal node by node, and a line search that reads
+gradients only and may step past alpha = 1; it stops on ||gradient|| <=
+grad_tol (1 + |F|^(p-1)), and its report counts the inner CG iterations
+(SolveReport.inner_iterations).  The tangent DS is the quadratic stress
+itself, the analytic (for p < 2 smoothed) tangent of the norm powers, or a
+directional difference of a custom density's stress.  Every inner product and
+norm of both loops is _dot, numpy's own single-threaded loop rather than
+BLAS, so the results do not depend on the BLAS thread count.  A periodic cell
+problem on a full mask with a convex density is not solved: by Jensen the
+zero corrector is its minimizer, so its value is exactly W of the offset
+(docs/solvers.md).  Nor is one whose node graph does not wind: for the norm
+powers its value is exact, theta W of the offset with its in-plane columns
+zeroed (docs/kernel_geometry.md).  The offset may have more columns than the
+grid has axes: a field on the grid does not vary along the extra ones, so a
+cylinder cell problem solves on its in-plane grid.  Those columns may also be
+unknowns, minimized jointly with the field in the same solve (the transverse
+column of the film density).  Cells outside the mask contribute no energy;
+nodes touching no occupied cell stay frozen at zero; the remaining
+constant-per-component null space does not change the value, which is all a
+cell solve returns, so no gauge is fixed.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import numpy as np
 
 from .energy import EnergyDensity, as_matrix
 from .errors import ConfigurationError, DimensionMismatchError
-from .profiles import node_graph_winds
+from .profiles import _check_cells, node_graph_winds
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,8 @@ class SolveReport:
     converged: bool
     method: str
     notes: str = ""
+    inner_iterations: int = 0   # Newton's CG iterations, summed over its steps
+    factorizations: int = 0     # blocks the exact line solve inverted
 
 
 @dataclass(frozen=True)
@@ -605,6 +608,142 @@ class _LineSolver:
 
 # -- internal masked solve -----------------------------------------------------
 
+class _MaskedProblem:
+    """cellvol * sum_{occupied} W(F + Dv) as a function of one flat unknown
+    x: the node field v, then, with ``free_offset``, the columns of F past
+    grid.dim.  Holds what every apply of one solve reads, built once."""
+
+    def __init__(self, grid, mask, W, F, free_offset):
+        self.grid, self.mask, self.W = grid, mask, W
+        self.m, self.n = F.shape
+        self.d = grid.dim
+        self.free_offset = free_offset
+        self.nv = self.m * grid.num_nodes
+        self.fixed = self.d if free_offset else self.n
+        self.cells = (1,) * self.d
+        self.free = ~_frozen_ends(grid) if "D" in grid.kinds else None
+        self.maskf = mask.astype(float)
+        self.vol = grid.cell_volume
+        self.vol_mask = self.vol * self.maskf
+        base = F.copy()
+        base[:, self.fixed:] = 0.0          # free columns come from the unknown
+        self.Fcells = base.reshape((self.m, self.n) + self.cells)
+        # a quadratic slab over node lines is solved exactly.  Newton keeps
+        # the spectral preconditioner: its tangent vanishes where the
+        # gradient does (p > 2), which leaves line blocks singular, and
+        # changes every step
+        self.runs = (_line_solvable(grid, mask) if W.is_quadratic and not free_offset
+                     else None)
+        self.factorizations = 0     # of the line solve's blocks
+
+    @functools.cached_property
+    def spectral(self):
+        return _SpectralPreconditioner(self.grid, self.mask)
+
+    def split(self, x):
+        """(node field, free offset columns) views of x."""
+        return (x[:self.nv].reshape((self.m,) + self.grid.node_shape),
+                x[self.nv:].reshape((self.m, self.n - self.fixed) + self.cells))
+
+    def lift(self, x, offset=True):
+        """Per cell (Dv | free columns), plus the fixed offset if ``offset``."""
+        v, b = self.split(x)
+        G = _cell_gradient(self.grid, v, self.n)
+        G[:, self.fixed:] = b
+        if offset:
+            G += self.Fcells
+        return G
+
+    def energy(self, x):
+        """The exact energy at x: for p < 2 Newton minimizes a smoothed one."""
+        return self.vol * float(np.sum(self.W.cell_values(self.lift(x)) * self.maskf))
+
+    def adjoint(self, P):
+        """The gradient for a fresh stress field P: D^T (vol * mask * P) with
+        frozen nodes projected out, then sum(vol * mask * P) over the cells
+        in the free columns.  The callers pass stress(G) inline, so G is
+        freed first."""
+        P *= self.vol_mask
+        out = _cell_gradient_adjoint(self.grid, P)
+        if self.free is not None:
+            out *= self.free
+        if not self.free_offset:
+            return out.reshape(-1)
+        sums = P[:, self.d:].sum(axis=tuple(range(2, 2 + self.d)))
+        return np.concatenate([out.reshape(-1), sums.reshape(-1)])
+
+    def gradient(self, x):
+        return self.adjoint(self.W.cell_stress(self.lift(x)))
+
+    def tangent(self, G):
+        """(Hessian apply, preconditioner builder) at per-cell gradients G."""
+        DS = self.W.cell_stress_derivative(G)
+
+        def apply_H(u):
+            return self.adjoint(DS(self.lift(u, offset=False)))
+        return apply_H, functools.partial(self.precond, DS)
+
+    def precond(self, DS):
+        """A block diagonal preconditioner for the tangent DS, each block
+        close to the inverse of its own diagonal block of H up to one common
+        scale, which leaves CG's iterates alone.  On v: for a quadratic
+        density the spectral inverse of P, which is the inverse of
+        H_vv / (vol * s), s the mean in-plane diagonal of the summed tangent
+        per occupied cell; for Newton sigma S P^+ sigma, sigma the node
+        scale of _tangent_scale, which is close to vol H_vv^-1.  On the free
+        columns vol * s, or vol, times the pseudo-inverse of the symmetric
+        K_bb.  K_bb is 0 where a p_norm_power column sits at its exact
+        argmin 0.  On a line-solvable slab it is the inverse of H itself."""
+        grid, m, n, d, maskf = self.grid, self.m, self.n, self.d, self.maskf
+        units = np.eye(m * n).reshape((m * n, m, n) + self.cells)
+        if self.runs is not None:
+            C = np.stack([DS(e) for e in units]).reshape(m, n, m, n)
+            lines = _LineSolver(grid, self.mask, self.runs, self.vol_mask,
+                                C[:, :d, :, :d])
+            self.factorizations += lines.factorizations
+            return lines
+        scaled = not self.W.is_quadratic
+        axes = tuple(range(2, 2 + d))
+        cols = np.arange(m * n) % n >= d
+        # one pass over the unit matrices E_k: the summed tangent, whose
+        # column k is sum_c mask * DS_c[E_k], and the per-cell diagonal
+        # entries DS_c[E_ja]_ja of the in-plane columns
+        S = np.empty((m * n, m * n)) if self.free_offset else None
+        diagonal = np.empty((m, d) + grid.cells) if scaled else None
+        for k, e in enumerate(units):
+            in_plane = scaled and not cols[k]
+            if not (self.free_offset or in_plane):
+                continue
+            T = DS(e)
+            if self.free_offset:
+                S[:, k] = np.einsum(T, [0, 1, *axes], maskf, axes, [0, 1]).ravel()
+            if in_plane:
+                j, a = divmod(k, n)
+                diagonal[j, a] = T[j, a]
+        sigma = None
+        if scaled:
+            diagonal *= maskf
+            sigma = _tangent_scale(grid, self.spectral.select, diagonal)
+            buffer = np.empty((m,) + grid.node_shape)
+        if self.free_offset:
+            K_bb_inv = np.linalg.pinv(self.vol * S[np.ix_(cols, cols)], hermitian=True)
+            s = 1.0 if scaled else float(np.mean(np.diag(S)[~cols]) / maskf.sum())
+            if s > 0:
+                K_bb_inv *= self.vol * s
+
+        def apply(r, out):
+            rv, zv = self.split(r)[0], self.split(out)[0]
+            if sigma is None:
+                self.spectral(rv, zv)
+            else:
+                self.spectral(np.multiply(rv, sigma, out=buffer), zv)
+                zv *= sigma
+            if self.free_offset:
+                np.matmul(K_bb_inv, r[self.nv:], out=out[self.nv:])
+            return out
+        return apply
+
+
 def _solve_masked(grid, mask, W, F, opts, free_offset=False):
     """Minimize cellvol * sum_{occupied} W(F + Dv) over node fields v.
 
@@ -617,181 +756,40 @@ def _solve_masked(grid, mask, W, F, opts, free_offset=False):
     are held at zero.
     """
     opts = opts or SolverOptions()
-    m = W.m
     F = as_matrix(F)
-    n = F.shape[1]
-    d = grid.dim
-    _check_offset(W, F, d)
-
-    # one flat unknown: the node field, then the free offset columns
-    nv = m * grid.num_nodes
-    fixed = d if free_offset else n
-    cells = (1,) * d
-
-    def split(x):
-        return (x[:nv].reshape((m,) + grid.node_shape),
-                x[nv:].reshape((m, n - fixed) + cells))
-
-    free = ~_frozen_ends(grid) if "D" in grid.kinds else None
-    maskf = mask.astype(float)
-    vol = grid.cell_volume
-    vol_mask = vol * maskf
-    base = F.copy()
-    base[:, fixed:] = 0.0           # free columns come from the unknown
-    Fcells = base.reshape((m, n) + cells)
-
-    def lift(x):
-        # per-cell (Dv | free columns), without the fixed offset
-        v, b = split(x)
-        G = _cell_gradient(grid, v, n)
-        G[:, fixed:] = b
-        return G
-
-    def offset_gradient(x):
-        G = lift(x)
-        G += Fcells
-        return G
-
-    def energy(x):
-        # the exact density: for p < 2 Newton minimizes a smoothed one
-        return vol * float(np.sum(W.cell_values(offset_gradient(x)) * maskf))
-
-    def stress_adjoint(P):
-        # the gradient for a fresh stress field P: D^T (vol * mask * P) with
-        # frozen nodes projected out, then sum(vol * mask * P) over the cells
-        # in the free columns; the callers pass stress(G) inline, so G is
-        # freed first
-        P *= vol_mask
-        out = _cell_gradient_adjoint(grid, P)
-        if free is not None:
-            out *= free
-        if not free_offset:
-            return out.reshape(-1)
-        sums = P[:, d:].sum(axis=tuple(range(2, 2 + d)))
-        return np.concatenate([out.reshape(-1), sums.reshape(-1)])
-
-    def gradient(x):
-        return stress_adjoint(W.cell_stress(offset_gradient(x)))
-
-    maxiter = opts.max_iterations
-    if maxiter is None:
-        maxiter = 10 * m * grid.num_nodes
-
+    _check_offset(W, F, grid.dim)
+    problem = _MaskedProblem(grid, mask, W, F, free_offset)
+    m, n, d, nv = problem.m, problem.n, problem.d, problem.nv
+    maxiter = 10 * nv if opts.max_iterations is None else opts.max_iterations
     notes = []
     if not W.convex:
-        warnings.warn(
-            "non-convex density: only a local minimum is guaranteed",
-            stacklevel=3,
-        )
+        warnings.warn("non-convex density: only a local minimum is guaranteed",
+                      stacklevel=3)
         notes.append("non-convex density; local minimum only")
     if W.uses_smoothing:
         notes.append("p<2 column norms smoothed with eps=1e-8")
-
-    spectral = None         # built at the first preconditioner, kept for the solve
-    factorizations = None   # of the line solve's blocks, when it is built
-    # a quadratic slab over node lines is solved exactly.  Newton keeps the
-    # spectral preconditioner: its tangent vanishes where the gradient does
-    # (p > 2), which leaves line blocks singular, and changes every step
-    runs = (_line_solvable(grid, mask) if W.is_quadratic and not free_offset
-            else None)
-    scaled = not W.is_quadratic
-    axes = tuple(range(2, 2 + d))
-    units = np.eye(m * n).reshape((m * n, m, n) + cells)
-    cols = np.arange(m * n) % n >= d
-
-    def tangent(G):
-        # the Hessian apply at the per-cell gradients G and a builder of its
-        # block preconditioner
-        DS = W.cell_stress_derivative(G)
-
-        def apply_H(u):
-            return stress_adjoint(DS(lift(u)))
-
-        def make_precond():
-            # block diagonal, each block close to the inverse of its own
-            # diagonal block of H up to one common scale, which leaves CG's
-            # iterates alone.  On v: for a quadratic density the spectral
-            # inverse of P, which is the inverse of H_vv / (vol * s), s the
-            # mean in-plane diagonal of the summed tangent per occupied
-            # cell; for Newton sigma S P^+ sigma, sigma the node scale of
-            # _tangent_scale, which is close to vol H_vv^-1.  On the free
-            # columns vol * s, or vol, times the pseudo-inverse of the
-            # symmetric K_bb.  K_bb is 0 where a p_norm_power column sits at
-            # its exact argmin 0.  On a line-solvable slab it is the inverse
-            # of H itself
-            nonlocal spectral, factorizations
-            if runs is not None:
-                C = np.stack([DS(e) for e in units]).reshape(m, n, m, n)
-                lines = _LineSolver(grid, mask, runs, vol_mask, C[:, :d, :, :d])
-                factorizations = lines.factorizations
-                return lines
-            if spectral is None:
-                spectral = _SpectralPreconditioner(grid, mask)
-            # one pass over the unit matrices E_k: the summed tangent, whose
-            # column k is sum_c mask * DS_c[E_k], and the per-cell diagonal
-            # entries DS_c[E_ja]_ja of the in-plane columns
-            S = np.empty((m * n, m * n)) if free_offset else None
-            diagonal = np.empty((m, d) + grid.cells) if scaled else None
-            for k, e in enumerate(units):
-                in_plane = scaled and not cols[k]
-                if not (free_offset or in_plane):
-                    continue
-                T = DS(e)
-                if free_offset:
-                    S[:, k] = np.einsum(T, [0, 1, *axes], maskf, axes, [0, 1]).ravel()
-                if in_plane:
-                    j, a = divmod(k, n)
-                    diagonal[j, a] = T[j, a]
-            sigma = None
-            if scaled:
-                diagonal *= maskf
-                sigma = _tangent_scale(grid, spectral.select, diagonal)
-                buffer = np.empty((m,) + grid.node_shape)
-            if free_offset:
-                K_bb_inv = np.linalg.pinv(vol * S[np.ix_(cols, cols)], hermitian=True)
-                s = 1.0 if scaled else float(np.mean(np.diag(S)[~cols]) / maskf.sum())
-                if s > 0:
-                    K_bb_inv *= vol * s
-
-            def precond(r, out):
-                rv, zv = split(r)[0], split(out)[0]
-                if sigma is None:
-                    spectral(rv, zv)
-                else:
-                    spectral(np.multiply(rv, sigma, out=buffer), zv)
-                    zv *= sigma
-                if free_offset:
-                    np.matmul(K_bb_inv, r[nv:], out=out[nv:])
-                return out
-            return precond
-        return apply_H, make_precond
-
+    size = nv + m * (n - problem.fixed)
     if W.is_quadratic:
         # the stress is linear: gradient(x) = H x + gradient(0), and the
-        # tangent at the offset serves at every x; D 0 = 0, so G = 0 + F
-        rhs = stress_adjoint(W.cell_stress(
-            np.add(Fcells, 0.0, out=np.empty((m, n) + grid.cells))))
-        np.negative(rhs, out=rhs)
+        # tangent at the offset serves at every x
         x, iters, residual, ok = _preconditioned_cg(
-            *tangent(Fcells), rhs, opts.cg_rtol, maxiter)
-        method = "cg"
-        if factorizations is not None:
-            notes.append(f"{factorizations} line block factorizations")
+            *problem.tangent(problem.Fcells), -problem.gradient(np.zeros(size)),
+            opts.cg_rtol, maxiter)
+        method, inner = "cg", 0
     else:
-        x0 = np.zeros(nv + m * (n - fixed))
-        x0[nv:] = F[:, fixed:].reshape(-1)
+        x0 = np.zeros(size)
+        x0[nv:] = F[:, problem.fixed:].reshape(-1)
         x, iters, residual, ok, inner = _newton_pcg(
-            gradient, lambda x: tangent(offset_gradient(x)), x0,
+            problem.gradient, lambda x: problem.tangent(problem.lift(x)), x0,
             _grad_tol(opts, F, W), maxiter)
         method = "newton"
-        notes.append(f"{inner} inner PCG iterations")
-    val = energy(x)
-    v, b = split(x)
     if free_offset:
-        F[:, d:] = b.reshape(m, n - d)
+        F[:, d:] = problem.split(x)[1].reshape(m, n - d)
     report = SolveReport(iterations=iters, residual=residual, converged=ok,
-                         method=method, notes="; ".join(notes))
-    return val, v, report
+                         method=method, notes="; ".join(notes),
+                         inner_iterations=inner,
+                         factorizations=problem.factorizations)
+    return problem.energy(x), problem.split(x)[0], report
 
 
 def _check_offset(W, F, d):
@@ -979,27 +977,22 @@ def minimize_periodic(mask, W, F, opts=None, *, free_offset=False):
     False; the caller decides.
     """
     mask = np.asarray(mask, dtype=bool)
+    _check_cells(mask)
     d = mask.ndim
     F = as_matrix(F).copy()
-    m = F.shape[0]
     _check_offset(W, F, d)
     grid = _Grid(cells=mask.shape, spacings=tuple(1.0 / c for c in mask.shape),
                  kinds="P" * d)
+    method = None       # of a value exact without a solve
     if not mask.any():
-        v = np.zeros((m,) + grid.node_shape)
-        integral = 0.0
-        report = SolveReport(iterations=0, residual=0.0, converged=True,
-                             method="empty")
+        integral, method = 0.0, "empty"
     elif mask.all() and W.convex and (not free_offset
                                       or W.zeroing_columns_minimizes):
         # periodic differences sum to zero along every axis, so by Jensen
         # no corrector beats v = 0
         if free_offset:
             F[:, d:] = 0.0
-        v = np.zeros((m,) + grid.node_shape)
-        integral = W.evaluate(F)
-        report = SolveReport(iterations=0, residual=0.0, converged=True,
-                             method="full")
+        integral, method = W.evaluate(F), "full"
     elif W.zeroing_columns_minimizes and not node_graph_winds(mask):
         # v = -F x on a lift of each node component cancels the in-plane
         # columns in every occupied cell, and no field does better
@@ -1007,14 +1000,15 @@ def minimize_periodic(mask, W, F, opts=None, *, free_offset=False):
             F[:, d:] = 0.0
         G = F.copy()
         G[:, :d] = 0.0
-        v = np.zeros((m,) + grid.node_shape)
-        integral = np.count_nonzero(mask) / mask.size * W.evaluate(G)
-        report = SolveReport(iterations=0, residual=0.0, converged=True,
-                             method="unwound")
+        integral, method = np.count_nonzero(mask) / mask.size * W.evaluate(G), "unwound"
     else:
         integral, v, report = _solve_masked(grid, mask, W, F, opts,
                                             free_offset=free_offset)
         # unit cell has volume one: the integral is already the cell mean
+    if method is not None:
+        v = np.zeros(F.shape[:1] + grid.node_shape)
+        report = SolveReport(iterations=0, residual=0.0, converged=True,
+                             method=method)
     v.flags.writeable = False
     F.flags.writeable = False
     return integral, CorrectorField(values=v, offset=F), report
@@ -1029,6 +1023,7 @@ def minimize_dirichlet(mask, W, F, box_side, opts=None):
     Returns (value, report).
     """
     mask = np.asarray(mask, dtype=bool)
+    _check_cells(mask)
     d = mask.ndim
     T = _positive_int(box_side, "box_side")
     _check_offset(W, as_matrix(F), d)

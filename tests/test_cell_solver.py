@@ -8,7 +8,7 @@ from filmhom import (ConfigurationError, DimensionMismatchError, EnergyDensity,
                      Profile, SolveReport, SolverOptions, minimize_dirichlet,
                      minimize_periodic)
 from filmhom.cell_solver import (_active_node_mask, _cell_gradient,
-                                 _cell_gradient_adjoint, _Grid)
+                                 _cell_gradient_adjoint, _Grid, _MaskedProblem)
 from filmhom.profiles import superlevel_mask
 
 from conftest import forced_periodic_solve, periodic_grid, stripe_mask
@@ -523,6 +523,8 @@ def test_result_contract_on_every_branch(method, free_offset):
     F = np.random.default_rng(7).uniform(-1, 1, (m, d + 1))
     value, corr, report = minimize_periodic(occ, W, F, free_offset=free_offset)
     assert report.method == method and report.converged
+    assert report.factorizations == 0
+    assert (report.inner_iterations > 0) == (method == "newton")
     grid = periodic_grid(occ)
     assert corr.values.shape == (m,) + grid.node_shape
     assert not corr.values.flags.writeable and not corr.offset.flags.writeable
@@ -538,3 +540,37 @@ def test_result_contract_on_every_branch(method, free_offset):
         at_field = occ.mean() * W.evaluate(np.hstack([np.zeros((m, d)),
                                                      corr.offset[:, d:]]))
     assert value == pytest.approx(at_field, rel=1e-12, abs=1e-15)
+
+
+_B = np.random.default_rng(5).uniform(-1.0, 1.0, (6, 6))
+_QUADRATIC = EnergyDensity.quadratic_form(_B @ _B.T + np.eye(6), 2, 3)
+
+
+@pytest.mark.parametrize("W", [EnergyDensity.p_norm_power(3.0, 2, 3), _QUADRATIC],
+                         ids=["p3", "quadratic_form"])
+@pytest.mark.parametrize("cells, kinds, free_offset", [
+    ((4, 3), "PP", True), ((4, 3), "DN", False), ((3, 3, 2), "DDD", False)])
+def test_masked_problem_gradient_and_tangent_match_differences(W, cells, kinds,
+                                                               free_offset):
+    # the assembled gradient, with the sums over the free columns and the
+    # frozen nodes projected out, against central differences of the
+    # energy, and the Hessian apply against differences of that gradient
+    rng = np.random.default_rng(len(kinds))
+    grid = _Grid(cells=cells, spacings=tuple(1.0 / c for c in cells), kinds=kinds)
+    mask = rng.random(cells) < 0.7
+    problem = _MaskedProblem(grid, mask, W, rng.uniform(-1.0, 1.0, (2, 3)),
+                             free_offset)
+    size = problem.nv + 2 * (3 - problem.fixed)
+    assert (size > problem.nv) == free_offset
+    x, u = rng.uniform(-1.0, 1.0, (2, size))
+    h = 1e-6
+    want = np.array([(problem.energy(x + h * e) - problem.energy(x - h * e)) / (2 * h)
+                     for e in np.eye(size)])
+    if "D" in kinds:
+        want[:problem.nv][np.tile(~problem.free.ravel(), 2)] = 0.0
+    g = problem.gradient(x)
+    assert np.allclose(g, want, rtol=1e-6, atol=1e-7 * np.abs(want).max())
+    apply_H, _ = problem.tangent(problem.lift(x))
+    want = (problem.gradient(x + h * u) - problem.gradient(x - h * u)) / (2 * h)
+    Hu = apply_H(u)
+    assert np.allclose(Hu, want, rtol=1e-6, atol=1e-7 * np.abs(want).max())

@@ -3,7 +3,6 @@ tangent, its agreement with an independent gradient-only descent on every
 solve path, and which densities take it."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -198,7 +197,7 @@ def test_newton_matches_descent_periodic(monkeypatch, kind, profile):
     a, b = _both(monkeypatch, lambda: w_hom(prof, 0.6, F, W, 16))
     assert a.report.method == "newton"
     assert a.report.converged and b.report.converged
-    assert "inner PCG iterations" in a.report.notes
+    assert a.report.inner_iterations > 0
     assert a.value == pytest.approx(b.value, abs=1e-9)
 
 
@@ -299,11 +298,6 @@ def test_newton_last_step_not_oversolved(stripe2):
     assert sample.report.iterations <= 5
 
 
-def _inner_iterations(report):
-    """The inner CG total that a Newton report's notes carry."""
-    return int(re.search(r"(\d+) inner PCG iterations", report.notes).group(1))
-
-
 def test_benchmark_whom_setting_work_counters(monkeypatch, checker2):
     # the nontrivial solves of the benchmark's whom step: w_hom and the split
     # psi at t = 0.5 for F = (1, 0.5, 0.2) and the seed-0 random probe.  With
@@ -321,7 +315,7 @@ def test_benchmark_whom_setting_work_counters(monkeypatch, checker2):
 
     newton, reference = _both(monkeypatch, solves)
     assert all(s.report.method == "newton" and s.report.converged for s in newton)
-    assert sum(_inner_iterations(s.report) for s in newton) <= 500
+    assert sum(s.report.inner_iterations for s in newton) <= 500
     for a, b in zip(newton, reference):
         assert b.report.converged
         assert a.value == pytest.approx(b.value, abs=1e-9)

@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import filmhom
-from filmhom import (EnergyDensity, Profile, minimize_periodic, superlevel_mask,
-                     thresholds, torus_components)
+from filmhom import (EnergyDensity, Profile, minimize_dirichlet, minimize_periodic,
+                     superlevel_mask, thresholds, torus_components)
 from filmhom import profiles
 from filmhom.cell_solver import _active_node_mask, _along
 from filmhom.errors import ConfigurationError
@@ -317,7 +317,10 @@ def test_run_labelling_known_windings(rows, want):
 @pytest.mark.parametrize("occ", [np.array(True), np.zeros((3, 0), bool),
                                  np.zeros((0, 4), bool)])
 def test_mask_without_cells_on_an_axis_is_rejected_by_name(occ):
-    for fn in (torus_components, wrap_lattice, node_graph_winds):
+    W, F = EnergyDensity.p_norm_power(2.0, 1, 2), [[1.0, 0.5]]
+    for fn in (torus_components, wrap_lattice, node_graph_winds,
+               lambda occ: minimize_periodic(occ, W, F),
+               lambda occ: minimize_dirichlet(occ, W, F, 1)):
         with pytest.raises(ConfigurationError, match="mask"):
             fn(occ)
 
