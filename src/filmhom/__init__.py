@@ -28,9 +28,9 @@ from .energy import EnergyDensity
 from .errors import (ConfigurationError, DimensionMismatchError, FilmhomError,
                      QuadratureError, ResolutionError,
                      StructuralInconsistencyError)
-from .film import (FilmDensityTable, FilmTableEntry, GammaCheckReport,
-                   MembraneResult, QuadratureOptions, direct_min, gamma_check,
-                   membrane_min, w_bar, w_tilde)
+from .film import (FilmTableEntry, GammaCheckReport, MembraneResult,
+                   QuadratureOptions, direct_min, gamma_check, membrane_min,
+                   w_bar, w_tilde)
 from .homogenize import (BoundsReport, HomogenizedSample, IntervalInfo,
                          ThresholdReport, bounds_check, kernel, phi_sharp, psi,
                          psi_cylinder_oracle, thresholds, w_hom,
@@ -43,7 +43,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CellMask", "ConfigurationError", "CorrectorField", "DimensionMismatchError",
-    "DomainMask", "EnergyDensity", "FilmDensityTable", "FilmTableEntry",
+    "DomainMask", "EnergyDensity", "FilmTableEntry",
     "FilmhomError", "GammaCheckReport", "HomogenizedSample",
     "IntervalInfo", "MembraneResult", "BoundsReport", "Profile",
     "QuadratureError", "QuadratureOptions", "ResolutionError", "SolveReport",

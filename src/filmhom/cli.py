@@ -9,12 +9,15 @@ Exit codes: 0 success, 2 config error, 3 resolution error, 4 solver or
 quadrature non-convergence, 5 structural inconsistency (kernel confirmation
 failure).  CSV uses ',' separator and 12 significant digits; with
 --reproducible the header comment carries the config hash instead of a
-timestamp and reruns are byte-identical.
+timestamp and reruns are byte-identical.  The output layout lives here
+alone: a JSON file holds its result dataclass's own fields, and each CSV
+row is built next to its column names.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -53,11 +56,21 @@ def _write_csv(path, columns, rows, comments):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _fields(obj):
+    """json.dump's hook: an array as nested lists, a result dataclass by its
+    own fields (the encoder recurses into them)."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
 def _write_json(path, payload, comments):
-    payload = dict(payload)
+    """Write a dict or a result dataclass as JSON, with ``_meta`` from the
+    header comments."""
+    payload = dict(payload) if isinstance(payload, dict) else _fields(payload)
     payload["_meta"] = {k: v for k, v in (c.split("=", 1) for c in comments)}
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+        json.dump(payload, fh, sort_keys=True, indent=1, default=_fields)
         fh.write("\n")
 
 
@@ -195,7 +208,12 @@ def cmd_psi(cfg, args, out):
 
 
 def cmd_whom(cfg, args, out):
+    # the split-form oracle psi is the cell value of a p_norm_power only
     oracle = args.oracle and cfg.energy.kind == "p_norm_power"
+    if args.oracle and not oracle:
+        warnings.warn(f"option --oracle is ignored by whom for a "
+                      f"{cfg.energy.kind} density: its split-form oracle "
+                      f"holds for p_norm_power only", stacklevel=2)
 
     def evaluate(t, F):
         sample = hom.w_hom(cfg.profile, t, F, cfg.energy, cfg.grid_n,
@@ -213,7 +231,7 @@ def cmd_thresholds(cfg, args, out):
     report = hom.thresholds(cfg.profile, cfg.grid_n, m=cfg.m, p=cfg.energy.p,
                             opts=cfg.solver, confirm=cfg.confirm_kernel,
                             coercivity_floor=cfg.coercivity_floor)
-    _write_json(out / "thresholds.json", report.to_dict(), _comments(cfg, args))
+    _write_json(out / "thresholds.json", report, _comments(cfg, args))
     return report.converged
 
 
@@ -225,14 +243,16 @@ def cmd_film(cfg, args, out):
                               n_grid=cfg.film_n_grid, quad=cfg.quad,
                               threshold_report=report, solver_opts=cfg.solver)
                for F in probes]
-    table = film_mod.FilmDensityTable(
-        entries=entries, thresholds=list(report.thresholds),
-        rel_tol=cfg.quad.rel_tol,
-        metadata={"n_grid": cfg.film_n_grid, "config_hash": cfg.config_hash})
     comments = _comments(cfg, args)
-    _write_json(out / "film.json", table.to_dict(), comments)
+    _write_json(out / "film.json", {
+        "entries": entries, "thresholds": report.thresholds,
+        "rel_tol": cfg.quad.rel_tol,
+        "metadata": {"n_grid": cfg.film_n_grid, "config_hash": cfg.config_hash},
+    }, comments)
     columns = _flat_names(cfg.m, cfg.n - 1) + ["value", "refinement_level", "nodes"]
-    _write_csv(out / "film.csv", columns, table.csv_rows(), comments)
+    rows = [list(e.Fbar.ravel()) + [e.value, e.refinement_level, len(e.nodes)]
+            for e in entries]
+    _write_csv(out / "film.csv", columns, rows, comments)
     return all(e.converged for e in entries)
 
 
@@ -249,10 +269,11 @@ def cmd_gamma(cfg, args, out):
         vertical_cells=cfg.schedule_vertical_cells, n_grid=cfg.film_n_grid,
         quad=cfg.quad, solver_opts=cfg.solver)
     comments = _comments(cfg, args)
-    _write_json(out / "gamma.json", report.to_dict(), comments)
+    _write_json(out / "gamma.json", report, comments)
     _write_csv(out / "gamma.csv",
                ["eps", "delta", "minimum", "scaled", "gap", "converged"],
-               report.csv_rows(), comments)
+               [[e.eps, e.delta, e.minimum, e.scaled, e.gap, int(e.converged)]
+                for e in report.entries], comments)
     return report.membrane_converged and all(e.converged for e in report.entries)
 
 

@@ -111,6 +111,9 @@ def _build_energy(spec, num, m, n):
     elif kind == "frobenius_power":
         W = EnergyDensity.frobenius_power(p, m, n)
     elif kind == "quadratic_form":
+        if p != 2.0:
+            raise ConfigurationError(
+                f"energy.p of a quadratic_form must be 2 (or left out); got {p}")
         matrix = spec.get("matrix")
         if matrix is None:
             A = np.eye(m * n)
@@ -166,7 +169,7 @@ NUMERIC = {
     "profile.dim": (int, None, None),
     "profile.value": (float, 1.0, None),
     "profile.floor": (float, None, None),
-    "energy.p": (float, 2.0, None),
+    "energy.p": (float, 2.0, 1.0),
     "energy.gamma": (float, None, None),
     "energy.beta": (float, None, None),
     "grid.N": (int, 64, 2),
@@ -247,10 +250,11 @@ def _numeric_fields(raw, problems):
             what = "an integer" if kind is int else "a finite number"
             problems.append(f"{name} must be {what}; got {value!r}")
             number = default
-        elif bound is not None and kind is int and not number >= bound:
-            problems.append(f"{name} must be >= {bound}; got {number}")
-        elif bound is not None and kind is float and not number > bound:
-            problems.append(f"{name} must be > {bound:g}; got {number}")
+        elif bound is not None and not (number >= bound if kind is int
+                                        else number > bound):
+            op = ">=" if kind is int else ">"
+            problems.append(f"{name} must be {op} {bound:g}; got {number}")
+            number = default
         out[name] = number
     return out
 

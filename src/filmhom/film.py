@@ -42,41 +42,6 @@ class FilmTableEntry:
     refinement_level: int
     converged: bool             # every cylinder solve behind the value converged
 
-    def to_dict(self):
-        return {
-            "Fbar": self.Fbar.tolist(),
-            "value": self.value,
-            "converged": self.converged,
-            "refinement_level": self.refinement_level,
-            "nodes": list(self.nodes),
-            "weights": list(self.weights),
-            "node_values": list(self.node_values),
-            "node_argmins": [list(a) for a in self.node_argmins],
-        }
-
-
-@dataclass
-class FilmDensityTable:
-    entries: list
-    thresholds: list
-    rel_tol: float
-    metadata: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "thresholds": list(self.thresholds),
-            "rel_tol": self.rel_tol,
-            "metadata": dict(self.metadata),
-            "entries": [e.to_dict() for e in self.entries],
-        }
-
-    def csv_rows(self):
-        rows = []
-        for e in self.entries:
-            rows.append(list(e.Fbar.ravel()) + [e.value, e.refinement_level,
-                                                len(e.nodes)])
-        return rows
-
 
 @dataclass
 class GammaEntry:
@@ -95,23 +60,6 @@ class GammaCheckReport:
     trend_nonincreasing: bool
     membrane_converged: bool    # every solve behind the target converged
     metadata: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "target": self.target,
-            "trend_nonincreasing": self.trend_nonincreasing,
-            "membrane_converged": self.membrane_converged,
-            "metadata": dict(self.metadata),
-            "entries": [
-                {"eps": e.eps, "delta": e.delta, "minimum": e.minimum,
-                 "scaled": e.scaled, "gap": e.gap, "converged": e.converged}
-                for e in self.entries
-            ],
-        }
-
-    def csv_rows(self):
-        return [[e.eps, e.delta, e.minimum, e.scaled, e.gap, int(e.converged)]
-                for e in self.entries]
 
 
 # -- inner minimization over the transverse column -----------------------------

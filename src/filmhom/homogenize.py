@@ -12,7 +12,7 @@ in the level: all masks are built from |t|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,63 +62,46 @@ class ThresholdReport:
     resolution: int
     converged: bool         # every confirmation probe solve converged
 
-    def to_dict(self):
-        return {
-            "thresholds": list(self.thresholds),
-            "converged": self.converged,
-            "dim": self.dim,
-            "m": self.m,
-            "resolution": self.resolution,
-            "intervals": [
-                {
-                    "t_lo": iv.t_lo,
-                    "t_hi": iv.t_hi,
-                    "wrap_rank": iv.wrap_rank,
-                    "kernel_dim": iv.kernel_dim,
-                    "xi": [list(x) for x in iv.xi],
-                }
-                for iv in self.intervals
-            ],
-        }
 
-
-def _freeze(F):
-    F = as_matrix(F).copy()
+def _columns(F, count, what="matrix"):
+    """F as a read-only float (m, count) copy; any other column count is
+    refused by name."""
+    F = as_matrix(F)
+    if F.shape[1] != count:
+        raise ConfigurationError(f"{what} has {F.shape[1]} columns; expected {count}")
+    F = F.copy()
     F.flags.writeable = False
     return F
+
+
+def _sample(profile, t, F, W, n_grid, opts, layers=None):
+    """The periodic cell value of W at F on the superlevel mask {f > |t|},
+    stacked ``layers`` deep along a new last axis when given."""
+    mask = superlevel_mask(profile, t, n_grid)
+    occ = mask.occupancy
+    if layers is not None:
+        occ = np.repeat(occ[..., np.newaxis], layers, axis=-1)
+    value, _, report = minimize_periodic(occ, W, F, opts=opts)
+    return HomogenizedSample(t=float(t), F=F, value=value,
+                             theta=mask.area_fraction, resolution=n_grid,
+                             report=report)
 
 
 def phi_sharp(profile, t, Fbar, n_grid, *, p=2.0, opts=None):
     """In-plane homogenized density: periodic cell value of the column-wise
     p-norm on the superlevel mask {f > |t|}."""
-    Fbar = as_matrix(Fbar)
-    m = Fbar.shape[0]
-    if Fbar.shape[1] != profile.dim:
-        raise ConfigurationError(
-            f"in-plane matrix has {Fbar.shape[1]} columns; profile dim is {profile.dim}"
-        )
-    mask = superlevel_mask(profile, t, n_grid)
-    W = EnergyDensity.p_norm_power(p=p, m=m, n=profile.dim)
-    value, _, report = minimize_periodic(mask.occupancy, W, Fbar, opts=opts)
-    return HomogenizedSample(t=float(t), F=_freeze(Fbar), value=value,
-                             theta=mask.area_fraction, resolution=n_grid,
-                             report=report)
+    Fbar = _columns(Fbar, profile.dim, "in-plane matrix")
+    W = EnergyDensity.p_norm_power(p=p, m=Fbar.shape[0], n=profile.dim)
+    return _sample(profile, t, Fbar, W, n_grid, opts)
 
 
 def psi(profile, t, F, n_grid, *, p=2.0, opts=None):
     """Split-form density: phi_sharp on the in-plane block plus the area
     fraction times the p-th power of the transverse column norm."""
-    F = as_matrix(F)
-    if F.shape[1] != profile.dim + 1:
-        raise ConfigurationError(
-            f"matrix has {F.shape[1]} columns; expected {profile.dim + 1}"
-        )
+    F = _columns(F, profile.dim + 1)
     base = phi_sharp(profile, t, F[:, :-1], n_grid, p=p, opts=opts)
     fn = float(np.linalg.norm(F[:, -1]))
-    value = base.value + base.theta * fn ** p
-    return HomogenizedSample(t=float(t), F=_freeze(F), value=value,
-                             theta=base.theta, resolution=n_grid,
-                             report=base.report)
+    return replace(base, F=F, value=base.value + base.theta * fn ** p)
 
 
 def psi_cylinder_oracle(profile, t, F, n_grid, *, p=2.0, opts=None):
@@ -130,18 +113,9 @@ def psi_cylinder_oracle(profile, t, F, n_grid, *, p=2.0, opts=None):
     full vertical columns make the node graph wind, so the oracle is
     solved also where psi's in-plane value is exact without a solve; only
     a full mask is not, where both routes give W(F) exactly."""
-    F = as_matrix(F)
-    m = F.shape[0]
-    d = profile.dim + 1
-    if F.shape[1] != d:
-        raise ConfigurationError(f"matrix has {F.shape[1]} columns; expected {d}")
-    mask2 = superlevel_mask(profile, t, n_grid)
-    occ = np.repeat(mask2.occupancy[..., np.newaxis], ORACLE_LAYERS, axis=-1)
-    W = EnergyDensity.p_norm_power(p=p, m=m, n=d)
-    value, _, report = minimize_periodic(occ, W, F, opts=opts)
-    return HomogenizedSample(t=float(t), F=_freeze(F), value=value,
-                             theta=mask2.area_fraction, resolution=n_grid,
-                             report=report)
+    F = _columns(F, profile.dim + 1)
+    W = EnergyDensity.p_norm_power(p=p, m=F.shape[0], n=profile.dim + 1)
+    return _sample(profile, t, F, W, n_grid, opts, layers=ORACLE_LAYERS)
 
 
 def w_hom(profile, t, F, W, n_grid, *, opts=None):
@@ -154,17 +128,10 @@ def w_hom(profile, t, F, W, n_grid, *, opts=None):
     in-plane grid, and F's last column enters only as a constant offset
     (docs/solvers.md).
     """
-    F = as_matrix(F)
-    d = profile.dim + 1
-    if F.shape[1] != d:
-        raise ConfigurationError(f"matrix has {F.shape[1]} columns; expected {d}")
-    W.check_dims(F.shape[0], d)
+    F = _columns(F, profile.dim + 1)
+    W.check_dims(F.shape[0], profile.dim + 1)
     W.check_convexity()
-    mask2 = superlevel_mask(profile, t, n_grid)
-    value, _, report = minimize_periodic(mask2.occupancy, W, F, opts=opts)
-    return HomogenizedSample(t=float(t), F=_freeze(F), value=value,
-                             theta=mask2.area_fraction, resolution=n_grid,
-                             report=report)
+    return _sample(profile, t, F, W, n_grid, opts)
 
 
 def w_hom_cube_oracle(profile, t, F, W, box_side, n_grid, *, opts=None):
@@ -178,11 +145,8 @@ def w_hom_cube_oracle(profile, t, F, W, box_side, n_grid, *, opts=None):
     T = _positive_int(box_side, "box_side")
     if T > 8:
         raise ConfigurationError(f"box side must be in 1..8 at desk scale; got {box_side}")
-    F = as_matrix(F)
-    d = profile.dim + 1
-    if F.shape[1] != d:
-        raise ConfigurationError(f"matrix has {F.shape[1]} columns; expected {d}")
-    W.check_dims(F.shape[0], d)
+    F = _columns(F, profile.dim + 1)
+    W.check_dims(F.shape[0], profile.dim + 1)
     mask2 = superlevel_mask(profile, t, n_grid)
     tiled = np.tile(mask2.occupancy, (T,) * profile.dim)
     occ = np.broadcast_to(tiled[..., np.newaxis], tiled.shape + (T * n_grid,))

@@ -53,6 +53,10 @@ class Profile:
     _grids: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
+    def __post_init__(self):
+        if not self.dim >= 1:
+            raise ConfigurationError(f"profile dim must be >= 1; got {self.dim}")
+
     # -- constructors -----------------------------------------------------
 
     @staticmethod
@@ -75,8 +79,6 @@ class Profile:
             floor = 0.25 if name == "checkerboard" else 0.5
         if not (0.0 <= floor < 1.0):
             raise ConfigurationError(f"profile floor must lie in [0, 1); got {floor}")
-        if dim < 1:
-            raise ConfigurationError(f"profile dim must be >= 1; got {dim}")
         return Profile(dim=dim, kind=name, floor=float(floor),
                        min_value=float(floor))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 import filmhom
-from filmhom import Profile, save_sampled_profile, superlevel_mask
-from filmhom.cli import main
+from filmhom import (Profile, gamma_check, save_sampled_profile,
+                     superlevel_mask, thresholds, w_bar)
+from filmhom.cli import _write_json, main
 from filmhom.config import config_hash, load_config
 
 
@@ -123,6 +125,22 @@ def test_whom_split_oracle(tmp_path):
                  "--oracle"]) == 0
     summary = json.loads(read_lines(out / "whom_summary.json"))
     assert summary["max_oracle_abs_err"] <= 1e-6
+
+
+def test_whom_oracle_off_p_norm_power_warns_and_adds_no_column(tmp_path):
+    # the split-form oracle psi is the cell value of a p_norm_power only
+    cfg = write_config(tmp_path, energy={"kind": "frobenius_power", "p": 2.0},
+                       grid={"N": 16},
+                       sweep={"t_values": [0.7], "F_probes": [[1.0, 0.5, 0.5]]})
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="--oracle.*frobenius_power"):
+        assert main(["whom", "--config", str(cfg), "--out", str(out),
+                     "--oracle"]) == 0
+    header = [line for line in read_lines(out / "whom.csv").splitlines()
+              if not line.startswith("#")][0]
+    assert "oracle" not in header
+    assert "max_oracle_abs_err" not in json.loads(
+        read_lines(out / "whom_summary.json"))
 
 
 def test_thresholds_command(tmp_path):
@@ -495,6 +513,8 @@ OUT_OF_RANGE = [
     ("thresholds", "thresholds", "coercivity_floor", -1.0),
     ("psi", "sweep", "seed", -1),
     ("psi", "sweep", "random_probes", -4),
+    ("phi", "energy", "p", 0.5),
+    ("phi", "energy", "p", 1.0),
 ]
 
 
@@ -576,6 +596,17 @@ def test_malformed_array_field_rejected_by_name(tmp_path, capsys, overrides, nam
     assert name in capsys.readouterr().err
 
 
+def test_quadratic_form_refuses_another_p_by_name(tmp_path, capsys):
+    # a quadratic form grows with p = 2: another p is refused, not dropped
+    cfg = write_config(tmp_path, energy={"kind": "quadratic_form", "p": 3.0})
+    assert main(["phi", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "energy.p" in err and "quadratic_form" in err
+    raw = json.loads(read_lines(write_config(
+        tmp_path, energy={"kind": "quadratic_form", "p": 2.0})))
+    assert load_config(raw).energy.kind == "quadratic_form"
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("sweep", "F_probes", [[float("nan"), 0.5, 0.2]]),
     ("sweep", "probe_scale", float("inf")),
@@ -604,3 +635,43 @@ def test_integral_float_accepted_for_integer_field(tmp_path):
     rows = [line for line in read_lines(out / "phi.csv").splitlines()
             if not line.startswith("#")]
     assert rows[1].split(",")[-1] == "16"
+
+
+def _assert_fields(obj, payload):
+    """payload holds obj as _write_json writes it: a dataclass by its field
+    names, arrays and tuples as lists of the same values."""
+    if dataclasses.is_dataclass(obj):
+        names = [f.name for f in dataclasses.fields(obj)]
+        assert sorted(payload) == sorted(names)
+        for name in names:
+            _assert_fields(getattr(obj, name), payload[name])
+    elif isinstance(obj, dict):
+        assert sorted(payload) == sorted(obj)
+        for key in obj:
+            _assert_fields(obj[key], payload[key])
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        assert isinstance(payload, list) and len(payload) == len(obj)
+        for a, b in zip(obj, payload):
+            _assert_fields(a, b)
+    else:
+        assert type(payload) is type(obj.item() if isinstance(obj, np.generic)
+                                     else obj)
+        assert payload == obj
+
+
+def test_json_outputs_hold_each_result_by_its_fields(tmp_path, stripe1, stripe2,
+                                                     product2, W2, W3):
+    report = thresholds(stripe2, 32, confirm=False)
+    assert any(iv.xi for iv in report.intervals)
+    entry = w_bar(product2, W3, [[1.0, 0.0]], n_grid=16)
+    assert isinstance(entry.node_argmins[0], np.ndarray)
+    gamma = gamma_check(stripe1, W2, [[1.0]], [0.5, 0.25], cells_per_delta=4,
+                        vertical_cells=8, n_grid=16)
+    comments = ["config_hash=0123abcd", "reproducible=true"]
+    for i, result in enumerate((report, entry, gamma)):
+        path = tmp_path / f"{i}.json"
+        _write_json(path, result, comments)
+        payload = json.loads(read_lines(path))
+        assert payload.pop("_meta") == {"config_hash": "0123abcd",
+                                        "reproducible": "true"}
+        _assert_fields(result, payload)

@@ -7,7 +7,7 @@ import scipy.integrate
 from filmhom import (ConfigurationError, EnergyDensity, Profile,
                      QuadratureOptions, direct_min, gamma_check, membrane_min,
                      minimize_periodic, superlevel_mask, w_bar, w_hom, w_tilde)
-from filmhom import cell_solver, profiles
+from filmhom import cell_solver, cli, profiles
 
 
 def stripe_theta(t):
@@ -165,9 +165,10 @@ def test_wbar_budget_exhaustion_carries_best_estimate(product2, W3):
     assert len(err.value.history) == 1
 
 
-def test_wbar_serialization_roundtrip(product2, W3):
+def test_wbar_serialization_roundtrip(tmp_path, product2, W3):
     entry = w_bar(product2, W3, [[1.0, 0.0]], n_grid=16)
-    payload = json.loads(json.dumps(entry.to_dict()))
+    cli._write_json(tmp_path / "entry.json", entry, [])
+    payload = json.loads((tmp_path / "entry.json").read_text(encoding="utf-8"))
     assert payload["value"] == pytest.approx(entry.value)
     assert len(payload["nodes"]) == len(entry.nodes)
 
@@ -277,10 +278,24 @@ def test_gamma_resolution_abort_carries_partial(stripe1, W2):
     assert hasattr(err.value, "partial_report")
 
 
-def test_gamma_serialization(stripe1, W2):
+def test_gamma_serialization(tmp_path, stripe1, W2):
     report = gamma_check(stripe1, W2, [[1.0]], [0.5, 0.25],
                          cells_per_delta=4, vertical_cells=8, n_grid=16)
-    payload = json.loads(json.dumps(report.to_dict()))
+    cli._write_json(tmp_path / "report.json", report, [])
+    payload = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert len(payload["entries"]) == 2
-    rows = report.csv_rows()
+    # the CSV rows are built by the gamma command: run it on the same problem
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "dims": {"n": 2, "m": 1}, "profile": {"kind": "sin2-stripe", "dim": 1},
+        "sweep": {"F_probes": [[1.0]]}, "film": {"n_grid": 16},
+        "schedule": {"eps": [0.5, 0.25], "cells_per_delta": 4,
+                     "vertical_cells": 8}}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["gamma", "--config", str(config), "--out", str(out)]) == 0
+    written = json.loads((out / "gamma.json").read_text(encoding="utf-8"))
+    assert {k: v for k, v in written.items() if k != "_meta"} == \
+        {k: v for k, v in payload.items() if k != "_meta"}
+    lines = (out / "gamma.csv").read_text(encoding="utf-8").splitlines()
+    rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
     assert len(rows) == 2 and len(rows[0]) == 6

@@ -76,6 +76,16 @@ def test_constant_rejects_non_normalized():
         Profile.constant(2, value=0.5)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Profile.constant(0), lambda: Profile.constant(-1),
+    lambda: Profile.sampled(np.float64(1.0)),
+    lambda: Profile.builtin("sin2-stripe", 0),
+], ids=["constant-0", "constant-negative", "sampled-scalar", "builtin-0"])
+def test_profile_of_dim_below_one_rejected_by_name(make):
+    with pytest.raises(ConfigurationError, match="profile dim must be >= 1"):
+        make()
+
+
 def test_superlevel_constant_full():
     mask = superlevel_mask(Profile.constant(2), 0.5, 16)
     assert mask.area_fraction == 1.0

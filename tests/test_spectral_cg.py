@@ -2,6 +2,7 @@
 solves, checked against dense and scipy.sparse references."""
 
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ import scipy.sparse.linalg
 
 from filmhom import (EnergyDensity, Profile, SolverOptions, direct_min,
                      gamma_check, minimize_periodic, superlevel_mask)
+from filmhom import cli
 from filmhom.cell_solver import (_active_node_mask, _cell_gradient, _distinct,
                                  _frozen_ends, _Grid, _line_solvable,
                                  _solve_masked, _SpectralPreconditioner)
@@ -453,11 +455,13 @@ def test_quadratic_cg_keeps_its_iterates(product2):
     assert sample.report.iterations == 27
 
 
-def test_gamma_check_reports_membrane_nonconvergence(checker2, W3):
+def test_gamma_check_reports_membrane_nonconvergence(tmp_path, checker2, W3):
     # checkerboard squares coupled at their corners: one preconditioned
     # iteration cannot solve the cylinders
     report = gamma_check(checker2, W3, [[1.0, 0.0]], [0.5], cells_per_delta=4,
                          vertical_cells=4, n_grid=16,
                          solver_opts=SolverOptions(max_iterations=1))
     assert report.membrane_converged is False
-    assert report.to_dict()["membrane_converged"] is False
+    cli._write_json(tmp_path / "gamma.json", report, [])
+    payload = json.loads((tmp_path / "gamma.json").read_text(encoding="utf-8"))
+    assert payload["membrane_converged"] is False
