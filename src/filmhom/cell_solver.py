@@ -38,10 +38,10 @@ zeroed (docs/kernel_geometry.md).  The offset may have more columns than the
 grid has axes: a field on the grid does not vary along the extra ones, so a
 cylinder cell problem solves on its in-plane grid.  Those columns may also be
 unknowns, minimized jointly with the field in the same solve (the transverse
-column of the film density).  Cells outside the mask contribute no energy;
-nodes touching no occupied cell stay frozen at zero; the remaining
-constant-per-component null space does not change the value, which is all a
-cell solve returns, so no gauge is fixed.
+column of the film density); a norm power has them at 0.  Cells outside the
+mask contribute no energy; nodes touching no occupied cell stay frozen at
+zero; the remaining constant-per-component null space does not change the
+value, which is all a cell solve returns, so no gauge is fixed.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyDensity, as_matrix
+from .energy import as_matrix
 from .errors import ConfigurationError, DimensionMismatchError
 from .profiles import _check_cells, node_graph_winds
 
@@ -269,15 +269,15 @@ class _SpectralPreconditioner:
     axes (the butterfly on a last periodic axis of length 2, which keeps the
     spectrum as two contiguous planes), DST-I on the interior nodes of an
     axis whose end layers are frozen, DCT-II on a free non-periodic axis.  A
-    zero symbol (a mean mode) maps to zero.  S keeps the active free nodes,
-    so nodes touching no occupied cell and frozen nodes stay at zero.  One
-    real and one complex buffer of about the field's size serve every axis
-    for the whole solve.  See docs/solvers.md.
+    zero symbol (a mean mode) maps to zero.  S keeps the ``select``ed nodes,
+    the active free ones, so nodes touching no occupied cell and frozen nodes
+    stay at zero.  One real and one complex buffer of about the field's size
+    serve every axis for the whole solve.  See docs/solvers.md.
     """
 
-    def __init__(self, grid, mask):
+    def __init__(self, grid, select):
         kinds = grid.kinds
-        self.select = _active_node_mask(grid, mask) & ~_frozen_ends(grid)
+        self.select = select
         self.window = tuple(slice(1, n - 1) if k == "D" else slice(None)
                             for k, n in zip(kinds, grid.node_shape))
         shape = tuple(n - 2 if k == "D" else n for k, n in zip(kinds, grid.node_shape))
@@ -481,8 +481,7 @@ class _LineSolver:
     line blocks A_i, tridiagonal in k, and couplings B_i from line i to
     i + 1, bidiagonal in k, per pair of components, assembled from the
     tangent and the masked cell volumes.  The two frozen lines are left out,
-    columns included; a node touching no occupied cell gets an identity
-    row.
+    columns included; a node outside ``select`` gets an identity row.
 
     Block cyclic reduction eliminates the even lines of a level and keeps
     the odd ones, whose blocks form the next level:
@@ -495,7 +494,7 @@ class _LineSolver:
     distinct A_e^-1, U_e and V_e of a level.  See docs/solvers.md.
     """
 
-    def __init__(self, grid, mask, runs, vol_mask, tangent):
+    def __init__(self, grid, select, runs, vol_mask, tangent):
         # tangent[l, b, j, a]: the stress component (j, a) of the unit
         # gradient (l, b); a quadratic density has the same one in every cell
         m = tangent.shape[0]
@@ -524,7 +523,7 @@ class _LineSolver:
         # the interior line i is node line i + 1, between the cell columns
         # i and i + 1, and couples to line i + 1 through column i + 1.  A
         # one-run column is its run, so the runs key the level-0 blocks
-        self.active = _active_node_mask(grid, mask)[1:nx]
+        self.active = select[1:nx]
         column, first = _distinct(*runs, sizes=(nz + 1, nz + 1))
         sizes = (len(first),) * 2
         a_ids, first = _distinct(column[:-1], column[1:], sizes=sizes)
@@ -621,7 +620,10 @@ class _MaskedProblem:
         self.nv = self.m * grid.num_nodes
         self.fixed = self.d if free_offset else self.n
         self.cells = (1,) * self.d
-        self.free = ~_frozen_ends(grid) if "D" in grid.kinds else None
+        # the nodes that move: active and not frozen.  The adjoint projects
+        # onto them where some are frozen; elsewhere the others hold 0
+        self.select = _active_node_mask(grid, mask) & ~_frozen_ends(grid)
+        self.project = self.select if "D" in grid.kinds else None
         self.maskf = mask.astype(float)
         self.vol = grid.cell_volume
         self.vol_mask = self.vol * self.maskf
@@ -638,7 +640,7 @@ class _MaskedProblem:
 
     @functools.cached_property
     def spectral(self):
-        return _SpectralPreconditioner(self.grid, self.mask)
+        return _SpectralPreconditioner(self.grid, self.select)
 
     def split(self, x):
         """(node field, free offset columns) views of x."""
@@ -659,14 +661,14 @@ class _MaskedProblem:
         return self.vol * float(np.sum(self.W.cell_values(self.lift(x)) * self.maskf))
 
     def adjoint(self, P):
-        """The gradient for a fresh stress field P: D^T (vol * mask * P) with
-        frozen nodes projected out, then sum(vol * mask * P) over the cells
+        """The gradient for a fresh stress field P: D^T (vol * mask * P) on
+        the moving nodes, then sum(vol * mask * P) over the cells
         in the free columns.  The callers pass stress(G) inline, so G is
         freed first."""
         P *= self.vol_mask
         out = _cell_gradient_adjoint(self.grid, P)
-        if self.free is not None:
-            out *= self.free
+        if self.project is not None:
+            out *= self.project
         if not self.free_offset:
             return out.reshape(-1)
         sums = P[:, self.d:].sum(axis=tuple(range(2, 2 + self.d)))
@@ -692,13 +694,12 @@ class _MaskedProblem:
         per occupied cell; for Newton sigma S P^+ sigma, sigma the node
         scale of _tangent_scale, which is close to vol H_vv^-1.  On the free
         columns vol * s, or vol, times the pseudo-inverse of the symmetric
-        K_bb.  K_bb is 0 where a p_norm_power column sits at its exact
-        argmin 0.  On a line-solvable slab it is the inverse of H itself."""
+        K_bb.  On a line-solvable slab it is the inverse of H itself."""
         grid, m, n, d, maskf = self.grid, self.m, self.n, self.d, self.maskf
         units = np.eye(m * n).reshape((m * n, m, n) + self.cells)
         if self.runs is not None:
             C = np.stack([DS(e) for e in units]).reshape(m, n, m, n)
-            lines = _LineSolver(grid, self.mask, self.runs, self.vol_mask,
+            lines = _LineSolver(grid, self.select, self.runs, self.vol_mask,
                                 C[:, :d, :, :d])
             self.factorizations += lines.factorizations
             return lines
@@ -723,13 +724,12 @@ class _MaskedProblem:
         sigma = None
         if scaled:
             diagonal *= maskf
-            sigma = _tangent_scale(grid, self.spectral.select, diagonal)
+            sigma = _tangent_scale(grid, self.select, diagonal)
             buffer = np.empty((m,) + grid.node_shape)
         if self.free_offset:
             K_bb_inv = np.linalg.pinv(self.vol * S[np.ix_(cols, cols)], hermitian=True)
-            s = 1.0 if scaled else float(np.mean(np.diag(S)[~cols]) / maskf.sum())
-            if s > 0:
-                K_bb_inv *= self.vol * s
+            K_bb_inv *= self.vol * (
+                1.0 if scaled else float(np.mean(np.diag(S)[~cols]) / maskf.sum()))
 
         def apply(r, out):
             rv, zv = self.split(r)[0], self.split(out)[0]
@@ -916,10 +916,12 @@ def _newton_pcg(gradient, tangent, x0, gtol, maxiter):
         if it == maxiter:
             return x, it, gn, False, inner
         apply_H, make_precond = tangent(x)
-        d, cg_its, _, _ = _preconditioned_cg(apply_H, make_precond, -g,
+        # CG builds M anyway: its tolerance is below 1 while |g| > gtol
+        M = make_precond()
+        d, cg_its, _, _ = _preconditioned_cg(apply_H, lambda: M, -g,
                                              max(eta, 0.5 * gtol / gn), maxiter)
         if not cg_its:
-            d = make_precond()(-g, np.zeros_like(g))
+            d = M(-g, np.zeros_like(g))
         inner += cg_its
         slope0 = _dot(g, d)
         if not slope0 < 0.0:
@@ -956,17 +958,16 @@ def minimize_periodic(mask, W, F, opts=None, *, free_offset=False):
         ``corrector.offset`` holds the minimizing F.  Newton (a
         non-quadratic density) starts those columns from their given
         values, CG (a quadratic one) from 0, like the node field; both
-        reach the same minimizer.
+        reach the same minimizer.  A norm power (``zeroing_columns_minimizes``)
+        has them at 0 on a nonempty mask: they are set to 0, not solved for.
 
     Two cases are not solved; their report reads 0 iterations.  A full
-    mask with a convex density, unless ``free_offset`` is set and the
-    density is not a norm power: the value is exactly W(F), with the free
-    columns zeroed under ``free_offset`` (method "full", docs/solvers.md).
-    A density whose ``zeroing_columns_minimizes`` (the norm powers) on a
-    mask whose node graph does not wind (``profiles.node_graph_winds``):
-    the value is exactly (#occupied/#cells) W(F) with the in-plane columns
-    of F zeroed, and with ``free_offset`` the free columns too, which are
-    also returned as 0 (method "unwound", docs/kernel_geometry.md).
+    mask with a convex density, unless ``free_offset`` is still set: the
+    value is exactly W(F) (method "full", docs/solvers.md).  A density
+    whose ``zeroing_columns_minimizes`` on a mask whose node graph does not
+    wind (``profiles.node_graph_winds``): the value is exactly
+    (#occupied/#cells) W(F) with the in-plane columns of F zeroed (method
+    "unwound", docs/kernel_geometry.md).
 
     Returns
     -------
@@ -983,21 +984,22 @@ def minimize_periodic(mask, W, F, opts=None, *, free_offset=False):
     _check_offset(W, F, d)
     grid = _Grid(cells=mask.shape, spacings=tuple(1.0 / c for c in mask.shape),
                  kinds="P" * d)
+    empty = not mask.any()
+    if free_offset and W.zeroing_columns_minimizes and not empty:
+        # zeroing a column never raises a norm power, so 0 is the free
+        # columns' minimizer whatever the field
+        F[:, d:] = 0.0
+        free_offset = False
     method = None       # of a value exact without a solve
-    if not mask.any():
+    if empty:
         integral, method = 0.0, "empty"
-    elif mask.all() and W.convex and (not free_offset
-                                      or W.zeroing_columns_minimizes):
+    elif mask.all() and W.convex and not free_offset:
         # periodic differences sum to zero along every axis, so by Jensen
         # no corrector beats v = 0
-        if free_offset:
-            F[:, d:] = 0.0
         integral, method = W.evaluate(F), "full"
     elif W.zeroing_columns_minimizes and not node_graph_winds(mask):
         # v = -F x on a lift of each node component cancels the in-plane
         # columns in every occupied cell, and no field does better
-        if free_offset:
-            F[:, d:] = 0.0
         G = F.copy()
         G[:, :d] = 0.0
         integral, method = np.count_nonzero(mask) / mask.size * W.evaluate(G), "unwound"

@@ -1,19 +1,19 @@
 """Declarative JSON run configuration for the batch driver.
 
 One JSON file configures all subcommands; every field is validated before
-any compute starts, and a key outside the schema is reported by its dotted
-name.  Energies declared in config are the builtin kinds
-(black-box custom densities are API-only).  The canonical serialization of
-the raw dict is hashed so outputs can state exactly what produced them.
+any compute starts, and a key outside the schema, or one that its section's
+kind does not read, is reported by its dotted name.  Energies declared in
+config are the builtin kinds (black-box custom densities are API-only).  The
+canonical serialization of the raw dict is hashed so outputs can state
+exactly what produced them.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,6 @@ except ImportError:
 
 @dataclass
 class RunConfig:
-    raw: dict
     n: int
     m: int
     profile: Profile
@@ -83,11 +82,21 @@ class RunConfig:
         return out
 
 
+def _refuse_unread(section, spec, kind, reads):
+    """Refuse by dotted name each key of ``spec`` in the section's schema
+    that ``kind`` does not read, past "kind" itself."""
+    unread = sorted(set(spec) & SCHEMA[section] - {"kind", *reads})
+    if unread:
+        names = ", ".join(f"{section}.{k}" for k in unread)
+        raise ConfigurationError(f"{names}: not read by {section} kind {kind!r}")
+
+
 def _build_profile(spec, num, base_dir):
     kind = spec.get("kind")
     if kind is None:
         raise ConfigurationError("profile.kind is required")
     if kind == "sampled":
+        _refuse_unread("profile", spec, kind, ("dim", "path"))
         path = spec.get("path")
         if not path:
             raise ConfigurationError("sampled profile needs a 'path'")
@@ -98,9 +107,10 @@ def _build_profile(spec, num, base_dir):
     dim = num["profile.dim"]
     if dim is None:
         raise ConfigurationError("builtin profile needs 'dim'")
-    if kind == "constant":
-        return Profile.constant(dim, num["profile.value"])
-    return Profile.builtin(kind, dim, floor=num["profile.floor"])
+    profile = Profile.builtin(kind, dim, floor=num["profile.floor"])
+    _refuse_unread("profile", spec, kind,
+                   ("dim",) if kind == "constant" else ("dim", "floor"))
+    return profile
 
 
 def _build_energy(spec, num, m, n):
@@ -128,22 +138,16 @@ def _build_energy(spec, num, m, n):
         raise ConfigurationError(
             f"unknown energy kind {kind!r} (config supports the builtin kinds)"
         )
-    gamma, beta = num["energy.gamma"], num["energy.beta"]
-    if gamma is not None or beta is not None:
-        g = gamma if gamma is not None else W.gamma
-        b = beta if beta is not None else W.beta
-        if not (0 < g <= b):
-            raise ConfigurationError(
-                f"growth constants need 0 < gamma <= beta; got {g}, {b}")
-        W = dataclasses.replace(W, gamma=g, beta=b)
+    _refuse_unread("energy", spec, kind,
+                   ("p", "matrix") if kind == "quadratic_form" else ("p",))
     return W
 
 
 # every key a config may set, by section; "omega" is a list, not a section
 SCHEMA = {
     "dims": {"n", "m"},
-    "profile": {"kind", "dim", "path", "value", "floor"},
-    "energy": {"kind", "p", "matrix", "gamma", "beta"},
+    "profile": {"kind", "dim", "path", "floor"},
+    "energy": {"kind", "p", "matrix"},
     "grid": {"N"},
     "solver": {"cg_rtol", "grad_tol", "max_iterations"},
     "sweep": {"t_values", "F_probes", "random_probes", "seed", "probe_scale"},
@@ -158,7 +162,9 @@ SCHEMA = {
 RETIRED = {"film.vertical_cells": "film cell problems solve on the in-plane grid",
            "grid.vertical_cells": "the psi oracle solves on a fixed two-layer cylinder",
            "thresholds.bisect_tol": "thresholds are exact cell values",
-           "solver.method": "the method follows the density (docs/solvers.md)"}
+           "solver.method": "the method follows the density (docs/solvers.md)",
+           "energy.gamma": "the kind fixes the growth constants, and no output reads them",
+           "energy.beta": "the kind fixes the growth constants, and no output reads them"}
 
 
 # every scalar numeric field: dotted name -> (type, default, bound).  An int
@@ -167,11 +173,8 @@ NUMERIC = {
     "dims.n": (int, 3, 2),
     "dims.m": (int, 1, 1),
     "profile.dim": (int, None, None),
-    "profile.value": (float, 1.0, None),
     "profile.floor": (float, None, None),
     "energy.p": (float, 2.0, 1.0),
-    "energy.gamma": (float, None, None),
-    "energy.beta": (float, None, None),
     "grid.N": (int, 64, 2),
     "solver.cg_rtol": (float, 1e-10, 0.0),
     "solver.grad_tol": (float, 1e-8, 0.0),
@@ -378,7 +381,7 @@ def load_config(source, base_dir=None):
         raise ConfigurationError("invalid config:\n  " + "\n  ".join(problems))
 
     return RunConfig(
-        raw=raw, n=n, m=m, profile=profile, energy=energy, grid_n=num["grid.N"],
+        n=n, m=m, profile=profile, energy=energy, grid_n=num["grid.N"],
         solver=solver, t_values=t_values, F_probes=F_probes,
         random_probes=num["sweep.random_probes"], seed=num["sweep.seed"],
         probe_scale=num["sweep.probe_scale"], quad=quad,

@@ -20,8 +20,8 @@ import numpy as np
 from .cell_solver import _Grid, _positive_int, _solve_masked, minimize_periodic
 from .energy import as_matrix
 from .errors import ConfigurationError, QuadratureError, ResolutionError
-from .homogenize import thresholds
-from .profiles import oscillating_domain_mask, superlevel_mask
+from .homogenize import _columns, thresholds
+from .profiles import _omega_box, oscillating_domain_mask, superlevel_mask
 
 
 @dataclass(frozen=True)
@@ -86,12 +86,8 @@ def w_tilde(profile, W, t, Fbar, *, n_grid=64, solver_opts=None):
     is False when the solve did not converge.
     """
     _require_film_hypotheses(profile, W)
-    Fbar = as_matrix(Fbar)
+    Fbar = _columns(Fbar, profile.dim, "in-plane matrix")
     m = Fbar.shape[0]
-    if Fbar.shape[1] != profile.dim:
-        raise ConfigurationError(
-            f"in-plane matrix has {Fbar.shape[1]} columns; profile dim is {profile.dim}"
-        )
     W.check_dims(m, profile.dim + 1)
     occ = superlevel_mask(profile, t, n_grid).occupancy
     value, corr, report = minimize_periodic(
@@ -117,14 +113,14 @@ def quadrature_breakpoints(profile, n_grid, *, threshold_report=None, uniform=Fa
     # the thresholds are exact cell values, so no integrand jump falls
     # inside a piece, where midpoint refinement would stall
     if uniform:
-        return [0.0, 1.0], None
+        return [0.0, 1.0]
     report = threshold_report or thresholds(profile, n_grid, confirm=False)
     pts = [0.0]
     for t in report.thresholds:
         if pts[-1] + 1e-9 < t < 1.0 - 1e-9:
             pts.append(float(t))
     pts.append(1.0)
-    return pts, report
+    return pts
 
 
 def w_bar(profile, W, Fbar, *, n_grid=64, quad=None, threshold_report=None,
@@ -143,7 +139,7 @@ def w_bar(profile, W, Fbar, *, n_grid=64, quad=None, threshold_report=None,
     _require_film_hypotheses(profile, W)
     quad = quad or QuadratureOptions()
     Fbar = as_matrix(Fbar)
-    breaks, report = quadrature_breakpoints(
+    breaks = quadrature_breakpoints(
         profile, n_grid, threshold_report=threshold_report, uniform=uniform)
     per_piece = [max(2, math.ceil(quad.initial_nodes_per_unit * (b - a)))
                  for a, b in zip(breaks[:-1], breaks[1:])]
@@ -185,23 +181,8 @@ def w_bar(profile, W, Fbar, *, n_grid=64, quad=None, threshold_report=None,
 @dataclass(frozen=True)
 class MembraneResult:
     value: float
-    wbar_value: float
     omega_area: float
-    note: str
     table_entry: FilmTableEntry
-
-
-def _omega_box(omega, d):
-    """omega as d (lo, hi) float pairs with lo < hi; the unit box when None."""
-    if omega is None:
-        return tuple((0.0, 1.0) for _ in range(d))
-    omega = tuple((float(lo), float(hi)) for lo, hi in omega)
-    if len(omega) != d:
-        raise ConfigurationError(
-            f"omega lists {len(omega)} intervals; a profile of dim {d} needs {d}")
-    if any(hi <= lo for lo, hi in omega):
-        raise ConfigurationError(f"omega intervals must be increasing; got {omega}")
-    return omega
 
 
 def membrane_min(omega, Fbar, profile, W, *, n_grid=64, quad=None,
@@ -216,11 +197,8 @@ def membrane_min(omega, Fbar, profile, W, *, n_grid=64, quad=None,
     area = math.prod(hi - lo for lo, hi in omega)
     entry = w_bar(profile, W, Fbar, n_grid=n_grid, quad=quad,
                   solver_opts=solver_opts)
-    value = 2.0 * area * entry.value
-    note = ("affine data: the affine extension minimizes the convex membrane "
-            "functional, so the minimum is 2 * |omega| * effective_density(Fbar)")
-    return MembraneResult(value=value, wbar_value=entry.value, omega_area=area,
-                          note=note, table_entry=entry)
+    return MembraneResult(value=2.0 * area * entry.value, omega_area=area,
+                          table_entry=entry)
 
 
 def direct_min(profile, eps, delta, Fbar, W, *, omega=None, cells_per_delta=8,

@@ -60,11 +60,7 @@ class Profile:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def constant(dim, value=1.0):
-        if abs(value - 1.0) > _SUP_TOL:
-            raise ConfigurationError(
-                f"constant profile must have value 1 (sup f = 1 normalization); got {value}"
-            )
+    def constant(dim):
         return Profile(dim=dim, kind="constant", floor=1.0, min_value=1.0)
 
     @staticmethod
@@ -548,13 +544,25 @@ class DomainMask:
     Cells of omega x (-eps, eps), occupied iff |x_n| < eps * f(x_alpha/delta).
     """
 
-    dims: tuple
     occupancy: np.ndarray
     epsilon: float
     delta: float
     omega: tuple
     spacings: tuple
     fraction: float
+
+
+def _omega_box(omega, d):
+    """omega as d (lo, hi) float pairs with lo < hi; the unit box when None."""
+    if omega is None:
+        return tuple((0.0, 1.0) for _ in range(d))
+    omega = tuple((float(lo), float(hi)) for lo, hi in omega)
+    if len(omega) != d:
+        raise ConfigurationError(
+            f"omega lists {len(omega)} intervals; a profile of dim {d} needs {d}")
+    if any(hi <= lo for lo, hi in omega):
+        raise ConfigurationError(f"omega intervals must be increasing; got {omega}")
+    return omega
 
 
 def oscillating_domain_mask(profile, eps, delta, grid, *, omega=None):
@@ -572,9 +580,7 @@ def oscillating_domain_mask(profile, eps, delta, grid, *, omega=None):
         raise ConfigurationError(
             f"grid must give {d + 1} cell counts (in-plane axes then vertical); got {grid}"
         )
-    if omega is None:
-        omega = tuple((0.0, 1.0) for _ in range(d))
-    omega = tuple((float(lo), float(hi)) for lo, hi in omega)
+    omega = _omega_box(omega, d)
 
     for a in range(d):
         width = omega[a][1] - omega[a][0]
@@ -598,6 +604,6 @@ def oscillating_domain_mask(profile, eps, delta, grid, *, omega=None):
 
     occ = np.abs(zc).reshape((1,) * d + (grid[d],)) < (eps * f_vals)[..., np.newaxis]
     occ.flags.writeable = False
-    return DomainMask(dims=grid, occupancy=occ, epsilon=float(eps), delta=float(delta),
+    return DomainMask(occupancy=occ, epsilon=float(eps), delta=float(delta),
                       omega=omega, spacings=spac,
                       fraction=float(occ.sum()) / occ.size)

@@ -312,6 +312,25 @@ def test_nonconvex_custom_density_reaches_local_minimum():
     assert value == pytest.approx(0.02, abs=1e-9)
 
 
+def test_newton_builds_one_preconditioner_per_step(monkeypatch):
+    # on the double well CG stops at its first direction on some steps, and
+    # the preconditioned gradient step reuses the preconditioner CG built
+    builds = []
+    precond = _MaskedProblem.precond
+
+    def counted(self, DS):
+        builds.append(1)
+        return precond(self, DS)
+
+    monkeypatch.setattr(_MaskedProblem, "precond", counted)
+    W = EnergyDensity.custom(lambda G: (G[0, 0] ** 2 - 1.0) ** 2 + G[0, 1] ** 2,
+                             p=4.0, m=1, n=2, gamma=1e-3, beta=10.0, convex=False)
+    with pytest.warns(UserWarning, match="non-convex"):
+        _, _, report = minimize_periodic(stripe_mask(8), W, [[0.3, 0.2]])
+    assert report.converged
+    assert len(builds) == report.iterations == 7
+
+
 def test_cold_cg_applies_the_operator_once_per_iteration(monkeypatch):
     # CG starts from x = 0, whose residual is the rhs itself: one adjoint
     # for the rhs and one per iteration, no apply at the start.  The value
@@ -542,6 +561,32 @@ def test_result_contract_on_every_branch(method, free_offset):
     assert value == pytest.approx(at_field, rel=1e-12, abs=1e-15)
 
 
+@pytest.mark.parametrize("kind", ["p_norm_power", "frobenius_power"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("m", [1, 2])
+def test_norm_power_free_columns_are_the_fixed_solve(kind, p, m):
+    # zeroing a column never raises a norm power, so the free columns are
+    # fixed at 0 and the result is, bit for bit, that of the solve with
+    # those columns given as 0; an empty mask leaves F as it is
+    for occ, method in ((_CORNERS, "newton" if p != 2.0 else "cg"),
+                        (_BRANCHES["unwound"][0], "unwound"),
+                        (_BRANCHES["full"][0], "full"),
+                        (_BRANCHES["empty"][0], "empty")):
+        d = occ.ndim
+        W = getattr(EnergyDensity, kind)(p, m, d + 1)
+        F = np.random.default_rng(m).uniform(-1, 1, (m, d + 1))
+        fixed = F.copy()
+        if method != "empty":
+            fixed[:, d:] = 0.0
+        value, corr, report = minimize_periodic(occ, W, F, free_offset=True)
+        want, want_corr, want_report = minimize_periodic(occ, W, fixed)
+        assert report.method == method and report.converged
+        assert np.float64(value).tobytes() == np.float64(want).tobytes()
+        assert report == want_report
+        assert np.array_equal(corr.values, want_corr.values)
+        assert np.array_equal(corr.offset, fixed)
+
+
 _B = np.random.default_rng(5).uniform(-1.0, 1.0, (6, 6))
 _QUADRATIC = EnergyDensity.quadratic_form(_B @ _B.T + np.eye(6), 2, 3)
 
@@ -567,7 +612,7 @@ def test_masked_problem_gradient_and_tangent_match_differences(W, cells, kinds,
     want = np.array([(problem.energy(x + h * e) - problem.energy(x - h * e)) / (2 * h)
                      for e in np.eye(size)])
     if "D" in kinds:
-        want[:problem.nv][np.tile(~problem.free.ravel(), 2)] = 0.0
+        want[:problem.nv][np.tile(~problem.select.ravel(), 2)] = 0.0
     g = problem.gradient(x)
     assert np.allclose(g, want, rtol=1e-6, atol=1e-7 * np.abs(want).max())
     apply_H, _ = problem.tangent(problem.lift(x))

@@ -472,6 +472,13 @@ RETIRED_RUNS = [
      dict(grid={"N": 16},
           sweep={"t_values": [0.3, 0.7], "F_probes": [[1.0, 0.5, 0.5]]}),
      ("psi.csv", "psi_summary.json")),
+    # no output reads the growth constants, so a false bound changes nothing
+    ("energy.gamma", 50.0, "phi",
+     dict(grid={"N": 16}, sweep={"t_values": [0.3, 0.7], "F_probes": [[1.0, 0.5]]}),
+     ("phi.csv", "phi_summary.json")),
+    ("energy.beta", 0.5, "phi",
+     dict(grid={"N": 16}, sweep={"t_values": [0.3, 0.7], "F_probes": [[1.0, 0.5]]}),
+     ("phi.csv", "phi_summary.json")),
 ]
 
 
@@ -588,8 +595,16 @@ def test_non_numeric_field_rejected_by_name(tmp_path, capsys, command,
     ({"omega": [["0", "1"], [0.0, 1.0]]}, "omega"),
     ({"energy": {"kind": "quadratic_form",
                  "matrix": np.eye(3).astype(str).tolist()}}, "energy.matrix"),
+    # a key that the chosen kind never reads
+    ({"profile": {"kind": "constant", "dim": 2, "floor": 0.3}}, "profile.floor"),
+    ({"profile": {"kind": "sin2-product", "dim": 2, "path": "f.txt"}}, "profile.path"),
+    ({"profile": {"kind": "sampled", "path": "f.txt", "floor": 0.3}}, "profile.floor"),
+    ({"energy": {"kind": "p_norm_power", "matrix": np.eye(3).tolist()}}, "energy.matrix"),
+    ({"profile": {"kind": "constant", "dim": 2, "value": 1.0}}, "profile.value"),
 ], ids=["omega-text", "omega-short-pair", "omega-string", "matrix-text", "matrix-size",
-        "omega-nan", "matrix-inf", "omega-numeric-text", "matrix-numeric-text"])
+        "omega-nan", "matrix-inf", "omega-numeric-text", "matrix-numeric-text",
+        "floor-on-constant", "path-on-builtin", "floor-on-sampled",
+        "matrix-on-norm-power", "constant-value"])
 def test_malformed_array_field_rejected_by_name(tmp_path, capsys, overrides, name):
     cfg = write_config(tmp_path, **overrides)
     assert main(["phi", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2

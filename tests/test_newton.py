@@ -229,8 +229,8 @@ def test_newton_matches_descent_free_offset(monkeypatch, checker2, kind, m):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("m", [1, 2])
 def test_newton_free_column_from_nonzero_start(monkeypatch, checker2, kind, m):
-    # a start away from the argmin exercises the column block of the
-    # preconditioner, rebuilt from the tangent at every step
+    # a norm power's free column is set to its argmin 0 before the solve,
+    # whatever its start (the custom twin below keeps it an unknown)
     occ = superlevel_mask(checker2, 0.6, 16).occupancy
     W = getattr(EnergyDensity, kind)(3.0, m, 3)
     F = np.random.default_rng(m).uniform(-1, 1, (m, 3))
@@ -243,9 +243,9 @@ def test_newton_free_column_from_nonzero_start(monkeypatch, checker2, kind, m):
 
 def test_free_column_alone_keeps_unscaled_preconditioner(checker2):
     # with the in-plane columns of F at 0, the p = 3 column-norm tangent of
-    # the in-plane columns is 0 in every cell, so the node scale has no
-    # positive entry; the field block stays unscaled, and the free column
-    # goes to its argmin 0
+    # the in-plane columns is 0 in every cell, so the node scale would have
+    # no positive entry; the free column is set to its argmin 0 first,
+    # which leaves F = 0 and a zero gradient
     occ = superlevel_mask(checker2, 0.5, 16).occupancy
     W = EnergyDensity.p_norm_power(3.0, 1, 3)
     value, corr, report = minimize_periodic(
@@ -253,6 +253,37 @@ def test_free_column_alone_keeps_unscaled_preconditioner(checker2):
     assert report.method == "newton" and report.converged
     assert value == pytest.approx(0.0, abs=1e-12)
     assert abs(corr.offset[0, -1]) < 1e-4
+
+
+def test_custom_free_column_alone_keeps_unscaled_preconditioner(checker2):
+    # flat in the in-plane columns near 0, so the tangent of those columns
+    # is 0 in every cell and the node scale has no positive entry: the
+    # field block stays unscaled while the free column goes to its argmin 1
+    def fn(G):
+        plane = np.sqrt(np.sum(G[:, :2] ** 2, axis=(0, 1)))
+        return np.maximum(plane - 1.0, 0.0) ** 2 + np.sum((G[:, 2:] - 1.0) ** 2, axis=(0, 1))
+
+    W = EnergyDensity.custom(fn, p=2.0, m=1, n=3, gamma=0.1, beta=10.0)
+    occ = superlevel_mask(checker2, 0.5, 16).occupancy
+    value, corr, report = minimize_periodic(occ, W, [[0.0, 0.0, 0.5]],
+                                            free_offset=True)
+    assert report.method == "newton" and report.converged and report.iterations > 0
+    assert value == pytest.approx(0.0, abs=1e-12)
+    assert corr.offset[0, -1] == pytest.approx(1.0, abs=1e-4)
+
+
+def test_custom_free_column_from_nonzero_start(monkeypatch, checker2):
+    # the custom |F|^3 keeps its free column an unknown: a start away from
+    # the argmin exercises the column block of the preconditioner, rebuilt
+    # from the tangent at every step
+    occ = superlevel_mask(checker2, 0.6, 16).occupancy
+    F = np.random.default_rng(1).uniform(-1, 1, (1, 3))
+    (a, ca, ra), (b, cb, rb) = _both(monkeypatch, lambda: minimize_periodic(
+        occ, _custom_cube_norm(_cube_norm_grad), F, free_offset=True))
+    assert ra.method == "newton" and ra.converged and rb.converged
+    assert ra.inner_iterations > 0
+    assert a == pytest.approx(b, abs=1e-9)
+    assert 0.0 < np.abs(ca.offset[:, -1]).max() < 1e-3
 
 
 @pytest.mark.parametrize("make,method", [

@@ -71,11 +71,6 @@ def test_malformed_sampled_profile_file_rejected_by_path(tmp_path, body):
         load_sampled_profile(path)
 
 
-def test_constant_rejects_non_normalized():
-    with pytest.raises(ConfigurationError):
-        Profile.constant(2, value=0.5)
-
-
 @pytest.mark.parametrize("make", [
     lambda: Profile.constant(0), lambda: Profile.constant(-1),
     lambda: Profile.sampled(np.float64(1.0)),
@@ -208,6 +203,16 @@ def test_oscillating_domain_resolution_error():
         oscillating_domain_mask(prof, 0.25, 1.0 / 16, (32, 8))
     assert err.value.required == 64
     assert "64" in str(err.value)
+
+
+@pytest.mark.parametrize("omega, match", [
+    (((1.0, 0.0),), "increasing"),
+    (((0.0, 1.0), (0.0, 1.0)), "omega lists 2 intervals"),
+], ids=["reversed", "two-for-dim-1"])
+def test_oscillating_domain_rejects_bad_omega(omega, match):
+    prof = Profile.builtin("sin2-stripe", dim=1)
+    with pytest.raises(ConfigurationError, match=match):
+        oscillating_domain_mask(prof, 0.25, 0.25, (16, 8), omega=omega)
 
 
 def test_checkerboard_geometry(checker2):

@@ -103,10 +103,25 @@ def test_newton_loop_takes_no_blas_reduction(monkeypatch, checker2):
 
 
 def test_free_offset_newton_loop_takes_no_blas_reduction(monkeypatch, checker2):
-    # the joint solve of w_tilde, from a nonzero transverse column, so that
-    # the column block of the preconditioner is rebuilt at every step
+    # w_tilde's cell problem for a norm power: its transverse column is set
+    # to its argmin 0, and the Newton loop runs on the node field alone
     _no_large_blas_reductions(monkeypatch)
     W = EnergyDensity.frobenius_power(3.0, 1, 3)
+    occ = superlevel_mask(checker2, 0.5, 48).occupancy
+    _, corr, report = minimize_periodic(occ, W, [[1.0, 0.5, 0.2]],
+                                        free_offset=True)
+    assert report.method == "newton" and report.converged and report.iterations > 0
+    assert abs(corr.offset[0, -1]) < 1e-3
+
+
+def test_joint_newton_loop_takes_no_blas_reduction(monkeypatch, checker2):
+    # the custom |F|^3 keeps its free column an unknown, from a nonzero
+    # start, so the column block of the preconditioner is rebuilt at every
+    # step
+    _no_large_blas_reductions(monkeypatch)
+    W = EnergyDensity.custom(lambda G: np.sum(G * G, axis=(0, 1)) ** 1.5,
+                             p=3.0, m=1, n=3, gamma=0.1, beta=10.0,
+                             grad=lambda G: 3.0 * np.sqrt(np.sum(G * G, axis=(0, 1))) * G)
     occ = superlevel_mask(checker2, 0.5, 48).occupancy
     _, corr, report = minimize_periodic(occ, W, [[1.0, 0.5, 0.2]],
                                         free_offset=True)

@@ -71,7 +71,7 @@ def test_preconditioner_inverts_box_operator(cells, periodic, dirichlet_axes, rn
                     for a, p in enumerate(periodic))
     grid = _Grid(cells=cells, spacings=spacings, kinds=kinds)
     select = ~_frozen_ends(grid)
-    precond = _SpectralPreconditioner(grid, np.ones(cells, bool))
+    precond = _SpectralPreconditioner(grid, select)
     A, sizes = dense_box_operator(grid)
     window = (slice(None),) + precond.window
     r = np.zeros((2,) + grid.node_shape)
@@ -106,7 +106,8 @@ def rfft_periodic_preconditioner(precond, r):
 def test_length_two_axis_matches_real_fft_bit_for_bit(cells, rng):
     grid = _Grid(cells=cells, spacings=tuple(rng.uniform(0.3, 2.0, size=len(cells))),
                  kinds="P" * len(cells))
-    precond = _SpectralPreconditioner(grid, rng.random(cells) < 0.8)
+    precond = _SpectralPreconditioner(
+        grid, _active_node_mask(grid, rng.random(cells) < 0.8))
     r = rng.standard_normal((2,) + grid.node_shape)
     assert np.array_equal(precond(r, np.empty_like(r)),
                           rfft_periodic_preconditioner(precond, r))
