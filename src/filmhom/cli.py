@@ -123,10 +123,11 @@ def cmd_mask(cfg, args, out):
                rows, comments)
     _write_json(out / "components.json", {"resolution": cfg.grid_n,
                                           "levels": detail}, comments)
-    for i, (t, (mask, _)) in enumerate(zip(cfg.t_values, results)):
+    for i, (mask, _) in enumerate(results):
+        occ = mask.occupancy
         with (out / f"mask_{i:03d}.txt").open("w", encoding="utf-8") as fh:
-            fh.write(f"{mask.dim} {mask.resolution}\n")
-            digits = np.where(mask.occupancy, "1", "0").reshape(-1, mask.resolution)
+            fh.write(f"{occ.ndim} {occ.shape[0]}\n")
+            digits = np.where(occ, "1", "0").reshape(-1, occ.shape[0])
             for row in digits.tolist():
                 fh.write(" ".join(row) + "\n")
     return True

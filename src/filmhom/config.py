@@ -22,7 +22,8 @@ from .cell_solver import SolverOptions
 from .energy import EnergyDensity
 from .errors import ConfigurationError
 from .film import QuadratureOptions
-from .profiles import Profile, load_sampled_profile
+from .homogenize import COERCIVITY_FLOOR
+from .profiles import Profile, _omega_box, load_sampled_profile
 
 # CPython's built-in SHA-256 gives hashlib's digest without mapping OpenSSL's
 # libcrypto (about 3.5 MB resident) into a run that hashes one short string
@@ -107,10 +108,9 @@ def _build_profile(spec, num, base_dir):
     dim = num["profile.dim"]
     if dim is None:
         raise ConfigurationError("builtin profile needs 'dim'")
-    profile = Profile.builtin(kind, dim, floor=num["profile.floor"])
     _refuse_unread("profile", spec, kind,
                    ("dim",) if kind == "constant" else ("dim", "floor"))
-    return profile
+    return Profile.builtin(kind, dim, floor=num["profile.floor"])
 
 
 def _build_energy(spec, num, m, n):
@@ -176,16 +176,16 @@ NUMERIC = {
     "profile.floor": (float, None, None),
     "energy.p": (float, 2.0, 1.0),
     "grid.N": (int, 64, 2),
-    "solver.cg_rtol": (float, 1e-10, 0.0),
-    "solver.grad_tol": (float, 1e-8, 0.0),
+    "solver.cg_rtol": (float, SolverOptions.cg_rtol, 0.0),
+    "solver.grad_tol": (float, SolverOptions.grad_tol, 0.0),
     "solver.max_iterations": (int, None, 1),
     "sweep.random_probes": (int, 0, 0),
     "sweep.seed": (int, 0, 0),
     "sweep.probe_scale": (float, 1.0, None),
-    "quadrature.rel_tol": (float, 1e-3, 0.0),
-    "quadrature.initial_nodes_per_unit": (int, 8, 1),
-    "quadrature.max_refinements": (int, 8, 1),
-    "thresholds.coercivity_floor": (float, 1e-3, 0.0),
+    "quadrature.rel_tol": (float, QuadratureOptions.rel_tol, 0.0),
+    "quadrature.initial_nodes_per_unit": (int, QuadratureOptions.initial_nodes_per_unit, 1),
+    "quadrature.max_refinements": (int, QuadratureOptions.max_refinements, 1),
+    "thresholds.coercivity_floor": (float, COERCIVITY_FLOOR, 0.0),
     "film.n_grid": (int, 64, 2),
     "schedule.cells_per_delta": (int, 8, None),
     "schedule.vertical_cells": (int, 32, 1),
@@ -358,24 +358,12 @@ def load_config(source, base_dir=None):
     if any(e <= 0 for e in eps_schedule):
         problems.append("schedule.eps entries must be positive")
 
-    omega_raw = raw.get("omega")
-    if omega_raw is None:
-        omega = tuple((0.0, 1.0) for _ in range(max(n - 1, 1)))
-    else:
-        pairs = np.zeros((0, 2))
-        try:
-            pairs = _float_array(omega_raw, "omega")
-        except ConfigurationError as err:
-            problems.append(str(err))
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            problems.append(f"omega must list [lo, hi] pairs; got {omega_raw!r}")
-            pairs = np.zeros((0, 2))
-        omega = tuple((float(lo), float(hi)) for lo, hi in pairs)
-        if any(hi <= lo for lo, hi in omega):
-            problems.append(f"omega intervals must be increasing; got {omega_raw}")
-        if len(omega) != n - 1:
-            problems.append(
-                f"omega lists {len(omega)} intervals; dims.n={n} needs {n - 1}")
+    omega = raw.get("omega")
+    try:
+        omega = _omega_box(None if omega is None else _float_array(omega, "omega"),
+                           n - 1)
+    except ConfigurationError as err:
+        problems.append(str(err))
 
     if problems:
         raise ConfigurationError("invalid config:\n  " + "\n  ".join(problems))

@@ -191,9 +191,8 @@ class EnergyDensity:
             norm = np.sqrt(np.sum(G * G, axis=_NORM_AXES[self.kind], keepdims=True))
             if p < 2.0:
                 norm = np.sqrt(norm * norm + _SMOOTH_EPS ** 2)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                scale = np.where(norm > 0, norm ** (p - 2.0), 0.0 if p > 2 else 1.0)
-            return p * scale * G
+            # a zero norm gives 0 ** (p - 2) = 0 for p > 2; below 2 it is smoothed
+            return p * norm ** (p - 2.0) * G
         if self.kind == "quadratic_form":
             Gf = G.reshape(self.m * self.n, -1)
             out = 2.0 * (self.quad_matrix @ Gf)
@@ -240,8 +239,8 @@ class EnergyDensity:
         sq = np.sum(G * G, axis=axes, keepdims=True)
         if p < 2.0:
             sq = sq + _SMOOTH_EPS ** 2
+        a = p * sq ** (0.5 * p - 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            a = p * np.where(sq > 0, sq ** (0.5 * p - 1.0), 0.0 if p > 2 else 1.0)
             c = np.where(sq > 0, (p - 2.0) * a / sq, 0.0)
         if all(G.shape[ax] == 1 for ax in axes):
             k = a + c * sq

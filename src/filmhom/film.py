@@ -1,13 +1,18 @@
 """Thin-film effective density and direct verification of scaled minima.
 
+The film fills omega x (-eps, eps) between the surfaces +-eps f(x/delta).
+Every operation here needs min f > 0, read as ``profile.floor``; omega is
+d finite (lo, hi) pairs with lo < hi, checked by ``profiles._omega_box``
+alone (the unit box when None).
+
 Pipeline: ``w_tilde`` minimizes the cylinder density over the transverse
-gradient column in one periodic solve, which carries the column as unknowns
-next to the corrector; ``w_bar`` integrates it over the level t with a
-composite midpoint rule whose nodes avoid the degeneracy thresholds exactly;
-``membrane_min`` converts that into the limit membrane minimum for affine
-boundary data; ``direct_min`` minimizes the raw energy on the oscillating
-slab; and ``gamma_check`` compares the scaled slab minima against the
-membrane target along a schedule of thicknesses with delta = eps^2.
+gradient column in one periodic solve; ``w_bar`` integrates it over the
+level t with a composite midpoint rule whose nodes avoid the degeneracy
+thresholds exactly; ``membrane_min`` converts that into the limit membrane
+minimum for affine boundary data; ``direct_min`` minimizes the raw energy
+on the oscillating slab; and ``gamma_check`` compares the scaled slab
+minima against the membrane target along a schedule of thicknesses with
+delta = eps^2.
 """
 
 from __future__ import annotations
@@ -66,11 +71,9 @@ class GammaCheckReport:
 
 
 def _require_film_hypotheses(profile, W):
-    if profile.min_value <= 0.0:
-        raise ConfigurationError(
-            "film operations require a strictly positive profile minimum "
-            f"(got min f = {profile.min_value})"
-        )
+    if not profile.floor > 0.0:
+        raise ConfigurationError("film operations require a strictly positive "
+                                 f"profile minimum (got min f = {profile.floor})")
     W.check_convexity()
 
 
@@ -242,8 +245,6 @@ def gamma_check(profile, W, Fbar, eps_schedule, *, omega=None, cells_per_delta=8
 
     Gaps are relative to the target (absolute when the target vanishes); the
     trend flag records whether they are non-increasing along the schedule.
-    A resolution failure aborts and re-raises with the partial report
-    attached as ``partial_report``.
     """
     eps_schedule = [float(e) for e in eps_schedule]
     if any(b >= a for a, b in zip(eps_schedule[:-1], eps_schedule[1:])):
@@ -258,17 +259,10 @@ def gamma_check(profile, W, Fbar, eps_schedule, *, omega=None, cells_per_delta=8
     entries = []
     for eps in eps_schedule:
         delta = eps * eps
-        try:
-            minimum, report = direct_min(
-                profile, eps, delta, Fbar, W, omega=omega,
-                cells_per_delta=cells_per_delta, vertical_cells=vertical_cells,
-                solver_opts=solver_opts)
-        except ResolutionError as err:
-            err.partial_report = GammaCheckReport(
-                target=target, entries=entries, trend_nonincreasing=False,
-                membrane_converged=membrane.table_entry.converged,
-                metadata={"aborted_at_eps": eps})
-            raise
+        minimum, report = direct_min(
+            profile, eps, delta, Fbar, W, omega=omega,
+            cells_per_delta=cells_per_delta, vertical_cells=vertical_cells,
+            solver_opts=solver_opts)
         scaled = minimum / eps
         if abs(target) > 1e-14:
             gap = abs(scaled - target) / abs(target)

@@ -182,12 +182,6 @@ def _complement(xi, dim):
     return [tuple(float(x) for x in row) for row in comp]
 
 
-def _check_m(m):
-    """Reject a field dimension m that is not a positive integer."""
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-        raise ConfigurationError(f"m must be a positive integer; got {m!r}")
-
-
 def kernel(profile, t, n_grid, *, p=2.0, m=1, opts=None, confirm=True,
            coercivity_floor=COERCIVITY_FLOOR):
     """Kernel structure of the in-plane density at level t.
@@ -209,7 +203,7 @@ def kernel(profile, t, n_grid, *, p=2.0, m=1, opts=None, confirm=True,
     spanning directions, and converged False when any probe solve did not
     converge.
     """
-    _check_m(m)
+    m = _positive_int(m, "m")
     mask = superlevel_mask(profile, t, n_grid)
     lattice = wrap_lattice(mask.occupancy)
     d = profile.dim
@@ -261,7 +255,7 @@ def thresholds(profile, n_grid, *, m=1, p=2.0, opts=None, confirm=True,
     levels closer than 1/N, the level resolution of the grid, bound no
     interval of their own.
     """
-    _check_m(m)
+    m = _positive_int(m, "m")
     d = profile.dim
     rises = wrap_rank_levels(profile, n_grid)
     ts = tuple(rises[d - k] if d - k < len(rises) else 0.0 for k in range(1, d + 1))

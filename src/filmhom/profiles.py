@@ -41,14 +41,15 @@ class Profile:
     evaluated analytically after reducing the query point mod 1; sampled
     profiles store cell-centered values on a periodic grid and evaluate by
     nearest-cell lookup (no interpolation), so derived masks are reproducible
-    bit-exactly.
+    bit-exactly.  ``floor`` is min f: 1 for ``constant``, the grid minimum
+    for ``sampled``, and for the other builtins in [0, 1), by default 0.5
+    (0.25 for the checkerboard).
     """
 
     dim: int
     kind: str
-    floor: float = 0.5
+    floor: float | None = None
     values: np.ndarray | None = None
-    min_value: float = 0.0
     # eval_grid's read-only grids, one per resolution asked for
     _grids: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
@@ -56,42 +57,47 @@ class Profile:
     def __post_init__(self):
         if not self.dim >= 1:
             raise ConfigurationError(f"profile dim must be >= 1; got {self.dim}")
+        floor = self.floor
+        if self.kind in ("constant", "sampled"):
+            if self.kind == "sampled" and (self.values is None or self.values.size == 0):
+                raise ConfigurationError("sampled profile has an empty grid")
+            low = 1.0 if self.kind == "constant" else float(self.values.min())
+            if floor not in (None, low):
+                raise ConfigurationError(f"a {self.kind} profile takes no floor "
+                                         f"(min f is {low}); got floor={floor}")
+            floor = low
+        elif floor is None:
+            floor = 0.25 if self.kind == "checkerboard" else 0.5
+        elif not 0.0 <= floor < 1.0:
+            raise ConfigurationError(f"profile floor must lie in [0, 1); got {floor}")
+        object.__setattr__(self, "floor", float(floor))
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def constant(dim):
-        return Profile(dim=dim, kind="constant", floor=1.0, min_value=1.0)
+        return Profile(dim=dim, kind="constant")
 
     @staticmethod
     def builtin(name, dim, floor=None):
-        if name == "constant":
-            return Profile.constant(dim)
         if name not in BUILTIN_PROFILES:
             raise ConfigurationError(
                 f"unknown builtin profile {name!r}; known: {BUILTIN_PROFILES}"
             )
-        if floor is None:
-            floor = 0.25 if name == "checkerboard" else 0.5
-        if not (0.0 <= floor < 1.0):
-            raise ConfigurationError(f"profile floor must lie in [0, 1); got {floor}")
-        return Profile(dim=dim, kind=name, floor=float(floor),
-                       min_value=float(floor))
+        return Profile(dim=dim, kind=name, floor=floor)
 
     @staticmethod
     def sampled(values):
-        values = np.asarray(values, dtype=float)
-        if values.size == 0:
-            raise ConfigurationError("sampled profile has an empty grid")
-        dim = values.ndim
+        values = np.array(values, dtype=float)      # a copy, made read-only
+        values.flags.writeable = False
         if any(s != values.shape[0] for s in values.shape):
             raise ConfigurationError(
                 f"sampled profile grid must be square; got shape {values.shape}"
             )
         if not np.isfinite(values).all():
             raise ConfigurationError("sampled profile values must be finite numbers")
-        vmin = float(values.min())
-        vmax = float(values.max())
+        profile = Profile(dim=values.ndim, kind="sampled", values=values)
+        vmin, vmax = profile.floor, float(values.max())
         if vmin < -_SUP_TOL or vmax > 1.0 + _SUP_TOL:
             raise ConfigurationError(
                 f"sampled profile values must lie in [0, 1]; got range [{vmin}, {vmax}]"
@@ -100,9 +106,7 @@ class Profile:
             raise ConfigurationError(
                 f"sampled profile must be normalized to sup f = 1; max value is {vmax}"
             )
-        values = values.copy()
-        values.flags.writeable = False
-        return Profile(dim=dim, kind="sampled", values=values, min_value=vmin)
+        return profile
 
     # -- evaluation --------------------------------------------------------
 
@@ -120,8 +124,8 @@ class Profile:
         a read-only array computed once per n on this profile."""
         values = self._grids.get(n)
         if values is None:
-            if n < 1:
-                raise ConfigurationError(f"grid resolution must be >= 1; got {n}")
+            if n < 2:
+                raise ConfigurationError(f"grid resolution must be >= 2; got {n}")
             centers = (np.arange(n) + 0.5) / n
             grids = np.meshgrid(*([centers] * self.dim), indexing="ij")
             pts = np.stack([g.ravel() for g in grids], axis=-1)
@@ -148,8 +152,6 @@ class Profile:
                 parity += np.floor(2.0 * pts[:, a]).astype(int)
             return np.where(parity % 2 == 0, 1.0, self.floor)
         if self.kind == "sampled":
-            if self.values is None or self.values.size == 0:
-                raise ConfigurationError("sampled profile has an empty grid")
             n = self.values.shape[0]
             idx = np.mod(np.floor(pts * n).astype(int), n)
             return self.values[tuple(idx[:, a] for a in range(self.dim))]
@@ -200,9 +202,6 @@ def save_sampled_profile(values, path):
 class CellMask:
     """Cell-centered characteristic function of a superlevel set {f > |t|}."""
 
-    dim: int
-    resolution: int
-    level: float
     occupancy: np.ndarray
     area_fraction: float
 
@@ -213,16 +212,13 @@ def superlevel_mask(profile, t, n):
     The comparison is strict, so for generic t a plateau of f never straddles
     the decision; t exactly at a plateau value is grid-convention dependent.
     """
-    if n < 2:
-        raise ConfigurationError(f"mask resolution must be >= 2; got {n}")
     level = abs(float(t))
-    if level >= 1.0:
+    if not level < 1.0:         # refuses NaN too
         raise ConfigurationError(f"superlevel threshold must satisfy |t| < 1; got {t}")
     occ = profile.eval_grid(n) > level
     occ.flags.writeable = False
     frac = float(occ.sum()) / occ.size
-    return CellMask(dim=profile.dim, resolution=n, level=level,
-                    occupancy=occ, area_fraction=frac)
+    return CellMask(occupancy=occ, area_fraction=frac)
 
 
 # -- torus connectivity and wrap lattice -------------------------------------
@@ -339,8 +335,6 @@ def wrap_rank_levels(profile, n):
     full lines and empty layers of {f >= L} where they decide it
     (``wrap_lattice``), and labels the mask only where they do not.
     """
-    if n < 2:
-        raise ConfigurationError(f"mask resolution must be >= 2; got {n}")
     values = profile.eval_grid(n)
     level = np.concatenate([np.minimum(values, np.roll(values, -1, axis=a))
                             for a in range(values.ndim)], axis=None)
@@ -545,24 +539,28 @@ class DomainMask:
     """
 
     occupancy: np.ndarray
-    epsilon: float
-    delta: float
-    omega: tuple
     spacings: tuple
     fraction: float
 
 
 def _omega_box(omega, d):
-    """omega as d (lo, hi) float pairs with lo < hi; the unit box when None."""
+    """omega as d (lo, hi) pairs of finite floats with lo < hi; the unit box
+    when None.  Anything else is refused by the name omega."""
     if omega is None:
         return tuple((0.0, 1.0) for _ in range(d))
-    omega = tuple((float(lo), float(hi)) for lo, hi in omega)
-    if len(omega) != d:
+    try:
+        box = np.asarray(omega, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        box = np.zeros(0)
+    if box.ndim != 2 or box.shape[1] != 2:
+        raise ConfigurationError(f"omega must list (lo, hi) pairs of numbers; got {omega!r}")
+    if len(box) != d:
         raise ConfigurationError(
-            f"omega lists {len(omega)} intervals; a profile of dim {d} needs {d}")
-    if any(hi <= lo for lo, hi in omega):
-        raise ConfigurationError(f"omega intervals must be increasing; got {omega}")
-    return omega
+            f"omega lists {len(box)} intervals; a profile of dim {d} needs {d}")
+    if not (np.isfinite(box).all() and (box[:, 0] < box[:, 1]).all()):
+        raise ConfigurationError(f"omega intervals must be finite and increasing; "
+                                 f"got {omega!r}")
+    return tuple(map(tuple, box.tolist()))
 
 
 def oscillating_domain_mask(profile, eps, delta, grid, *, omega=None):
@@ -572,7 +570,7 @@ def oscillating_domain_mask(profile, eps, delta, grid, *, omega=None):
     delta-period on every in-plane axis, otherwise a ResolutionError names
     the required minimum.
     """
-    if eps <= 0 or delta <= 0:
+    if not (eps > 0 and delta > 0):      # refuses NaN too
         raise ConfigurationError(f"eps and delta must be positive; got {eps}, {delta}")
     d = profile.dim
     grid = tuple(int(g) for g in grid)
@@ -604,6 +602,5 @@ def oscillating_domain_mask(profile, eps, delta, grid, *, omega=None):
 
     occ = np.abs(zc).reshape((1,) * d + (grid[d],)) < (eps * f_vals)[..., np.newaxis]
     occ.flags.writeable = False
-    return DomainMask(occupancy=occ, epsilon=float(eps), delta=float(delta),
-                      omega=omega, spacings=spac,
+    return DomainMask(occupancy=occ, spacings=spac,
                       fraction=float(occ.sum()) / occ.size)

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -567,14 +568,19 @@ def test_result_contract_on_every_branch(method, free_offset):
 def test_norm_power_free_columns_are_the_fixed_solve(kind, p, m):
     # zeroing a column never raises a norm power, so the free columns are
     # fixed at 0 and the result is, bit for bit, that of the solve with
-    # those columns given as 0; an empty mask leaves F as it is
-    for occ, method in ((_CORNERS, "newton" if p != 2.0 else "cg"),
-                        (_BRANCHES["unwound"][0], "unwound"),
-                        (_BRANCHES["full"][0], "full"),
-                        (_BRANCHES["empty"][0], "empty")):
+    # those columns given as 0; an empty mask leaves F as it is.  With the
+    # in-plane columns of F at 0 as well, a p = 3 tangent is 0 in every
+    # cell, so the node scale would have no positive entry: F = 0 and the
+    # gradient is zero
+    cases = ((_CORNERS, "newton" if p != 2.0 else "cg"),
+             (_BRANCHES["unwound"][0], "unwound"),
+             (_BRANCHES["full"][0], "full"),
+             (_BRANCHES["empty"][0], "empty"))
+    for (occ, method), plane in itertools.product(cases, (1.0, 0.0)):
         d = occ.ndim
         W = getattr(EnergyDensity, kind)(p, m, d + 1)
         F = np.random.default_rng(m).uniform(-1, 1, (m, d + 1))
+        F[:, :d] *= plane
         fixed = F.copy()
         if method != "empty":
             fixed[:, d:] = 0.0
@@ -585,6 +591,8 @@ def test_norm_power_free_columns_are_the_fixed_solve(kind, p, m):
         assert report == want_report
         assert np.array_equal(corr.values, want_corr.values)
         assert np.array_equal(corr.offset, fixed)
+        if not plane:
+            assert value == 0.0
 
 
 _B = np.random.default_rng(5).uniform(-1.0, 1.0, (6, 6))

@@ -69,6 +69,16 @@ def test_wtilde_rejects_zero_floor(W3):
         w_tilde(prof, W3, 0.3, [[1.0, 0.0]], n_grid=8)
 
 
+def test_wtilde_accepts_a_directly_built_builtin(stripe2, W3):
+    # its floor is its minimum 0.5, as for Profile.builtin; a second
+    # field for the minimum read 0.0 here, and the film refused it
+    prof = Profile(dim=2, kind="sin2-stripe")
+    assert prof.floor == 0.5
+    value, argmin, converged = w_tilde(prof, W3, 0.6, [[1.0, 0.5]], n_grid=16)
+    want = w_tilde(stripe2, W3, 0.6, [[1.0, 0.5]], n_grid=16)
+    assert converged and value == want[0] and np.array_equal(argmin, want[1])
+
+
 def test_wtilde_multicomponent():
     W = EnergyDensity.p_norm_power(2.0, 2, 3)
     value, argmin, converged = w_tilde(Profile.constant(2), W, 0.2,
@@ -229,11 +239,17 @@ def test_direct_min_resolution_rule(stripe1, W2):
     ({"vertical_cells": 2.5}, "vertical_cells"),
     ({"vertical_cells": True}, "vertical_cells"),
     ({"vertical_cells": "8"}, "vertical_cells"),
+    ({"omega": ((0.0, float("nan")),)}, "omega"),
+    ({"omega": ((0.0, float("inf")),)}, "omega"),
+    ({"omega": ((0.0, 1.0, 2.0),)}, "omega"),
+    ({"omega": ((0.0,),)}, "omega"),
+    ({"omega": (0.0, 1.0)}, "omega"),
 ])
 def test_direct_min_rejects_bad_box_by_name(stripe1, W2, kwargs, name):
     # these raised ZeroDivisionError, or a ResolutionError asking for
     # "at least -64" cells, or ran on a truncated layer count (2.5 on 2
-    # layers, True on 1)
+    # layers, True on 1); a NaN or infinite bound raised a bare ValueError
+    # or OverflowError, and a non-pair one from tuple unpacking
     with pytest.raises(ConfigurationError, match=name):
         direct_min(stripe1, 0.25, 0.0625, [[1.0]], W2, **kwargs)
 
@@ -242,6 +258,19 @@ def test_membrane_rejects_reversed_axes(product2, W3):
     # two reversed axes have a positive product of widths
     with pytest.raises(ConfigurationError, match="omega"):
         membrane_min(((1.0, 0.0), (1.0, 0.0)), [[1.0, 0.0]], product2, W3)
+
+
+@pytest.mark.parametrize("omega", [
+    ((0.0, float("nan")),), ((0.0, float("inf")),), ((0.0, 1.0, 2.0),),
+    ((0.0,),), (0.0, 1.0),
+], ids=["nan", "inf", "triple", "single", "flat"])
+def test_membrane_and_gamma_refuse_bad_omega_by_name(stripe1, W2, omega):
+    # membrane_min returned NaN or inf for the first two, and both raised
+    # from tuple unpacking for the others
+    with pytest.raises(ConfigurationError, match="omega"):
+        membrane_min(omega, [[1.0]], stripe1, W2)
+    with pytest.raises(ConfigurationError, match="omega"):
+        gamma_check(stripe1, W2, [[1.0]], [0.25], omega=omega)
 
 
 # -- gamma check ------------------------------------------------------------------
@@ -270,12 +299,11 @@ def test_gamma_schedule_must_decrease(stripe1, W2):
         gamma_check(stripe1, W2, [[1.0]], [0.125, 0.25], n_grid=16)
 
 
-def test_gamma_resolution_abort_carries_partial(stripe1, W2):
+def test_gamma_resolution_error_aborts(stripe1, W2):
     from filmhom import ResolutionError
-    with pytest.raises(ResolutionError) as err:
+    with pytest.raises(ResolutionError):
         gamma_check(stripe1, W2, [[1.0]], [0.25, 0.125], cells_per_delta=3,
                     vertical_cells=8, n_grid=16)
-    assert hasattr(err.value, "partial_report")
 
 
 def test_gamma_serialization(tmp_path, stripe1, W2):

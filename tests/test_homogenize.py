@@ -5,7 +5,7 @@ from filmhom import (ConfigurationError, EnergyDensity, Profile,
                      SolverOptions, StructuralInconsistencyError, bounds_check,
                      kernel, minimize_periodic, phi_sharp, psi,
                      psi_cylinder_oracle, superlevel_mask, thresholds, w_hom,
-                     w_hom_cube_oracle)
+                     w_hom_cube_oracle, w_tilde)
 
 
 def stripe_theta(t):
@@ -335,11 +335,19 @@ def test_thresholds_first_interval_coercive(product2, stripe2):
         assert rep.intervals[0].kernel_dim == 0
 
 
-def test_level_preconditions(stripe2):
+def test_level_preconditions(stripe2, W3):
     with pytest.raises(ConfigurationError):
         phi_sharp(stripe2, 1.0, [[1.0, 0.0]], 16)
     with pytest.raises(ConfigurationError):
         psi(stripe2, 0.5, [[1.0, 0.0, 0.0]], 1)
+    # a NaN level passed a `level >= 1` test: an empty mask gave the value
+    # 0 and a full kernel, silently
+    nan = float("nan")
+    for run in (lambda: phi_sharp(stripe2, nan, [[1.0, 0.0]], 16),
+                lambda: w_tilde(stripe2, W3, nan, [[1.0, 0.0]], n_grid=16),
+                lambda: kernel(stripe2, nan, 16)):
+        with pytest.raises(ConfigurationError, match=r"\|t\| < 1; got nan"):
+            run()
 
 
 def test_checkerboard_corner_contacts_flagged(checker2):
@@ -366,6 +374,12 @@ def test_kernel_and_thresholds_reject_bad_m(product2, m):
         thresholds(product2, 16, m=m)
     with pytest.raises(ConfigurationError, match="m must be"):
         kernel(product2, 0.3, 16, m=m)
+
+
+def test_kernel_and_thresholds_read_an_integral_float_m(product2):
+    # 2.0 is the count 2, as for box_side and vertical_cells
+    assert thresholds(product2, 16, m=2.0) == thresholds(product2, 16, m=2)
+    assert kernel(product2, 0.3, 16, m=2.0) == kernel(product2, 0.3, 16, m=2)
 
 
 # -- two-sided bounds --------------------------------------------------------

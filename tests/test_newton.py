@@ -226,35 +226,6 @@ def test_newton_matches_descent_free_offset(monkeypatch, checker2, kind, m):
     assert np.all(a[1] == 0.0) and np.all(b[1] == 0.0)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("m", [1, 2])
-def test_newton_free_column_from_nonzero_start(monkeypatch, checker2, kind, m):
-    # a norm power's free column is set to its argmin 0 before the solve,
-    # whatever its start (the custom twin below keeps it an unknown)
-    occ = superlevel_mask(checker2, 0.6, 16).occupancy
-    W = getattr(EnergyDensity, kind)(3.0, m, 3)
-    F = np.random.default_rng(m).uniform(-1, 1, (m, 3))
-    (a, ca, ra), (b, cb, rb) = _both(monkeypatch, lambda: minimize_periodic(
-        occ, W, F, free_offset=True))
-    assert ra.method == "newton" and ra.converged and rb.converged
-    assert a == pytest.approx(b, abs=1e-9)
-    assert np.abs(ca.offset[:, -1]).max() < 1e-3
-
-
-def test_free_column_alone_keeps_unscaled_preconditioner(checker2):
-    # with the in-plane columns of F at 0, the p = 3 column-norm tangent of
-    # the in-plane columns is 0 in every cell, so the node scale would have
-    # no positive entry; the free column is set to its argmin 0 first,
-    # which leaves F = 0 and a zero gradient
-    occ = superlevel_mask(checker2, 0.5, 16).occupancy
-    W = EnergyDensity.p_norm_power(3.0, 1, 3)
-    value, corr, report = minimize_periodic(
-        occ, W, [[0.0, 0.0, 0.5]], free_offset=True)
-    assert report.method == "newton" and report.converged
-    assert value == pytest.approx(0.0, abs=1e-12)
-    assert abs(corr.offset[0, -1]) < 1e-4
-
-
 def test_custom_free_column_alone_keeps_unscaled_preconditioner(checker2):
     # flat in the in-plane columns near 0, so the tangent of those columns
     # is 0 in every cell and the node scale has no positive entry: the

@@ -81,6 +81,26 @@ def test_profile_of_dim_below_one_rejected_by_name(make):
         make()
 
 
+def test_floor_is_the_profile_minimum():
+    assert Profile.constant(2).floor == 1.0
+    assert Profile.builtin("checkerboard", 2).floor == 0.25
+    assert Profile.builtin("sin2-stripe", 1, floor=0.3).floor == 0.3
+    # a sampled profile's floor is its grid minimum (it read 0.5 always)
+    assert Profile.sampled(np.array([[0.2, 1.0], [0.7, 0.4]])).floor == 0.2
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Profile.builtin("constant", 2, floor=0.3),
+    lambda: Profile.builtin("constant", 2, floor=7.0),
+    lambda: Profile(dim=2, kind="sampled", values=np.ones((2, 2)), floor=0.5),
+    lambda: Profile.builtin("sin2-stripe", 2, floor=1.0),
+], ids=["constant", "constant-out-of-range", "sampled", "builtin-out-of-range"])
+def test_floor_that_is_not_the_minimum_rejected_by_name(make):
+    # Profile.builtin("constant", ...) dropped its floor silently
+    with pytest.raises(ConfigurationError, match="floor"):
+        make()
+
+
 def test_superlevel_constant_full():
     mask = superlevel_mask(Profile.constant(2), 0.5, 16)
     assert mask.area_fraction == 1.0
@@ -208,11 +228,27 @@ def test_oscillating_domain_resolution_error():
 @pytest.mark.parametrize("omega, match", [
     (((1.0, 0.0),), "increasing"),
     (((0.0, 1.0), (0.0, 1.0)), "omega lists 2 intervals"),
-], ids=["reversed", "two-for-dim-1"])
+    (((0.0, float("nan")),), "omega intervals must be finite"),
+    (((float("-inf"), 1.0),), "omega intervals must be finite"),
+    (((0.0, 1.0, 2.0),), "omega must list"),
+    (((0.0,),), "omega must list"),
+    ((0.0, 1.0), "omega must list"),
+    ((("a", 1.0),), "omega must list"),
+], ids=["reversed", "two-for-dim-1", "nan", "inf", "triple", "single", "flat",
+        "text"])
 def test_oscillating_domain_rejects_bad_omega(omega, match):
     prof = Profile.builtin("sin2-stripe", dim=1)
     with pytest.raises(ConfigurationError, match=match):
         oscillating_domain_mask(prof, 0.25, 0.25, (16, 8), omega=omega)
+
+
+@pytest.mark.parametrize("eps, delta", [(float("nan"), 0.25), (0.25, float("nan")),
+                                        (0.0, 0.25), (0.25, -0.25)])
+def test_oscillating_domain_rejects_bad_eps_or_delta(eps, delta):
+    # a NaN eps passed an `eps <= 0` test and gave an empty slab
+    prof = Profile.builtin("sin2-stripe", dim=1)
+    with pytest.raises(ConfigurationError, match="eps and delta must be positive"):
+        oscillating_domain_mask(prof, eps, delta, (16, 8))
 
 
 def test_checkerboard_geometry(checker2):

@@ -95,23 +95,14 @@ def test_cg_loop_takes_no_blas_reduction(monkeypatch):
 
 
 def test_newton_loop_takes_no_blas_reduction(monkeypatch, checker2):
+    # the column norms give a diagonal tangent; the Frobenius norm couples
+    # the columns of a cell, the other branch of the tangent
     _no_large_blas_reductions(monkeypatch)
-    W = EnergyDensity.p_norm_power(3.0, 1, 3)
-    # 48 x 48 periodic nodes
-    report = w_hom(checker2, 0.5, [[1.0, 0.5, 0.2]], W, 48).report
-    assert report.method == "newton" and report.converged and report.iterations > 0
-
-
-def test_free_offset_newton_loop_takes_no_blas_reduction(monkeypatch, checker2):
-    # w_tilde's cell problem for a norm power: its transverse column is set
-    # to its argmin 0, and the Newton loop runs on the node field alone
-    _no_large_blas_reductions(monkeypatch)
-    W = EnergyDensity.frobenius_power(3.0, 1, 3)
-    occ = superlevel_mask(checker2, 0.5, 48).occupancy
-    _, corr, report = minimize_periodic(occ, W, [[1.0, 0.5, 0.2]],
-                                        free_offset=True)
-    assert report.method == "newton" and report.converged and report.iterations > 0
-    assert abs(corr.offset[0, -1]) < 1e-3
+    for kind in ("p_norm_power", "frobenius_power"):
+        W = getattr(EnergyDensity, kind)(3.0, 1, 3)
+        # 48 x 48 periodic nodes
+        report = w_hom(checker2, 0.5, [[1.0, 0.5, 0.2]], W, 48).report
+        assert report.method == "newton" and report.converged and report.iterations > 0
 
 
 def test_joint_newton_loop_takes_no_blas_reduction(monkeypatch, checker2):
