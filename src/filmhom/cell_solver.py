@@ -48,15 +48,14 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .energy import as_matrix
-from .errors import ConfigurationError, DimensionMismatchError
-from .profiles import _check_cells, node_graph_winds
+from .errors import DimensionMismatchError
+from .profiles import _check_cells, _positive_int, node_graph_winds
 
 
 @dataclass(frozen=True)
@@ -1036,12 +1035,3 @@ def minimize_dirichlet(mask, W, F, box_side, opts=None):
                                 method="empty")
     integral, _, report = _solve_masked(grid, mask, W, F, opts)
     return integral / float(T) ** d, report
-
-
-def _positive_int(value, name):
-    """``value`` as a positive int; a bool, a string or a fraction is
-    rejected by ``name`` rather than truncated."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not float(value).is_integer() or value < 1):
-        raise ConfigurationError(f"{name} must be a positive integer; got {value!r}")
-    return int(value)

@@ -6,10 +6,12 @@ command runs serially on one thread.  --jobs K is retired: it is still
 parsed (K must be an integer >= 1), warns when K > 1, and is ignored.
 
 Exit codes: 0 success, 2 config error, 3 resolution error, 4 solver or
-quadrature non-convergence, 5 structural inconsistency (kernel confirmation
-failure).  CSV uses ',' separator and 12 significant digits; with
---reproducible the header comment carries the config hash instead of a
-timestamp and reruns are byte-identical.  The output layout lives here
+quadrature non-convergence, 5 structural inconsistency (the node lattice
+of a superlevel set outranks its face lattice, so the grid cannot certify
+the kernel; thresholds makes no solve and never exits 4).  CSV uses ','
+separator and 12 significant digits; with --reproducible the header
+comment carries the config hash instead of a timestamp and reruns are
+byte-identical.  The output layout lives here
 alone: a JSON file holds its result dataclass's own fields, and each CSV
 row is built next to its column names.
 """
@@ -229,11 +231,10 @@ def cmd_whom(cfg, args, out):
 
 
 def cmd_thresholds(cfg, args, out):
-    report = hom.thresholds(cfg.profile, cfg.grid_n, m=cfg.m, p=cfg.energy.p,
-                            opts=cfg.solver, confirm=cfg.confirm_kernel,
-                            coercivity_floor=cfg.coercivity_floor)
+    report = hom.thresholds(cfg.profile, cfg.grid_n, m=cfg.m,
+                            confirm=cfg.confirm_kernel)
     _write_json(out / "thresholds.json", report, _comments(cfg, args))
-    return report.converged
+    return True
 
 
 def cmd_film(cfg, args, out):

@@ -22,7 +22,6 @@ from .cell_solver import SolverOptions
 from .energy import EnergyDensity
 from .errors import ConfigurationError
 from .film import QuadratureOptions
-from .homogenize import COERCIVITY_FLOOR
 from .profiles import Profile, _omega_box, load_sampled_profile
 
 # CPython's built-in SHA-256 gives hashlib's digest without mapping OpenSSL's
@@ -51,7 +50,6 @@ class RunConfig:
     probe_scale: float
     quad: QuadratureOptions
     confirm_kernel: bool
-    coercivity_floor: float
     film_n_grid: int
     eps_schedule: list
     cells_per_delta: int
@@ -152,7 +150,7 @@ SCHEMA = {
     "solver": {"cg_rtol", "grad_tol", "max_iterations"},
     "sweep": {"t_values", "F_probes", "random_probes", "seed", "probe_scale"},
     "quadrature": {"rel_tol", "initial_nodes_per_unit", "max_refinements"},
-    "thresholds": {"confirm", "coercivity_floor"},
+    "thresholds": {"confirm"},
     "film": {"n_grid"},
     "schedule": {"eps", "cells_per_delta", "vertical_cells"},
     "omega": None,
@@ -162,6 +160,8 @@ SCHEMA = {
 RETIRED = {"film.vertical_cells": "film cell problems solve on the in-plane grid",
            "grid.vertical_cells": "the psi oracle solves on a fixed two-layer cylinder",
            "thresholds.bisect_tol": "thresholds are exact cell values",
+           "thresholds.coercivity_floor": "the kernel is certified by comparing "
+                                          "two wrap lattices, with no solve",
            "solver.method": "the method follows the density (docs/solvers.md)",
            "energy.gamma": "the kind fixes the growth constants, and no output reads them",
            "energy.beta": "the kind fixes the growth constants, and no output reads them"}
@@ -185,7 +185,6 @@ NUMERIC = {
     "quadrature.rel_tol": (float, QuadratureOptions.rel_tol, 0.0),
     "quadrature.initial_nodes_per_unit": (int, QuadratureOptions.initial_nodes_per_unit, 1),
     "quadrature.max_refinements": (int, QuadratureOptions.max_refinements, 1),
-    "thresholds.coercivity_floor": (float, COERCIVITY_FLOOR, 0.0),
     "film.n_grid": (int, 64, 2),
     "schedule.cells_per_delta": (int, 8, None),
     "schedule.vertical_cells": (int, 32, 1),
@@ -374,7 +373,6 @@ def load_config(source, base_dir=None):
         random_probes=num["sweep.random_probes"], seed=num["sweep.seed"],
         probe_scale=num["sweep.probe_scale"], quad=quad,
         confirm_kernel=confirm_kernel,
-        coercivity_floor=num["thresholds.coercivity_floor"],
         film_n_grid=num["film.n_grid"],
         eps_schedule=eps_schedule, cells_per_delta=num["schedule.cells_per_delta"],
         schedule_vertical_cells=num["schedule.vertical_cells"], omega=omega,

@@ -22,11 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cell_solver import _Grid, _positive_int, _solve_masked, minimize_periodic
+from .cell_solver import _Grid, _solve_masked, minimize_periodic
 from .energy import as_matrix
 from .errors import ConfigurationError, QuadratureError, ResolutionError
 from .homogenize import _columns, thresholds
-from .profiles import _omega_box, oscillating_domain_mask, superlevel_mask
+from .profiles import (_omega_box, _positive_int, _positive_real,
+                       oscillating_domain_mask, superlevel_mask)
 
 
 @dataclass(frozen=True)
@@ -215,6 +216,8 @@ def direct_min(profile, eps, delta, Fbar, W, *, omega=None, cells_per_delta=8,
     Returns (value, report).
     """
     _require_film_hypotheses(profile, W)
+    eps = _positive_real(eps, "eps")
+    delta = _positive_real(delta, "delta")
     Fbar = as_matrix(Fbar)
     m = Fbar.shape[0]
     d = profile.dim

@@ -5,9 +5,10 @@ column-wise p-norm on a superlevel mask; ``psi`` adds the transverse term
 weighted by the superlevel area fraction; ``w_hom`` is the full cylinder
 cell value for a general convex integrand.  ``kernel`` and ``thresholds``
 compute where and how these densities lose coercivity: the wrap lattice of
-the superlevel set determines the surviving directions, and an energetic
-confirmation pass guards against under-resolved grids.  Densities are even
-in the level: all masks are built from |t|.
+the face graph of the superlevel set determines the surviving directions,
+and the wrap lattice of its node graph, whose windings the discrete energy
+sees, certifies that verdict on the grid without a solve.  Densities are
+even in the level: all masks are built from |t|.
 """
 
 from __future__ import annotations
@@ -16,17 +17,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cell_solver import (SolveReport, _positive_int, minimize_dirichlet,
-                          minimize_periodic)
+from .cell_solver import SolveReport, minimize_dirichlet, minimize_periodic
 from .energy import EnergyDensity, as_matrix
 from .errors import ConfigurationError, StructuralInconsistencyError
 # nothing here calls torus_components any more, but perfbench/spans.py
 # wraps it by name in this module, so it stays importable from here
-from .profiles import (superlevel_mask, torus_components,
+from .profiles import (_positive_int, superlevel_mask, torus_components,
                        wrap_lattice, wrap_rank_levels)
 
-KERNEL_VALUE_TOL = 1e-6
-COERCIVITY_FLOOR = 1e-3
 ORACLE_LAYERS = 2       # vertical layers of the psi cylinder oracle
 
 
@@ -60,7 +58,6 @@ class ThresholdReport:
     dim: int
     m: int
     resolution: int
-    converged: bool         # every confirmation probe solve converged
 
 
 def _columns(F, count, what="matrix"):
@@ -173,87 +170,53 @@ def _orthonormal_span(basis, dim):
     return out
 
 
-def _complement(xi, dim):
-    if not xi:
-        return [tuple(1.0 if i == j else 0.0 for i in range(dim)) for j in range(dim)]
-    X = np.array(xi, dtype=float)
-    _, _, vt = np.linalg.svd(X, full_matrices=True)
-    comp = vt[len(xi):]
-    return [tuple(float(x) for x in row) for row in comp]
-
-
-def kernel(profile, t, n_grid, *, p=2.0, m=1, opts=None, confirm=True,
-           coercivity_floor=COERCIVITY_FLOOR):
+def kernel(profile, t, n_grid, *, m=1, confirm=True):
     """Kernel structure of the in-plane density at level t.
 
-    Geometric route: the wrap lattice of the superlevel mask
-    (``wrap_lattice``, read off its full lines and empty layers where they
-    decide it, labelled otherwise); a matrix lies in the kernel iff it
-    annihilates every spanning direction xi_i, so the kernel dimension is
-    m * (dim - rank).  When ``confirm`` is set, probe solves check the
-    energetic verdict: kernel probes must fall below ``KERNEL_VALUE_TOL``,
-    spanning-direction probes must stay above ``coercivity_floor``;
-    disagreement raises StructuralInconsistencyError (the grid is too
-    coarse to trust either verdict).
+    The wrap lattice of the face graph of the superlevel mask
+    (``wrap_lattice``) gives the verdict: a matrix lies in the kernel iff
+    it annihilates every spanning direction xi_i, so the kernel dimension
+    is m * (dim - rank).  When ``confirm`` is set, the wrap lattice of the
+    node graph certifies it: the discrete cell value of F vanishes exactly
+    when F annihilates every node winding (docs/kernel_geometry.md), and
+    the face lattice lies in the node lattice, so the two verdicts agree
+    iff the ranks are equal.  A higher node rank raises
+    StructuralInconsistencyError naming both lattices: cells that touch
+    only at nodes, contacts of zero capacity, couple on the grid at
+    N=n_grid, so it cannot certify the geometric verdict.
 
-    A probe whose solve did not converge decides nothing, since its value
-    is not a minimum.
-
-    Returns (k, xi, converged) with k = dim - rank, xi the orthonormal
-    spanning directions, and converged False when any probe solve did not
-    converge.
+    Returns (k, xi) with k = dim - rank and xi the orthonormal spanning
+    directions.
     """
-    m = _positive_int(m, "m")
-    mask = superlevel_mask(profile, t, n_grid)
-    lattice = wrap_lattice(mask.occupancy)
-    d = profile.dim
-    xi = _orthonormal_span(list(lattice), d)
-    k = d - len(lattice)
-    converged = True
-
+    _positive_int(m, "m")
+    occ = superlevel_mask(profile, t, n_grid).occupancy
+    faces = wrap_lattice(occ)
     if confirm:
-        def probe(direction):
-            nonlocal converged
-            Fb = np.zeros((m, d))
-            Fb[0, :] = direction
-            sample = phi_sharp(profile, t, Fb, n_grid, p=p, opts=opts)
-            converged &= sample.report.converged
-            return sample.value if sample.report.converged else None
-
-        for zeta in _complement(xi, d):
-            val = probe(zeta)
-            if val is not None and val > KERNEL_VALUE_TOL:
-                raise StructuralInconsistencyError(
-                    f"level {t}: direction {zeta} is geometrically degenerate "
-                    f"(no wrap) but the cell value {val:.3e} exceeds "
-                    f"{KERNEL_VALUE_TOL:.1e}; "
-                    f"the grid at N={n_grid} cannot certify the geometric verdict "
-                    f"(coarse grid, or zero-capacity contacts that the discrete "
-                    f"stencil couples)",
-                    geometric="kernel", energetic=f"value={val:.3e}",
-                )
-        for x in xi:
-            val = probe(x)
-            if val is not None and val < coercivity_floor:
-                raise StructuralInconsistencyError(
-                    f"level {t}: direction {x} wraps the torus but the cell "
-                    f"value {val:.3e} sits below the coercivity floor "
-                    f"{coercivity_floor:.1e}; grid N={n_grid} too coarse",
-                    geometric="coercive", energetic=f"value={val:.3e}",
-                )
-    return k, xi, converged
+        nodes = wrap_lattice(occ, nodes=True)
+        if len(nodes) > len(faces):
+            raise StructuralInconsistencyError(
+                f"level {t}: the face lattice {faces} of the superlevel set "
+                f"has rank {len(faces)}, but its node lattice {nodes} has rank "
+                f"{len(nodes)}; the grid at N={n_grid} cannot certify the "
+                f"geometric verdict (coarse grid, or zero-capacity contacts "
+                f"that the discrete stencil couples)",
+                geometric=f"face lattice {faces}",
+                energetic=f"node lattice {nodes}",
+            )
+    d = profile.dim
+    return d - len(faces), _orthonormal_span(list(faces), d)
 
 
-def thresholds(profile, n_grid, *, m=1, p=2.0, opts=None, confirm=True,
-               coercivity_floor=COERCIVITY_FLOOR):
+def thresholds(profile, n_grid, *, m=1, confirm=True):
     """Locate the levels where the wrap rank of the superlevel set drops.
 
     t_k is the level from which the rank is at most dim - k: an exact cell
     value, found by bisection over the edge levels (``wrap_rank_levels``).
     A rank the full set {f > 0} never exceeds gives t_k = 0.  Kernel bases
-    are computed at the midpoints of the intervals between thresholds;
-    levels closer than 1/N, the level resolution of the grid, bound no
-    interval of their own.
+    are computed at the midpoints of the intervals between thresholds,
+    certified there by ``kernel`` when ``confirm`` is set; levels closer
+    than 1/N, the level resolution of the grid, bound no interval of their
+    own.
     """
     m = _positive_int(m, "m")
     d = profile.dim
@@ -266,16 +229,12 @@ def thresholds(profile, n_grid, *, m=1, p=2.0, opts=None, confirm=True,
             breakpoints.append(t)
 
     intervals = []
-    converged = True
     for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
-        mid = 0.5 * (lo + hi)
-        k, xi, ok = kernel(profile, mid, n_grid, p=p, m=m, opts=opts,
-                           confirm=confirm, coercivity_floor=coercivity_floor)
-        converged &= ok
+        k, xi = kernel(profile, 0.5 * (lo + hi), n_grid, confirm=confirm)
         intervals.append(IntervalInfo(t_lo=lo, t_hi=hi, wrap_rank=d - k,
                                       kernel_dim=k * m, xi=tuple(xi)))
     return ThresholdReport(thresholds=ts, intervals=tuple(intervals),
-                           dim=d, m=m, resolution=n_grid, converged=converged)
+                           dim=d, m=m, resolution=n_grid)
 
 
 @dataclass(frozen=True)

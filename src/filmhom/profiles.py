@@ -21,6 +21,7 @@ cells share a node, tell whether the node graph winds
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -263,19 +264,22 @@ def torus_components(mask):
                            wrap_lattice=tuple(basis), rank=len(basis))
 
 
-def wrap_lattice(occ):
-    """The wrap lattice of the face graph of a boolean cell mask, in the
-    canonical form of ``_lattice_basis``, as in ``torus_components``.
+def wrap_lattice(occ, *, nodes=False):
+    """The wrap lattice of the face graph of a boolean cell mask, or with
+    ``nodes`` of its node graph, in the canonical form of
+    ``_lattice_basis``, as in ``torus_components``.
 
-    It holds e_a for every axis a with a fully occupied line and lies in
-    the span of the axes with no empty cell layer (``_wrap_bounds``).
-    Where the two axis sets are equal it is their unit vectors; only
-    otherwise does ``torus_union_find`` run over the run graph."""
+    Either lattice holds e_a for every axis a with a fully occupied line
+    and lies in the span of the axes with no empty cell layer
+    (``_wrap_bounds``).  Where the two axis sets are equal it is their unit
+    vectors; only otherwise does ``torus_union_find`` run over the run
+    graph.  The face lattice lies in the node lattice, since cells that
+    share a face share its nodes."""
     occ = np.asarray(occ, dtype=bool)
     lines, spans = _wrap_bounds(occ)
     if lines == spans:
         return tuple(tuple(int(a == b) for b in range(occ.ndim)) for a in lines)
-    return tuple(_lattice_basis(_run_components(occ)[2], occ.ndim))
+    return tuple(_lattice_basis(_run_components(occ, nodes)[2], occ.ndim))
 
 
 def node_graph_winds(occ):
@@ -412,6 +416,25 @@ def _run_graph(occ, nodes=False):
         vs.append(ids[target])
         steps.append(step)
     return ids, size, base, tuple(map(np.concatenate, (us, vs, steps)))
+
+
+def _positive_int(value, name):
+    """``value`` as a positive int; a bool, a string or a fraction is
+    rejected by ``name`` rather than truncated."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer() or value < 1):
+        raise ConfigurationError(f"{name} must be a positive integer; got {value!r}")
+    return int(value)
+
+
+def _positive_real(value, name):
+    """``value`` as a positive finite float; a bool, a string, NaN or an
+    infinity is rejected by ``name``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0.0 < value < math.inf):
+        raise ConfigurationError(
+            f"{name} must be a positive finite number; got {value!r}")
+    return float(value)
 
 
 def _check_cells(occ):
@@ -570,10 +593,10 @@ def oscillating_domain_mask(profile, eps, delta, grid, *, omega=None):
     delta-period on every in-plane axis, otherwise a ResolutionError names
     the required minimum.
     """
-    if not (eps > 0 and delta > 0):      # refuses NaN too
-        raise ConfigurationError(f"eps and delta must be positive; got {eps}, {delta}")
+    eps = _positive_real(eps, "eps")
+    delta = _positive_real(delta, "delta")
     d = profile.dim
-    grid = tuple(int(g) for g in grid)
+    grid = tuple(_positive_int(g, "grid") for g in grid)
     if len(grid) != d + 1:
         raise ConfigurationError(
             f"grid must give {d + 1} cell counts (in-plane axes then vertical); got {grid}"

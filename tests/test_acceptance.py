@@ -47,8 +47,8 @@ def test_criterion_1_product_structure():
         sample = phi_sharp(prof, 0.3, [[1.0, 1.0]], n)
         assert abs(sample.value - 2.0) <= 1e-8
 
-        k, xi, converged = kernel(prof, 0.7, n)  # confirmation must not raise
-        assert converged and k == 2 and xi == []
+        k, xi = kernel(prof, 0.7, n)  # confirmation must not raise
+        assert k == 2 and xi == []
 
 
 def test_criterion_2_stripe_structure():

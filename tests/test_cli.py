@@ -284,11 +284,15 @@ def test_exit_code_resolution_error(tmp_path):
                  str(tmp_path / "out")]) == 3
 
 
-def test_exit_code_structural_inconsistency(tmp_path):
-    cfg = write_config(tmp_path, grid={"N": 32},
-                       thresholds={"coercivity_floor": 1e6})
+def test_exit_code_structural_inconsistency(tmp_path, capsys):
+    # above the floor the checkerboard squares meet only at corners, where
+    # the node lattice winds along (1, -1) and the face lattice does not
+    cfg = write_config(tmp_path, profile={"kind": "checkerboard", "dim": 2},
+                       grid={"N": 32})
     assert main(["thresholds", "--config", str(cfg), "--out",
                  str(tmp_path / "out")]) == 5
+    err = capsys.readouterr().err
+    assert "structural inconsistency" in err and "(1, -1)" in err
 
 
 def test_exit_code_nonconvergence(tmp_path):
@@ -315,19 +319,6 @@ def test_exit_code_whom_nonconvergence(tmp_path):
     out = tmp_path / "out"
     assert main(["whom", "--config", str(cfg), "--out", str(out)]) == 4
     assert json.loads(read_lines(out / "whom_summary.json"))["all_converged"] is False
-
-
-def test_exit_code_thresholds_confirmation_nonconvergence(tmp_path):
-    # a confirmation probe that stops after one iteration has no minimum to
-    # compare against the kernel bounds: it decides nothing, and the run
-    # reports the unconverged solve.  Above its floor the checkerboard's
-    # node graph winds through the corner contacts, so its probes are solved
-    cfg = write_config(tmp_path, profile={"kind": "checkerboard", "dim": 2},
-                       grid={"N": 32}, solver={"max_iterations": 1},
-                       thresholds={"confirm": True})
-    out = tmp_path / "out"
-    assert main(["thresholds", "--config", str(cfg), "--out", str(out)]) == 4
-    assert json.loads(read_lines(out / "thresholds.json"))["converged"] is False
 
 
 def test_exit_code_film_nonconvergence(tmp_path):
@@ -463,6 +454,9 @@ RETIRED_RUNS = [
      ("film.json", "film.csv")),
     ("thresholds.bisect_tol", 0.25, "thresholds",
      dict(thresholds={"confirm": False}), ("thresholds.json",)),
+    # a floor above every cell value once made the certified run exit 5
+    ("thresholds.coercivity_floor", 1e6, "thresholds",
+     dict(thresholds={"confirm": True}), ("thresholds.json",)),
     # the method follows the density: asking for CG on p = 3 once failed
     ("solver.method", "cg", "whom",
      dict(energy={"kind": "p_norm_power", "p": 3.0}, grid={"N": 8},
@@ -517,7 +511,6 @@ OUT_OF_RANGE = [
     ("film", "quadrature", "max_refinements", -1),
     ("film", "quadrature", "max_refinements", 0),
     ("film", "quadrature", "initial_nodes_per_unit", 0),
-    ("thresholds", "thresholds", "coercivity_floor", -1.0),
     ("psi", "sweep", "seed", -1),
     ("psi", "sweep", "random_probes", -4),
     ("phi", "energy", "p", 0.5),

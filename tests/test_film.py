@@ -6,7 +6,8 @@ import scipy.integrate
 
 from filmhom import (ConfigurationError, EnergyDensity, Profile,
                      QuadratureOptions, direct_min, gamma_check, membrane_min,
-                     minimize_periodic, superlevel_mask, w_bar, w_hom, w_tilde)
+                     minimize_periodic, oscillating_domain_mask,
+                     superlevel_mask, w_bar, w_hom, w_tilde)
 from filmhom import cell_solver, cli, profiles
 
 
@@ -252,6 +253,23 @@ def test_direct_min_rejects_bad_box_by_name(stripe1, W2, kwargs, name):
     # or OverflowError, and a non-pair one from tuple unpacking
     with pytest.raises(ConfigurationError, match=name):
         direct_min(stripe1, 0.25, 0.0625, [[1.0]], W2, **kwargs)
+
+
+@pytest.mark.parametrize("name", ["eps", "delta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
+                                   0.0, -0.25, True, "0.25"],
+                         ids=["nan", "inf", "-inf", "zero", "negative", "bool", "text"])
+@pytest.mark.parametrize("build", ["direct_min", "oscillating_domain_mask"])
+def test_slab_refuses_bad_eps_and_delta_by_name(stripe1, W2, build, value, name):
+    # direct_min worked out its cell count first, so a NaN delta raised a bare
+    # ValueError and an infinite or zero one ZeroDivisionError; the mask
+    # took eps=inf or eps=True
+    args = {"eps": 0.25, "delta": 0.0625, name: value}
+    with pytest.raises(ConfigurationError, match=f"^{name} must be"):
+        if build == "direct_min":
+            direct_min(stripe1, args["eps"], args["delta"], [[1.0]], W2)
+        else:
+            oscillating_domain_mask(stripe1, args["eps"], args["delta"], (64, 8))
 
 
 def test_membrane_rejects_reversed_axes(product2, W3):

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filmhom import (ConfigurationError, EnergyDensity, Profile,
                      SolverOptions, StructuralInconsistencyError, bounds_check,
                      kernel, minimize_periodic, phi_sharp, psi,
                      psi_cylinder_oracle, superlevel_mask, thresholds, w_hom,
                      w_hom_cube_oracle, w_tilde)
+from filmhom import homogenize
+from filmhom.profiles import wrap_lattice
 
 
 def stripe_theta(t):
@@ -256,33 +260,74 @@ def test_cube_empty_mask(product2, W3):
 
 
 def test_kernel_product_coercive(product2):
-    k, xi, converged = kernel(product2, 0.3, 64)
-    assert converged
+    k, xi = kernel(product2, 0.3, 64)
     assert k == 0
     assert len(xi) == 2
 
 
 def test_kernel_product_degenerate(product2):
-    k, xi, converged = kernel(product2, 0.7, 64)
-    assert converged
+    k, xi = kernel(product2, 0.7, 64)
     assert k == 2
     assert xi == []
 
 
 def test_kernel_stripe(stripe2):
-    k, xi, converged = kernel(stripe2, 0.7, 64)
-    assert converged
+    k, xi = kernel(stripe2, 0.7, 64)
     assert k == 1
     assert len(xi) == 1
     assert np.allclose(xi[0], (0.0, 1.0), atol=1e-12)
 
 
-def test_kernel_inconsistency_raises(stripe2):
-    # an absurd coercivity floor makes the energetic verdict fail
+def test_kernel_inconsistency_raises(monkeypatch, checker2):
+    # above the floor the checkerboard squares meet only at corners: the
+    # face lattice is empty, but the node lattice holds the winding (1, -1),
+    # and the two lattices decide it with no solve
+    solves = []
+    monkeypatch.setattr(homogenize, "minimize_periodic",
+                        lambda *a, **k: solves.append(a) or minimize_periodic(*a, **k))
     with pytest.raises(StructuralInconsistencyError) as err:
-        kernel(stripe2, 0.7, 64, coercivity_floor=1e6)
-    assert err.value.geometric is not None
-    assert err.value.energetic is not None
+        kernel(checker2, 0.6, 32)
+    assert solves == []
+    assert err.value.geometric == "face lattice ()"
+    assert err.value.energetic == "node lattice ((1, -1),)"
+    assert "(1, -1)" in str(err.value)
+
+
+@st.composite
+def probe_masks(draw):
+    """Random cell masks: 2-d with sides 3-12, or 3-d with sides 3-6, each
+    cell occupied with a drawn probability in [0.3, 0.8]."""
+    d = draw(st.sampled_from([2, 3]))
+    shape = tuple(draw(st.integers(3, 12 if d == 2 else 6)) for _ in range(d))
+    fill = draw(st.floats(0.3, 0.8))
+    return np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).random(shape) < fill
+
+
+@settings(max_examples=80, deadline=None)
+@given(probe_masks())
+def test_lattice_ranks_decide_the_energetic_probes(occ):
+    # the energetic oracle of kernel's verdict: p = 2 cell values at an
+    # orthonormal basis of the face span and of its complement.  A probe
+    # vanishes iff it annihilates every node winding, and the face lattice
+    # lies in the node lattice, so the ranks decide every probe
+    faces = wrap_lattice(occ)
+    nodes = wrap_lattice(occ, nodes=True)
+    d = occ.ndim
+    basis = (np.linalg.svd(np.array(faces, dtype=float))[2] if faces
+             else np.eye(d))
+    W = EnergyDensity.p_norm_power(2.0, 1, d)
+
+    def probe(z):
+        value, _, report = minimize_periodic(occ, W, z[np.newaxis, :])
+        assert report.converged
+        return value
+
+    inside = [probe(z) for z in basis[:len(faces)]]
+    outside = [probe(z) for z in basis[len(faces):]]
+    assert any(v > 1e-6 for v in outside) == (len(nodes) > len(faces))
+    if len(nodes) == len(faces):
+        assert all(v <= 1e-12 for v in outside)
+    assert all(v >= 1e-6 for v in inside)
 
 
 def test_thresholds_constant():
@@ -322,7 +367,7 @@ def test_thresholds_weakly_increasing_and_xi_orthonormal(product2, stripe2, chec
             X = np.array(iv.xi, dtype=float)
             if X.size:
                 assert np.allclose(X @ X.T, np.eye(len(iv.xi)), atol=1e-12)
-    # checkerboard: skip the energetic confirmation (see the dedicated test)
+    # checkerboard: skip the certification (see the dedicated test)
     rep = thresholds(checker2, 64, confirm=False)
     assert all(a <= b + 1e-12 for a, b in zip(rep.thresholds, rep.thresholds[1:]))
 
@@ -354,12 +399,11 @@ def test_checkerboard_corner_contacts_flagged(checker2):
     # The open checkerboard squares only meet at points, which carry no
     # Sobolev capacity, so the degenerate verdict is geometric; the discrete
     # stencil couples the squares through the shared corner nodes and decays
-    # only logarithmically, so the confirmation pass must flag the clash
-    # instead of certifying either side.
+    # only logarithmically: its node lattice outranks the face lattice, so
+    # kernel must flag the clash instead of certifying either side.
     with pytest.raises(StructuralInconsistencyError):
         kernel(checker2, 0.6, 64)
-    k, xi, converged = kernel(checker2, 0.6, 64, confirm=False)
-    assert converged
+    k, xi = kernel(checker2, 0.6, 64, confirm=False)
     assert k == 2 and xi == []
 
 

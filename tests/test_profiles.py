@@ -247,8 +247,19 @@ def test_oscillating_domain_rejects_bad_omega(omega, match):
 def test_oscillating_domain_rejects_bad_eps_or_delta(eps, delta):
     # a NaN eps passed an `eps <= 0` test and gave an empty slab
     prof = Profile.builtin("sin2-stripe", dim=1)
-    with pytest.raises(ConfigurationError, match="eps and delta must be positive"):
+    name = "delta" if eps == 0.25 else "eps"
+    with pytest.raises(ConfigurationError, match=f"{name} must be a positive finite"):
         oscillating_domain_mask(prof, eps, delta, (16, 8))
+
+
+@pytest.mark.parametrize("cells", [16.7, True, 0], ids=["fraction", "bool", "zero"])
+def test_oscillating_domain_refuses_a_grid_it_would_truncate(cells):
+    # int() read (16.7, 8.9) as a 16 x 8 mask and True as one cell
+    prof = Profile.builtin("sin2-stripe", dim=1)
+    for grid in ((cells, 8), (16, cells)):
+        with pytest.raises(ConfigurationError, match="grid must be a positive integer"):
+            oscillating_domain_mask(prof, 0.25, 0.25, grid)
+    assert oscillating_domain_mask(prof, 0.25, 0.25, (16.0, 8)).occupancy.shape == (16, 8)
 
 
 def test_checkerboard_geometry(checker2):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import filmhom
 from filmhom import (EnergyDensity, Profile, minimize_dirichlet, minimize_periodic,
                      superlevel_mask, thresholds, torus_components)
-from filmhom import profiles
+from filmhom import homogenize, profiles
 from filmhom.cell_solver import _active_node_mask, _along
 from filmhom.errors import ConfigurationError
 from filmhom.profiles import (_lattice_basis, _run_components, _unpack_wrap,
@@ -366,13 +366,13 @@ def test_wrap_lattice_on_sides_one_and_two(shape):
         _check_wrap_lattice(np.array([bits >> i & 1 for i in range(size)], bool).reshape(shape))
 
 
-def _count_face_labellings(monkeypatch):
-    """The face-graph labellings made from here on, one entry per call."""
+def _count_labellings(monkeypatch):
+    """The labellings of the face or node graph made from here on, one
+    entry per call."""
     calls = []
 
     def counted(*args, **kwargs):
-        if not kwargs.get("nodes", False):
-            calls.append(args[0].shape)
+        calls.append(args[0].shape)
         return _run_components(*args, **kwargs)
 
     monkeypatch.setattr(profiles, "_run_components", counted)
@@ -384,11 +384,13 @@ def test_benchmark_thresholds_label_no_mask(monkeypatch, n, confirm):
     # the film datum (N = 64, unconfirmed) and the cells datum (N = 128,
     # confirmed): above the floor the product islands leave an empty layer
     # on both axes, and below it the mask is full, so full lines and empty
-    # layers decide every bisection probe and both kernels
-    calls = _count_face_labellings(monkeypatch)
+    # layers decide every bisection probe and both lattices of both kernels
+    calls = _count_labellings(monkeypatch)
+    solves = []
+    monkeypatch.setattr(homogenize, "minimize_periodic",
+                        lambda *a, **k: solves.append(a) or minimize_periodic(*a, **k))
     rep = thresholds(Profile.builtin("sin2-product", dim=2), n, confirm=confirm)
-    assert calls == []
-    assert rep.converged
+    assert calls == [] and solves == []
     assert [iv.wrap_rank for iv in rep.intervals] == [2, 0]
 
 
@@ -397,7 +399,7 @@ def test_diagonal_band_still_takes_the_union_find(monkeypatch):
     # layer is empty, so only the union-find finds its lattice
     i, j = np.indices((8, 8))
     profile = Profile.sampled(np.where((i + j) % 4 < 2, 1.0, 0.4))
-    calls = _count_face_labellings(monkeypatch)
+    calls = _count_labellings(monkeypatch)
     assert wrap_rank_levels(profile, 8) == [1.0, 0.4]
     assert calls == [(8, 8)]
     assert wrap_lattice(profile.eval_grid(8) >= 1.0) == ((1, -1),)
