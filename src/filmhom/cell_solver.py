@@ -34,9 +34,13 @@ problem on a full mask with a convex density is not solved: by Jensen the
 zero corrector is its minimizer, so its value is exactly W of the offset
 (docs/solvers.md).  Nor is one whose node graph does not wind: for the norm
 powers its value is exact, theta W of the offset with its in-plane columns
-zeroed (docs/kernel_geometry.md).  The offset may have more columns than the
-grid has axes: a field on the grid does not vary along the extra ones, so a
-cylinder cell problem solves on its in-plane grid.  Those columns may also be
+zeroed (docs/kernel_geometry.md).  A norm-power solve leaves out its pendant
+nodes, those of degree 1 in the stencil graph of the occupied cells: each
+can zero its one column, which never raises a norm power, so the column is
+held at 0 and the node is set from its neighbour after the solve.  The
+offset may have more columns than the grid has axes: a field on the grid
+does not vary along the extra ones, so a cylinder cell problem solves on its
+in-plane grid.  Those columns may also be
 unknowns, minimized jointly with the field in the same solve (the transverse
 column of the film density); a norm power has them at 0.  Cells outside the
 mask contribute no energy; nodes touching no occupied cell stay frozen at
@@ -194,6 +198,28 @@ def _frozen_ends(grid):
             frozen[_along(a, 0)] = True
             frozen[_along(a, -1)] = True
     return frozen
+
+
+def _pendant_nodes(grid, mask, select):
+    """(pendant, columns): the ``select``ed nodes of degree 1 in the graph
+    whose edges (c, a), c occupied, join node c to node c + e_a, as a
+    (1, *nodes) array, and the (d, *cells) mask of the one column each of
+    them enters.  A self-loop counts twice (docs/solvers.md)."""
+    occupied = mask[np.newaxis]
+    degree = np.zeros((1,) + grid.node_shape, dtype=np.uint8)
+    for _, lo, forward in grid.stencil:
+        degree[lo] += occupied
+        for cells, nodes in forward:
+            degree[nodes] += occupied[cells]
+    pendant = (degree == 1) & select
+    columns = np.zeros((grid.dim, 1) + grid.cells, dtype=bool)
+    for a, (_, lo, forward) in enumerate(grid.stencil):
+        ends = columns[a]
+        ends[...] = pendant[lo]
+        for cells, nodes in forward:
+            ends[cells] |= pendant[nodes]
+        ends &= occupied
+    return pendant, columns[:, 0]
 
 
 # -- spectral preconditioner -------------------------------------------------------
@@ -619,10 +645,6 @@ class _MaskedProblem:
         self.nv = self.m * grid.num_nodes
         self.fixed = self.d if free_offset else self.n
         self.cells = (1,) * self.d
-        # the nodes that move: active and not frozen.  The adjoint projects
-        # onto them where some are frozen; elsewhere the others hold 0
-        self.select = _active_node_mask(grid, mask) & ~_frozen_ends(grid)
-        self.project = self.select if "D" in grid.kinds else None
         self.maskf = mask.astype(float)
         self.vol = grid.cell_volume
         self.vol_mask = self.vol * self.maskf
@@ -636,6 +658,19 @@ class _MaskedProblem:
         self.runs = (_line_solvable(grid, mask) if W.is_quadratic and not free_offset
                      else None)
         self.factorizations = 0     # of the line solve's blocks
+        # the nodes that move: active and not frozen.  A norm power has the
+        # column of a pendant node at 0, so that node leaves the solve, its
+        # column is held at 0 and field() sets it afterwards.  The adjoint
+        # projects onto the moving nodes where some are frozen; elsewhere
+        # the others hold 0
+        self.select = _active_node_mask(grid, mask) & ~_frozen_ends(grid)
+        self.pendant = self.columns = None
+        if W.zeroing_columns_minimizes and self.runs is None:
+            pendant, columns = _pendant_nodes(grid, mask, self.select)
+            if pendant.any():
+                self.pendant, self.columns = pendant, columns
+                self.select &= ~pendant[0]
+        self.project = self.select if "D" in grid.kinds else None
 
     @functools.cached_property
     def spectral(self):
@@ -647,13 +682,34 @@ class _MaskedProblem:
                 x[self.nv:].reshape((self.m, self.n - self.fixed) + self.cells))
 
     def lift(self, x, offset=True):
-        """Per cell (Dv | free columns), plus the fixed offset if ``offset``."""
+        """Per cell (Dv | free columns), plus the fixed offset if ``offset``,
+        with the pendant columns at 0.  So the stress and the tangent's image
+        are 0 there, and the adjoint leaves the pendant nodes alone."""
         v, b = self.split(x)
         G = _cell_gradient(self.grid, v, self.n)
         G[:, self.fixed:] = b
         if offset:
             G += self.Fcells
+        if self.columns is not None:
+            np.copyto(G[:, :self.d], 0.0, where=self.columns)
         return G
+
+    def field(self, x):
+        """The node field of x, each pendant node set from its neighbour so
+        that its column is 0: v(c + e_a) = v(c) - h_a F_a, or, for the base
+        of its edge (d = 1), v(c) = v(c + e_a) + h_a F_a."""
+        v = self.split(x)[0]
+        if self.pendant is None:
+            return v
+        v, occupied = v.copy(), self.mask[np.newaxis]
+        for a, (h, _, forward) in enumerate(self.grid.stencil):
+            step = h * self.Fcells[:, a]
+            for cells, nodes in forward:
+                np.copyto(v[nodes], v[cells] - step,
+                          where=self.pendant[nodes] & occupied[cells])
+                np.copyto(v[cells], v[nodes] + step,
+                          where=self.pendant[cells] & occupied[cells])
+        return v
 
     def energy(self, x):
         """The exact energy at x: for p < 2 Newton minimizes a smoothed one."""
@@ -723,6 +779,8 @@ class _MaskedProblem:
         sigma = None
         if scaled:
             diagonal *= maskf
+            if self.columns is not None:
+                np.copyto(diagonal, 0.0, where=self.columns)
             sigma = _tangent_scale(grid, self.select, diagonal)
             buffer = np.empty((m,) + grid.node_shape)
         if self.free_offset:
@@ -788,7 +846,7 @@ def _solve_masked(grid, mask, W, F, opts, free_offset=False):
                          method=method, notes="; ".join(notes),
                          inner_iterations=inner,
                          factorizations=problem.factorizations)
-    return problem.energy(x), problem.split(x)[0], report
+    return problem.energy(x), problem.field(x), report
 
 
 def _check_offset(W, F, d):

@@ -222,6 +222,7 @@ def direct_min(profile, eps, delta, Fbar, W, *, omega=None, cells_per_delta=8,
     m = Fbar.shape[0]
     d = profile.dim
     W.check_dims(m, d + 1)
+    cells_per_delta = _positive_int(cells_per_delta, "cells_per_delta")
     if cells_per_delta < 4:
         raise ResolutionError(
             f"cells_per_delta={cells_per_delta} under-resolves the oscillation; "

@@ -123,10 +123,11 @@ class Profile:
     def eval_grid(self, n):
         """Values of f at the n^dim cell centers ((i + 1/2)/n per axis), as
         a read-only array computed once per n on this profile."""
+        n = _positive_int(n, "n_grid")
         values = self._grids.get(n)
         if values is None:
             if n < 2:
-                raise ConfigurationError(f"grid resolution must be >= 2; got {n}")
+                raise ConfigurationError(f"n_grid must be >= 2; got {n}")
             centers = (np.arange(n) + 0.5) / n
             grids = np.meshgrid(*([centers] * self.dim), indexing="ij")
             pts = np.stack([g.ravel() for g in grids], axis=-1)

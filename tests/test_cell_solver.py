@@ -1,15 +1,20 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from filmhom import (ConfigurationError, DimensionMismatchError, EnergyDensity,
                      Profile, SolveReport, SolverOptions, minimize_dirichlet,
                      minimize_periodic)
+import filmhom.cell_solver as cell_solver
 from filmhom.cell_solver import (_active_node_mask, _cell_gradient,
-                                 _cell_gradient_adjoint, _Grid, _MaskedProblem)
+                                 _cell_gradient_adjoint, _Grid, _MaskedProblem,
+                                 _solve_masked)
 from filmhom.profiles import superlevel_mask
 
 from conftest import forced_periodic_solve, periodic_grid, stripe_mask
@@ -336,8 +341,8 @@ def test_cold_cg_applies_the_operator_once_per_iteration(monkeypatch):
     # CG starts from x = 0, whose residual is the rhs itself: one adjoint
     # for the rhs and one per iteration, no apply at the start.  The value
     # is pinned to the bit, since r = b - K 0 = b leaves every iterate as
-    # it is.  The islands do not wind, so the solve is forced
-    import filmhom.cell_solver as cell_solver
+    # it is.  The islands do not wind, so the solve is forced.  Their 36
+    # pendant nodes leave the solve: it took 26 iterations with them
     calls = []
 
     def counted(grid, P):
@@ -349,7 +354,7 @@ def test_cold_cg_applies_the_operator_once_per_iteration(monkeypatch):
     occ = superlevel_mask(Profile.builtin("sin2-product", dim=2), 0.6, 32).occupancy
     value, _, report = forced_periodic_solve(occ, W, [[1.0, 0.5, 0.2]])
     assert report.method == "cg" and report.converged
-    assert len(calls) == report.iterations + 1 == 27
+    assert len(calls) == report.iterations + 1 == 16
     assert value == 0.016406250000000004
 
 
@@ -627,3 +632,82 @@ def test_masked_problem_gradient_and_tangent_match_differences(W, cells, kinds,
     want = (problem.gradient(x + h * u) - problem.gradient(x - h * u)) / (2 * h)
     Hu = apply_H(u)
     assert np.allclose(Hu, want, rtol=1e-6, atol=1e-7 * np.abs(want).max())
+
+
+@st.composite
+def pendant_problems(draw):
+    """A random masked norm-power problem on a grid of kinds P/D/N, axes of
+    length 1 (self-loops) and 2 (parallel edges) included."""
+    d = draw(st.integers(1, 3))
+    cells = tuple(draw(st.lists(st.integers(1, 5 if d < 3 else 3), min_size=d,
+                                max_size=d)))
+    kinds = "".join(draw(st.lists(st.sampled_from("PDN"), min_size=d, max_size=d)))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=math.prod(cells),
+                                  max_size=math.prod(cells)))).reshape(cells)
+    m, n = draw(st.integers(1, 2)), d + draw(st.integers(0, 1))
+    W = getattr(EnergyDensity, draw(st.sampled_from(["p_norm_power", "frobenius_power"])))(
+        draw(st.sampled_from([1.5, 2.0, 3.0, 4.0])), m, n)
+    F = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m * n,
+                               max_size=m * n))).reshape(m, n)
+    grid = _Grid(cells=cells, spacings=tuple(1.0 / c for c in cells), kinds=kinds)
+    return grid, mask, W, F, n > d and draw(st.booleans())
+
+
+def _line_problem(kinds, mask, p):
+    cells = (len(mask),)
+    return (_Grid(cells=cells, spacings=(1.0 / cells[0],), kinds=kinds),
+            np.array(mask, bool), EnergyDensity.p_norm_power(p, 1, 2),
+            np.array([[0.7, -0.4]]), False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pendant_problems())
+# d = 1: a run whose two ends are pendant, the base of its edge at one end,
+# and an isolated cell, both ends of one edge pendant
+@example(_line_problem("N", [0, 1, 1, 1, 0], 3.0))
+@example(_line_problem("P", [0, 0, 1, 0, 0], 1.5))
+def test_pendant_elimination_matches_the_full_problem(problem):
+    # the solve without its pendant nodes against the same solve with them,
+    # both at a tight tolerance: the same value, a returned field whose
+    # energy is that value, and the same cell gradients.  For p > 2 the full
+    # problem's tangent vanishes along the pendant columns, so its field
+    # there is settled only to about grad_tol^(1/(p-1))
+    grid, mask, W, F, free_offset = problem
+    assume(_MaskedProblem(grid, mask, W, F, free_offset).pendant is not None)
+    opts = SolverOptions(grad_tol=1e-12, cg_rtol=1e-13)
+    fields = []
+    for eliminate in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            if not eliminate:
+                patch.setattr(cell_solver, "_pendant_nodes", lambda grid, mask, select: (
+                    np.zeros((1,) + grid.node_shape, bool), None))
+            Fs = F.copy()
+            value, v, report = _solve_masked(grid, mask, W, Fs, opts, free_offset)
+        assert report.converged
+        G = _cell_gradient(grid, v, W.n) + Fs.reshape(Fs.shape + (1,) * grid.dim)
+        energy = grid.cell_volume * sum(W.evaluate(G[(...,) + c])
+                                        for c in zip(*np.nonzero(mask)))
+        assert energy == pytest.approx(value, rel=1e-12, abs=1e-14)
+        fields.append((value, G[..., mask]))
+    (value, G), (reference, G_ref) = fields
+    assert value == pytest.approx(reference, rel=1e-12, abs=1e-14)
+    tol = 1e-9 if W.p <= 2.0 else 10.0 * opts.grad_tol ** (1.0 / (W.p - 1.0))
+    assert np.abs(G - G_ref).max(initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("cells, kinds, mask, want", [
+    ((1,), "P", [[1]], []),                 # a self-loop: degree 2
+    ((2,), "P", [[1, 1]], []),              # two parallel edges
+    ((2,), "P", [[1, 0]], [0, 1]),          # one edge, both ends pendant
+    ((3,), "D", [[1, 0, 0]], [1]),          # a frozen end is never pendant
+    ((3,), "N", [[1, 0, 0]], [0, 1]),
+    ((1, 3), "PN", [[1, 0, 0]], [1]),       # self-loops along axis 0
+    ((2, 2), "PP", [[1, 0], [0, 0]], [1, 2]),
+])
+def test_pendant_nodes_of_small_graphs(cells, kinds, mask, want):
+    grid = _Grid(cells=cells, spacings=tuple(1.0 / c for c in cells), kinds=kinds)
+    mask = np.array(mask, bool).reshape(cells)
+    select = _active_node_mask(grid, mask) & ~cell_solver._frozen_ends(grid)
+    pendant, columns = cell_solver._pendant_nodes(grid, mask, select)
+    assert np.flatnonzero(pendant).tolist() == want
+    assert columns.any() == bool(want)

@@ -231,6 +231,16 @@ def test_direct_min_resolution_rule(stripe1, W2):
                    vertical_cells=8)
 
 
+@pytest.mark.parametrize("cells_per_delta", [2.5, True, "8", None, float("nan")])
+def test_direct_min_refuses_a_non_integral_cells_per_delta_by_name(stripe1, W2,
+                                                                   cells_per_delta):
+    # 2.5 and True raised a ResolutionError that called the grid
+    # under-resolved, "8" and None a TypeError from the comparison
+    with pytest.raises(ConfigurationError, match="^cells_per_delta must be a positive integer"):
+        direct_min(stripe1, 0.25, 0.0625, [[1.0]], W2,
+                   cells_per_delta=cells_per_delta, vertical_cells=8)
+
+
 @pytest.mark.parametrize("kwargs,name", [
     ({"omega": ((0.0, 0.0),)}, "omega"),
     ({"omega": ((1.0, 0.0),)}, "omega"),

@@ -262,6 +262,18 @@ def test_oscillating_domain_refuses_a_grid_it_would_truncate(cells):
     assert oscillating_domain_mask(prof, 0.25, 0.25, (16.0, 8)).occupancy.shape == (16, 8)
 
 
+@pytest.mark.parametrize("n", [float("nan"), float("inf"), 2.5, 0, 1, True, "8"])
+def test_eval_grid_refuses_a_bad_resolution_by_name(stripe2, n):
+    # NaN raised a bare ValueError from arange, inf "Maximum allowed size
+    # exceeded", 2.5 a TypeError, and 0 a message that did not say n_grid
+    with pytest.raises(ConfigurationError, match="^n_grid must be"):
+        stripe2.eval_grid(n)
+
+
+def test_eval_grid_reads_an_integral_float_as_its_int(stripe2):
+    assert stripe2.eval_grid(8.0) is stripe2.eval_grid(8)
+
+
 def test_checkerboard_geometry(checker2):
     assert checker2.eval([0.1, 0.1]) == 1.0
     assert checker2.eval([0.6, 0.1]) == 0.25
