@@ -58,8 +58,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import as_matrix
-from .errors import DimensionMismatchError
-from .profiles import _check_cells, _positive_int, node_graph_winds
+from .errors import DimensionMismatchError, as_integer, as_positive
+from .profiles import _check_cells, node_graph_winds
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,13 @@ class SolverOptions:
     cg_rtol: float = 1e-10
     grad_tol: float = 1e-8          # scaled by (1 + |F|^(p-1)) at solve time
     max_iterations: int | None = None   # default: 10 * number of nodes
+
+    def __post_init__(self):
+        for name in ("cg_rtol", "grad_tol"):
+            object.__setattr__(self, name, as_positive(getattr(self, name), name))
+        if self.max_iterations is not None:
+            object.__setattr__(self, "max_iterations",
+                               as_integer(self.max_iterations, "max_iterations"))
 
 
 @dataclass(frozen=True)
@@ -1084,7 +1091,7 @@ def minimize_dirichlet(mask, W, F, box_side, opts=None):
     mask = np.asarray(mask, dtype=bool)
     _check_cells(mask)
     d = mask.ndim
-    T = _positive_int(box_side, "box_side")
+    T = as_integer(box_side, "box_side")
     _check_offset(W, as_matrix(F), d)
     grid = _Grid(cells=mask.shape, spacings=tuple(T / c for c in mask.shape),
                  kinds="D" * d)

@@ -33,7 +33,7 @@ from . import film as film_mod
 from . import homogenize as hom
 from .config import load_config
 from .errors import (ConfigurationError, QuadratureError, ResolutionError,
-                     StructuralInconsistencyError)
+                     StructuralInconsistencyError, as_integer)
 from .profiles import superlevel_mask, torus_components
 
 MONOTONE_TOL = 1e-8
@@ -87,15 +87,16 @@ def _flat_names(m, cols):
     return [f"F{i}{j}" for i in range(m) for j in range(cols)]
 
 
-def _positive_int(text):
-    """argparse type of --jobs: an int >= 1, else an error naming the value."""
+def _jobs(text):
+    """argparse type of --jobs: ``as_integer`` of the text, as an int if it is one."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer; got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1; got {value}")
-    return value
+        value = text
+    try:
+        return as_integer(value, "--jobs")
+    except ConfigurationError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 # -- subcommands -----------------------------------------------------------
@@ -302,7 +303,7 @@ def _parser():
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--jobs", type=_positive_int, default=1,
+        sp.add_argument("--jobs", type=_jobs, default=1,
                         help="retired and ignored: filmhom runs serially "
                              "(still accepted, at least 1)")
         sp.add_argument("--reproducible", action="store_true",

@@ -11,7 +11,6 @@ exactly what produced them.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,8 +19,9 @@ import numpy as np
 
 from .cell_solver import SolverOptions
 from .energy import EnergyDensity
-from .errors import ConfigurationError
-from .film import QuadratureOptions
+from .errors import (ConfigurationError, as_count, as_exponent, as_integer,
+                     as_level, as_positive, as_real, as_resolution)
+from .film import QuadratureOptions, _eps_schedule
 from .profiles import Profile, _omega_box, load_sampled_profile
 
 # CPython's built-in SHA-256 gives hashlib's digest without mapping OpenSSL's
@@ -167,48 +167,28 @@ RETIRED = {"film.vertical_cells": "film cell problems solve on the in-plane grid
            "energy.beta": "the kind fixes the growth constants, and no output reads them"}
 
 
-# every scalar numeric field: dotted name -> (type, default, bound).  An int
-# must be >= its bound, a float > its bound; None: no bound.
+# every scalar numeric field: dotted name -> (the library's reader, default);
+# they refuse the NaN and Infinity that json.loads reads, as they refuse "16"
 NUMERIC = {
-    "dims.n": (int, 3, 2),
-    "dims.m": (int, 1, 1),
-    "profile.dim": (int, None, None),
-    "profile.floor": (float, None, None),
-    "energy.p": (float, 2.0, 1.0),
-    "grid.N": (int, 64, 2),
-    "solver.cg_rtol": (float, SolverOptions.cg_rtol, 0.0),
-    "solver.grad_tol": (float, SolverOptions.grad_tol, 0.0),
-    "solver.max_iterations": (int, None, 1),
-    "sweep.random_probes": (int, 0, 0),
-    "sweep.seed": (int, 0, 0),
-    "sweep.probe_scale": (float, 1.0, None),
-    "quadrature.rel_tol": (float, QuadratureOptions.rel_tol, 0.0),
-    "quadrature.initial_nodes_per_unit": (int, QuadratureOptions.initial_nodes_per_unit, 1),
-    "quadrature.max_refinements": (int, QuadratureOptions.max_refinements, 1),
-    "film.n_grid": (int, 64, 2),
-    "schedule.cells_per_delta": (int, 8, None),
-    "schedule.vertical_cells": (int, 32, 1),
+    "dims.n": (as_integer, 3),
+    "dims.m": (as_integer, 1),
+    "profile.dim": (as_integer, None),
+    "profile.floor": (as_real, None),
+    "energy.p": (as_exponent, 2.0),
+    "grid.N": (as_resolution, 64),
+    "solver.cg_rtol": (as_positive, SolverOptions.cg_rtol),
+    "solver.grad_tol": (as_positive, SolverOptions.grad_tol),
+    "solver.max_iterations": (as_integer, None),
+    "sweep.random_probes": (as_count, 0),
+    "sweep.seed": (as_count, 0),
+    "sweep.probe_scale": (as_real, 1.0),
+    "quadrature.rel_tol": (as_positive, QuadratureOptions.rel_tol),
+    "quadrature.initial_nodes_per_unit": (as_integer, QuadratureOptions.initial_nodes_per_unit),
+    "quadrature.max_refinements": (as_integer, QuadratureOptions.max_refinements),
+    "film.n_grid": (as_resolution, 64),
+    "schedule.cells_per_delta": (as_integer, 8),
+    "schedule.vertical_cells": (as_integer, 32),
 }
-
-
-def _as_number(value, kind):
-    """value as an int or float, or None when it is not one: booleans,
-    strings (even "16"), non-numeric and non-finite values never are
-    (json.loads reads the tokens NaN and Infinity), fractional values are no
-    int."""
-    if isinstance(value, (bool, str)):
-        return None
-    if kind is int and isinstance(value, int):
-        return value
-    try:
-        x = float(value)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if not math.isfinite(x):
-        return None
-    if kind is float:
-        return x
-    return int(x) if x.is_integer() else None
 
 
 def _float_array(value, name):
@@ -227,38 +207,39 @@ def _float_array(value, name):
     raise ConfigurationError(f"{name} must hold finite numbers; got {value!r}")
 
 
-def _number_list(values, name, problems):
-    """A list field of floats; a non-numeric or non-finite entry is reported
-    by name."""
-    out = [_as_number(v, float) for v in values] if isinstance(values, list) else [None]
-    if None in out:
-        problems.append(f"{name} entries must be finite numbers; got {values!r}")
-        return []
-    return out
+def _collect(problems, read, *args, default=None):
+    """read(*args); where it refuses a field, by its dotted name, the message
+    goes to ``problems`` and ``default`` is returned."""
+    try:
+        return read(*args)
+    except ConfigurationError as err:
+        problems.append(str(err))
+        return default
+
+
+def _number_list(values, name, read):
+    """A list field, read as a whole by ``read(values, name)``."""
+    if not isinstance(values, list):
+        raise ConfigurationError(f"{name} must be a list; got {values!r}")
+    return read(values, name)
 
 
 def _numeric_fields(raw, problems):
-    """Every NUMERIC field, parsed and range-checked.  A bad value is
-    reported by its dotted name and read as the default."""
+    """Every NUMERIC field, read by its reader; a bad one is reported and
+    read as the default."""
     out = {}
-    for name, (kind, default, bound) in NUMERIC.items():
+    for name, (read, default) in NUMERIC.items():
         section, key = name.split(".")
         value = raw.get(section, {}).get(key)
-        if value is None:
-            out[name] = default
-            continue
-        number = _as_number(value, kind)
-        if number is None:
-            what = "an integer" if kind is int else "a finite number"
-            problems.append(f"{name} must be {what}; got {value!r}")
-            number = default
-        elif bound is not None and not (number >= bound if kind is int
-                                        else number > bound):
-            op = ">=" if kind is int else ">"
-            problems.append(f"{name} must be {op} {bound:g}; got {number}")
-            number = default
-        out[name] = number
+        out[name] = (default if value is None
+                     else _collect(problems, read, value, name, default=default))
     return out
+
+
+def _section(num, section):
+    """The NUMERIC values of one section, by key: an options type's fields."""
+    return {name.split(".")[1]: v for name, v in num.items()
+            if name.startswith(section + ".")}
 
 
 def _unknown_keys(raw):
@@ -309,53 +290,31 @@ def load_config(source, base_dir=None):
     num = _numeric_fields(raw, problems)
     n, m = num["dims.n"], num["dims.m"]
 
-    try:
-        profile = _build_profile(raw.get("profile", {}), num, base_dir)
-    except ConfigurationError as err:
-        problems.append(str(err))
-        profile = None
+    profile = _collect(problems, _build_profile, raw.get("profile", {}), num, base_dir)
     if profile is not None and profile.dim != n - 1:
         problems.append(
             f"profile dim {profile.dim} inconsistent with dims.n={n} "
             f"(need dim = n-1 = {n - 1})")
 
-    try:
-        energy = _build_energy(raw.get("energy", {}), num, m, n)
-    except ConfigurationError as err:
-        problems.append(str(err))
-        energy = None
+    energy = _collect(problems, _build_energy, raw.get("energy", {}), num, m, n)
 
-    solver = SolverOptions(cg_rtol=num["solver.cg_rtol"],
-                           grad_tol=num["solver.grad_tol"],
-                           max_iterations=num["solver.max_iterations"])
+    solver = SolverOptions(**_section(num, "solver"))
 
     sweep = raw.get("sweep", {})
-    t_values = _number_list(sweep.get("t_values", []), "sweep.t_values", problems)
-    for t in t_values:
-        if not (-1.0 < t < 1.0):
-            problems.append(f"sweep t value {t} outside (-1, 1)")
+    t_values = _collect(problems, _number_list, sweep.get("t_values", []), "sweep.t_values",
+                        lambda ts, name: [as_level(t, name) for t in ts], default=[])
     F_probes = sweep.get("F_probes", [])
     for probe in F_probes:
-        try:
-            _float_array(probe, "sweep.F_probes")
-        except ConfigurationError as err:
-            problems.append(str(err))
+        _collect(problems, _float_array, probe, "sweep.F_probes")
 
-    quad = QuadratureOptions(
-        rel_tol=num["quadrature.rel_tol"],
-        initial_nodes_per_unit=num["quadrature.initial_nodes_per_unit"],
-        max_refinements=num["quadrature.max_refinements"],
-    )
+    quad = QuadratureOptions(**_section(num, "quadrature"))
     confirm_kernel = raw.get("thresholds", {}).get("confirm", True)
     if not isinstance(confirm_kernel, bool):
         problems.append(f"thresholds.confirm must be true or false; got {confirm_kernel!r}")
 
     sched = raw.get("schedule", {})
-    eps_schedule = _number_list(sched.get("eps", []), "schedule.eps", problems)
-    if eps_schedule and any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
-        problems.append(f"schedule.eps must be strictly decreasing; got {eps_schedule}")
-    if any(e <= 0 for e in eps_schedule):
-        problems.append("schedule.eps entries must be positive")
+    eps_schedule = _collect(problems, _number_list, sched.get("eps", []), "schedule.eps",
+                            _eps_schedule, default=[])
 
     omega = raw.get("omega")
     try:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatchError
+from .errors import (ConfigurationError, DimensionMismatchError, as_exponent,
+                     as_integer, as_positive)
 
 _SMOOTH_EPS = 1e-8
 
@@ -38,22 +39,21 @@ def as_matrix(F):
     return arr
 
 
-def _pnorm_growth_constants(p, n):
-    # sharp ratio of sum_j a_j^p against (sum_j a_j^2)^(p/2)
-    c = float(n) ** (1.0 - p / 2.0)
-    return (min(1.0, c), max(1.0, c))
-
-
 @dataclass(frozen=True)
 class EnergyDensity:
-    """A convex integrand W on m x n matrices with p-growth."""
+    """A convex integrand W on m x n matrices with p-growth.
+
+    Every constructor ends in ``__post_init__``, which reads p, m and n,
+    each refused by name, and the growth constants gamma <= beta: a norm
+    power's follow from p and n, a quadratic form's are the extreme
+    eigenvalues of its matrix, and a custom density's are given."""
 
     kind: str
     p: float
     m: int
     n: int
-    gamma: float
-    beta: float
+    gamma: float | None = None
+    beta: float | None = None
     quad_matrix: np.ndarray | None = None
     fn: object = None
     grad_fn: object = None
@@ -64,42 +64,47 @@ class EnergyDensity:
         if self.kind not in _KINDS:
             raise ConfigurationError(
                 f"unknown density kind {self.kind!r}; expected one of {_KINDS}")
+        p, m, n = as_exponent(self.p, "p"), as_integer(self.m, "m"), as_integer(self.n, "n")
+        if self.kind in _NORM_AXES:
+            # sharp ratio of sum_j |F_j|^p against |F|^p; 1 for the Frobenius norm
+            c = float(n) ** (1.0 - p / 2.0) if self.kind == "p_norm_power" else 1.0
+            gamma, beta = min(1.0, c), max(1.0, c)
+        elif self.kind == "quadratic_form":
+            A = self.quad_matrix
+            if np.shape(A) != (m * n, m * n):
+                raise DimensionMismatchError(
+                    f"quadratic form matrix must be {(m * n, m * n)}; got {np.shape(A)}")
+            if not np.allclose(A, A.T, atol=1e-12):
+                raise ConfigurationError("quadratic form matrix must be symmetric")
+            eigs = np.linalg.eigvalsh(A)
+            if eigs[0] <= 0:
+                raise ConfigurationError(f"quadratic form matrix must be positive "
+                                         f"definite; min eigenvalue {eigs[0]}")
+            gamma, beta = float(eigs[0]), float(eigs[-1])
+        else:
+            gamma, beta = as_positive(self.gamma, "gamma"), as_positive(self.beta, "beta")
+            if gamma > beta:
+                raise ConfigurationError(f"gamma must be <= beta; got {gamma}, {beta}")
+        for name, value in zip(("p", "m", "n", "gamma", "beta"), (p, m, n, gamma, beta)):
+            object.__setattr__(self, name, value)
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def p_norm_power(p, m, n):
-        if p <= 1:
-            raise ConfigurationError(f"growth exponent must satisfy p > 1; got {p}")
-        g, b = _pnorm_growth_constants(p, n)
-        return EnergyDensity(kind="p_norm_power", p=float(p), m=m, n=n,
-                             gamma=g, beta=b, label=f"p_norm_power(p={p})")
+        return EnergyDensity(kind="p_norm_power", p=p, m=m, n=n,
+                             label=f"p_norm_power(p={p})")
 
     @staticmethod
     def frobenius_power(p, m, n):
-        if p <= 1:
-            raise ConfigurationError(f"growth exponent must satisfy p > 1; got {p}")
-        return EnergyDensity(kind="frobenius_power", p=float(p), m=m, n=n,
-                             gamma=1.0, beta=1.0, label=f"frobenius_power(p={p})")
+        return EnergyDensity(kind="frobenius_power", p=p, m=m, n=n,
+                             label=f"frobenius_power(p={p})")
 
     @staticmethod
     def quadratic_form(A, m, n):
-        A = np.asarray(A, dtype=float)
-        if A.shape != (m * n, m * n):
-            raise DimensionMismatchError(
-                f"quadratic form matrix must be {(m * n, m * n)}; got {A.shape}"
-            )
-        if not np.allclose(A, A.T, atol=1e-12):
-            raise ConfigurationError("quadratic form matrix must be symmetric")
-        eigs = np.linalg.eigvalsh(A)
-        if eigs[0] <= 0:
-            raise ConfigurationError(
-                f"quadratic form matrix must be positive definite; min eigenvalue {eigs[0]}"
-            )
-        A = A.copy()
+        A = np.array(A, dtype=float)        # a copy, made read-only
         A.flags.writeable = False
         return EnergyDensity(kind="quadratic_form", p=2.0, m=m, n=n,
-                             gamma=float(eigs[0]), beta=float(eigs[-1]),
                              quad_matrix=A, label="quadratic_form")
 
     @staticmethod
@@ -110,12 +115,10 @@ class EnergyDensity:
         called once here on an (m, n, 2) probe stack, so that a per-matrix
         callable, which would return one value for the whole stack, is
         rejected by name."""
-        if p <= 1:
-            raise ConfigurationError(f"growth exponent must satisfy p > 1; got {p}")
-        if not (0 < gamma <= beta):
-            raise ConfigurationError(f"need 0 < gamma <= beta; got {gamma}, {beta}")
-        probe = np.linspace(-1.0, 1.0, 2 * m * n).reshape(m, n, 2)
-        for name, f, shape in (("fn", fn, (2,)), ("grad", grad, (m, n, 2))):
+        W = EnergyDensity(kind="custom", p=p, m=m, n=n, gamma=gamma, beta=beta,
+                          fn=fn, grad_fn=grad, convex=convex, label=label)
+        probe = np.linspace(-1.0, 1.0, 2 * W.m * W.n).reshape(W.m, W.n, 2)
+        for name, f, shape in (("fn", fn, (2,)), ("grad", grad, probe.shape)):
             if f is None:
                 continue
             try:
@@ -126,9 +129,7 @@ class EnergyDensity:
                 raise ConfigurationError(
                     f"custom density {name} must map an (m, n, K) stack to "
                     f"shape {shape} at K = 2; got {got}")
-        return EnergyDensity(kind="custom", p=float(p), m=m, n=n,
-                             gamma=float(gamma), beta=float(beta),
-                             fn=fn, grad_fn=grad, convex=convex, label=label)
+        return W
 
     # -- properties --------------------------------------------------------
 

@@ -24,10 +24,10 @@ import numpy as np
 
 from .cell_solver import _Grid, _solve_masked, minimize_periodic
 from .energy import as_matrix
-from .errors import ConfigurationError, QuadratureError, ResolutionError
+from .errors import (ConfigurationError, QuadratureError, ResolutionError,
+                     as_integer, as_positive)
 from .homogenize import _columns, thresholds
-from .profiles import (_omega_box, _positive_int, _positive_real,
-                       oscillating_domain_mask, superlevel_mask)
+from .profiles import _omega_box, oscillating_domain_mask, superlevel_mask
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,11 @@ class QuadratureOptions:
     rel_tol: float = 1e-3
     initial_nodes_per_unit: int = 8
     max_refinements: int = 8
+
+    def __post_init__(self):
+        object.__setattr__(self, "rel_tol", as_positive(self.rel_tol, "rel_tol"))
+        for name in ("initial_nodes_per_unit", "max_refinements"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
 
 
 @dataclass
@@ -90,13 +95,11 @@ def w_tilde(profile, W, t, Fbar, *, n_grid=64, solver_opts=None):
     is False when the solve did not converge.
     """
     _require_film_hypotheses(profile, W)
-    Fbar = _columns(Fbar, profile.dim, "in-plane matrix")
-    m = Fbar.shape[0]
-    W.check_dims(m, profile.dim + 1)
+    F = _columns(Fbar, profile.dim, "in-plane matrix", zeros=1)
+    W.check_dims(*F.shape)
     occ = superlevel_mask(profile, t, n_grid).occupancy
-    value, corr, report = minimize_periodic(
-        occ, W, np.hstack([Fbar, np.zeros((m, 1))]), solver_opts,
-        free_offset=True)
+    value, corr, report = minimize_periodic(occ, W, F, solver_opts,
+                                            free_offset=True)
     return value, corr.offset[:, -1].copy(), report.converged
 
 
@@ -216,19 +219,18 @@ def direct_min(profile, eps, delta, Fbar, W, *, omega=None, cells_per_delta=8,
     Returns (value, report).
     """
     _require_film_hypotheses(profile, W)
-    eps = _positive_real(eps, "eps")
-    delta = _positive_real(delta, "delta")
-    Fbar = as_matrix(Fbar)
-    m = Fbar.shape[0]
+    eps = as_positive(eps, "eps")
+    delta = as_positive(delta, "delta")
     d = profile.dim
-    W.check_dims(m, d + 1)
-    cells_per_delta = _positive_int(cells_per_delta, "cells_per_delta")
+    F = _columns(Fbar, d, "in-plane matrix", zeros=1)
+    W.check_dims(*F.shape)
+    cells_per_delta = as_integer(cells_per_delta, "cells_per_delta")
     if cells_per_delta < 4:
         raise ResolutionError(
             f"cells_per_delta={cells_per_delta} under-resolves the oscillation; "
             f"need at least 4", required=4)
     omega = _omega_box(omega, d)
-    layers = _positive_int(vertical_cells, "vertical_cells")
+    layers = as_integer(vertical_cells, "vertical_cells")
 
     in_plane = tuple(int(math.ceil((hi - lo) / delta * cells_per_delta))
                      for lo, hi in omega)
@@ -237,9 +239,16 @@ def direct_min(profile, eps, delta, Fbar, W, *, omega=None, cells_per_delta=8,
 
     # lateral Dirichlet data, free top and bottom
     grid = _Grid(cells=grid_cells, spacings=dm.spacings, kinds="D" * d + "N")
-    F_off = np.hstack([Fbar, np.zeros((m, 1))])
-    integral, _, report = _solve_masked(grid, dm.occupancy, W, F_off, solver_opts)
+    integral, _, report = _solve_masked(grid, dm.occupancy, W, F, solver_opts)
     return integral, report
+
+
+def _eps_schedule(values, name):
+    """Slab thicknesses: a strictly decreasing list of positive numbers."""
+    schedule = [as_positive(e, name) for e in values]
+    if any(b >= a for a, b in zip(schedule, schedule[1:])):
+        raise ConfigurationError(f"{name} must be strictly decreasing; got {schedule}")
+    return schedule
 
 
 def gamma_check(profile, W, Fbar, eps_schedule, *, omega=None, cells_per_delta=8,
@@ -250,10 +259,9 @@ def gamma_check(profile, W, Fbar, eps_schedule, *, omega=None, cells_per_delta=8
     Gaps are relative to the target (absolute when the target vanishes); the
     trend flag records whether they are non-increasing along the schedule.
     """
-    eps_schedule = [float(e) for e in eps_schedule]
-    if any(b >= a for a, b in zip(eps_schedule[:-1], eps_schedule[1:])):
-        raise ConfigurationError(
-            f"eps schedule must be strictly decreasing; got {eps_schedule}")
+    eps_schedule = _eps_schedule(eps_schedule, "eps_schedule")
+    cells_per_delta = as_integer(cells_per_delta, "cells_per_delta")
+    vertical_cells = as_integer(vertical_cells, "vertical_cells")
     omega = _omega_box(omega, profile.dim)
 
     membrane = membrane_min(omega, Fbar, profile, W, n_grid=n_grid, quad=quad,

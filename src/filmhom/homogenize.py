@@ -19,11 +19,12 @@ import numpy as np
 
 from .cell_solver import SolveReport, minimize_dirichlet, minimize_periodic
 from .energy import EnergyDensity, as_matrix
-from .errors import ConfigurationError, StructuralInconsistencyError
+from .errors import (ConfigurationError, StructuralInconsistencyError,
+                     as_exponent, as_integer, as_level)
 # nothing here calls torus_components any more, but perfbench/spans.py
 # wraps it by name in this module, so it stays importable from here
-from .profiles import (_positive_int, superlevel_mask, torus_components,
-                       wrap_lattice, wrap_rank_levels)
+from .profiles import (superlevel_mask, torus_components, wrap_lattice,
+                       wrap_rank_levels)
 
 ORACLE_LAYERS = 2       # vertical layers of the psi cylinder oracle
 
@@ -60,15 +61,16 @@ class ThresholdReport:
     resolution: int
 
 
-def _columns(F, count, what="matrix"):
-    """F as a read-only float (m, count) copy; any other column count is
-    refused by name."""
+def _columns(F, count, what="matrix", zeros=0):
+    """F as a read-only float copy with ``zeros`` zero columns appended;
+    any column count of F but ``count`` is refused by name."""
     F = as_matrix(F)
     if F.shape[1] != count:
         raise ConfigurationError(f"{what} has {F.shape[1]} columns; expected {count}")
-    F = F.copy()
-    F.flags.writeable = False
-    return F
+    out = np.zeros((F.shape[0], count + zeros))
+    out[:, :count] = F
+    out.flags.writeable = False
+    return out
 
 
 def _sample(profile, t, F, W, n_grid, opts, layers=None):
@@ -139,9 +141,9 @@ def w_hom_cube_oracle(profile, t, F, W, box_side, n_grid, *, opts=None):
 
     Returns (value, report).
     """
-    T = _positive_int(box_side, "box_side")
+    T = as_integer(box_side, "box_side")
     if T > 8:
-        raise ConfigurationError(f"box side must be in 1..8 at desk scale; got {box_side}")
+        raise ConfigurationError(f"box_side must be at most 8 at desk scale; got {box_side}")
     F = _columns(F, profile.dim + 1)
     W.check_dims(F.shape[0], profile.dim + 1)
     mask2 = superlevel_mask(profile, t, n_grid)
@@ -170,25 +172,24 @@ def _orthonormal_span(basis, dim):
     return out
 
 
-def kernel(profile, t, n_grid, *, m=1, confirm=True):
+def kernel(profile, t, n_grid, *, confirm=True):
     """Kernel structure of the in-plane density at level t.
 
     The wrap lattice of the face graph of the superlevel mask
     (``wrap_lattice``) gives the verdict: a matrix lies in the kernel iff
-    it annihilates every spanning direction xi_i, so the kernel dimension
-    is m * (dim - rank).  When ``confirm`` is set, the wrap lattice of the
-    node graph certifies it: the discrete cell value of F vanishes exactly
-    when F annihilates every node winding (docs/kernel_geometry.md), and
-    the face lattice lies in the node lattice, so the two verdicts agree
-    iff the ranks are equal.  A higher node rank raises
-    StructuralInconsistencyError naming both lattices: cells that touch
-    only at nodes, contacts of zero capacity, couple on the grid at
-    N=n_grid, so it cannot certify the geometric verdict.
+    it annihilates every spanning direction xi_i, so on m-row matrices the
+    kernel dimension is m * (dim - rank).  When ``confirm`` is set, the wrap
+    lattice of the node graph certifies it: the discrete cell value of F
+    vanishes exactly when F annihilates every node winding
+    (docs/kernel_geometry.md), and the face lattice lies in the node
+    lattice, so the two verdicts agree iff the ranks are equal.  A higher
+    node rank raises StructuralInconsistencyError naming both lattices:
+    cells that touch only at nodes, contacts of zero capacity, couple on
+    the grid at N=n_grid, so it cannot certify the geometric verdict.
 
     Returns (k, xi) with k = dim - rank and xi the orthonormal spanning
     directions.
     """
-    _positive_int(m, "m")
     occ = superlevel_mask(profile, t, n_grid).occupancy
     faces = wrap_lattice(occ)
     if confirm:
@@ -218,7 +219,7 @@ def thresholds(profile, n_grid, *, m=1, confirm=True):
     than 1/N, the level resolution of the grid, bound no interval of their
     own.
     """
-    m = _positive_int(m, "m")
+    m = as_integer(m, "m")
     d = profile.dim
     rises = wrap_rank_levels(profile, n_grid)
     ts = tuple(rises[d - k] if d - k < len(rises) else 0.0 for k in range(1, d + 1))
@@ -254,6 +255,7 @@ def bounds_check(profile, report, s, F_samples, n_grid, *, p=2.0, opts=None):
     Matrices lying in the kernel with zero transverse column make the ratio
     0/0 and are excluded.  Returns fitted constants (min and max ratio).
     """
+    s, p = as_level(s, "s"), as_exponent(p, "p")
     interval = None
     for iv in report.intervals:
         if iv.t_lo < s <= iv.t_hi:

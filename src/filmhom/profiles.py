@@ -21,13 +21,13 @@ cells share a node, tell whether the node graph winds
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ResolutionError
+from .errors import (ConfigurationError, ResolutionError, as_integer,
+                     as_level, as_positive, as_real, as_resolution)
 
 BUILTIN_PROFILES = ("constant", "sin2-stripe", "sin2-product", "checkerboard")
 
@@ -56,8 +56,7 @@ class Profile:
                          compare=False)
 
     def __post_init__(self):
-        if not self.dim >= 1:
-            raise ConfigurationError(f"profile dim must be >= 1; got {self.dim}")
+        object.__setattr__(self, "dim", as_integer(self.dim, "dim"))
         floor = self.floor
         if self.kind in ("constant", "sampled"):
             if self.kind == "sampled" and (self.values is None or self.values.size == 0):
@@ -69,8 +68,8 @@ class Profile:
             floor = low
         elif floor is None:
             floor = 0.25 if self.kind == "checkerboard" else 0.5
-        elif not 0.0 <= floor < 1.0:
-            raise ConfigurationError(f"profile floor must lie in [0, 1); got {floor}")
+        elif not 0.0 <= as_real(floor, "floor") < 1.0:
+            raise ConfigurationError(f"floor must lie in [0, 1); got {floor}")
         object.__setattr__(self, "floor", float(floor))
 
     # -- constructors -----------------------------------------------------
@@ -120,14 +119,12 @@ class Profile:
             )
         return float(self._eval_points(x[None, :])[0])
 
-    def eval_grid(self, n):
-        """Values of f at the n^dim cell centers ((i + 1/2)/n per axis), as
-        a read-only array computed once per n on this profile."""
-        n = _positive_int(n, "n_grid")
+    def eval_grid(self, n_grid):
+        """Values of f at the n^dim cell centers ((i + 1/2)/n per axis), n =
+        n_grid, as a read-only array computed once per n on this profile."""
+        n = as_resolution(n_grid, "n_grid")
         values = self._grids.get(n)
         if values is None:
-            if n < 2:
-                raise ConfigurationError(f"n_grid must be >= 2; got {n}")
             centers = (np.arange(n) + 0.5) / n
             grids = np.meshgrid(*([centers] * self.dim), indexing="ij")
             pts = np.stack([g.ravel() for g in grids], axis=-1)
@@ -208,16 +205,13 @@ class CellMask:
     area_fraction: float
 
 
-def superlevel_mask(profile, t, n):
-    """Discretize {f > |t|} on an n^dim grid by strict comparison at cell centers.
+def superlevel_mask(profile, t, n_grid):
+    """Discretize {f > |t|} by strict comparison at the n_grid^dim cell centers.
 
     The comparison is strict, so for generic t a plateau of f never straddles
     the decision; t exactly at a plateau value is grid-convention dependent.
     """
-    level = abs(float(t))
-    if not level < 1.0:         # refuses NaN too
-        raise ConfigurationError(f"superlevel threshold must satisfy |t| < 1; got {t}")
-    occ = profile.eval_grid(n) > level
+    occ = profile.eval_grid(n_grid) > abs(as_level(t, "t"))
     occ.flags.writeable = False
     frac = float(occ.sum()) / occ.size
     return CellMask(occupancy=occ, area_fraction=frac)
@@ -419,25 +413,6 @@ def _run_graph(occ, nodes=False):
     return ids, size, base, tuple(map(np.concatenate, (us, vs, steps)))
 
 
-def _positive_int(value, name):
-    """``value`` as a positive int; a bool, a string or a fraction is
-    rejected by ``name`` rather than truncated."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not float(value).is_integer() or value < 1):
-        raise ConfigurationError(f"{name} must be a positive integer; got {value!r}")
-    return int(value)
-
-
-def _positive_real(value, name):
-    """``value`` as a positive finite float; a bool, a string, NaN or an
-    infinity is rejected by ``name``."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not 0.0 < value < math.inf):
-        raise ConfigurationError(
-            f"{name} must be a positive finite number; got {value!r}")
-    return float(value)
-
-
 def _check_cells(occ):
     """Refuse a mask with no axis or with no cell along some axis."""
     if occ.size == 0 or occ.ndim == 0:
@@ -594,10 +569,10 @@ def oscillating_domain_mask(profile, eps, delta, grid, *, omega=None):
     delta-period on every in-plane axis, otherwise a ResolutionError names
     the required minimum.
     """
-    eps = _positive_real(eps, "eps")
-    delta = _positive_real(delta, "delta")
+    eps = as_positive(eps, "eps")
+    delta = as_positive(delta, "delta")
     d = profile.dim
-    grid = tuple(_positive_int(g, "grid") for g in grid)
+    grid = tuple(as_integer(g, "grid") for g in grid)
     if len(grid) != d + 1:
         raise ConfigurationError(
             f"grid must give {d + 1} cell counts (in-plane axes then vertical); got {grid}"

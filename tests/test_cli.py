@@ -242,7 +242,7 @@ def test_jobs_below_one_rejected_by_name(tmp_path, capsys, jobs):
               "--jobs", jobs])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "--jobs" in err and f"must be at least 1; got {jobs}" in err
+    assert "--jobs" in err and f"must be an integer >= 1; got {jobs}" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -167,13 +167,18 @@ def test_wbar_jensen_direction(stripe2, W3):
     assert entry.value <= rhs + 1e-9
 
 
-def test_wbar_budget_exhaustion_carries_best_estimate(product2, W3):
+def test_wbar_budget_exhaustion_carries_best_estimate(W3):
+    # the budget is at least one refinement (max_refinements = 0 can never
+    # converge and is refused); a rough sampled profile whose film density
+    # moves by more than 1e-12 between the two levels exhausts it
     from filmhom import QuadratureError
-    quad = QuadratureOptions(rel_tol=1e-3, max_refinements=0)
+    values = np.random.default_rng(3).uniform(0.3, 1.0, size=(8, 8))
+    values[0, 0] = 1.0
+    quad = QuadratureOptions(rel_tol=1e-12, max_refinements=1)
     with pytest.raises(QuadratureError) as err:
-        w_bar(product2, W3, [[1.0, 0.0]], n_grid=16, quad=quad)
-    assert err.value.best_estimate == pytest.approx(0.5, rel=0.05)
-    assert len(err.value.history) == 1
+        w_bar(Profile.sampled(values), W3, [[1.0, 0.0]], n_grid=8, quad=quad)
+    assert [h["level"] for h in err.value.history] == [0, 1]
+    assert err.value.best_estimate == err.value.history[-1]["estimate"] > 0.0
 
 
 def test_wbar_serialization_roundtrip(tmp_path, product2, W3):
@@ -236,7 +241,7 @@ def test_direct_min_refuses_a_non_integral_cells_per_delta_by_name(stripe1, W2,
                                                                    cells_per_delta):
     # 2.5 and True raised a ResolutionError that called the grid
     # under-resolved, "8" and None a TypeError from the comparison
-    with pytest.raises(ConfigurationError, match="^cells_per_delta must be a positive integer"):
+    with pytest.raises(ConfigurationError, match="^cells_per_delta must be an integer >= 1"):
         direct_min(stripe1, 0.25, 0.0625, [[1.0]], W2,
                    cells_per_delta=cells_per_delta, vertical_cells=8)
 

@@ -77,7 +77,7 @@ def test_malformed_sampled_profile_file_rejected_by_path(tmp_path, body):
     lambda: Profile.builtin("sin2-stripe", 0),
 ], ids=["constant-0", "constant-negative", "sampled-scalar", "builtin-0"])
 def test_profile_of_dim_below_one_rejected_by_name(make):
-    with pytest.raises(ConfigurationError, match="profile dim must be >= 1"):
+    with pytest.raises(ConfigurationError, match="^dim must be an integer >= 1"):
         make()
 
 
@@ -248,7 +248,7 @@ def test_oscillating_domain_rejects_bad_eps_or_delta(eps, delta):
     # a NaN eps passed an `eps <= 0` test and gave an empty slab
     prof = Profile.builtin("sin2-stripe", dim=1)
     name = "delta" if eps == 0.25 else "eps"
-    with pytest.raises(ConfigurationError, match=f"{name} must be a positive finite"):
+    with pytest.raises(ConfigurationError, match=rf"^{name} must be a finite number in \(0, inf\)"):
         oscillating_domain_mask(prof, eps, delta, (16, 8))
 
 
@@ -257,7 +257,7 @@ def test_oscillating_domain_refuses_a_grid_it_would_truncate(cells):
     # int() read (16.7, 8.9) as a 16 x 8 mask and True as one cell
     prof = Profile.builtin("sin2-stripe", dim=1)
     for grid in ((cells, 8), (16, cells)):
-        with pytest.raises(ConfigurationError, match="grid must be a positive integer"):
+        with pytest.raises(ConfigurationError, match="^grid must be an integer >= 1"):
             oscillating_domain_mask(prof, 0.25, 0.25, grid)
     assert oscillating_domain_mask(prof, 0.25, 0.25, (16.0, 8)).occupancy.shape == (16, 8)
 
