@@ -57,9 +57,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import as_matrix
-from .errors import DimensionMismatchError, as_integer, as_positive
-from .profiles import _check_cells, node_graph_winds
+from .errors import (DimensionMismatchError, as_integer, as_mask, as_matrix,
+                     as_positive)
+from .profiles import node_graph_winds
 
 
 @dataclass(frozen=True)
@@ -179,22 +179,26 @@ def _cell_gradient_adjoint(grid, P):
     return out
 
 
-def _stencil_windows(grid):
-    """(cells, nodes) window pairs of (1, *cells) and (1, *nodes) arrays from
-    each cell c to each node of its forward stencil: c, then c + e_a."""
-    lo = grid.stencil[0][1]
-    yield lo, lo
-    for _, _, forward in grid.stencil:
-        yield from forward
+def _stencil_scatter(grid, P, out):
+    """out += the sum over the edges (c, c + e_a) of P[:, a] at c on both
+    end nodes, for P of shape (k, d, *cells) and out of (k, *nodes): the
+    unsigned counterpart of _cell_gradient_adjoint."""
+    for a, (_, lo, forward) in enumerate(grid.stencil):
+        Pa = P[:, a]
+        out[lo] += Pa
+        for cells, nodes in forward:
+            out[nodes] += Pa[cells]
+    return out
 
 
-def _active_node_mask(grid, mask):
-    """Nodes touched by at least one occupied cell: the OR of the mask
-    shifted onto every stencil window."""
-    active = np.zeros((1,) + grid.node_shape, dtype=bool)
-    for cells, nodes in _stencil_windows(grid):
-        active[nodes] |= mask[np.newaxis][cells]
-    return active[0]
+def _node_degree(grid, mask):
+    """The degree of each node, as a (1, *nodes) array, in the graph whose
+    edges (c, a), c occupied, join node c to node c + e_a; a self-loop
+    counts twice (docs/solvers.md).  The active nodes, those an occupied
+    cell touches, are the nodes of positive degree."""
+    occupied = np.broadcast_to(mask, (1, grid.dim) + grid.cells)
+    return _stencil_scatter(grid, occupied,
+                            np.zeros((1,) + grid.node_shape, dtype=np.uint8))
 
 
 def _frozen_ends(grid):
@@ -207,17 +211,11 @@ def _frozen_ends(grid):
     return frozen
 
 
-def _pendant_nodes(grid, mask, select):
-    """(pendant, columns): the ``select``ed nodes of degree 1 in the graph
-    whose edges (c, a), c occupied, join node c to node c + e_a, as a
-    (1, *nodes) array, and the (d, *cells) mask of the one column each of
-    them enters.  A self-loop counts twice (docs/solvers.md)."""
+def _pendant_nodes(grid, mask, degree, select):
+    """(pendant, columns): the ``select``ed nodes of degree 1 (``degree``
+    from _node_degree), as a (1, *nodes) array, and the (d, *cells) mask of
+    the one column each of them enters."""
     occupied = mask[np.newaxis]
-    degree = np.zeros((1,) + grid.node_shape, dtype=np.uint8)
-    for _, lo, forward in grid.stencil:
-        degree[lo] += occupied
-        for cells, nodes in forward:
-            degree[nodes] += occupied[cells]
     pendant = (degree == 1) & select
     columns = np.zeros((grid.dim, 1) + grid.cells, dtype=bool)
     for a, (_, lo, forward) in enumerate(grid.stencil):
@@ -432,13 +430,10 @@ def _tangent_scale(grid, select, diagonal):
     node sums vol diagonal[j, a] / h_a^2 over the cells c whose edge
     (c, c + e_a) holds it; it is scaled in place.  None when no selected
     entry is positive (then the preconditioner stays unscaled)."""
-    diag = np.zeros((diagonal.shape[0],) + grid.node_shape)
-    for a, (h, lo, forward) in enumerate(grid.stencil):
-        Pa = diagonal[:, a]
-        Pa *= 1.0 / h ** 2
-        diag[lo] += Pa
-        for cells, nodes in forward:
-            diag[nodes] += Pa[cells]
+    for a, h in enumerate(grid.spacings):
+        diagonal[:, a] *= 1.0 / h ** 2
+    diag = _stencil_scatter(grid, diagonal,
+                            np.zeros((diagonal.shape[0],) + grid.node_shape))
     top = float(diag[:, select].max(initial=0.0))
     if not top > 0.0:
         return None
@@ -670,10 +665,11 @@ class _MaskedProblem:
         # column is held at 0 and field() sets it afterwards.  The adjoint
         # projects onto the moving nodes where some are frozen; elsewhere
         # the others hold 0
-        self.select = _active_node_mask(grid, mask) & ~_frozen_ends(grid)
+        degree = _node_degree(grid, mask)
+        self.select = (degree[0] > 0) & ~_frozen_ends(grid)
         self.pendant = self.columns = None
         if W.zeroing_columns_minimizes and self.runs is None:
-            pendant, columns = _pendant_nodes(grid, mask, self.select)
+            pendant, columns = _pendant_nodes(grid, mask, degree, self.select)
             if pendant.any():
                 self.pendant, self.columns = pendant, columns
                 self.select &= ~pendant[0]
@@ -817,11 +813,10 @@ def _solve_masked(grid, mask, W, F, opts, free_offset=False):
     from their values in F, CG (a quadratic W) from 0, and the minimizing
     ones are written back into F (docs/solvers.md).  Returns (integral, v,
     report).  The two end node layers of every Dirichlet axis of the grid
-    are held at zero.
+    are held at zero.  The callers read mask and F (``_read_cell_problem``);
+    a non-finite residual or value is not converged.
     """
     opts = opts or SolverOptions()
-    F = as_matrix(F)
-    _check_offset(W, F, grid.dim)
     problem = _MaskedProblem(grid, mask, W, F, free_offset)
     m, n, d, nv = problem.m, problem.n, problem.d, problem.nv
     maxiter = 10 * nv if opts.max_iterations is None else opts.max_iterations
@@ -849,20 +844,27 @@ def _solve_masked(grid, mask, W, F, opts, free_offset=False):
         method = "newton"
     if free_offset:
         F[:, d:] = problem.split(x)[1].reshape(m, n - d)
+    value = problem.energy(x)
+    if not (math.isfinite(residual) and math.isfinite(value)):
+        ok = False
+        notes.append(_NON_FINITE)
     report = SolveReport(iterations=iters, residual=residual, converged=ok,
                          method=method, notes="; ".join(notes),
                          inner_iterations=inner,
                          factorizations=problem.factorizations)
-    return problem.energy(x), problem.field(x), report
+    return value, problem.field(x), report
 
 
-def _check_offset(W, F, d):
-    """Reject an offset F that is not m x n with n >= d for W's m and n."""
-    if F.shape[0] != W.m or F.shape[1] < d:
-        raise DimensionMismatchError(
-            f"offset matrix has shape {F.shape}; expected ({W.m}, n) with n >= {d}"
-        )
-    W.check_dims(*F.shape)
+_NON_FINITE = "non-finite residual or value: not converged"
+
+
+def _read_cell_problem(mask, W, F):
+    """(mask, F) read by name: a mask of d axes and W's m x n offset, n >= d."""
+    mask = as_mask(mask, "mask")
+    F = as_matrix(F, "F", (W.m, W.n))
+    if W.n < mask.ndim:
+        raise DimensionMismatchError(f"F has {W.n} columns, fewer than mask's {mask.ndim} axes")
+    return mask, F
 
 
 def _dot(a, b):
@@ -971,13 +973,14 @@ def _newton_pcg(gradient, tangent, x0, gtol, maxiter):
     of the constants.  The stopping test is |g| <= gtol; ``maxiter`` caps
     the steps and each inner CG, and a line search that accepts no point or
     a step that leaves x unchanged ends the solve.  Returns
-    (x, steps, |g|, converged, inner CG total)."""
+    (x, steps, |g|, converged, inner CG total); a non-finite |g| is not
+    converged."""
     x = x0.copy()
     g = gradient(x)
     gn = math.sqrt(_dot(g, g))
     eta, it, inner = 0.5, 0, 0
-    while gn > gtol:
-        if it == maxiter:
+    while not gn <= gtol:
+        if it == maxiter or not math.isfinite(gn):
             return x, it, gn, False, inner
         apply_H, make_precond = tangent(x)
         # CG builds M anyway: its tolerance is below 1 while |g| > gtol
@@ -1039,15 +1042,11 @@ def minimize_periodic(mask, W, F, opts=None, *, free_offset=False):
     cells of W(F + Dv) at the discrete minimizer and ``corrector`` is a
     ``CorrectorField``.  An empty mask gives value 0 with F unchanged.
     Unconverged solves return the best value found with report.converged
-    False; the caller decides.
+    False, and so does a non-finite value; the caller decides.
     """
-    mask = np.asarray(mask, dtype=bool)
-    _check_cells(mask)
+    mask, F = _read_cell_problem(mask, W, F)
+    F = F.copy()
     d = mask.ndim
-    F = as_matrix(F).copy()
-    _check_offset(W, F, d)
-    grid = _Grid(cells=mask.shape, spacings=tuple(1.0 / c for c in mask.shape),
-                 kinds="P" * d)
     empty = not mask.any()
     if free_offset and W.zeroing_columns_minimizes and not empty:
         # zeroing a column never raises a norm power, so 0 is the free
@@ -1060,21 +1059,25 @@ def minimize_periodic(mask, W, F, opts=None, *, free_offset=False):
     elif mask.all() and W.convex and not free_offset:
         # periodic differences sum to zero along every axis, so by Jensen
         # no corrector beats v = 0
-        integral, method = W.evaluate(F), "full"
+        integral, method = float(W.cell_values(F[..., np.newaxis])[0]), "full"
     elif W.zeroing_columns_minimizes and not node_graph_winds(mask):
         # v = -F x on a lift of each node component cancels the in-plane
         # columns in every occupied cell, and no field does better
-        G = F.copy()
+        G = F[..., np.newaxis].copy()
         G[:, :d] = 0.0
-        integral, method = np.count_nonzero(mask) / mask.size * W.evaluate(G), "unwound"
+        theta = np.count_nonzero(mask) / mask.size
+        integral, method = theta * float(W.cell_values(G)[0]), "unwound"
     else:
+        grid = _Grid(cells=mask.shape, spacings=tuple(1.0 / c for c in mask.shape),
+                     kinds="P" * d)
         integral, v, report = _solve_masked(grid, mask, W, F, opts,
                                             free_offset=free_offset)
         # unit cell has volume one: the integral is already the cell mean
     if method is not None:
-        v = np.zeros(F.shape[:1] + grid.node_shape)
-        report = SolveReport(iterations=0, residual=0.0, converged=True,
-                             method=method)
+        v = np.zeros(F.shape[:1] + mask.shape)     # periodic: the nodes are the cells
+        finite = math.isfinite(integral)
+        report = SolveReport(iterations=0, residual=0.0, converged=finite,
+                             method=method, notes="" if finite else _NON_FINITE)
     v.flags.writeable = False
     F.flags.writeable = False
     return integral, CorrectorField(values=v, offset=F), report
@@ -1088,11 +1091,9 @@ def minimize_dirichlet(mask, W, F, box_side, opts=None):
     ``mask`` covers the whole box (callers replicate the unit-cell mask).
     Returns (value, report).
     """
-    mask = np.asarray(mask, dtype=bool)
-    _check_cells(mask)
+    mask, F = _read_cell_problem(mask, W, F)
     d = mask.ndim
     T = as_integer(box_side, "box_side")
-    _check_offset(W, as_matrix(F), d)
     grid = _Grid(cells=mask.shape, spacings=tuple(T / c for c in mask.shape),
                  kinds="D" * d)
     if not mask.any():

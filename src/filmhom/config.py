@@ -19,10 +19,12 @@ import numpy as np
 
 from .cell_solver import SolverOptions
 from .energy import EnergyDensity
-from .errors import (ConfigurationError, as_count, as_exponent, as_integer,
-                     as_level, as_positive, as_real, as_resolution)
+from .errors import (ConfigurationError, as_array, as_count, as_exponent,
+                     as_floor, as_integer, as_level, as_positive, as_real,
+                     as_resolution)
 from .film import QuadratureOptions, _eps_schedule
-from .profiles import Profile, _omega_box, load_sampled_profile
+from .profiles import (BUILTIN_PROFILES, Profile, _omega_box,
+                       load_sampled_profile)
 
 # CPython's built-in SHA-256 gives hashlib's digest without mapping OpenSSL's
 # libcrypto (about 3.5 MB resident) into a run that hashes one short string
@@ -58,19 +60,17 @@ class RunConfig:
     config_hash: str
 
     def probe_matrices(self, columns):
-        """Materialize F probes as (m, columns) matrices: the explicit ones
-        whose flattened length matches, plus the requested random ones,
-        drawn from ``seed``."""
+        """Materialize F probes as (m, columns) matrices: the explicit ones,
+        read arrays whose entry count must match, plus the requested random
+        ones, drawn from ``seed``."""
         out = []
         want = self.m * columns
         for probe in self.F_probes:
-            flat = np.asarray(probe, dtype=float).ravel()
-            if flat.size != want:
+            if probe.size != want:
                 raise ConfigurationError(
-                    f"F probe {probe} has {flat.size} entries; this command "
-                    f"needs m*{columns} = {want}"
-                )
-            out.append(flat.reshape(self.m, columns))
+                    f"sweep.F_probes entry {probe.tolist()} has {probe.size} entries; "
+                    f"this command needs m*{columns} = {want}")
+            out.append(probe.reshape(self.m, columns))
         if self.random_probes > 0:
             rng = np.random.default_rng(self.seed)
             for _ in range(self.random_probes):
@@ -87,59 +87,59 @@ def _refuse_unread(section, spec, kind, reads):
     unread = sorted(set(spec) & SCHEMA[section] - {"kind", *reads})
     if unread:
         names = ", ".join(f"{section}.{k}" for k in unread)
-        raise ConfigurationError(f"{names}: not read by {section} kind {kind!r}")
+        raise ConfigurationError(f"{names}: not read by {section}.kind {kind!r}")
 
 
 def _build_profile(spec, num, base_dir):
     kind = spec.get("kind")
-    if kind is None:
-        raise ConfigurationError("profile.kind is required")
     if kind == "sampled":
         _refuse_unread("profile", spec, kind, ("dim", "path"))
         path = spec.get("path")
-        if not path:
-            raise ConfigurationError("sampled profile needs a 'path'")
+        if not isinstance(path, str) or not path:
+            raise ConfigurationError(
+                f"profile.path of profile.kind 'sampled' must name a file; got {path!r}")
         path = Path(path)
         if not path.is_absolute():
             path = Path(base_dir) / path
         return load_sampled_profile(path)
+    if kind not in BUILTIN_PROFILES:
+        raise ConfigurationError(f"profile.kind must be 'sampled' or one of "
+                                 f"{BUILTIN_PROFILES}; got {kind!r}")
     dim = num["profile.dim"]
     if dim is None:
-        raise ConfigurationError("builtin profile needs 'dim'")
+        raise ConfigurationError(f"profile.dim is required by profile.kind {kind!r}")
     _refuse_unread("profile", spec, kind,
                    ("dim",) if kind == "constant" else ("dim", "floor"))
-    return Profile.builtin(kind, dim, floor=num["profile.floor"])
+    return Profile.builtin(kind, dim, floor=num.get("profile.floor"))
 
 
 def _build_energy(spec, num, m, n):
+    """The density of the energy section, or None where energy.p, dims.m or
+    dims.n was refused (None); the section's own keys are read either way."""
     kind = spec.get("kind", "p_norm_power")
-    p = num["energy.p"]
-    if kind == "p_norm_power":
-        W = EnergyDensity.p_norm_power(p, m, n)
-    elif kind == "frobenius_power":
-        W = EnergyDensity.frobenius_power(p, m, n)
-    elif kind == "quadratic_form":
-        if p != 2.0:
-            raise ConfigurationError(
-                f"energy.p of a quadratic_form must be 2 (or left out); got {p}")
-        matrix = spec.get("matrix")
-        if matrix is None:
-            A = np.eye(m * n)
-        else:
-            A = _float_array(matrix, "energy.matrix")
-            if A.size != (m * n) ** 2:
-                raise ConfigurationError(
-                    f"energy.matrix needs {(m * n) ** 2} entries; got {A.size}")
-            A = A.reshape(m * n, m * n)
-        W = EnergyDensity.quadratic_form(A, m, n)
-    else:
+    if kind not in ENERGY_KINDS:
         raise ConfigurationError(
-            f"unknown energy kind {kind!r} (config supports the builtin kinds)"
-        )
+            f"energy.kind must be one of {ENERGY_KINDS} (custom is API-only); got {kind!r}")
     _refuse_unread("energy", spec, kind,
                    ("p", "matrix") if kind == "quadratic_form" else ("p",))
-    return W
+    p, A = num.get("energy.p"), spec.get("matrix")
+    if kind == "quadratic_form" and p not in (None, 2.0):
+        raise ConfigurationError(
+            f"energy.p of energy.kind 'quadratic_form' must be 2 (or left out); got {p}")
+    A = None if A is None else as_array(A, "energy.matrix")
+    if None in (p, m, n):
+        return None
+    if kind != "quadratic_form":
+        return getattr(EnergyDensity, kind)(p, m, n)
+    if A is None:
+        A = np.eye(m * n)
+    elif A.size != (m * n) ** 2:
+        raise ConfigurationError(f"energy.matrix needs (dims.m * dims.n)**2 = "
+                                 f"{(m * n) ** 2} entries; got {A.size}")
+    return EnergyDensity.quadratic_form(A.reshape(m * n, m * n), m, n)
 
+
+ENERGY_KINDS = ("p_norm_power", "frobenius_power", "quadratic_form")
 
 # every key a config may set, by section; "omega" is a list, not a section
 SCHEMA = {
@@ -173,7 +173,7 @@ NUMERIC = {
     "dims.n": (as_integer, 3),
     "dims.m": (as_integer, 1),
     "profile.dim": (as_integer, None),
-    "profile.floor": (as_real, None),
+    "profile.floor": (as_floor, None),
     "energy.p": (as_exponent, 2.0),
     "grid.N": (as_resolution, 64),
     "solver.cg_rtol": (as_positive, SolverOptions.cg_rtol),
@@ -189,22 +189,6 @@ NUMERIC = {
     "schedule.cells_per_delta": (as_integer, 8),
     "schedule.vertical_cells": (as_integer, 32),
 }
-
-
-def _float_array(value, name):
-    """A nested list of finite numbers as a float array; anything else,
-    strings that spell numbers included, raises a ConfigurationError that
-    names the field."""
-    try:
-        array = np.asarray(value)
-        # kind "U" holds strings, kind "O" None or integers past 64 bits
-        if array.dtype.kind in "biuf":
-            array = array.astype(float)
-            if np.isfinite(array).all():
-                return array
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigurationError(f"{name} must hold finite numbers; got {value!r}")
 
 
 def _collect(problems, read, *args, default=None):
@@ -225,14 +209,17 @@ def _number_list(values, name, read):
 
 
 def _numeric_fields(raw, problems):
-    """Every NUMERIC field, read by its reader; a bad one is reported and
-    read as the default."""
+    """Every NUMERIC field, read by its reader, or its default where it is
+    not set; a refused one is reported and left out, so that no other field
+    is checked against it."""
     out = {}
     for name, (read, default) in NUMERIC.items():
         section, key = name.split(".")
         value = raw.get(section, {}).get(key)
-        out[name] = (default if value is None
-                     else _collect(problems, read, value, name, default=default))
+        try:
+            out[name] = default if value is None else read(value, name)
+        except ConfigurationError as err:
+            problems.append(str(err))
     return out
 
 
@@ -288,13 +275,14 @@ def load_config(source, base_dir=None):
 
     problems = _unknown_keys(raw)
     num = _numeric_fields(raw, problems)
-    n, m = num["dims.n"], num["dims.m"]
+    n, m = num.get("dims.n"), num.get("dims.m")     # None where refused
 
-    profile = _collect(problems, _build_profile, raw.get("profile", {}), num, base_dir)
-    if profile is not None and profile.dim != n - 1:
+    profile = (_collect(problems, _build_profile, raw.get("profile", {}), num, base_dir)
+               if "profile.dim" in num else None)
+    if profile is not None and n is not None and profile.dim != n - 1:
         problems.append(
-            f"profile dim {profile.dim} inconsistent with dims.n={n} "
-            f"(need dim = n-1 = {n - 1})")
+            f"profile.dim {profile.dim} inconsistent with dims.n={n} "
+            f"(need profile.dim = dims.n - 1 = {n - 1})")
 
     energy = _collect(problems, _build_energy, raw.get("energy", {}), num, m, n)
 
@@ -303,9 +291,8 @@ def load_config(source, base_dir=None):
     sweep = raw.get("sweep", {})
     t_values = _collect(problems, _number_list, sweep.get("t_values", []), "sweep.t_values",
                         lambda ts, name: [as_level(t, name) for t in ts], default=[])
-    F_probes = sweep.get("F_probes", [])
-    for probe in F_probes:
-        _collect(problems, _float_array, probe, "sweep.F_probes")
+    F_probes = _collect(problems, _number_list, sweep.get("F_probes", []), "sweep.F_probes",
+                        lambda probes, name: [as_array(f, name) for f in probes], default=[])
 
     quad = QuadratureOptions(**_section(num, "quadrature"))
     confirm_kernel = raw.get("thresholds", {}).get("confirm", True)
@@ -317,11 +304,8 @@ def load_config(source, base_dir=None):
                             _eps_schedule, default=[])
 
     omega = raw.get("omega")
-    try:
-        omega = _omega_box(None if omega is None else _float_array(omega, "omega"),
-                           n - 1)
-    except ConfigurationError as err:
-        problems.append(str(err))
+    if omega is not None or n is not None:
+        omega = _collect(problems, _omega_box, omega, None if n is None else n - 1)
 
     if problems:
         raise ConfigurationError("invalid config:\n  " + "\n  ".join(problems))

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigurationError, DimensionMismatchError, as_exponent,
-                     as_integer, as_positive)
+from .errors import (ConfigurationError, as_array, as_exponent, as_integer,
+                     as_matrix, as_positive)
 
 _SMOOTH_EPS = 1e-8
 
@@ -29,16 +29,6 @@ _NORM_AXES = {"p_norm_power": (0,), "frobenius_power": (0, 1)}
 _KINDS = (*_NORM_AXES, "quadratic_form", "custom")
 
 
-def as_matrix(F):
-    """Coerce an array-like into a float (m, n) array."""
-    arr = np.asarray(F, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[np.newaxis, :]
-    if arr.ndim != 2:
-        raise DimensionMismatchError(f"expected an m x n matrix; got shape {arr.shape}")
-    return arr
-
-
 @dataclass(frozen=True)
 class EnergyDensity:
     """A convex integrand W on m x n matrices with p-growth.
@@ -46,7 +36,8 @@ class EnergyDensity:
     Every constructor ends in ``__post_init__``, which reads p, m and n,
     each refused by name, and the growth constants gamma <= beta: a norm
     power's follow from p and n, a quadratic form's are the extreme
-    eigenvalues of its matrix, and a custom density's are given."""
+    eigenvalues of its matrix ``quad_matrix``, read-only and refused by the
+    name A, and a custom density's are given."""
 
     kind: str
     p: float
@@ -70,17 +61,16 @@ class EnergyDensity:
             c = float(n) ** (1.0 - p / 2.0) if self.kind == "p_norm_power" else 1.0
             gamma, beta = min(1.0, c), max(1.0, c)
         elif self.kind == "quadratic_form":
-            A = self.quad_matrix
-            if np.shape(A) != (m * n, m * n):
-                raise DimensionMismatchError(
-                    f"quadratic form matrix must be {(m * n, m * n)}; got {np.shape(A)}")
+            A = np.array(as_array(self.quad_matrix, "A", (m * n, m * n)))
+            A.flags.writeable = False
             if not np.allclose(A, A.T, atol=1e-12):
-                raise ConfigurationError("quadratic form matrix must be symmetric")
+                raise ConfigurationError("A must be symmetric")
             eigs = np.linalg.eigvalsh(A)
             if eigs[0] <= 0:
-                raise ConfigurationError(f"quadratic form matrix must be positive "
-                                         f"definite; min eigenvalue {eigs[0]}")
+                raise ConfigurationError(
+                    f"A must be positive definite; min eigenvalue {eigs[0]}")
             gamma, beta = float(eigs[0]), float(eigs[-1])
+            object.__setattr__(self, "quad_matrix", A)
         else:
             gamma, beta = as_positive(self.gamma, "gamma"), as_positive(self.beta, "beta")
             if gamma > beta:
@@ -102,8 +92,6 @@ class EnergyDensity:
 
     @staticmethod
     def quadratic_form(A, m, n):
-        A = np.array(A, dtype=float)        # a copy, made read-only
-        A.flags.writeable = False
         return EnergyDensity(kind="quadratic_form", p=2.0, m=m, n=n,
                              quad_matrix=A, label="quadratic_form")
 
@@ -145,23 +133,15 @@ class EnergyDensity:
         """True when zeroing columns of G never raises W(G): the norm powers."""
         return self.kind in _NORM_AXES
 
-    def check_dims(self, m, n):
-        if (m, n) != (self.m, self.n):
-            raise DimensionMismatchError(
-                f"density declared for {self.m}x{self.n} matrices; got {m}x{n}"
-            )
-
     # -- pointwise evaluation ----------------------------------------------
 
     def evaluate(self, F):
-        F = as_matrix(F)
-        self.check_dims(*F.shape)
+        F = as_matrix(F, "F", (self.m, self.n))
         return float(self.cell_values(F[:, :, np.newaxis])[0])
 
     def gradient(self, F):
         """The stress W'(F) of one matrix: cell_stress on a one-cell stack."""
-        F = as_matrix(F)
-        self.check_dims(*F.shape)
+        F = as_matrix(F, "F", (self.m, self.n))
         return self.cell_stress(F[:, :, np.newaxis])[:, :, 0]
 
     # -- vectorized per-cell evaluation (G has shape (m, n, *cells)) --------

@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cell_solver import _Grid, _solve_masked, minimize_periodic
-from .energy import as_matrix
 from .errors import (ConfigurationError, QuadratureError, ResolutionError,
-                     as_integer, as_positive)
+                     as_integer, as_matrix, as_positive)
 from .homogenize import _columns, thresholds
 from .profiles import _omega_box, oscillating_domain_mask, superlevel_mask
 
@@ -95,8 +94,7 @@ def w_tilde(profile, W, t, Fbar, *, n_grid=64, solver_opts=None):
     is False when the solve did not converge.
     """
     _require_film_hypotheses(profile, W)
-    F = _columns(Fbar, profile.dim, "in-plane matrix", zeros=1)
-    W.check_dims(*F.shape)
+    F = _columns(Fbar, "Fbar", profile.dim, W, zeros=1)
     occ = superlevel_mask(profile, t, n_grid).occupancy
     value, corr, report = minimize_periodic(occ, W, F, solver_opts,
                                             free_offset=True)
@@ -145,7 +143,7 @@ def w_bar(profile, W, Fbar, *, n_grid=64, quad=None, threshold_report=None,
     """
     _require_film_hypotheses(profile, W)
     quad = quad or QuadratureOptions()
-    Fbar = as_matrix(Fbar)
+    Fbar = as_matrix(Fbar, "Fbar", (W.m, profile.dim))
     breaks = quadrature_breakpoints(
         profile, n_grid, threshold_report=threshold_report, uniform=uniform)
     per_piece = [max(2, math.ceil(quad.initial_nodes_per_unit * (b - a)))
@@ -222,8 +220,7 @@ def direct_min(profile, eps, delta, Fbar, W, *, omega=None, cells_per_delta=8,
     eps = as_positive(eps, "eps")
     delta = as_positive(delta, "delta")
     d = profile.dim
-    F = _columns(Fbar, d, "in-plane matrix", zeros=1)
-    W.check_dims(*F.shape)
+    F = _columns(Fbar, "Fbar", d, W, zeros=1)
     cells_per_delta = as_integer(cells_per_delta, "cells_per_delta")
     if cells_per_delta < 4:
         raise ResolutionError(

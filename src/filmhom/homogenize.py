@@ -18,9 +18,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cell_solver import SolveReport, minimize_dirichlet, minimize_periodic
-from .energy import EnergyDensity, as_matrix
-from .errors import (ConfigurationError, StructuralInconsistencyError,
-                     as_exponent, as_integer, as_level)
+from .energy import EnergyDensity
+from .errors import (ConfigurationError, DimensionMismatchError,
+                     StructuralInconsistencyError, as_array, as_exponent,
+                     as_integer, as_level, as_matrix)
 # nothing here calls torus_components any more, but perfbench/spans.py
 # wraps it by name in this module, so it stays importable from here
 from .profiles import (superlevel_mask, torus_components, wrap_lattice,
@@ -61,14 +62,17 @@ class ThresholdReport:
     resolution: int
 
 
-def _columns(F, count, what="matrix", zeros=0):
-    """F as a read-only float copy with ``zeros`` zero columns appended;
-    any column count of F but ``count`` is refused by name."""
-    F = as_matrix(F)
-    if F.shape[1] != count:
-        raise ConfigurationError(f"{what} has {F.shape[1]} columns; expected {count}")
-    out = np.zeros((F.shape[0], count + zeros))
-    out[:, :count] = F
+def _columns(F, name, count, W=None, zeros=0):
+    """F read by ``name`` as a matrix of ``count`` columns, and of W's m rows
+    for a density W of count + ``zeros`` columns; as a read-only float copy
+    with ``zeros`` zero columns appended."""
+    if W is not None and W.n != count + zeros:
+        raise DimensionMismatchError(f"W is declared for {W.m}x{W.n} matrices; this "
+                                     f"problem needs {W.m}x{count + zeros}")
+    F = as_matrix(F, name, (None if W is None else W.m, count))
+    m, n = F.shape
+    out = np.zeros((m, n + zeros))
+    out[:, :n] = F
     out.flags.writeable = False
     return out
 
@@ -89,7 +93,7 @@ def _sample(profile, t, F, W, n_grid, opts, layers=None):
 def phi_sharp(profile, t, Fbar, n_grid, *, p=2.0, opts=None):
     """In-plane homogenized density: periodic cell value of the column-wise
     p-norm on the superlevel mask {f > |t|}."""
-    Fbar = _columns(Fbar, profile.dim, "in-plane matrix")
+    Fbar = _columns(Fbar, "Fbar", profile.dim)
     W = EnergyDensity.p_norm_power(p=p, m=Fbar.shape[0], n=profile.dim)
     return _sample(profile, t, Fbar, W, n_grid, opts)
 
@@ -97,7 +101,7 @@ def phi_sharp(profile, t, Fbar, n_grid, *, p=2.0, opts=None):
 def psi(profile, t, F, n_grid, *, p=2.0, opts=None):
     """Split-form density: phi_sharp on the in-plane block plus the area
     fraction times the p-th power of the transverse column norm."""
-    F = _columns(F, profile.dim + 1)
+    F = _columns(F, "F", profile.dim + 1)
     base = phi_sharp(profile, t, F[:, :-1], n_grid, p=p, opts=opts)
     fn = float(np.linalg.norm(F[:, -1]))
     return replace(base, F=F, value=base.value + base.theta * fn ** p)
@@ -112,7 +116,7 @@ def psi_cylinder_oracle(profile, t, F, n_grid, *, p=2.0, opts=None):
     full vertical columns make the node graph wind, so the oracle is
     solved also where psi's in-plane value is exact without a solve; only
     a full mask is not, where both routes give W(F) exactly."""
-    F = _columns(F, profile.dim + 1)
+    F = _columns(F, "F", profile.dim + 1)
     W = EnergyDensity.p_norm_power(p=p, m=F.shape[0], n=profile.dim + 1)
     return _sample(profile, t, F, W, n_grid, opts, layers=ORACLE_LAYERS)
 
@@ -127,8 +131,7 @@ def w_hom(profile, t, F, W, n_grid, *, opts=None):
     in-plane grid, and F's last column enters only as a constant offset
     (docs/solvers.md).
     """
-    F = _columns(F, profile.dim + 1)
-    W.check_dims(F.shape[0], profile.dim + 1)
+    F = _columns(F, "F", profile.dim + 1, W)
     W.check_convexity()
     return _sample(profile, t, F, W, n_grid, opts)
 
@@ -144,8 +147,7 @@ def w_hom_cube_oracle(profile, t, F, W, box_side, n_grid, *, opts=None):
     T = as_integer(box_side, "box_side")
     if T > 8:
         raise ConfigurationError(f"box_side must be at most 8 at desk scale; got {box_side}")
-    F = _columns(F, profile.dim + 1)
-    W.check_dims(F.shape[0], profile.dim + 1)
+    F = _columns(F, "F", profile.dim + 1, W)
     mask2 = superlevel_mask(profile, t, n_grid)
     tiled = np.tile(mask2.occupancy, (T,) * profile.dim)
     occ = np.broadcast_to(tiled[..., np.newaxis], tiled.shape + (T * n_grid,))
@@ -252,10 +254,12 @@ def bounds_check(profile, report, s, F_samples, n_grid, *, p=2.0, opts=None):
     sum_i |F_bar xi_i|^p + |F_n|^p on an interval (t_k, s], at four evenly
     spaced levels up to s.
 
-    Matrices lying in the kernel with zero transverse column make the ratio
-    0/0 and are excluded.  Returns fitted constants (min and max ratio).
+    ``F_samples`` is a stack of m x (dim + 1) matrices.  Matrices lying in
+    the kernel with zero transverse column make the ratio 0/0 and are
+    excluded.  Returns fitted constants (min and max ratio).
     """
     s, p = as_level(s, "s"), as_exponent(p, "p")
+    samples = as_array(F_samples, "F_samples", (None, None, profile.dim + 1))
     interval = None
     for iv in report.intervals:
         if iv.t_lo < s <= iv.t_hi:
@@ -269,8 +273,7 @@ def bounds_check(profile, report, s, F_samples, n_grid, *, p=2.0, opts=None):
     t_samples = [interval.t_lo + (s - interval.t_lo) * (i + 1) / 4 for i in range(4)]
     ratios = []
     for t in t_samples:
-        for F in F_samples:
-            F = as_matrix(F)
+        for F in samples:
             denom = sum(float(np.linalg.norm(F[:, :-1] @ x)) ** p for x in xi)
             denom += float(np.linalg.norm(F[:, -1])) ** p
             if denom < 1e-12:
@@ -278,7 +281,8 @@ def bounds_check(profile, report, s, F_samples, n_grid, *, p=2.0, opts=None):
             val = psi(profile, t, F, n_grid, p=p, opts=opts).value
             ratios.append(val / denom)
     if not ratios:
-        raise ConfigurationError("no admissible samples: all matrices fell in the kernel")
+        raise ConfigurationError(
+            "F_samples holds no admissible sample: every matrix lies in the kernel")
     return BoundsReport(t_lo=interval.t_lo, s=float(s),
                         alpha_hat=min(ratios), beta_hat=max(ratios),
                         num_samples=len(ratios))

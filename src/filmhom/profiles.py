@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ConfigurationError, ResolutionError, as_integer,
-                     as_level, as_positive, as_real, as_resolution)
+from .errors import (ConfigurationError, ResolutionError, as_array, as_floor,
+                     as_integer, as_level, as_mask, as_positive, as_resolution)
 
 BUILTIN_PROFILES = ("constant", "sin2-stripe", "sin2-product", "checkerboard")
 
@@ -59,17 +59,16 @@ class Profile:
         object.__setattr__(self, "dim", as_integer(self.dim, "dim"))
         floor = self.floor
         if self.kind in ("constant", "sampled"):
-            if self.kind == "sampled" and (self.values is None or self.values.size == 0):
-                raise ConfigurationError("sampled profile has an empty grid")
-            low = 1.0 if self.kind == "constant" else float(self.values.min())
+            low = (1.0 if self.kind == "constant"
+                   else float(as_array(self.values, "values").min()))
             if floor not in (None, low):
                 raise ConfigurationError(f"a {self.kind} profile takes no floor "
                                          f"(min f is {low}); got floor={floor}")
             floor = low
         elif floor is None:
             floor = 0.25 if self.kind == "checkerboard" else 0.5
-        elif not 0.0 <= as_real(floor, "floor") < 1.0:
-            raise ConfigurationError(f"floor must lie in [0, 1); got {floor}")
+        else:
+            floor = as_floor(floor, "floor")
         object.__setattr__(self, "floor", float(floor))
 
     # -- constructors -----------------------------------------------------
@@ -88,36 +87,26 @@ class Profile:
 
     @staticmethod
     def sampled(values):
-        values = np.array(values, dtype=float)      # a copy, made read-only
+        """The profile of the N**dim grid of cell values ``values``, max 1."""
+        values = np.array(as_array(values, "values", square=True))    # a copy, made read-only
         values.flags.writeable = False
-        if any(s != values.shape[0] for s in values.shape):
-            raise ConfigurationError(
-                f"sampled profile grid must be square; got shape {values.shape}"
-            )
-        if not np.isfinite(values).all():
-            raise ConfigurationError("sampled profile values must be finite numbers")
         profile = Profile(dim=values.ndim, kind="sampled", values=values)
         vmin, vmax = profile.floor, float(values.max())
         if vmin < -_SUP_TOL or vmax > 1.0 + _SUP_TOL:
             raise ConfigurationError(
-                f"sampled profile values must lie in [0, 1]; got range [{vmin}, {vmax}]"
-            )
+                f"values must lie in [0, 1]; got range [{vmin}, {vmax}]")
         if abs(vmax - 1.0) > _SUP_TOL:
             raise ConfigurationError(
-                f"sampled profile must be normalized to sup f = 1; max value is {vmax}"
-            )
+                f"values must be normalized to sup f = 1; max value is {vmax}")
         return profile
 
     # -- evaluation --------------------------------------------------------
 
     def eval(self, x):
-        """Evaluate f at a point, reducing mod 1 first (exact periodicity)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.dim,):
-            raise ConfigurationError(
-                f"query point has shape {x.shape}; profile dim is {self.dim}"
-            )
-        return float(self._eval_points(x[None, :])[0])
+        """Evaluate f at a point x of dim coordinates, reducing mod 1 first
+        (exact periodicity)."""
+        x = as_array(x, "x", (self.dim,), ndmin=1)
+        return float(self._eval_points(x[np.newaxis])[0])
 
     def eval_grid(self, n_grid):
         """Values of f at the n^dim cell centers ((i + 1/2)/n per axis), n =
@@ -178,15 +167,13 @@ def load_sampled_profile(path):
             data = np.loadtxt(fh, dtype=float).ravel()
     except (OSError, UnicodeDecodeError, ValueError) as err:
         raise ConfigurationError(f"{path}: cannot read sampled profile: {err}") from err
-    if data.size != n ** dim:
-        raise ConfigurationError(
-            f"{path}: expected {n ** dim} values for dim={dim}, N={n}; got {data.size}"
-        )
-    return Profile.sampled(data.reshape((n,) * dim))
+    # the N**dim values after the header, read by the file's name
+    return Profile.sampled(as_array(data, str(path), (n ** dim,)).reshape((n,) * dim))
 
 
 def save_sampled_profile(values, path):
-    values = np.asarray(values, dtype=float)
+    """Write what ``Profile.sampled`` accepts, in load_sampled_profile's format."""
+    values = Profile.sampled(values).values
     n = values.shape[0]
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
@@ -245,8 +232,9 @@ def torus_components(mask):
     not over single cells (``_run_graph``), so its Python work grows with
     the number of runs; docs/kernel_geometry.md shows that this gives the
     components and windings of the cell graph.  It always runs, since the
-    labels need it; for the lattice alone, ``wrap_lattice`` is cheaper."""
-    occ = mask.occupancy if isinstance(mask, CellMask) else np.asarray(mask, dtype=bool)
+    labels need it; for the lattice alone, ``wrap_lattice`` is cheaper.
+    ``mask`` is a CellMask or any mask that ``as_mask`` reads."""
+    occ = mask.occupancy if isinstance(mask, CellMask) else as_mask(mask, "mask")
     ids, roots, wraps = _run_components(occ)
     # a root is the run of its component that starts first in C order
     heads = roots == np.arange(roots.size)
@@ -259,7 +247,7 @@ def torus_components(mask):
                            wrap_lattice=tuple(basis), rank=len(basis))
 
 
-def wrap_lattice(occ, *, nodes=False):
+def wrap_lattice(mask, *, nodes=False):
     """The wrap lattice of the face graph of a boolean cell mask, or with
     ``nodes`` of its node graph, in the canonical form of
     ``_lattice_basis``, as in ``torus_components``.
@@ -270,14 +258,14 @@ def wrap_lattice(occ, *, nodes=False):
     vectors; only otherwise does ``torus_union_find`` run over the run
     graph.  The face lattice lies in the node lattice, since cells that
     share a face share its nodes."""
-    occ = np.asarray(occ, dtype=bool)
+    occ = as_mask(mask, "mask")
     lines, spans = _wrap_bounds(occ)
     if lines == spans:
         return tuple(tuple(int(a == b) for b in range(occ.ndim)) for a in lines)
     return tuple(_lattice_basis(_run_components(occ, nodes)[2], occ.ndim))
 
 
-def node_graph_winds(occ):
+def node_graph_winds(mask):
     """Whether the node graph of a boolean cell mask winds around the
     torus: some loop of nodes, each step within the forward stencil
     {c, c + e_a} of an occupied cell c, has a nonzero winding.  Where none
@@ -290,7 +278,7 @@ def node_graph_winds(occ):
     (``_run_graph``).  The bounds are read as soon as they decide, the last
     axis first: on the two-layer masks of ``psi_cylinder_oracle`` its
     reduction is the cheapest."""
-    _check_cells(occ)
+    occ = as_mask(mask, "mask")
     d = occ.ndim
     if any(occ.all(axis=a).any() for a in reversed(range(d))):
         return True
@@ -312,7 +300,6 @@ def _wrap_bounds(occ):
     wrap lattice of either graph thus holds e_a for every axis in ``lines``
     and lies in the span of the axes in ``spans``
     (docs/kernel_geometry.md)."""
-    _check_cells(occ)
     d = occ.ndim
     lines = [a for a in range(d) if occ.all(axis=a).any()]
     spans = [a for a in range(d)
@@ -380,7 +367,6 @@ def _run_graph(occ, nodes=False):
     the wraps that c + o makes; the other edges of the interval close only
     unit squares, of winding zero, or squares through the neighbour row's
     row-end edge, where o shifts along the last axis."""
-    _check_cells(occ)
     shape, d = occ.shape, occ.ndim
     length = shape[-1]
 
@@ -411,13 +397,6 @@ def _run_graph(occ, nodes=False):
         vs.append(ids[target])
         steps.append(step)
     return ids, size, base, tuple(map(np.concatenate, (us, vs, steps)))
-
-
-def _check_cells(occ):
-    """Refuse a mask with no axis or with no cell along some axis."""
-    if occ.size == 0 or occ.ndim == 0:
-        raise ConfigurationError(
-            f"mask must have at least one axis and one cell per axis; got shape {occ.shape}")
 
 
 def _row_offsets(d, nodes):
@@ -543,22 +522,13 @@ class DomainMask:
 
 
 def _omega_box(omega, d):
-    """omega as d (lo, hi) pairs of finite floats with lo < hi; the unit box
-    when None.  Anything else is refused by the name omega."""
+    """omega read as d (lo, hi) pairs with lo < hi (``as_array``), d free
+    when None; the unit box when omega is None."""
     if omega is None:
         return tuple((0.0, 1.0) for _ in range(d))
-    try:
-        box = np.asarray(omega, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        box = np.zeros(0)
-    if box.ndim != 2 or box.shape[1] != 2:
-        raise ConfigurationError(f"omega must list (lo, hi) pairs of numbers; got {omega!r}")
-    if len(box) != d:
-        raise ConfigurationError(
-            f"omega lists {len(box)} intervals; a profile of dim {d} needs {d}")
-    if not (np.isfinite(box).all() and (box[:, 0] < box[:, 1]).all()):
-        raise ConfigurationError(f"omega intervals must be finite and increasing; "
-                                 f"got {omega!r}")
+    box = as_array(omega, "omega", (d, 2))
+    if not (box[:, 0] < box[:, 1]).all():
+        raise ConfigurationError(f"omega intervals must be increasing; got {omega!r}")
     return tuple(map(tuple, box.tolist()))
 
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from filmhom import CorrectorField, EnergyDensity, Profile
-from filmhom.cell_solver import _Grid, _solve_masked
-from filmhom.energy import as_matrix
+from filmhom.cell_solver import _Grid, _node_degree, _solve_masked
 
 
 @pytest.fixture
@@ -60,6 +59,11 @@ def periodic_grid(mask):
                  kinds="P" * mask.ndim)
 
 
+def active_nodes(grid, mask):
+    """The nodes some occupied cell touches: those of positive degree."""
+    return _node_degree(grid, mask)[0] > 0
+
+
 def forced_periodic_solve(mask, W, F, opts=None, free_offset=False):
     """``_solve_masked`` on the periodic grid of ``mask``: the solve that
     ``minimize_periodic`` skips where its value is exact without one (a full
@@ -68,7 +72,7 @@ def forced_periodic_solve(mask, W, F, opts=None, free_offset=False):
     ``minimize_periodic``; under ``free_offset`` the corrector's offset
     holds the minimizing F."""
     mask = np.asarray(mask, dtype=bool)
-    F = as_matrix(F).copy()
+    F = np.array(F, dtype=float, ndmin=2)
     value, v, report = _solve_masked(periodic_grid(mask), mask, W, F, opts,
                                      free_offset=free_offset)
     return value, CorrectorField(values=v, offset=F), report

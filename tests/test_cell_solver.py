@@ -12,12 +12,12 @@ from filmhom import (ConfigurationError, DimensionMismatchError, EnergyDensity,
                      Profile, SolveReport, SolverOptions, minimize_dirichlet,
                      minimize_periodic)
 import filmhom.cell_solver as cell_solver
-from filmhom.cell_solver import (_active_node_mask, _cell_gradient,
-                                 _cell_gradient_adjoint, _Grid, _MaskedProblem,
-                                 _solve_masked)
+from filmhom.cell_solver import (_cell_gradient, _cell_gradient_adjoint, _Grid,
+                                 _MaskedProblem, _solve_masked)
 from filmhom.profiles import superlevel_mask
 
-from conftest import forced_periodic_solve, periodic_grid, stripe_mask
+from conftest import (active_nodes, forced_periodic_solve, periodic_grid,
+                      stripe_mask)
 
 
 def reference_mean_energy(mask, W, F, v):
@@ -211,7 +211,7 @@ def test_corrector_stays_zero_on_inactive_nodes(W2):
         _, corr, report = minimize_periodic(mask, W2, [[1.0, 0.0]])
         assert report.method == "cg"
         v = np.asarray(corr.values)
-        active = _active_node_mask(periodic_grid(mask), mask)
+        active = active_nodes(periodic_grid(mask), mask)
         assert np.abs(v[0][~active]).max() == 0.0
 
 
@@ -679,7 +679,7 @@ def test_pendant_elimination_matches_the_full_problem(problem):
     for eliminate in (True, False):
         with pytest.MonkeyPatch.context() as patch:
             if not eliminate:
-                patch.setattr(cell_solver, "_pendant_nodes", lambda grid, mask, select: (
+                patch.setattr(cell_solver, "_pendant_nodes", lambda grid, *_: (
                     np.zeros((1,) + grid.node_shape, bool), None))
             Fs = F.copy()
             value, v, report = _solve_masked(grid, mask, W, Fs, opts, free_offset)
@@ -707,7 +707,8 @@ def test_pendant_elimination_matches_the_full_problem(problem):
 def test_pendant_nodes_of_small_graphs(cells, kinds, mask, want):
     grid = _Grid(cells=cells, spacings=tuple(1.0 / c for c in cells), kinds=kinds)
     mask = np.array(mask, bool).reshape(cells)
-    select = _active_node_mask(grid, mask) & ~cell_solver._frozen_ends(grid)
-    pendant, columns = cell_solver._pendant_nodes(grid, mask, select)
+    degree = cell_solver._node_degree(grid, mask)
+    select = (degree[0] > 0) & ~cell_solver._frozen_ends(grid)
+    pendant, columns = cell_solver._pendant_nodes(grid, mask, degree, select)
     assert np.flatnonzero(pendant).tolist() == want
     assert columns.any() == bool(want)

@@ -376,3 +376,39 @@ def test_p15_small_masks_converge(monkeypatch, mask):
             mask, W, F, opts=cell_solver.SolverOptions(max_iterations=200000))
     assert calls and ref_report.converged
     assert value == pytest.approx(reference, abs=1e-10)
+
+
+def _square(G):
+    return np.sum(G * G, axis=(0, 1))
+
+
+def _stress_nan_past(G):
+    """2 G, and NaN in the cells where |G| > 1.5."""
+    big = np.sqrt(np.sum(G * G, axis=(0, 1))) > 1.5
+    return np.where(big, np.nan, 2.0 * G)
+
+
+def test_non_finite_gradient_is_not_converged(checker2):
+    # a NaN |g| ended `while |g| > gtol` at once, read as converged
+    mask = superlevel_mask(checker2, 0.5, 16).occupancy
+    W = EnergyDensity.custom(_square, p=2.0, m=1, n=2, gamma=0.5, beta=2.0,
+                             grad=_stress_nan_past)
+    value, _, report = minimize_periodic(mask, W, [[2.0, 0.5]])
+    assert value == 2.125 and report.iterations == 0 and math.isnan(report.residual)
+    assert not report.converged and "non-finite" in report.notes
+    W3 = EnergyDensity.custom(_square, p=2.0, m=1, n=3, gamma=0.5, beta=2.0,
+                              grad=_stress_nan_past)
+    sample = w_hom(checker2, 0.5, [[2.0, 0.5, 0.2]], W3, 16)
+    assert sample.value == pytest.approx(2.145)
+    assert not sample.report.converged and "non-finite" in sample.report.notes
+
+
+def test_non_finite_exact_value_is_not_converged():
+    # the full-mask branch takes W(F) with no solve; a NaN there is no value
+    W = EnergyDensity.custom(lambda G: np.where(_square(G) > 1.0, np.nan, _square(G)),
+                             p=2.0, m=1, n=2, gamma=0.5, beta=2.0, convex=True)
+    value, _, report = minimize_periodic(np.ones((4, 4), bool), W, [[2.0, 0.5]])
+    assert report.method == "full" and math.isnan(value)
+    assert not report.converged and "non-finite" in report.notes
+    value, _, report = minimize_periodic(np.ones((4, 4), bool), W, [[0.5, 0.5]])
+    assert report.converged and report.notes == "" and value == 0.5

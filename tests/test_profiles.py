@@ -71,13 +71,15 @@ def test_malformed_sampled_profile_file_rejected_by_path(tmp_path, body):
         load_sampled_profile(path)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: Profile.constant(0), lambda: Profile.constant(-1),
-    lambda: Profile.sampled(np.float64(1.0)),
-    lambda: Profile.builtin("sin2-stripe", 0),
+@pytest.mark.parametrize("make, match", [
+    (lambda: Profile.constant(0), "^dim must be an integer >= 1"),
+    (lambda: Profile.constant(-1), "^dim must be an integer >= 1"),
+    # a sampled profile's dim is the number of axes of its values
+    (lambda: Profile.sampled(np.float64(1.0)), "^values must have at least one axis"),
+    (lambda: Profile.builtin("sin2-stripe", 0), "^dim must be an integer >= 1"),
 ], ids=["constant-0", "constant-negative", "sampled-scalar", "builtin-0"])
-def test_profile_of_dim_below_one_rejected_by_name(make):
-    with pytest.raises(ConfigurationError, match="^dim must be an integer >= 1"):
+def test_profile_of_dim_below_one_rejected_by_name(make, match):
+    with pytest.raises(ConfigurationError, match=match):
         make()
 
 
@@ -226,14 +228,14 @@ def test_oscillating_domain_resolution_error():
 
 
 @pytest.mark.parametrize("omega, match", [
-    (((1.0, 0.0),), "increasing"),
-    (((0.0, 1.0), (0.0, 1.0)), "omega lists 2 intervals"),
-    (((0.0, float("nan")),), "omega intervals must be finite"),
-    (((float("-inf"), 1.0),), "omega intervals must be finite"),
-    (((0.0, 1.0, 2.0),), "omega must list"),
-    (((0.0,),), "omega must list"),
-    ((0.0, 1.0), "omega must list"),
-    ((("a", 1.0),), "omega must list"),
+    (((1.0, 0.0),), "^omega intervals must be increasing"),
+    (((0.0, 1.0), (0.0, 1.0)), r"^omega must have shape \(1, 2\); got \(2, 2\)"),
+    (((0.0, float("nan")),), "^omega must hold finite numbers"),
+    (((float("-inf"), 1.0),), "^omega must hold finite numbers"),
+    (((0.0, 1.0, 2.0),), r"^omega must have shape \(1, 2\)"),
+    (((0.0,),), r"^omega must have shape \(1, 2\)"),
+    ((0.0, 1.0), r"^omega must have shape \(1, 2\)"),
+    ((("a", 1.0),), "^omega must be a rectangular array of real numbers"),
 ], ids=["reversed", "two-for-dim-1", "nan", "inf", "triple", "single", "flat",
         "text"])
 def test_oscillating_domain_rejects_bad_omega(omega, match):

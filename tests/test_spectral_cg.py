@@ -14,13 +14,13 @@ import scipy.sparse.linalg
 from filmhom import (EnergyDensity, Profile, SolverOptions, direct_min,
                      gamma_check, minimize_periodic, superlevel_mask)
 from filmhom import cli
-from filmhom.cell_solver import (_active_node_mask, _cell_gradient, _distinct,
-                                 _frozen_ends, _Grid, _line_solvable,
-                                 _solve_masked, _SpectralPreconditioner)
+from filmhom.cell_solver import (_cell_gradient, _distinct, _frozen_ends, _Grid,
+                                 _line_solvable, _solve_masked,
+                                 _SpectralPreconditioner)
 from filmhom.homogenize import psi_cylinder_oracle
 from filmhom.profiles import oscillating_domain_mask
 
-from conftest import forced_periodic_solve
+from conftest import active_nodes, forced_periodic_solve
 
 
 # -- the preconditioner is the pseudo-inverse of the unmasked box operator ----
@@ -107,7 +107,7 @@ def test_length_two_axis_matches_real_fft_bit_for_bit(cells, rng):
     grid = _Grid(cells=cells, spacings=tuple(rng.uniform(0.3, 2.0, size=len(cells))),
                  kinds="P" * len(cells))
     precond = _SpectralPreconditioner(
-        grid, _active_node_mask(grid, rng.random(cells) < 0.8))
+        grid, active_nodes(grid, rng.random(cells) < 0.8))
     r = rng.standard_normal((2,) + grid.node_shape)
     assert np.array_equal(precond(r, np.empty_like(r)),
                           rfft_periodic_preconditioner(precond, r))
@@ -152,7 +152,7 @@ def sparse_reference(grid, mask, A, F):
     K = (D.T @ MS @ D).tocsr()
     b = -(D.T @ (MS @ np.repeat(F.ravel(), ncells)))
 
-    keep = _active_node_mask(grid, mask) & ~_frozen_ends(grid)
+    keep = active_nodes(grid, mask) & ~_frozen_ends(grid)
     keep = np.tile(keep.ravel(), m)
     if "D" not in grid.kinds:
         # gauge: pin one node of each connected component of each field component
@@ -232,7 +232,7 @@ def test_slab_solve_matches_sparse_reference(kind, eps, cells, form):
     assert report.converged
     assert np.linalg.norm(v - ref) <= 1e-10 * np.linalg.norm(ref)
     # frozen lateral layers and nodes touching no occupied cell stay exactly 0
-    active = _active_node_mask(grid, mask) & ~_frozen_ends(grid)
+    active = active_nodes(grid, mask) & ~_frozen_ends(grid)
     assert (~active[1:-1]).any()
     assert np.all(v[:, ~active] == 0.0)
 
@@ -268,7 +268,7 @@ def test_line_solve_matches_sparse_reference(lines, form, period):
     assert report.converged and report.iterations == 1
     assert value == pytest.approx(reference_value(grid, mask, W, F, ref), rel=1e-10)
     assert np.linalg.norm(v - ref) <= 1e-10 * np.linalg.norm(ref)
-    assert np.all(v[:, ~_active_node_mask(grid, mask)] == 0.0)
+    assert np.all(v[:, ~active_nodes(grid, mask)] == 0.0)
 
 
 def test_line_solvable_needs_connected_column_runs():
@@ -357,7 +357,7 @@ def test_line_solve_memory_stays_flat(stripe1, W2):
 
 
 def scattered_active_nodes(grid, mask):
-    """The formula _active_node_mask replaced: scatter the flat indices of
+    """The formula active_nodes replaced: scatter the flat indices of
     the base node c and of the nodes c + e_a of every occupied cell, which
     wrap on a periodic axis (a non-periodic axis has a node past its last
     cell, so only periodic ones can wrap)."""
@@ -383,7 +383,7 @@ def test_active_node_mask_matches_stencil_scatter(kinds):
         masks = [np.zeros(cells, bool), np.ones(cells, bool),
                  rng.random(cells) < 0.2, rng.random(cells) < 0.6]
         for mask in masks:
-            active = _active_node_mask(grid, mask)
+            active = active_nodes(grid, mask)
             assert active.shape == grid.node_shape
             assert np.array_equal(active, scattered_active_nodes(grid, mask))
 

@@ -20,13 +20,13 @@ import filmhom
 from filmhom import (EnergyDensity, Profile, minimize_dirichlet, minimize_periodic,
                      superlevel_mask, thresholds, torus_components)
 from filmhom import homogenize, profiles
-from filmhom.cell_solver import _active_node_mask, _along
+from filmhom.cell_solver import _along
 from filmhom.errors import ConfigurationError
 from filmhom.profiles import (_lattice_basis, _run_components, _unpack_wrap,
                               _wrap_base, node_graph_winds, wrap_lattice,
                               wrap_rank_levels)
 
-from conftest import periodic_grid
+from conftest import active_nodes, periodic_grid
 
 
 def bfs_torus_components(occ):
@@ -225,7 +225,7 @@ def _check_node_graph(occ):
     """Active nodes, windings and the winding test over runs against the
     per-edge union-find over the stencil edges."""
     active, basis = per_edge_node_graph(occ)
-    assert np.array_equal(np.flatnonzero(_active_node_mask(periodic_grid(occ), occ)),
+    assert np.array_equal(np.flatnonzero(active_nodes(periodic_grid(occ), occ)),
                           active)
     assert tuple(_lattice_basis(_run_components(occ, nodes=True)[2], occ.ndim)) == basis
     assert node_graph_winds(occ) == bool(basis)
