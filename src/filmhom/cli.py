@@ -1,7 +1,8 @@
 """Batch driver: every computation as a subcommand producing CSV/JSON files.
 
 Subcommands: mask, phi, psi, thresholds, whom, film, gamma.
-Common flags: --config PATH, --out DIR, --reproducible, --oracle.  Every
+Common flags: --config PATH, --out DIR, --reproducible; psi and whom alone
+take --oracle.  phi and psi refuse any energy.kind but p_norm_power.  Every
 command runs serially on one thread.  --jobs K is retired: it is still
 parsed (K must be an integer >= 1), warns when K > 1, and is ignored.
 
@@ -109,7 +110,7 @@ def cmd_mask(cfg, args, out):
     results = []
     for t in cfg.t_values:
         mask = superlevel_mask(cfg.profile, t, cfg.grid_n)
-        results.append((mask, torus_components(mask)))
+        results.append((mask, torus_components(mask.occupancy)))
     comments = _comments(cfg, args)
     rows = []
     detail = []
@@ -144,6 +145,10 @@ def _density_sweep(cfg, args, out, name, evaluate, oracle_column=None):
     """
     if not cfg.t_values:
         raise ConfigurationError(f"{name} command needs sweep.t_values")
+    # the split form psi = phi# + theta |F_n|^p needs a column-separable W
+    if name in ("phi", "psi") and cfg.energy.kind != "p_norm_power":
+        raise ConfigurationError(f"{name} evaluates p_norm_power only; "
+                                 f"energy.kind is {cfg.energy.kind!r}")
     cols = cfg.n - 1 if name == "phi" else cfg.n
     probes = cfg.probe_matrices(cols)
     entries = [(t, F) for F in probes for t in cfg.t_values]
@@ -240,12 +245,11 @@ def cmd_thresholds(cfg, args, out):
 
 def cmd_film(cfg, args, out):
     probes = cfg.probe_matrices(cfg.n - 1)
-    report = hom.thresholds(cfg.profile, cfg.film_n_grid, m=cfg.m, confirm=False)
+    # as w_bar calls it, so w_bar finds this report on the profile
+    report = hom.thresholds(cfg.profile, cfg.film_n_grid, confirm=False)
 
-    entries = [film_mod.w_bar(cfg.profile, cfg.energy, F,
-                              n_grid=cfg.film_n_grid, quad=cfg.quad,
-                              threshold_report=report, solver_opts=cfg.solver)
-               for F in probes]
+    entries = [film_mod.w_bar(cfg.profile, cfg.energy, F, n_grid=cfg.film_n_grid,
+                              quad=cfg.quad, solver_opts=cfg.solver) for F in probes]
     comments = _comments(cfg, args)
     _write_json(out / "film.json", {
         "entries": entries, "thresholds": report.thresholds,
@@ -308,8 +312,9 @@ def _parser():
                              "(still accepted, at least 1)")
         sp.add_argument("--reproducible", action="store_true",
                         help="byte-stable outputs (config hash, no timestamps)")
-        sp.add_argument("--oracle", action="store_true",
-                        help="populate independent-oracle columns where available")
+        if name in ("psi", "whom"):
+            sp.add_argument("--oracle", action="store_true",
+                            help="add the independent oracle's column")
     return parser
 
 

@@ -93,7 +93,8 @@ def _refuse_unread(section, spec, kind, reads):
 def _build_profile(spec, num, base_dir):
     kind = spec.get("kind")
     if kind == "sampled":
-        _refuse_unread("profile", spec, kind, ("dim", "path"))
+        # the file gives the dimension; dims.n is checked against it
+        _refuse_unread("profile", spec, kind, ("path",))
         path = spec.get("path")
         if not isinstance(path, str) or not path:
             raise ConfigurationError(
@@ -136,7 +137,10 @@ def _build_energy(spec, num, m, n):
     elif A.size != (m * n) ** 2:
         raise ConfigurationError(f"energy.matrix needs (dims.m * dims.n)**2 = "
                                  f"{(m * n) ** 2} entries; got {A.size}")
-    return EnergyDensity.quadratic_form(A.reshape(m * n, m * n), m, n)
+    try:
+        return EnergyDensity.quadratic_form(A.reshape(m * n, m * n), m, n)
+    except ConfigurationError as err:      # not symmetric positive definite
+        raise ConfigurationError(f"energy.matrix: {err}") from None
 
 
 ENERGY_KINDS = ("p_norm_power", "frobenius_power", "quadratic_form")
@@ -163,8 +167,8 @@ RETIRED = {"film.vertical_cells": "film cell problems solve on the in-plane grid
            "thresholds.coercivity_floor": "the kernel is certified by comparing "
                                           "two wrap lattices, with no solve",
            "solver.method": "the method follows the density (docs/solvers.md)",
-           "energy.gamma": "the kind fixes the growth constants, and no output reads them",
-           "energy.beta": "the kind fixes the growth constants, and no output reads them"}
+           "energy.gamma": "p-growth is a hypothesis; no computation reads its constants",
+           "energy.beta": "p-growth is a hypothesis; no computation reads its constants"}
 
 
 # every scalar numeric field: dotted name -> (the library's reader, default);
@@ -259,7 +263,7 @@ def config_hash(raw):
 
 
 def load_config(source, base_dir=None):
-    """Parse and validate a config from a path, JSON string, or dict."""
+    """Parse and validate a config from the path of a JSON file, or a dict."""
     if isinstance(source, dict):
         raw = source
         base_dir = base_dir or "."

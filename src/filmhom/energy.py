@@ -8,8 +8,8 @@ Builtin densities:
 * ``custom``         black-box convex evaluator with optional gradient, both
                      on stacks of matrices (see ``EnergyDensity.custom``)
 
-All carry growth constants gamma <= beta with
-gamma |F|^p <= W(F) <= beta (1 + |F|^p).
+p-growth, gamma |F|^p <= W(F) <= beta (1 + |F|^p), is a hypothesis of the
+limits: no computation reads gamma or beta, so a density carries neither.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigurationError, as_array, as_exponent, as_integer,
-                     as_matrix, as_positive)
+                     as_matrix)
 
 _SMOOTH_EPS = 1e-8
 
@@ -27,6 +27,9 @@ _SMOOTH_EPS = 1e-8
 # over the whole matrix (Frobenius)
 _NORM_AXES = {"p_norm_power": (0,), "frobenius_power": (0, 1)}
 _KINDS = (*_NORM_AXES, "quadratic_form", "custom")
+# the fields that one kind alone reads: field -> (that kind, default)
+_KIND_FIELDS = {"quad_matrix": ("quadratic_form", None), "fn": ("custom", None),
+                "grad_fn": ("custom", None), "convex": ("custom", True)}
 
 
 @dataclass(frozen=True)
@@ -34,77 +37,66 @@ class EnergyDensity:
     """A convex integrand W on m x n matrices with p-growth.
 
     Every constructor ends in ``__post_init__``, which reads p, m and n,
-    each refused by name, and the growth constants gamma <= beta: a norm
-    power's follow from p and n, a quadratic form's are the extreme
-    eigenvalues of its matrix ``quad_matrix``, read-only and refused by the
-    name A, and a custom density's are given."""
+    each refused by name, and refuses by name a field that its kind does
+    not read.  A quadratic form reads ``quad_matrix``, read-only and
+    refused by the name A unless symmetric positive definite; a custom
+    density reads ``fn``, ``grad_fn`` and ``convex``."""
 
     kind: str
     p: float
     m: int
     n: int
-    gamma: float | None = None
-    beta: float | None = None
     quad_matrix: np.ndarray | None = None
     fn: object = None
     grad_fn: object = None
     convex: bool = True
-    label: str = ""
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigurationError(
                 f"unknown density kind {self.kind!r}; expected one of {_KINDS}")
-        p, m, n = as_exponent(self.p, "p"), as_integer(self.m, "m"), as_integer(self.n, "n")
-        if self.kind in _NORM_AXES:
-            # sharp ratio of sum_j |F_j|^p against |F|^p; 1 for the Frobenius norm
-            c = float(n) ** (1.0 - p / 2.0) if self.kind == "p_norm_power" else 1.0
-            gamma, beta = min(1.0, c), max(1.0, c)
-        elif self.kind == "quadratic_form":
-            A = np.array(as_array(self.quad_matrix, "A", (m * n, m * n)))
+        unread = [name for name, (kind, default) in _KIND_FIELDS.items()
+                  if kind != self.kind and getattr(self, name) is not default]
+        if unread:
+            raise ConfigurationError(
+                f"{', '.join(unread)}: not read by density kind {self.kind!r}")
+        for name, read in (("p", as_exponent), ("m", as_integer), ("n", as_integer)):
+            object.__setattr__(self, name, read(getattr(self, name), name))
+        if self.kind == "quadratic_form":
+            A = np.array(as_array(self.quad_matrix, "A", (self.m * self.n,) * 2))
             A.flags.writeable = False
             if not np.allclose(A, A.T, atol=1e-12):
                 raise ConfigurationError("A must be symmetric")
-            eigs = np.linalg.eigvalsh(A)
-            if eigs[0] <= 0:
+            low = np.linalg.eigvalsh(A)[0]
+            if low <= 0:
                 raise ConfigurationError(
-                    f"A must be positive definite; min eigenvalue {eigs[0]}")
-            gamma, beta = float(eigs[0]), float(eigs[-1])
+                    f"A must be positive definite; min eigenvalue {low}")
             object.__setattr__(self, "quad_matrix", A)
-        else:
-            gamma, beta = as_positive(self.gamma, "gamma"), as_positive(self.beta, "beta")
-            if gamma > beta:
-                raise ConfigurationError(f"gamma must be <= beta; got {gamma}, {beta}")
-        for name, value in zip(("p", "m", "n", "gamma", "beta"), (p, m, n, gamma, beta)):
-            object.__setattr__(self, name, value)
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def p_norm_power(p, m, n):
-        return EnergyDensity(kind="p_norm_power", p=p, m=m, n=n,
-                             label=f"p_norm_power(p={p})")
+        return EnergyDensity(kind="p_norm_power", p=p, m=m, n=n)
 
     @staticmethod
     def frobenius_power(p, m, n):
-        return EnergyDensity(kind="frobenius_power", p=p, m=m, n=n,
-                             label=f"frobenius_power(p={p})")
+        return EnergyDensity(kind="frobenius_power", p=p, m=m, n=n)
 
     @staticmethod
     def quadratic_form(A, m, n):
-        return EnergyDensity(kind="quadratic_form", p=2.0, m=m, n=n,
-                             quad_matrix=A, label="quadratic_form")
+        return EnergyDensity(kind="quadratic_form", p=2.0, m=m, n=n, quad_matrix=A)
 
     @staticmethod
-    def custom(fn, p, m, n, gamma, beta, grad=None, convex=True, label="custom"):
+    def custom(fn, p, m, n, *, grad=None, convex=True):
         """A black-box density on stacks of matrices: ``fn`` maps G of shape
         (m, n, *cells) to the values W(G) of shape ``cells`` and ``grad``,
         if given, to the stresses W'(G) of shape (m, n, *cells).  Both are
         called once here on an (m, n, 2) probe stack, so that a per-matrix
         callable, which would return one value for the whole stack, is
         rejected by name."""
-        W = EnergyDensity(kind="custom", p=p, m=m, n=n, gamma=gamma, beta=beta,
-                          fn=fn, grad_fn=grad, convex=convex, label=label)
+        W = EnergyDensity(kind="custom", p=p, m=m, n=n, fn=fn, grad_fn=grad,
+                          convex=convex)
         probe = np.linspace(-1.0, 1.0, 2 * W.m * W.n).reshape(W.m, W.n, 2)
         for name, f, shape in (("fn", fn, (2,)), ("grad", grad, probe.shape)):
             if f is None:
@@ -245,9 +237,7 @@ class EnergyDensity:
         if self.kind != "custom":
             return True
         if not self.convex:
-            raise ConfigurationError(
-                f"density {self.label!r} is declared non-convex"
-            )
+            raise ConfigurationError("custom density is declared non-convex")
         rng = np.random.default_rng(0)
         F, G = rng.uniform(-2.0, 2.0, size=(2, self.m, self.n, 200))
         lam = rng.uniform(0.0, 1.0, size=200)
@@ -257,7 +247,7 @@ class EnergyDensity:
         if bad.size:
             k = bad[0]
             raise ConfigurationError(
-                f"density {self.label!r} failed sampled convexity: "
+                f"custom density failed sampled convexity: "
                 f"W(mid)={mid[k]} > chord={chord[k]}"
             )
         return True

@@ -114,22 +114,21 @@ def _midpoint_nodes(breakpoints, per_piece):
     return nodes, weights
 
 
-def quadrature_breakpoints(profile, n_grid, *, threshold_report=None, uniform=False):
+def quadrature_breakpoints(profile, n_grid, *, uniform=False):
     # the thresholds are exact cell values, so no integrand jump falls
     # inside a piece, where midpoint refinement would stall
     if uniform:
         return [0.0, 1.0]
-    report = threshold_report or thresholds(profile, n_grid, confirm=False)
     pts = [0.0]
-    for t in report.thresholds:
+    for t in thresholds(profile, n_grid, confirm=False).thresholds:
         if pts[-1] + 1e-9 < t < 1.0 - 1e-9:
             pts.append(float(t))
     pts.append(1.0)
     return pts
 
 
-def w_bar(profile, W, Fbar, *, n_grid=64, quad=None, threshold_report=None,
-          solver_opts=None, uniform=False):
+def w_bar(profile, W, Fbar, *, n_grid=64, quad=None, solver_opts=None,
+          uniform=False):
     """Integrate the inner-minimized density over the level t in (0, 1).
 
     Each node takes one joint ``w_tilde`` solve, whose transverse column is
@@ -144,8 +143,7 @@ def w_bar(profile, W, Fbar, *, n_grid=64, quad=None, threshold_report=None,
     _require_film_hypotheses(profile, W)
     quad = quad or QuadratureOptions()
     Fbar = as_matrix(Fbar, "Fbar", (W.m, profile.dim))
-    breaks = quadrature_breakpoints(
-        profile, n_grid, threshold_report=threshold_report, uniform=uniform)
+    breaks = quadrature_breakpoints(profile, n_grid, uniform=uniform)
     per_piece = [max(2, math.ceil(quad.initial_nodes_per_unit * (b - a)))
                  for a, b in zip(breaks[:-1], breaks[1:])]
 

@@ -21,7 +21,7 @@ from .cell_solver import SolveReport, minimize_dirichlet, minimize_periodic
 from .energy import EnergyDensity
 from .errors import (ConfigurationError, DimensionMismatchError,
                      StructuralInconsistencyError, as_array, as_exponent,
-                     as_integer, as_level, as_matrix)
+                     as_integer, as_level, as_matrix, as_resolution)
 # nothing here calls torus_components any more, but perfbench/spans.py
 # wraps it by name in this module, so it stays importable from here
 from .profiles import (superlevel_mask, torus_components, wrap_lattice,
@@ -219,9 +219,12 @@ def thresholds(profile, n_grid, *, m=1, confirm=True):
     are computed at the midpoints of the intervals between thresholds,
     certified there by ``kernel`` when ``confirm`` is set; levels closer
     than 1/N, the level resolution of the grid, bound no interval of their
-    own.
+    own.  The report is kept on the profile, one per set of arguments.
     """
-    m = as_integer(m, "m")
+    n_grid, m = as_resolution(n_grid, "n_grid"), as_integer(m, "m")
+    key = ("thresholds", n_grid, m, bool(confirm))
+    if key in profile._memo:
+        return profile._memo[key]
     d = profile.dim
     rises = wrap_rank_levels(profile, n_grid)
     ts = tuple(rises[d - k] if d - k < len(rises) else 0.0 for k in range(1, d + 1))
@@ -236,8 +239,9 @@ def thresholds(profile, n_grid, *, m=1, confirm=True):
         k, xi = kernel(profile, 0.5 * (lo + hi), n_grid, confirm=confirm)
         intervals.append(IntervalInfo(t_lo=lo, t_hi=hi, wrap_rank=d - k,
                                       kernel_dim=k * m, xi=tuple(xi)))
-    return ThresholdReport(thresholds=ts, intervals=tuple(intervals),
-                           dim=d, m=m, resolution=n_grid)
+    report = profile._memo[key] = ThresholdReport(
+        thresholds=ts, intervals=tuple(intervals), dim=d, m=m, resolution=n_grid)
+    return report
 
 
 @dataclass(frozen=True)
@@ -260,11 +264,7 @@ def bounds_check(profile, report, s, F_samples, n_grid, *, p=2.0, opts=None):
     """
     s, p = as_level(s, "s"), as_exponent(p, "p")
     samples = as_array(F_samples, "F_samples", (None, None, profile.dim + 1))
-    interval = None
-    for iv in report.intervals:
-        if iv.t_lo < s <= iv.t_hi:
-            interval = iv
-            break
+    interval = next((iv for iv in report.intervals if iv.t_lo < s <= iv.t_hi), None)
     if interval is None:
         raise ConfigurationError(
             f"s={s} does not lie inside any interval of the threshold report"

@@ -51,11 +51,15 @@ class Profile:
     kind: str
     floor: float | None = None
     values: np.ndarray | None = None
-    # eval_grid's read-only grids, one per resolution asked for
-    _grids: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    # eval_grid's read-only grids by resolution, thresholds' reports by call
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
+        if self.kind not in (*BUILTIN_PROFILES, "sampled"):
+            raise ConfigurationError(f"unknown profile kind {self.kind!r}")
+        if self.kind != "sampled" and self.values is not None:
+            raise ConfigurationError(f"values: not read by profile kind {self.kind!r}")
         object.__setattr__(self, "dim", as_integer(self.dim, "dim"))
         floor = self.floor
         if self.kind in ("constant", "sampled"):
@@ -112,14 +116,14 @@ class Profile:
         """Values of f at the n^dim cell centers ((i + 1/2)/n per axis), n =
         n_grid, as a read-only array computed once per n on this profile."""
         n = as_resolution(n_grid, "n_grid")
-        values = self._grids.get(n)
+        values = self._memo.get(n)
         if values is None:
             centers = (np.arange(n) + 0.5) / n
             grids = np.meshgrid(*([centers] * self.dim), indexing="ij")
             pts = np.stack([g.ravel() for g in grids], axis=-1)
             values = self._eval_points(pts).reshape((n,) * self.dim)
             values.flags.writeable = False
-            self._grids[n] = values
+            self._memo[n] = values
         return values
 
     def _eval_points(self, pts):
@@ -139,11 +143,9 @@ class Profile:
             for a in range(self.dim):
                 parity += np.floor(2.0 * pts[:, a]).astype(int)
             return np.where(parity % 2 == 0, 1.0, self.floor)
-        if self.kind == "sampled":
-            n = self.values.shape[0]
-            idx = np.mod(np.floor(pts * n).astype(int), n)
-            return self.values[tuple(idx[:, a] for a in range(self.dim))]
-        raise ConfigurationError(f"unknown profile kind {self.kind!r}")
+        n = self.values.shape[0]        # sampled
+        idx = np.mod(np.floor(pts * n).astype(int), n)
+        return self.values[tuple(idx[:, a] for a in range(self.dim))]
 
 
 # -- sampled profile I/O ----------------------------------------------------
@@ -233,8 +235,8 @@ def torus_components(mask):
     the number of runs; docs/kernel_geometry.md shows that this gives the
     components and windings of the cell graph.  It always runs, since the
     labels need it; for the lattice alone, ``wrap_lattice`` is cheaper.
-    ``mask`` is a CellMask or any mask that ``as_mask`` reads."""
-    occ = mask.occupancy if isinstance(mask, CellMask) else as_mask(mask, "mask")
+    ``mask`` is any mask that ``as_mask`` reads (a CellMask's occupancy)."""
+    occ = as_mask(mask, "mask")
     ids, roots, wraps = _run_components(occ)
     # a root is the run of its component that starts first in C order
     heads = roots == np.arange(roots.size)

@@ -243,15 +243,16 @@ def test_criterion_9_determinism(tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         pairs = []
-        for cmd, files in (("psi", ["psi.csv", "psi_summary.json"]),
-                           ("mask", ["theta.csv", "components.json"]),
-                           ("thresholds", ["thresholds.json"])):
+        # psi and whom alone take --oracle
+        for cmd, flags, files in (("psi", ["--oracle"], ["psi.csv", "psi_summary.json"]),
+                                  ("mask", [], ["theta.csv", "components.json"]),
+                                  ("thresholds", [], ["thresholds.json"])):
             out1 = tmp_path / f"{cmd}_1"
             out2 = tmp_path / f"{cmd}_2"
             assert main([cmd, "--config", str(cfg_path), "--out", str(out1),
-                         "--reproducible", "--oracle"]) == 0
+                         "--reproducible", *flags]) == 0
             assert main([cmd, "--config", str(cfg_path), "--out", str(out2),
-                         "--reproducible", "--oracle"]) == 0
+                         "--reproducible", *flags]) == 0
             pairs.extend((out1 / f, out2 / f) for f in files)
         for a, b in pairs:
             assert a.read_bytes() == b.read_bytes(), (a, b)

@@ -293,7 +293,7 @@ def test_nonconvex_custom_density_warns():
     def well(G):
         return (G[0, 0] ** 2 - 1.0) ** 2 + G[0, 1] ** 2
 
-    W = EnergyDensity.custom(well, p=4.0, m=1, n=2, gamma=1e-3, beta=10.0,
+    W = EnergyDensity.custom(well, p=4.0, m=1, n=2,
                              convex=False)
     with pytest.warns(UserWarning, match="non-convex"):
         value, _, report = minimize_periodic(stripe_mask(8), W, [[0.0, 0.0]])
@@ -310,7 +310,7 @@ def test_nonconvex_custom_density_reaches_local_minimum():
     def well(G):
         return (G[0, 0] ** 2 - 1.0) ** 2 + G[0, 1] ** 2
 
-    W = EnergyDensity.custom(well, p=4.0, m=1, n=2, gamma=1e-3, beta=10.0,
+    W = EnergyDensity.custom(well, p=4.0, m=1, n=2,
                              convex=False)
     with pytest.warns(UserWarning, match="non-convex"):
         value, _, report = minimize_periodic(stripe_mask(8), W, [[0.3, 0.2]])
@@ -330,7 +330,7 @@ def test_newton_builds_one_preconditioner_per_step(monkeypatch):
 
     monkeypatch.setattr(_MaskedProblem, "precond", counted)
     W = EnergyDensity.custom(lambda G: (G[0, 0] ** 2 - 1.0) ** 2 + G[0, 1] ** 2,
-                             p=4.0, m=1, n=2, gamma=1e-3, beta=10.0, convex=False)
+                             p=4.0, m=1, n=2, convex=False)
     with pytest.warns(UserWarning, match="non-convex"):
         _, _, report = minimize_periodic(stripe_mask(8), W, [[0.3, 0.2]])
     assert report.converged
@@ -383,7 +383,7 @@ def test_three_dimensional_periodic_solve(W2):
 
 def _cubic(m, n):
     return EnergyDensity.custom(lambda G: np.sum(G * G, axis=(0, 1)) ** 1.5,
-                                p=3.0, m=m, n=n, gamma=0.1, beta=10.0)
+                                p=3.0, m=m, n=n)
 
 
 _FULL_DENSITIES = {
@@ -452,7 +452,7 @@ def test_empty_mask_value_is_exact_without_a_solve(density, free_offset, m, shap
 def _nonconvex_custom(m, n):
     return EnergyDensity.custom(lambda G: (G[0, 0] ** 2 - 1.0) ** 2
                                 + np.sum(G * G, axis=(0, 1)),
-                                p=4.0, m=m, n=n, gamma=1e-3, beta=10.0,
+                                p=4.0, m=m, n=n,
                                 convex=False)
 
 
@@ -516,7 +516,7 @@ def test_unwound_value_matches_forced_solve(kind, p, m, free_offset):
 @pytest.mark.parametrize("W", [
     EnergyDensity.quadratic_form(np.diag([1.0, 2.0, 3.0]), 1, 3),
     EnergyDensity.custom(lambda G: np.sum(G * G, axis=(0, 1)) ** 1.5,
-                         p=3.0, m=1, n=3, gamma=0.1, beta=10.0),
+                         p=3.0, m=1, n=3),
 ], ids=["quadratic_form", "custom"])
 def test_other_densities_keep_solving_without_a_winding(W):
     occ = superlevel_mask(Profile.builtin("sin2-product", dim=2), 0.6, 16).occupancy

@@ -143,6 +143,32 @@ def test_whom_oracle_off_p_norm_power_warns_and_adds_no_column(tmp_path):
         read_lines(out / "whom_summary.json"))
 
 
+@pytest.mark.parametrize("command", ["mask", "phi", "thresholds", "film", "gamma"])
+def test_oracle_flag_refused_off_psi_and_whom(tmp_path, capsys, command):
+    # only psi and whom have an oracle column
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--oracle"])
+    assert exc.value.code == 2
+    assert "--oracle" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["phi", "psi"])
+@pytest.mark.parametrize("energy", [
+    {"kind": "quadratic_form", "matrix": np.diag([5.0, 1.0, 1.0]).tolist()},
+    {"kind": "frobenius_power", "p": 2.0},
+], ids=["quadratic_form", "frobenius_power"])
+def test_split_form_commands_refuse_another_density(tmp_path, capsys, command, energy):
+    # phi and psi evaluate the split form of p_norm_power whatever the config
+    # says, so another density is refused by energy.kind, not replaced
+    cfg = write_config(tmp_path, energy=energy,
+                       sweep={"t_values": [0.3], "F_probes": [[1.0, 0.5, 0.5]]})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "energy.kind" in err and energy["kind"] in err
+
+
 def test_thresholds_command(tmp_path):
     cfg = write_config(tmp_path, grid={"N": 64})
     out = tmp_path / "out"
@@ -476,6 +502,10 @@ RETIRED_RUNS = [
 ]
 
 
+# the commands that take --oracle
+ORACLE = {"psi": ("--oracle",), "whom": ("--oracle",)}
+
+
 @pytest.mark.parametrize("key,value,command,overrides,names", RETIRED_RUNS,
                          ids=[run[0] for run in RETIRED_RUNS])
 def test_retired_key_warns_and_is_ignored(tmp_path, key, value, command,
@@ -489,8 +519,8 @@ def test_retired_key_warns_and_is_ignored(tmp_path, key, value, command,
     for cfg, name in ((plain, "a"), (retired, "b")):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main([command, "--config", str(cfg), "--out",
-                         str(tmp_path / name), "--reproducible", "--oracle"]) == 0
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / name),
+                         "--reproducible", *ORACLE.get(command, ())]) == 0
         messages = [str(w.message) for w in caught]
         assert any(key in m and "ignored" in m for m in messages) == (name == "b")
         digest = config_hash(json.loads(read_lines(cfg)))
@@ -594,10 +624,19 @@ def test_non_numeric_field_rejected_by_name(tmp_path, capsys, command,
     ({"profile": {"kind": "sampled", "path": "f.txt", "floor": 0.3}}, "profile.floor"),
     ({"energy": {"kind": "p_norm_power", "matrix": np.eye(3).tolist()}}, "energy.matrix"),
     ({"profile": {"kind": "constant", "dim": 2, "value": 1.0}}, "profile.value"),
+    # the file gives a sampled profile's dimension
+    ({"profile": {"kind": "sampled", "dim": 2, "path": "f.txt"}}, "profile.dim: not read"),
+    # a matrix of no quadratic form, named by its field rather than as A
+    ({"energy": {"kind": "quadratic_form",
+                 "matrix": [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}},
+     "energy.matrix: A must be symmetric"),
+    ({"energy": {"kind": "quadratic_form", "matrix": np.diag([1.0, -1.0, 1.0]).tolist()}},
+     "energy.matrix: A must be positive definite"),
 ], ids=["omega-text", "omega-short-pair", "omega-string", "matrix-text", "matrix-size",
         "omega-nan", "matrix-inf", "omega-numeric-text", "matrix-numeric-text",
         "floor-on-constant", "path-on-builtin", "floor-on-sampled",
-        "matrix-on-norm-power", "constant-value"])
+        "matrix-on-norm-power", "constant-value", "dim-on-sampled",
+        "matrix-non-symmetric", "matrix-indefinite"])
 def test_malformed_array_field_rejected_by_name(tmp_path, capsys, overrides, name):
     cfg = write_config(tmp_path, **overrides)
     assert main(["phi", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2

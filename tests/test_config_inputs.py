@@ -111,3 +111,4 @@ def test_probe_entry_count_names_the_field(tmp_path, capsys):
                     encoding="utf-8")
     assert main(["psi", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "sweep.F_probes entry [1.0, 0.0] has 2 entries" in capsys.readouterr().err
+

@@ -46,7 +46,7 @@ def test_gradient_matches_directional_derivative(rng):
 def test_custom_density_fd_gradient(rng):
     W = EnergyDensity.custom(
         lambda G: np.sum(G * G, axis=(0, 1)) + np.sum(np.abs(G) ** 4, axis=(0, 1)),
-        p=4.0, m=1, n=2, gamma=1.0, beta=2.0)
+        p=4.0, m=1, n=2)
     F = np.array([[0.7, -1.2]])
     expected = 2 * F + 4 * np.abs(F) ** 3 * np.sign(F)
     assert np.allclose(W.gradient(F), expected, rtol=1e-5, atol=1e-5)
@@ -72,13 +72,12 @@ def test_custom_stress_is_one_pass_over_the_stack(rng):
     # stack, 2 m n calls of fn; with grad: one call
     G = rng.uniform(-1, 1, size=(2, 3, 64, 64))
     fn_calls, grad_calls = [], []
-    W = EnergyDensity.custom(_counted(_cube_norm, fn_calls), p=3.0, m=2, n=3,
-                             gamma=0.1, beta=10.0)
+    W = EnergyDensity.custom(_counted(_cube_norm, fn_calls), p=3.0, m=2, n=3)
     fn_calls.clear()
     S = W.cell_stress(G)
     assert fn_calls == [G.shape] * (2 * 2 * 3)
     assert np.allclose(S, _cube_norm_grad(G), rtol=1e-6, atol=1e-8)
-    Wg = EnergyDensity.custom(_cube_norm, p=3.0, m=2, n=3, gamma=0.1, beta=10.0,
+    Wg = EnergyDensity.custom(_cube_norm, p=3.0, m=2, n=3,
                               grad=_counted(_cube_norm_grad, grad_calls))
     grad_calls.clear()
     assert np.array_equal(Wg.cell_stress(G), _cube_norm_grad(G))
@@ -88,19 +87,56 @@ def test_custom_stress_is_one_pass_over_the_stack(rng):
 def test_custom_rejects_per_matrix_callables():
     with pytest.raises(ConfigurationError, match="custom density fn"):
         EnergyDensity.custom(lambda F: float(np.sum(F * F) ** 1.5), p=3.0,
-                             m=1, n=3, gamma=0.1, beta=10.0)
+                             m=1, n=3)
     with pytest.raises(ConfigurationError, match="custom density grad"):
-        EnergyDensity.custom(_cube_norm, p=3.0, m=1, n=3, gamma=0.1, beta=10.0,
+        EnergyDensity.custom(_cube_norm, p=3.0, m=1, n=3,
                              grad=lambda G: _cube_norm_grad(G)[:, :, 0])
     # a per-matrix callable that cannot take a stack at all
     with pytest.raises(ConfigurationError, match="custom density fn"):
         EnergyDensity.custom(lambda F: float((F[0, 0] ** 2 - 1.0) ** 2), p=4.0,
-                             m=1, n=2, gamma=1e-3, beta=10.0)
+                             m=1, n=2)
 
 
 def test_unknown_kind_rejected_at_construction():
     with pytest.raises(ConfigurationError, match="unknown density kind"):
-        EnergyDensity(kind="ogden", p=2.0, m=1, n=2, gamma=1.0, beta=1.0)
+        EnergyDensity(kind="ogden", p=2.0, m=1, n=2)
+
+
+@pytest.mark.parametrize("kind,fields,named", [
+    ("p_norm_power", dict(quad_matrix=np.eye(2)), "quad_matrix"),
+    ("frobenius_power", dict(fn=_cube_norm), "fn"),
+    ("p_norm_power", dict(grad_fn=_cube_norm_grad), "grad_fn"),
+    ("p_norm_power", dict(convex=False), "convex"),
+    ("quadratic_form", dict(quad_matrix=np.eye(2), fn=_cube_norm), "fn"),
+    ("custom", dict(fn=_cube_norm, quad_matrix=np.eye(2)), "quad_matrix"),
+    ("p_norm_power", dict(quad_matrix=np.eye(2), fn=print), "quad_matrix, fn"),
+], ids=["matrix-on-norm", "fn-on-frobenius", "grad-on-norm", "convex-on-norm",
+        "fn-on-form", "matrix-on-custom", "two-fields"])
+def test_raw_constructor_refuses_fields_its_kind_does_not_read(kind, fields, named):
+    with pytest.raises(ConfigurationError,
+                       match=rf"^{named}: not read by density kind '{kind}'"):
+        EnergyDensity(kind=kind, p=2.0, m=1, n=2, **fields)
+
+
+def test_growth_constants_and_label_are_no_fields():
+    # p-growth is a hypothesis of the limits: no computation reads its
+    # constants, and the label was read only by two error messages
+    for extra in (dict(gamma=50.0), dict(beta=0.1), dict(label="x")):
+        with pytest.raises(TypeError):
+            EnergyDensity(kind="p_norm_power", p=2.0, m=1, n=2, **extra)
+    # an old positional call with gamma and beta binds to no parameter
+    with pytest.raises(TypeError):
+        EnergyDensity.custom(_cube_norm, 3.0, 1, 2, 0.1, 10.0)
+
+
+def test_custom_convexity_messages_name_the_custom_density():
+    declared = EnergyDensity.custom(_cube_norm, p=3.0, m=1, n=2, convex=False)
+    with pytest.raises(ConfigurationError, match="^custom density is declared non-convex"):
+        declared.check_convexity()
+    bad = EnergyDensity.custom(lambda G: np.sqrt(np.abs(G).sum(axis=(0, 1))),
+                               p=2.0, m=1, n=2)
+    with pytest.raises(ConfigurationError, match="^custom density failed sampled convexity"):
+        bad.check_convexity()
 
 
 def test_p_homogeneity_exact(rng):
@@ -138,17 +174,22 @@ def test_convexity_sampled(rng):
 
 
 def test_growth_bounds(rng):
-    for W in (EnergyDensity.p_norm_power(2.0, 2, 3),
-              EnergyDensity.p_norm_power(4.0, 1, 3),
-              EnergyDensity.p_norm_power(1.5, 1, 2),
-              EnergyDensity.frobenius_power(3.0, 2, 2),
-              EnergyDensity.quadratic_form(np.diag([0.5, 1.0, 2.0, 3.0]), 2, 2)):
+    # the builtins have p-growth, gamma |F|^p <= W(F) <= beta (1 + |F|^p),
+    # with the sharp constants: sum_j |F_j|^p lies between |F|^p and
+    # n^(1 - p/2) |F|^p, and a quadratic form between its extreme
+    # eigenvalues times |F|^2
+    for W, gamma, beta in (
+            (EnergyDensity.p_norm_power(2.0, 2, 3), 1.0, 1.0),
+            (EnergyDensity.p_norm_power(4.0, 1, 3), 1.0 / 3.0, 1.0),
+            (EnergyDensity.p_norm_power(1.5, 1, 2), 1.0, 2.0 ** 0.25),
+            (EnergyDensity.frobenius_power(3.0, 2, 2), 1.0, 1.0),
+            (EnergyDensity.quadratic_form(np.diag([0.5, 1.0, 2.0, 3.0]), 2, 2), 0.5, 3.0)):
         for _ in range(50):
             F = rng.uniform(-3, 3, size=(W.m, W.n))
             w = W.evaluate(F)
             fro = float(np.linalg.norm(F))
-            assert w >= W.gamma * fro ** W.p - 1e-12
-            assert w <= W.beta * (1 + fro ** W.p) + 1e-12
+            assert w >= gamma * fro ** W.p - 1e-12
+            assert w <= beta * (1 + fro ** W.p) + 1e-12
 
 
 def test_dimension_mismatch():
@@ -175,7 +216,7 @@ def test_p_must_exceed_one():
 
 def test_custom_convexity_check_catches_violation():
     W = EnergyDensity.custom(lambda G: np.sqrt(np.abs(G).sum(axis=(0, 1))),
-                             p=2.0, m=1, n=2, gamma=0.1, beta=10.0)
+                             p=2.0, m=1, n=2)
     with pytest.raises(ConfigurationError):
         W.check_convexity()
 

@@ -7,7 +7,8 @@ import scipy.integrate
 from filmhom import (ConfigurationError, EnergyDensity, Profile,
                      QuadratureOptions, direct_min, gamma_check, membrane_min,
                      minimize_periodic, oscillating_domain_mask,
-                     superlevel_mask, w_bar, w_hom, w_tilde)
+                     StructuralInconsistencyError, superlevel_mask, thresholds,
+                     w_bar, w_hom, w_tilde)
 from filmhom import cell_solver, cli, profiles
 
 
@@ -360,3 +361,28 @@ def test_gamma_serialization(tmp_path, stripe1, W2):
     lines = (out / "gamma.csv").read_text(encoding="utf-8").splitlines()
     rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
     assert len(rows) == 2 and len(rows[0]) == 6
+
+
+def test_w_bar_reads_the_thresholds_kept_on_its_profile(tmp_path, W3):
+    # w_bar alone, and w_bar after thresholds on the same fresh profile,
+    # write the same bytes; the second thresholds call is the first's report
+    alone = w_bar(Profile.builtin("sin2-product", 2), W3, [[1.0, 0.0]], n_grid=16)
+    product = Profile.builtin("sin2-product", 2)
+    report = thresholds(product, 16, confirm=False)
+    after = w_bar(product, W3, [[1.0, 0.0]], n_grid=16)
+    assert thresholds(product, 16, confirm=False) is report
+    assert thresholds(product, 16.0, m=1, confirm=False) is report
+    assert thresholds(product, 16, m=2, confirm=False) is not report
+    texts = []
+    for name, entry in (("alone", alone), ("after", after)):
+        cli._write_json(tmp_path / name, entry, ["reproducible=true"])
+        texts.append((tmp_path / name).read_bytes())
+    assert texts[0] == texts[1]
+
+
+def test_thresholds_keeps_no_raised_error(checker2):
+    # the checkerboard's corner contacts give the node lattice a higher rank
+    for _ in range(2):
+        with pytest.raises(StructuralInconsistencyError):
+            thresholds(checker2, 16)
+    assert thresholds(checker2, 16, confirm=False).thresholds

@@ -213,7 +213,7 @@ def test_whom_rejects_declared_nonconvex():
     # the declaration alone decides: the density is convex, but no chord
     # is sampled for a density declared non-convex
     declared = EnergyDensity.custom(lambda G: np.sum(G * G, axis=(0, 1)), p=2.0,
-                                    m=1, n=3, gamma=1.0, beta=1.0, convex=False)
+                                    m=1, n=3, convex=False)
     with pytest.raises(ConfigurationError, match="declared non-convex"):
         w_hom(Profile.builtin("sin2-stripe", dim=2), 0.3, [[1.0, 0.0, 0.0]],
               declared, 8)
@@ -221,7 +221,7 @@ def test_whom_rejects_declared_nonconvex():
 
 def test_whom_rejects_nonconvex():
     bad = EnergyDensity.custom(lambda G: np.sqrt(np.abs(G).sum(axis=(0, 1))),
-                               p=2.0, m=1, n=3, gamma=0.1, beta=10.0)
+                               p=2.0, m=1, n=3)
     prof = Profile.builtin("sin2-stripe", dim=2)
     with pytest.raises(ConfigurationError):
         w_hom(prof, 0.3, [[1.0, 0.0, 0.0]], bad, 8)

@@ -111,7 +111,7 @@ def _cube_norm_grad(G):
 def _custom_cube_norm(grad):
     """W(F) = |F|^3 as a custom density, with or without its gradient."""
     return EnergyDensity.custom(lambda G: np.sum(G * G, axis=(0, 1)) ** 1.5,
-                                p=3.0, m=1, n=3, gamma=0.1, beta=10.0, grad=grad)
+                                p=3.0, m=1, n=3, grad=grad)
 
 
 @pytest.mark.parametrize("W", [
@@ -234,7 +234,7 @@ def test_custom_free_column_alone_keeps_unscaled_preconditioner(checker2):
         plane = np.sqrt(np.sum(G[:, :2] ** 2, axis=(0, 1)))
         return np.maximum(plane - 1.0, 0.0) ** 2 + np.sum((G[:, 2:] - 1.0) ** 2, axis=(0, 1))
 
-    W = EnergyDensity.custom(fn, p=2.0, m=1, n=3, gamma=0.1, beta=10.0)
+    W = EnergyDensity.custom(fn, p=2.0, m=1, n=3)
     occ = superlevel_mask(checker2, 0.5, 16).occupancy
     value, corr, report = minimize_periodic(occ, W, [[0.0, 0.0, 0.5]],
                                             free_offset=True)
@@ -263,7 +263,7 @@ def test_custom_free_column_from_nonzero_start(monkeypatch, checker2):
     (lambda: EnergyDensity.p_norm_power(1.5, 1, 2), "newton"),
     (lambda: EnergyDensity.frobenius_power(1.5, 1, 2), "newton"),
     (lambda: EnergyDensity.custom(lambda G: np.sum(G * G, axis=(0, 1)) ** 1.5,
-                                  p=3.0, m=1, n=2, gamma=0.1, beta=10.0), "newton"),
+                                  p=3.0, m=1, n=2), "newton"),
     (lambda: EnergyDensity.p_norm_power(2.0, 1, 2), "cg"),
 ], ids=["p_norm3", "frobenius4", "p_norm1.5", "frobenius1.5", "custom3", "p_norm2"])
 def test_method_follows_density(make, method):
@@ -391,12 +391,12 @@ def _stress_nan_past(G):
 def test_non_finite_gradient_is_not_converged(checker2):
     # a NaN |g| ended `while |g| > gtol` at once, read as converged
     mask = superlevel_mask(checker2, 0.5, 16).occupancy
-    W = EnergyDensity.custom(_square, p=2.0, m=1, n=2, gamma=0.5, beta=2.0,
+    W = EnergyDensity.custom(_square, p=2.0, m=1, n=2,
                              grad=_stress_nan_past)
     value, _, report = minimize_periodic(mask, W, [[2.0, 0.5]])
     assert value == 2.125 and report.iterations == 0 and math.isnan(report.residual)
     assert not report.converged and "non-finite" in report.notes
-    W3 = EnergyDensity.custom(_square, p=2.0, m=1, n=3, gamma=0.5, beta=2.0,
+    W3 = EnergyDensity.custom(_square, p=2.0, m=1, n=3,
                               grad=_stress_nan_past)
     sample = w_hom(checker2, 0.5, [[2.0, 0.5, 0.2]], W3, 16)
     assert sample.value == pytest.approx(2.145)
@@ -406,7 +406,7 @@ def test_non_finite_gradient_is_not_converged(checker2):
 def test_non_finite_exact_value_is_not_converged():
     # the full-mask branch takes W(F) with no solve; a NaN there is no value
     W = EnergyDensity.custom(lambda G: np.where(_square(G) > 1.0, np.nan, _square(G)),
-                             p=2.0, m=1, n=2, gamma=0.5, beta=2.0, convex=True)
+                             p=2.0, m=1, n=2, convex=True)
     value, _, report = minimize_periodic(np.ones((4, 4), bool), W, [[2.0, 0.5]])
     assert report.method == "full" and math.isnan(value)
     assert not report.converged and "non-finite" in report.notes

@@ -149,13 +149,13 @@ def test_torus_components_full_mask():
 
 
 def test_torus_components_stripe_wraps_one_direction(stripe2):
-    comps = torus_components(superlevel_mask(stripe2, 0.75, 64))
+    comps = torus_components(superlevel_mask(stripe2, 0.75, 64).occupancy)
     assert comps.wrap_lattice == ((0, 1),)
     assert comps.rank == 1
 
 
 def test_torus_components_product_blobs(product2):
-    comps = torus_components(superlevel_mask(product2, 0.75, 64))
+    comps = torus_components(superlevel_mask(product2, 0.75, 64).occupancy)
     assert comps.rank == 0
     assert comps.num_components == 1
 
@@ -167,7 +167,7 @@ def test_torus_components_empty():
 
 
 def test_torus_labels_contiguous(checker2):
-    comps = torus_components(superlevel_mask(checker2, 0.5, 16))
+    comps = torus_components(superlevel_mask(checker2, 0.5, 16).occupancy)
     occupied_labels = comps.labels[comps.labels >= 0]
     assert occupied_labels.size > 0
     assert set(np.unique(occupied_labels)) == set(range(comps.num_components))
@@ -175,7 +175,7 @@ def test_torus_labels_contiguous(checker2):
 
 def test_torus_rank_monotone_in_t(product2, stripe2, checker2):
     for prof in (product2, stripe2, checker2):
-        ranks = [torus_components(superlevel_mask(prof, t, 32)).rank
+        ranks = [torus_components(superlevel_mask(prof, t, 32).occupancy).rank
                  for t in np.linspace(0.05, 0.95, 8)]
         assert all(b <= a for a, b in zip(ranks, ranks[1:]))
 
@@ -281,6 +281,24 @@ def test_checkerboard_geometry(checker2):
     assert checker2.eval([0.6, 0.1]) == 0.25
     mask = superlevel_mask(checker2, 0.5, 16)
     assert mask.area_fraction == pytest.approx(0.5)
-    comps = torus_components(mask)
+    comps = torus_components(mask.occupancy)
     assert comps.rank == 0
     assert comps.num_components == 2
+
+
+def test_profile_refuses_an_unknown_kind_at_construction():
+    with pytest.raises(ConfigurationError, match="unknown profile kind 'bogus'"):
+        Profile(dim=2, kind="bogus")
+
+
+def test_builtin_profile_refuses_values():
+    with pytest.raises(ConfigurationError,
+                       match="^values: not read by profile kind 'sin2-stripe'"):
+        Profile(dim=1, kind="sin2-stripe", values=np.ones(4))
+
+
+def test_torus_components_takes_a_mask_not_a_cell_mask(stripe2):
+    mask = superlevel_mask(stripe2, 0.75, 16)
+    with pytest.raises(ConfigurationError, match="^mask"):
+        torus_components(mask)
+    assert torus_components(mask.occupancy).rank == 1

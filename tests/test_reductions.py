@@ -111,7 +111,7 @@ def test_joint_newton_loop_takes_no_blas_reduction(monkeypatch, checker2):
     # step
     _no_large_blas_reductions(monkeypatch)
     W = EnergyDensity.custom(lambda G: np.sum(G * G, axis=(0, 1)) ** 1.5,
-                             p=3.0, m=1, n=3, gamma=0.1, beta=10.0,
+                             p=3.0, m=1, n=3,
                              grad=lambda G: 3.0 * np.sqrt(np.sum(G * G, axis=(0, 1))) * G)
     occ = superlevel_mask(checker2, 0.5, 48).occupancy
     _, corr, report = minimize_periodic(occ, W, [[1.0, 0.5, 0.2]],

@@ -458,8 +458,8 @@ def test_thresholds_are_exact_cell_values(profile, n):
         assert t in values
         below = values[values < t]
         lower = float(below.max()) if below.size else 0.0
-        assert torus_components(superlevel_mask(profile, t, n)).rank <= d - k
-        assert torus_components(superlevel_mask(profile, lower, n)).rank > d - k
+        assert torus_components(superlevel_mask(profile, t, n).occupancy).rank <= d - k
+        assert torus_components(superlevel_mask(profile, lower, n).occupancy).rank > d - k
 
 
 def test_thresholds_zero_when_the_rank_is_never_reached():
