@@ -26,8 +26,7 @@ finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 from .energy import EnergyDensity
 from .errors import (ConfigurationError, DimensionMismatchError, FilmhomError,
-                     QuadratureError, ResolutionError,
-                     StructuralInconsistencyError)
+                     ResolutionError, StructuralInconsistencyError)
 from .film import (FilmTableEntry, GammaCheckReport, MembraneResult,
                    QuadratureOptions, direct_min, gamma_check, membrane_min,
                    w_bar, w_tilde)
@@ -46,7 +45,7 @@ __all__ = [
     "DomainMask", "EnergyDensity", "FilmTableEntry",
     "FilmhomError", "GammaCheckReport", "HomogenizedSample",
     "IntervalInfo", "MembraneResult", "BoundsReport", "Profile",
-    "QuadratureError", "QuadratureOptions", "ResolutionError", "SolveReport",
+    "QuadratureOptions", "ResolutionError", "SolveReport",
     "SolverOptions", "StructuralInconsistencyError",
     "ThresholdReport", "TorusComponents",
     "bounds_check", "direct_min", "gamma_check", "kernel",

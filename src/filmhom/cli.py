@@ -6,8 +6,8 @@ take --oracle.  phi and psi refuse any energy.kind but p_norm_power.  Every
 command runs serially on one thread.  --jobs K is retired: it is still
 parsed (K must be an integer >= 1), warns when K > 1, and is ignored.
 
-Exit codes: 0 success, 2 config error, 3 resolution error, 4 solver or
-quadrature non-convergence, 5 structural inconsistency (the node lattice
+Exit codes: 0 success, 2 config error, 3 resolution error, 4 solver
+non-convergence, 5 structural inconsistency (the node lattice
 of a superlevel set outranks its face lattice, so the grid cannot certify
 the kernel; thresholds makes no solve and never exits 4).  CSV uses ','
 separator and 12 significant digits; with --reproducible the header
@@ -33,7 +33,7 @@ import numpy as np
 from . import film as film_mod
 from . import homogenize as hom
 from .config import load_config
-from .errors import (ConfigurationError, QuadratureError, ResolutionError,
+from .errors import (ConfigurationError, ResolutionError,
                      StructuralInconsistencyError, as_integer)
 from .profiles import superlevel_mask, torus_components
 
@@ -245,7 +245,6 @@ def cmd_thresholds(cfg, args, out):
 
 def cmd_film(cfg, args, out):
     probes = cfg.probe_matrices(cfg.n - 1)
-    # as w_bar calls it, so w_bar finds this report on the profile
     report = hom.thresholds(cfg.profile, cfg.film_n_grid, confirm=False)
 
     entries = [film_mod.w_bar(cfg.profile, cfg.energy, F, n_grid=cfg.film_n_grid,
@@ -340,9 +339,6 @@ def main(argv=None):
     except ResolutionError as err:
         print(f"resolution error: {err}", file=sys.stderr)
         return 3
-    except QuadratureError as err:
-        print(f"quadrature did not converge: {err}", file=sys.stderr)
-        return 4
     except StructuralInconsistencyError as err:
         print(f"structural inconsistency: {err}", file=sys.stderr)
         return 5

@@ -153,7 +153,7 @@ SCHEMA = {
     "grid": {"N"},
     "solver": {"cg_rtol", "grad_tol", "max_iterations"},
     "sweep": {"t_values", "F_probes", "random_probes", "seed", "probe_scale"},
-    "quadrature": {"rel_tol", "initial_nodes_per_unit", "max_refinements"},
+    "quadrature": {"rel_tol"},
     "thresholds": {"confirm"},
     "film": {"n_grid"},
     "schedule": {"eps", "cells_per_delta", "vertical_cells"},
@@ -187,8 +187,6 @@ NUMERIC = {
     "sweep.seed": (as_count, 0),
     "sweep.probe_scale": (as_real, 1.0),
     "quadrature.rel_tol": (as_positive, QuadratureOptions.rel_tol),
-    "quadrature.initial_nodes_per_unit": (as_integer, QuadratureOptions.initial_nodes_per_unit),
-    "quadrature.max_refinements": (as_integer, QuadratureOptions.max_refinements),
     "film.n_grid": (as_resolution, 64),
     "schedule.cells_per_delta": (as_integer, 8),
     "schedule.vertical_cells": (as_integer, 32),
@@ -262,16 +260,19 @@ def config_hash(raw):
     return sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def load_config(source, base_dir=None):
-    """Parse and validate a config from the path of a JSON file, or a dict."""
+def load_config(source):
+    """Parse and validate a config from the path of a JSON file, or a dict.
+
+    A sampled profile's relative path is read from the file's directory, or
+    for a dict from the working directory."""
     if isinstance(source, dict):
         raw = source
-        base_dir = base_dir or "."
+        base_dir = "."
     else:
         path = Path(source)
         if not path.exists():
             raise ConfigurationError(f"config file not found: {source}")
-        base_dir = base_dir or path.parent
+        base_dir = path.parent
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as err:

@@ -40,7 +40,8 @@ class EnergyDensity:
     each refused by name, and refuses by name a field that its kind does
     not read.  A quadratic form reads ``quad_matrix``, read-only and
     refused by the name A unless symmetric positive definite; a custom
-    density reads ``fn``, ``grad_fn`` and ``convex``."""
+    density reads ``fn``, refused unless callable, ``grad_fn`` and
+    ``convex``."""
 
     kind: str
     p: float
@@ -60,6 +61,9 @@ class EnergyDensity:
         if unread:
             raise ConfigurationError(
                 f"{', '.join(unread)}: not read by density kind {self.kind!r}")
+        if self.kind == "custom" and not callable(self.fn):
+            raise ConfigurationError(
+                f"fn of a custom density must be callable; got {self.fn!r:.80}")
         for name, read in (("p", as_exponent), ("m", as_integer), ("n", as_integer)):
             object.__setattr__(self, name, read(getattr(self, name), name))
         if self.kind == "quadratic_form":

@@ -1,9 +1,9 @@
 """Exception taxonomy shared by all modules.
 
 Exit-code mapping used by the CLI: configuration errors -> 2, resolution
-errors -> 3, quadrature non-convergence -> 4, structural inconsistency -> 5.
-Solver non-convergence is not raised: every solve carries it in
-``SolveReport.converged``, and the CLI turns any False into exit code 4.
+errors -> 3, structural inconsistency -> 5.  Solver non-convergence is not
+raised: every solve carries it in ``SolveReport.converged``, and the CLI
+turns any False into exit code 4.
 
 Every public entry point, options type and config field reads its scalars
 and arrays through the readers below, which hold each bound and each array
@@ -152,16 +152,3 @@ class StructuralInconsistencyError(FilmhomError):
         super().__init__(message)
         self.geometric = geometric
         self.energetic = energetic
-
-
-class QuadratureError(FilmhomError):
-    """Adaptive quadrature failed to meet its tolerance.
-
-    Attributes carry the best estimate and the refinement history so a
-    caller can still inspect partial results.
-    """
-
-    def __init__(self, message, best_estimate=None, history=None):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-        self.history = history or []

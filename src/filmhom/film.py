@@ -7,8 +7,9 @@ alone (the unit box when None).
 
 Pipeline: ``w_tilde`` minimizes the cylinder density over the transverse
 gradient column in one periodic solve; ``w_bar`` integrates it over the
-level t with a composite midpoint rule whose nodes avoid the degeneracy
-thresholds exactly; ``membrane_min`` converts that into the limit membrane
+level t, a non-increasing step function on the grid's level classes, by a
+bracket L <= w_bar <= U that it narrows until its half-width meets
+``rel_tol``; ``membrane_min`` converts that into the limit membrane
 minimum for affine boundary data; ``direct_min`` minimizes the raw energy
 on the oscillating slab; and ``gamma_check`` compares the scaled slab
 minima against the membrane target along a schedule of thicknesses with
@@ -17,14 +18,17 @@ delta = eps^2.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cell_solver import _Grid, _solve_masked, minimize_periodic
-from .errors import (ConfigurationError, QuadratureError, ResolutionError,
-                     as_integer, as_matrix, as_positive)
+from .errors import (ConfigurationError, ResolutionError, as_integer,
+                     as_matrix, as_positive)
+# nothing here calls thresholds any more, but perfbench/spans.py wraps it
+# by name in this module, so it stays importable from here
 from .homogenize import _columns, thresholds
 from .profiles import _omega_box, oscillating_domain_mask, superlevel_mask
 
@@ -32,21 +36,17 @@ from .profiles import _omega_box, oscillating_domain_mask, superlevel_mask
 @dataclass(frozen=True)
 class QuadratureOptions:
     rel_tol: float = 1e-3
-    initial_nodes_per_unit: int = 8
-    max_refinements: int = 8
 
     def __post_init__(self):
         object.__setattr__(self, "rel_tol", as_positive(self.rel_tol, "rel_tol"))
-        for name in ("initial_nodes_per_unit", "max_refinements"):
-            object.__setattr__(self, name, as_integer(getattr(self, name), name))
 
 
 @dataclass
 class FilmTableEntry:
     Fbar: np.ndarray
     value: float
+    half_width: float           # value - half_width <= w_bar <= value + half_width
     nodes: list
-    weights: list
     node_values: list
     node_argmins: list
     refinement_level: int
@@ -101,81 +101,82 @@ def w_tilde(profile, W, t, Fbar, *, n_grid=64, solver_opts=None):
     return value, corr.offset[:, -1].copy(), report.converged
 
 
-# -- quadrature over the level --------------------------------------------------
+# -- the bracket over the level classes ------------------------------------------
 
 
-def _midpoint_nodes(breakpoints, per_piece):
-    nodes, weights = [], []
-    for (a, b), n in zip(zip(breakpoints[:-1], breakpoints[1:]), per_piece):
-        h = (b - a) / n
-        for i in range(n):
-            nodes.append(a + (i + 0.5) * h)
-            weights.append(h)
-    return nodes, weights
+def _class_ends(profile, n_grid):
+    """0, the distinct values of f on the n_grid grid inside (0, 1), and 1.
+
+    Class k is the level interval [ends[k], ends[k + 1]).  The comparison
+    f > t is strict, so on it the mask {f > t} is exactly that of its left
+    end: the first class gives the full mask, and a last class from max f
+    the empty one.  A value 0 or 1 would bound a class of zero width.
+    """
+    values = np.sort(profile.eval_grid(n_grid), axis=None)
+    # distinct values by sort-and-diff (plain np.unique imports numpy.ma)
+    values = values[np.flatnonzero(np.diff(values, prepend=0.0))]
+    return [0.0, *values[values < 1.0].tolist(), 1.0]
 
 
-def quadrature_breakpoints(profile, n_grid, *, uniform=False):
-    # the thresholds are exact cell values, so no integrand jump falls
-    # inside a piece, where midpoint refinement would stall
-    if uniform:
-        return [0.0, 1.0]
-    pts = [0.0]
-    for t in thresholds(profile, n_grid, confirm=False).thresholds:
-        if pts[-1] + 1e-9 < t < 1.0 - 1e-9:
-            pts.append(float(t))
-    pts.append(1.0)
-    return pts
-
-
-def w_bar(profile, W, Fbar, *, n_grid=64, quad=None, solver_opts=None,
-          uniform=False):
+def w_bar(profile, W, Fbar, *, n_grid=64, quad=None, solver_opts=None):
     """Integrate the inner-minimized density over the level t in (0, 1).
 
-    Each node takes one joint ``w_tilde`` solve, whose transverse column is
-    recorded in ``node_argmins``.  Composite midpoint rule on the pieces cut
-    by the detected thresholds (midpoint nodes never hit a threshold); the
-    node count doubles per refinement until two successive totals differ by
-    at most rel_tol * max(|total|, 1e-9).  A run that exhausts the refinement
-    budget raises QuadratureError carrying the best estimate and the full
-    node history.  The entry's ``converged`` is False when any cylinder
-    solve of any refinement level did not converge.
+    On the n_grid grid ``w_tilde`` reads t only through the mask {f > t},
+    so it is a step function, constant on each level class (``_class_ends``)
+    and non-increasing in t, since a smaller mask sums W >= 0 over fewer
+    cells.  A ``custom`` density is assumed to satisfy W >= 0, as p-growth
+    requires; it is not checked.  Between two evaluated classes i < j the
+    classes left out lie between g_j and g_i, which brackets the integral
+    L <= w_bar <= U.  The first and the last class are evaluated, and then,
+    while U - L > 2 rel_tol |(L + U) / 2|, the class at the width-median of
+    the gap with the largest (g_i - g_j) * width.  Each class is evaluated
+    at most once, so the loop always ends.
+
+    The entry's ``value`` is (L + U) / 2 and its ``half_width`` (U - L) / 2,
+    certified up to the error of the solves.  ``nodes`` holds the evaluated
+    levels, the left ends of their classes, in ascending order; each took
+    one joint ``w_tilde`` solve, whose transverse column is recorded in
+    ``node_argmins``.  ``refinement_level`` counts the evaluations after the
+    two end classes, and ``converged`` is False when any solve did not
+    converge.
     """
     _require_film_hypotheses(profile, W)
     quad = quad or QuadratureOptions()
     Fbar = as_matrix(Fbar, "Fbar", (W.m, profile.dim))
-    breaks = quadrature_breakpoints(profile, n_grid, uniform=uniform)
-    per_piece = [max(2, math.ceil(quad.initial_nodes_per_unit * (b - a)))
-                 for a, b in zip(breaks[:-1], breaks[1:])]
+    ends = _class_ends(profile, n_grid)
+    found = {}      # class -> w_tilde's (value, argmin, converged)
+    todo = {0, len(ends) - 2}
+    while todo:
+        for k in todo:
+            found[k] = w_tilde(profile, W, ends[k], Fbar, n_grid=n_grid,
+                               solver_opts=solver_opts)
+        done = sorted(found)
+        lower = upper = widest = 0.0
+        todo = set()
+        for i, j in zip(done, done[1:] + [None]):
+            g_i = found[i][0]
+            exact = (ends[i + 1] - ends[i]) * g_i
+            lower += exact
+            upper += exact
+            if j is None or j == i + 1:
+                continue
+            g_j, gap = found[j][0], ends[j] - ends[i + 1]
+            lower += gap * g_j
+            upper += gap * g_i
+            if (g_i - g_j) * gap > widest:
+                widest, split = (g_i - g_j) * gap, (i, j)
+        if widest > 0.0 and upper - lower > quad.rel_tol * abs(lower + upper):
+            i, j = split
+            median = bisect.bisect_right(ends, 0.5 * (ends[i + 1] + ends[j])) - 1
+            todo = {min(median, j - 1)}     # a rounded midpoint may reach ends[j]
 
-    history = []
-    prev_total = None
-    best = None
-    converged = True
-    for level in range(quad.max_refinements + 1):
-        nodes, weights = _midpoint_nodes(breaks, per_piece)
-        vals, mins = [], []
-        for t in nodes:
-            v, argmin, ok = w_tilde(profile, W, t, Fbar, n_grid=n_grid,
-                                    solver_opts=solver_opts)
-            vals.append(v)
-            mins.append(argmin)
-            converged &= ok
-        total = float(np.dot(weights, vals))
-        history.append({"level": level, "nodes": len(nodes), "estimate": total})
-        best = FilmTableEntry(Fbar=Fbar.copy(), value=total, nodes=nodes,
-                              weights=weights, node_values=vals,
-                              node_argmins=mins, refinement_level=level,
-                              converged=converged)
-        if prev_total is not None and (
-                abs(total - prev_total)
-                <= quad.rel_tol * max(abs(total), 1e-9)):
-            return best
-        prev_total = total
-        per_piece = [2 * n for n in per_piece]
-    raise QuadratureError(
-        f"film quadrature did not converge to rel_tol={quad.rel_tol} within "
-        f"{quad.max_refinements} refinements",
-        best_estimate=best.value if best else None, history=history)
+    return FilmTableEntry(
+        Fbar=Fbar.copy(), value=float(0.5 * (lower + upper)),
+        half_width=float(0.5 * (upper - lower)), nodes=[ends[k] for k in done],
+        node_values=[found[k][0] for k in done],
+        node_argmins=[found[k][1] for k in done],
+        refinement_level=len(done) - len({0, len(ends) - 2}),
+        converged=all(found[k][2] for k in done))
 
 
 # -- membrane minimum and direct slab minimization -------------------------------

@@ -219,12 +219,9 @@ def thresholds(profile, n_grid, *, m=1, confirm=True):
     are computed at the midpoints of the intervals between thresholds,
     certified there by ``kernel`` when ``confirm`` is set; levels closer
     than 1/N, the level resolution of the grid, bound no interval of their
-    own.  The report is kept on the profile, one per set of arguments.
+    own.
     """
     n_grid, m = as_resolution(n_grid, "n_grid"), as_integer(m, "m")
-    key = ("thresholds", n_grid, m, bool(confirm))
-    if key in profile._memo:
-        return profile._memo[key]
     d = profile.dim
     rises = wrap_rank_levels(profile, n_grid)
     ts = tuple(rises[d - k] if d - k < len(rises) else 0.0 for k in range(1, d + 1))
@@ -239,9 +236,8 @@ def thresholds(profile, n_grid, *, m=1, confirm=True):
         k, xi = kernel(profile, 0.5 * (lo + hi), n_grid, confirm=confirm)
         intervals.append(IntervalInfo(t_lo=lo, t_hi=hi, wrap_rank=d - k,
                                       kernel_dim=k * m, xi=tuple(xi)))
-    report = profile._memo[key] = ThresholdReport(
-        thresholds=ts, intervals=tuple(intervals), dim=d, m=m, resolution=n_grid)
-    return report
+    return ThresholdReport(thresholds=ts, intervals=tuple(intervals), dim=d,
+                           m=m, resolution=n_grid)
 
 
 @dataclass(frozen=True)

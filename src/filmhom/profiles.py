@@ -51,7 +51,7 @@ class Profile:
     kind: str
     floor: float | None = None
     values: np.ndarray | None = None
-    # eval_grid's read-only grids by resolution, thresholds' reports by call
+    # eval_grid's read-only grids by resolution
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 

@@ -62,6 +62,24 @@ def test_mask_constant_profile(tmp_path):
     assert all(line.split(",")[1] == "1" for line in rows[1:])
 
 
+def test_sampled_path_is_read_from_the_config_file_directory(tmp_path,
+                                                             monkeypatch):
+    # a relative path in a config file is read from the file's directory,
+    # and in a dict from the working directory
+    values = np.ones((4, 4))
+    (tmp_path / "conf").mkdir()
+    save_sampled_profile(values, tmp_path / "conf" / "prof.txt")
+    cfg = write_config(tmp_path / "conf", profile={"kind": "sampled",
+                                                   "path": "prof.txt"})
+    monkeypatch.chdir(tmp_path)
+    assert load_config(cfg).profile.values.shape == (4, 4)
+    raw = json.loads(read_lines(cfg))
+    with pytest.raises(filmhom.ConfigurationError, match="prof.txt"):
+        load_config(raw)
+    monkeypatch.chdir(tmp_path / "conf")
+    assert load_config(raw).profile.values.shape == (4, 4)
+
+
 def test_mask_sampled_profile_round_trip(tmp_path, stripe2):
     values = stripe2.eval_grid(32)
     values = values / values.max()
@@ -359,20 +377,20 @@ def test_exit_code_film_nonconvergence(tmp_path):
     assert table["entries"][0]["converged"] is False
 
 
-def test_exit_code_quadrature_error(tmp_path, capsys):
-    # a rough sampled profile whose film density changes by more than
-    # 1e-12 between the two refinement levels allowed
+def test_film_rough_profile_ends_exact(tmp_path):
+    # a rough sampled profile has at most 65 level classes on the 8-grid,
+    # so even at rel_tol 1e-12 the bracket closes exactly
     values = np.random.default_rng(3).uniform(0.3, 1.0, size=(8, 8))
     values[0, 0] = 1.0
     prof_path = tmp_path / "prof.txt"
     save_sampled_profile(values, prof_path)
     cfg = write_config(tmp_path, profile={"kind": "sampled", "path": str(prof_path)},
-                       film={"n_grid": 8},
-                       quadrature={"rel_tol": 1e-12, "max_refinements": 1},
+                       film={"n_grid": 8}, quadrature={"rel_tol": 1e-12},
                        sweep={"t_values": [], "F_probes": [[1.0, 0.0]]})
-    assert main(["film", "--config", str(cfg), "--out",
-                 str(tmp_path / "out")]) == 4
-    assert "quadrature did not converge" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["film", "--config", str(cfg), "--out", str(out)]) == 0
+    entry = json.loads(read_lines(out / "film.json"))["entries"][0]
+    assert entry["half_width"] == 0.0 and entry["value"] > 0.0
 
 
 def test_config_validation_messages(tmp_path):
@@ -538,13 +556,14 @@ OUT_OF_RANGE = [
     ("phi", "solver", "max_iterations", 0),
     ("phi", "solver", "cg_rtol", -1.0),
     ("whom", "solver", "grad_tol", -1.0),
-    ("film", "quadrature", "max_refinements", -1),
-    ("film", "quadrature", "max_refinements", 0),
-    ("film", "quadrature", "initial_nodes_per_unit", 0),
     ("psi", "sweep", "seed", -1),
     ("psi", "sweep", "random_probes", -4),
     ("phi", "energy", "p", 0.5),
     ("phi", "energy", "p", 1.0),
+    # keys of the deleted midpoint rule: unknown keys, whatever the value
+    ("film", "quadrature", "max_refinements", -1),
+    ("film", "quadrature", "max_refinements", 0),
+    ("film", "quadrature", "initial_nodes_per_unit", 0),
 ]
 
 

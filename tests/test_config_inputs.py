@@ -26,7 +26,7 @@ BASES = [
      "solver": {"cg_rtol": 1e-10, "grad_tol": 1e-8, "max_iterations": 50},
      "sweep": {"t_values": [0.1, 0.5], "F_probes": [[1.0, 0.0, 0.0]],
                "random_probes": 1, "seed": 2, "probe_scale": 0.5},
-     "quadrature": {"rel_tol": 1e-3, "initial_nodes_per_unit": 4, "max_refinements": 3},
+     "quadrature": {"rel_tol": 1e-3},
      "thresholds": {"confirm": True},
      "film": {"n_grid": 16},
      "schedule": {"eps": [0.5, 0.25], "cells_per_delta": 4, "vertical_cells": 8},
@@ -91,6 +91,15 @@ def test_refused_field_adds_no_second_problem(overrides, problem):
     with pytest.raises(ConfigurationError) as err:
         load_config(raw)
     assert str(err.value) == f"invalid config:\n  {problem}"
+
+
+@pytest.mark.parametrize("key", ["initial_nodes_per_unit", "max_refinements"])
+def test_deleted_quadrature_key_refused_as_unknown(key):
+    # the film bracket has no node count or refinement budget to set
+    with pytest.raises(ConfigurationError) as err:
+        load_config({"profile": {"kind": "sin2-stripe", "dim": 2},
+                     "quadrature": {"rel_tol": 1e-3, key: 4}})
+    assert str(err.value) == f"invalid config:\n  unknown key quadrature.{key}"
 
 
 @pytest.mark.parametrize("probes", [3, None, True])

@@ -118,6 +118,17 @@ def test_raw_constructor_refuses_fields_its_kind_does_not_read(kind, fields, nam
         EnergyDensity(kind=kind, p=2.0, m=1, n=2, **fields)
 
 
+def test_raw_custom_density_without_fn_refused_by_name():
+    # it built, and its first evaluate raised a bare TypeError
+    with pytest.raises(ConfigurationError, match="^fn of a custom density"):
+        EnergyDensity(kind="custom", p=2.0, m=1, n=3)
+
+
+def test_custom_constructor_without_fn_refused_by_name():
+    with pytest.raises(ConfigurationError, match="^fn of a custom density"):
+        EnergyDensity.custom(None, 2.0, 1, 3)
+
+
 def test_growth_constants_and_label_are_no_fields():
     # p-growth is a hypothesis of the limits: no computation reads its
     # constants, and the label was read only by two error messages

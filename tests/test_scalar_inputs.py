@@ -103,7 +103,7 @@ NOT_ENTRY_POINTS = {
     "GammaCheckReport", "HomogenizedSample", "IntervalInfo", "MembraneResult",
     "SolveReport", "ThresholdReport", "TorusComponents",
     "ConfigurationError", "DimensionMismatchError", "FilmhomError",
-    "QuadratureError", "ResolutionError", "StructuralInconsistencyError",
+    "ResolutionError", "StructuralInconsistencyError",
 }
 
 # (parameter, bad-value id) pairs that are valid there: a level 0, a
@@ -115,9 +115,12 @@ VALID |= {(name, "fraction") for name in ("eps", "delta", "p",
                                           "cg_rtol", "grad_tol", "rel_tol")}
 
 # (entry, parameter) pairs deleted from the signature: nothing read the
-# growth constants, so any value there is refused by its name as an
-# unexpected keyword, never bound to another parameter
-DELETED = {("EnergyDensity.custom", "gamma"), ("EnergyDensity.custom", "beta")}
+# growth constants, and the film bracket has no node count or refinement
+# budget, so any value there is refused by its name as an unexpected
+# keyword, never bound to another parameter
+DELETED = {("EnergyDensity.custom", "gamma"), ("EnergyDensity.custom", "beta"),
+           ("QuadratureOptions", "initial_nodes_per_unit"),
+           ("QuadratureOptions", "max_refinements")}
 
 CASES = [(entry, name, label) for entry, (_, _, names) in ENTRY_POINTS.items()
          for name in names for label in BAD]
