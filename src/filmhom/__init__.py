@@ -27,9 +27,8 @@ finally:
 from .energy import EnergyDensity
 from .errors import (ConfigurationError, DimensionMismatchError, FilmhomError,
                      ResolutionError, StructuralInconsistencyError)
-from .film import (FilmTableEntry, GammaCheckReport, MembraneResult,
-                   QuadratureOptions, direct_min, gamma_check, membrane_min,
-                   w_bar, w_tilde)
+from .film import (FilmTableEntry, GammaCheckReport, MembraneResult, direct_min,
+                   gamma_check, membrane_min, w_bar, w_tilde)
 from .homogenize import (BoundsReport, HomogenizedSample, IntervalInfo,
                          ThresholdReport, bounds_check, kernel, phi_sharp, psi,
                          psi_cylinder_oracle, thresholds, w_hom,
@@ -45,7 +44,7 @@ __all__ = [
     "DomainMask", "EnergyDensity", "FilmTableEntry",
     "FilmhomError", "GammaCheckReport", "HomogenizedSample",
     "IntervalInfo", "MembraneResult", "BoundsReport", "Profile",
-    "QuadratureOptions", "ResolutionError", "SolveReport",
+    "ResolutionError", "SolveReport",
     "SolverOptions", "StructuralInconsistencyError",
     "ThresholdReport", "TorusComponents",
     "bounds_check", "direct_min", "gamma_check", "kernel",

@@ -248,11 +248,11 @@ def cmd_film(cfg, args, out):
     report = hom.thresholds(cfg.profile, cfg.film_n_grid, confirm=False)
 
     entries = [film_mod.w_bar(cfg.profile, cfg.energy, F, n_grid=cfg.film_n_grid,
-                              quad=cfg.quad, solver_opts=cfg.solver) for F in probes]
+                              rel_tol=cfg.rel_tol, opts=cfg.solver) for F in probes]
     comments = _comments(cfg, args)
     _write_json(out / "film.json", {
         "entries": entries, "thresholds": report.thresholds,
-        "rel_tol": cfg.quad.rel_tol,
+        "rel_tol": cfg.rel_tol,
         "metadata": {"n_grid": cfg.film_n_grid, "config_hash": cfg.config_hash},
     }, comments)
     columns = _flat_names(cfg.m, cfg.n - 1) + ["value", "refinement_level", "nodes"]
@@ -273,7 +273,7 @@ def cmd_gamma(cfg, args, out):
         cfg.profile, cfg.energy, probes[0], cfg.eps_schedule, omega=cfg.omega,
         cells_per_delta=cfg.cells_per_delta,
         vertical_cells=cfg.schedule_vertical_cells, n_grid=cfg.film_n_grid,
-        quad=cfg.quad, solver_opts=cfg.solver)
+        rel_tol=cfg.rel_tol, opts=cfg.solver)
     comments = _comments(cfg, args)
     _write_json(out / "gamma.json", report, comments)
     _write_csv(out / "gamma.csv",

@@ -22,7 +22,7 @@ from .energy import EnergyDensity
 from .errors import (ConfigurationError, as_array, as_count, as_exponent,
                      as_floor, as_integer, as_level, as_positive, as_real,
                      as_resolution)
-from .film import QuadratureOptions, _eps_schedule
+from .film import REL_TOL, _eps_schedule
 from .profiles import (BUILTIN_PROFILES, Profile, _omega_box,
                        load_sampled_profile)
 
@@ -50,7 +50,7 @@ class RunConfig:
     random_probes: int
     seed: int
     probe_scale: float
-    quad: QuadratureOptions
+    rel_tol: float
     confirm_kernel: bool
     film_n_grid: int
     eps_schedule: list
@@ -160,15 +160,10 @@ SCHEMA = {
     "omega": None,
 }
 
-# keys that once had an effect: still accepted, with a warning
+# keys that once had an effect and that the benchmark's generated configs
+# still write: accepted, with a warning; any other retired key is unknown
 RETIRED = {"film.vertical_cells": "film cell problems solve on the in-plane grid",
-           "grid.vertical_cells": "the psi oracle solves on a fixed two-layer cylinder",
-           "thresholds.bisect_tol": "thresholds are exact cell values",
-           "thresholds.coercivity_floor": "the kernel is certified by comparing "
-                                          "two wrap lattices, with no solve",
-           "solver.method": "the method follows the density (docs/solvers.md)",
-           "energy.gamma": "p-growth is a hypothesis; no computation reads its constants",
-           "energy.beta": "p-growth is a hypothesis; no computation reads its constants"}
+           "grid.vertical_cells": "the psi oracle solves on a fixed two-layer cylinder"}
 
 
 # every scalar numeric field: dotted name -> (the library's reader, default);
@@ -186,7 +181,7 @@ NUMERIC = {
     "sweep.random_probes": (as_count, 0),
     "sweep.seed": (as_count, 0),
     "sweep.probe_scale": (as_real, 1.0),
-    "quadrature.rel_tol": (as_positive, QuadratureOptions.rel_tol),
+    "quadrature.rel_tol": (as_positive, REL_TOL),
     "film.n_grid": (as_resolution, 64),
     "schedule.cells_per_delta": (as_integer, 8),
     "schedule.vertical_cells": (as_integer, 32),
@@ -299,7 +294,6 @@ def load_config(source):
     F_probes = _collect(problems, _number_list, sweep.get("F_probes", []), "sweep.F_probes",
                         lambda probes, name: [as_array(f, name) for f in probes], default=[])
 
-    quad = QuadratureOptions(**_section(num, "quadrature"))
     confirm_kernel = raw.get("thresholds", {}).get("confirm", True)
     if not isinstance(confirm_kernel, bool):
         problems.append(f"thresholds.confirm must be true or false; got {confirm_kernel!r}")
@@ -319,7 +313,7 @@ def load_config(source):
         n=n, m=m, profile=profile, energy=energy, grid_n=num["grid.N"],
         solver=solver, t_values=t_values, F_probes=F_probes,
         random_probes=num["sweep.random_probes"], seed=num["sweep.seed"],
-        probe_scale=num["sweep.probe_scale"], quad=quad,
+        probe_scale=num["sweep.probe_scale"], rel_tol=num["quadrature.rel_tol"],
         confirm_kernel=confirm_kernel,
         film_n_grid=num["film.n_grid"],
         eps_schedule=eps_schedule, cells_per_delta=num["schedule.cells_per_delta"],

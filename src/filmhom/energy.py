@@ -38,9 +38,9 @@ class EnergyDensity:
 
     Every constructor ends in ``__post_init__``, which reads p, m and n,
     each refused by name, and refuses by name a field that its kind does
-    not read.  A quadratic form reads ``quad_matrix``, read-only and
-    refused by the name A unless symmetric positive definite; a custom
-    density reads ``fn``, refused unless callable, ``grad_fn`` and
+    not read.  A quadratic form has p = 2 and reads ``quad_matrix``,
+    read-only and refused by the name A unless symmetric positive definite;
+    a custom density reads ``fn``, refused unless callable, ``grad_fn`` and
     ``convex``."""
 
     kind: str
@@ -67,6 +67,9 @@ class EnergyDensity:
         for name, read in (("p", as_exponent), ("m", as_integer), ("n", as_integer)):
             object.__setattr__(self, name, read(getattr(self, name), name))
         if self.kind == "quadratic_form":
+            if self.p != 2.0:
+                raise ConfigurationError(
+                    f"p of a quadratic_form density must be 2; got {self.p}")
             A = np.array(as_array(self.quad_matrix, "A", (self.m * self.n,) * 2))
             A.flags.writeable = False
             if not np.allclose(A, A.T, atol=1e-12):

@@ -13,7 +13,8 @@ bracket L <= w_bar <= U that it narrows until its half-width meets
 minimum for affine boundary data; ``direct_min`` minimizes the raw energy
 on the oscillating slab; and ``gamma_check`` compares the scaled slab
 minima against the membrane target along a schedule of thicknesses with
-delta = eps^2.
+delta = eps^2.  Solver settings are ``opts``, as in the cell layer, and
+the bracket's one setting is the float ``rel_tol``.
 """
 
 from __future__ import annotations
@@ -30,15 +31,12 @@ from .errors import (ConfigurationError, ResolutionError, as_integer,
 # nothing here calls thresholds any more, but perfbench/spans.py wraps it
 # by name in this module, so it stays importable from here
 from .homogenize import _columns, thresholds
-from .profiles import _omega_box, oscillating_domain_mask, superlevel_mask
+from .profiles import (_distinct_positive, _omega_box, oscillating_domain_mask,
+                       superlevel_mask)
 
 
-@dataclass(frozen=True)
-class QuadratureOptions:
-    rel_tol: float = 1e-3
-
-    def __post_init__(self):
-        object.__setattr__(self, "rel_tol", as_positive(self.rel_tol, "rel_tol"))
+# the default rel_tol of w_bar, membrane_min, gamma_check and the config
+REL_TOL = 1e-3
 
 
 @dataclass
@@ -82,7 +80,7 @@ def _require_film_hypotheses(profile, W):
     W.check_convexity()
 
 
-def w_tilde(profile, W, t, Fbar, *, n_grid=64, solver_opts=None):
+def w_tilde(profile, W, t, Fbar, *, n_grid=64, opts=None):
     """Minimize the cylinder density over the transverse gradient column.
 
     The cell energy is jointly convex in the corrector and the column, so
@@ -96,8 +94,7 @@ def w_tilde(profile, W, t, Fbar, *, n_grid=64, solver_opts=None):
     _require_film_hypotheses(profile, W)
     F = _columns(Fbar, "Fbar", profile.dim, W, zeros=1)
     occ = superlevel_mask(profile, t, n_grid).occupancy
-    value, corr, report = minimize_periodic(occ, W, F, solver_opts,
-                                            free_offset=True)
+    value, corr, report = minimize_periodic(occ, W, F, opts, free_offset=True)
     return value, corr.offset[:, -1].copy(), report.converged
 
 
@@ -112,13 +109,11 @@ def _class_ends(profile, n_grid):
     end: the first class gives the full mask, and a last class from max f
     the empty one.  A value 0 or 1 would bound a class of zero width.
     """
-    values = np.sort(profile.eval_grid(n_grid), axis=None)
-    # distinct values by sort-and-diff (plain np.unique imports numpy.ma)
-    values = values[np.flatnonzero(np.diff(values, prepend=0.0))]
+    values = _distinct_positive(profile.eval_grid(n_grid))
     return [0.0, *values[values < 1.0].tolist(), 1.0]
 
 
-def w_bar(profile, W, Fbar, *, n_grid=64, quad=None, solver_opts=None):
+def w_bar(profile, W, Fbar, *, n_grid=64, rel_tol=REL_TOL, opts=None):
     """Integrate the inner-minimized density over the level t in (0, 1).
 
     On the n_grid grid ``w_tilde`` reads t only through the mask {f > t},
@@ -141,15 +136,14 @@ def w_bar(profile, W, Fbar, *, n_grid=64, quad=None, solver_opts=None):
     converge.
     """
     _require_film_hypotheses(profile, W)
-    quad = quad or QuadratureOptions()
+    rel_tol = as_positive(rel_tol, "rel_tol")
     Fbar = as_matrix(Fbar, "Fbar", (W.m, profile.dim))
     ends = _class_ends(profile, n_grid)
     found = {}      # class -> w_tilde's (value, argmin, converged)
     todo = {0, len(ends) - 2}
     while todo:
         for k in todo:
-            found[k] = w_tilde(profile, W, ends[k], Fbar, n_grid=n_grid,
-                               solver_opts=solver_opts)
+            found[k] = w_tilde(profile, W, ends[k], Fbar, n_grid=n_grid, opts=opts)
         done = sorted(found)
         lower = upper = widest = 0.0
         todo = set()
@@ -165,7 +159,7 @@ def w_bar(profile, W, Fbar, *, n_grid=64, quad=None, solver_opts=None):
             upper += gap * g_i
             if (g_i - g_j) * gap > widest:
                 widest, split = (g_i - g_j) * gap, (i, j)
-        if widest > 0.0 and upper - lower > quad.rel_tol * abs(lower + upper):
+        if widest > 0.0 and upper - lower > rel_tol * abs(lower + upper):
             i, j = split
             median = bisect.bisect_right(ends, 0.5 * (ends[i + 1] + ends[j])) - 1
             todo = {min(median, j - 1)}     # a rounded midpoint may reach ends[j]
@@ -189,8 +183,8 @@ class MembraneResult:
     table_entry: FilmTableEntry
 
 
-def membrane_min(omega, Fbar, profile, W, *, n_grid=64, quad=None,
-                 solver_opts=None):
+def membrane_min(omega, Fbar, profile, W, *, n_grid=64, rel_tol=REL_TOL,
+                 opts=None):
     """Limit membrane minimum for the affine boundary data x -> Fbar x on a box.
 
     For affine data and a convex effective density the affine extension is a
@@ -199,14 +193,13 @@ def membrane_min(omega, Fbar, profile, W, *, n_grid=64, quad=None,
     """
     omega = _omega_box(omega, profile.dim)
     area = math.prod(hi - lo for lo, hi in omega)
-    entry = w_bar(profile, W, Fbar, n_grid=n_grid, quad=quad,
-                  solver_opts=solver_opts)
+    entry = w_bar(profile, W, Fbar, n_grid=n_grid, rel_tol=rel_tol, opts=opts)
     return MembraneResult(value=2.0 * area * entry.value, omega_area=area,
                           table_entry=entry)
 
 
 def direct_min(profile, eps, delta, Fbar, W, *, omega=None, cells_per_delta=8,
-               vertical_cells=32, solver_opts=None):
+               vertical_cells=32, opts=None):
     """Directly minimize the energy on the oscillating slab with affine
     lateral Dirichlet data and free top/bottom boundaries.
 
@@ -235,7 +228,7 @@ def direct_min(profile, eps, delta, Fbar, W, *, omega=None, cells_per_delta=8,
 
     # lateral Dirichlet data, free top and bottom
     grid = _Grid(cells=grid_cells, spacings=dm.spacings, kinds="D" * d + "N")
-    integral, _, report = _solve_masked(grid, dm.occupancy, W, F, solver_opts)
+    integral, _, report = _solve_masked(grid, dm.occupancy, W, F, opts)
     return integral, report
 
 
@@ -248,7 +241,7 @@ def _eps_schedule(values, name):
 
 
 def gamma_check(profile, W, Fbar, eps_schedule, *, omega=None, cells_per_delta=8,
-                vertical_cells=32, n_grid=64, quad=None, solver_opts=None):
+                vertical_cells=32, n_grid=64, rel_tol=REL_TOL, opts=None):
     """Run direct_min along a decreasing schedule with delta = eps^2, divide
     by eps, and compare against the membrane target.
 
@@ -260,8 +253,8 @@ def gamma_check(profile, W, Fbar, eps_schedule, *, omega=None, cells_per_delta=8
     vertical_cells = as_integer(vertical_cells, "vertical_cells")
     omega = _omega_box(omega, profile.dim)
 
-    membrane = membrane_min(omega, Fbar, profile, W, n_grid=n_grid, quad=quad,
-                            solver_opts=solver_opts)
+    membrane = membrane_min(omega, Fbar, profile, W, n_grid=n_grid,
+                            rel_tol=rel_tol, opts=opts)
     target = membrane.value
 
     entries = []
@@ -269,8 +262,7 @@ def gamma_check(profile, W, Fbar, eps_schedule, *, omega=None, cells_per_delta=8
         delta = eps * eps
         minimum, report = direct_min(
             profile, eps, delta, Fbar, W, omega=omega,
-            cells_per_delta=cells_per_delta, vertical_cells=vertical_cells,
-            solver_opts=solver_opts)
+            cells_per_delta=cells_per_delta, vertical_cells=vertical_cells, opts=opts)
         scaled = minimum / eps
         if abs(target) > 1e-14:
             gap = abs(scaled - target) / abs(target)

@@ -40,7 +40,8 @@ class Profile:
 
     ``kind`` is one of the builtin identifiers or ``"sampled"``.  Builtins are
     evaluated analytically after reducing the query point mod 1; sampled
-    profiles store cell-centered values on a periodic grid and evaluate by
+    profiles store a read-only copy of ``values``, cell-centered values in
+    [0, 1] with max 1 on a periodic N**dim grid, and evaluate by
     nearest-cell lookup (no interpolation), so derived masks are reproducible
     bit-exactly.  ``floor`` is min f: 1 for ``constant``, the grid minimum
     for ``sampled``, and for the other builtins in [0, 1), by default 0.5
@@ -61,10 +62,23 @@ class Profile:
         if self.kind != "sampled" and self.values is not None:
             raise ConfigurationError(f"values: not read by profile kind {self.kind!r}")
         object.__setattr__(self, "dim", as_integer(self.dim, "dim"))
+        if self.kind == "sampled":
+            values = np.array(as_array(self.values, "values", square=True))    # a copy, made read-only
+            values.flags.writeable = False
+            object.__setattr__(self, "values", values)
+            if values.ndim != self.dim:
+                raise ConfigurationError(
+                    f"dim must be the {values.ndim} axes of values; got {self.dim}")
+            vmin, vmax = float(values.min()), float(values.max())
+            if vmin < -_SUP_TOL or vmax > 1.0 + _SUP_TOL:
+                raise ConfigurationError(
+                    f"values must lie in [0, 1]; got range [{vmin}, {vmax}]")
+            if abs(vmax - 1.0) > _SUP_TOL:
+                raise ConfigurationError(
+                    f"values must be normalized to sup f = 1; max value is {vmax}")
         floor = self.floor
         if self.kind in ("constant", "sampled"):
-            low = (1.0 if self.kind == "constant"
-                   else float(as_array(self.values, "values").min()))
+            low = 1.0 if self.kind == "constant" else vmin
             if floor not in (None, low):
                 raise ConfigurationError(f"a {self.kind} profile takes no floor "
                                          f"(min f is {low}); got floor={floor}")
@@ -92,17 +106,8 @@ class Profile:
     @staticmethod
     def sampled(values):
         """The profile of the N**dim grid of cell values ``values``, max 1."""
-        values = np.array(as_array(values, "values", square=True))    # a copy, made read-only
-        values.flags.writeable = False
-        profile = Profile(dim=values.ndim, kind="sampled", values=values)
-        vmin, vmax = profile.floor, float(values.max())
-        if vmin < -_SUP_TOL or vmax > 1.0 + _SUP_TOL:
-            raise ConfigurationError(
-                f"values must lie in [0, 1]; got range [{vmin}, {vmax}]")
-        if abs(vmax - 1.0) > _SUP_TOL:
-            raise ConfigurationError(
-                f"values must be normalized to sup f = 1; max value is {vmax}")
-        return profile
+        values = as_array(values, "values")     # its axes give the dimension
+        return Profile(dim=values.ndim, kind="sampled", values=values)
 
     # -- evaluation --------------------------------------------------------
 
@@ -309,6 +314,13 @@ def _wrap_bounds(occ):
     return lines, spans
 
 
+def _distinct_positive(values):
+    """The sorted distinct positive values of an array, by sort-and-diff
+    (plain np.unique imports numpy.ma)."""
+    values = np.sort(values[values > 0], axis=None)
+    return values[np.flatnonzero(np.diff(values, prepend=0.0))]
+
+
 def wrap_rank_levels(profile, n):
     """Levels where the wrap rank of {f > t} on the n-grid rises as t sweeps
     down: entry r is the level L with rank > r below L and rank <= r from L
@@ -324,11 +336,9 @@ def wrap_rank_levels(profile, n):
     (``wrap_lattice``), and labels the mask only where they do not.
     """
     values = profile.eval_grid(n)
-    level = np.concatenate([np.minimum(values, np.roll(values, -1, axis=a))
-                            for a in range(values.ndim)], axis=None)
-    level = np.sort(level[level > 0])
-    # distinct levels by sort-and-diff (plain np.unique imports numpy.ma)
-    levels = level[np.flatnonzero(np.diff(level, prepend=-1.0))]
+    levels = _distinct_positive(np.concatenate(
+        [np.minimum(values, np.roll(values, -1, axis=a)) for a in range(values.ndim)],
+        axis=None))
     ranks = {}      # index into levels -> rank of {f >= levels[index]}
 
     def rank(i):

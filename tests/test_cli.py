@@ -496,27 +496,10 @@ RETIRED_RUNS = [
     ("film.vertical_cells", 4, "film",
      dict(sweep={"t_values": [], "F_probes": [[1.0, 0.0]]}, film={"n_grid": 16}),
      ("film.json", "film.csv")),
-    ("thresholds.bisect_tol", 0.25, "thresholds",
-     dict(thresholds={"confirm": False}), ("thresholds.json",)),
-    # a floor above every cell value once made the certified run exit 5
-    ("thresholds.coercivity_floor", 1e6, "thresholds",
-     dict(thresholds={"confirm": True}), ("thresholds.json",)),
-    # the method follows the density: asking for CG on p = 3 once failed
-    ("solver.method", "cg", "whom",
-     dict(energy={"kind": "p_norm_power", "p": 3.0}, grid={"N": 8},
-          sweep={"t_values": [0.5], "F_probes": [[1.0, 0.5, 0.2]]}),
-     ("whom.csv", "whom_summary.json")),
     ("grid.vertical_cells", 8, "psi",
      dict(grid={"N": 16},
           sweep={"t_values": [0.3, 0.7], "F_probes": [[1.0, 0.5, 0.5]]}),
      ("psi.csv", "psi_summary.json")),
-    # no output reads the growth constants, so a false bound changes nothing
-    ("energy.gamma", 50.0, "phi",
-     dict(grid={"N": 16}, sweep={"t_values": [0.3, 0.7], "F_probes": [[1.0, 0.5]]}),
-     ("phi.csv", "phi_summary.json")),
-    ("energy.beta", 0.5, "phi",
-     dict(grid={"N": 16}, sweep={"t_values": [0.3, 0.7], "F_probes": [[1.0, 0.5]]}),
-     ("phi.csv", "phi_summary.json")),
 ]
 
 

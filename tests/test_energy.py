@@ -218,6 +218,12 @@ def test_quadratic_form_requires_spd():
         EnergyDensity.quadratic_form(np.arange(16.0).reshape(4, 4), 2, 2)
 
 
+def test_quadratic_form_refuses_p_other_than_2():
+    # its growth is quadratic; a raw constructor kept p = 3
+    with pytest.raises(ConfigurationError, match="^p of a quadratic_form density must be 2"):
+        EnergyDensity(kind="quadratic_form", p=3.0, m=1, n=2, quad_matrix=np.eye(2))
+
+
 def test_p_must_exceed_one():
     with pytest.raises(ConfigurationError):
         EnergyDensity.p_norm_power(1.0, 1, 2)

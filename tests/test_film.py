@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from filmhom import (ConfigurationError, EnergyDensity, Profile,
-                     QuadratureOptions, direct_min, gamma_check, membrane_min,
-                     minimize_periodic, oscillating_domain_mask,
+from filmhom import (ConfigurationError, EnergyDensity, Profile, SolverOptions,
+                     direct_min, gamma_check, membrane_min, minimize_periodic, oscillating_domain_mask,
                      StructuralInconsistencyError, superlevel_mask, thresholds,
                      w_bar, w_hom, w_tilde)
-from filmhom import cell_solver, cli, profiles
+from filmhom import cell_solver, cli, film, profiles
 
 
 def stripe_theta(t):
@@ -144,12 +143,10 @@ def test_wbar_zero_matrix_is_zero(product2, W3):
 
 
 def test_wbar_coarse_vs_fine_tolerance(product2, W3):
-    quad = QuadratureOptions(rel_tol=1e-3)
-    coarse = w_bar(product2, W3, [[1.0, 0.0]], n_grid=64, quad=quad)
-    fine = w_bar(product2, W3, [[1.0, 0.0]], n_grid=64,
-                 quad=QuadratureOptions(rel_tol=1e-6))
+    coarse = w_bar(product2, W3, [[1.0, 0.0]], n_grid=64, rel_tol=1e-3)
+    fine = w_bar(product2, W3, [[1.0, 0.0]], n_grid=64, rel_tol=1e-6)
     rel = abs(coarse.value - fine.value) / max(abs(coarse.value), 1e-12)
-    assert rel <= 2 * quad.rel_tol
+    assert rel <= 2 * 1e-3
 
 
 def test_wbar_convex_on_segments(product2, W3):
@@ -171,8 +168,7 @@ def test_wbar_rough_profile_ends_exact(W3):
     # rel_tol 1e-12 the bracket closes before it runs out of classes
     values = np.random.default_rng(3).uniform(0.3, 1.0, size=(8, 8))
     values[0, 0] = 1.0
-    quad = QuadratureOptions(rel_tol=1e-12)
-    entry = w_bar(Profile.sampled(values), W3, [[1.0, 0.0]], n_grid=8, quad=quad)
+    entry = w_bar(Profile.sampled(values), W3, [[1.0, 0.0]], n_grid=8, rel_tol=1e-12)
     assert entry.converged and entry.value > 0.0
     assert entry.half_width == 0.0 and len(entry.nodes) <= 65
 
@@ -205,15 +201,23 @@ def test_wbar_bracket_holds_the_exact_step_sum(density, profile, n_grid):
     prof = (_sampled(n_grid, n_grid) if profile.startswith("sampled")
             else Profile.builtin(profile, 2))
     F = [[1.0, 0.5]]
-    quad = QuadratureOptions()
-    entry = w_bar(prof, W, F, n_grid=n_grid, quad=quad)
+    entry = w_bar(prof, W, F, n_grid=n_grid)
     levels = sorted(set(prof.eval_grid(n_grid).ravel().tolist()) - {1.0})
     ends = [0.0, *levels, 1.0]
     exact = sum((b - a) * w_tilde(prof, W, a, F, n_grid=n_grid)[0]
                 for a, b in zip(ends, ends[1:]))
     assert entry.converged
     assert abs(exact - entry.value) <= entry.half_width + 1e-9
-    assert entry.half_width <= quad.rel_tol * abs(entry.value)
+    assert entry.half_width <= film.REL_TOL * abs(entry.value)
+
+
+def test_old_settings_keywords_refused_by_name(product2, W3):
+    # the bracket's tolerance is the float rel_tol, and the solver settings
+    # are opts, as in the cell layer
+    with pytest.raises(TypeError, match="'quad'"):
+        w_bar(product2, W3, [[1.0, 0.0]], n_grid=8, quad=1e-3)
+    with pytest.raises(TypeError, match="'solver_opts'"):
+        gamma_check(product2, W3, [[1.0, 0.0]], [0.5], solver_opts=SolverOptions())
 
 
 def test_wbar_serialization_roundtrip(tmp_path, product2, W3):

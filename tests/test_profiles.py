@@ -297,6 +297,27 @@ def test_builtin_profile_refuses_values():
         Profile(dim=1, kind="sin2-stripe", values=np.ones(4))
 
 
+@pytest.mark.parametrize("dim,values,match", [
+    (2, np.full((4, 4), 0.5), "^values must be normalized to sup f = 1"),
+    (2, np.full((4, 4), 7.0), r"^values must lie in \[0, 1\]"),
+    (2, np.ones((3, 5)), r"^values must be an N\*\*dim grid"),
+    (3, np.ones((4, 4)), "^dim must be the 2 axes of values"),
+], ids=["max-below-one", "above-one", "not-square", "dim"])
+def test_raw_sampled_profile_keeps_the_rules_of_sampled(dim, values, match):
+    # Profile(kind="sampled") skipped them: a max of 0.5 built a profile
+    # whose masks raised IndexError, and 7.0 was kept with floor 7.0
+    with pytest.raises(ConfigurationError, match=match):
+        Profile(dim=dim, kind="sampled", values=values)
+
+
+def test_raw_sampled_profile_holds_a_read_only_copy():
+    values = np.ones((4, 4))
+    profile = Profile(dim=2, kind="sampled", values=values)
+    assert profile.values is not values and not profile.values.flags.writeable
+    values[0, 0] = 0.5
+    assert profile.eval_grid(4)[0, 0] == 1.0
+
+
 def test_torus_components_takes_a_mask_not_a_cell_mask(stripe2):
     mask = superlevel_mask(stripe2, 0.75, 16)
     with pytest.raises(ConfigurationError, match="^mask"):

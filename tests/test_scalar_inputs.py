@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 import filmhom
-from filmhom import (ConfigurationError, EnergyDensity, Profile,
-                     QuadratureOptions, SolverOptions)
+from filmhom import ConfigurationError, EnergyDensity, Profile, SolverOptions
 
 BAD = {"nan": math.nan, "inf": math.inf, "zero": 0, "minus-one": -1,
        "fraction": 2.5, "bool": True, "text": "8", "none": None}
@@ -50,8 +49,6 @@ ENTRY_POINTS = {
                              dict(fn=_cube, p=3.0, m=1, n=2),
                              ("p", "m", "n", "gamma", "beta")),
     "SolverOptions": (SolverOptions, {}, ("cg_rtol", "grad_tol", "max_iterations")),
-    "QuadratureOptions": (QuadratureOptions, {},
-                          ("rel_tol", "initial_nodes_per_unit", "max_refinements")),
     "superlevel_mask": (filmhom.superlevel_mask, dict(profile=LINE, t=0.5, n_grid=8),
                         ("t", "n_grid")),
     "oscillating_domain_mask": (filmhom.oscillating_domain_mask,
@@ -80,10 +77,10 @@ ENTRY_POINTS = {
     "w_tilde": (filmhom.w_tilde, dict(profile=LINE, W=W2, t=0.5, Fbar=[[1.0]], n_grid=8),
                 ("t", "n_grid")),
     "w_bar": (filmhom.w_bar, dict(profile=LINE, W=W2, Fbar=[[1.0]], n_grid=8),
-              ("n_grid",)),
+              ("n_grid", "rel_tol")),
     "membrane_min": (filmhom.membrane_min,
                      dict(omega=None, Fbar=[[1.0]], profile=LINE, W=W2, n_grid=8),
-                     ("n_grid",)),
+                     ("n_grid", "rel_tol")),
     "direct_min": (filmhom.direct_min,
                    dict(profile=LINE, eps=0.25, delta=0.25, Fbar=[[1.0]], W=W2,
                         vertical_cells=8),
@@ -91,7 +88,7 @@ ENTRY_POINTS = {
     "gamma_check": (filmhom.gamma_check,
                     dict(profile=LINE, W=W2, Fbar=[[1.0]], eps_schedule=[0.5, 0.25],
                          n_grid=8),
-                    ("cells_per_delta", "vertical_cells", "n_grid")),
+                    ("cells_per_delta", "vertical_cells", "n_grid", "rel_tol")),
 }
 
 # the callables of __all__ that take no scalar parameter, and the types
@@ -115,12 +112,9 @@ VALID |= {(name, "fraction") for name in ("eps", "delta", "p",
                                           "cg_rtol", "grad_tol", "rel_tol")}
 
 # (entry, parameter) pairs deleted from the signature: nothing read the
-# growth constants, and the film bracket has no node count or refinement
-# budget, so any value there is refused by its name as an unexpected
-# keyword, never bound to another parameter
-DELETED = {("EnergyDensity.custom", "gamma"), ("EnergyDensity.custom", "beta"),
-           ("QuadratureOptions", "initial_nodes_per_unit"),
-           ("QuadratureOptions", "max_refinements")}
+# growth constants, so any value there is refused by its name as an
+# unexpected keyword, never bound to another parameter
+DELETED = {("EnergyDensity.custom", "gamma"), ("EnergyDensity.custom", "beta")}
 
 CASES = [(entry, name, label) for entry, (_, _, names) in ENTRY_POINTS.items()
          for name in names for label in BAD]

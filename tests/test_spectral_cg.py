@@ -462,7 +462,7 @@ def test_gamma_check_reports_membrane_nonconvergence(tmp_path, checker2, W3):
     # iteration cannot solve the cylinders
     report = gamma_check(checker2, W3, [[1.0, 0.0]], [0.5], cells_per_delta=4,
                          vertical_cells=4, n_grid=16,
-                         solver_opts=SolverOptions(max_iterations=1))
+                         opts=SolverOptions(max_iterations=1))
     assert report.membrane_converged is False
     cli._write_json(tmp_path / "gamma.json", report, [])
     payload = json.loads((tmp_path / "gamma.json").read_text(encoding="utf-8"))
