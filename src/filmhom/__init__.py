@@ -27,23 +27,23 @@ finally:
 from .energy import EnergyDensity
 from .errors import (ConfigurationError, DimensionMismatchError, FilmhomError,
                      ResolutionError, StructuralInconsistencyError)
-from .film import (FilmTableEntry, GammaCheckReport, MembraneResult, direct_min,
-                   gamma_check, membrane_min, w_bar, w_tilde)
+from .film import (FilmTableEntry, GammaCheckReport, direct_min, gamma_check,
+                   membrane_min, w_bar, w_tilde)
 from .homogenize import (BoundsReport, HomogenizedSample, IntervalInfo,
                          ThresholdReport, bounds_check, kernel, phi_sharp, psi,
                          psi_cylinder_oracle, thresholds, w_hom,
                          w_hom_cube_oracle)
-from .profiles import (CellMask, DomainMask, Profile, TorusComponents,
+from .profiles import (DomainMask, Profile, TorusComponents,
                        load_sampled_profile, oscillating_domain_mask,
                        save_sampled_profile, superlevel_mask, torus_components)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CellMask", "ConfigurationError", "CorrectorField", "DimensionMismatchError",
+    "ConfigurationError", "CorrectorField", "DimensionMismatchError",
     "DomainMask", "EnergyDensity", "FilmTableEntry",
     "FilmhomError", "GammaCheckReport", "HomogenizedSample",
-    "IntervalInfo", "MembraneResult", "BoundsReport", "Profile",
+    "IntervalInfo", "BoundsReport", "Profile",
     "ResolutionError", "SolveReport",
     "SolverOptions", "StructuralInconsistencyError",
     "ThresholdReport", "TorusComponents",

@@ -110,25 +110,26 @@ def cmd_mask(cfg, args, out):
     results = []
     for t in cfg.t_values:
         mask = superlevel_mask(cfg.profile, t, cfg.grid_n)
-        results.append((mask, torus_components(mask.occupancy)))
+        results.append((mask, torus_components(mask)))
     comments = _comments(cfg, args)
     rows = []
     detail = []
     for t, (mask, comps) in zip(cfg.t_values, results):
-        rows.append([t, mask.area_fraction, comps.num_components, comps.rank])
+        theta = float(mask.sum()) / mask.size
+        rank = len(comps.wrap_lattice)
+        rows.append([t, theta, comps.num_components, rank])
         detail.append({
             "t": t,
-            "theta": mask.area_fraction,
+            "theta": theta,
             "num_components": comps.num_components,
-            "wrap_rank": comps.rank,
+            "wrap_rank": rank,
             "wrap_lattice": [list(v) for v in comps.wrap_lattice],
         })
     _write_csv(out / "theta.csv", ["t", "theta", "num_components", "wrap_rank"],
                rows, comments)
     _write_json(out / "components.json", {"resolution": cfg.grid_n,
                                           "levels": detail}, comments)
-    for i, (mask, _) in enumerate(results):
-        occ = mask.occupancy
+    for i, (occ, _) in enumerate(results):
         with (out / f"mask_{i:03d}.txt").open("w", encoding="utf-8") as fh:
             fh.write(f"{occ.ndim} {occ.shape[0]}\n")
             digits = np.where(occ, "1", "0").reshape(-1, occ.shape[0])
@@ -165,7 +166,7 @@ def _density_sweep(cfg, args, out, name, evaluate, oracle_column=None):
     for (t, F), (sample, ref) in zip(entries, results):
         row = [t] + list(F.ravel()) + [sample.value, sample.theta,
                                        sample.report.converged,
-                                       sample.report.iterations, sample.resolution]
+                                       sample.report.iterations, cfg.grid_n]
         all_converged &= sample.report.converged
         if ref is not None:
             oracle_errs.append(abs(sample.value - ref.value))

@@ -299,8 +299,8 @@ def load_config(source):
         problems.append(f"thresholds.confirm must be true or false; got {confirm_kernel!r}")
 
     sched = raw.get("schedule", {})
-    eps_schedule = _collect(problems, _number_list, sched.get("eps", []), "schedule.eps",
-                            _eps_schedule, default=[])
+    eps_schedule = (_collect(problems, _number_list, sched["eps"], "schedule.eps",
+                             _eps_schedule, default=[]) if "eps" in sched else [])
 
     omega = raw.get("omega")
     if omega is not None or n is not None:

@@ -32,7 +32,7 @@ _KIND_FIELDS = {"quad_matrix": ("quadratic_form", None), "fn": ("custom", None),
                 "grad_fn": ("custom", None), "convex": ("custom", True)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyDensity:
     """A convex integrand W on m x n matrices with p-growth.
 
@@ -41,7 +41,7 @@ class EnergyDensity:
     not read.  A quadratic form has p = 2 and reads ``quad_matrix``,
     read-only and refused by the name A unless symmetric positive definite;
     a custom density reads ``fn``, refused unless callable, ``grad_fn`` and
-    ``convex``."""
+    ``convex``.  A density compares and hashes by identity."""
 
     kind: str
     p: float

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cell_solver import _Grid, _solve_masked, minimize_periodic
-from .errors import (ConfigurationError, ResolutionError, as_integer,
-                     as_matrix, as_positive)
+from .errors import (ConfigurationError, ResolutionError, as_array,
+                     as_integer, as_matrix, as_positive)
 # nothing here calls thresholds any more, but perfbench/spans.py wraps it
 # by name in this module, so it stays importable from here
 from .homogenize import _columns, thresholds
@@ -93,7 +93,7 @@ def w_tilde(profile, W, t, Fbar, *, n_grid=64, opts=None):
     """
     _require_film_hypotheses(profile, W)
     F = _columns(Fbar, "Fbar", profile.dim, W, zeros=1)
-    occ = superlevel_mask(profile, t, n_grid).occupancy
+    occ = superlevel_mask(profile, t, n_grid)
     value, corr, report = minimize_periodic(occ, W, F, opts, free_offset=True)
     return value, corr.offset[:, -1].copy(), report.converged
 
@@ -176,13 +176,6 @@ def w_bar(profile, W, Fbar, *, n_grid=64, rel_tol=REL_TOL, opts=None):
 # -- membrane minimum and direct slab minimization -------------------------------
 
 
-@dataclass(frozen=True)
-class MembraneResult:
-    value: float
-    omega_area: float
-    table_entry: FilmTableEntry
-
-
 def membrane_min(omega, Fbar, profile, W, *, n_grid=64, rel_tol=REL_TOL,
                  opts=None):
     """Limit membrane minimum for the affine boundary data x -> Fbar x on a box.
@@ -190,12 +183,13 @@ def membrane_min(omega, Fbar, profile, W, *, n_grid=64, rel_tol=REL_TOL,
     For affine data and a convex effective density the affine extension is a
     minimizer, so the value is twice the box area times the effective density
     at Fbar (the slab thickness spans (-1, 1)).
+
+    Returns (value, entry) with ``entry`` the ``w_bar`` table entry at Fbar.
     """
     omega = _omega_box(omega, profile.dim)
     area = math.prod(hi - lo for lo, hi in omega)
     entry = w_bar(profile, W, Fbar, n_grid=n_grid, rel_tol=rel_tol, opts=opts)
-    return MembraneResult(value=2.0 * area * entry.value, omega_area=area,
-                          table_entry=entry)
+    return 2.0 * area * entry.value, entry
 
 
 def direct_min(profile, eps, delta, Fbar, W, *, omega=None, cells_per_delta=8,
@@ -233,7 +227,9 @@ def direct_min(profile, eps, delta, Fbar, W, *, omega=None, cells_per_delta=8,
 
 
 def _eps_schedule(values, name):
-    """Slab thicknesses: a strictly decreasing list of positive numbers."""
+    """Slab thicknesses: a strictly decreasing list of positive numbers, at
+    least one."""
+    as_array(values, name, (None,))     # one axis of at least one entry
     schedule = [as_positive(e, name) for e in values]
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ConfigurationError(f"{name} must be strictly decreasing; got {schedule}")
@@ -253,9 +249,8 @@ def gamma_check(profile, W, Fbar, eps_schedule, *, omega=None, cells_per_delta=8
     vertical_cells = as_integer(vertical_cells, "vertical_cells")
     omega = _omega_box(omega, profile.dim)
 
-    membrane = membrane_min(omega, Fbar, profile, W, n_grid=n_grid,
-                            rel_tol=rel_tol, opts=opts)
-    target = membrane.value
+    target, membrane = membrane_min(omega, Fbar, profile, W, n_grid=n_grid,
+                                    rel_tol=rel_tol, opts=opts)
 
     entries = []
     for eps in eps_schedule:
@@ -275,7 +270,7 @@ def gamma_check(profile, W, Fbar, eps_schedule, *, omega=None, cells_per_delta=8
     trend = all(b.gap <= a.gap + 1e-12 for a, b in zip(entries[:-1], entries[1:]))
     return GammaCheckReport(target=target, entries=entries,
                             trend_nonincreasing=trend,
-                            membrane_converged=membrane.table_entry.converged,
+                            membrane_converged=membrane.converged,
                             metadata={"omega": [list(o) for o in omega],
                                       "cells_per_delta": cells_per_delta,
                                       "vertical_cells": vertical_cells})

@@ -32,13 +32,11 @@ ORACLE_LAYERS = 2       # vertical layers of the psi cylinder oracle
 
 @dataclass(frozen=True)
 class HomogenizedSample:
-    """One evaluated point (t, F) of a homogenized density."""
+    """A homogenized density's value at one point (t, F), the area fraction
+    theta of the superlevel mask {f > |t|}, and the report of the solve."""
 
-    t: float
-    F: np.ndarray
     value: float
     theta: float
-    resolution: int
     report: SolveReport
 
 
@@ -80,14 +78,12 @@ def _columns(F, name, count, W=None, zeros=0):
 def _sample(profile, t, F, W, n_grid, opts, layers=None):
     """The periodic cell value of W at F on the superlevel mask {f > |t|},
     stacked ``layers`` deep along a new last axis when given."""
-    mask = superlevel_mask(profile, t, n_grid)
-    occ = mask.occupancy
+    occ = superlevel_mask(profile, t, n_grid)
+    theta = float(occ.sum()) / occ.size
     if layers is not None:
         occ = np.repeat(occ[..., np.newaxis], layers, axis=-1)
     value, _, report = minimize_periodic(occ, W, F, opts=opts)
-    return HomogenizedSample(t=float(t), F=F, value=value,
-                             theta=mask.area_fraction, resolution=n_grid,
-                             report=report)
+    return HomogenizedSample(value=value, theta=theta, report=report)
 
 
 def phi_sharp(profile, t, Fbar, n_grid, *, p=2.0, opts=None):
@@ -104,7 +100,7 @@ def psi(profile, t, F, n_grid, *, p=2.0, opts=None):
     F = _columns(F, "F", profile.dim + 1)
     base = phi_sharp(profile, t, F[:, :-1], n_grid, p=p, opts=opts)
     fn = float(np.linalg.norm(F[:, -1]))
-    return replace(base, F=F, value=base.value + base.theta * fn ** p)
+    return replace(base, value=base.value + base.theta * fn ** p)
 
 
 def psi_cylinder_oracle(profile, t, F, n_grid, *, p=2.0, opts=None):
@@ -148,8 +144,7 @@ def w_hom_cube_oracle(profile, t, F, W, box_side, n_grid, *, opts=None):
     if T > 8:
         raise ConfigurationError(f"box_side must be at most 8 at desk scale; got {box_side}")
     F = _columns(F, "F", profile.dim + 1, W)
-    mask2 = superlevel_mask(profile, t, n_grid)
-    tiled = np.tile(mask2.occupancy, (T,) * profile.dim)
+    tiled = np.tile(superlevel_mask(profile, t, n_grid), (T,) * profile.dim)
     occ = np.broadcast_to(tiled[..., np.newaxis], tiled.shape + (T * n_grid,))
     return minimize_dirichlet(np.ascontiguousarray(occ), W, F, T, opts=opts)
 
@@ -192,7 +187,7 @@ def kernel(profile, t, n_grid, *, confirm=True):
     Returns (k, xi) with k = dim - rank and xi the orthonormal spanning
     directions.
     """
-    occ = superlevel_mask(profile, t, n_grid).occupancy
+    occ = superlevel_mask(profile, t, n_grid)
     faces = wrap_lattice(occ)
     if confirm:
         nodes = wrap_lattice(occ, nodes=True)

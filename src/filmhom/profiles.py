@@ -34,7 +34,7 @@ BUILTIN_PROFILES = ("constant", "sin2-stripe", "sin2-product", "checkerboard")
 _SUP_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Profile:
     """A 1-periodic height function on the unit cell, normalized to sup = 1.
 
@@ -45,7 +45,7 @@ class Profile:
     nearest-cell lookup (no interpolation), so derived masks are reproducible
     bit-exactly.  ``floor`` is min f: 1 for ``constant``, the grid minimum
     for ``sampled``, and for the other builtins in [0, 1), by default 0.5
-    (0.25 for the checkerboard).
+    (0.25 for the checkerboard).  A profile compares and hashes by identity.
     """
 
     dim: int
@@ -53,8 +53,7 @@ class Profile:
     floor: float | None = None
     values: np.ndarray | None = None
     # eval_grid's read-only grids by resolution
-    _memo: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in (*BUILTIN_PROFILES, "sampled"):
@@ -191,24 +190,16 @@ def save_sampled_profile(values, path):
 
 # -- superlevel masks --------------------------------------------------------
 
-@dataclass(frozen=True)
-class CellMask:
-    """Cell-centered characteristic function of a superlevel set {f > |t|}."""
-
-    occupancy: np.ndarray
-    area_fraction: float
-
-
 def superlevel_mask(profile, t, n_grid):
-    """Discretize {f > |t|} by strict comparison at the n_grid^dim cell centers.
+    """Discretize {f > |t|} by strict comparison at the n_grid^dim cell
+    centers, as a read-only boolean array; its mean is the area fraction.
 
     The comparison is strict, so for generic t a plateau of f never straddles
     the decision; t exactly at a plateau value is grid-convention dependent.
     """
     occ = profile.eval_grid(n_grid) > abs(as_level(t, "t"))
     occ.flags.writeable = False
-    frac = float(occ.sum()) / occ.size
-    return CellMask(occupancy=occ, area_fraction=frac)
+    return occ
 
 
 # -- torus connectivity and wrap lattice -------------------------------------
@@ -220,15 +211,14 @@ class TorusComponents:
 
     ``wrap_lattice`` holds primitive, linearly independent integer vectors
     spanning the directions along which some component connects to its own
-    periodic translates, in the canonical form of ``_lattice_basis``;
-    ``rank`` is their count.  Components are numbered in C order of their
+    periodic translates, in the canonical form of ``_lattice_basis``; their
+    count is the wrap rank.  Components are numbered in C order of their
     first cell.
     """
 
     labels: np.ndarray
     num_components: int
     wrap_lattice: tuple
-    rank: int
 
 
 def torus_components(mask):
@@ -240,7 +230,7 @@ def torus_components(mask):
     the number of runs; docs/kernel_geometry.md shows that this gives the
     components and windings of the cell graph.  It always runs, since the
     labels need it; for the lattice alone, ``wrap_lattice`` is cheaper.
-    ``mask`` is any mask that ``as_mask`` reads (a CellMask's occupancy)."""
+    ``mask`` is any mask that ``as_mask`` reads, such as ``superlevel_mask``'s."""
     occ = as_mask(mask, "mask")
     ids, roots, wraps = _run_components(occ)
     # a root is the run of its component that starts first in C order
@@ -251,7 +241,7 @@ def torus_components(mask):
     labels.flags.writeable = False
     basis = _lattice_basis(wraps, occ.ndim)
     return TorusComponents(labels=labels, num_components=int(heads.sum()),
-                           wrap_lattice=tuple(basis), rank=len(basis))
+                           wrap_lattice=tuple(basis))
 
 
 def wrap_lattice(mask, *, nodes=False):
@@ -530,7 +520,6 @@ class DomainMask:
 
     occupancy: np.ndarray
     spacings: tuple
-    fraction: float
 
 
 def _omega_box(omega, d):
@@ -554,6 +543,7 @@ def oscillating_domain_mask(profile, eps, delta, grid, *, omega=None):
     eps = as_positive(eps, "eps")
     delta = as_positive(delta, "delta")
     d = profile.dim
+    as_array(grid, "grid", (None,))     # one axis of at least one entry
     grid = tuple(as_integer(g, "grid") for g in grid)
     if len(grid) != d + 1:
         raise ConfigurationError(
@@ -583,5 +573,4 @@ def oscillating_domain_mask(profile, eps, delta, grid, *, omega=None):
 
     occ = np.abs(zc).reshape((1,) * d + (grid[d],)) < (eps * f_vals)[..., np.newaxis]
     occ.flags.writeable = False
-    return DomainMask(occupancy=occ, spacings=spac,
-                      fraction=float(occ.sum()) / occ.size)
+    return DomainMask(occupancy=occ, spacings=spac)

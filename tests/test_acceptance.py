@@ -108,7 +108,7 @@ def test_criterion_4_structural_properties():
             assert all(b <= a + 1e-8 for a, b in zip(vals, vals[1:]))
 
         # p-homogeneity, 20 probes
-        mask = superlevel_mask(stripe, 0.6, 16).occupancy
+        mask = superlevel_mask(stripe, 0.6, 16)
         for _ in range(20):
             F = rng.uniform(-1, 1, size=(1, 2))
             lam = float(rng.uniform(0.2, 3.0)) * rng.choice([-1.0, 1.0])

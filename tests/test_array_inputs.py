@@ -1,6 +1,6 @@
 """Every array parameter of every public entry point refuses a bad matrix,
-mask or sample array with a ConfigurationError whose message starts with
-the parameter's name.
+mask, sample array or list of numbers with a ConfigurationError whose
+message starts with the parameter's name.
 
 The table below lists each callable of ``filmhom.__all__`` (and the
 methods of its types) that takes an array, a small valid call of it, and
@@ -41,8 +41,8 @@ ENTRY_POINTS = {
                              ("values",)),
     "torus_components": (filmhom.torus_components, dict(mask=MASK), ("mask",)),
     "oscillating_domain_mask": (filmhom.oscillating_domain_mask,
-                                dict(profile=LINE, eps=0.25, delta=0.25, grid=(16, 8),
-                                     omega=[[0.0, 1.0]]), ("omega",)),
+                                dict(profile=LINE, eps=0.25, delta=0.25, grid=[16, 8],
+                                     omega=[[0.0, 1.0]]), ("omega", "grid")),
     "minimize_periodic": (filmhom.minimize_periodic,
                           dict(mask=MASK, W=W2, F=[[1.0, 0.5]]), ("mask", "F")),
     "minimize_dirichlet": (filmhom.minimize_dirichlet,
@@ -72,11 +72,12 @@ ENTRY_POINTS = {
                         omega=[[0.0, 1.0]], vertical_cells=8), ("Fbar", "omega")),
     "gamma_check": (filmhom.gamma_check,
                     dict(profile=LINE, W=W2, Fbar=[[1.0]], eps_schedule=[0.5, 0.25],
-                         omega=[[0.0, 1.0]], n_grid=8), ("Fbar", "omega")),
+                         omega=[[0.0, 1.0]], n_grid=8), ("Fbar", "omega", "eps_schedule")),
 }
 
 # every name under which a public callable takes an array
-ARRAY_NAMES = {"F", "Fbar", "A", "mask", "values", "x", "omega", "F_samples"}
+ARRAY_NAMES = {"F", "Fbar", "A", "mask", "values", "x", "omega", "F_samples",
+               "eps_schedule", "grid"}
 
 
 def _first(value, new):
@@ -157,4 +158,14 @@ def test_bad_array_refused_by_name(entry, name, label):
     kwargs = {**base, name: {**BAD, **MASK_BAD}[label](base[name])}
     with pytest.raises(ConfigurationError) as err:
         fn(**kwargs)
+    assert re.match(rf"{re.escape(name)}\b", str(err.value)), str(err.value)
+
+
+@pytest.mark.parametrize("entry,name", [("gamma_check", "eps_schedule"),
+                                        ("oscillating_domain_mask", "grid")])
+def test_number_for_a_sequence_refused_by_name(entry, name):
+    # a number raised a bare TypeError from iterating it
+    fn, base, _ = ENTRY_POINTS[entry]
+    with pytest.raises(ConfigurationError) as err:
+        fn(**{**base, name: base[name][0]})
     assert re.match(rf"{re.escape(name)}\b", str(err.value)), str(err.value)

@@ -197,7 +197,7 @@ def test_value_nonincreasing_under_mask_shrink(stripe2, W2):
     values = []
     for t in (0.1, 0.55, 0.7, 0.85):
         mask = superlevel_mask(stripe2, t, 32)
-        v, _, _ = minimize_periodic(mask.occupancy, W2, F)
+        v, _, _ = minimize_periodic(mask, W2, F)
         values.append(v)
     assert all(b <= a + 1e-8 for a, b in zip(values, values[1:]))
 
@@ -220,7 +220,7 @@ def test_nonconvergence_reported(W2, checker2):
     # they are solved, and one preconditioned iteration does not settle
     # them (a stripe would be solved exactly in one)
     from filmhom import superlevel_mask
-    mask = superlevel_mask(checker2, 0.5, 32).occupancy
+    mask = superlevel_mask(checker2, 0.5, 32)
     opts = SolverOptions(max_iterations=1)
     value, _, report = minimize_periodic(mask, W2, [[1.0, 0.5]], opts=opts)
     assert not report.converged
@@ -276,7 +276,7 @@ def test_dirichlet_accepts_integral_float_box_side(W2):
 
 @pytest.mark.parametrize("mask", [np.zeros((4, 4), bool), np.ones((4, 4), bool),
                                   superlevel_mask(Profile.builtin("sin2-product", 2),
-                                                  0.7, 4).occupancy],
+                                                  0.7, 4)],
                          ids=["empty", "full", "islands"])
 def test_offset_checked_before_short_paths(W2, mask):
     # an empty mask and islands that do not wind are not solved; the offset
@@ -351,7 +351,7 @@ def test_cold_cg_applies_the_operator_once_per_iteration(monkeypatch):
 
     monkeypatch.setattr(cell_solver, "_cell_gradient_adjoint", counted)
     W = EnergyDensity.p_norm_power(2.0, 1, 3)
-    occ = superlevel_mask(Profile.builtin("sin2-product", dim=2), 0.6, 32).occupancy
+    occ = superlevel_mask(Profile.builtin("sin2-product", dim=2), 0.6, 32)
     value, _, report = forced_periodic_solve(occ, W, [[1.0, 0.5, 0.2]])
     assert report.method == "cg" and report.converged
     assert len(calls) == report.iterations + 1 == 16
@@ -477,9 +477,9 @@ def test_full_mask_keeps_solving_where_jensen_does_not_settle_it(density, free_o
 
 def _unwound_masks():
     # masks whose node graph does not wind: islands in 1-3 dimensions
-    yield superlevel_mask(Profile.builtin("sin2-stripe", dim=1), 0.7, 16).occupancy
-    yield superlevel_mask(Profile.builtin("sin2-product", dim=2), 0.6, 16).occupancy
-    yield superlevel_mask(Profile.builtin("sin2-product", dim=3), 0.6, 8).occupancy
+    yield superlevel_mask(Profile.builtin("sin2-stripe", dim=1), 0.7, 16)
+    yield superlevel_mask(Profile.builtin("sin2-product", dim=2), 0.6, 16)
+    yield superlevel_mask(Profile.builtin("sin2-product", dim=3), 0.6, 8)
 
 
 @pytest.mark.parametrize("kind", ["p_norm_power", "frobenius_power"])
@@ -519,17 +519,17 @@ def test_unwound_value_matches_forced_solve(kind, p, m, free_offset):
                          p=3.0, m=1, n=3),
 ], ids=["quadratic_form", "custom"])
 def test_other_densities_keep_solving_without_a_winding(W):
-    occ = superlevel_mask(Profile.builtin("sin2-product", dim=2), 0.6, 16).occupancy
+    occ = superlevel_mask(Profile.builtin("sin2-product", dim=2), 0.6, 16)
     value, _, report = minimize_periodic(occ, W, [[1.0, 0.5, 0.2]])
     assert report.method in ("cg", "newton") and report.iterations > 0
     assert report.converged and np.isfinite(value)
 
 
-_CORNERS = superlevel_mask(Profile.builtin("checkerboard", 2), 0.5, 16).occupancy
+_CORNERS = superlevel_mask(Profile.builtin("checkerboard", 2), 0.5, 16)
 _BRANCHES = {
     "empty": (np.zeros((6, 6), bool), 2.0),
     "full": (np.ones((6, 6), bool), 2.0),
-    "unwound": (superlevel_mask(Profile.builtin("sin2-product", 2), 0.6, 16).occupancy, 2.0),
+    "unwound": (superlevel_mask(Profile.builtin("sin2-product", 2), 0.6, 16), 2.0),
     "cg": (_CORNERS, 2.0),
     "newton": (_CORNERS, 3.0),
 }

@@ -91,7 +91,7 @@ def test_mask_sampled_profile_round_trip(tmp_path, stripe2):
     out = tmp_path / "out"
     assert main(["mask", "--config", str(cfg), "--out", str(out)]) == 0
     saved = np.loadtxt(out / "mask_000.txt", skiprows=1).astype(bool)
-    direct = superlevel_mask(Profile.sampled(values), 0.6, 32).occupancy
+    direct = superlevel_mask(Profile.sampled(values), 0.6, 32)
     assert np.array_equal(saved, direct)
 
 

@@ -258,3 +258,12 @@ def test_smoothed_terms_below_two_match_stress_and_values(make, rng):
         fd = (W.cell_values(G + h * D) - W.cell_values(G - h * D)) / (2 * h)
         an = np.sum(W.cell_stress(G) * D, axis=(0, 1))
         assert np.allclose(fd, an, rtol=1e-6, atol=0)
+
+
+def test_density_compares_and_hashes_by_identity():
+    # the generated __eq__ compared the quad_matrix arrays and raised ValueError
+    A = np.diag([2.0, 1.0])
+    W, V = EnergyDensity.quadratic_form(A, 1, 2), EnergyDensity.quadratic_form(A, 1, 2)
+    assert (W == V) is False and W != V
+    assert W == W
+    assert hash(W) == hash(W) and len({W, V}) == 2

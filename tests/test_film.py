@@ -37,7 +37,7 @@ def test_wtilde_one_layer_matches_two_layer_cylinder(stripe2):
     value, argmin, converged = w_tilde(stripe2, W, 0.6, [[1.0, 0.5]], n_grid=16)
     assert converged
     assert abs(argmin[0]) > 0.1
-    occ = superlevel_mask(stripe2, 0.6, 16).occupancy
+    occ = superlevel_mask(stripe2, 0.6, 16)
     two = np.broadcast_to(occ[..., np.newaxis], occ.shape + (2,)).copy()
 
     def cylinder(s):
@@ -232,21 +232,23 @@ def test_wbar_serialization_roundtrip(tmp_path, product2, W3):
 
 
 def test_membrane_flat_box(W3):
-    res = membrane_min(((0.0, 1.0), (0.0, 1.0)), [[1.0, 1.0]],
-                       Profile.constant(2), W3, n_grid=16)
-    assert res.value == pytest.approx(4.0, abs=1e-5)
+    value, _ = membrane_min(((0.0, 1.0), (0.0, 1.0)), [[1.0, 1.0]],
+                            Profile.constant(2), W3, n_grid=16)
+    assert value == pytest.approx(4.0, abs=1e-5)
 
 
 def test_membrane_product_rectangle(product2, W3):
-    res = membrane_min(((0.0, 2.0), (0.0, 1.0)), [[1.0, 0.0]], product2, W3,
-                       n_grid=32)
-    assert res.value == pytest.approx(2.0, rel=0.01)
+    value, entry = membrane_min(((0.0, 2.0), (0.0, 1.0)), [[1.0, 0.0]], product2, W3,
+                                n_grid=32)
+    assert value == pytest.approx(2.0, rel=0.01)
+    # twice the area of omega times w_bar at Fbar
+    assert value == 2.0 * 2.0 * entry.value and entry.converged
 
 
 def test_membrane_zero_datum(product2, W3):
-    res = membrane_min(((0.0, 1.0), (0.0, 1.0)), [[0.0, 0.0]], product2, W3,
-                       n_grid=16)
-    assert res.value == pytest.approx(0.0, abs=1e-9)
+    value, _ = membrane_min(((0.0, 1.0), (0.0, 1.0)), [[0.0, 0.0]], product2, W3,
+                            n_grid=16)
+    assert value == pytest.approx(0.0, abs=1e-9)
 
 
 # -- direct slab minimization ----------------------------------------------------

@@ -166,7 +166,7 @@ def test_whom_one_layer_matches_layered_cylinder(density, profile, nz):
     W = density()
     t, n = 0.6, 12
     F = np.array([[0.5, -0.7, 0.9]])
-    occ = superlevel_mask(prof, t, n).occupancy
+    occ = superlevel_mask(prof, t, n)
     layered = np.broadcast_to(occ[..., np.newaxis], occ.shape + (nz,)).copy()
     ref, _, report = minimize_periodic(layered, W, F)
     assert report.converged

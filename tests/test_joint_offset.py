@@ -72,7 +72,7 @@ def reference_w_tilde(profile, W, t, Fbar, n_grid, xtol=REF_XTOL, max_sweeps=60)
     reference."""
     Fbar = np.asarray(Fbar, dtype=float)
     m = Fbar.shape[0]
-    occ = superlevel_mask(profile, t, n_grid).occupancy
+    occ = superlevel_mask(profile, t, n_grid)
 
     def value(col):
         F = np.hstack([Fbar, np.reshape(col, (m, 1))])
@@ -183,12 +183,12 @@ def test_symmetric_argmin_is_exactly_zero(product2, checker2, kind, p):
     # w_tilde writes the zero column without a solve
     W = getattr(EnergyDensity, kind)(p, 1, 3)
     for profile, t in ((product2, 0.3), (checker2, 0.6)):
-        assert node_graph_winds(superlevel_mask(profile, t, 16).occupancy)
+        assert node_graph_winds(superlevel_mask(profile, t, 16))
         _, argmin, converged = w_tilde(profile, W, t, [[1.0, 0.5]], n_grid=16)
         assert converged
         assert argmin.tolist() == [0.0]
     entry = w_bar(checker2, W, [[1.0, 0.0]], n_grid=16)
     assert entry.converged
-    assert all(node_graph_winds(superlevel_mask(checker2, t, 16).occupancy)
+    assert all(node_graph_winds(superlevel_mask(checker2, t, 16))
                for t in entry.nodes)
     assert all(a.tolist() == [0.0] for a in entry.node_argmins)

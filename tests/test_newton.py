@@ -235,7 +235,7 @@ def test_custom_free_column_alone_keeps_unscaled_preconditioner(checker2):
         return np.maximum(plane - 1.0, 0.0) ** 2 + np.sum((G[:, 2:] - 1.0) ** 2, axis=(0, 1))
 
     W = EnergyDensity.custom(fn, p=2.0, m=1, n=3)
-    occ = superlevel_mask(checker2, 0.5, 16).occupancy
+    occ = superlevel_mask(checker2, 0.5, 16)
     value, corr, report = minimize_periodic(occ, W, [[0.0, 0.0, 0.5]],
                                             free_offset=True)
     assert report.method == "newton" and report.converged and report.iterations > 0
@@ -247,7 +247,7 @@ def test_custom_free_column_from_nonzero_start(monkeypatch, checker2):
     # the custom |F|^3 keeps its free column an unknown: a start away from
     # the argmin exercises the column block of the preconditioner, rebuilt
     # from the tangent at every step
-    occ = superlevel_mask(checker2, 0.6, 16).occupancy
+    occ = superlevel_mask(checker2, 0.6, 16)
     F = np.random.default_rng(1).uniform(-1, 1, (1, 3))
     (a, ca, ra), (b, cb, rb) = _both(monkeypatch, lambda: minimize_periodic(
         occ, _custom_cube_norm(_cube_norm_grad), F, free_offset=True))
@@ -390,7 +390,7 @@ def _stress_nan_past(G):
 
 def test_non_finite_gradient_is_not_converged(checker2):
     # a NaN |g| ended `while |g| > gtol` at once, read as converged
-    mask = superlevel_mask(checker2, 0.5, 16).occupancy
+    mask = superlevel_mask(checker2, 0.5, 16)
     W = EnergyDensity.custom(_square, p=2.0, m=1, n=2,
                              grad=_stress_nan_past)
     value, _, report = minimize_periodic(mask, W, [[2.0, 0.5]])

@@ -40,8 +40,8 @@ def test_sampled_profile_roundtrip(tmp_path, stripe2):
     assert loaded.dim == 2
     assert np.array_equal(loaded.values, original.values)
     # masks of the saved profile match masks of the in-memory original
-    a = superlevel_mask(original, 0.6, 16).occupancy
-    b = superlevel_mask(loaded, 0.6, 16).occupancy
+    a = superlevel_mask(original, 0.6, 16)
+    b = superlevel_mask(loaded, 0.6, 16)
     assert np.array_equal(a, b)
 
 
@@ -105,19 +105,18 @@ def test_floor_that_is_not_the_minimum_rejected_by_name(make):
 
 def test_superlevel_constant_full():
     mask = superlevel_mask(Profile.constant(2), 0.5, 16)
-    assert mask.area_fraction == 1.0
-    assert mask.occupancy.all()
+    assert mask.shape == (16, 16) and mask.all()
+    assert not mask.flags.writeable
 
 
 def test_superlevel_product_below_floor_full(product2):
-    mask = superlevel_mask(product2, 0.3, 64)
-    assert mask.area_fraction == 1.0
+    assert superlevel_mask(product2, 0.3, 64).all()
 
 
 def test_superlevel_stripe_theta(stripe2):
     # {sin^2(pi x) > 1/2} has measure exactly 1/2
     mask = superlevel_mask(stripe2, 0.75, 64)
-    assert abs(mask.area_fraction - 0.5) <= 2.0 / 64
+    assert abs(mask.mean() - 0.5) <= 2.0 / 64
 
 
 def test_superlevel_nesting_and_theta_monotone(stripe2, product2):
@@ -126,21 +125,21 @@ def test_superlevel_nesting_and_theta_monotone(stripe2, product2):
         for t in np.linspace(0.05, 0.95, 10):
             mask = superlevel_mask(prof, t, 32)
             if prev is not None:
-                assert not (mask.occupancy & ~prev.occupancy).any()
-                assert mask.area_fraction <= prev.area_fraction + 1e-15
+                assert not (mask & ~prev).any()
+                assert mask.sum() <= prev.sum()
             prev = mask
 
 
 def test_superlevel_even_in_t(stripe2):
-    a = superlevel_mask(stripe2, 0.6, 32).occupancy
-    b = superlevel_mask(stripe2, -0.6, 32).occupancy
+    a = superlevel_mask(stripe2, 0.6, 32)
+    b = superlevel_mask(stripe2, -0.6, 32)
     assert np.array_equal(a, b)
 
 
 def test_torus_components_full_mask():
     comps = torus_components(np.ones((8, 8), bool))
     assert comps.num_components == 1
-    assert comps.rank == 2
+    assert len(comps.wrap_lattice) == 2
     span = np.array(comps.wrap_lattice, dtype=float)
     # unit vectors lie in the lattice span
     for e in np.eye(2):
@@ -149,25 +148,24 @@ def test_torus_components_full_mask():
 
 
 def test_torus_components_stripe_wraps_one_direction(stripe2):
-    comps = torus_components(superlevel_mask(stripe2, 0.75, 64).occupancy)
+    comps = torus_components(superlevel_mask(stripe2, 0.75, 64))
     assert comps.wrap_lattice == ((0, 1),)
-    assert comps.rank == 1
 
 
 def test_torus_components_product_blobs(product2):
-    comps = torus_components(superlevel_mask(product2, 0.75, 64).occupancy)
-    assert comps.rank == 0
+    comps = torus_components(superlevel_mask(product2, 0.75, 64))
+    assert comps.wrap_lattice == ()
     assert comps.num_components == 1
 
 
 def test_torus_components_empty():
     comps = torus_components(np.zeros((6, 6), bool))
     assert comps.num_components == 0
-    assert comps.rank == 0
+    assert comps.wrap_lattice == ()
 
 
 def test_torus_labels_contiguous(checker2):
-    comps = torus_components(superlevel_mask(checker2, 0.5, 16).occupancy)
+    comps = torus_components(superlevel_mask(checker2, 0.5, 16))
     occupied_labels = comps.labels[comps.labels >= 0]
     assert occupied_labels.size > 0
     assert set(np.unique(occupied_labels)) == set(range(comps.num_components))
@@ -175,7 +173,7 @@ def test_torus_labels_contiguous(checker2):
 
 def test_torus_rank_monotone_in_t(product2, stripe2, checker2):
     for prof in (product2, stripe2, checker2):
-        ranks = [torus_components(superlevel_mask(prof, t, 32).occupancy).rank
+        ranks = [len(torus_components(superlevel_mask(prof, t, 32)).wrap_lattice)
                  for t in np.linspace(0.05, 0.95, 8)]
         assert all(b <= a for a, b in zip(ranks, ranks[1:]))
 
@@ -189,20 +187,19 @@ def test_diagonal_stripe_wrap_vector():
     mask[idx, (idx + 1) % n] = True
     comps = torus_components(mask)
     assert comps.num_components == 1
-    assert comps.rank == 1
     assert comps.wrap_lattice == ((1, 1),)
 
 
 def test_oscillating_domain_constant_full():
     dm = oscillating_domain_mask(Profile.constant(2), 0.25, 0.25, (16, 16, 8))
-    assert dm.fraction == 1.0
+    assert dm.occupancy.all()
 
 
 def test_oscillating_domain_stripe_volume_fraction():
     # integral of 1/2 + sin^2(pi x)/2 over a period is 3/4
     prof = Profile.builtin("sin2-stripe", dim=1)
     dm = oscillating_domain_mask(prof, 0.25, 1.0 / 16, (128, 32))
-    assert abs(dm.fraction - 0.75) <= 2.0 / 32
+    assert abs(dm.occupancy.mean() - 0.75) <= 2.0 / 32
 
 
 def test_oscillating_domain_core_always_occupied():
@@ -280,9 +277,9 @@ def test_checkerboard_geometry(checker2):
     assert checker2.eval([0.1, 0.1]) == 1.0
     assert checker2.eval([0.6, 0.1]) == 0.25
     mask = superlevel_mask(checker2, 0.5, 16)
-    assert mask.area_fraction == pytest.approx(0.5)
-    comps = torus_components(mask.occupancy)
-    assert comps.rank == 0
+    assert mask.mean() == pytest.approx(0.5)
+    comps = torus_components(mask)
+    assert comps.wrap_lattice == ()
     assert comps.num_components == 2
 
 
@@ -318,8 +315,18 @@ def test_raw_sampled_profile_holds_a_read_only_copy():
     assert profile.eval_grid(4)[0, 0] == 1.0
 
 
-def test_torus_components_takes_a_mask_not_a_cell_mask(stripe2):
-    mask = superlevel_mask(stripe2, 0.75, 16)
+def test_torus_components_takes_the_superlevel_mask_not_a_slab_result(stripe2):
+    assert torus_components(superlevel_mask(stripe2, 0.75, 16)).wrap_lattice == ((0, 1),)
     with pytest.raises(ConfigurationError, match="^mask"):
-        torus_components(mask)
-    assert torus_components(mask.occupancy).rank == 1
+        torus_components(oscillating_domain_mask(stripe2, 0.25, 0.25, (16, 16, 8)))
+
+
+def test_profile_compares_and_hashes_by_identity():
+    # the generated __eq__ compared the values arrays and raised ValueError,
+    # and hash() raised TypeError
+    values = [[1.0, 0.5], [0.5, 0.25]]
+    a, b = Profile.sampled(values), Profile.sampled(values)
+    assert (a == b) is False and a != b
+    assert a == a
+    assert hash(a) == hash(a) and len({a, b}) == 2
+    assert Profile.builtin("sin2-stripe", 1) != Profile.builtin("sin2-stripe", 1)

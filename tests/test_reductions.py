@@ -113,7 +113,7 @@ def test_joint_newton_loop_takes_no_blas_reduction(monkeypatch, checker2):
     W = EnergyDensity.custom(lambda G: np.sum(G * G, axis=(0, 1)) ** 1.5,
                              p=3.0, m=1, n=3,
                              grad=lambda G: 3.0 * np.sqrt(np.sum(G * G, axis=(0, 1))) * G)
-    occ = superlevel_mask(checker2, 0.5, 48).occupancy
+    occ = superlevel_mask(checker2, 0.5, 48)
     _, corr, report = minimize_periodic(occ, W, [[1.0, 0.5, 0.2]],
                                         free_offset=True)
     assert report.method == "newton" and report.converged and report.iterations > 0

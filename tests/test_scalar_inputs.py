@@ -96,9 +96,8 @@ ENTRY_POINTS = {
 NO_SCALARS = {"minimize_periodic", "torus_components", "load_sampled_profile",
               "save_sampled_profile"}
 NOT_ENTRY_POINTS = {
-    "BoundsReport", "CellMask", "CorrectorField", "DomainMask", "FilmTableEntry",
-    "GammaCheckReport", "HomogenizedSample", "IntervalInfo", "MembraneResult",
-    "SolveReport", "ThresholdReport", "TorusComponents",
+    "BoundsReport", "CorrectorField", "DomainMask", "FilmTableEntry",
+    "GammaCheckReport", "HomogenizedSample", "IntervalInfo", "SolveReport", "ThresholdReport", "TorusComponents",
     "ConfigurationError", "DimensionMismatchError", "FilmhomError",
     "ResolutionError", "StructuralInconsistencyError",
 }

@@ -296,7 +296,7 @@ def test_line_solvable_needs_connected_column_runs():
 def test_periodic_islands_match_sparse_reference(quadratic, product2):
     # four disconnected islands (two periods of the product profile per
     # axis at t = 0.7), two field components
-    mask = np.tile(superlevel_mask(product2, 0.7, 12).occupancy, (2, 2))
+    mask = np.tile(superlevel_mask(product2, 0.7, 12), (2, 2))
     grid = _Grid(cells=mask.shape, spacings=(1 / 24, 1 / 24), kinds="PP")
     if quadratic:
         A = np.diag([1.0, 2.0, 0.5, 3.0])
@@ -430,7 +430,7 @@ def test_newton_slab_keeps_spectral_preconditioner(stripe1):
     assert report.converged and report.method == "newton"
     # the lateral data alone, v = 0, costs more
     dm = oscillating_domain_mask(stripe1, 0.25, 0.0625, (128, 32))
-    affine = W.evaluate([[1.0, 0.0]]) * dm.fraction * 2 * 0.25
+    affine = W.evaluate([[1.0, 0.0]]) * dm.occupancy.mean() * 2 * 0.25
     assert 0.0 < value < affine
 
 
@@ -439,7 +439,7 @@ def test_island_iterations_do_not_grow_with_resolution(product2, W2):
     # without a solve; the forced solve runs CG on them
     iters = []
     for n in (32, 64, 128):
-        mask = superlevel_mask(product2, 0.7, n).occupancy
+        mask = superlevel_mask(product2, 0.7, n)
         _, _, report = forced_periodic_solve(mask, W2, [[1.0, 1.0]])
         assert report.converged and report.method == "cg"
         assert report.iterations > 0

@@ -181,7 +181,6 @@ def test_union_find_matches_bfs_reference(occ):
     assert np.array_equal(comps.labels, labels)
     assert comps.num_components == num
     assert comps.wrap_lattice == basis
-    assert comps.rank == len(basis)
 
 
 @st.composite
@@ -217,7 +216,6 @@ def test_run_labelling_matches_per_edge_union_find(occ):
     assert np.array_equal(comps.labels, labels)
     assert comps.num_components == num
     assert comps.wrap_lattice == basis
-    assert comps.rank == len(basis)
     assert wrap_lattice(occ) == basis
 
 
@@ -284,8 +282,8 @@ def test_node_graph_on_sides_one_and_two(shape):
 def test_checkerboard_node_graph_winds_through_corners():
     # the squares meet only at corners, so the face graph does not wind,
     # but the stencils of (i, j) and (i + 1, j - 1) share the node (i + 1, j)
-    occ = superlevel_mask(Profile.builtin("checkerboard", dim=2), 0.5, 32).occupancy
-    assert torus_components(occ).rank == 0
+    occ = superlevel_mask(Profile.builtin("checkerboard", dim=2), 0.5, 32)
+    assert torus_components(occ).wrap_lattice == ()
     assert node_graph_winds(occ)
     assert _lattice_basis(_run_components(occ, nodes=True)[2], 2) == [(1, -1)]
     W = EnergyDensity.p_norm_power(2.0, 1, 2)
@@ -458,8 +456,8 @@ def test_thresholds_are_exact_cell_values(profile, n):
         assert t in values
         below = values[values < t]
         lower = float(below.max()) if below.size else 0.0
-        assert torus_components(superlevel_mask(profile, t, n).occupancy).rank <= d - k
-        assert torus_components(superlevel_mask(profile, lower, n).occupancy).rank > d - k
+        assert len(torus_components(superlevel_mask(profile, t, n)).wrap_lattice) <= d - k
+        assert len(torus_components(superlevel_mask(profile, lower, n)).wrap_lattice) > d - k
 
 
 def test_thresholds_zero_when_the_rank_is_never_reached():
@@ -519,5 +517,5 @@ def test_default_minimize_periodic_leaves_numpy_ma_unimported():
     # run graph, so the call solves with CG
     assert _numpy_ma_after(
         "from filmhom import EnergyDensity, Profile, minimize_periodic, superlevel_mask\n"
-        "occ = superlevel_mask(Profile.builtin('checkerboard', dim=2), 0.5, 32).occupancy\n"
+        "occ = superlevel_mask(Profile.builtin('checkerboard', dim=2), 0.5, 32)\n"
         "minimize_periodic(occ, EnergyDensity.p_norm_power(2.0, 1, 2), [[1.0, 0.5]])") == "False"
