@@ -10,7 +10,10 @@ exactly what produced them.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,7 +65,8 @@ class RunConfig:
     def probe_matrices(self, columns):
         """Materialize F probes as (m, columns) matrices: the explicit ones,
         read arrays whose entry count must match, plus the requested random
-        ones, drawn from ``seed``."""
+        ones: numpy's ``default_rng(seed).uniform(-probe_scale, probe_scale)``
+        draws, reproduced without importing numpy's random package."""
         out = []
         want = self.m * columns
         for probe in self.F_probes:
@@ -72,10 +76,13 @@ class RunConfig:
                     f"this command needs m*{columns} = {want}")
             out.append(probe.reshape(self.m, columns))
         if self.random_probes > 0:
-            rng = np.random.default_rng(self.seed)
+            # imported here, so that the commands that draw nothing do not
+            # compile it
+            from ._pcg64 import PCG64
+            rng = PCG64(self.seed)
             for _ in range(self.random_probes):
                 out.append(rng.uniform(-self.probe_scale, self.probe_scale,
-                                       size=(self.m, columns)))
+                                       (self.m, columns)))
         if not out:
             raise ConfigurationError("no F probes configured")
         return out
@@ -166,6 +173,13 @@ RETIRED = {"film.vertical_cells": "film cell problems solve on the in-plane grid
            "grid.vertical_cells": "the psi oracle solves on a fixed two-layer cylinder"}
 
 
+# random probe entries are drawn from [-probe_scale, probe_scale), a range
+# whose width 2 * probe_scale must be finite
+_as_probe_scale = functools.partial(
+    as_real, above=0.0, closed=True,
+    below=math.nextafter(sys.float_info.max / 2, math.inf))
+
+
 # every scalar numeric field: dotted name -> (the library's reader, default);
 # they refuse the NaN and Infinity that json.loads reads, as they refuse "16"
 NUMERIC = {
@@ -180,7 +194,7 @@ NUMERIC = {
     "solver.max_iterations": (as_integer, None),
     "sweep.random_probes": (as_count, 0),
     "sweep.seed": (as_count, 0),
-    "sweep.probe_scale": (as_real, 1.0),
+    "sweep.probe_scale": (_as_probe_scale, 1.0),
     "quadrature.rel_tol": (as_positive, REL_TOL),
     "film.n_grid": (as_resolution, 64),
     "schedule.cells_per_delta": (as_integer, 8),

@@ -14,6 +14,7 @@ limits: no computation reads gamma or beta, so a density carries neither.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,9 +246,7 @@ class EnergyDensity:
             return True
         if not self.convex:
             raise ConfigurationError("custom density is declared non-convex")
-        rng = np.random.default_rng(0)
-        F, G = rng.uniform(-2.0, 2.0, size=(2, self.m, self.n, 200))
-        lam = rng.uniform(0.0, 1.0, size=200)
+        F, G, lam = _chords(self.m, self.n)
         mid = self.fn(lam * F + (1 - lam) * G)
         chord = lam * self.fn(F) + (1 - lam) * self.fn(G)
         bad = np.flatnonzero(mid > chord + 1e-10)
@@ -258,3 +257,19 @@ class EnergyDensity:
                 f"W(mid)={mid[k]} > chord={chord[k]}"
             )
         return True
+
+
+@functools.cache
+def _chords(m, n):
+    """The 200 chords of ``check_convexity`` on m x n matrices, read-only:
+    their ends F and G, of shape (m, n, 200), and their weights.  They are
+    numpy's ``default_rng(0).uniform`` draws, reproduced without importing
+    numpy's random package (the replica is imported here, as only a custom
+    density draws), and drawn once per (m, n), since pure Python takes
+    milliseconds for them."""
+    from ._pcg64 import PCG64
+    rng = PCG64(0)
+    ends = rng.uniform(-2.0, 2.0, (2, m, n, 200))
+    lam = rng.uniform(0.0, 1.0, (200,))
+    ends.flags.writeable = lam.flags.writeable = False
+    return ends[0], ends[1], lam

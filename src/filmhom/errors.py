@@ -12,6 +12,7 @@ the name the reader is given, and a wrong shape its DimensionMismatchError.
 """
 
 import functools
+import itertools
 import math
 import numbers
 
@@ -89,12 +90,34 @@ def _entries(value, name, what, ndmin=0):
     return array
 
 
+_SEQUENCES = {list, tuple}
+
+
+def _holds_bool(value):
+    """True where a bool, a numpy bool or a bool array is an entry of
+    ``value`` or of the lists and tuples nested in it.  The walk is level by
+    level in pure Python: reading ``value`` as an object array instead left
+    the ``gamma`` command's peak RSS about 0.07 MB higher."""
+    level = [value]
+    while True:
+        kinds = set(map(type, level))
+        if bool in kinds or np.bool_ in kinds or (np.ndarray in kinds and any(
+                x.dtype == bool for x in level if type(x) is np.ndarray)):
+            return True
+        if not kinds & _SEQUENCES:
+            return False
+        level = list(itertools.chain.from_iterable(
+            level if kinds <= _SEQUENCES else (x for x in level if type(x) in _SEQUENCES)))
+
+
 def as_array(value, name, shape=None, ndmin=0, square=False):
     """``value`` as a float array of finite numbers (``_entries``) of
     ``shape`` (None: a free axis), of one length on every axis if
     ``square``, else refused by ``name``; it may share ``value``'s memory."""
     array = _entries(value, name, _REALS, ndmin)
-    if array.dtype.kind not in "iuf":
+    # numpy reads a list that mixes bools with numbers as numbers
+    if array.dtype.kind not in "iuf" or (
+            not isinstance(value, np.ndarray) and _holds_bool(value)):
         raise ConfigurationError(f"{name} must be {_REALS}; got {value!r:.80}")
     if shape is not None and array.shape != shape and (array.ndim != len(shape) or any(
             w not in (None, s) for w, s in zip(shape, array.shape))):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cell_solver import _Grid, _solve_masked, minimize_periodic
-from .errors import (ConfigurationError, ResolutionError, as_array,
+from .errors import (ConfigurationError, ResolutionError, _entries,
                      as_integer, as_matrix, as_positive)
 # nothing here calls thresholds any more, but perfbench/spans.py wraps it
 # by name in this module, so it stays importable from here
@@ -229,7 +229,7 @@ def direct_min(profile, eps, delta, Fbar, W, *, omega=None, cells_per_delta=8,
 def _eps_schedule(values, name):
     """Slab thicknesses: a strictly decreasing list of positive numbers, at
     least one."""
-    as_array(values, name, (None,))     # one axis of at least one entry
+    _entries(values, name, "a list of thicknesses")   # at least one entry
     schedule = [as_positive(e, name) for e in values]
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ConfigurationError(f"{name} must be strictly decreasing; got {schedule}")

@@ -26,8 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ConfigurationError, ResolutionError, as_array, as_floor,
-                     as_integer, as_level, as_mask, as_positive, as_resolution)
+from .errors import (ConfigurationError, ResolutionError, _entries, as_array,
+                     as_floor, as_integer, as_level, as_mask, as_positive,
+                     as_resolution)
 
 BUILTIN_PROFILES = ("constant", "sin2-stripe", "sin2-product", "checkerboard")
 
@@ -543,7 +544,9 @@ def oscillating_domain_mask(profile, eps, delta, grid, *, omega=None):
     eps = as_positive(eps, "eps")
     delta = as_positive(delta, "delta")
     d = profile.dim
-    as_array(grid, "grid", (None,))     # one axis of at least one entry
+    # at least one entry; as_integer reads each, so a bool among them is
+    # refused as not an integer
+    _entries(grid, "grid", "a list of cell counts")
     grid = tuple(as_integer(g, "grid") for g in grid)
     if len(grid) != d + 1:
         raise ConfigurationError(

@@ -7,8 +7,9 @@ methods of its types) that takes an array, a small valid call of it, and
 its array parameters.  Each bad value is built from the parameter's valid
 value and put in that parameter in turn: a NaN, an infinity or a string
 for its first entry, a ragged nesting, one column too many, one axis too
-many, no entries, and bools.  A mask also refuses 0.5, NaN and a 0-d
-value; one more column or axis, or bools, make a valid mask.
+many, no entries, bools, and one bool among numbers.  A mask also refuses
+0.5, NaN and a 0-d value; one more column or axis, or bools, make a valid
+mask.
 """
 
 import inspect
@@ -108,13 +109,15 @@ BAD = {
     "axes": _more_axes,
     "empty": lambda v: [],
     "bool": lambda v: _innermost(v, lambda row: [bool(x) for x in row]),
+    # numpy reads a bool among numbers as a number
+    "mixed": lambda v: _first(v, True),
 }
 MASK_BAD = {
     "half": lambda v: _first(v, 0.5),
     "zero-d": lambda v: np.array(True),
 }
 # a mask of one more column or axis, or of bools, is a valid mask
-MASK_VALID = {"columns", "axes", "bool"}
+MASK_VALID = {"columns", "axes", "bool", "mixed"}
 
 CASES = [(entry, name, label) for entry, (_, _, names) in ENTRY_POINTS.items()
          for name in names

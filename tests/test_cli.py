@@ -490,6 +490,42 @@ def test_serial_runs_leave_openssl_and_thread_pool_unimported(tmp_path):
     assert (tmp_path / "gamma" / "gamma.json").is_file()
 
 
+def test_random_probes_leave_numpy_random_unimported(tmp_path):
+    # numpy.random imports secrets, whose hmac maps OpenSSL's libcrypto
+    # through _hashlib; the seeded probes of psi and whom and the sampled
+    # convexity check of a custom density draw without it
+    cfg = {"dims": {"n": 3, "m": 1},
+           "profile": {"kind": "sin2-product", "dim": 2},
+           "energy": {"kind": "p_norm_power", "p": 2.0}, "grid": {"N": 8},
+           "sweep": {"t_values": [0.5], "F_probes": [], "random_probes": 2,
+                     "seed": 3}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "import numpy as np\n"
+        "from filmhom import EnergyDensity\n"
+        "from filmhom.cli import main\n"
+        "root = Path(sys.argv[1])\n"
+        "for command in ('psi', 'whom'):\n"
+        "    assert main([command, '--config', str(root / 'cfg.json'), '--out',\n"
+        "                 str(root / command), '--reproducible']) == 0\n"
+        "W = EnergyDensity.custom(lambda G: np.sum(G * G, axis=(0, 1)), 2.0, 1, 3)\n"
+        "assert W.check_convexity()\n"
+        "print(sorted(m for m in ('numpy.random', 'secrets', '_hashlib')"
+        " if m in sys.modules))\n")
+    src = str(Path(filmhom.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, check=True, env=env)
+    assert done.stdout.strip() == "[]"
+    for command, name in (("psi", "psi.csv"), ("whom", "whom.csv")):
+        rows = [line for line in read_lines(tmp_path / command / name).splitlines()
+                if not line.startswith("#")]
+        assert len(rows) == 3
+
+
 # key, value, command, overrides, output files: a retired key warns, and
 # the outputs match a run without it up to the config hash
 RETIRED_RUNS = [
@@ -541,6 +577,9 @@ OUT_OF_RANGE = [
     ("whom", "solver", "grad_tol", -1.0),
     ("psi", "sweep", "seed", -1),
     ("psi", "sweep", "random_probes", -4),
+    # probes are drawn from [-probe_scale, probe_scale), of finite width
+    ("psi", "sweep", "probe_scale", -1),
+    ("psi", "sweep", "probe_scale", 1e308),
     ("phi", "energy", "p", 0.5),
     ("phi", "energy", "p", 1.0),
     # keys of the deleted midpoint rule: unknown keys, whatever the value
@@ -592,6 +631,8 @@ NOT_A_NUMBER = [
     ("phi", "sweep", "t_values", [float("-inf")]),
     ("phi", "energy", "p", float("nan")),
     ("phi", "grid", "N", float("inf")),
+    # numpy reads a bool among numbers as a number
+    ("psi", "sweep", "F_probes", [[1.0, True, 0.0]]),
 ]
 
 
