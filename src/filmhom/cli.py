@@ -6,15 +6,16 @@ take --oracle.  phi and psi refuse any energy.kind but p_norm_power.  Every
 command runs serially on one thread.  --jobs K is retired: it is still
 parsed (K must be an integer >= 1), warns when K > 1, and is ignored.
 
-Exit codes: 0 success, 2 config error, 3 resolution error, 4 solver
-non-convergence, 5 structural inconsistency (the node lattice
-of a superlevel set outranks its face lattice, so the grid cannot certify
-the kernel; thresholds makes no solve and never exits 4).  CSV uses ','
+Exit codes, set in main alone: 0 success, 2 config error (also a --config
+that cannot be read and an --out that cannot be made), 3 resolution error,
+4 solver non-convergence, 5 structural inconsistency (the node lattice of a
+superlevel set outranks its face lattice, so the grid cannot certify the
+kernel; thresholds makes no solve and never exits 4).  CSV uses ','
 separator and 12 significant digits; with --reproducible the header
 comment carries the config hash instead of a timestamp and reruns are
-byte-identical.  The output layout lives here
-alone: a JSON file holds its result dataclass's own fields, and each CSV
-row is built next to its column names.
+byte-identical.  The output layout lives here alone: a JSON file holds its
+result dataclass's own fields, and each CSV row is built next to its
+column names.
 """
 
 from __future__ import annotations
@@ -269,7 +270,8 @@ def cmd_gamma(cfg, args, out):
     probes = cfg.probe_matrices(cfg.n - 1)
     if len(probes) != 1:
         raise ConfigurationError(
-            "gamma command runs one affine boundary gradient; configure exactly one F probe")
+            f"sweep.F_probes, sweep.random_probes: gamma runs one affine boundary "
+            f"gradient; configure exactly one F probe, not {len(probes)}")
     report = film_mod.gamma_check(
         cfg.profile, cfg.energy, probes[0], cfg.eps_schedule, omega=cfg.omega,
         cells_per_delta=cfg.cells_per_delta,
@@ -326,13 +328,11 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config)
-    except ConfigurationError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
+        out = Path(args.out)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ConfigurationError(f"--out {out}: cannot make directory: {err}") from err
         converged = COMMANDS[args.command](cfg, args, out)
     except ConfigurationError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -84,7 +84,8 @@ class RunConfig:
                 out.append(rng.uniform(-self.probe_scale, self.probe_scale,
                                        (self.m, columns)))
         if not out:
-            raise ConfigurationError("no F probes configured")
+            raise ConfigurationError(
+                "sweep.F_probes, sweep.random_probes: no F probes configured")
         return out
 
 
@@ -279,13 +280,12 @@ def load_config(source):
         base_dir = "."
     else:
         path = Path(source)
-        if not path.exists():
-            raise ConfigurationError(f"config file not found: {source}")
         base_dir = path.parent
+        # a decode or parse error is a ValueError, as in load_sampled_profile
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as err:
-            raise ConfigurationError(f"config is not valid JSON: {err}") from err
+        except (OSError, ValueError) as err:
+            raise ConfigurationError(f"{path}: cannot read config: {err}") from err
 
     problems = _unknown_keys(raw)
     num = _numeric_fields(raw, problems)

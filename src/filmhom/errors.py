@@ -1,9 +1,9 @@
 """Exception taxonomy shared by all modules.
 
-Exit-code mapping used by the CLI: configuration errors -> 2, resolution
-errors -> 3, structural inconsistency -> 5.  Solver non-convergence is not
-raised: every solve carries it in ``SolveReport.converged``, and the CLI
-turns any False into exit code 4.
+The CLI's exit code for each error class is set in ``cli.main``, and
+nowhere else.  Solver non-convergence is not raised: every solve carries
+it in ``SolveReport.converged``, and ``cli.main`` gives it an exit code
+too.
 
 Every public entry point, options type and config field reads its scalars
 and arrays through the readers below, which hold each bound and each array

@@ -172,7 +172,7 @@ def load_sampled_profile(path):
                 )
             dim, n = int(header[0]), int(header[1])
             data = np.loadtxt(fh, dtype=float).ravel()
-    except (OSError, UnicodeDecodeError, ValueError) as err:
+    except (OSError, ValueError) as err:
         raise ConfigurationError(f"{path}: cannot read sampled profile: {err}") from err
     # the N**dim values after the header, read by the file's name
     return Profile.sampled(as_array(data, str(path), (n ** dim,)).reshape((n,) * dim))

@@ -288,6 +288,12 @@ def test_offset_checked_before_short_paths(W2, mask):
         minimize_dirichlet(mask, W2, F, 1)
 
 
+def test_offset_narrower_than_the_mask_refused(W2):
+    # W and F for 1x2 matrices on a cell of three axes
+    with pytest.raises(DimensionMismatchError, match="F has 2 columns, fewer than mask's 3 axes"):
+        minimize_periodic(np.ones((4, 4, 4), bool), W2, [[1.0, 0.0]])
+
+
 def test_nonconvex_custom_density_warns():
     # double-well in the first entry: allowed here, warned, local minimum only
     def well(G):

@@ -301,6 +301,43 @@ def test_exit_code_missing_config(tmp_path):
                  str(tmp_path / "out")]) == 2
 
 
+# refusals that only the command can make, each by the field it lacks
+@pytest.mark.parametrize("command,overrides,named", [
+    ("mask", {"sweep": {"t_values": []}}, "mask command needs sweep.t_values"),
+    ("phi", {"sweep": {"t_values": [], "F_probes": [[1.0, 0.0]]}},
+     "phi command needs sweep.t_values"),
+    ("psi", {"sweep": {"t_values": [], "F_probes": [[1.0, 0.0, 0.0]]}},
+     "psi command needs sweep.t_values"),
+    ("whom", {"sweep": {"t_values": [], "F_probes": [[1.0, 0.0, 0.0]]}},
+     "whom command needs sweep.t_values"),
+    ("gamma", {"sweep": {"F_probes": [[1.0, 0.0]]}}, "gamma command needs schedule.eps"),
+    ("gamma", {"sweep": {"F_probes": [[1.0, 0.0], [0.0, 1.0]]},
+               "schedule": {"eps": [0.5, 0.25]}},
+     "sweep.F_probes, sweep.random_probes: gamma runs one"),
+    ("film", {"sweep": {"F_probes": []}},
+     "sweep.F_probes, sweep.random_probes: no F probes configured"),
+], ids=["mask-t_values", "phi-t_values", "psi-t_values", "whom-t_values",
+        "gamma-eps", "gamma-two-probes", "film-no-probe"])
+def test_command_refusal_names_its_field(tmp_path, capsys, command, overrides, named):
+    cfg = write_config(tmp_path, **overrides)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw,named", [
+    ([{"profile": {"kind": "sin2-stripe", "dim": 2}}], "config must be a JSON object"),
+    ({"profile": {"kind": "sin2-stripe", "dim": 2}, "bogus": {}}, "unknown key bogus"),
+    ({"profile": {"kind": "sampled"}},
+     "profile.path of profile.kind 'sampled' must name a file; got None"),
+], ids=["list", "unknown-section", "sampled-without-path"])
+def test_config_refusal_names_what_was_wrong(tmp_path, capsys, raw, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["mask", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_code_dim_mismatch(tmp_path):
     cfg = write_config(tmp_path, dims={"n": 4, "m": 1})
     assert main(["phi", "--config", str(cfg), "--out",
@@ -589,7 +626,13 @@ OUT_OF_RANGE = [
 ]
 
 
-@pytest.mark.parametrize("command,section,key,value", OUT_OF_RANGE)
+def _row_id(value):
+    """A list value's id is its JSON, so that a row inserted in a table
+    renames no other row; pytest's own id of a scalar is its value already."""
+    return json.dumps(value, separators=(",", ":")) if isinstance(value, list) else None
+
+
+@pytest.mark.parametrize("command,section,key,value", OUT_OF_RANGE, ids=_row_id)
 def test_out_of_range_field_rejected_by_name(tmp_path, capsys, command,
                                              section, key, value):
     overrides = {"schedule": {"eps": [0.5, 0.25]}}
@@ -636,7 +679,7 @@ NOT_A_NUMBER = [
 ]
 
 
-@pytest.mark.parametrize("command,section,key,value", NOT_A_NUMBER)
+@pytest.mark.parametrize("command,section,key,value", NOT_A_NUMBER, ids=_row_id)
 def test_non_numeric_field_rejected_by_name(tmp_path, capsys, command,
                                             section, key, value):
     path = write_config(tmp_path)

@@ -368,6 +368,14 @@ def test_gamma_stripe_small_schedule(stripe1, W2):
     assert all(e.converged for e in report.entries)
 
 
+def test_gamma_zero_datum_gap_is_absolute(stripe1, W2):
+    # Fbar = 0 has the target 0, so each gap is |scaled| rather than relative
+    report = gamma_check(stripe1, W2, [[0.0]], [0.5, 0.25],
+                         cells_per_delta=4, vertical_cells=8, n_grid=16)
+    assert report.target == 0.0
+    assert all(e.gap == abs(e.scaled) for e in report.entries)
+
+
 def test_gamma_schedule_must_decrease(stripe1, W2):
     with pytest.raises(ConfigurationError):
         gamma_check(stripe1, W2, [[1.0]], [0.125, 0.25], n_grid=16)

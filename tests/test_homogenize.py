@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filmhom import (ConfigurationError, EnergyDensity, Profile,
+from filmhom import (ConfigurationError, DimensionMismatchError, EnergyDensity, Profile,
                      SolverOptions, StructuralInconsistencyError, bounds_check,
                      kernel, minimize_periodic, phi_sharp, psi,
                      psi_cylinder_oracle, superlevel_mask, thresholds, w_hom,
@@ -219,6 +219,12 @@ def test_whom_rejects_declared_nonconvex():
               declared, 8)
 
 
+def test_whom_rejects_a_density_of_another_shape(product2, W2):
+    with pytest.raises(DimensionMismatchError, match="W is declared for 1x2 matrices; "
+                                                     "this problem needs 1x3"):
+        w_hom(product2, 0.3, [[1.0, 0.0, 0.0]], W2, 8)
+
+
 def test_whom_rejects_nonconvex():
     bad = EnergyDensity.custom(lambda G: np.sqrt(np.abs(G).sum(axis=(0, 1))),
                                p=2.0, m=1, n=3)
@@ -248,6 +254,11 @@ def test_cube_monotone_toward_periodic(stripe2, W3):
 def test_cube_rejects_non_integral_box_side(product2, W3):
     with pytest.raises(ConfigurationError, match="box_side"):
         w_hom_cube_oracle(product2, 0.3, [[1.0, 0.0, 0.0]], W3, 2.5, 8)
+
+
+def test_cube_refuses_a_box_beyond_desk_scale(product2, W3):
+    with pytest.raises(ConfigurationError, match="^box_side must be at most 8 at desk scale; got 9"):
+        w_hom_cube_oracle(product2, 0.3, [[1.0, 0.0, 0.0]], W3, 9, 8)
 
 
 def test_cube_empty_mask(product2, W3):

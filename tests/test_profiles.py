@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from filmhom import (ConfigurationError, Profile, ResolutionError,
                      load_sampled_profile, oscillating_domain_mask,
                      save_sampled_profile, superlevel_mask, torus_components)
+from filmhom.cli import main
+from filmhom.config import load_config
 
 
 def test_eval_constant():
@@ -71,6 +74,37 @@ def test_malformed_sampled_profile_file_rejected_by_path(tmp_path, body):
         load_sampled_profile(path)
 
 
+# a config file is read under the sampled profile's rule: a file that
+# cannot be opened, decoded or parsed is refused by its path, exit code 2
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"\xff\xfe{"),
+    lambda path: path.write_text("{", encoding="utf-8"),
+    lambda path: None,
+], ids=["directory", "not-utf-8", "not-json", "missing-file"])
+def test_unreadable_config_file_rejected_by_path(tmp_path, capsys, make):
+    path = tmp_path / "cfg.json"
+    make(path)
+    with pytest.raises(ConfigurationError, match=re.escape(str(path))):
+        load_sampled_profile(path)
+    with pytest.raises(ConfigurationError, match=re.escape(f"{path}: cannot read config: ")):
+        load_config(path)
+    assert main(["mask", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{path}: cannot read config: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_that_names_a_file_rejected_by_name(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"profile": {"kind": "checkerboard", "dim": 2},
+                               "sweep": {"t_values": [0.3]}}), encoding="utf-8")
+    out = tmp_path / "f"
+    out.touch()
+    assert main(["mask", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"--out {out}: cannot make directory: " in capsys.readouterr().err
+    assert out.read_bytes() == b""
+
+
 @pytest.mark.parametrize("make, match", [
     (lambda: Profile.constant(0), "^dim must be an integer >= 1"),
     (lambda: Profile.constant(-1), "^dim must be an integer >= 1"),
@@ -81,6 +115,11 @@ def test_malformed_sampled_profile_file_rejected_by_path(tmp_path, body):
 def test_profile_of_dim_below_one_rejected_by_name(make, match):
     with pytest.raises(ConfigurationError, match=match):
         make()
+
+
+def test_unknown_builtin_profile_rejected_by_name():
+    with pytest.raises(ConfigurationError, match="^unknown builtin profile 'bogus'"):
+        Profile.builtin("bogus", 2)
 
 
 def test_floor_is_the_profile_minimum():
@@ -259,6 +298,14 @@ def test_oscillating_domain_refuses_a_grid_it_would_truncate(cells):
         with pytest.raises(ConfigurationError, match="^grid must be an integer >= 1"):
             oscillating_domain_mask(prof, 0.25, 0.25, grid)
     assert oscillating_domain_mask(prof, 0.25, 0.25, (16.0, 8)).occupancy.shape == (16, 8)
+
+
+@pytest.mark.parametrize("grid", [(16,), (16, 16, 8)], ids=["short", "long"])
+def test_oscillating_domain_refuses_a_grid_of_another_length(grid):
+    # a 1-d profile's slab has one in-plane axis and the vertical one
+    prof = Profile.builtin("sin2-stripe", dim=1)
+    with pytest.raises(ConfigurationError, match="^grid must give 2 cell counts"):
+        oscillating_domain_mask(prof, 0.25, 0.25, grid)
 
 
 @pytest.mark.parametrize("n", [float("nan"), float("inf"), 2.5, 0, 1, True, "8"])
