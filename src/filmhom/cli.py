@@ -7,15 +7,16 @@ command runs serially on one thread.  --jobs K is retired: it is still
 parsed (K must be an integer >= 1), warns when K > 1, and is ignored.
 
 Exit codes, set in main alone: 0 success, 2 config error (also a --config
-that cannot be read and an --out that cannot be made), 3 resolution error,
+that cannot be read and an --out that cannot be written), 3 resolution error,
 4 solver non-convergence, 5 structural inconsistency (the node lattice of a
 superlevel set outranks its face lattice, so the grid cannot certify the
 kernel; thresholds makes no solve and never exits 4).  CSV uses ','
 separator and 12 significant digits; with --reproducible the header
 comment carries the config hash instead of a timestamp and reruns are
-byte-identical.  The output layout lives here alone: a JSON file holds its
-result dataclass's own fields, and each CSV row is built next to its
-column names.
+byte-identical.  The output layout lives here alone: each command returns
+its files as {name: text}, which main alone writes under --out; a JSON file
+holds its result dataclass's own fields, and each CSV row is built next to
+its column names.
 """
 
 from __future__ import annotations
@@ -42,40 +43,34 @@ MONOTONE_TOL = 1e-8
 
 
 def _fmt(value):
+    """A CSV cell: every cell is a bool, an int or a float."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.12g}"
-    return str(value)
+    return f"{float(value):.12g}"
 
 
-def _write_csv(path, columns, rows, comments):
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def _csv(columns, rows, comments):
+    lines = [f"# {line}" for line in comments] + [",".join(columns)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _fields(obj):
-    """json.dump's hook: an array as nested lists, a result dataclass by its
+    """json.dumps's hook: an array as nested lists, a result dataclass by its
     own fields (the encoder recurses into them)."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
-def _write_json(path, payload, comments):
-    """Write a dict or a result dataclass as JSON, with ``_meta`` from the
+def _json(payload, comments):
+    """A dict or a result dataclass as JSON text, with ``_meta`` from the
     header comments."""
     payload = dict(payload) if isinstance(payload, dict) else _fields(payload)
     payload["_meta"] = {k: v for k, v in (c.split("=", 1) for c in comments)}
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1, default=_fields)
-        fh.write("\n")
+    return json.dumps(payload, sort_keys=True, indent=1, default=_fields) + "\n"
 
 
 def _comments(cfg, args):
@@ -104,18 +99,14 @@ def _jobs(text):
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_mask(cfg, args, out):
+def cmd_mask(cfg, args, comments):
     if not cfg.t_values:
         raise ConfigurationError("mask command needs sweep.t_values")
 
-    results = []
-    for t in cfg.t_values:
+    rows, detail, files = [], [], {}
+    for i, t in enumerate(cfg.t_values):
         mask = superlevel_mask(cfg.profile, t, cfg.grid_n)
-        results.append((mask, torus_components(mask)))
-    comments = _comments(cfg, args)
-    rows = []
-    detail = []
-    for t, (mask, comps) in zip(cfg.t_values, results):
+        comps = torus_components(mask)
         theta = float(mask.sum()) / mask.size
         rank = len(comps.wrap_lattice)
         rows.append([t, theta, comps.num_components, rank])
@@ -126,20 +117,20 @@ def cmd_mask(cfg, args, out):
             "wrap_rank": rank,
             "wrap_lattice": [list(v) for v in comps.wrap_lattice],
         })
-    _write_csv(out / "theta.csv", ["t", "theta", "num_components", "wrap_rank"],
-               rows, comments)
-    _write_json(out / "components.json", {"resolution": cfg.grid_n,
-                                          "levels": detail}, comments)
-    for i, (occ, _) in enumerate(results):
-        with (out / f"mask_{i:03d}.txt").open("w", encoding="utf-8") as fh:
-            fh.write(f"{occ.ndim} {occ.shape[0]}\n")
-            digits = np.where(occ, "1", "0").reshape(-1, occ.shape[0])
-            for row in digits.tolist():
-                fh.write(" ".join(row) + "\n")
-    return True
+        # "ndim side", then rows of space-separated 0/1 digits, from one byte buffer
+        side = mask.shape[0]
+        text = np.full((mask.size // side, 2 * side), ord(" "), dtype=np.uint8)
+        text[:, 0::2] = mask.reshape(-1, side).view(np.uint8) + ord("0")
+        text[:, -1] = ord("\n")
+        files[f"mask_{i:03d}.txt"] = f"{mask.ndim} {side}\n" + text.tobytes().decode()
+    files["theta.csv"] = _csv(["t", "theta", "num_components", "wrap_rank"], rows,
+                              comments)
+    files["components.json"] = _json({"resolution": cfg.grid_n, "levels": detail},
+                                     comments)
+    return files, True
 
 
-def _density_sweep(cfg, args, out, name, evaluate, oracle_column=None):
+def _density_sweep(cfg, comments, name, evaluate, oracle_column=None):
     """Evaluate (t, F) -> (sample, oracle sample or None) over the sweep.
 
     With an oracle, each row also carries its value and the absolute gap, and
@@ -156,7 +147,6 @@ def _density_sweep(cfg, args, out, name, evaluate, oracle_column=None):
     entries = [(t, F) for F in probes for t in cfg.t_values]
     results = [evaluate(t, F) for t, F in entries]
 
-    comments = _comments(cfg, args)
     columns = (["t"] + _flat_names(cfg.m, cols)
                + ["value", "theta", "converged", "iterations", "N"]
                + ([oracle_column, "oracle_abs_err"] if oracle_column else []))
@@ -183,7 +173,6 @@ def _density_sweep(cfg, args, out, name, evaluate, oracle_column=None):
         monotone[str([float(x) for x in key])] = all(
             b <= a + MONOTONE_TOL for a, b in zip(vals, vals[1:]))
 
-    _write_csv(out / f"{name}.csv", columns, rows, comments)
     summary = {
         "monotone_in_t": monotone,
         "all_converged": all_converged,
@@ -191,19 +180,19 @@ def _density_sweep(cfg, args, out, name, evaluate, oracle_column=None):
     }
     if oracle_errs:
         summary["max_oracle_abs_err"] = max(oracle_errs)
-    _write_json(out / f"{name}_summary.json", summary, comments)
-    return all_converged
+    return {f"{name}.csv": _csv(columns, rows, comments),
+            f"{name}_summary.json": _json(summary, comments)}, all_converged
 
 
-def cmd_phi(cfg, args, out):
+def cmd_phi(cfg, args, comments):
     def evaluate(t, F):
         return hom.phi_sharp(cfg.profile, t, F, cfg.grid_n,
                              p=cfg.energy.p, opts=cfg.solver), None
 
-    return _density_sweep(cfg, args, out, "phi", evaluate)
+    return _density_sweep(cfg, comments, "phi", evaluate)
 
 
-def cmd_psi(cfg, args, out):
+def cmd_psi(cfg, args, comments):
     oracle = args.oracle
 
     def evaluate(t, F):
@@ -214,17 +203,16 @@ def cmd_psi(cfg, args, out):
         return sample, hom.psi_cylinder_oracle(cfg.profile, t, F, cfg.grid_n,
                                                p=cfg.energy.p, opts=cfg.solver)
 
-    return _density_sweep(cfg, args, out, "psi", evaluate,
+    return _density_sweep(cfg, comments, "psi", evaluate,
                           "cylinder_oracle" if oracle else None)
 
 
-def cmd_whom(cfg, args, out):
+def cmd_whom(cfg, args, comments):
+    oracle = args.oracle
     # the split-form oracle psi is the cell value of a p_norm_power only
-    oracle = args.oracle and cfg.energy.kind == "p_norm_power"
-    if args.oracle and not oracle:
-        warnings.warn(f"option --oracle is ignored by whom for a "
-                      f"{cfg.energy.kind} density: its split-form oracle "
-                      f"holds for p_norm_power only", stacklevel=2)
+    if oracle and cfg.energy.kind != "p_norm_power":
+        raise ConfigurationError(f"whom --oracle evaluates p_norm_power only; "
+                                 f"energy.kind is {cfg.energy.kind!r}")
 
     def evaluate(t, F):
         sample = hom.w_hom(cfg.profile, t, F, cfg.energy, cfg.grid_n,
@@ -234,37 +222,33 @@ def cmd_whom(cfg, args, out):
         return sample, hom.psi(cfg.profile, t, F, cfg.grid_n,
                                p=cfg.energy.p, opts=cfg.solver)
 
-    return _density_sweep(cfg, args, out, "whom", evaluate,
+    return _density_sweep(cfg, comments, "whom", evaluate,
                           "split_oracle" if oracle else None)
 
 
-def cmd_thresholds(cfg, args, out):
+def cmd_thresholds(cfg, args, comments):
     report = hom.thresholds(cfg.profile, cfg.grid_n, m=cfg.m,
                             confirm=cfg.confirm_kernel)
-    _write_json(out / "thresholds.json", report, _comments(cfg, args))
-    return True
+    return {"thresholds.json": _json(report, comments)}, True
 
 
-def cmd_film(cfg, args, out):
+def cmd_film(cfg, args, comments):
     probes = cfg.probe_matrices(cfg.n - 1)
     report = hom.thresholds(cfg.profile, cfg.film_n_grid, confirm=False)
 
     entries = [film_mod.w_bar(cfg.profile, cfg.energy, F, n_grid=cfg.film_n_grid,
                               rel_tol=cfg.rel_tol, opts=cfg.solver) for F in probes]
-    comments = _comments(cfg, args)
-    _write_json(out / "film.json", {
-        "entries": entries, "thresholds": report.thresholds,
-        "rel_tol": cfg.rel_tol,
-        "metadata": {"n_grid": cfg.film_n_grid, "config_hash": cfg.config_hash},
-    }, comments)
+    table = {"entries": entries, "thresholds": report.thresholds,
+             "rel_tol": cfg.rel_tol,
+             "metadata": {"n_grid": cfg.film_n_grid, "config_hash": cfg.config_hash}}
     columns = _flat_names(cfg.m, cfg.n - 1) + ["value", "refinement_level", "nodes"]
     rows = [list(e.Fbar.ravel()) + [e.value, e.refinement_level, len(e.nodes)]
             for e in entries]
-    _write_csv(out / "film.csv", columns, rows, comments)
-    return all(e.converged for e in entries)
+    return {"film.json": _json(table, comments),
+            "film.csv": _csv(columns, rows, comments)}, all(e.converged for e in entries)
 
 
-def cmd_gamma(cfg, args, out):
+def cmd_gamma(cfg, args, comments):
     if not cfg.eps_schedule:
         raise ConfigurationError("gamma command needs schedule.eps")
     probes = cfg.probe_matrices(cfg.n - 1)
@@ -277,13 +261,12 @@ def cmd_gamma(cfg, args, out):
         cells_per_delta=cfg.cells_per_delta,
         vertical_cells=cfg.schedule_vertical_cells, n_grid=cfg.film_n_grid,
         rel_tol=cfg.rel_tol, opts=cfg.solver)
-    comments = _comments(cfg, args)
-    _write_json(out / "gamma.json", report, comments)
-    _write_csv(out / "gamma.csv",
-               ["eps", "delta", "minimum", "scaled", "gap", "converged"],
-               [[e.eps, e.delta, e.minimum, e.scaled, e.gap, int(e.converged)]
-                for e in report.entries], comments)
-    return report.membrane_converged and all(e.converged for e in report.entries)
+    columns = ["eps", "delta", "minimum", "scaled", "gap", "converged"]
+    rows = [[e.eps, e.delta, e.minimum, e.scaled, e.gap, int(e.converged)]
+            for e in report.entries]
+    return ({"gamma.json": _json(report, comments),
+             "gamma.csv": _csv(columns, rows, comments)},
+            report.membrane_converged and all(e.converged for e in report.entries))
 
 
 COMMANDS = {
@@ -328,12 +311,17 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config)
-        out = Path(args.out)
+        files, converged = COMMANDS[args.command](cfg, args, _comments(cfg, args))
+        # --out is made only now, so a refused run leaves no directory behind
+        out = target = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)
+            for name, text in files.items():
+                target = out / name
+                target.write_text(text, encoding="utf-8", newline="\n")
         except OSError as err:
-            raise ConfigurationError(f"--out {out}: cannot make directory: {err}") from err
-        converged = COMMANDS[args.command](cfg, args, out)
+            raise ConfigurationError(f"--out {out}: cannot write {target}: "
+                                     f"{err.strerror or err}") from err
     except ConfigurationError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

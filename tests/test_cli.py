@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import filmhom
+from filmhom import cell_solver
 from filmhom import (Profile, gamma_check, save_sampled_profile,
                      superlevel_mask, thresholds, w_bar)
-from filmhom.cli import _write_json, main
+from filmhom.cli import _json, main
 from filmhom.config import config_hash, load_config
 
 
@@ -95,6 +96,21 @@ def test_mask_sampled_profile_round_trip(tmp_path, stripe2):
     assert np.array_equal(saved, direct)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_mask_files_match_a_row_by_row_rendering(tmp_path, dim):
+    # the reference: one string per cell, joined row by row
+    cfg = write_config(tmp_path, profile={"kind": "sin2-product", "dim": dim},
+                       dims={"n": dim + 1, "m": 1}, grid={"N": 8},
+                       sweep={"t_values": [0.3, 0.7], "F_probes": []})
+    out = tmp_path / "out"
+    assert main(["mask", "--config", str(cfg), "--out", str(out)]) == 0
+    for i, t in enumerate([0.3, 0.7]):
+        mask = superlevel_mask(Profile.builtin("sin2-product", dim), t, 8)
+        rows = np.where(mask, "1", "0").reshape(-1, 8).tolist()
+        text = f"{dim} 8\n" + "".join(" ".join(row) + "\n" for row in rows)
+        assert (out / f"mask_{i:03d}.txt").read_bytes() == text.encode()
+
+
 @pytest.mark.parametrize("body,named", [
     ("2 x\n1 1\n1 1\n", "prof.txt"),
     ("2 2\n1 nan\n0.5 0.5\n", "finite"),
@@ -145,20 +161,45 @@ def test_whom_split_oracle(tmp_path):
     assert summary["max_oracle_abs_err"] <= 1e-6
 
 
-def test_whom_oracle_off_p_norm_power_warns_and_adds_no_column(tmp_path):
+def test_whom_oracle_off_p_norm_power_refused_by_energy_kind(tmp_path, capsys):
     # the split-form oracle psi is the cell value of a p_norm_power only
     cfg = write_config(tmp_path, energy={"kind": "frobenius_power", "p": 2.0},
                        grid={"N": 16},
                        sweep={"t_values": [0.7], "F_probes": [[1.0, 0.5, 0.5]]})
     out = tmp_path / "out"
-    with pytest.warns(UserWarning, match="--oracle.*frobenius_power"):
-        assert main(["whom", "--config", str(cfg), "--out", str(out),
-                     "--oracle"]) == 0
-    header = [line for line in read_lines(out / "whom.csv").splitlines()
-              if not line.startswith("#")][0]
-    assert "oracle" not in header
-    assert "max_oracle_abs_err" not in json.loads(
-        read_lines(out / "whom_summary.json"))
+    assert main(["whom", "--config", str(cfg), "--out", str(out), "--oracle"]) == 2
+    err = capsys.readouterr().err
+    assert "whom --oracle evaluates p_norm_power only; energy.kind is " \
+           "'frobenius_power'" in err
+    assert not out.exists()
+    # without the flag the same density is evaluated
+    assert main(["whom", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command, config", [
+    ("mask", {"sweep": {"t_values": []}}),
+    ("phi", {"energy": {"kind": "frobenius_power", "p": 2.0}}),
+    ("gamma", {}),
+], ids=["mask-no-t_values", "phi-off-p_norm_power", "gamma-no-schedule"])
+def test_refused_command_makes_no_out(tmp_path, capsys, command, config):
+    # --out is made after the command has run, so a refusal leaves nothing
+    cfg = write_config(tmp_path, **config)
+    out = tmp_path / "out" / "nested"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_output_that_cannot_be_written_exits_2_by_out(tmp_path, capsys):
+    # theta.csv is a directory: the write fails, named by --out and the file,
+    # on one line of stderr and without a traceback
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    (out / "theta.csv").mkdir(parents=True)
+    assert main(["mask", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"config error: --out {out}: cannot write "
+                                f"{out / 'theta.csv'}: Is a directory"]
 
 
 @pytest.mark.parametrize("command", ["mask", "phi", "thresholds", "film", "gamma"])
@@ -400,6 +441,21 @@ def test_exit_code_whom_nonconvergence(tmp_path):
     out = tmp_path / "out"
     assert main(["whom", "--config", str(cfg), "--out", str(out)]) == 4
     assert json.loads(read_lines(out / "whom_summary.json"))["all_converged"] is False
+
+
+def test_exit_code_whom_when_the_line_search_accepts_no_point(tmp_path, monkeypatch):
+    # a Newton solve whose line search finds no point ends unconverged, and
+    # its row reaches the summary and the exit code
+    monkeypatch.setattr(cell_solver, "_line_search", lambda *args: None)
+    cfg = write_config(tmp_path, energy={"kind": "p_norm_power", "p": 3.0},
+                       profile={"kind": "checkerboard", "dim": 2}, grid={"N": 16},
+                       sweep={"t_values": [0.6], "F_probes": [[1.0, 0.5, 0.2]]})
+    out = tmp_path / "out"
+    assert main(["whom", "--config", str(cfg), "--out", str(out)]) == 4
+    assert json.loads(read_lines(out / "whom_summary.json"))["all_converged"] is False
+    header, row = [line for line in read_lines(out / "whom.csv").splitlines()
+                   if not line.startswith("#")]
+    assert dict(zip(header.split(","), row.split(",")))["converged"] == "false"
 
 
 def test_exit_code_film_nonconvergence(tmp_path):
@@ -771,7 +827,7 @@ def test_integral_float_accepted_for_integer_field(tmp_path):
 
 
 def _assert_fields(obj, payload):
-    """payload holds obj as _write_json writes it: a dataclass by its field
+    """payload holds obj as _json renders it: a dataclass by its field
     names, arrays and tuples as lists of the same values."""
     if dataclasses.is_dataclass(obj):
         names = [f.name for f in dataclasses.fields(obj)]
@@ -792,8 +848,8 @@ def _assert_fields(obj, payload):
         assert payload == obj
 
 
-def test_json_outputs_hold_each_result_by_its_fields(tmp_path, stripe1, stripe2,
-                                                     product2, W2, W3):
+def test_json_outputs_hold_each_result_by_its_fields(stripe1, stripe2, product2,
+                                                     W2, W3):
     report = thresholds(stripe2, 32, confirm=False)
     assert any(iv.xi for iv in report.intervals)
     entry = w_bar(product2, W3, [[1.0, 0.0]], n_grid=16)
@@ -801,10 +857,8 @@ def test_json_outputs_hold_each_result_by_its_fields(tmp_path, stripe1, stripe2,
     gamma = gamma_check(stripe1, W2, [[1.0]], [0.5, 0.25], cells_per_delta=4,
                         vertical_cells=8, n_grid=16)
     comments = ["config_hash=0123abcd", "reproducible=true"]
-    for i, result in enumerate((report, entry, gamma)):
-        path = tmp_path / f"{i}.json"
-        _write_json(path, result, comments)
-        payload = json.loads(read_lines(path))
+    for result in (report, entry, gamma):
+        payload = json.loads(_json(result, comments))
         assert payload.pop("_meta") == {"config_hash": "0123abcd",
                                         "reproducible": "true"}
         _assert_fields(result, payload)

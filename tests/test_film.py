@@ -220,10 +220,9 @@ def test_old_settings_keywords_refused_by_name(product2, W3):
         gamma_check(product2, W3, [[1.0, 0.0]], [0.5], solver_opts=SolverOptions())
 
 
-def test_wbar_serialization_roundtrip(tmp_path, product2, W3):
+def test_wbar_serialization_roundtrip(product2, W3):
     entry = w_bar(product2, W3, [[1.0, 0.0]], n_grid=16)
-    cli._write_json(tmp_path / "entry.json", entry, [])
-    payload = json.loads((tmp_path / "entry.json").read_text(encoding="utf-8"))
+    payload = json.loads(cli._json(entry, []))
     assert payload["value"] == pytest.approx(entry.value)
     assert len(payload["nodes"]) == len(entry.nodes)
 
@@ -391,8 +390,7 @@ def test_gamma_resolution_error_aborts(stripe1, W2):
 def test_gamma_serialization(tmp_path, stripe1, W2):
     report = gamma_check(stripe1, W2, [[1.0]], [0.5, 0.25],
                          cells_per_delta=4, vertical_cells=8, n_grid=16)
-    cli._write_json(tmp_path / "report.json", report, [])
-    payload = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    payload = json.loads(cli._json(report, []))
     assert len(payload["entries"]) == 2
     # the CSV rows are built by the gamma command: run it on the same problem
     config = tmp_path / "cfg.json"

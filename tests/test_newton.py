@@ -350,6 +350,72 @@ def test_line_search_steps_past_one_on_a_pure_power():
     assert np.array_equal(x, evaluated[2])
 
 
+def _identity_tangent(scale=1.0):
+    """tangent(x) of the Hessian scale * I, preconditioned by the identity."""
+    return lambda x: (lambda u: scale * u,
+                      lambda: lambda r, out: np.positive(r, out=out))
+
+
+def test_line_search_takes_the_last_descent_point_at_a_rounded_bracket():
+    # phi' = -1 before alpha = 1.5 and 1e20 after: regula falsi in [1, 2]
+    # rounds to alpha = 1, the last trial with phi' < 0
+    evaluated = []
+
+    def gradient(y):
+        evaluated.append(y.copy())
+        return np.array([-1.0 if y[0] < 1.5 else 1e20])
+
+    cand, g = cell_solver._line_search(gradient, np.zeros(1), np.ones(1), -1.0)
+    assert len(evaluated) == 2
+    assert cand[0] == 1.0 and g[0] == -1.0
+
+
+def test_line_search_spends_its_trials_on_a_sign_flipping_gradient():
+    # phi' alternates -1, +1, ...: no trial is accepted, no bracket rounds,
+    # and the last trial with phi' < 0 is returned
+    evaluated = []
+
+    def gradient(y):
+        evaluated.append(y.copy())
+        return np.array([1.0 if len(evaluated) % 2 == 0 else -1.0])
+
+    cand, g = cell_solver._line_search(gradient, np.zeros(1), np.ones(1), -1.0)
+    assert len(evaluated) == cell_solver._LINE_SEARCH_TRIALS
+    assert np.array_equal(cand, evaluated[-2]) and g[0] == -1.0
+
+
+def test_newton_stops_without_a_descent_direction():
+    # M = -I makes r . M r < 0: CG takes no step, and the fallback -M g is
+    # an ascent direction
+    def tangent(x):
+        return (lambda u: u, lambda: lambda r, out: np.negative(r, out=out))
+
+    x0 = np.array([1.0, -2.0])
+    x, steps, gn, converged, inner = cell_solver._newton_pcg(
+        lambda y: y.copy(), tangent, x0, 1e-10, 50)
+    assert not converged and (steps, inner) == (0, 0)
+    assert np.array_equal(x, x0) and gn == pytest.approx(math.sqrt(5.0))
+
+
+def test_newton_stops_when_the_line_search_accepts_no_point(monkeypatch):
+    monkeypatch.setattr(cell_solver, "_line_search", lambda *args: None)
+    x0 = np.array([1.0, -2.0])
+    x, steps, gn, converged, inner = cell_solver._newton_pcg(
+        lambda y: y.copy(), _identity_tangent(), x0, 1e-10, 50)
+    assert not converged and (steps, inner) == (0, 1)
+    assert np.array_equal(x, x0)
+
+
+def test_newton_stops_at_a_step_below_rounding():
+    # a tangent 1e30 times too stiff: the Newton step -g / 1e30 leaves x = 1
+    # unchanged, at every trial of the line search
+    x0 = np.ones(1)
+    x, steps, gn, converged, inner = cell_solver._newton_pcg(
+        lambda y: y.copy(), _identity_tangent(1e30), x0, 1e-10, 50)
+    assert not converged and (steps, inner) == (0, 1)
+    assert np.array_equal(x, x0) and gn == 1.0
+
+
 def _pendant_stripe(n):
     """The stripe of rows 1/6 < x < 4/6 with one pendant cell below it."""
     mask = stripe_mask(n, 1.0 / 6, 4.0 / 6)

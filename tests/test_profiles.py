@@ -101,7 +101,7 @@ def test_out_that_names_a_file_rejected_by_name(tmp_path, capsys):
     out = tmp_path / "f"
     out.touch()
     assert main(["mask", "--config", str(cfg), "--out", str(out)]) == 2
-    assert f"--out {out}: cannot make directory: " in capsys.readouterr().err
+    assert f"--out {out}: cannot write {out}: File exists" in capsys.readouterr().err
     assert out.read_bytes() == b""
 
 

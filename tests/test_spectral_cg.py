@@ -457,13 +457,12 @@ def test_quadratic_cg_keeps_its_iterates(product2):
     assert sample.report.iterations == 16
 
 
-def test_gamma_check_reports_membrane_nonconvergence(tmp_path, checker2, W3):
+def test_gamma_check_reports_membrane_nonconvergence(checker2, W3):
     # checkerboard squares coupled at their corners: one preconditioned
     # iteration cannot solve the cylinders
     report = gamma_check(checker2, W3, [[1.0, 0.0]], [0.5], cells_per_delta=4,
                          vertical_cells=4, n_grid=16,
                          opts=SolverOptions(max_iterations=1))
     assert report.membrane_converged is False
-    cli._write_json(tmp_path / "gamma.json", report, [])
-    payload = json.loads((tmp_path / "gamma.json").read_text(encoding="utf-8"))
+    payload = json.loads(cli._json(report, []))
     assert payload["membrane_converged"] is False

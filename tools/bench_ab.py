@@ -33,19 +33,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+# a sibling script: tools/ is on sys.path when this one runs as a script
+from outputs_diff import _extract
+
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "work")        # REV, the working tree: names of one length
 COUNTERS = "work counters: "
-
-
-def _extract(rev, dest):
-    """REV's tracked files under ``dest``."""
-    archive = dest.with_suffix(".tar")
-    dest.mkdir()
-    subprocess.run(["git", "-C", str(ROOT), "archive", "-o", str(archive), rev],
-                   check=True)
-    subprocess.run(["tar", "-xf", str(archive), "-C", str(dest)], check=True)
-    archive.unlink()
 
 
 def _trees(rev, tmp):

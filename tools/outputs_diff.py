@@ -47,14 +47,14 @@ def _steps(seed):
 
 
 def _extract(rev, dest):
-    """REV's tracked files under ``dest``."""
-    archive, tree = dest / "rev.tar", dest / "tree"
-    tree.mkdir()
+    """REV's tracked files under ``dest``, a directory this makes
+    (``tools/bench_ab.py`` imports it too)."""
+    archive = dest.with_suffix(".tar")
+    dest.mkdir()
     subprocess.run(["git", "-C", str(ROOT), "archive", "-o", str(archive), rev],
                    check=True)
-    subprocess.run(["tar", "-xf", str(archive), "-C", str(tree)], check=True)
+    subprocess.run(["tar", "-xf", str(archive), "-C", str(dest)], check=True)
     archive.unlink()
-    return tree
 
 
 def _run(tree, configs, out):
@@ -94,7 +94,8 @@ def main(argv=None):
 
     with tempfile.TemporaryDirectory(prefix="outputs-diff-") as tmp:
         tmp = Path(tmp)
-        base = _extract(args.rev, tmp)
+        base = tmp / "tree"
+        _extract(args.rev, base)
         (tmp / "configs").mkdir()
         configs = {}
         for seed in SEEDS:
